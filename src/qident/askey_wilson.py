@@ -14,7 +14,6 @@ from typing import Literal
 
 from .errors import DomainError, PoleError
 from .qkernel import (
-    EXACT_ONE,
     ExactScalar,
     I,
     QBase,
@@ -147,7 +146,6 @@ def eval_aw(params: AWParams, rep: Representation = "R1") -> Scalar:
 def _aw_convolution(a, b, c, d, q, w, n: int) -> Scalar:
     """(q,ab,cd;q)_n sum_j [(aw,bw;q)_j/((q,ab;q)_j)]
     [(c/w,d/w;q)_{n-j}/((q,cd;q)_{n-j})] w^{n-2j}."""
-    one = EXACT_ONE if isinstance(w, ExactScalar) or isinstance(w, int) else None
     aw_up = [qpoch_list([a * w, b * w], q, j) for j in range(n + 1)]
     cw_up = [qpoch_list([c / w, d / w], q, j) for j in range(n + 1)]
     qj = [qpoch_finite(q, q, j) for j in range(n + 1)]

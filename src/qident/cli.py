@@ -47,8 +47,12 @@ def _parse_params(text: str) -> dict:
         if "=" not in piece:
             raise DomainError(f"parameter {piece!r} is not of the form name=value")
         name, _, value = piece.partition("=")
-        scalar = parse_exact(value)
-        out[name.strip()] = scalar if not scalar.is_real() else scalar.re
+        name = name.strip()
+        try:
+            scalar = parse_exact(value)
+        except ValueError as exc:
+            raise DomainError(f"parameter {name!r}: {exc}") from exc
+        out[name] = scalar if not scalar.is_real() else scalar.re
     return out
 
 

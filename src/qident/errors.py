@@ -13,10 +13,6 @@ class DomainError(QIdentError):
     """An input lies outside the operation's domain (|q| >= 1, n < 0, ...)."""
 
 
-class ZeroFactor(QIdentError):
-    """An infinite product contains an exactly vanishing factor."""
-
-
 class PoleError(QIdentError):
     """A denominator q-Pochhammer factor vanishes before the termination index."""
 

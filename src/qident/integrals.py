@@ -6,6 +6,13 @@ an integral over psi in [-pi, pi] of theta-paired infinite products times a
 periodic analytic integrands converges geometrically; nodes double until two
 successive estimates agree.
 
+The five representations are data: the denominator moduli, the prefactor's
+q-Pochhammer arguments, five numerator and five denominator node arguments
+(constants times sigma/w or w/sigma) and the 3phi2 kernel's arguments.  One
+node function evaluates all of them.  The series side of IR_X is the left
+side of product transformation X (IR_SCHLOSSER: SCHLOSSER_T4) in the table of
+:mod:`qident.products`.
+
 The hypothesis that every denominator q-Pochhammer argument keeps modulus
 below one (which also places all kernel poles correctly relative to the
 contour) is pre-scanned on 64 coarse nodes before any full quadrature runs.
@@ -33,9 +40,9 @@ from .errors import (
     UnknownIdentity,
     ZeroArgument,
 )
+from .products import product_sides, side_value
 from .qkernel import ApproxScalar, ExactScalar, QBase, qpoch_infinite
 from .reporting import VerificationReport, compare_approx, value_str
-from .series import SeriesSpec, eval_phi_nonterminating
 
 E = ExactScalar.coerce
 
@@ -178,304 +185,151 @@ def _phi32_node(upper, lower, q, z, eps, pb):
 # per-identity descriptors
 # --------------------------------------------------------------------------
 
+# Forms of a node argument (c, form): c sigma/w, c w/sigma, or sigma/(c w).
+_SO, _WS, _SO_OVER = "sigma/w", "w/sigma", "sigma/(c w)"
+
 
 def _series_side(identity_id: str, params: dict, eps: float, pb: int) -> ApproxScalar:
-    """The product of two 2phi1 series that the integral must reproduce."""
+    """The product of two 2phi1 series that the integral must reproduce: the
+    left side of the matching product transformation."""
+    product_id = "SCHLOSSER_T4" if identity_id == "IR_SCHLOSSER" else identity_id[3:]
+    lhs, _ = product_sides(product_id, params)
+    value, _ = side_value(lhs, E(params["z"]), eps / 4, pb)
+    return value
 
-    def phi(upper, lower, q, z):
-        v, _ = eval_phi_nonterminating(SeriesSpec.make(upper, lower, q, z), eps / 4, pb)
-        return v
 
-    if identity_id == "IR_SCHLOSSER":
-        q, a, b, z = (E(params[k]) for k in ("q", "a", "b", "z"))
-        return phi([a, q / a], [-q], q, z) * phi([b, q / b], [-q], q, -z)
-    if identity_id == "IR_SRIV_JAIN":
-        q, a, b, z = (E(params[k]) for k in ("q", "a", "b", "z"))
-        return phi([a, -a], [a * a], q, z) * phi([b, -b], [b * b], q, -z)
-    p, a, b, z = (E(params[k]) for k in ("p", "a", "b", "z"))
-    q = p * p
-    Q = q * q
-    A, B = a * a, b * b
-    if identity_id == "IR_NASSRALLAH_1":
-        return phi([A, B], [A * B / q], Q, z) * phi([A, B], [q * A * B], Q, q * z)
-    if identity_id == "IR_NASSRALLAH_2":
-        return phi([q * A, q * B], [q * A * B], Q, z) * phi([A / q, q * B], [q * A * B], Q, q * z)
-    if identity_id == "IR_THM21":
-        return phi([q * A, q * B], [q * A * B], Q, z) * phi([A / q, B / q], [A * B / q], Q, q * z)
-    raise UnknownIdentity(identity_id)
+def _prefactor(num_args, den_args, base, eps: float, pb: int) -> ApproxScalar:
+    """prod (x; base)_inf over num_args / prod over den_args."""
+    num = ApproxScalar.coerce(1, pb)
+    for x in num_args:
+        v, _ = qpoch_infinite(x, base, eps / 64, pb)
+        num = num * v
+    den = ApproxScalar.coerce(1, pb)
+    for x in den_args:
+        v, _ = qpoch_infinite(x, base, eps / 64, pb)
+        if v.is_zero():
+            raise HypothesisViolation("a prefactor denominator product vanishes", factor=str(x))
+        den = den * v
+    return num / den
+
+
+def _node_integrand(num, den, kernel, base, sgv, eps: float, pb: int) -> Callable:
+    """psi -> prod (x; base)_inf over num / prod over den * 3phi2 kernel, w = e^(i psi).
+
+    num and den hold node arguments (c, form); kernel ([u1, u2, u3], [l1, l2], zc)
+    stands for 3phi2(u1, u2, u3 sigma/w; l1, l2 w/sigma; base, zc w/sigma).
+    """
+    qp = _QPEvaluator(base, eps * 1e-4)
+    (u1, u2, u3), (l1, l2), zc = kernel
+
+    def product(args, so, ws):
+        out = None
+        for c, form in args:
+            v = qp(c * so if form == _SO else c * ws if form == _WS else so / c)
+            out = v if out is None else out * v
+        return out
+
+    def integrand(psi):
+        w = mpmath.expjpi(psi / mpmath.pi)
+        so, ws = sgv / w, w / sgv
+        return (
+            product(num, so, ws)
+            / product(den, so, ws)
+            * _phi32_node([u1, u2, u3 * so], [l1, l2 * ws], base, zc * ws, eps * 1e-4, pb)
+        )
+
+    return integrand
 
 
 def _descriptor(identity_id: str, params: dict, sigma, f, eps: float, pb: int):
-    """(prefactor, integrand, denominator-modulus list) for one identity."""
+    """(prefactor, integrand, denominator-modulus list) for one identity.
+
+    Parameter values are rounded at pb + 20 bits; node constants are formed at
+    the pb + 10 bits the quadrature evaluates nodes at.
+    """
     sig = E(sigma)
     fe = E(f)
     if fe.is_zero():
         raise ZeroArgument("the theta parameter f must be nonzero")
     sv = float(sig.abs_upper())
+    i = mpmath.mpc(0, 1)
 
-    with mp.workprec(pb + 20):
-        i = mpmath.mpc(0, 1)
-
-        if identity_id in ("IR_SCHLOSSER", "IR_SRIV_JAIN"):
-            q, a, b, z = (E(params[k]) for k in ("q", "a", "b", "z"))
-            qb = QBase.of(q)
-            qv, av, bv, zv, fv, sgv = (
-                x.to_approx(pb + 20).value for x in (q, a, b, z, fe, sig)
-            )
-            qp = _QPEvaluator(qv, eps * 1e-4)
-
-            def pref_values(args_num, args_den):
-                num = ApproxScalar.coerce(1, pb)
-                for x in args_num:
-                    v, _ = qpoch_infinite(x, qb, eps / 64, pb)
-                    num = num * v
-                den = ApproxScalar.coerce(1, pb)
-                for x in args_den:
-                    v, _ = qpoch_infinite(x, qb, eps / 64, pb)
-                    if v.is_zero():
-                        raise HypothesisViolation(
-                            "a prefactor denominator product vanishes", factor=str(x)
-                        )
-                    den = den * v
-                return num / den
-
+    if identity_id in ("IR_SCHLOSSER", "IR_SRIV_JAIN"):
+        q, a, b, z = (E(params[k]) for k in "qabz")
+        qv, av, bv, zv, fv, sgv = (x.to_approx(pb + 20).value for x in (q, a, b, z, fe, sig))
+        base, node_base = q, qv
+        theta_den = [fe, q / fe, -fe, -q / fe]
+        moduli = [
+            ("i sigma/w", sv),
+            ("-i sigma/w", sv),
+            ("-i a w/sigma", a.abs_upper() / sv),
+            ("i b w/sigma", b.abs_upper() / sv),
+        ]
+        with mp.workprec(pb + 10):
+            num = [(i * fv, _SO), (-i * (qv / fv), _SO), (i * fv, _WS), (-i * (qv / fv), _WS)]
+            den = [(i, _SO), (-i, _SO), (-i * av, _WS), (i * bv, _WS)]
             if identity_id == "IR_SCHLOSSER":
-                moduli = [
-                    ("i sigma/w", sv),
-                    ("-i sigma/w", sv),
-                    ("-i a w/sigma", a.abs_upper() / sv),
-                    ("i b w/sigma", b.abs_upper() / sv),
-                    ("i (q/b) w/sigma", (q / b).abs_upper() / sv),
-                ]
-                pref = pref_values(
-                    [q, a, -a, b, -b, q / b, -q / b],
-                    [fe, q / fe, -fe, -q / fe, -q, a * b, q * a / b],
-                )
-
-                def integrand(psi):
-                    w = mpmath.expjpi(psi / mpmath.pi)
-                    so, ws = sgv / w, w / sgv
-                    num = (
-                        qp(i * fv * so)
-                        * qp(-i * (qv / fv) * so)
-                        * qp(i * fv * ws)
-                        * qp(-i * (qv / fv) * ws)
-                        * qp(i * qv * av * ws)
-                    )
-                    den = (
-                        qp(i * so)
-                        * qp(-i * so)
-                        * qp(-i * av * ws)
-                        * qp(i * bv * ws)
-                        * qp(i * (qv / bv) * ws)
-                    )
-                    kernel = _phi32_node(
-                        [av * bv, qv * av / bv, -(i * qv / av) * so],
-                        [-qv, i * qv * av * ws],
-                        qv,
-                        i * zv * ws,
-                        eps * 1e-4,
-                        pb,
-                    )
-                    return num / den * kernel
-
+                moduli.append(("i (q/b) w/sigma", (q / b).abs_upper() / sv))
+                pref_num = [q, a, -a, b, -b, q / b, -q / b]
+                pref_den = theta_den + [-q, a * b, q * a / b]
+                num.append((i * qv * av, _WS))
+                den.append((i * (qv / bv), _WS))
+                kernel = ([av * bv, qv * av / bv, -(i * qv / av)], [-qv, i * qv * av], i * zv)
             else:  # IR_SRIV_JAIN
-                moduli = [
-                    ("i sigma/w", sv),
-                    ("-i sigma/w", sv),
-                    ("-i a w/sigma", a.abs_upper() / sv),
-                    ("i b w/sigma", b.abs_upper() / sv),
-                    ("-i b w/sigma", b.abs_upper() / sv),
-                ]
-                pref = pref_values(
-                    [q, a, -a, b, -b, b, -b],
-                    [fe, q / fe, -fe, -q / fe, a * b, -a * b, b * b],
-                )
-
-                def integrand(psi):
-                    w = mpmath.expjpi(psi / mpmath.pi)
-                    so, ws = sgv / w, w / sgv
-                    num = (
-                        qp(i * fv * so)
-                        * qp(-i * (qv / fv) * so)
-                        * qp(i * fv * ws)
-                        * qp(-i * (qv / fv) * ws)
-                        * qp(-i * av * bv * bv * ws)
-                    )
-                    den = (
-                        qp(i * so)
-                        * qp(-i * so)
-                        * qp(-i * av * ws)
-                        * qp(i * bv * ws)
-                        * qp(-i * bv * ws)
-                    )
-                    kernel = _phi32_node(
-                        [av * bv, -av * bv, i * av * so],
-                        [av * av, -i * av * bv * bv * ws],
-                        qv,
-                        i * zv * ws,
-                        eps * 1e-4,
-                        pb,
-                    )
-                    return num / den * kernel
-
-            return pref, integrand, moduli
-
+                moduli.append(("-i b w/sigma", b.abs_upper() / sv))
+                pref_num = [q, a, -a, b, -b, b, -b]
+                pref_den = theta_den + [a * b, -a * b, b * b]
+                num.append((-i * av * bv * bv, _WS))
+                den.append((-i * bv, _WS))
+                kernel = ([av * bv, -av * bv, i * av], [av * av, -i * av * bv * bv], i * zv)
+    else:
         # base-q^2 family: q = p^2, everything runs in base Q = q^2 = p^4
-        p, a, b, z = (E(params[k]) for k in ("p", "a", "b", "z"))
+        p, a, b, z = (E(params[k]) for k in "pabz")
         q = p * p
         Q = q * q
-        Qb = QBase.of(Q)
         A, B = a * a, b * b
-        pv, av, bv, zv, fv, sgv = (
-            x.to_approx(pb + 20).value for x in (p, a, b, z, fe, sig)
-        )
-        qv = pv * pv
-        Qv = qv * qv
-        Av, Bv = av * av, bv * bv
-        qp = _QPEvaluator(Qv, eps * 1e-4)
-
-        def pref_Q(args_num, args_den):
-            num = ApproxScalar.coerce(1, pb)
-            for x in args_num:
-                v, _ = qpoch_infinite(x, Qb, eps / 64, pb)
-                num = num * v
-            den = ApproxScalar.coerce(1, pb)
-            for x in args_den:
-                v, _ = qpoch_infinite(x, Qb, eps / 64, pb)
-                if v.is_zero():
-                    raise HypothesisViolation(
-                        "a prefactor denominator product vanishes", factor=str(x)
-                    )
-                den = den * v
-            return num / den
-
+        pv, av, bv, zv, fv, sgv = (x.to_approx(pb + 20).value for x in (p, a, b, z, fe, sig))
+        with mp.workprec(pb + 20):
+            qv = pv * pv
+            Qv = qv * qv
+            Av, Bv = av * av, bv * bv
+        base, node_base = Q, Qv
         theta_den = [fe, Q / fe, q * fe, q / fe]
+        moduli = [
+            ("p sigma/w", p.abs_upper() * sv),
+            ("sigma/(p w)", sv / float(p.abs_upper())),
+            ("p a^2 w/sigma", (p * A).abs_upper() / sv),
+            ("a^2/p w/sigma", (A / p).abs_upper() / sv),
+        ]
+        with mp.workprec(pb + 10):
+            num = [(pv * fv, _SO), (pv**3 / fv, _SO), (pv * fv, _WS), (pv**3 / fv, _WS)]
+            den = [(pv, _SO), (pv, _SO_OVER), (pv * Av, _WS), (Av / pv, _WS)]
+            if identity_id == "IR_NASSRALLAH_1":
+                moduli.append(("p b^2 w/sigma", (p * B).abs_upper() / sv))
+                pref_num = [Q, A, A, q * A, A / q, B, q * B]
+                pref_den = theta_den + [A * A, A * B, q * A * B]
+                num.append((pv * Av * Av * Bv, _WS))
+                den.append((pv * Bv, _WS))
+                kernel = ([Av * Av, Av * Bv, Bv / pv], [Av * Bv / qv, pv * Av * Av * Bv], pv * zv)
+            elif identity_id == "IR_NASSRALLAH_2":
+                moduli.append(("p^3 b^2 w/sigma", (p**3 * B).abs_upper() / sv))
+                pref_num = [Q, q * A, A, A, A / q, q * B, Q * B]
+                pref_den = theta_den + [A * A, q * A * B, Q * A * B]
+                num.append((pv**3 * Av * Av * Bv, _WS))
+                den.append((pv**3 * Bv, _WS))
+                kernel = (
+                    [Av * Av, Qv * Av * Bv, pv * Bv], [qv * Av * Bv, pv**3 * Av * Av * Bv], pv * zv
+                )
+            else:  # IR_THM21
+                moduli.append(("b^2/p w/sigma", (B / p).abs_upper() / sv))
+                pref_num = [Q, q * A, A, A, A / q, B, B / q]
+                pref_den = theta_den + [A * A, A * B, A * B / q]
+                num.append((Av * Av * Bv / pv, _WS))
+                den.append((Bv / pv, _WS))
+                kernel = ([Av * Av, Av * Bv, pv * Bv], [qv * Av * Bv, Av * Av * Bv / pv], pv * zv)
 
-        if identity_id == "IR_NASSRALLAH_1":
-            moduli = [
-                ("p sigma/w", p.abs_upper() * sv),
-                ("sigma/(p w)", sv / float(p.abs_upper())),
-                ("p a^2 w/sigma", (p * A).abs_upper() / sv),
-                ("a^2/p w/sigma", (A / p).abs_upper() / sv),
-                ("p b^2 w/sigma", (p * B).abs_upper() / sv),
-            ]
-            pref = pref_Q(
-                [Q, A, A, q * A, A / q, B, q * B],
-                theta_den + [A * A, A * B, q * A * B],
-            )
-
-            def integrand(psi):
-                w = mpmath.expjpi(psi / mpmath.pi)
-                so, ws = sgv / w, w / sgv
-                num = (
-                    qp(pv * fv * so)
-                    * qp(pv**3 / fv * so)
-                    * qp(pv * fv * ws)
-                    * qp(pv**3 / fv * ws)
-                    * qp(pv * Av * Av * Bv * ws)
-                )
-                den = (
-                    qp(pv * so)
-                    * qp(so / pv)
-                    * qp(pv * Av * ws)
-                    * qp(Av / pv * ws)
-                    * qp(pv * Bv * ws)
-                )
-                kernel = _phi32_node(
-                    [Av * Av, Av * Bv, (Bv / pv) * so],
-                    [Av * Bv / qv, pv * Av * Av * Bv * ws],
-                    Qv,
-                    pv * zv * ws,
-                    eps * 1e-4,
-                    pb,
-                )
-                return num / den * kernel
-
-        elif identity_id == "IR_NASSRALLAH_2":
-            moduli = [
-                ("p sigma/w", p.abs_upper() * sv),
-                ("sigma/(p w)", sv / float(p.abs_upper())),
-                ("p a^2 w/sigma", (p * A).abs_upper() / sv),
-                ("a^2/p w/sigma", (A / p).abs_upper() / sv),
-                ("p^3 b^2 w/sigma", (p**3 * B).abs_upper() / sv),
-            ]
-            pref = pref_Q(
-                [Q, q * A, A, A, A / q, q * B, Q * B],
-                theta_den + [A * A, q * A * B, Q * A * B],
-            )
-
-            def integrand(psi):
-                w = mpmath.expjpi(psi / mpmath.pi)
-                so, ws = sgv / w, w / sgv
-                num = (
-                    qp(pv * fv * so)
-                    * qp(pv**3 / fv * so)
-                    * qp(pv * fv * ws)
-                    * qp(pv**3 / fv * ws)
-                    * qp(pv**3 * Av * Av * Bv * ws)
-                )
-                den = (
-                    qp(pv * so)
-                    * qp(so / pv)
-                    * qp(pv * Av * ws)
-                    * qp(Av / pv * ws)
-                    * qp(pv**3 * Bv * ws)
-                )
-                kernel = _phi32_node(
-                    [Av * Av, Qv * Av * Bv, pv * Bv * so],
-                    [qv * Av * Bv, pv**3 * Av * Av * Bv * ws],
-                    Qv,
-                    pv * zv * ws,
-                    eps * 1e-4,
-                    pb,
-                )
-                return num / den * kernel
-
-        elif identity_id == "IR_THM21":
-            moduli = [
-                ("p sigma/w", p.abs_upper() * sv),
-                ("sigma/(p w)", sv / float(p.abs_upper())),
-                ("p a^2 w/sigma", (p * A).abs_upper() / sv),
-                ("a^2/p w/sigma", (A / p).abs_upper() / sv),
-                ("b^2/p w/sigma", (B / p).abs_upper() / sv),
-            ]
-            pref = pref_Q(
-                [Q, q * A, A, A, A / q, B, B / q],
-                theta_den + [A * A, A * B, A * B / q],
-            )
-
-            def integrand(psi):
-                w = mpmath.expjpi(psi / mpmath.pi)
-                so, ws = sgv / w, w / sgv
-                num = (
-                    qp(pv * fv * so)
-                    * qp(pv**3 / fv * so)
-                    * qp(pv * fv * ws)
-                    * qp(pv**3 / fv * ws)
-                    * qp(Av * Av * Bv / pv * ws)
-                )
-                den = (
-                    qp(pv * so)
-                    * qp(so / pv)
-                    * qp(pv * Av * ws)
-                    * qp(Av / pv * ws)
-                    * qp(Bv / pv * ws)
-                )
-                kernel = _phi32_node(
-                    [Av * Av, Av * Bv, pv * Bv * so],
-                    [qv * Av * Bv, Av * Av * Bv / pv * ws],
-                    Qv,
-                    pv * zv * ws,
-                    eps * 1e-4,
-                    pb,
-                )
-                return num / den * kernel
-
-        else:
-            raise UnknownIdentity(identity_id)
-
-        return pref, integrand, moduli
+    pref = _prefactor(pref_num, pref_den, QBase.of(base), eps, pb)
+    return pref, _node_integrand(num, den, kernel, node_base, sgv, eps, pb), moduli
 
 
 def hypothesis_prescan(moduli, integrand, pb: int) -> None:

@@ -1,14 +1,21 @@
 """Generating-function identities and nonterminating product transformations.
 
-Value checks pair certified series evaluations of both sides; coefficient
-checks compare exact truncated power series (which localize failures to a
-degree).  Identities whose displays contain q^(1/2) take the square root p as
-the parameter, with q = p^2, so every exponent stays integral.
+The twelve product transformations (COEFF_CHECK_IDS) and the left sides of the
+Cayley-Orr lemmas are written once, as data: each side is a sum of terms
+prefactor * z^k * a product of r-phi-s factors (``Phi``), built from the exact
+parameters by ``product_sides``.  Two interpreters read that table:
+``side_value`` gives certified values for the value checks, and
+``side_series`` gives exact truncated power series for the coefficient checks
+(which localize failures to a degree).  The contour integrals take their series
+sides from the same table.  Identities whose displays contain q^(1/2) take the
+square root p as the parameter, with q = p^2, so every exponent stays integral.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import NamedTuple
 import mpmath
 from mpmath import mp
 
@@ -341,405 +348,282 @@ def quad_cor13(
 
 
 # --------------------------------------------------------------------------
-# product transformations: value-level definitions
+# product transformations as data
 # --------------------------------------------------------------------------
 
-def _phi(upper, lower, q, z, eps, pb):
-    spec = SeriesSpec.make(list(upper), list(lower), q, z)
-    v, cert = eval_phi_nonterminating(spec, eps, pb)
-    return v, cert.terms_used
+class Phi(NamedTuple):
+    """r-phi-s(upper; lower; base, zscale * z), or zscale * z^2 when squared."""
+
+    upper: list
+    lower: list
+    base: ExactScalar
+    zscale: ExactScalar = EXACT_ONE
+    squared: bool = False
 
 
-def _pair_lhs_product(spec_a, spec_b, eps, pb):
-    va, ta = _phi(*spec_a, eps, pb)
-    vb, tb = _phi(*spec_b, eps, pb)
-    return va * vb, ta + tb
+# A side is a list of terms (prefactor | None, power of z, [Phi, ...]): the sum
+# over terms of prefactor * z^power * the product of the Phi factors.  A None
+# prefactor always comes with power 0.
 
 
-def _value_defs(params, eps, pb):
-    """id -> (lhs_value, rhs_value, terms) builders over exact params."""
+def _plain(*factors):
+    """A side of one term without prefactor."""
+    return [(None, 0, list(factors))]
 
-    def need(*names):
-        return [E(params[k]) for k in names]
 
-    defs = {}
+def _sq(upper, lower, base):
+    return Phi(upper, lower, base, squared=True)
 
-    def schlosser_t4():
-        q, a, b, z = need("q", "a", "b", "z")
-        Q = q * q
-        lhs, t1 = _pair_lhs_product(
-            ([a, q / a], [-q], q, z), ([b, q / b], [-q], q, -z), eps / 8, pb
-        )
-        r1, t2 = _phi(
-            [a * b, Q / (a * b), q * a / b, q * b / a], [-Q, q, -q], Q, z * z, eps / 8, pb
-        )
-        r2, t3 = _phi(
-            [q * a * b, q * Q / (a * b), Q * a / b, Q * b / a],
-            [-Q, q**3, -(q**3)],
+
+def _schlosser_t4(q, a, b):
+    Q = q * q
+    lhs = _plain(Phi([a, q / a], [-q], q), Phi([b, q / b], [-q], q, -EXACT_ONE))
+    rhs = [
+        (None, 0, [_sq([a * b, Q / (a * b), q * a / b, q * b / a], [-Q, q, -q], Q)]),
+        ((b - a) * (1 - q / (a * b)) / (1 - Q), 1, [
+            _sq([q * a * b, q * Q / (a * b), Q * a / b, Q * b / a], [-Q, q**3, -(q**3)], Q)
+        ]),
+    ]
+    return lhs, rhs
+
+
+def _sriv_jain(q, a, b):
+    Q, ab = q * q, a * b
+    lhs = _plain(Phi([a, -a], [a * a], q), Phi([b, -b], [b * b], q, -EXACT_ONE))
+    rhs = _plain(_sq([ab, -ab, q * ab, -q * ab], [q * a * a, q * b * b, ab * ab], Q))
+    return lhs, rhs
+
+
+def _jackson_clausen(p, a, b):
+    q, A, B, ab = p * p, a * a, b * b, a * b
+    Q = q * q
+    lhs = _plain(Phi([A, B], [q * A * B], Q), Phi([A, B], [q * A * B], Q, q))
+    return lhs, _plain(Phi([A, B, ab, -ab], [A * B, p * ab, -p * ab], q))
+
+
+def _nassrallah_1(p, a, b):
+    q, A, B, ab = p * p, a * a, b * b, a * b
+    Q = q * q
+    lhs = _plain(Phi([A, B], [A * B / q], Q), Phi([A, B], [q * A * B], Q, q))
+    return lhs, _plain(Phi([A, B, ab, -ab], [A * B / q, p * ab, -p * ab], q))
+
+
+def _nassrallah_2(p, a, b):
+    q, A, B, ab = p * p, a * a, b * b, a * b
+    Q = q * q
+    lhs = _plain(Phi([q * A, q * B], [q * A * B], Q), Phi([A / q, q * B], [q * A * B], Q, q))
+    return lhs, _plain(Phi([A, q * B, ab, -ab], [A * B, p * ab, -p * ab], q))
+
+
+def _thm21(p, a, b):
+    q, A, B, ab = p * p, a * a, b * b, a * b
+    Q = q * q
+    lhs = _plain(Phi([q * A, q * B], [q * A * B], Q), Phi([A / q, B / q], [A * B / q], Q, q))
+    return lhs, _plain(Phi([A, B, ab, -ab], [A * B / q, p * ab, -p * ab], q))
+
+
+def _trivial_21_32(p, a):
+    q = p * p
+    Q = q * q
+    return _plain(Phi([Q, a * a], [q * a * a], Q)), _plain(Phi([q, a, -a], [p * a, -p * a], q))
+
+
+def _srivastava_313(q, a, b):
+    Q, ab = q * q, a * b
+    lhs = _plain(Phi([a, b], [-ab], q), Phi([a, b], [-ab], q, -EXACT_ONE))
+    rhs = _plain(_sq([ab, q * ab, a * a, b * b], [-ab, -q * ab, ab * ab], Q))
+    return lhs, rhs
+
+
+def _t515(q, a, c):
+    Q, A, C, ac = q * q, a * a, c * c, a * c
+    lhs = _plain(Phi([-c, q * c], [q * C], q), Phi([a, -a], [A], q, -EXACT_ONE))
+    rhs = [
+        (None, 0, [_sq([ac, -ac, q * ac, -q * ac], [q * A, q * C, A * C], Q)]),
+        (c / (1 - q * C), 1, [
+            _sq([q * ac, -q * ac, Q * ac, -Q * ac], [q * A, q**3 * C, Q * A * C], Q)
+        ]),
+    ]
+    return lhs, rhs
+
+
+def _t516(q, a, c):
+    Q, A, C, ac = q * q, a * a, c * c, a * c
+    lhs = _plain(Phi([-a, -c], [-ac], q), Phi([-a, -q * c], [-q * ac], q, -EXACT_ONE))
+    rhs = [
+        (None, 0, [_sq([A, Q * C, ac, q * ac], [-q * ac, -Q * ac, A * C], Q)]),
+        (c * (1 - A) / ((1 + ac) * (1 + q * ac)), 1, [
+            _sq([Q * A, Q * C, q * ac, Q * ac], [-Q * ac, -(q**3) * ac, Q * A * C], Q)
+        ]),
+    ]
+    return lhs, rhs
+
+
+def _t517(q, a, c):
+    Q, A, C, ac = q * q, a * a, c * c, a * c
+    lhs = _plain(Phi([-c, Q * c], [Q * C], q), Phi([a, -a], [A], q, -EXACT_ONE))
+    den = (1 - Q * C) * (1 - A * C)
+    rhs = [
+        (c * (1 + q) / (1 - Q * C), 1, [
+            _sq([q * ac, -q * ac, Q * ac, -Q * ac], [q * A, q**3 * C, Q * A * C], Q)
+        ]),
+        ((1 - q * C) * (1 - q * A * C) / den, 0, [_sq(
+            [q**3 * A * C, ac, -ac, q * ac, -q * ac], [q * A, q * C, q * A * C, Q * A * C], Q
+        )]),
+        (q * C * (1 - q) * (1 - A / q) / den, 0, [
+            _sq([q**3, ac, -ac, q * ac, -q * ac], [q, A / q, q**3 * C, Q * A * C], Q)
+        ]),
+    ]
+    return lhs, rhs
+
+
+def _t518(q, a, c):
+    Q, A, C, ac = q * q, a * a, c * c, a * c
+    lhs = _plain(Phi([-a, -c], [-ac], q), Phi([-a, -Q * c], [-Q * ac], q, -EXACT_ONE))
+    den = (1 - Q * C) * (1 - A * C)
+    rhs = [
+        (c * (1 + q) * (1 - A) / ((1 + ac) * (1 + Q * ac)), 1, [
+            _sq([Q * A, q**4 * C, q * ac, Q * ac], [-(q**3) * ac, -(q**4) * ac, Q * A * C], Q)
+        ]),
+        ((1 - q * C) * (1 - q * A * C) / den, 0, [_sq(
+            [A, Q * C, q**3 * C, ac, q * ac, q**3 * A * C],
+            [q * C, -Q * ac, -(q**3) * ac, q * A * C, Q * A * C],
             Q,
-            z * z,
-            eps / 8,
-            pb,
+        )]),
+        (q * C * (1 - q) * (1 - A / q) / den, 0, [_sq(
+            [q**3, A, q * A, Q * C, ac, q * ac], [q, A / q, -Q * ac, -(q**3) * ac, Q * A * C], Q
+        )]),
+    ]
+    return lhs, rhs
+
+
+def _cayley_orr_a(q, a, b, c):
+    Q = q * q
+    lhs = _plain(
+        Phi([Q * c / a, Q * c / b], [Q * c], Q), Phi([a / q, b / q], [c], Q, Q * c / (a * b))
+    )
+    return lhs, None
+
+
+def _cayley_orr_b(q, a, b, c):
+    Q = q * q
+    lhs = _plain(Phi([q * c / a, c / (q * b)], [c], Q), Phi([a, b], [c], Q, c / (a * b)))
+    return lhs, None
+
+
+# id -> (exact parameter names, name of the series variable, side builder)
+_SIDES = {
+    "SCHLOSSER_T4": ("qab", "z", _schlosser_t4),
+    "SRIV_JAIN": ("qab", "z", _sriv_jain),
+    "JACKSON_CLAUSEN": ("pab", "z", _jackson_clausen),
+    "NASSRALLAH_1": ("pab", "z", _nassrallah_1),
+    "NASSRALLAH_2": ("pab", "z", _nassrallah_2),
+    "THM21": ("pab", "z", _thm21),
+    "TRIVIAL_21_32": ("pa", "z", _trivial_21_32),
+    "SRIVASTAVA_313": ("qab", "t", _srivastava_313),
+    "T515": ("qac", "t", _t515),
+    "T516": ("qac", "t", _t516),
+    "T517": ("qac", "t", _t517),
+    "T518": ("qac", "t", _t518),
+    "CAYLEY_ORR_A": ("qabc", "z", _cayley_orr_a),
+    "CAYLEY_ORR_B": ("qabc", "z", _cayley_orr_b),
+}
+
+COEFF_CHECK_IDS = tuple(k for k in _SIDES if not k.startswith("CAYLEY_ORR"))
+
+
+def product_sides(identity_id: str, params: dict) -> tuple:
+    """(lhs, rhs) sides of a tabled identity at exact params; rhs is None for
+    the Cayley-Orr lemmas, whose right side is a weighted coefficient sum."""
+    names, _, build = _SIDES[identity_id]
+    return build(*(E(params[k]) for k in names))
+
+
+def side_value(side, z, eps: float, pb: int) -> tuple:
+    """(certified value, terms used) of a side at exact z; eps goes to each factor."""
+    total, terms = None, 0
+    for pref, power, factors in side:
+        prod = None
+        for f in factors:
+            arg = f.zscale * (z * z if f.squared else z)
+            spec = SeriesSpec.make(f.upper, f.lower, f.base, arg)
+            v, cert = eval_phi_nonterminating(spec, eps, pb)
+            terms += cert.terms_used
+            prod = v if prod is None else prod * v
+        if pref is not None:
+            prod = (pref * z**power).to_approx(pb) * prod
+        total = prod if total is None else total + prod
+    return total, terms
+
+
+def side_series(side, order: int) -> PowerSeriesTrunc:
+    """A side as an exact truncated power series in z through z^order."""
+    total = None
+    for pref, power, factors in side:
+        prod = None
+        for f in factors:
+            s = phi_series_coeffs(f.upper, f.lower, f.base, f.zscale, order)
+            s = s.dilate_square() if f.squared else s
+            prod = s if prod is None else prod * s
+        if pref is not None:
+            prod = (pref * prod).shift(power)
+        total = prod if total is None else total + prod
+    return total
+
+
+def _wd_appell_value(params, eps, pb):
+    q, u, t, a, b, d = (E(params[k]) for k in "qutabd")
+    qb = QBase.of(q)
+    lhs_side = _plain(Phi([u / t, a * d, b * d], [a * b, d * u], q, 1 / d))
+    lhs, terms = side_value(lhs_side, t, eps / 8, pb)
+    pref_n, _ = qpoch_infinite(u / a, qb, eps / 32, pb)
+    pref_d, _ = qpoch_infinite(d * u, qb, eps / 32, pb)
+    appell = eval_qappell_phi1(a * d, b * d, a / d, a * b, t / d, u / a, q, eps / 8, pb)
+    return lhs, pref_n / pref_d * appell, terms
+
+
+def _awgf_value(params, eps, pb):
+    q, a, b, c, d, w, t = (E(params[k]) for k in "qabcdwt")
+    rhs, terms = side_value(
+        _plain(Phi([a * w, b * w], [a * b], q, 1 / w), Phi([c / w, d / w], [c * d], q, w)),
+        t, eps / 8, pb,
+    )
+    with mp.workprec(pb + 20):
+        av, bv, cv, dv, wv, qv, tv = (
+            x.to_approx(pb + 20).value for x in (a, b, c, d, w, q, t)
         )
-        pref = ((b - a) * (1 - q / (a * b)) * z / (1 - Q)).to_approx(pb)
-        rhs = r1 + pref * r2
-        return lhs, rhs, t1 + t2 + t3
+        pq = _PochTable(qv, qv)
+        pab = _PochTable(av * bv, qv)
+        pcd = _PochTable(cv * dv, qv)
+        paw = _PochTable(av * wv, qv)
+        pbw = _PochTable(bv * wv, qv)
+        pcinv = _PochTable(cv / wv, qv)
+        pdinv = _PochTable(dv / wv, qv)
 
-    defs["SCHLOSSER_T4"] = schlosser_t4
+        def p_over(n):
+            acc = mpmath.mpc(0)
+            for j in range(n + 1):
+                acc += (
+                    paw[j]
+                    * pbw[j]
+                    / (pq[j] * pab[j])
+                    * pcinv[n - j]
+                    * pdinv[n - j]
+                    / (pq[n - j] * pcd[n - j])
+                    * wv ** (n - 2 * j)
+                )
+            return acc  # = p_n / ((q,ab,cd;q)_n)
 
-    def sriv_jain():
-        q, a, b, z = need("q", "a", "b", "z")
-        Q = q * q
-        lhs, t1 = _pair_lhs_product(
-            ([a, -a], [a * a], q, z), ([b, -b], [b * b], q, -z), eps / 8, pb
-        )
-        rhs, t2 = _phi(
-            [a * b, -a * b, q * a * b, -q * a * b],
-            [q * a * a, q * b * b, a * a * b * b],
-            Q,
-            z * z,
-            eps / 8,
-            pb,
-        )
-        return lhs, rhs, t1 + t2
+        def term_n(n):
+            return tv**n * p_over(n)
 
-    defs["SRIV_JAIN"] = sriv_jain
-
-    def jackson_clausen():
-        p, a, b, z = need("p", "a", "b", "z")
-        q = p * p
-        Q = q * q
-        lhs, t1 = _pair_lhs_product(
-            ([a * a, b * b], [q * a * a * b * b], Q, z),
-            ([a * a, b * b], [q * a * a * b * b], Q, q * z),
-            eps / 8,
-            pb,
-        )
-        rhs, t2 = _phi(
-            [a * a, b * b, a * b, -a * b],
-            [a * a * b * b, p * a * b, -p * a * b],
-            q,
-            z,
-            eps / 8,
-            pb,
-        )
-        return lhs, rhs, t1 + t2
-
-    defs["JACKSON_CLAUSEN"] = jackson_clausen
-
-    def nassrallah_1():
-        p, a, b, z = need("p", "a", "b", "z")
-        q = p * p
-        Q = q * q
-        lhs, t1 = _pair_lhs_product(
-            ([a * a, b * b], [a * a * b * b / q], Q, z),
-            ([a * a, b * b], [q * a * a * b * b], Q, q * z),
-            eps / 8,
-            pb,
-        )
-        rhs, t2 = _phi(
-            [a * a, b * b, a * b, -a * b],
-            [a * a * b * b / q, p * a * b, -p * a * b],
-            q,
-            z,
-            eps / 8,
-            pb,
-        )
-        return lhs, rhs, t1 + t2
-
-    defs["NASSRALLAH_1"] = nassrallah_1
-
-    def nassrallah_2():
-        p, a, b, z = need("p", "a", "b", "z")
-        q = p * p
-        Q = q * q
-        lhs, t1 = _pair_lhs_product(
-            ([q * a * a, q * b * b], [q * a * a * b * b], Q, z),
-            ([a * a / q, q * b * b], [q * a * a * b * b], Q, q * z),
-            eps / 8,
-            pb,
-        )
-        rhs, t2 = _phi(
-            [a * a, q * b * b, a * b, -a * b],
-            [a * a * b * b, p * a * b, -p * a * b],
-            q,
-            z,
-            eps / 8,
-            pb,
-        )
-        return lhs, rhs, t1 + t2
-
-    defs["NASSRALLAH_2"] = nassrallah_2
-
-    def thm21():
-        p, a, b, z = need("p", "a", "b", "z")
-        q = p * p
-        Q = q * q
-        lhs, t1 = _pair_lhs_product(
-            ([q * a * a, q * b * b], [q * a * a * b * b], Q, z),
-            ([a * a / q, b * b / q], [a * a * b * b / q], Q, q * z),
-            eps / 8,
-            pb,
-        )
-        rhs, t2 = _phi(
-            [a * a, b * b, a * b, -a * b],
-            [a * a * b * b / q, p * a * b, -p * a * b],
-            q,
-            z,
-            eps / 8,
-            pb,
-        )
-        return lhs, rhs, t1 + t2
-
-    defs["THM21"] = thm21
-
-    def trivial_21_32():
-        p, a, z = need("p", "a", "z")
-        q = p * p
-        Q = q * q
-        lhs, t1 = _phi([Q, a * a], [q * a * a], Q, z, eps / 8, pb)
-        rhs, t2 = _phi([q, a, -a], [p * a, -p * a], q, z, eps / 8, pb)
-        return lhs, rhs, t1 + t2
-
-    defs["TRIVIAL_21_32"] = trivial_21_32
-
-    def srivastava_313():
-        q, a, b, t = need("q", "a", "b", "t")
-        Q = q * q
-        lhs, t1 = _pair_lhs_product(
-            ([a, b], [-a * b], q, t), ([a, b], [-a * b], q, -t), eps / 8, pb
-        )
-        rhs, t2 = _phi(
-            [a * b, q * a * b, a * a, b * b],
-            [-a * b, -q * a * b, a * a * b * b],
-            Q,
-            t * t,
-            eps / 8,
-            pb,
-        )
-        return lhs, rhs, t1 + t2
-
-    defs["SRIVASTAVA_313"] = srivastava_313
-
-    def t515():
-        q, a, c, t = need("q", "a", "c", "t")
-        Q = q * q
-        lhs, t1 = _pair_lhs_product(
-            ([-c, q * c], [q * c * c], q, t), ([a, -a], [a * a], q, -t), eps / 8, pb
-        )
-        r1, t2 = _phi(
-            [a * c, -a * c, q * a * c, -q * a * c],
-            [q * a * a, q * c * c, a * a * c * c],
-            Q,
-            t * t,
-            eps / 8,
-            pb,
-        )
-        r2, t3 = _phi(
-            [q * a * c, -q * a * c, Q * a * c, -Q * a * c],
-            [q * a * a, q**3 * c * c, Q * a * a * c * c],
-            Q,
-            t * t,
-            eps / 8,
-            pb,
-        )
-        rhs = r1 + (c * t / (1 - q * c * c)).to_approx(pb) * r2
-        return lhs, rhs, t1 + t2 + t3
-
-    defs["T515"] = t515
-
-    def t516():
-        q, a, c, t = need("q", "a", "c", "t")
-        Q = q * q
-        lhs, t1 = _pair_lhs_product(
-            ([-a, -c], [-a * c], q, t), ([-a, -q * c], [-q * a * c], q, -t), eps / 8, pb
-        )
-        r1, t2 = _phi(
-            [a * a, Q * c * c, a * c, q * a * c],
-            [-q * a * c, -Q * a * c, a * a * c * c],
-            Q,
-            t * t,
-            eps / 8,
-            pb,
-        )
-        r2, t3 = _phi(
-            [Q * a * a, Q * c * c, q * a * c, Q * a * c],
-            [-Q * a * c, -(q**3) * a * c, Q * a * a * c * c],
-            Q,
-            t * t,
-            eps / 8,
-            pb,
-        )
-        rhs = r1 + (c * t * (1 - a * a) / ((1 + a * c) * (1 + q * a * c))).to_approx(pb) * r2
-        return lhs, rhs, t1 + t2 + t3
-
-    defs["T516"] = t516
-
-    def t517():
-        q, a, c, t = need("q", "a", "c", "t")
-        Q = q * q
-        lhs, t1 = _pair_lhs_product(
-            ([-c, Q * c], [Q * c * c], q, t), ([a, -a], [a * a], q, -t), eps / 8, pb
-        )
-        r1, t2 = _phi(
-            [q * a * c, -q * a * c, Q * a * c, -Q * a * c],
-            [q * a * a, q**3 * c * c, Q * a * a * c * c],
-            Q,
-            t * t,
-            eps / 8,
-            pb,
-        )
-        r2, t3 = _phi(
-            [q**3 * a * a * c * c, a * c, -a * c, q * a * c, -q * a * c],
-            [q * a * a, q * c * c, q * a * a * c * c, Q * a * a * c * c],
-            Q,
-            t * t,
-            eps / 8,
-            pb,
-        )
-        r3, t4 = _phi(
-            [q**3, a * c, -a * c, q * a * c, -q * a * c],
-            [q, a * a / q, q**3 * c * c, Q * a * a * c * c],
-            Q,
-            t * t,
-            eps / 8,
-            pb,
-        )
-        f1 = (c * t * (1 + q) / (1 - Q * c * c)).to_approx(pb)
-        f2 = (
-            (1 - q * c * c)
-            * (1 - q * a * a * c * c)
-            / ((1 - Q * c * c) * (1 - a * a * c * c))
-        ).to_approx(pb)
-        f3 = (
-            q
-            * c
-            * c
-            * (1 - q)
-            * (1 - a * a / q)
-            / ((1 - Q * c * c) * (1 - a * a * c * c))
-        ).to_approx(pb)
-        rhs = f1 * r1 + f2 * r2 + f3 * r3
-        return lhs, rhs, t1 + t2 + t3 + t4
-
-    defs["T517"] = t517
-
-    def t518():
-        q, a, c, t = need("q", "a", "c", "t")
-        Q = q * q
-        lhs, t1 = _pair_lhs_product(
-            ([-a, -c], [-a * c], q, t), ([-a, -Q * c], [-Q * a * c], q, -t), eps / 8, pb
-        )
-        r1, t2 = _phi(
-            [Q * a * a, q**4 * c * c, q * a * c, Q * a * c],
-            [-(q**3) * a * c, -(q**4) * a * c, Q * a * a * c * c],
-            Q,
-            t * t,
-            eps / 8,
-            pb,
-        )
-        r2, t3 = _phi(
-            [a * a, Q * c * c, q**3 * c * c, a * c, q * a * c, q**3 * a * a * c * c],
-            [q * c * c, -Q * a * c, -(q**3) * a * c, q * a * a * c * c, Q * a * a * c * c],
-            Q,
-            t * t,
-            eps / 8,
-            pb,
-        )
-        r3, t4 = _phi(
-            [q**3, a * a, q * a * a, Q * c * c, a * c, q * a * c],
-            [q, a * a / q, -Q * a * c, -(q**3) * a * c, Q * a * a * c * c],
-            Q,
-            t * t,
-            eps / 8,
-            pb,
-        )
-        f1 = (
-            c * t * (1 + q) * (1 - a * a) / ((1 + a * c) * (1 + Q * a * c))
-        ).to_approx(pb)
-        f2 = (
-            (1 - q * c * c)
-            * (1 - q * a * a * c * c)
-            / ((1 - Q * c * c) * (1 - a * a * c * c))
-        ).to_approx(pb)
-        f3 = (
-            q
-            * c
-            * c
-            * (1 - q)
-            * (1 - a * a / q)
-            / ((1 - Q * c * c) * (1 - a * a * c * c))
-        ).to_approx(pb)
-        rhs = f1 * r1 + f2 * r2 + f3 * r3
-        return lhs, rhs, t1 + t2 + t3 + t4
-
-    defs["T518"] = t518
-
-    def wd_appell():
-        q, u, t, a, b, d = need("q", "u", "t", "a", "b", "d")
-        qb = QBase.of(q)
-        lhs, t1 = _phi(
-            [u / t, a * d, b * d], [a * b, d * u], q, t / d, eps / 8, pb
-        )
-        pref_n, _ = qpoch_infinite(u / a, qb, eps / 32, pb)
-        pref_d, _ = qpoch_infinite(d * u, qb, eps / 32, pb)
-        appell = eval_qappell_phi1(
-            a * d, b * d, a / d, a * b, t / d, u / a, q, eps / 8, pb
-        )
-        rhs = pref_n / pref_d * appell
-        return lhs, rhs, t1
-
-    defs["WD_APPELL"] = wd_appell
-
-    def awgf_value():
-        q, a, b, c, d, w, t = need("q", "a", "b", "c", "d", "w", "t")
-        qb = QBase.of(q)
-        rhs, t1 = _pair_lhs_product(
-            ([a * w, b * w], [a * b], q, t / w),
-            ([c / w, d / w], [c * d], q, t * w),
-            eps / 8,
-            pb,
-        )
-        with mp.workprec(pb + 20):
-            av, bv, cv, dv, wv, qv, tv = (
-                x.to_approx(pb + 20).value for x in (a, b, c, d, w, q, t)
-            )
-            pq = _PochTable(qv, qv)
-            pab = _PochTable(av * bv, qv)
-            pcd = _PochTable(cv * dv, qv)
-            paw = _PochTable(av * wv, qv)
-            pbw = _PochTable(bv * wv, qv)
-            pcinv = _PochTable(cv / wv, qv)
-            pdinv = _PochTable(dv / wv, qv)
-
-            def p_over(n):
-                acc = mpmath.mpc(0)
-                for j in range(n + 1):
-                    acc += (
-                        paw[j]
-                        * pbw[j]
-                        / (pq[j] * pab[j])
-                        * pcinv[n - j]
-                        * pdinv[n - j]
-                        / (pq[n - j] * pcd[n - j])
-                        * wv ** (n - 2 * j)
-                    )
-                return acc  # = p_n / ((q,ab,cd;q)_n)
-
-            def term_n(n):
-                return tv**n * p_over(n)
-
-            wmax = max(float(abs(wv)), float(abs(1 / wv)))
-            cap_n = (1.0 + float(abs(tv)) * wmax) / 2.0
-            if cap_n >= 1:
-                raise DivergenceError("need |t| < min(|w|, 1/|w|)")
-            total, cert = certified_sum(term_n, eps / 8, cap_n, pb)
-            lhs = ApproxScalar(mpmath.mpc(total), pb)
-        return lhs, rhs, t1 + cert.terms_used
-
-    defs["AWGF"] = awgf_value
-
-    return defs
+        wmax = max(float(abs(wv)), float(abs(1 / wv)))
+        cap_n = (1.0 + float(abs(tv)) * wmax) / 2.0
+        if cap_n >= 1:
+            raise DivergenceError("need |t| < min(|w|, 1/|w|)")
+        total, cert = certified_sum(term_n, eps / 8, cap_n, pb)
+        lhs = ApproxScalar(mpmath.mpc(total), pb)
+    return lhs, rhs, terms + cert.terms_used
 
 
 def verify_product(
@@ -775,10 +659,16 @@ def verify_product(
         raise DomainError(
             f"|{zname}| = {zval.abs_upper():.4g} exceeds the safety radius {safety_radius}"
         )
-    defs = _value_defs(params, eps, precision_bits)
-    if identity_id not in defs:
-        raise UnknownIdentity(f"{identity_id} has no value-check definition")
-    lhs, rhs, terms = defs[identity_id]()
+    if identity_id == "WD_APPELL":
+        lhs, rhs, terms = _wd_appell_value(params, eps, precision_bits)
+    elif identity_id == "AWGF":
+        lhs, rhs, terms = _awgf_value(params, eps, precision_bits)
+    else:
+        lhs_side, rhs_side = product_sides(identity_id, params)
+        z = E(params[_SIDES[identity_id][1]])
+        lhs, lhs_terms = side_value(lhs_side, z, eps / 8, precision_bits)
+        rhs, rhs_terms = side_value(rhs_side, z, eps / 8, precision_bits)
+        terms = lhs_terms + rhs_terms
     return _report(identity_id, params, lhs, rhs, eps, terms=terms)
 
 
@@ -786,302 +676,14 @@ def verify_product(
 # exact coefficient checks in z (or t)
 # --------------------------------------------------------------------------
 
-def _coeff_defs(params, order):
-    """id -> (lhs_series, rhs_series) exact builders, series in z through
-    degree `order`."""
-
-    def need(*names):
-        return [E(params[k]) for k in names]
-
-    defs = {}
-
-    def schlosser_t4():
-        q, a, b = need("q", "a", "b")
-        Q = q * q
-        lhs = phi_series_coeffs([a, q / a], [-q], q, EXACT_ONE, order) * phi_series_coeffs(
-            [b, q / b], [-q], q, -EXACT_ONE, order
-        )
-        r1 = phi_series_coeffs(
-            [a * b, Q / (a * b), q * a / b, q * b / a], [-Q, q, -q], Q, EXACT_ONE, order
-        ).dilate_square()
-        r2 = phi_series_coeffs(
-            [q * a * b, q * Q / (a * b), Q * a / b, Q * b / a],
-            [-Q, q**3, -(q**3)],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        pref = (b - a) * (1 - q / (a * b)) / (1 - Q)
-        rhs = r1 + (pref * r2).shift(1)
-        return lhs, rhs
-
-    defs["SCHLOSSER_T4"] = schlosser_t4
-
-    def sriv_jain():
-        q, a, b = need("q", "a", "b")
-        Q = q * q
-        lhs = phi_series_coeffs([a, -a], [a * a], q, EXACT_ONE, order) * phi_series_coeffs(
-            [b, -b], [b * b], q, -EXACT_ONE, order
-        )
-        rhs = phi_series_coeffs(
-            [a * b, -a * b, q * a * b, -q * a * b],
-            [q * a * a, q * b * b, a * a * b * b],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        return lhs, rhs
-
-    defs["SRIV_JAIN"] = sriv_jain
-
-    def jackson_clausen():
-        p, a, b = need("p", "a", "b")
-        q = p * p
-        Q = q * q
-        lhs = phi_series_coeffs(
-            [a * a, b * b], [q * a * a * b * b], Q, EXACT_ONE, order
-        ) * phi_series_coeffs([a * a, b * b], [q * a * a * b * b], Q, q, order)
-        rhs = phi_series_coeffs(
-            [a * a, b * b, a * b, -a * b],
-            [a * a * b * b, p * a * b, -p * a * b],
-            q,
-            EXACT_ONE,
-            order,
-        )
-        return lhs, rhs
-
-    defs["JACKSON_CLAUSEN"] = jackson_clausen
-
-    def nassrallah_1():
-        p, a, b = need("p", "a", "b")
-        q = p * p
-        Q = q * q
-        lhs = phi_series_coeffs(
-            [a * a, b * b], [a * a * b * b / q], Q, EXACT_ONE, order
-        ) * phi_series_coeffs([a * a, b * b], [q * a * a * b * b], Q, q, order)
-        rhs = phi_series_coeffs(
-            [a * a, b * b, a * b, -a * b],
-            [a * a * b * b / q, p * a * b, -p * a * b],
-            q,
-            EXACT_ONE,
-            order,
-        )
-        return lhs, rhs
-
-    defs["NASSRALLAH_1"] = nassrallah_1
-
-    def nassrallah_2():
-        p, a, b = need("p", "a", "b")
-        q = p * p
-        Q = q * q
-        lhs = phi_series_coeffs(
-            [q * a * a, q * b * b], [q * a * a * b * b], Q, EXACT_ONE, order
-        ) * phi_series_coeffs([a * a / q, q * b * b], [q * a * a * b * b], Q, q, order)
-        rhs = phi_series_coeffs(
-            [a * a, q * b * b, a * b, -a * b],
-            [a * a * b * b, p * a * b, -p * a * b],
-            q,
-            EXACT_ONE,
-            order,
-        )
-        return lhs, rhs
-
-    defs["NASSRALLAH_2"] = nassrallah_2
-
-    def thm21():
-        p, a, b = need("p", "a", "b")
-        q = p * p
-        Q = q * q
-        lhs = phi_series_coeffs(
-            [q * a * a, q * b * b], [q * a * a * b * b], Q, EXACT_ONE, order
-        ) * phi_series_coeffs([a * a / q, b * b / q], [a * a * b * b / q], Q, q, order)
-        rhs = phi_series_coeffs(
-            [a * a, b * b, a * b, -a * b],
-            [a * a * b * b / q, p * a * b, -p * a * b],
-            q,
-            EXACT_ONE,
-            order,
-        )
-        return lhs, rhs
-
-    defs["THM21"] = thm21
-
-    def trivial_21_32():
-        p, a = need("p", "a")
-        q = p * p
-        Q = q * q
-        lhs = phi_series_coeffs([Q, a * a], [q * a * a], Q, EXACT_ONE, order)
-        rhs = phi_series_coeffs([q, a, -a], [p * a, -p * a], q, EXACT_ONE, order)
-        return lhs, rhs
-
-    defs["TRIVIAL_21_32"] = trivial_21_32
-
-    def srivastava_313():
-        q, a, b = need("q", "a", "b")
-        Q = q * q
-        lhs = phi_series_coeffs([a, b], [-a * b], q, EXACT_ONE, order) * phi_series_coeffs(
-            [a, b], [-a * b], q, -EXACT_ONE, order
-        )
-        rhs = phi_series_coeffs(
-            [a * b, q * a * b, a * a, b * b],
-            [-a * b, -q * a * b, a * a * b * b],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        return lhs, rhs
-
-    defs["SRIVASTAVA_313"] = srivastava_313
-
-    def t515():
-        q, a, c = need("q", "a", "c")
-        Q = q * q
-        lhs = phi_series_coeffs([-c, q * c], [q * c * c], q, EXACT_ONE, order) * phi_series_coeffs(
-            [a, -a], [a * a], q, -EXACT_ONE, order
-        )
-        r1 = phi_series_coeffs(
-            [a * c, -a * c, q * a * c, -q * a * c],
-            [q * a * a, q * c * c, a * a * c * c],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        r2 = phi_series_coeffs(
-            [q * a * c, -q * a * c, Q * a * c, -Q * a * c],
-            [q * a * a, q**3 * c * c, Q * a * a * c * c],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        rhs = r1 + (c / (1 - q * c * c) * r2).shift(1)
-        return lhs, rhs
-
-    defs["T515"] = t515
-
-    def t516():
-        q, a, c = need("q", "a", "c")
-        Q = q * q
-        lhs = phi_series_coeffs([-a, -c], [-a * c], q, EXACT_ONE, order) * phi_series_coeffs(
-            [-a, -q * c], [-q * a * c], q, -EXACT_ONE, order
-        )
-        r1 = phi_series_coeffs(
-            [a * a, Q * c * c, a * c, q * a * c],
-            [-q * a * c, -Q * a * c, a * a * c * c],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        r2 = phi_series_coeffs(
-            [Q * a * a, Q * c * c, q * a * c, Q * a * c],
-            [-Q * a * c, -(q**3) * a * c, Q * a * a * c * c],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        rhs = r1 + (c * (1 - a * a) / ((1 + a * c) * (1 + q * a * c)) * r2).shift(1)
-        return lhs, rhs
-
-    defs["T516"] = t516
-
-    def t517():
-        q, a, c = need("q", "a", "c")
-        Q = q * q
-        lhs = phi_series_coeffs([-c, Q * c], [Q * c * c], q, EXACT_ONE, order) * phi_series_coeffs(
-            [a, -a], [a * a], q, -EXACT_ONE, order
-        )
-        r1 = phi_series_coeffs(
-            [q * a * c, -q * a * c, Q * a * c, -Q * a * c],
-            [q * a * a, q**3 * c * c, Q * a * a * c * c],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        r2 = phi_series_coeffs(
-            [q**3 * a * a * c * c, a * c, -a * c, q * a * c, -q * a * c],
-            [q * a * a, q * c * c, q * a * a * c * c, Q * a * a * c * c],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        r3 = phi_series_coeffs(
-            [q**3, a * c, -a * c, q * a * c, -q * a * c],
-            [q, a * a / q, q**3 * c * c, Q * a * a * c * c],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        rhs = (
-            (c * (1 + q) / (1 - Q * c * c) * r1).shift(1)
-            + (1 - q * c * c) * (1 - q * a * a * c * c) / ((1 - Q * c * c) * (1 - a * a * c * c)) * r2
-            + q * c * c * (1 - q) * (1 - a * a / q) / ((1 - Q * c * c) * (1 - a * a * c * c)) * r3
-        )
-        return lhs, rhs
-
-    defs["T517"] = t517
-
-    def t518():
-        q, a, c = need("q", "a", "c")
-        Q = q * q
-        lhs = phi_series_coeffs([-a, -c], [-a * c], q, EXACT_ONE, order) * phi_series_coeffs(
-            [-a, -Q * c], [-Q * a * c], q, -EXACT_ONE, order
-        )
-        r1 = phi_series_coeffs(
-            [Q * a * a, q**4 * c * c, q * a * c, Q * a * c],
-            [-(q**3) * a * c, -(q**4) * a * c, Q * a * a * c * c],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        r2 = phi_series_coeffs(
-            [a * a, Q * c * c, q**3 * c * c, a * c, q * a * c, q**3 * a * a * c * c],
-            [q * c * c, -Q * a * c, -(q**3) * a * c, q * a * a * c * c, Q * a * a * c * c],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        r3 = phi_series_coeffs(
-            [q**3, a * a, q * a * a, Q * c * c, a * c, q * a * c],
-            [q, a * a / q, -Q * a * c, -(q**3) * a * c, Q * a * a * c * c],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-        rhs = (
-            (c * (1 + q) * (1 - a * a) / ((1 + a * c) * (1 + Q * a * c)) * r1).shift(1)
-            + (1 - q * c * c) * (1 - q * a * a * c * c) / ((1 - Q * c * c) * (1 - a * a * c * c)) * r2
-            + q * c * c * (1 - q) * (1 - a * a / q) / ((1 - Q * c * c) * (1 - a * a * c * c)) * r3
-        )
-        return lhs, rhs
-
-    defs["T518"] = t518
-
-    return defs
-
-
-COEFF_CHECK_IDS = (
-    "SCHLOSSER_T4",
-    "SRIV_JAIN",
-    "JACKSON_CLAUSEN",
-    "NASSRALLAH_1",
-    "NASSRALLAH_2",
-    "THM21",
-    "TRIVIAL_21_32",
-    "SRIVASTAVA_313",
-    "T515",
-    "T516",
-    "T517",
-    "T518",
-)
-
-
 def product_coefficient_check(
     identity_id: str, params: dict, order: int = 9
 ) -> VerificationReport:
     """Exact power-series comparison of both sides through z^order."""
-    defs = _coeff_defs(params, order)
-    if identity_id not in defs:
+    if identity_id not in COEFF_CHECK_IDS:
         raise UnknownIdentity(f"{identity_id} has no exact coefficient check")
-    lhs, rhs = defs[identity_id]()
+    lhs_side, rhs_side = product_sides(identity_id, params)
+    lhs, rhs = side_series(lhs_side, order), side_series(rhs_side, order)
     bad = next(
         (n for n in range(order + 1) if lhs.coeffs[n] != rhs.coeffs[n]), None
     )
@@ -1100,24 +702,9 @@ def product_coefficient_check(
 def schlosser_t4_parity_check(params: dict, order: int = 9) -> VerificationReport:
     """Even part of the product matches the first 4phi3; odd part matches the
     z-prefactored second, term by term."""
-    q, a, b = (E(params[k]) for k in ("q", "a", "b"))
-    Q = q * q
-    lhs = phi_series_coeffs([a, q / a], [-q], q, EXACT_ONE, order) * phi_series_coeffs(
-        [b, q / b], [-q], q, -EXACT_ONE, order
-    )
-    r1 = phi_series_coeffs(
-        [a * b, Q / (a * b), q * a / b, q * b / a], [-Q, q, -q], Q, EXACT_ONE, order
-    ).dilate_square()
-    r2 = (
-        (b - a) * (1 - q / (a * b)) / (1 - Q)
-        * phi_series_coeffs(
-            [q * a * b, q * Q / (a * b), Q * a / b, Q * b / a],
-            [-Q, q**3, -(q**3)],
-            Q,
-            EXACT_ONE,
-            order,
-        ).dilate_square()
-    ).shift(1)
+    lhs_side, rhs_side = product_sides("SCHLOSSER_T4", params)
+    lhs = side_series(lhs_side, order)
+    r1, r2 = (side_series([term], order) for term in rhs_side)
     ok = True
     for n in range(order + 1):
         expected = r1.coeffs[n] if n % 2 == 0 else r2.coeffs[n]
@@ -1216,17 +803,13 @@ def cayley_orr_check(which: str, a, b, c, q, n_max: int = 10) -> VerificationRep
     ae, be, ce, qe = (E(v) for v in (a, b, c, q))
     Q = qe * qe
     an = cayley_orr_an(which, ae, be, ce, qe, n_max)
+    lhs_side, _ = product_sides(f"CAYLEY_ORR_{which}", {"a": ae, "b": be, "c": ce, "q": qe})
+    lhs = side_series(lhs_side, n_max)
     if which == "A":
-        lhs = phi_series_coeffs(
-            [Q * ce / ae, Q * ce / be], [Q * ce], Q, EXACT_ONE, n_max
-        ) * phi_series_coeffs([ae / qe, be / qe], [ce], Q, Q * ce / (ae * be), n_max)
         weights = [
             qpoch_finite(qe * ce, Q, n) / qpoch_finite(Q * ce, Q, n) for n in range(n_max + 1)
         ]
     else:
-        lhs = phi_series_coeffs(
-            [qe * ce / ae, ce / (qe * be)], [ce], Q, EXACT_ONE, n_max
-        ) * phi_series_coeffs([ae, be], [ce], Q, ce / (ae * be), n_max)
         weights = [
             qpoch_finite(ce / qe, Q, n) / qpoch_finite(ce, Q, n) for n in range(n_max + 1)
         ]
@@ -1259,28 +842,11 @@ def cayley_orr_value_check(
         raise DomainError(f"|z| exceeds the safety radius {safety_radius}")
     if (q * q * c * z).abs2() >= (a * b).abs2():
         raise DomainError("the lemma needs |q^2 c z| < |ab|")
-    Q = q * q
     pb = precision_bits
-    if which == "A":
-        lhs, terms = _pair_lhs_product(
-            ([Q * c / a, Q * c / b], [Q * c], Q, z),
-            ([a / q, b / q], [c], Q, Q * c * z / (a * b)),
-            eps / 8,
-            pb,
-        )
-        second_arg = Q * c * z / (a * b)
-    else:
-        lhs, terms = _pair_lhs_product(
-            ([q * c / a, c / (q * b)], [c], Q, z),
-            ([a, b], [c], Q, c * z / (a * b)),
-            eps / 8,
-            pb,
-        )
-        second_arg = c * z / (a * b)
+    lhs_side, _ = product_sides(identity_id, params)
+    lhs, terms = side_value(lhs_side, z, eps / 8, pb)
     # a_n z^n decays like max(|z|, |second series argument|)^n
-    import math
-
-    r_eff = max(z.abs_upper(), second_arg.abs_upper())
+    r_eff = max((f.zscale * z).abs_upper() for f in lhs_side[0][2])
     if r_eff >= 1:
         raise DomainError("the weighted coefficient series does not converge here")
     depth = max(16, int(math.ceil(math.log(eps / 8) / math.log(r_eff + 1e-12))) + 8)

@@ -214,11 +214,12 @@ def parse_exact(text: str) -> ExactScalar:
     def parse_frac(t: str) -> Fraction:
         return Fraction(t)
 
-    # split into real and imaginary chunks at a +/- that is not leading
+    # split into real and imaginary chunks at a +/- that is not leading and
+    # not an exponent's sign
     chunks = []
     start = 0
     for j in range(1, len(s)):
-        if s[j] in "+-" and s[j - 1] not in "+-/*":
+        if s[j] in "+-" and s[j - 1] not in "+-/*eE":
             chunks.append(s[start:j])
             start = j
     chunks.append(s[start:])
@@ -321,9 +322,10 @@ class ApproxScalar:
         if isinstance(other, ApproxScalar):
             return self.value == other.value
         if isinstance(other, (int, Fraction)):
-            return self.value == mpmath.mpf(other.numerator if isinstance(other, Fraction) else other) and (
-                not isinstance(other, Fraction) or other.denominator == 1 or self.value * other.denominator == other.numerator
-            )
+            other = Fraction(other)
+            # a mantissa of precision_bits times the denominator is exact at this precision
+            with mp.workprec(self.precision_bits + other.denominator.bit_length()):
+                return self.value * other.denominator == other.numerator
         return NotImplemented
 
     def __hash__(self):
@@ -474,8 +476,8 @@ def qpoch_infinite(
     The tail past the first K factors is controlled through
     |log prod_{k>=K} (1 - a q^k)| <= sum_{k>=K} |a||q|^k / (1 - |a||q|^K),
     applied once |a||q|^K < 1/2.  Exact inputs get an exact vanishing-factor
-    prescan; the ZeroFactor condition (some 1 - a q^k = 0) is resolved by
-    returning exact zero with a trivial certificate rather than raising.
+    prescan: when some 1 - a q^k = 0 the product is exact zero, returned with
+    a trivial certificate.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")

@@ -310,14 +310,6 @@ def eval_phi_nonterminating(
     return ApproxScalar(total, precision_bits), cert
 
 
-def eval_phi(spec: SeriesSpec, eps: float = 0.0, precision_bits: Optional[int] = None):
-    """Dispatch: exact when the series spec terminates with exact scalars, else certified."""
-    if spec.termination is not None and scalar_mode(spec.scalars()) == "exact":
-        return eval_phi_terminating(spec)
-    value, _ = eval_phi_nonterminating(spec, eps or 1e-30, precision_bits)
-    return value
-
-
 def jackson_22_to_21_check(
     a, b, c, z, q, eps: float, precision_bits: int = 256
 ) -> VerificationReport:

@@ -85,6 +85,20 @@ class TestVerify:
         assert code == EXIT_CONFIG
         assert "nope" in err
 
+    def test_malformed_parameter_is_named(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "T_BAILEY41", "--params", "q=1e-1x,a=1/3,b=1/5", "--n", "2"
+        )
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: parameter 'q': ")
+
+    def test_exponent_literal_parameter(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "T_BAILEY41", "--params", "q=5e-1,a=1/3,b=1/5", "--n", "2"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["reports"][0]["params"]["q"] == "1/2"
+
     def test_missing_n_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "T_BAILEY41", "--params", "q=1/2,a=1/3,b=1/5")
         assert code == EXIT_CONFIG

@@ -16,10 +16,12 @@ from qident.errors import (
 from qident.integrals import (
     INTEGRAL_IDS,
     QuadratureSpec,
+    _series_side,
     integrate_periodic,
     theta,
     verify_integral_rep,
 )
+from qident.products import product_sides, side_value
 from qident.qkernel import ExactScalar
 
 E = ExactScalar
@@ -139,6 +141,15 @@ class TestQuadrature:
 
 
 class TestIntegralReps:
+    @pytest.mark.parametrize("ident", sorted(INTEGRAL_IDS))
+    def test_series_side_is_product_lhs(self, ident):
+        # IR_X reproduces the left side of product transformation X
+        params, _, _ = POINTS[ident]
+        product_id = "SCHLOSSER_T4" if ident == "IR_SCHLOSSER" else ident[3:]
+        lhs_side, _ = product_sides(product_id, params)
+        expected, _ = side_value(lhs_side, E(params["z"]), 1e-25 / 4, 256)
+        assert _series_side(ident, params, 1e-25, 256).value == expected.value
+
     @pytest.mark.parametrize("ident", sorted(INTEGRAL_IDS))
     def test_matches_series_side(self, ident):
         params, sigma, _ = POINTS[ident]

@@ -18,13 +18,17 @@ from qident.products import (
     classical_limit_check,
     nassrallah2_cayley_consistency,
     product_coefficient_check,
+    product_sides,
     quad_cor13,
     schlosser_t4_parity_check,
+    side_series,
+    side_value,
     thm21_cayley_consistency,
     triple_sum_32pf,
     verify_product,
 )
 from qident.qkernel import ExactScalar
+from qident.reporting import compare_approx
 
 E = ExactScalar
 
@@ -217,23 +221,22 @@ class TestCoefficientChecks:
         rep = schlosser_t4_parity_check({"q": F(1, 2), "a": F(1, 3), "b": F(7, 10)}, order=9)
         assert rep.passed
 
-    def test_t515_t518_lhs_series_vs_values(self):
-        # the truncated LHS series evaluated at t agrees with the product of
+    def test_lhs_series_vs_values(self):
+        # the truncated LHS series evaluated at z agrees with the product of
         # certified series values, independently of the RHS path
-        from qident.products import _coeff_defs, _value_defs
-
-        for ident in ("T515", "T516", "T517", "T518"):
-            params = dict(PRODUCT_POINTS[ident])
-            t = params["t"]
-            lhs_series, _ = _coeff_defs(params, 60)[ident]()
+        for ident in COEFF_CHECK_IDS + ("CAYLEY_ORR_A", "CAYLEY_ORR_B"):
+            params = PRODUCT_POINTS[ident]
+            z = E(params["z" if "z" in params else "t"])
+            if ident == "CAYLEY_ORR_B":
+                # its second argument c z/(ab) is 6/7 at z = 1/5: 60 terms leave 1e-4
+                z = E(F(1, 40))
+            lhs_side, _ = product_sides(ident, params)
             acc = E(0)
-            tn = E(1)
-            for ccoef in lhs_series.coeffs:
-                acc = acc + ccoef * tn
-                tn = tn * E(t)
-            lhs_val, _, _ = _value_defs(params, 1e-32, 256)[ident]()
-            from qident.reporting import compare_approx
-
+            zn = E(1)
+            for ccoef in side_series(lhs_side, 60).coeffs:
+                acc = acc + ccoef * zn
+                zn = zn * z
+            lhs_val, _ = side_value(lhs_side, z, 1e-32, 256)
             ok, _, rel = compare_approx(acc.to_approx(256), lhs_val, 1e-25)
             assert ok, (ident, rel)
 

@@ -62,6 +62,12 @@ class TestExactScalar:
         v = E(re, im)
         assert parse_exact(format_exact(v)) == v
 
+    @given(st.integers(-999, 999), st.integers(-9, 9), st.integers(-999, 999), st.integers(-9, 9))
+    def test_parse_exponent_literals(self, m, k, m2, k2):
+        v = parse_exact(f"{m}e{k}{m2:+d}E{k2}*i")
+        assert v == E(F(m) * F(10) ** k, F(m2) * F(10) ** k2)
+        assert parse_exact(format_exact(v)) == v
+
 
 class TestApproxScalar:
     def test_min_precision_rule(self):
@@ -69,6 +75,16 @@ class TestApproxScalar:
         b = ApproxScalar(mpmath.mpf(3), 128)
         assert (a * b).precision_bits == 128
         assert (a + b).precision_bits == 128
+
+    @given(st.integers(-(2**40), 2**40), st.integers(0, 20), st.sampled_from([64, 128, 256]))
+    def test_equality_across_types(self, n, k, bits):
+        # every dyadic value here is exact at 64 bits, so it equals its own int/Fraction
+        f = F(n, 2**k)
+        a = ApproxScalar.coerce(f, bits)
+        assert a == f and f == a
+        assert a == ApproxScalar.coerce(f, 64)
+        assert (a == f.numerator) == (f.denominator == 1)
+        assert a != f + F(1, 3)
 
     def test_precision_floor(self):
         with pytest.raises(DomainError):
