@@ -13,9 +13,20 @@ node function evaluates all of them.  The series side of IR_X is the left
 side of product transformation X (IR_SCHLOSSER: SCHLOSSER_T4) in the table of
 :mod:`qident.products`.
 
+The node kernel runs in fixed point: complex values are pairs of Python ints
+scaled by 2^wp, wp being 20 guard bits above the quadrature's working
+precision, and products are rounded back with ``>> wp`` shifts.  Every node
+argument is a constant times w or times 1/w = conj(w), so the constants, the
+base, the 3phi2 kernel's parameters and the tolerance are converted once per
+integrand; a node converts w in and its value out (as an mpc).  Each product's
+factor count comes from the rule :func:`qident.qkernel.qpoch_infinite` uses,
+at the node tolerance eps * 1e-4, and the kernel stops after four successive
+terms below that tolerance.
+
 The hypothesis that every denominator q-Pochhammer argument keeps modulus
 below one (which also places all kernel poles correctly relative to the
 contour) is pre-scanned on 64 coarse nodes before any full quadrature runs.
+Those 64 values are the first level of the quadrature, which reuses them.
 
 theta(x; q) here is (x; q)_inf (q/x; q)_inf.  Displays whose f-elements did
 not form theta pairs (x, q/x) as printed are implemented with the paired form
@@ -31,6 +42,7 @@ from typing import Callable
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .errors import (
     DomainError,
@@ -41,7 +53,7 @@ from .errors import (
     ZeroArgument,
 )
 from .products import product_sides, side_value
-from .qkernel import ApproxScalar, ExactScalar, QBase, qpoch_infinite
+from .qkernel import ApproxScalar, ExactScalar, QBase, _factor_count, qpoch_infinite
 from .reporting import VerificationReport, compare_approx, value_str
 
 E = ExactScalar.coerce
@@ -56,6 +68,8 @@ INTEGRAL_IDS = (
 
 DEFAULT_EPS = 1e-25
 DEFAULT_PRECISION_BITS = 256
+# fixed-point bits the node kernel keeps beyond the quadrature's precision_bits + 10
+_GUARD_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -82,30 +96,39 @@ def theta(x, q, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS
     return first * second
 
 
+def _node_psi(j: int, n: int):
+    """psi of node j of the uniform n-node grid on [-pi, pi), at the working precision."""
+    return -mpmath.pi + 2 * mpmath.pi * j / n
+
+
 def integrate_periodic(
     integrand: Callable,
     spec: QuadratureSpec,
     precision_bits: int = DEFAULT_PRECISION_BITS,
+    *,
+    first_level: list | None = None,
 ) -> tuple[ApproxScalar, float, int]:
     """Integral over [-pi, pi] of a 2pi-periodic integrand.
 
     Returns (value, achieved_eps, nodes).  The trapezoid rule on the uniform
     periodic grid is the plain node average times 2pi; levels double (reusing
     previous nodes) until two successive estimates agree within
-    eps * max(1, |I|).
+    eps * max(1, |I|).  first_level, when given, holds the integrand's values at
+    the spec.nodes first-level nodes (as :func:`hypothesis_prescan` returns them),
+    which are then not evaluated again.
     """
     with mp.workprec(precision_bits + 10):
-        two_pi = 2 * mpmath.pi
-
         def node_value(j, n_nodes):
-            psi = -mpmath.pi + two_pi * j / n_nodes
-            v = integrand(psi)
+            v = integrand(_node_psi(j, n_nodes))
             if not mpmath.isfinite(v):
                 raise PoleOnContour(f"integrand not finite at node {j}/{n_nodes}")
             return v
 
         n = spec.nodes
-        vals = [node_value(j, n) for j in range(n)]
+        if first_level is not None and len(first_level) != n:
+            raise DomainError(f"first_level holds {len(first_level)} values, not {n}")
+        vals = first_level or [node_value(j, n) for j in range(n)]
+        two_pi = 2 * mpmath.pi
         estimate = two_pi * mpmath.fsum(vals) / n
         for _ in range(spec.max_doublings):
             new_vals = []
@@ -122,63 +145,6 @@ def integrate_periodic(
         raise NoConvergence(
             f"quadrature not converged after {spec.max_doublings} doublings ({n} nodes)"
         )
-
-
-class _QPEvaluator:
-    """Infinite q-Pochhammer products at fixed q, reused across nodes."""
-
-    def __init__(self, q, eps: float):
-        self.q = q
-        self.abs_q = float(abs(q))
-        self.eps = eps
-
-    def count(self, abs_x: float) -> int:
-        k = 0
-        while abs_x * self.abs_q**k >= 0.5:
-            k += 1
-        while True:
-            head = abs_x * self.abs_q**k
-            tail = head / ((1.0 - self.abs_q) * (1.0 - head))
-            if tail <= self.eps:
-                return k
-            k += 1
-
-    def __call__(self, x):
-        prod = mpmath.mpc(1)
-        xq = x
-        for _ in range(self.count(float(abs(x)) + 1e-300)):
-            prod *= 1 - xq
-            xq *= self.q
-        return prod
-
-
-def _phi32_node(upper, lower, q, z, eps, pb):
-    """Nonterminating 3phi2 at raw mpc parameters (node-level kernel).
-
-    Plain term recurrence with a small-term stop; the quadrature-level
-    doubling convergence provides the outer certification.
-    """
-    u1, u2, u3 = upper
-    l1, l2 = lower
-    tot = mpmath.mpc(1)
-    term = mpmath.mpc(1)
-    qk = mpmath.mpc(1)
-    small = 0
-    for k in range(4000):
-        term = (
-            term
-            * (1 - u1 * qk)
-            * (1 - u2 * qk)
-            * (1 - u3 * qk)
-            / ((1 - qk * q) * (1 - l1 * qk) * (1 - l2 * qk))
-            * z
-        )
-        tot += term
-        qk *= q
-        small = small + 1 if abs(term) < eps else 0
-        if small >= 4:
-            return tot
-    raise NoConvergence("3phi2 kernel did not settle within 4000 terms")
 
 
 # --------------------------------------------------------------------------
@@ -214,29 +180,85 @@ def _prefactor(num_args, den_args, base, eps: float, pb: int) -> ApproxScalar:
 
 
 def _node_integrand(num, den, kernel, base, sgv, eps: float, pb: int) -> Callable:
-    """psi -> prod (x; base)_inf over num / prod over den * 3phi2 kernel, w = e^(i psi).
+    """psi -> prod (x; base)_K over num / prod over den * 3phi2 kernel, w = e^(i psi).
 
     num and den hold node arguments (c, form); kernel ([u1, u2, u3], [l1, l2], zc)
-    stands for 3phi2(u1, u2, u3 sigma/w; l1, l2 w/sigma; base, zc w/sigma).
+    stands for 3phi2(u1, u2, u3 sigma/w; l1, l2 w/sigma; base, zc w/sigma).  K is
+    each product's factor count at tail eps * 1e-4.  Fixed-point values are (re, im)
+    ints scaled by 2^wp (see the module docstring).
     """
-    qp = _QPEvaluator(base, eps * 1e-4)
-    (u1, u2, u3), (l1, l2), zc = kernel
+    wp = pb + 10 + _GUARD_BITS
+    one = 1 << wp
+    tol = eps * 1e-4
+    tol2 = int(Fraction(tol) ** 2 * 4**wp)
+    abs_q = float(abs(base))
 
-    def product(args, so, ws):
-        out = None
+    def fixed(x):
+        return to_fixed(x.real._mpf_, wp), to_fixed(x.imag._mpf_, wp)
+
+    def mul(a, b):
+        return (a[0] * b[0] - a[1] * b[1]) >> wp, (a[0] * b[1] + a[1] * b[0]) >> wp
+
+    def div(a, b):
+        bb = b[0] * b[0] + b[1] * b[1]
+        return ((a[0] * b[0] + a[1] * b[1]) << wp) // bb, ((a[1] * b[0] - a[0] * b[1]) << wp) // bb
+
+    def one_minus(x):
+        return one - x[0], -x[1]
+
+    def node_args(args):
+        # (C, conj, K): the argument is C w, or C conj(w) when conj
+        out = []
         for c, form in args:
-            v = qp(c * so if form == _SO else c * ws if form == _WS else so / c)
-            out = v if out is None else out * v
+            C = c / sgv if form == _WS else c * sgv if form == _SO else sgv / c
+            K, _ = _factor_count(float(abs(C)) + 1e-300, abs_q, tol)
+            out.append((fixed(C), form != _WS, K))
         return out
 
+    (u1, u2, u3), (l1, l2), zc = kernel
+    with mp.workprec(wp):
+        nums, dens = node_args(num), node_args(den)
+        q = qr, qi = fixed(base)
+        powers = [fixed(x) for x in (u1, u2, u3 * sgv, l1, l2 / sgv, base)]
+        zw = fixed(zc / sgv)
+    # Kernel term k is term k-1 times n_k / d_k where, as w conj(w) = 1,
+    #   n_k = (1 - u1 q^k) (1 - u2 q^k) (zc/sigma) (w - u3 sigma q^k),
+    #   d_k = (1 - q^(k+1)) (1 - l1 q^k) (1 - (l2/sigma) q^k w).
+    # steps[k] keeps what does not depend on w; powers holds the six q^k multiples.
+    steps = []
+
+    def product(args, w, wc):
+        pr, pi = one, 0
+        for C, conj, K in args:
+            xr, xi = mul(C, wc if conj else w)
+            for _ in range(K):
+                pr, pi = pr - ((pr * xr - pi * xi) >> wp), pi - ((pr * xi + pi * xr) >> wp)
+                xr, xi = (xr * qr - xi * qi) >> wp, (xr * qi + xi * qr) >> wp
+        return pr, pi
+
+    def phi32(w):
+        term = total = (one, 0)
+        small = 0
+        for k in range(4000):
+            if k == len(steps):
+                a1, a2, a3, b1, b2, qk1 = powers
+                n = mul(mul(one_minus(a1), one_minus(a2)), zw)
+                steps.append((n, a3, mul(one_minus(qk1), one_minus(b1)), b2))
+                powers[:] = [mul(x, q) for x in powers]
+            n, a3, d, b2 = steps[k]
+            n = mul(n, (w[0] - a3[0], w[1] - a3[1]))
+            term = div(mul(term, n), mul(d, one_minus(mul(b2, w))))
+            total = total[0] + term[0], total[1] + term[1]
+            small = small + 1 if term[0] * term[0] + term[1] * term[1] < tol2 else 0
+            if small >= 4:
+                return total
+        raise NoConvergence("3phi2 kernel did not settle within 4000 terms")
+
     def integrand(psi):
-        w = mpmath.expjpi(psi / mpmath.pi)
-        so, ws = sgv / w, w / sgv
-        return (
-            product(num, so, ws)
-            / product(den, so, ws)
-            * _phi32_node([u1, u2, u3 * so], [l1, l2 * ws], base, zc * ws, eps * 1e-4, pb)
-        )
+        w = fixed(mpmath.expjpi(psi / mpmath.pi))
+        wc = w[0], -w[1]
+        re, im = div(mul(product(nums, w, wc), phi32(w)), product(dens, w, wc))
+        return mpmath.mpc(mpmath.ldexp(re, -wp), mpmath.ldexp(im, -wp))
 
     return integrand
 
@@ -332,22 +354,28 @@ def _descriptor(identity_id: str, params: dict, sigma, f, eps: float, pb: int):
     return pref, _node_integrand(num, den, kernel, node_base, sgv, eps, pb), moduli
 
 
-def hypothesis_prescan(moduli, integrand, pb: int) -> None:
-    """Check the modulus-below-one hypothesis, then probe 64 coarse nodes."""
+def hypothesis_prescan(moduli, integrand, pb: int) -> list:
+    """Check the modulus-below-one hypothesis, then probe 64 coarse nodes.
+
+    Returns the integrand's values at those nodes: the first level of a 64-node
+    :func:`integrate_periodic` at the same precision.
+    """
     for name, m in moduli:
         if m >= 1.0:
             raise HypothesisViolation(
                 f"denominator element {name} has modulus {m:.6g} >= 1", factor=name
             )
+    vals = []
     with mp.workprec(pb + 10):
         for j in range(64):
-            psi = -mpmath.pi + 2 * mpmath.pi * j / 64
-            v = integrand(psi)
+            v = integrand(_node_psi(j, 64))
             if not mpmath.isfinite(v):
                 raise HypothesisViolation(
                     f"integrand blows up during the coarse prescan at node {j}",
                     factor="prescan",
                 )
+            vals.append(v)
+    return vals
 
 
 def verify_integral_rep(
@@ -367,9 +395,11 @@ def verify_integral_rep(
         raise DomainError("sigma must be a positive real")
     series = _series_side(identity_id, params, eps, precision_bits)
     pref, integrand, moduli = _descriptor(identity_id, params, sigma, f, eps, precision_bits)
-    hypothesis_prescan(moduli, integrand, precision_bits)
+    coarse = hypothesis_prescan(moduli, integrand, precision_bits)
     spec = quadrature or QuadratureSpec(nodes=64, eps=eps / 16, max_doublings=14)
-    integral, achieved, nodes = integrate_periodic(integrand, spec, precision_bits)
+    integral, achieved, nodes = integrate_periodic(
+        integrand, spec, precision_bits, first_level=coarse if spec.nodes == len(coarse) else None
+    )
     with mp.workprec(precision_bits + 10):
         value = pref * integral * ApproxScalar(1 / (2 * mpmath.pi), precision_bits)
     passed, abs_err, rel_err = compare_approx(value, series, eps)

@@ -146,7 +146,8 @@ class ExactScalar:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its Fraction, as equal ApproxScalar values do
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     # -- conversions ----------------------------------------------------
     def to_approx(self, precision_bits: int) -> "ApproxScalar":
@@ -322,14 +323,21 @@ class ApproxScalar:
         if isinstance(other, ApproxScalar):
             return self.value == other.value
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+            other = ExactScalar(other)
+        if not isinstance(other, ExactScalar):
+            return NotImplemented
+
+        def part_eq(x, f: Fraction) -> bool:
             # a mantissa of precision_bits times the denominator is exact at this precision
-            with mp.workprec(self.precision_bits + other.denominator.bit_length()):
-                return self.value * other.denominator == other.numerator
-        return NotImplemented
+            with mp.workprec(self.precision_bits + f.denominator.bit_length()):
+                return x * f.denominator == f.numerator
+
+        return part_eq(self.value.real, other.re) and part_eq(self.value.imag, other.im)
 
     def __hash__(self):
-        return hash(self.value)
+        # as ExactScalar.__hash__, so that equal values hash alike across the types
+        re, im = self.value.real, self.value.imag
+        return hash(re) if im == 0 else hash((re, im))
 
     def __repr__(self):
         return f"ApproxScalar({mpmath.nstr(self.value, 20)}, bits={self.precision_bits})"
@@ -465,6 +473,20 @@ def _exact_zero_factor_index(a: ExactScalar, q: ExactScalar) -> int | None:
     return None
 
 
+def _factor_count(abs_a: float, abs_q: float, tail: float) -> tuple[int, float]:
+    """(K, tail_log): the least K with |a| |q|^K < 1/2 whose log-majorant tail
+    tail_log = |a| |q|^K / ((1 - |q|) (1 - |a| |q|^K)) is at most `tail`."""
+    K = 0
+    while abs_a * abs_q**K >= 0.5:
+        K += 1
+    while True:
+        head = abs_a * abs_q**K
+        tail_log = head / ((1.0 - abs_q) * (1.0 - head))
+        if tail_log <= tail:
+            return K, tail_log
+        K += 1
+
+
 def qpoch_infinite(
     a,
     q,
@@ -499,19 +521,7 @@ def qpoch_infinite(
     if av.is_zero():
         return ApproxScalar.coerce(1, precision_bits), TruncationCert(0, 0.0, eps)
 
-    abs_a = float(abs(av))
-    abs_q = qb.modulus_bound
-    # least K with |a| |q|^K < 1/2 and log-majorant tail <= eps/4
-    K = 0
-    while abs_a * abs_q**K >= 0.5:
-        K += 1
-    while True:
-        head = abs_a * abs_q**K
-        tail_log = head / ((1.0 - abs_q) * (1.0 - head))
-        if tail_log <= eps / 4:
-            break
-        K += 1
-
+    K, tail_log = _factor_count(float(abs(av)), qb.modulus_bound, eps / 4)
     guard = 24 + max(0, K).bit_length()
     with mp.workprec(precision_bits + guard):
         prod = mpmath.mpc(1)

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from qident import integrals
 from qident.errors import (
     DomainError,
     HypothesisViolation,
@@ -22,7 +23,8 @@ from qident.integrals import (
     verify_integral_rep,
 )
 from qident.products import product_sides, side_value
-from qident.qkernel import ExactScalar
+from qident.qkernel import ApproxScalar, ExactScalar, qpoch_infinite
+from qident.series import SeriesSpec, eval_phi_nonterminating
 
 E = ExactScalar
 
@@ -136,8 +138,7 @@ class TestQuadrature:
             return mpmath.mpc(rng.random())
 
         with pytest.raises(NoConvergence):
-            integrate_periodic(QuadratureSpec(nodes=16, eps=1e-40, max_doublings=2) and f,
-                               QuadratureSpec(nodes=16, eps=1e-40, max_doublings=2), 128)
+            integrate_periodic(f, QuadratureSpec(nodes=16, eps=1e-40, max_doublings=2), 128)
 
 
 class TestIntegralReps:
@@ -202,3 +203,68 @@ class TestIntegralReps:
         params, sigma, _ = POINTS["IR_SRIV_JAIN"]
         with pytest.raises(ZeroArgument):
             verify_integral_rep("IR_SRIV_JAIN", params, sigma=sigma, f=F(0))
+
+
+class TestNodeKernel:
+    @pytest.mark.parametrize("ident", sorted(INTEGRAL_IDS))
+    def test_nodes_match_certified_products_and_series(self, ident, monkeypatch):
+        # the fixed-point node against qpoch_infinite for the ten products and
+        # eval_phi_nonterminating for the 3phi2 kernel, at 8 nodes; the kernel's
+        # own truncation (eps * 1e-4) is far below the 1e-60 asked for
+        seen = []
+        build = integrals._node_integrand
+
+        def recording(*args):
+            seen.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(integrals, "_node_integrand", recording)
+        params, sigma, _ = POINTS[ident]
+        _, integrand, _ = integrals._descriptor(ident, params, sigma, F(3, 2), 1e-62, 256)
+        num, den, ((u1, u2, u3), (l1, l2), zc), base, sgv, _, _ = seen[0]
+        bits, tight = 320, 1e-72
+
+        def approx(x):
+            return ApproxScalar(x, bits)
+
+        for j in range(0, 64, 8):
+            with mp.workprec(266):
+                psi = -mpmath.pi + 2 * mpmath.pi * j / 64
+                got = integrand(psi)
+            with mp.workprec(bits):
+                w = mpmath.expjpi(psi / mpmath.pi)
+                so, ws = sgv / w, w / sgv
+                forms = {"sigma/w": lambda c: c * so, "w/sigma": lambda c: c * ws,
+                         "sigma/(c w)": lambda c: so / c}
+                ref = approx(1)
+                for args, power in ((num, 1), (den, -1)):
+                    for c, form in args:
+                        v, _ = qpoch_infinite(approx(forms[form](c)), approx(base), tight, bits)
+                        ref = ref * v if power == 1 else ref / v
+                spec = SeriesSpec.make(
+                    [approx(u1), approx(u2), approx(u3 * so)], [approx(l1), approx(l2 * ws)],
+                    approx(base), approx(zc * ws),
+                )
+                kernel, _ = eval_phi_nonterminating(spec, tight, bits)
+                ref = ref * kernel
+                assert abs(got - ref.value) <= 1e-60 * abs(ref.value), (ident, j)
+
+    def test_no_node_evaluated_twice(self, monkeypatch):
+        # the prescan's 64 nodes are the quadrature's first level, reused
+        calls = []
+        build = integrals._node_integrand
+
+        def counting(*args):
+            integrand = build(*args)
+
+            def counted(psi):
+                calls.append(psi)
+                return integrand(psi)
+
+            return counted
+
+        monkeypatch.setattr(integrals, "_node_integrand", counting)
+        params, sigma, _ = POINTS["IR_THM21"]
+        rep = verify_integral_rep("IR_THM21", params, sigma=sigma, f=F(3, 2), eps=1e-15)
+        assert rep.passed
+        assert len(calls) == rep.quadrature_nodes == 256

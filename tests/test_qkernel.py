@@ -76,15 +76,30 @@ class TestApproxScalar:
         assert (a * b).precision_bits == 128
         assert (a + b).precision_bits == 128
 
-    @given(st.integers(-(2**40), 2**40), st.integers(0, 20), st.sampled_from([64, 128, 256]))
-    def test_equality_across_types(self, n, k, bits):
-        # every dyadic value here is exact at 64 bits, so it equals its own int/Fraction
+    @given(
+        st.integers(-(2**40), 2**40),
+        st.integers(-(2**40), 2**40),
+        st.integers(0, 20),
+        st.sampled_from([64, 128, 256]),
+    )
+    def test_equality_across_types(self, n, m, k, bits):
+        # every dyadic value here is exact at 64 bits, so it equals its own
+        # int/Fraction/ExactScalar, and equal values hash alike
         f = F(n, 2**k)
         a = ApproxScalar.coerce(f, bits)
         assert a == f and f == a
+        assert a == E(f) and E(f) == a
+        assert hash(a) == hash(E(f)) == hash(f)
         assert a == ApproxScalar.coerce(f, 64)
         assert (a == f.numerator) == (f.denominator == 1)
         assert a != f + F(1, 3)
+        assert a != E(f + F(1, 3)) and E(f + F(1, 3)) != a
+        z = E(f, F(m, 2**k))
+        az = ApproxScalar.coerce(z, bits)
+        assert az == z and z == az
+        assert hash(az) == hash(z)
+        assert (az == f) == (m == 0)
+        assert az != z + I * F(1, 3) and z + I * F(1, 3) != az
 
     def test_precision_floor(self):
         with pytest.raises(DomainError):
