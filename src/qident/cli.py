@@ -9,6 +9,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -193,6 +194,7 @@ def cmd_report(args) -> int:
     return EXIT_OK if rf.all_passed else EXIT_FAIL
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qident",

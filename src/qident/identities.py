@@ -8,6 +8,12 @@ approx-only: their LHS is still summed exactly, the RHS is certified to a
 configurable eps (default 1e-40 at 256 bits) with an exact vanishing-factor
 prescan so parity zeros stay exact.
 
+A sweep evaluates each (params, n) point once: `_sides` is the one place that
+sums an LHS and evaluates an RHS, `draw_params` screens a draw with the pairs
+it computes and returns them, and `sweep` hands each exact record's pair to
+`verify(..., sides=)`.  Approx-only records are screened at 128 bits, so
+`verify` certifies their RHS again at its own precision and eps.
+
 Square roots never appear at this layer: records are parameterized by the
 square-root variables themselves (sa, sc, sqa, p), with a = sa^2, c = sc^2,
 qa = sqa^2, q = p^2 as each formula requires.  Parameter names are part of
@@ -984,16 +990,23 @@ DEFAULT_APPROX_EPS = 1e-40
 DEFAULT_PRECISION_BITS = 256
 
 
+def _sides(rec: IdentityRecord, params: dict, n: int, precision_bits: int, eps: float):
+    """(lhs, rhs) at one point: the exact LHS sum and the RHS closed form,
+    which approx-only records certify to eps at precision_bits."""
+    lhs = eval_phi_terminating(rec.lhs_spec(params, n))
+    if rec.approx_only:
+        return lhs, rec.rhs_value(params, n, precision_bits=precision_bits, eps=eps)
+    return lhs, rec.rhs_value(params, n)
+
+
+# the precision of the constraint and accidental-zero screens on approx-only RHS
+_SCREEN_BITS, _SCREEN_EPS = 128, 1e-10
+
+
 def constraints(identity_id: str, params: dict, n: int) -> Optional[str]:
     """None if (params, n) is valid; otherwise the violated predicate's name."""
-    rec = lookup(identity_id)
     try:
-        spec = rec.lhs_spec(params, n)
-        eval_phi_terminating(spec)
-        if rec.approx_only:
-            rec.rhs_value(params, n, precision_bits=128, eps=1e-10)
-        else:
-            rec.rhs_value(params, n)
+        _sides(lookup(identity_id), params, n, _SCREEN_BITS, _SCREEN_EPS)
     except ZeroDivisionError:
         return "closed-form denominator nonzero"
     except PoleError as exc:
@@ -1010,11 +1023,16 @@ def verify(
     mode: str = "exact",
     eps: float = 0.0,
     precision_bits: int = DEFAULT_PRECISION_BITS,
+    *,
+    sides: Optional[tuple] = None,
 ) -> VerificationReport:
     """Check one identity at one exact parameter point.
 
     Exact records compare with strict equality; approx-only records certify
     the RHS infinite products to eps (default 1e-40) and compare relatively.
+    `sides` is the (lhs, rhs) pair already evaluated at this point (as
+    `draw_params` returns it for exact records); when given, neither side is
+    evaluated again.
     """
     rec = lookup(identity_id)
     if rec.approx_only and mode == "exact":
@@ -1023,14 +1041,9 @@ def verify(
         mode = "exact"  # exact records are strictly exact; approx adds nothing
 
     try:
-        spec = rec.lhs_spec(params, n)
-        lhs = eval_phi_terminating(spec)
-        if rec.approx_only:
-            rhs = rec.rhs_value(
-                params, n, precision_bits=precision_bits, eps=eps or DEFAULT_APPROX_EPS
-            )
-        else:
-            rhs = rec.rhs_value(params, n)
+        if sides is None:
+            sides = _sides(rec, params, n, precision_bits, eps or DEFAULT_APPROX_EPS)
+        lhs, rhs = sides
     except ZeroDivisionError as exc:
         raise ConstraintViolation(
             f"{identity_id}: closed-form denominator vanishes at {params}, n={n}",
@@ -1073,31 +1086,29 @@ def verify(
     )
 
 
-def draw_params(rec: IdentityRecord, rng: random.Random, n_values: Iterable[int]) -> dict:
-    """Constraint-filtered deterministic draw from the record's sampler."""
+def draw_params(
+    rec: IdentityRecord, rng: random.Random, n_values: Iterable[int]
+) -> tuple[dict, dict]:
+    """Constraint-filtered deterministic draw from the record's sampler.
+
+    Returns the accepted parameters and, for each n, the (lhs, rhs) pair the
+    screens evaluated (approx-only RHS at the screens' 128 bits)."""
     n_values = list(n_values)
     for _ in range(1000):
         ps = rec.sampler(rng)
-        ok = True
+        pairs = {}
         for n in n_values:
-            if constraints(rec.id, ps, n) is not None:
-                ok = False
+            try:
+                pairs[n] = _sides(rec, ps, n, _SCREEN_BITS, _SCREEN_EPS)
+            except (ZeroDivisionError, PoleError, DomainError):
                 break
             # reject draws that produce accidental (non-structural) zeros
-            try:
-                if rec.approx_only:
-                    rhs = rec.rhs_value(ps, n, precision_bits=128, eps=1e-10)
-                else:
-                    rhs = rec.rhs_value(ps, n)
-            except (ZeroDivisionError, PoleError):
-                ok = False
-                break
+            rhs = pairs[n][1]
             is_zero = rhs.is_zero() if isinstance(rhs, (ExactScalar, ApproxScalar)) else False
             if is_zero != rec.structural_zero(n):
-                ok = False
                 break
-        if ok:
-            return ps
+        else:
+            return ps, pairs
     raise SamplerExhausted(
         f"{rec.id}: 1000 consecutive draws rejected by the constraints"
     )
@@ -1120,10 +1131,13 @@ def sweep(
     mode = "approx" if rec.approx_only else "exact"
     reports = []
     for _ in range(trials):
-        ps = draw_params(rec, rng, n_values)
+        ps, pairs = draw_params(rec, rng, n_values)
         for n in n_values:
+            # approx-only records certify their RHS again at the sweep's eps
+            sides = None if rec.approx_only else pairs[n]
             reports.append(
-                verify(identity_id, ps, n, mode=mode, eps=eps, precision_bits=precision_bits)
+                verify(identity_id, ps, n, mode=mode, eps=eps, precision_bits=precision_bits,
+                       sides=sides)
             )
     return reports
 

@@ -68,11 +68,15 @@ class ExactScalar:
         return self.re * self.re + self.im * self.im
 
     # -- arithmetic ---------------------------------------------------
+    # Both parts are already Fractions, so results are built by `_exact`;
+    # when both operands are real, one Fraction operation gives the result.
     def __add__(self, other):
         other = _coerce_exact(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactScalar(self.re + other.re, self.im + other.im)
+        if self.im or other.im:
+            return _exact(self.re + other.re, self.im + other.im)
+        return _exact(self.re + other.re, _ZERO)
 
     __radd__ = __add__
 
@@ -80,22 +84,28 @@ class ExactScalar:
         other = _coerce_exact(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactScalar(self.re - other.re, self.im - other.im)
+        if self.im or other.im:
+            return _exact(self.re - other.re, self.im - other.im)
+        return _exact(self.re - other.re, _ZERO)
 
     def __rsub__(self, other):
         other = _coerce_exact(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactScalar(other.re - self.re, other.im - self.im)
+        if self.im or other.im:
+            return _exact(other.re - self.re, other.im - self.im)
+        return _exact(other.re - self.re, _ZERO)
 
     def __mul__(self, other):
         other = _coerce_exact(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if self.im or other.im:
+            return _exact(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        return _exact(self.re * other.re, _ZERO)
 
     __rmul__ = __mul__
 
@@ -103,10 +113,14 @@ class ExactScalar:
         other = _coerce_exact(other)
         if other is NotImplemented:
             return NotImplemented
+        if not (self.im or other.im):
+            if not other.re:
+                raise ZeroDivisionError("division by exact zero")
+            return _exact(self.re / other.re, _ZERO)
         d = other.abs2()
         if d == 0:
             raise ZeroDivisionError("division by exact zero")
-        return ExactScalar(
+        return _exact(
             (self.re * other.re + self.im * other.im) / d,
             (self.im * other.re - self.re * other.im) / d,
         )
@@ -118,7 +132,7 @@ class ExactScalar:
         return other / self
 
     def __neg__(self):
-        return ExactScalar(-self.re, -self.im)
+        return _exact(-self.re, -self.im)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -176,6 +190,18 @@ class ExactScalar:
 
     def __str__(self):
         return format_exact(self)
+
+
+_ZERO = Fraction(0)
+_set_re, _set_im = ExactScalar.re.__set__, ExactScalar.im.__set__
+
+
+def _exact(re: Fraction, im: Fraction) -> ExactScalar:
+    """An ExactScalar from two Fractions, without `_as_fraction`'s checks."""
+    x = object.__new__(ExactScalar)
+    _set_re(x, re)
+    _set_im(x, im)
+    return x
 
 
 def _coerce_exact(x) -> "ExactScalar":

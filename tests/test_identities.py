@@ -20,6 +20,15 @@ from qident.series import BalanceClass, derive_balance, eval_phi_terminating
 
 E = ExactScalar
 
+# SHA-256 of the report file of `qident sweep <id> --trials 25 --seed 7
+# --n-range 0..8 --output <file>`: seeded sweeps are byte-identical across builds
+GOLDEN_SWEEP_SHA256 = {
+    "T_QBAILEY_1": "8d2d537d2ff62bf2cae62c2110532aa686561b9f18c3a0a8c6e99578af725da9",
+    "T_BAILEY41": "c54241c818f61965f8b61da5f52556c78f19eb1a6773945791607d2e1bd83bfd",
+    "X_SEARS": "ecc7728b1d988f766b25ce7c9a8acaab102ebe9d816c3bbb4c15476197968a11",
+    "T_GASPER_RAHMAN_WATSON": "d399e748e035f5f45b8be2737e6c55780413f9b9190421c2f540a48fe390b907",
+}
+
 
 class TestLookup:
     def test_listing_is_stable_and_sorted(self):
@@ -84,7 +93,7 @@ class TestVerify:
 
         for ident in list_ids():
             rec = lookup(ident)
-            ps = draw_params(rec, random.Random(11), [0])
+            ps, _ = draw_params(rec, random.Random(11), [0])
             mode = "approx" if rec.approx_only else "exact"
             rep = verify(ident, ps, 0, mode=mode)
             assert rep.passed, ident
@@ -229,6 +238,45 @@ class TestSweep:
         reports = sweep("T_NEW_N7", trials=5, seed=3, n_range=range(0, 9))
         assert all(r.passed for r in reports)
         assert any(r.n % 2 == 1 and not r.degenerate for r in reports)
+
+    def test_each_point_evaluated_once(self, monkeypatch):
+        # counters wrapped around the record's sides, as the benchmark tracer
+        # does; seed 7 accepts its first draw, so no rejected draw adds
+        # evaluations and each of the 9 points is evaluated exactly once
+        import dataclasses
+
+        from qident import identities
+
+        rec = lookup("T_BAILEY41")
+        calls = {"lhs": 0, "rhs": 0, "draws": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setitem(identities._REGISTRY, rec.id, dataclasses.replace(
+            rec,
+            lhs_spec=counted("lhs", rec.lhs_spec),
+            rhs_value=counted("rhs", rec.rhs_value),
+            sampler=counted("draws", rec.sampler),
+        ))
+        reports = sweep("T_BAILEY41", trials=1, seed=7, n_range=range(0, 9))
+        assert len(reports) == 9 and all(r.passed for r in reports)
+        assert calls == {"lhs": 9, "rhs": 9, "draws": 1}
+
+    @pytest.mark.parametrize("ident", sorted(GOLDEN_SWEEP_SHA256))
+    def test_golden_sweep_file(self, tmp_path, ident):
+        import hashlib
+
+        from qident.cli import EXIT_OK, main
+
+        path = tmp_path / "sweep.json"
+        argv = ["sweep", ident, "--trials", "25", "--seed", "7", "--n-range", "0..8"]
+        assert main(argv + ["--output", str(path)]) == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SWEEP_SHA256[ident]
 
     def test_trials_must_be_positive(self):
         with pytest.raises(DomainError):

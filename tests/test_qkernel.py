@@ -57,6 +57,37 @@ class TestExactScalar:
             v = parse_exact(s)
             assert parse_exact(format_exact(v)) == v
 
+    @pytest.mark.parametrize(
+        "x_real,y_real", [(True, True), (True, False), (False, True), (False, False)]
+    )
+    @given(small_fracs, nonzero_fracs, small_fracs, nonzero_fracs, st.integers(-9, 9))
+    def test_ops_match_gaussian_formulas(self, x_real, y_real, a, b, c, d, k):
+        # real operands take a one-Fraction path; the results must be what
+        # the Gaussian-rational formulas give on (re, im) Fraction pairs
+        b, d = (F(0) if x_real else b), (F(0) if y_real else d)
+        x, y = E(a, b), E(c, d)
+        expected = {
+            "+": (x + y, (a + c, b + d)),
+            "-": (x - y, (a - c, b - d)),
+            "*": (x * y, (a * c - b * d, a * d + b * c)),
+            "int -": (k - x, (k - a, -b)),
+        }
+        if c or d:
+            m = c * c + d * d
+            expected["/"] = (x / y, ((a * c + b * d) / m, (b * c - a * d) / m))
+        for op, (got, (re, im)) in expected.items():
+            assert type(got.re) is F and type(got.im) is F, op
+            assert (got.re, got.im) == (re, im), op
+            if im == 0:
+                assert got.im == 0 and got == re and hash(got) == hash(re), op
+
+    @given(small_fracs, small_fracs)
+    def test_division_by_exact_zero(self, a, b):
+        for x in (E(a), E(a, b)):
+            for zero in (E(0), 0, F(0)):
+                with pytest.raises(ZeroDivisionError):
+                    _ = x / zero
+
     @given(small_fracs, small_fracs)
     def test_parse_format_roundtrip_random(self, re, im):
         v = E(re, im)
