@@ -12,7 +12,8 @@ A sweep evaluates each (params, n) point once: `_sides` is the one place that
 sums an LHS and evaluates an RHS, `draw_params` screens a draw with the pairs
 it computes and returns them, and `sweep` hands each exact record's pair to
 `verify(..., sides=)`.  Approx-only records are screened at 128 bits, so
-`verify` certifies their RHS again at its own precision and eps.
+`sweep` hands `verify` only their exact LHS, and `verify` certifies the RHS
+again at the sweep's precision and eps.
 
 Square roots never appear at this layer: records are parameterized by the
 square-root variables themselves (sa, sc, sqa, p), with a = sa^2, c = sc^2,
@@ -157,6 +158,25 @@ _register(
 )
 
 
+def _product_quotient(pref, num_args, den_args, precision_bits, eps):
+    """pref * prod (x; base)_inf over num_args / prod over den_args, each
+    factor certified to eps: exact 0 when a numerator factor vanishes, and
+    ZeroDivisionError when a denominator factor does."""
+    num = ApproxScalar.coerce(pref, precision_bits)
+    for x, base in num_args:
+        v, _ = qpoch_infinite(x, base, eps, precision_bits)
+        if v.is_zero():
+            return ExactScalar(0)
+        num = num * v
+    den = ApproxScalar.coerce(1, precision_bits)
+    for x, base in den_args:
+        v, _ = qpoch_infinite(x, base, eps, precision_bits)
+        if v.is_zero():
+            raise ZeroDivisionError("infinite-product denominator vanishes")
+        den = den * v
+    return num / den
+
+
 def _grw_lhs(ps, n):
     q, b, c = E(ps["q"]), E(ps["b"]), E(ps["c"])
     Q = q * q
@@ -192,19 +212,7 @@ def _grw_rhs(ps, n, precision_bits=256, eps=1e-40):
         (Q * c * c, Q4),
         (q ** (2 * n + 2) * c * c / (b * b), Q4),
     ]
-    num = ApproxScalar.coerce(1, precision_bits)
-    for x, base in num_args:
-        v, _ = qpoch_infinite(x, base, eps / 32, precision_bits)
-        if v.is_zero():
-            return ExactScalar(0)
-        num = num * v
-    den = ApproxScalar.coerce(1, precision_bits)
-    for x, base in den_args:
-        v, _ = qpoch_infinite(x, base, eps / 32, precision_bits)
-        if v.is_zero():
-            raise ZeroDivisionError("infinite-product denominator vanishes")
-        den = den * v
-    return num / den
+    return _product_quotient(1, num_args, den_args, precision_bits, eps / 32)
 
 
 _register(
@@ -269,20 +277,10 @@ def _aw_e_lhs(ps, n):
 def _aw_e_rhs(ps, n, precision_bits=256, eps=1e-40):
     q, c, e = E(ps["q"]), E(ps["c"]), E(ps["e"])
     Q = q * q
-    pref = q ** ((n + 1) * n // 2)
-    num = ApproxScalar.coerce(pref, precision_bits)
-    for x in (q**-n * e, q ** (n + 1) * e, q ** (1 - n) * c * c / e, q ** (n + 2) * c * c / e):
-        v, _ = qpoch_infinite(x, Q, eps / 16, precision_bits)
-        if v.is_zero():
-            return ExactScalar(0)
-        num = num * v
-    den = ApproxScalar.coerce(1, precision_bits)
-    for x in (e, q * c * c / e):
-        v, _ = qpoch_infinite(x, q, eps / 16, precision_bits)
-        if v.is_zero():
-            raise ZeroDivisionError("infinite-product denominator vanishes")
-        den = den * v
-    return num / den
+    tops = (q**-n * e, q ** (n + 1) * e, q ** (1 - n) * c * c / e, q ** (n + 2) * c * c / e)
+    num_args = [(x, Q) for x in tops]
+    den_args = [(e, q), (q * c * c / e, q)]
+    return _product_quotient(q ** ((n + 1) * n // 2), num_args, den_args, precision_bits, eps / 16)
 
 
 _register(
@@ -990,10 +988,11 @@ DEFAULT_APPROX_EPS = 1e-40
 DEFAULT_PRECISION_BITS = 256
 
 
-def _sides(rec: IdentityRecord, params: dict, n: int, precision_bits: int, eps: float):
-    """(lhs, rhs) at one point: the exact LHS sum and the RHS closed form,
-    which approx-only records certify to eps at precision_bits."""
-    lhs = eval_phi_terminating(rec.lhs_spec(params, n))
+def _sides(rec: IdentityRecord, params: dict, n: int, precision_bits: int, eps: float, lhs=None):
+    """(lhs, rhs) at one point: the exact LHS sum (unless given) and the RHS
+    closed form, which approx-only records certify to eps at precision_bits."""
+    if lhs is None:
+        lhs = eval_phi_terminating(rec.lhs_spec(params, n))
     if rec.approx_only:
         return lhs, rec.rhs_value(params, n, precision_bits=precision_bits, eps=eps)
     return lhs, rec.rhs_value(params, n)
@@ -1030,9 +1029,9 @@ def verify(
 
     Exact records compare with strict equality; approx-only records certify
     the RHS infinite products to eps (default 1e-40) and compare relatively.
-    `sides` is the (lhs, rhs) pair already evaluated at this point (as
-    `draw_params` returns it for exact records); when given, neither side is
-    evaluated again.
+    `sides` is the (lhs, rhs) pair already evaluated at this point, as
+    `draw_params` returns it; when given, neither side is evaluated again,
+    except an rhs of None, which is evaluated at precision_bits and eps.
     """
     rec = lookup(identity_id)
     if rec.approx_only and mode == "exact":
@@ -1041,9 +1040,9 @@ def verify(
         mode = "exact"  # exact records are strictly exact; approx adds nothing
 
     try:
-        if sides is None:
-            sides = _sides(rec, params, n, precision_bits, eps or DEFAULT_APPROX_EPS)
-        lhs, rhs = sides
+        lhs, rhs = sides or (None, None)
+        if rhs is None:
+            lhs, rhs = _sides(rec, params, n, precision_bits, eps or DEFAULT_APPROX_EPS, lhs)
     except ZeroDivisionError as exc:
         raise ConstraintViolation(
             f"{identity_id}: closed-form denominator vanishes at {params}, n={n}",
@@ -1133,8 +1132,9 @@ def sweep(
     for _ in range(trials):
         ps, pairs = draw_params(rec, rng, n_values)
         for n in n_values:
-            # approx-only records certify their RHS again at the sweep's eps
-            sides = None if rec.approx_only else pairs[n]
+            lhs, rhs = pairs[n]
+            # approx-only records certify their RHS again at the sweep's precision and eps
+            sides = (lhs, None if rec.approx_only else rhs)
             reports.append(
                 verify(identity_id, ps, n, mode=mode, eps=eps, precision_bits=precision_bits,
                        sides=sides)

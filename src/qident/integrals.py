@@ -385,9 +385,9 @@ def verify_integral_rep(
     f,
     eps: float = DEFAULT_EPS,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    quadrature: QuadratureSpec | None = None,
 ) -> VerificationReport:
-    """Prefactor times contour integral against the series-side product."""
+    """Prefactor times contour integral against the series-side product; the
+    quadrature starts from the 64 prescan nodes and doubles, at most 14 times, to eps/16."""
     if identity_id not in INTEGRAL_IDS:
         raise UnknownIdentity(f"no integral representation registered under {identity_id!r}")
     sig = E(sigma)
@@ -396,9 +396,9 @@ def verify_integral_rep(
     series = _series_side(identity_id, params, eps, precision_bits)
     pref, integrand, moduli = _descriptor(identity_id, params, sigma, f, eps, precision_bits)
     coarse = hypothesis_prescan(moduli, integrand, precision_bits)
-    spec = quadrature or QuadratureSpec(nodes=64, eps=eps / 16, max_doublings=14)
+    spec = QuadratureSpec(nodes=len(coarse), eps=eps / 16, max_doublings=14)
     integral, achieved, nodes = integrate_periodic(
-        integrand, spec, precision_bits, first_level=coarse if spec.nodes == len(coarse) else None
+        integrand, spec, precision_bits, first_level=coarse
     )
     with mp.workprec(precision_bits + 10):
         value = pref * integral * ApproxScalar(1 / (2 * mpmath.pi), precision_bits)

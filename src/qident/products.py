@@ -9,6 +9,9 @@ parameters by ``product_sides``.  Two interpreters read that table:
 (which localize failures to a degree).  The contour integrals take their series
 sides from the same table.  Identities whose displays contain q^(1/2) take the
 square root p as the parameter, with q = p^2, so every exponent stays integral.
+Each Cayley-Orr lemma's 2phi1, prefactor and weight arguments are one entry of
+``_cayley_orr_lemma`` (exact or raw mpmath alike), read by every lemma check,
+and the five classical limits are a table of rFs products (``_classical_sides``).
 """
 
 from __future__ import annotations
@@ -32,44 +35,31 @@ from .qkernel import (
     qpoch_list,
 )
 from .reporting import VerificationReport, compare_approx, value_str
-from .series import SeriesSpec, certified_sum, eval_phi_nonterminating, eval_qappell_phi1, eval_rfs
+from .series import (
+    PochTable,
+    SeriesSpec,
+    certified_sum,
+    eval_phi_nonterminating,
+    eval_qappell_phi1,
+    eval_rfs,
+)
 
 E = ExactScalar.coerce
 
-PRODUCT_IDS = (
-    "AWGF",
-    "TRIPLE_32PF",
-    "QUAD_COR13",
-    "WD_APPELL",
-    "SCHLOSSER_T4",
-    "SRIV_JAIN",
-    "JACKSON_CLAUSEN",
-    "NASSRALLAH_1",
-    "NASSRALLAH_2",
-    "THM21",
-    "TRIVIAL_21_32",
-    "SRIVASTAVA_313",
-    "T515",
-    "T516",
-    "T517",
-    "T518",
-    "CAYLEY_ORR_A",
-    "CAYLEY_ORR_B",
-)
-
 CLASSICAL_IDS = ("CLAUSEN", "ORR_A", "ORR_B", "BAILEY_211", "COR_3F2")
 
-DEFAULT_SAFETY_RADIUS = 0.25
+# value checks refuse |z| beyond this, well inside every series' disc of convergence
+SAFETY_RADIUS = 0.25
 DEFAULT_PRECISION_BITS = 256
 
 
-def _report(identity_id, params, lhs, rhs, eps, n=None, terms=None, note="", mode="approx"):
+def _report(identity_id, params, lhs, rhs, eps, terms=None, note=""):
     passed, abs_err, rel_err = compare_approx(lhs, rhs, eps)
     return VerificationReport(
         identity_id=identity_id,
         params={k: value_str(E(v)) if isinstance(v, (int, Fraction)) else str(v) for k, v in sorted(params.items())},
-        n=n,
-        mode=mode,
+        n=None,
+        mode="approx",
         lhs=str(lhs),
         rhs=str(rhs),
         abs_err=abs_err,
@@ -79,6 +69,11 @@ def _report(identity_id, params, lhs, rhs, eps, n=None, terms=None, note="", mod
         truncation_terms=terms,
         note=note,
     )
+
+
+def _first_mismatch(got, expected, n_max: int):
+    """The first n <= n_max with got[n] != expected(n), or None."""
+    return next((n for n in range(n_max + 1) if got[n] != expected(n)), None)
 
 
 def _exact_report(identity_id, params, ok, lhs_desc, rhs_desc, n=None, note=""):
@@ -109,15 +104,14 @@ def awgf_coefficient_check(a, b, c, d, w, q, n_max: int) -> VerificationReport:
     right = phi_series_coeffs([c / w, d / w], [c * d], q, w, n_max)
     product = left * right
     qb = QBase.of(q)
-    ok = True
-    bad = None
-    for n in range(n_max + 1):
-        pn = eval_aw(AWParams.make(a, b, c, d, qb, w, n), "CONV")
-        expected = pn / qpoch_list([q, a * b, c * d], q, n)
-        if product.coeffs[n] != expected:
-            ok = False
-            bad = n
-            break
+
+    def expected(n):
+        return eval_aw(AWParams.make(a, b, c, d, qb, w, n), "CONV") / qpoch_list(
+            [q, a * b, c * d], q, n
+        )
+
+    bad = _first_mismatch(product.coeffs, expected, n_max)
+    ok = bad is None
     return _exact_report(
         "AWGF",
         {"a": a.re, "b": b.re, "c": c.re, "d": d.re, "w": w.re, "q": q.re},
@@ -138,12 +132,8 @@ def awgf_hermite_degeneration_check(w, q, n_max: int) -> VerificationReport:
     lcoef = PowerSeriesTrunc.make([(1 / w) ** k / qk[k] for k in range(n_max + 1)])
     rcoef = PowerSeriesTrunc.make([w**k / qk[k] for k in range(n_max + 1)])
     product = lcoef * rcoef
-    ok = True
-    for n in range(n_max + 1):
-        expected = aw_hermite_degenerate(w, q, n) / qk[n]
-        if product.coeffs[n] != expected:
-            ok = False
-            break
+    bad = _first_mismatch(product.coeffs, lambda n: aw_hermite_degenerate(w, q, n) / qk[n], n_max)
+    ok = bad is None
     return _exact_report(
         "AWGF",
         {"w": w.re, "q": q.re},
@@ -159,26 +149,10 @@ def awgf_hermite_degeneration_check(w, q, n_max: int) -> VerificationReport:
 # triple and quadruple sums (table-based, certified per index)
 # --------------------------------------------------------------------------
 
-class _PochTable:
-    """(x;q)_m values grown on demand, in raw mpmath arithmetic."""
-
-    def __init__(self, x, q):
-        self.x = x
-        self.q = q
-        self.vals = [mpmath.mpc(1)]
-
-    def __getitem__(self, m: int):
-        while len(self.vals) <= m:
-            k = len(self.vals) - 1
-            self.vals.append(self.vals[-1] * (1 - self.x * self.q**k))
-        return self.vals[m]
-
-
-def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, precision_bits, coupled: bool):
-    """sum over n,k,l of the shifted-parameter Askey-Wilson triple sum.
-
-    coupled=False: weight t^n u^(k+l) (the generating-function extension).
-    coupled=True:  weight t^(n+k+l)  (the closed-form quadruple sum; u ignored).
+def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, precision_bits):
+    """sum over n,k,l of the shifted-parameter Askey-Wilson triple sum with
+    weight t^n u^(k+l): the generating-function extension, and at u = t the
+    closed-form quadruple sum.
 
     The convolution form of p_n(x; q^k a, b, q^l c, d | q) makes the k- and
     l-sums depend only on the split index j, so after exact Pochhammer index
@@ -189,58 +163,55 @@ def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, precision_bits, coupled: boo
         KA(j) = sum_k (u/a)^k (a/w;q)_k (aw;q)_(k+j) / ((q;q)_k (ab;q)_(k+j))
         KC(m) = sum_l (u/c)^l (cw;q)_l (c/w;q)_(l+m) / ((q;q)_l (cd;q)_(l+m)).
     This is a finite/absolutely-convergent reordering of the displayed sum,
-    not a different identity.
+    not a different identity.  The parameters are exact; the sums run in raw
+    mpmath arithmetic.
     """
     with mp.workprec(precision_bits + 20):
-        pq = _PochTable(q, q)
-        pab = _PochTable(a * b, q)
-        pcd = _PochTable(c * d, q)
-        paw = _PochTable(a * w, q)
-        painv = _PochTable(a / w, q)
-        pbw = _PochTable(b * w, q)
-        pcw = _PochTable(c * w, q)
-        pcinv = _PochTable(c / w, q)
-        pdinv = _PochTable(d / w, q)
+        u, t, w, a, b, c, d, q = (
+            x.to_approx(precision_bits + 20).value for x in (u, t, w, a, b, c, d, q)
+        )
+        pq = PochTable(q, q)
+        pab = PochTable(a * b, q)
+        pcd = PochTable(c * d, q)
+        paw = PochTable(a * w, q)
+        painv = PochTable(a / w, q)
+        pbw = PochTable(b * w, q)
+        pcw = PochTable(c * w, q)
+        pcinv = PochTable(c / w, q)
+        pdinv = PochTable(d / w, q)
 
-        u_k = t if coupled else u
-        u_l = t if coupled else u
-        cap_k = (1.0 + float(abs(u_k / a))) / 2.0
-        cap_l = (1.0 + float(abs(u_l / c))) / 2.0
+        cap_k = (1.0 + float(abs(u / a))) / 2.0
+        cap_l = (1.0 + float(abs(u / c))) / 2.0
         wmax = max(float(abs(w)), float(abs(1 / w)))
         cap_n = (1.0 + float(abs(t)) * wmax) / 2.0
         if not (cap_k < 1 and cap_l < 1 and cap_n < 1):
             raise DivergenceError("outside the stated convergence region")
         inner_eps = eps / 1e6
 
-        ka_cache: dict[int, mpmath.mpc] = {}
-        kc_cache: dict[int, mpmath.mpc] = {}
         tails = 0.0
 
-        def KA(j):
-            nonlocal tails
-            if j not in ka_cache:
-                ratio_k = u_k / a
+        def shifted_sum(x, cap, p_first, p_num, p_den):
+            """m -> sum_k (u/x)^k (first;q)_k (num;q)_(k+m) / ((q;q)_k (den;q)_(k+m)),
+            each m certified once."""
+            cache: dict[int, mpmath.mpc] = {}
 
-                def term(kk):
-                    return ratio_k**kk * painv[kk] * paw[kk + j] / (pq[kk] * pab[kk + j])
+            def value(m):
+                nonlocal tails
+                if m not in cache:
+                    ratio = u / x
 
-                val, cert = certified_sum(term, inner_eps, cap_k, precision_bits, absolute=True)
-                tails += cert.tail_bound
-                ka_cache[j] = val
-            return ka_cache[j]
+                    def term(k):
+                        return ratio**k * p_first[k] * p_num[k + m] / (pq[k] * p_den[k + m])
 
-        def KC(m):
-            nonlocal tails
-            if m not in kc_cache:
-                ratio_l = u_l / c
+                    val, cert = certified_sum(term, inner_eps, cap, precision_bits, absolute=True)
+                    tails += cert.tail_bound
+                    cache[m] = val
+                return cache[m]
 
-                def term(ll):
-                    return ratio_l**ll * pcw[ll] * pcinv[ll + m] / (pq[ll] * pcd[ll + m])
+            return value
 
-                val, cert = certified_sum(term, inner_eps, cap_l, precision_bits, absolute=True)
-                tails += cert.tail_bound
-                kc_cache[m] = val
-            return kc_cache[m]
+        KA = shifted_sum(a, cap_k, painv, paw, pab)
+        KC = shifted_sum(c, cap_l, pcw, pcinv, pcd)
 
         def term_n(n):
             acc = mpmath.mpc(0)
@@ -272,25 +243,15 @@ def triple_sum_32pf(
         and te.abs_upper() < min(we.abs_upper(), (1 / we).abs_upper())
     ):
         raise DivergenceError("hypotheses |u| < min(|a|,|c|), |t| < min(|w|,1/|w|) fail")
+    lhs_side = _plain(
+        Phi([ue / te, ae * we, be * we], [ae * be, ue * we], qe, 1 / we),
+        Phi([ue / te, ce / we, de / we], [ce * de, ue / we], qe, we),
+    )
+    lhs, lhs_terms = side_value(lhs_side, te, eps / 8, precision_bits)
     qb = QBase.of(qe)
-    lhs1, c1 = eval_phi_nonterminating(
-        SeriesSpec.make([ue / te, ae * we, be * we], [ae * be, ue * we], qb, te / we),
-        eps / 8,
-        precision_bits,
-    )
-    lhs2, c2 = eval_phi_nonterminating(
-        SeriesSpec.make([ue / te, ce / we, de / we], [ce * de, ue / we], qb, te * we),
-        eps / 8,
-        precision_bits,
-    )
-    lhs = lhs1 * lhs2
-
     pb = precision_bits
     with mp.workprec(pb + 20):
-        uv, wv, tv, av, bv, cv, dv, qv = (
-            x.to_approx(pb + 20).value for x in (ue, we, te, ae, be, ce, de, qe)
-        )
-        triple, tail, terms = _triple_sum_engine(uv, tv, wv, av, bv, cv, dv, qv, eps / 8, pb, False)
+        triple, tail, terms = _triple_sum_engine(ue, te, we, ae, be, ce, de, qe, eps / 8, pb)
         pref_num1, _ = qpoch_infinite(ue / ae, qb, eps / 32, pb)
         pref_num2, _ = qpoch_infinite(ue / ce, qb, eps / 32, pb)
         pref_den1, _ = qpoch_infinite(ue * we, qb, eps / 32, pb)
@@ -308,7 +269,7 @@ def triple_sum_32pf(
         lhs,
         rhs,
         eps,
-        terms=c1.terms_used + c2.terms_used + terms,
+        terms=lhs_terms + terms,
         note="extra-parameter generating function",
     )
 
@@ -326,10 +287,7 @@ def quad_cor13(
     qb = QBase.of(qe)
     pb = precision_bits
     with mp.workprec(pb + 20):
-        wv, tv, av, bv, cv, dv, qv = (
-            x.to_approx(pb + 20).value for x in (we, te, ae, be, ce, de, qe)
-        )
-        quad, tail, terms = _triple_sum_engine(tv, tv, wv, av, bv, cv, dv, qv, eps / 8, pb, True)
+        quad, tail, terms = _triple_sum_engine(te, te, we, ae, be, ce, de, qe, eps / 8, pb)
         lhs = ApproxScalar(quad, pb)
         n1, _ = qpoch_infinite(te * we, qb, eps / 32, pb)
         n2, _ = qpoch_infinite(te / we, qb, eps / 32, pb)
@@ -530,6 +488,7 @@ _SIDES = {
 }
 
 COEFF_CHECK_IDS = tuple(k for k in _SIDES if not k.startswith("CAYLEY_ORR"))
+PRODUCT_IDS = ("AWGF", "TRIPLE_32PF", "QUAD_COR13", "WD_APPELL") + tuple(_SIDES)
 
 
 def product_sides(identity_id: str, params: dict) -> tuple:
@@ -592,15 +551,15 @@ def _awgf_value(params, eps, pb):
         av, bv, cv, dv, wv, qv, tv = (
             x.to_approx(pb + 20).value for x in (a, b, c, d, w, q, t)
         )
-        pq = _PochTable(qv, qv)
-        pab = _PochTable(av * bv, qv)
-        pcd = _PochTable(cv * dv, qv)
-        paw = _PochTable(av * wv, qv)
-        pbw = _PochTable(bv * wv, qv)
-        pcinv = _PochTable(cv / wv, qv)
-        pdinv = _PochTable(dv / wv, qv)
+        pq = PochTable(qv, qv)
+        pab = PochTable(av * bv, qv)
+        pcd = PochTable(cv * dv, qv)
+        paw = PochTable(av * wv, qv)
+        pbw = PochTable(bv * wv, qv)
+        pcinv = PochTable(cv / wv, qv)
+        pdinv = PochTable(dv / wv, qv)
 
-        def p_over(n):
+        def term_n(n):
             acc = mpmath.mpc(0)
             for j in range(n + 1):
                 acc += (
@@ -612,10 +571,7 @@ def _awgf_value(params, eps, pb):
                     / (pq[n - j] * pcd[n - j])
                     * wv ** (n - 2 * j)
                 )
-            return acc  # = p_n / ((q,ab,cd;q)_n)
-
-        def term_n(n):
-            return tv**n * p_over(n)
+            return tv**n * acc  # acc = p_n / ((q,ab,cd;q)_n)
 
         wmax = max(float(abs(wv)), float(abs(1 / wv)))
         cap_n = (1.0 + float(abs(tv)) * wmax) / 2.0
@@ -631,33 +587,22 @@ def verify_product(
     params: dict,
     eps: float = 1e-30,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    safety_radius: float = DEFAULT_SAFETY_RADIUS,
 ) -> VerificationReport:
     """Value check of one product identity at one exact parameter point."""
     if identity_id not in PRODUCT_IDS:
         raise UnknownIdentity(f"no product identity registered under {identity_id!r}")
     if identity_id == "TRIPLE_32PF":
-        return triple_sum_32pf(
-            params["u"], params["w"], params["t"],
-            params["a"], params["b"], params["c"], params["d"], params["q"],
-            eps, precision_bits,
-        )
+        return triple_sum_32pf(*(params[k] for k in "uwtabcdq"), eps, precision_bits)
     if identity_id == "QUAD_COR13":
-        return quad_cor13(
-            params["t"], params["w"], params["a"], params["b"], params["c"],
-            params["d"], params["q"], eps, precision_bits,
-        )
+        return quad_cor13(*(params[k] for k in "twabcdq"), eps, precision_bits)
     if identity_id in ("CAYLEY_ORR_A", "CAYLEY_ORR_B"):
-        return cayley_orr_value_check(
-            identity_id, params, eps=eps, precision_bits=precision_bits,
-            safety_radius=safety_radius,
-        )
+        return cayley_orr_value_check(identity_id, params, eps=eps, precision_bits=precision_bits)
 
     zname = "z" if "z" in params else "t"
     zval = E(params[zname])
-    if zval.abs_upper() > safety_radius:
+    if zval.abs_upper() > SAFETY_RADIUS:
         raise DomainError(
-            f"|{zname}| = {zval.abs_upper():.4g} exceeds the safety radius {safety_radius}"
+            f"|{zname}| = {zval.abs_upper():.4g} exceeds the safety radius {SAFETY_RADIUS}"
         )
     if identity_id == "WD_APPELL":
         lhs, rhs, terms = _wd_appell_value(params, eps, precision_bits)
@@ -684,9 +629,7 @@ def product_coefficient_check(
         raise UnknownIdentity(f"{identity_id} has no exact coefficient check")
     lhs_side, rhs_side = product_sides(identity_id, params)
     lhs, rhs = side_series(lhs_side, order), side_series(rhs_side, order)
-    bad = next(
-        (n for n in range(order + 1) if lhs.coeffs[n] != rhs.coeffs[n]), None
-    )
+    bad = _first_mismatch(lhs.coeffs, lambda n: rhs.coeffs[n], order)
     ok = bad is None
     return _exact_report(
         identity_id,
@@ -705,16 +648,11 @@ def schlosser_t4_parity_check(params: dict, order: int = 9) -> VerificationRepor
     lhs_side, rhs_side = product_sides("SCHLOSSER_T4", params)
     lhs = side_series(lhs_side, order)
     r1, r2 = (side_series([term], order) for term in rhs_side)
-    ok = True
-    for n in range(order + 1):
-        expected = r1.coeffs[n] if n % 2 == 0 else r2.coeffs[n]
-        if lhs.coeffs[n] != expected:
-            ok = False
-            break
+    bad = _first_mismatch(lhs.coeffs, lambda n: (r2 if n % 2 else r1).coeffs[n], order)
     return _exact_report(
         "SCHLOSSER_T4",
         params,
-        ok,
+        bad is None,
         "even/odd parts of the product",
         "first / z-prefactored second series",
         n=order,
@@ -726,6 +664,49 @@ def schlosser_t4_parity_check(params: dict, order: int = 9) -> VerificationRepor
 # classical (q -> 1 target) limits
 # --------------------------------------------------------------------------
 
+class _Rfs(NamedTuple):
+    """Classical rFs(upper; lower; zscale * z), or zscale * z^2 when squared."""
+
+    upper: tuple
+    lower: tuple
+    zscale: Fraction = Fraction(1)
+    squared: bool = False
+
+
+def _classical_sides(a: Fraction, b: Fraction) -> dict:
+    """id -> (lhs, rhs) of each classical limit, each side a product of rFs factors."""
+    h, s = Fraction(1, 2), a + b
+    f = _Rfs((a, b), (s + h,))
+    g = _Rfs((a, b), (s - h,))
+    return {
+        "CLAUSEN": ([f, f], [_Rfs((2 * a, 2 * b, s), (s + h, 2 * s))]),
+        "ORR_A": ([g, f], [_Rfs((2 * a, 2 * b, s), (2 * s - 1, s + h))]),
+        "ORR_B": (
+            [g, _Rfs((a, b - 1), (s - h,))],
+            [_Rfs((2 * a, 2 * b - 1, s - 1), (2 * s - 2, s - h))],
+        ),
+        "BAILEY_211": (
+            [_Rfs((a,), (2 * a,)), _Rfs((b,), (2 * b,), Fraction(-1))],
+            [_Rfs((s / 2, (s + 1) / 2), (a + h, b + h, s), Fraction(1, 4), True)],
+        ),
+        "COR_3F2": (
+            [f, _Rfs((a + 1, b + 1), (s + 3 * h,))],
+            [_Rfs((2 * a + 1, 2 * b + 1, s + 1), (2 * s + 1, s + 3 * h))],
+        ),
+    }
+
+
+def _rfs_product(side, z: Fraction, eps: float):
+    """The product of a side's factors at z, left to right; a factor that
+    repeats is evaluated once."""
+    values, prod = {}, None
+    for f in side:
+        if f not in values:
+            values[f] = eval_rfs(f.upper, f.lower, f.zscale * (z * z if f.squared else z), eps)
+        prod = values[f] if prod is None else prod * values[f]
+    return prod
+
+
 def classical_limit_check(which: str, params: dict, eps: float = 1e-10) -> VerificationReport:
     """The classical hypergeometric product formulas the q-identities extend."""
     a, b, z = Fraction(params["a"]), Fraction(params["b"]), Fraction(params["z"])
@@ -733,48 +714,26 @@ def classical_limit_check(which: str, params: dict, eps: float = 1e-10) -> Verif
         raise UnknownIdentity(f"no classical limit registered under {which!r}")
     if which in ("CLAUSEN", "COR_3F2") and 2 * a + 2 * b <= 0 and (2 * a + 2 * b).denominator == 1:
         raise DomainError("2a + 2b must avoid nonpositive integers")
-    half = Fraction(1, 2)
-    inner_eps = eps * 1e-3
-    if which == "CLAUSEN":
-        f = eval_rfs([a, b], [a + b + half], z, inner_eps)
-        lhs = f * f
-        rhs = eval_rfs([2 * a, 2 * b, a + b], [a + b + half, 2 * a + 2 * b], z, inner_eps)
-    elif which == "ORR_A":
-        lhs = eval_rfs([a, b], [a + b - half], z, inner_eps) * eval_rfs(
-            [a, b], [a + b + half], z, inner_eps
-        )
-        rhs = eval_rfs([2 * a, 2 * b, a + b], [2 * a + 2 * b - 1, a + b + half], z, inner_eps)
-    elif which == "ORR_B":
-        lhs = eval_rfs([a, b], [a + b - half], z, inner_eps) * eval_rfs(
-            [a, b - 1], [a + b - half], z, inner_eps
-        )
-        rhs = eval_rfs(
-            [2 * a, 2 * b - 1, a + b - 1], [2 * a + 2 * b - 2, a + b - half], z, inner_eps
-        )
-    elif which == "BAILEY_211":
-        lhs = eval_rfs([a], [2 * a], z, inner_eps) * eval_rfs([b], [2 * b], -z, inner_eps)
-        rhs = eval_rfs(
-            [(a + b) / 2, (a + b + 1) / 2],
-            [a + half, b + half, a + b],
-            z * z / 4,
-            inner_eps,
-        )
-    else:  # COR_3F2
-        lhs = eval_rfs([a, b], [a + b + half], z, inner_eps) * eval_rfs(
-            [a + 1, b + 1], [a + b + Fraction(3, 2)], z, inner_eps
-        )
-        rhs = eval_rfs(
-            [2 * a + 1, 2 * b + 1, a + b + 1],
-            [2 * a + 2 * b + 1, a + b + Fraction(3, 2)],
-            z,
-            inner_eps,
-        )
+    lhs, rhs = (_rfs_product(side, z, eps * 1e-3) for side in _classical_sides(a, b)[which])
     return _report(which, params, lhs, rhs, eps, note="classical limit target")
 
 
 # --------------------------------------------------------------------------
 # Cayley-Orr coefficient lemmas
 # --------------------------------------------------------------------------
+
+def _cayley_orr_lemma(which: str, a, b, c, q) -> tuple:
+    """(alpha, upper, lower, zscale, wn, wd) of lemma A or B, in ExactScalar or
+    raw mpmath arithmetic alike.  The auxiliary coefficient a_n is the z^n
+    coefficient of (alpha z; q^2)_inf / (z; q^2)_inf * 2phi1(upper; lower; q,
+    zscale z), and the lemma weights it by (wn; q^2)_n / (wd; q^2)_n."""
+    Q = q * q
+    if which == "A":
+        return q**3 * c / (a * b), [a / q, b / q], [c], Q * c / (a * b), q * c, Q * c
+    if which == "B":
+        return q * c / (a * b), [a / q, b], [c / q], c / (a * b), c / q, c
+    raise UnknownIdentity(f"Cayley-Orr lemma {which!r} is not defined")
+
 
 def cayley_orr_an(which: str, a, b, c, q, order: int) -> list:
     """The auxiliary coefficients a_n of the defining product expansion.
@@ -784,38 +743,28 @@ def cayley_orr_an(which: str, a, b, c, q, order: int) -> list:
     expanded exactly in z through z^order (the prefactor ratio expands by the
     nonterminating q-binomial theorem, so everything stays rational).
     """
-    a, b, c, q = (E(v) for v in (a, b, c, q))
-    Q = q * q
-    if which == "A":
-        alpha = q**3 * c / (a * b)
-        phi = phi_series_coeffs([a / q, b / q], [c], q, Q * c / (a * b), order)
-    elif which == "B":
-        alpha = q * c / (a * b)
-        phi = phi_series_coeffs([a / q, b], [c / q], q, c / (a * b), order)
-    else:
-        raise UnknownIdentity(f"Cayley-Orr lemma {which!r} is not defined")
-    binom = phi_series_coeffs([alpha], [], Q, EXACT_ONE, order)
+    q = E(q)
+    alpha, upper, lower, zscale, _, _ = _cayley_orr_lemma(which, E(a), E(b), E(c), q)
+    phi = phi_series_coeffs(upper, lower, q, zscale, order)
+    binom = phi_series_coeffs([alpha], [], q * q, EXACT_ONE, order)
     return list((binom * phi).coeffs)
+
+
+def _cayley_orr_weighted(which: str, a, b, c, q, n_max: int) -> list:
+    """The weighted coefficients (wn; q^2)_n / (wd; q^2)_n * a_n, n = 0..n_max, exactly."""
+    an = cayley_orr_an(which, a, b, c, q, n_max)
+    *_, wn, wd = _cayley_orr_lemma(which, a, b, c, q)
+    Q = q * q
+    return [qpoch_finite(wn, Q, n) / qpoch_finite(wd, Q, n) * an[n] for n in range(n_max + 1)]
 
 
 def cayley_orr_check(which: str, a, b, c, q, n_max: int = 10) -> VerificationReport:
     """Coefficient-by-coefficient verification of the lemma's product display."""
     ae, be, ce, qe = (E(v) for v in (a, b, c, q))
-    Q = qe * qe
-    an = cayley_orr_an(which, ae, be, ce, qe, n_max)
+    weighted = _cayley_orr_weighted(which, ae, be, ce, qe, n_max)
     lhs_side, _ = product_sides(f"CAYLEY_ORR_{which}", {"a": ae, "b": be, "c": ce, "q": qe})
     lhs = side_series(lhs_side, n_max)
-    if which == "A":
-        weights = [
-            qpoch_finite(qe * ce, Q, n) / qpoch_finite(Q * ce, Q, n) for n in range(n_max + 1)
-        ]
-    else:
-        weights = [
-            qpoch_finite(ce / qe, Q, n) / qpoch_finite(ce, Q, n) for n in range(n_max + 1)
-        ]
-    bad = next(
-        (n for n in range(n_max + 1) if lhs.coeffs[n] != weights[n] * an[n]), None
-    )
+    bad = _first_mismatch(lhs.coeffs, lambda n: weighted[n], n_max)
     ok = bad is None
     return _exact_report(
         f"CAYLEY_ORR_{which}",
@@ -833,13 +782,12 @@ def cayley_orr_value_check(
     params: dict,
     eps: float = 1e-30,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    safety_radius: float = DEFAULT_SAFETY_RADIUS,
 ) -> VerificationReport:
     """The lemma evaluated at a z value: both sides as certified numbers."""
     which = identity_id[-1]
     a, b, c, q, z = (E(params[k]) for k in ("a", "b", "c", "q", "z"))
-    if z.abs_upper() > safety_radius:
-        raise DomainError(f"|z| exceeds the safety radius {safety_radius}")
+    if z.abs_upper() > SAFETY_RADIUS:
+        raise DomainError(f"|z| exceeds the safety radius {SAFETY_RADIUS}")
     if (q * q * c * z).abs2() >= (a * b).abs2():
         raise DomainError("the lemma needs |q^2 c z| < |ab|")
     pb = precision_bits
@@ -851,13 +799,19 @@ def cayley_orr_value_check(
         raise DomainError("the weighted coefficient series does not converge here")
     depth = max(16, int(math.ceil(math.log(eps / 8) / math.log(r_eff + 1e-12))) + 8)
     with mp.workprec(pb + 20):
-        an = _cayley_orr_an_numeric(which, a, b, c, q, depth, pb)
-        qv, cv, zv = (x.to_approx(pb + 20).value for x in (q, c, z))
+        av, bv, cv, qv, zv = (x.to_approx(pb + 20).value for x in (a, b, c, q, z))
+        alpha, up, low, zfac, wn, wd = _cayley_orr_lemma(which, av, bv, cv, qv)
         Qv = qv * qv
-        if which == "A":
-            wnum, wden = _PochTable(qv * cv, Qv), _PochTable(Qv * cv, Qv)
-        else:
-            wnum, wden = _PochTable(cv / qv, Qv), _PochTable(cv, Qv)
+        # a_n = sum_i (alpha; q^2)_i/(q^2; q^2)_i * [z^(n-i)] 2phi1(up; low; q, zfac z)
+        binom = [mpmath.mpc(1)]
+        phi = [mpmath.mpc(1)]
+        for n in range(depth):
+            binom.append(binom[-1] * (1 - alpha * Qv**n) / (1 - Qv ** (n + 1)))
+            num = (1 - up[0] * qv**n) * (1 - up[1] * qv**n)
+            den = (1 - qv ** (n + 1)) * (1 - low[0] * qv**n)
+            phi.append(phi[-1] * num / den * zfac)
+        an = [mpmath.fsum(binom[i] * phi[n - i] for i in range(n + 1)) for n in range(depth + 1)]
+        wnum, wden = PochTable(wn, Qv), PochTable(wd, Qv)
         acc = mpmath.mpc(0)
         zn = mpmath.mpc(1)
         for n in range(depth + 1):
@@ -865,34 +819,6 @@ def cayley_orr_value_check(
             zn *= zv
         rhs = ApproxScalar(acc, pb)
     return _report(identity_id, params, lhs, rhs, eps, terms=terms, note="lemma value check")
-
-
-def _cayley_orr_an_numeric(which, a, b, c, q, order: int, pb: int) -> list:
-    """The auxiliary coefficients in floating arithmetic (value checks only;
-    the exact route is cayley_orr_an)."""
-    av, bv, cv, qv = (x.to_approx(pb + 20).value for x in (E(a), E(b), E(c), E(q)))
-    Qv = qv * qv
-    if which == "A":
-        alpha = qv**3 * cv / (av * bv)
-        up = [av / qv, bv / qv]
-        low = [cv]
-        zfac = Qv * cv / (av * bv)
-    else:
-        alpha = qv * cv / (av * bv)
-        up = [av / qv, bv]
-        low = [cv / qv]
-        zfac = cv / (av * bv)
-    binom = [mpmath.mpc(1)]
-    phi = [mpmath.mpc(1)]
-    for n in range(order):
-        binom.append(binom[-1] * (1 - alpha * Qv**n) / (1 - Qv ** (n + 1)))
-        num = (1 - up[0] * qv**n) * (1 - up[1] * qv**n)
-        den = (1 - qv ** (n + 1)) * (1 - low[0] * qv**n)
-        phi.append(phi[-1] * num / den * zfac)
-    return [
-        mpmath.fsum(binom[i] * phi[n - i] for i in range(n + 1))
-        for n in range(order + 1)
-    ]
 
 
 def cayley_orr_a_closed_form_check(a, b, q, n_max: int = 8) -> VerificationReport:
@@ -917,65 +843,52 @@ def cayley_orr_a_closed_form_check(a, b, q, n_max: int = 8) -> VerificationRepor
     )
 
 
+# product identity -> (Cayley-Orr lemma, its (a, b, c) as a function of
+# (q, a^2, b^2), the left side's description, the note)
+_CONSISTENCY = {
+    "THM21": (
+        "A",
+        lambda q, A, B: (A, B, A * B / q),
+        "weighted Cayley-Orr A coefficients (c = ab/q)",
+        "consistency of the product formula with the coefficient lemma",
+    ),
+    "NASSRALLAH_2": (
+        "B",
+        lambda q, A, B: (q * B, A / q, q * A * B),
+        "weighted Cayley-Orr B coefficients (c = qab)",
+        "consistency of the corrected product formula with the coefficient lemma",
+    ),
+}
+
+
+def _cayley_consistency(identity_id: str, p, a, b, n_max: int) -> VerificationReport:
+    """The identity's 4phi3 right side, as tabled in _SIDES, against the
+    weighted coefficients of its Cayley-Orr lemma."""
+    which, lemma_params, lhs_desc, note = _CONSISTENCY[identity_id]
+    pe, ae, be = E(p), E(a), E(b)
+    q = pe * pe
+    weighted = _cayley_orr_weighted(which, *lemma_params(q, ae * ae, be * be), q, n_max)
+    params = {"p": pe, "a": ae, "b": be}
+    rhs = side_series(product_sides(identity_id, params)[1], n_max)
+    ok = all(weighted[n] == rhs.coeffs[n] for n in range(n_max + 1))
+    return _exact_report(
+        identity_id,
+        {k: v.re for k, v in params.items()},
+        ok,
+        lhs_desc,
+        "4phi3 coefficients",
+        n=n_max,
+        note=note,
+    )
+
+
 def thm21_cayley_consistency(p, a, b, n_max: int = 10) -> VerificationReport:
     """THM21's 4phi3 coefficients against the weighted A-lemma coefficients
     at c = ab/q (identifying the lemma's (a, b) with (a^2, b^2))."""
-    pe, ae, be = E(p), E(a), E(b)
-    q = pe * pe
-    A, B = ae * ae, be * be
-    Q = q * q
-    c = A * B / q
-    an = cayley_orr_an("A", A, B, c, q, n_max)
-    weighted = [
-        qpoch_finite(q * c, Q, n) / qpoch_finite(Q * c, Q, n) * an[n]
-        for n in range(n_max + 1)
-    ]
-    rhs = phi_series_coeffs(
-        [A, B, ae * be, -(ae * be)],
-        [A * B / q, pe * ae * be, -(pe * ae * be)],
-        q,
-        EXACT_ONE,
-        n_max,
-    )
-    ok = all(weighted[n] == rhs.coeffs[n] for n in range(n_max + 1))
-    return _exact_report(
-        "THM21",
-        {"p": pe.re, "a": ae.re, "b": be.re},
-        ok,
-        "weighted Cayley-Orr A coefficients (c = ab/q)",
-        "4phi3 coefficients",
-        n=n_max,
-        note="consistency of the product formula with the coefficient lemma",
-    )
+    return _cayley_consistency("THM21", p, a, b, n_max)
 
 
 def nassrallah2_cayley_consistency(p, a, b, n_max: int = 10) -> VerificationReport:
     """NASSRALLAH_2's 4phi3 coefficients against the weighted B-lemma
     coefficients under (a, b, c) -> (q b^2, a^2/q, q a^2 b^2)."""
-    pe, ae, be = E(p), E(a), E(b)
-    q = pe * pe
-    A, B = ae * ae, be * be
-    Q = q * q
-    la, lb, lc = q * B, A / q, q * A * B
-    an = cayley_orr_an("B", la, lb, lc, q, n_max)
-    weighted = [
-        qpoch_finite(lc / q, Q, n) / qpoch_finite(lc, Q, n) * an[n]
-        for n in range(n_max + 1)
-    ]
-    rhs = phi_series_coeffs(
-        [A, q * B, ae * be, -(ae * be)],
-        [A * B, pe * ae * be, -(pe * ae * be)],
-        q,
-        EXACT_ONE,
-        n_max,
-    )
-    ok = all(weighted[n] == rhs.coeffs[n] for n in range(n_max + 1))
-    return _exact_report(
-        "NASSRALLAH_2",
-        {"p": pe.re, "a": ae.re, "b": be.re},
-        ok,
-        "weighted Cayley-Orr B coefficients (c = qab)",
-        "4phi3 coefficients",
-        n=n_max,
-        note="consistency of the corrected product formula with the coefficient lemma",
-    )
+    return _cayley_consistency("NASSRALLAH_2", p, a, b, n_max)

@@ -185,21 +185,40 @@ def _ratio_cap(spec_r: int, spec_s: int, abs_z: float) -> float:
     return 0.5
 
 
+class PochTable:
+    """(x;q)_m values grown on demand, in raw mpmath arithmetic."""
+
+    def __init__(self, x, q):
+        self.x = x
+        self.q = q
+        self.vals = [mpmath.mpc(1)]
+
+    def __getitem__(self, m: int):
+        while len(self.vals) <= m:
+            k = len(self.vals) - 1
+            self.vals.append(self.vals[-1] * (1 - self.x * self.q**k))
+        return self.vals[m]
+
+
+# consecutive term ratios at or below the cap that certify a tail, and the
+# number of terms after which a sum gives up
+_WINDOW = 8
+_MAX_TERMS = 100_000
+
+
 def certified_sum(
     term_fn: Callable[[int], mpmath.mpc],
     eps: float,
     ratio_cap: float,
     precision_bits: int,
-    max_terms: int = 100_000,
     absolute: bool = False,
-    window: int = 8,
 ) -> tuple[mpmath.mpc, TruncationCert]:
     """Sum term_fn(0) + term_fn(1) + ... with a geometric tail certificate.
 
-    Certification: `window` consecutive term ratios at or below `ratio_cap`
-    (< 1), after which the tail is bounded by cap/(1-cap) times the largest
-    recent |term|.  Stops once that bound is below eps (times max(1,|sum|)
-    unless `absolute`).
+    Certification: 8 consecutive term ratios at or below `ratio_cap` (< 1),
+    after which the tail is bounded by cap/(1-cap) times the largest recent
+    |term|.  Stops once that bound is below eps (times max(1,|sum|) unless
+    `absolute`).
     """
     if not (0 < ratio_cap < 1):
         raise DivergenceError(f"certification ratio cap {ratio_cap} is not in (0,1)")
@@ -209,7 +228,7 @@ def certified_sum(
         good = 0
         recent_max = 0.0
         k = 0
-        while k < max_terms:
+        while k < _MAX_TERMS:
             t = term_fn(k)
             total += t
             ta = float(abs(t))
@@ -225,13 +244,13 @@ def certified_sum(
                     good = 0
                     recent_max = ta
             prev_abs = ta
-            if good >= window:
+            if good >= _WINDOW:
                 tail = ratio_cap / (1.0 - ratio_cap) * recent_max
                 target = eps if absolute else eps * max(1.0, float(abs(total)))
                 if tail <= target:
                     return mpmath.mpc(total), TruncationCert(k + 1, tail, target)
             k += 1
-    raise NoConvergence(f"series tail not certified within {max_terms} terms")
+    raise NoConvergence(f"series tail not certified within {_MAX_TERMS} terms")
 
 
 def eval_phi_nonterminating(
@@ -465,7 +484,7 @@ def eval_rfs(
             state["term"] = state["term"] * fac * zz / k
             return state["term"]
 
-        cap = (1.0 + abs_z) / 2.0 if len(ups) == len(los) + 1 else 0.5
+        cap = _ratio_cap(len(ups), len(los), abs_z)
         total, _ = certified_sum(term_fn, eps, cap, precision_bits)
         return ApproxScalar(total, precision_bits)
 
@@ -494,33 +513,21 @@ def eval_qappell_phi1(
         return ApproxScalar.coerce(1, pb)
 
     with mp.workprec(pb + 10):
-        # Pochhammer tables grown on demand
-        poch_a = [mpmath.mpc(1)]
-        poch_c = [mpmath.mpc(1)]
-        poch_q = [mpmath.mpc(1)]
-
-        def grow(tab, base, upto):
-            while len(tab) <= upto:
-                k = len(tab) - 1
-                tab.append(tab[-1] * (1 - base * qv**k))
-
+        poch_a = PochTable(av, qv)
+        poch_b = PochTable(bv, qv)
+        poch_c = PochTable(cv, qv)
+        poch_q = PochTable(qv, qv)
         cap_y = (1.0 + ay) / 2.0
 
-        def row_value(m: int, row_eps: float) -> mpmath.mpc:
-            grow(poch_q, qv, m + 4)
+        def row_value(m: int) -> mpmath.mpc:
             # row prefactor: (b;q)_m x^m / (q;q)_m
-            pref = mpmath.mpc(1)
-            for j in range(m):
-                pref *= 1 - bv * qv**j
-            pref *= xv**m / poch_q[m]
+            pref = poch_b[m] * (xv**m / poch_q[m])
 
             # inner terms share (b2;q)_n: one multiply/divide per index
             st = {"t": None}
 
             def inner_rec(nn):
                 if nn == 0:
-                    grow(poch_a, av, m + 1)
-                    grow(poch_c, cv, m + 1)
                     st["t"] = poch_a[m] / poch_c[m]
                     return st["t"]
                 st["t"] = (
@@ -532,13 +539,9 @@ def eval_qappell_phi1(
                 )
                 return st["t"]
 
+            row_eps = eps / (16.0 * 2.0**min(m, 40))
             val, _ = certified_sum(inner_rec, row_eps, cap_y, pb, absolute=True)
             return pref * val
 
-        cap_x = (1.0 + ax) / 2.0
-
-        def row_fn(m):
-            return row_value(m, eps / (16.0 * 2.0**min(m, 40)))
-
-        total, _ = certified_sum(row_fn, eps / 2, cap_x, pb)
+        total, _ = certified_sum(row_value, eps / 2, (1.0 + ax) / 2.0, pb)
         return ApproxScalar(mpmath.mpc(total), pb)

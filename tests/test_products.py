@@ -1,5 +1,8 @@
 """Generating functions, product transformations, classical limits, Cayley-Orr."""
 
+import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -295,11 +298,92 @@ class TestCayleyOrr:
 
 
 class TestWDAppell:
+    POINT = {"q": F(1, 3), "u": F(1, 10), "t": F(1, 8), "a": F(1, 2), "b": F(1, 3), "d": F(9, 10)}
+
     def test_value_check(self):
-        rep = verify_product(
-            "WD_APPELL",
-            {"q": F(1, 3), "u": F(1, 10), "t": F(1, 8), "a": F(1, 2), "b": F(1, 3),
-             "d": F(9, 10)},
-            eps=1e-30,
-        )
+        rep = verify_product("WD_APPELL", self.POINT, eps=1e-30)
         assert rep.passed and rep.rel_err < 1e-30
+
+
+# SHA-256 of json.dumps(dataclasses.asdict(report), sort_keys=True) for the
+# Cayley-Orr, WD_APPELL and classical-limit reports at the points of the tests
+# above (classical ids at TestClassicalLimits.POINTS[i]): these reports are
+# byte-identical across builds
+GOLDEN_REPORT_SHA256 = {
+    "cayley_orr_check A":
+        "3f5bc590ba1325278f8af205c15a597dfd71867edaeea32af7ecf8b7e274900a",
+    "cayley_orr_check B":
+        "e3a577ef5084afda903a376d2ad1726edae62dd40ce26b9d99d1b769e78ae603",
+    "cayley_orr_a_closed_form_check":
+        "a9359b89bb33935dc9ba722d4b269ac6da9bfb852fda9db3689f9586b0888a05",
+    "thm21_cayley_consistency":
+        "fc695dd3fe671add5c1db7328ca94797f9324e882367c51a6ced5e1154c418be",
+    "nassrallah2_cayley_consistency":
+        "21ec9d3f9b78b0915824abc4ec96144d803307f131ddb418f248f36bfd2cba14",
+    "verify_product CAYLEY_ORR_A":
+        "a65cb85abc91f4e0ea8b950de85a140d307879998a662d0d814be8aad4153bb0",
+    "verify_product CAYLEY_ORR_A z=0":
+        "84d2b133616badff5b1544b33044cafc2d9c4c3b9fdecd6273ec23d5020a808a",
+    "verify_product CAYLEY_ORR_B":
+        "dc40667f3cf1de4172eba24b3fc51630927f30b089261a1e47306907139446c8",
+    "verify_product CAYLEY_ORR_B z=0":
+        "9c574acc8f3550b9fd37c0c226920834f33d646f7826c9947ce2dfc7ae73f920",
+    "verify_product WD_APPELL":
+        "2f6eca135d0316bf72541c24b1be815dbe92e4f31aab2c3865aa7c7c97ca4cf0",
+    "classical_limit_check CLAUSEN 0":
+        "88ee1f8d9291aaff56ce227a6129e038084f6b6c34384b0b6101416c1d1f79bb",
+    "classical_limit_check CLAUSEN 1":
+        "abdb32506d57649ffcf49c2f070d96d83256bae8f0c0840234746be89999560d",
+    "classical_limit_check CLAUSEN 2":
+        "37eff06e6e298c164ad9e8a9d2bd2dcf5bcfb13a6ec3001991b5516b0b2d9bfc",
+    "classical_limit_check ORR_A 0":
+        "d2d070c85e27c4eb1627b151ddffe69f33b6ad8894959f47bc60b419b88f38bd",
+    "classical_limit_check ORR_A 1":
+        "56eb3e502c935a6384e6b22f79f0538e5bee2adb5dcd1b75aa32d89838dd0a47",
+    "classical_limit_check ORR_A 2":
+        "3ac5ee035c7314290d94f64d5b7490a59f1663930ee251b0aac45add0b267b84",
+    "classical_limit_check ORR_B 0":
+        "2104c5ab3ae43358eaff7d1226d097264763712ec52ab6e9dc272ae64f0d5866",
+    "classical_limit_check ORR_B 1":
+        "ec4a47bec616aee2c52f6d06e4fa1c2334fb3906cf2cea0833b84b7db6ce1599",
+    "classical_limit_check ORR_B 2":
+        "085e6bc022b233fc170755763b259e86789a2fa7b1a546151f8920ec800de7ea",
+    "classical_limit_check BAILEY_211 0":
+        "a2dd06756f6276c35900bebbde2753474be90859eb0b2e637cc1ef165f54b65e",
+    "classical_limit_check BAILEY_211 1":
+        "1e3a88cfd66258b3c45e0ac7af24fe83f07374a06a08cecda20cbd577c46d2df",
+    "classical_limit_check BAILEY_211 2":
+        "ed17d1f65685dc8a294eda57a3f881be41be4da863dacac2ed7195a4cfe49122",
+    "classical_limit_check COR_3F2 0":
+        "02f426694bcb4d50d6dbf4090abe375dba248b58709483f48b499f44293d3d87",
+    "classical_limit_check COR_3F2 1":
+        "fbd5c6d711099358d74f6369a1dfbb1d23e97d9252a679ebd0afc3d3072bbd29",
+    "classical_limit_check COR_3F2 2":
+        "8e3f5c4eb92392ba2545f274119d5f379da07779685cebc00a3bb3e5b8bf5985",
+}
+
+
+def _golden_report(key):
+    kind, *args = key.split()
+    co = (F(1, 3), F(1, 5), F(2, 7), F(1, 2))
+    pab = (F(7, 10), F(1, 2), F(2, 5))
+    if kind == "cayley_orr_check":
+        return cayley_orr_check(args[0], *co, n_max=10)
+    if kind == "cayley_orr_a_closed_form_check":
+        return cayley_orr_a_closed_form_check(F(1, 3), F(1, 5), F(1, 2), n_max=8)
+    if kind == "thm21_cayley_consistency":
+        return thm21_cayley_consistency(*pab, n_max=10)
+    if kind == "nassrallah2_cayley_consistency":
+        return nassrallah2_cayley_consistency(*pab, n_max=10)
+    if kind == "verify_product":
+        params = dict(PRODUCT_POINTS.get(args[0], TestWDAppell.POINT))
+        if args[1:] == ["z=0"]:
+            params["z"] = F(0)
+        return verify_product(args[0], params, eps=1e-30)
+    return classical_limit_check(args[0], TestClassicalLimits.POINTS[int(args[1])])
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_REPORT_SHA256))
+def test_golden_report(key):
+    blob = json.dumps(dataclasses.asdict(_golden_report(key)), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_REPORT_SHA256[key]
