@@ -58,10 +58,22 @@ def _parse_params(text: str) -> dict:
 
 
 def _parse_n_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    """"2..5" -> [2, 3, 4, 5]; "3" -> [3]."""
+    lo, dots, hi = text.partition("..")
+    try:
+        n_values = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        raise DomainError(f"--n-range {text!r} is not of the form n or lo..hi") from None
+    if not n_values:
+        raise DomainError(f"--n-range {text!r} is empty")
+    return n_values
+
+
+def _parse_fraction(flag: str, text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{flag} {text!r} is not a rational literal") from None
 
 
 def _echo_config(args: argparse.Namespace) -> dict:
@@ -129,7 +141,9 @@ def cmd_verify(args) -> int:
     if namespace == "terminating":
         rec = identities.lookup(args.identity)
         mode = args.mode or ("approx" if rec.approx_only else "exact")
-        eps = args.eps if args.eps is not None else (0.0 if mode == "exact" else 1e-40)
+        eps = args.eps if args.eps is not None else (
+            0.0 if mode == "exact" else identities.DEFAULT_APPROX_EPS
+        )
         n_values = _parse_n_range(args.n_range) if args.n_range else [args.n]
         if n_values == [None]:
             raise DomainError("verify needs --n or --n-range for summation identities")
@@ -158,8 +172,8 @@ def cmd_verify(args) -> int:
             integrals.verify_integral_rep(
                 args.identity,
                 params,
-                sigma=Fraction(args.sigma),
-                f=Fraction(args.f),
+                sigma=_parse_fraction("--sigma", args.sigma),
+                f=_parse_fraction("--f", args.f),
                 eps=eps,
                 precision_bits=args.precision_bits,
             )

@@ -1,4 +1,4 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the parameter-name check."""
 
 
 class QIdentError(Exception):
@@ -59,3 +59,17 @@ class ConstraintViolation(QIdentError):
 
 class SamplerExhausted(QIdentError):
     """The parameter sampler rejected too many consecutive draws."""
+
+
+def check_names(identity_id: str, expected, params: dict) -> None:
+    """DomainError naming the missing and the unexpected names unless the keys
+    of params are exactly the names in expected."""
+    if params.keys() != set(expected):
+        missing = [k for k in expected if k not in params]
+        unexpected = sorted(k for k in params if k not in expected)
+        problems = "; ".join(
+            f"{label} {', '.join(names)}"
+            for label, names in (("missing", missing), ("unexpected", unexpected))
+            if names
+        )
+        raise DomainError(f"{identity_id} takes parameters ({', '.join(expected)}): {problems}")

@@ -1,12 +1,19 @@
 """Registry of terminating 4phi3 / 3phi2 summations and transformations.
 
-Every record carries an exact LHS (a terminating series builder), an RHS
-closed-form evaluator (parity splits, floor exponents), a validity predicate,
-a deterministic parameter sampler, and its balance class.  Records whose RHS
-involves infinite products (T_GASPER_RAHMAN_WATSON, T_ANDREWS_WHIPPLE_E) are
-approx-only: their LHS is still summed exactly, the RHS is certified to a
-configurable eps (default 1e-40 at 256 bits) with an exact vanishing-factor
-prescan so parity zeros stay exact.
+The 22 records are one table, `_REGISTRY`, each entry one `_record(...)`
+call: the parameter names, the balance class, the anchor, the left side, the
+right side, and two flags (the RHS vanishes at odd n; the record is
+approx-only).  `_record` is the one code path that reads a record:
+`_scalars` checks the parameter names and hands each side the parameters as
+positional ExactScalars, the left side gives only (upper, lower, base) of a
+series that terminates at n (or at a fourth entry m), and the right side
+gives its closed-form value or a plain quotient
+pref * (num; base)_m / (den; base)_m as data.  The seeded sampler is derived
+from the parameter names.  Records whose RHS involves infinite products
+(T_GASPER_RAHMAN_WATSON, T_ANDREWS_WHIPPLE_E) are approx-only: their LHS is
+still summed exactly, the RHS is certified to a configurable eps (default
+1e-40 at 256 bits) with an exact vanishing-factor prescan so parity zeros
+stay exact.
 
 A sweep evaluates each (params, n) point once: `_sides` is the one place that
 sums an LHS and evaluates an RHS, `draw_params` screens a draw with the pairs
@@ -16,9 +23,10 @@ it computes and returns them, and `sweep` hands each exact record's pair to
 again at the sweep's precision and eps.
 
 Square roots never appear at this layer: records are parameterized by the
-square-root variables themselves (sa, sc, sqa, p), with a = sa^2, c = sc^2,
-qa = sqa^2, q = p^2 as each formula requires.  Parameter names are part of
-the public record contract (see each record's `param_names`).
+square-root variables themselves (sa, sc, sqa, p), and `_scalars` appends the
+squares each formula needs (a = sa^2, a = sqa^2/q, c = sc^2, q = p^2).
+Parameter names are part of the public record contract (see each record's
+`param_names`).
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .errors import (
     PoleError,
     SamplerExhausted,
     UnknownIdentity,
+    check_names,
 )
 from .qkernel import (
     ApproxScalar,
@@ -49,6 +58,9 @@ from .series import BalanceClass, SeriesSpec, eval_phi_terminating
 
 E = ExactScalar.coerce
 
+DEFAULT_APPROX_EPS = 1e-40
+DEFAULT_PRECISION_BITS = 256
+
 
 @dataclass(frozen=True)
 class IdentityRecord:
@@ -60,15 +72,7 @@ class IdentityRecord:
     rhs_value: Callable
     sampler: Callable[[random.Random], dict]
     approx_only: bool = False
-    structural_zero: Callable[[int], bool] = staticmethod(lambda n: False)
-    note: str = ""
-
-
-_REGISTRY: dict[str, IdentityRecord] = {}
-
-
-def _register(rec: IdentityRecord):
-    _REGISTRY[rec.id] = rec
+    structural_zero: bool = False  # the RHS vanishes at every odd n
 
 
 def lookup(identity_id: str) -> IdentityRecord:
@@ -86,13 +90,10 @@ def list_ids() -> list[str]:
 # samplers
 # --------------------------------------------------------------------------
 
-def _frac(rng: random.Random, signed: bool = False) -> Fraction:
+def _frac(rng: random.Random) -> Fraction:
     num = rng.randint(1, 4)
     den = rng.randint(num + 1, 8)
-    f = Fraction(num, den)
-    if signed and rng.random() < 0.5:
-        f = -f
-    return f
+    return Fraction(num, den)
 
 
 def _frac_q(rng: random.Random) -> Fraction:
@@ -101,61 +102,67 @@ def _frac_q(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _sampler(names: tuple, q_names: tuple = ("q", "p")) -> Callable:
+def _sampler(names: tuple) -> Callable:
     def draw(rng: random.Random) -> dict:
-        return {
-            name: (_frac_q(rng) if name in q_names else _frac(rng))
-            for name in names
-        }
+        return {name: (_frac_q(rng) if name in ("q", "p") else _frac(rng)) for name in names}
 
     return draw
 
 
 # --------------------------------------------------------------------------
-# record definitions
+# reading a table entry
 # --------------------------------------------------------------------------
 
-def _fh(n: int) -> int:  # floor(n/2)
-    return n // 2
+_ROOTS = ("sa", "sqa", "sc", "p")
 
 
-def _ch(n: int) -> int:  # floor((n+1)/2) = ceil(n/2)
-    return (n + 1) // 2
+def _scalars(identity_id: str, names: tuple, params: dict) -> list:
+    """The parameters as ExactScalars in `names` order, followed by the square
+    of each square-root parameter: a = sa^2, a = sqa^2/q, c = sc^2, q = p^2."""
+    check_names(identity_id, names, params)
+    xs = [E(params[name]) for name in names]
+    for name, x in zip(names, xs):
+        if name in _ROOTS:
+            xs.append(x * x / xs[0] if name == "sqa" else x * x)
+    return xs
 
 
-def _andrews_watson_lhs(ps, n):
-    q, sqa, sc = E(ps["q"]), E(ps["sqa"]), E(ps["sc"])
-    a, c = sqa * sqa / q, sc * sc
-    return SeriesSpec.make(
-        [q**-n, q**n * a, sc, -sc], [sqa, -sqa, c], q, q, terminates_at=n
+def _record(ident, names, k, anchor, lhs, rhs, odd_zero=False, approx_only=False):
+    """The IdentityRecord of one table entry.
+
+    `names` lists the parameters, space-separated, in sampler order; the
+    record is k-balanced.  `lhs(*scalars, n)` is (upper, lower, base) of the
+    left side, which terminates at n, or (upper, lower, base, m) when it
+    terminates at m.  `rhs(*scalars, n)` is the closed-form value or the
+    quotient (pref, num, den, base, m), read as pref * (num; base)_m /
+    (den; base)_m; approx-only right sides also take precision_bits and eps.
+    An exact record with odd_zero is exact zero at odd n without evaluating
+    its RHS; an approx-only record's certified products find that zero."""
+    names = tuple(names.split())
+
+    def lhs_spec(params, n):
+        upper, lower, base, *m = lhs(*_scalars(ident, names, params), n)
+        return SeriesSpec.make(upper, lower, base, base, terminates_at=m[0] if m else n)
+
+    def rhs_value(params, n, **certify):
+        xs = _scalars(ident, names, params)
+        if odd_zero and n % 2 == 1 and not approx_only:
+            return ExactScalar(0)
+        value = rhs(*xs, n, **certify)
+        if isinstance(value, tuple):
+            pref, num, den, base, m = value
+            value = pref * qpoch_list(num, base, m) / qpoch_list(den, base, m)
+        return value
+
+    return IdentityRecord(
+        ident, names, BalanceClass("balanced", k), anchor, lhs_spec, rhs_value,
+        _sampler(names), approx_only, odd_zero,
     )
 
 
-def _andrews_watson_rhs(ps, n):
-    if n % 2 == 1:
-        return ExactScalar(0)
-    q, sqa, sc = E(ps["q"]), E(ps["sqa"]), E(ps["sc"])
-    qa, c = sqa * sqa, sc * sc
-    m = n // 2
-    return (
-        sc**n
-        * qpoch_list([q, qa / c], q * q, m)
-        / qpoch_list([qa, q * c], q * q, m)
-    )
-
-
-_register(
-    IdentityRecord(
-        id="T_ANDREWS_WATSON",
-        param_names=("q", "sqa", "sc"),
-        balance=BalanceClass("balanced", 1),
-        anchor="Andrews' q-analogue of terminating Watson 3F2(1); DLMF 17.7.9 / GR Ex. 2.8; a=sqa^2/q, c=sc^2",
-        lhs_spec=_andrews_watson_lhs,
-        rhs_value=_andrews_watson_rhs,
-        sampler=_sampler(("q", "sqa", "sc")),
-        structural_zero=lambda n: n % 2 == 1,
-    )
-)
+def _phi(upper, lower, base, m):
+    """The terminating series sum_k (upper)_k / (base, lower)_k base^k, k <= m."""
+    return eval_phi_terminating(SeriesSpec.make(upper, lower, base, base, terminates_at=m))
 
 
 def _product_quotient(pref, num_args, den_args, precision_bits, eps):
@@ -177,20 +184,11 @@ def _product_quotient(pref, num_args, den_args, precision_bits, eps):
     return num / den
 
 
-def _grw_lhs(ps, n):
-    q, b, c = E(ps["q"]), E(ps["b"]), E(ps["c"])
-    Q = q * q
-    return SeriesSpec.make(
-        [q ** (-2 * n), c, -(q ** (1 - n)) / b, q ** (1 - n) * b / c],
-        [q ** (2 - 2 * n) / c, -(q ** (1 - n)) * b, q ** (1 - n) * c / b],
-        Q,
-        Q,
-        terminates_at=n,
-    )
+# --------------------------------------------------------------------------
+# right sides that are not a plain quotient
+# --------------------------------------------------------------------------
 
-
-def _grw_rhs(ps, n, precision_bits=256, eps=1e-40):
-    q, b, c = E(ps["q"]), E(ps["b"]), E(ps["c"])
+def _grw_rhs(q, b, c, n, precision_bits=DEFAULT_PRECISION_BITS, eps=DEFAULT_APPROX_EPS):
     Q, Q4 = q * q, (q * q) ** 2
     num_args = [
         (q ** (1 - n) * b, Q),
@@ -215,36 +213,15 @@ def _grw_rhs(ps, n, precision_bits=256, eps=1e-40):
     return _product_quotient(1, num_args, den_args, precision_bits, eps / 32)
 
 
-_register(
-    IdentityRecord(
-        id="T_GASPER_RAHMAN_WATSON",
-        param_names=("q", "b", "c"),
-        balance=BalanceClass("balanced", 1),
-        anchor="balanced 4phi3 from Gasper-Rahman's nonterminating q-Watson sum (DLMF 17.7.8 via 17.9.16); base q^2",
-        lhs_spec=_grw_lhs,
-        rhs_value=_grw_rhs,
-        sampler=_sampler(("q", "b", "c")),
-        approx_only=True,
-        structural_zero=lambda n: n % 2 == 1,
-    )
-)
+def _aw_e_rhs(q, c, e, n, precision_bits=DEFAULT_PRECISION_BITS, eps=DEFAULT_APPROX_EPS):
+    Q = q * q
+    tops = (q**-n * e, q ** (n + 1) * e, q ** (1 - n) * c * c / e, q ** (n + 2) * c * c / e)
+    num_args = [(x, Q) for x in tops]
+    den_args = [(e, q), (q * c * c / e, q)]
+    return _product_quotient(q ** ((n + 1) * n // 2), num_args, den_args, precision_bits, eps / 16)
 
 
-def _bailey41_lhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    return SeriesSpec.make(
-        [q**-n, -(q ** (1 - n)) / (a * b), a, b],
-        [-(a * b), q ** (1 - n) / a, q ** (1 - n) / b],
-        q,
-        q,
-        terminates_at=n,
-    )
-
-
-def _bailey41_rhs(ps, n):
-    if n % 2 == 1:
-        return ExactScalar(0)
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
+def _bailey41_rhs(q, a, b, n):
     m = n // 2
     return (
         qpoch_list([q, a * a, b * b], q * q, m)
@@ -253,459 +230,46 @@ def _bailey41_rhs(ps, n):
     )
 
 
-_register(
-    IdentityRecord(
-        id="T_BAILEY41",
-        param_names=("q", "a", "b"),
-        balance=BalanceClass("balanced", 1),
-        anchor="Bailey (1941) / Jackson (1941) balanced terminating 4phi3; GR Ex. 2.6",
-        lhs_spec=_bailey41_lhs,
-        rhs_value=_bailey41_rhs,
-        sampler=_sampler(("q", "a", "b")),
-        structural_zero=lambda n: n % 2 == 1,
-    )
-)
-
-
-def _aw_e_lhs(ps, n):
-    q, c, e = E(ps["q"]), E(ps["c"]), E(ps["e"])
-    return SeriesSpec.make(
-        [q**-n, q ** (n + 1), c, -c], [-q, e, q * c * c / e], q, q, terminates_at=n
-    )
-
-
-def _aw_e_rhs(ps, n, precision_bits=256, eps=1e-40):
-    q, c, e = E(ps["q"]), E(ps["c"]), E(ps["e"])
-    Q = q * q
-    tops = (q**-n * e, q ** (n + 1) * e, q ** (1 - n) * c * c / e, q ** (n + 2) * c * c / e)
-    num_args = [(x, Q) for x in tops]
-    den_args = [(e, q), (q * c * c / e, q)]
-    return _product_quotient(q ** ((n + 1) * n // 2), num_args, den_args, precision_bits, eps / 16)
-
-
-_register(
-    IdentityRecord(
-        id="T_ANDREWS_WHIPPLE_E",
-        param_names=("q", "c", "e"),
-        balance=BalanceClass("balanced", 1),
-        anchor="Andrews' q-analogue of terminating Whipple 3F2(1), product form; GR (II.19) / DLMF 17.7.11",
-        lhs_spec=_aw_e_lhs,
-        rhs_value=_aw_e_rhs,
-        sampler=_sampler(("q", "c", "e")),
-        approx_only=True,
-    )
-)
-
-
-def _aw_c_lhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    return SeriesSpec.make(
-        [q**-n, q ** (n + 1), a, -a], [-q, b, q * a * a / b], q, q, terminates_at=n
-    )
-
-
-def _aw_c_rhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
+def _aw_c_rhs(q, a, b, n):
     Q = q * q
     if n % 2 == 0:
-        m = n // 2
-        return (
-            a**n
-            * qpoch_list([Q / b, q * b / (a * a)], Q, m)
-            / qpoch_list([q * b, Q * a * a / b], Q, m)
-        )
-    m = (n - 1) // 2
-    return (
+        return a**n, [Q / b, q * b / (a * a)], [q * b, Q * a * a / b], Q, n // 2
+    pref = (
         q
         * (1 - b / q)
         * (1 - a * a / b)
         / ((1 - b) * (1 - q * a * a / b))
         * (-a) ** (n - 1)
-        * qpoch_list([q**3 / b, Q * b / (a * a)], Q, m)
-        / qpoch_list([Q * b, q**3 * a * a / b], Q, m)
     )
+    return pref, [q**3 / b, Q * b / (a * a)], [Q * b, q**3 * a * a / b], Q, (n - 1) // 2
 
 
-_register(
-    IdentityRecord(
-        id="T_ANDREWS_WHIPPLE_C",
-        param_names=("q", "a", "b"),
-        balance=BalanceClass("balanced", 1),
-        anchor="Andrews' terminating q-Whipple sum, compact parity form",
-        lhs_spec=_aw_c_lhs,
-        rhs_value=_aw_c_rhs,
-        sampler=_sampler(("q", "a", "b")),
-    )
-)
-
-
-def _qbailey1_lhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    Q = q * q
-    return SeriesSpec.make(
-        [q ** (-2 * n), q ** (2 * n) * b * b, a, q * a],
-        [b, q * b, Q * a * a],
-        Q,
-        Q,
-        terminates_at=n,
-    )
-
-
-def _qbailey1_rhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    return a**n * qpoch_list([-q, b / a], q, n) / qpoch_list([-q * a, b], q, n)
-
-
-_register(
-    IdentityRecord(
-        id="T_QBAILEY_1",
-        param_names=("q", "a", "b"),
-        balance=BalanceClass("balanced", 1),
-        anchor="first q-analogue of Bailey's 4F3(1) sum; DLMF 17.7.12; base q^2",
-        lhs_spec=_qbailey1_lhs,
-        rhs_value=_qbailey1_rhs,
-        sampler=_sampler(("q", "a", "b")),
-    )
-)
-
-
-def _qbailey2_lhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    Q = q * q
-    return SeriesSpec.make(
-        [q ** (-2 * n), q ** (2 * n - 2) * b * b, a, q * a],
-        [b, q * b, a * a],
-        Q,
-        Q,
-        terminates_at=n,
-    )
-
-
-def _qbailey2_rhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    return (
-        a**n
-        * (1 - b * q ** (n - 1))
-        * qpoch_list([-q, b / a], q, n)
-        / ((1 - b * q ** (2 * n - 1)) * qpoch_list([-a, b], q, n))
-    )
-
-
-_register(
-    IdentityRecord(
-        id="T_QBAILEY_2",
-        param_names=("q", "a", "b"),
-        balance=BalanceClass("balanced", 1),
-        anchor="second q-analogue of Bailey's 4F3(1) sum; DLMF 17.7.13; base q^2",
-        lhs_spec=_qbailey2_lhs,
-        rhs_value=_qbailey2_rhs,
-        sampler=_sampler(("q", "a", "b")),
-    )
-)
-
-
-def _qps_lhs(ps, n):
-    q, a, b, c, d = (E(ps[k]) for k in ("q", "a", "b", "c", "d"))
-    return SeriesSpec.make(
-        [q**-n, q ** (n + 1) * a * a / (b * c * d), d],
-        [q * a / b, q * a / c],
-        q,
-        q,
-        terminates_at=n,
-    )
-
-
-def _qps_rhs(ps, n):
-    q, a, b, c, d = (E(ps[k]) for k in ("q", "a", "b", "c", "d"))
-    return (
-        d**n
-        * qpoch_list([q * a / (b * d), q * a / (c * d)], q, n)
-        / qpoch_list([q * a / b, q * a / c], q, n)
-    )
-
-
-_register(
-    IdentityRecord(
-        id="T_QPFAFF_SAALSCHUTZ",
-        param_names=("q", "a", "b", "c", "d"),
-        balance=BalanceClass("balanced", 1),
-        anchor="q-Pfaff-Saalschutz 3phi2 in the Jackson/Dougall reduction form; DLMF 17.7.4/17.7.14",
-        lhs_spec=_qps_lhs,
-        rhs_value=_qps_rhs,
-        sampler=_sampler(("q", "a", "b", "c", "d")),
-    )
-)
-
-
-def _gr214_lhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    return SeriesSpec.make(
-        [q**-n, b, a * a, q * a],
-        [b * b * q ** (1 - n), q * a * a / b, a],
-        q,
-        q,
-        terminates_at=n,
-    )
-
-
-def _gr214_rhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    return (
-        (1 + (a / b) * q**n)
-        * qpoch_list([a * a / (b * b), 1 / b], q, n)
-        / ((1 + a / b) * qpoch_list([q * a * a / b, 1 / (b * b)], q, n))
-    )
-
-
-_register(
-    IdentityRecord(
-        id="T_GR_EX214",
-        param_names=("q", "a", "b"),
-        balance=BalanceClass("balanced", 1),
-        anchor="GR Exercise 2.14(i) with a -> a^2",
-        lhs_spec=_gr214_lhs,
-        rhs_value=_gr214_rhs,
-        sampler=_sampler(("q", "a", "b")),
-    )
-)
-
-
-def _gr3109_lhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    return SeriesSpec.make(
-        [q**-n, -b * q**-n, a * a, q * a],
-        [a * b * q ** (1 - n), -a * q ** (1 - n), a],
-        q,
-        q,
-        terminates_at=n,
-    )
-
-
-def _gr3109_rhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    return (
-        (q * a * a) ** (-n)
-        * (1 - (a / b) * q ** (2 * n))
-        * qpoch_list([q * a / b, -a], q, n)
-        / ((1 - (a / b) * q**n) * qpoch_list([1 / (a * b), -1 / a], q, n))
-    )
-
-
-_register(
-    IdentityRecord(
-        id="T_GR_3109",
-        param_names=("q", "a", "b"),
-        balance=BalanceClass("balanced", 1),
-        anchor="GR (3.10.9) with a -> a^2, w -> a b q^(1-n)",
-        lhs_spec=_gr3109_lhs,
-        rhs_value=_gr3109_rhs,
-        sampler=_sampler(("q", "a", "b")),
-    )
-)
-
-
-def _gr31010_lhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    return SeriesSpec.make(
-        [q**-n, -b * q ** (1 - n), a * b, b],
-        [b * b * q ** (1 - n), -b * q**-n, q * a],
-        q,
-        q,
-        terminates_at=n,
-    )
-
-
-def _gr31010_rhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    return (
-        (1 + 1 / b)
-        * (1 - (a / b) * q ** (2 * n))
-        * qpoch_list([a / b, 1 / b], q, n)
-        / (
-            (1 + q**n / b)
-            * (1 - a / b)
-            * qpoch_list([a * q, 1 / (b * b)], q, n)
-        )
-    )
-
-
-_register(
-    IdentityRecord(
-        id="T_GR_31010",
-        param_names=("q", "a", "b"),
-        balance=BalanceClass("balanced", 1),
-        anchor="GR (3.10.10) with a -> a b",
-        lhs_spec=_gr31010_lhs,
-        rhs_value=_gr31010_rhs,
-        sampler=_sampler(("q", "a", "b")),
-    )
-)
-
-
-def _bws_lhs(ps, n):
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
-    Q = q * q
-    return SeriesSpec.make(
-        [q**-n, q ** (1 - n), a * a, a * a / (b * b)],
-        [q ** (2 - 2 * n), a * a / b, q * a * a / b],
-        Q,
-        Q,
-        terminates_at=n // 2,
-    )
-
-
-def _bws_rhs(ps, n):
+def _bw_sum_rhs(q, a, b, n):
     if n == 0:
         # the printed form gives 2 at n = 0; the empty sum is 1
         return EXACT_ONE
-    q, a, b = E(ps["q"]), E(ps["a"]), E(ps["b"])
     return (
         qpoch_list([-a, a / b], q, n) + qpoch_list([a, -a / b], q, n)
     ) / qpoch_list([ExactScalar(-1), a * a / b], q, n)
 
 
-_register(
-    IdentityRecord(
-        id="T_BW_SUM",
-        param_names=("q", "a", "b"),
-        balance=BalanceClass("balanced", 1),
-        anchor="quadratic sum from the Berkovich-Warnaar transformation in the c -> 1 limit; base q^2",
-        lhs_spec=_bws_lhs,
-        rhs_value=_bws_rhs,
-        sampler=_sampler(("q", "a", "b")),
-        note="not an n-th order Askey-Wilson value with n-free parameters; verified standalone",
-    )
-)
-
-
-def _bwt_lhs(ps, n):
-    q, a, b, c = (E(ps[k]) for k in ("q", "a", "b", "c"))
-    return SeriesSpec.make(
-        [q**-n, b, c, -c],
-        [-(q ** (1 - n)) * b / a, a, c * c],
-        q,
-        q,
-        terminates_at=n,
-    )
-
-
-def _bwt_rhs(ps, n):
-    q, a, b, c = (E(ps[k]) for k in ("q", "a", "b", "c"))
+def _bw_transform_rhs(q, a, b, c, n):
     Q = q * q
     pref = (
         qpoch_finite(a * a / b, q, n)
         * qpoch_finite(c * c, Q, n)
         / (qpoch_list([-a / b, a, c * c], q, n))
     )
-    inner = SeriesSpec.make(
+    return pref * _phi(
         [q**-n, q ** (1 - n), a * a / (b * b), a * a / (c * c)],
         [q ** (2 - 2 * n) / (c * c), a * a / b, q * a * a / b],
         Q,
-        Q,
-        terminates_at=n // 2,
-    )
-    return pref * eval_phi_terminating(inner)
-
-
-_register(
-    IdentityRecord(
-        id="T_BW_TRANSFORM",
-        param_names=("q", "a", "b", "c"),
-        balance=BalanceClass("balanced", 1),
-        anchor="Berkovich-Warnaar 4phi3 transformation (sum-vs-sum equality)",
-        lhs_spec=_bwt_lhs,
-        rhs_value=_bwt_rhs,
-        sampler=_sampler(("q", "a", "b", "c")),
-    )
-)
-
-
-def _n2_lhs(ps, n):
-    q, sa, sc = E(ps["q"]), E(ps["sa"]), E(ps["sc"])
-    a, c = sa * sa, sc * sc
-    return SeriesSpec.make(
-        [q**-n, q**n * a, sc, -sc], [q * c, sa, -sa], q, q, terminates_at=n
+        n // 2,
     )
 
 
-def _n2_rhs(ps, n):
-    q, sa, sc = E(ps["q"]), E(ps["sa"]), E(ps["sc"])
-    a, c = sa * sa, sc * sc
-    h = _ch(n)
-    return (
-        c**h * qpoch_list([q, a / c], q * q, h) / qpoch_list([a, q * c], q * q, h)
-    )
-
-
-_register(
-    IdentityRecord(
-        id="T_NEW_N2",
-        param_names=("q", "sa", "sc"),
-        balance=BalanceClass("balanced", 1),
-        anchor="quadratic balanced terminating 4phi3 summation, plain-root form; a=sa^2, c=sc^2",
-        lhs_spec=_n2_lhs,
-        rhs_value=_n2_rhs,
-        sampler=_sampler(("q", "sa", "sc")),
-    )
-)
-
-
-def _n1_lhs(ps, n):
-    q, sa, sc = E(ps["q"]), E(ps["sa"]), E(ps["sc"])
-    a, c = sa * sa, sc * sc
-    return SeriesSpec.make(
-        [q**-n, q**n * a, q * sc, -q * sc],
-        [q * c, q * sa, -q * sa],
-        q,
-        q,
-        terminates_at=n,
-    )
-
-
-def _n1_rhs(ps, n):
-    q, sa, sc = E(ps["q"]), E(ps["sa"]), E(ps["sc"])
-    a, c = sa * sa, sc * sc
-    h = _ch(n)
-    return (
-        (-q) ** n
-        * c**h
-        * (1 - a)
-        / (1 - q ** (2 * n) * a)
-        * qpoch_list([q, a / c], q * q, h)
-        / qpoch_list([a, q * c], q * q, h)
-    )
-
-
-_register(
-    IdentityRecord(
-        id="T_NEW_N1",
-        param_names=("q", "sa", "sc"),
-        balance=BalanceClass("balanced", 1),
-        anchor="quadratic balanced terminating 4phi3 summation, q-shifted-root form; a=sa^2, c=sc^2",
-        lhs_spec=_n1_lhs,
-        rhs_value=_n1_rhs,
-        sampler=_sampler(("q", "sa", "sc")),
-    )
-)
-
-
-def _n5_lhs(ps, n):
-    q, sa, sc = E(ps["q"]), E(ps["sa"]), E(ps["sc"])
-    a, c = sa * sa, sc * sc
-    return SeriesSpec.make(
-        [q**-n, q ** (n + 1) * a, sc, -sc],
-        [q * q * c, sa, -sa],
-        q,
-        q,
-        terminates_at=n,
-    )
-
-
-def _n5_rhs(ps, n):
-    q, sa, sc = E(ps["q"]), E(ps["sa"]), E(ps["sc"])
-    a, c = sa * sa, sc * sc
-    h = _ch(n)
-    Q = q * q
+def _n5_rhs(q, sa, sc, a, c, n):
+    h, Q = (n + 1) // 2, q * q
     base = (
         c**h
         / (1 - Q * c)
@@ -720,32 +284,8 @@ def _n5_rhs(ps, n):
     )
 
 
-_register(
-    IdentityRecord(
-        id="T_NEW_N5",
-        param_names=("q", "sa", "sc"),
-        balance=BalanceClass("balanced", 1),
-        anchor="esoteric quadratic balanced terminating 4phi3, complete product for odd n; a=sa^2, c=sc^2",
-        lhs_spec=_n5_lhs,
-        rhs_value=_n5_rhs,
-        sampler=_sampler(("q", "sa", "sc")),
-    )
-)
-
-
-def _n3_lhs(ps, n):
-    q, sqa, sc = E(ps["q"]), E(ps["sqa"]), E(ps["sc"])
-    a, c = sqa * sqa / q, sc * sc
-    return SeriesSpec.make(
-        [q**-n, q**n * a, sc, -sc], [sqa, -sqa, q * c], q, q, terminates_at=n
-    )
-
-
-def _n3_rhs(ps, n):
-    q, sqa, sc = E(ps["q"]), E(ps["sqa"]), E(ps["sc"])
-    a, c = sqa * sqa / q, sc * sc
-    h = _ch(n)
-    Q = q * q
+def _n3_rhs(q, sqa, sc, a, c, n):
+    h, Q = (n + 1) // 2, q * q
     return (
         c**h
         * qpoch_finite(q, Q, h)
@@ -754,32 +294,8 @@ def _n3_rhs(ps, n):
     )
 
 
-_register(
-    IdentityRecord(
-        id="T_NEW_N3",
-        param_names=("q", "sqa", "sc"),
-        balance=BalanceClass("balanced", 2),
-        anchor="quadratic 2-balanced terminating 4phi3 summation; qa=sqa^2, c=sc^2",
-        lhs_spec=_n3_lhs,
-        rhs_value=_n3_rhs,
-        sampler=_sampler(("q", "sqa", "sc")),
-    )
-)
-
-
-def _n4_lhs(ps, n):
-    q, sa, sc = E(ps["q"]), E(ps["sa"]), E(ps["sc"])
-    a, c = sa * sa, sc * sc
-    return SeriesSpec.make(
-        [q**-n, q**n * a, sc, -sc], [q * sa, -q * sa, c], q, q, terminates_at=n
-    )
-
-
-def _n4_rhs(ps, n):
-    q, sa, sc = E(ps["q"]), E(ps["sa"]), E(ps["sc"])
-    a, c = sa * sa, sc * sc
-    h = _ch(n)
-    Q = q * q
+def _n4_rhs(q, sa, sc, a, c, n):
+    h, Q = (n + 1) // 2, q * q
     return (
         (q**n * a) ** n
         * (q ** (-2 * n) * c / (a * a)) ** (n // 2)
@@ -791,36 +307,8 @@ def _n4_rhs(ps, n):
     )
 
 
-_register(
-    IdentityRecord(
-        id="T_NEW_N4",
-        param_names=("q", "sa", "sc"),
-        balance=BalanceClass("balanced", 2),
-        anchor="quadratic 2-balanced terminating 4phi3 summation; a=sa^2, c=sc^2",
-        lhs_spec=_n4_lhs,
-        rhs_value=_n4_rhs,
-        sampler=_sampler(("q", "sa", "sc")),
-    )
-)
-
-
-def _n8_lhs(ps, n):
-    q, sa, sc = E(ps["q"]), E(ps["sa"]), E(ps["sc"])
-    a, c = sa * sa, sc * sc
-    return SeriesSpec.make(
-        [q**-n, q ** (n - 1) * a, q * sc, -q * sc],
-        [q * sa, -q * sa, q * c],
-        q,
-        q,
-        terminates_at=n,
-    )
-
-
-def _n8_rhs(ps, n):
-    q, sa, sc = E(ps["q"]), E(ps["sa"]), E(ps["sc"])
-    a, c = sa * sa, sc * sc
-    h = _ch(n)
-    Q = q * q
+def _n8_rhs(q, sa, sc, a, c, n):
+    h, Q = (n + 1) // 2, q * q
     base = (
         ExactScalar(-1) ** n
         * q**n
@@ -836,36 +324,8 @@ def _n8_rhs(ps, n):
     return base * ((1 + q ** (2 * n - 1) * a) - q ** (n - 2) * a * (1 + q))
 
 
-_register(
-    IdentityRecord(
-        id="T_NEW_N8",
-        param_names=("q", "sa", "sc"),
-        balance=BalanceClass("balanced", 2),
-        anchor="esoteric quadratic 2-balanced terminating 4phi3; a=sa^2, c=sc^2",
-        lhs_spec=_n8_lhs,
-        rhs_value=_n8_rhs,
-        sampler=_sampler(("q", "sa", "sc")),
-    )
-)
-
-
-def _n7_lhs(ps, n):
-    q, sa, sc = E(ps["q"]), E(ps["sa"]), E(ps["sc"])
-    a, c = sa * sa, sc * sc
-    return SeriesSpec.make(
-        [q**-n, q ** (n - 1) * a, sc, -sc],
-        [q * sa, -q * sa, c],
-        q,
-        q,
-        terminates_at=n,
-    )
-
-
-def _n7_rhs(ps, n):
-    q, sa, sc = E(ps["q"]), E(ps["sa"]), E(ps["sc"])
-    a, c = sa * sa, sc * sc
-    h = _ch(n)
-    Q = q * q
+def _n7_rhs(q, sa, sc, a, c, n):
+    h, Q = (n + 1) // 2, q * q
     base = (
         c**h
         / ((c - a) * (1 - q ** (2 * n) * a) * (1 - q ** (2 * n - 2) * a))
@@ -891,36 +351,8 @@ def _n7_rhs(ps, n):
     )
 
 
-_register(
-    IdentityRecord(
-        id="T_NEW_N7",
-        param_names=("q", "sa", "sc"),
-        balance=BalanceClass("balanced", 3),
-        anchor="quadratic 3-balanced terminating 4phi3, complete product for odd n; a=sa^2, c=sc^2",
-        lhs_spec=_n7_lhs,
-        rhs_value=_n7_rhs,
-        sampler=_sampler(("q", "sa", "sc")),
-    )
-)
-
-
-def _n6_lhs(ps, n):
-    p, sc = E(ps["p"]), E(ps["sc"])
-    q = p * p
-    c = sc * sc
-    root = I * p ** (3 - 2 * n)
-    return SeriesSpec.make(
-        [q**-n, -(q**-n), sc, -sc], [root, -root, c], q, q, terminates_at=n
-    )
-
-
-def _n6_rhs(ps, n):
-    p, sc = E(ps["p"]), E(ps["sc"])
-    q = p * p
-    c = sc * sc
-    h = _ch(n)
-    fh = n // 2
-    Q = q * q
+def _n6_rhs(p, sc, q, c, n):
+    h, fh, Q = (n + 1) // 2, n // 2, q * q
     return (
         ExactScalar(-1) ** n
         * (1 + q ** (1 - 2 * n))
@@ -931,62 +363,240 @@ def _n6_rhs(ps, n):
     )
 
 
-_register(
-    IdentityRecord(
-        id="T_NEW_N6",
-        param_names=("p", "sc"),
-        balance=BalanceClass("balanced", 3),
-        anchor="quadratic 3-balanced terminating 4phi3 with completely factored RHS; q=p^2, c=sc^2",
-        lhs_spec=_n6_lhs,
-        rhs_value=_n6_rhs,
-        sampler=_sampler(("p", "sc")),
-        note="specializes the 3-balanced sum T_NEW_N7 at a = -q^(1-2n)",
-    )
-)
-
-
-def _sears_lhs(ps, n):
-    q, a, b, c, d, e = (E(ps[k]) for k in ("q", "a", "b", "c", "d", "e"))
+def _sears_rhs(q, a, b, c, d, e, n):
     f = a * b * c * q ** (1 - n) / (d * e)
-    return SeriesSpec.make([q**-n, a, b, c], [d, e, f], q, q, terminates_at=n)
-
-
-def _sears_rhs(ps, n):
-    q, a, b, c, d, e = (E(ps[k]) for k in ("q", "a", "b", "c", "d", "e"))
-    f = a * b * c * q ** (1 - n) / (d * e)
-    pref = (
-        qpoch_list([e / a, f / a], q, n) / qpoch_list([e, f], q, n) * a**n
+    pref = qpoch_list([e / a, f / a], q, n) / qpoch_list([e, f], q, n) * a**n
+    return pref * _phi(
+        [q**-n, a, d / b, d / c], [d, a * q ** (1 - n) / e, a * q ** (1 - n) / f], q, n
     )
-    inner = SeriesSpec.make(
-        [q**-n, a, d / b, d / c],
-        [d, a * q ** (1 - n) / e, a * q ** (1 - n) / f],
-        q,
-        q,
-        terminates_at=n,
-    )
-    return pref * eval_phi_terminating(inner)
 
 
-_register(
-    IdentityRecord(
-        id="X_SEARS",
-        param_names=("q", "a", "b", "c", "d", "e"),
-        balance=BalanceClass("balanced", 1),
-        anchor="Sears' balanced terminating 4phi3 transformation; DLMF 17.9.14 (f fixed by the balance condition)",
-        lhs_spec=_sears_lhs,
-        rhs_value=_sears_rhs,
-        sampler=_sampler(("q", "a", "b", "c", "d", "e")),
-    )
-)
+# --------------------------------------------------------------------------
+# the table
+# --------------------------------------------------------------------------
+
+_REGISTRY: dict[str, IdentityRecord] = {rec.id: rec for rec in (
+    _record(
+        "T_ANDREWS_WATSON", "q sqa sc", 1,
+        "Andrews' q-analogue of terminating Watson 3F2(1); DLMF 17.7.9 / GR Ex. 2.8; "
+        "a=sqa^2/q, c=sc^2",
+        lambda q, sqa, sc, a, c, n: ([q**-n, q**n * a, sc, -sc], [sqa, -sqa, c], q),
+        lambda q, sqa, sc, a, c, n: (
+            sc**n, [q, sqa * sqa / c], [sqa * sqa, q * c], q * q, n // 2
+        ),
+        odd_zero=True,
+    ),
+    _record(
+        "T_GASPER_RAHMAN_WATSON", "q b c", 1,
+        "balanced 4phi3 from Gasper-Rahman's nonterminating q-Watson sum "
+        "(DLMF 17.7.8 via 17.9.16); base q^2",
+        lambda q, b, c, n: (
+            [q ** (-2 * n), c, -(q ** (1 - n)) / b, q ** (1 - n) * b / c],
+            [q ** (2 - 2 * n) / c, -(q ** (1 - n)) * b, q ** (1 - n) * c / b],
+            q * q,
+        ),
+        _grw_rhs,
+        odd_zero=True,
+        approx_only=True,
+    ),
+    _record(
+        "T_BAILEY41", "q a b", 1,
+        "Bailey (1941) / Jackson (1941) balanced terminating 4phi3; GR Ex. 2.6",
+        lambda q, a, b, n: (
+            [q**-n, -(q ** (1 - n)) / (a * b), a, b],
+            [-(a * b), q ** (1 - n) / a, q ** (1 - n) / b],
+            q,
+        ),
+        _bailey41_rhs,
+        odd_zero=True,
+    ),
+    _record(
+        "T_ANDREWS_WHIPPLE_E", "q c e", 1,
+        "Andrews' q-analogue of terminating Whipple 3F2(1), product form; "
+        "GR (II.19) / DLMF 17.7.11",
+        lambda q, c, e, n: ([q**-n, q ** (n + 1), c, -c], [-q, e, q * c * c / e], q),
+        _aw_e_rhs,
+        approx_only=True,
+    ),
+    _record(
+        "T_ANDREWS_WHIPPLE_C", "q a b", 1,
+        "Andrews' terminating q-Whipple sum, compact parity form",
+        lambda q, a, b, n: ([q**-n, q ** (n + 1), a, -a], [-q, b, q * a * a / b], q),
+        _aw_c_rhs,
+    ),
+    _record(
+        "T_QBAILEY_1", "q a b", 1,
+        "first q-analogue of Bailey's 4F3(1) sum; DLMF 17.7.12; base q^2",
+        lambda q, a, b, n: (
+            [q ** (-2 * n), q ** (2 * n) * b * b, a, q * a], [b, q * b, q * q * a * a], q * q
+        ),
+        lambda q, a, b, n: (a**n, [-q, b / a], [-q * a, b], q, n),
+    ),
+    _record(
+        "T_QBAILEY_2", "q a b", 1,
+        "second q-analogue of Bailey's 4F3(1) sum; DLMF 17.7.13; base q^2",
+        lambda q, a, b, n: (
+            [q ** (-2 * n), q ** (2 * n - 2) * b * b, a, q * a], [b, q * b, a * a], q * q
+        ),
+        lambda q, a, b, n: (
+            a**n * (1 - b * q ** (n - 1)) / (1 - b * q ** (2 * n - 1)),
+            [-q, b / a],
+            [-a, b],
+            q,
+            n,
+        ),
+    ),
+    _record(
+        "T_QPFAFF_SAALSCHUTZ", "q a b c d", 1,
+        "q-Pfaff-Saalschutz 3phi2 in the Jackson/Dougall reduction form; DLMF 17.7.4/17.7.14",
+        lambda q, a, b, c, d, n: (
+            [q**-n, q ** (n + 1) * a * a / (b * c * d), d], [q * a / b, q * a / c], q
+        ),
+        lambda q, a, b, c, d, n: (
+            d**n, [q * a / (b * d), q * a / (c * d)], [q * a / b, q * a / c], q, n
+        ),
+    ),
+    _record(
+        "T_GR_EX214", "q a b", 1,
+        "GR Exercise 2.14(i) with a -> a^2",
+        lambda q, a, b, n: ([q**-n, b, a * a, q * a], [b * b * q ** (1 - n), q * a * a / b, a], q),
+        lambda q, a, b, n: (
+            (1 + (a / b) * q**n) / (1 + a / b),
+            [a * a / (b * b), 1 / b],
+            [q * a * a / b, 1 / (b * b)],
+            q,
+            n,
+        ),
+    ),
+    _record(
+        "T_GR_3109", "q a b", 1,
+        "GR (3.10.9) with a -> a^2, w -> a b q^(1-n)",
+        lambda q, a, b, n: (
+            [q**-n, -b * q**-n, a * a, q * a], [a * b * q ** (1 - n), -a * q ** (1 - n), a], q
+        ),
+        lambda q, a, b, n: (
+            (q * a * a) ** (-n) * (1 - (a / b) * q ** (2 * n)) / (1 - (a / b) * q**n),
+            [q * a / b, -a],
+            [1 / (a * b), -1 / a],
+            q,
+            n,
+        ),
+    ),
+    _record(
+        "T_GR_31010", "q a b", 1,
+        "GR (3.10.10) with a -> a b",
+        lambda q, a, b, n: (
+            [q**-n, -b * q ** (1 - n), a * b, b], [b * b * q ** (1 - n), -b * q**-n, q * a], q
+        ),
+        lambda q, a, b, n: (
+            (1 + 1 / b) * (1 - (a / b) * q ** (2 * n)) / ((1 + q**n / b) * (1 - a / b)),
+            [a / b, 1 / b],
+            [a * q, 1 / (b * b)],
+            q,
+            n,
+        ),
+    ),
+    # not an n-th order Askey-Wilson value with n-free parameters; verified standalone
+    _record(
+        "T_BW_SUM", "q a b", 1,
+        "quadratic sum from the Berkovich-Warnaar transformation in the c -> 1 limit; base q^2",
+        lambda q, a, b, n: (
+            [q**-n, q ** (1 - n), a * a, a * a / (b * b)],
+            [q ** (2 - 2 * n), a * a / b, q * a * a / b],
+            q * q,
+            n // 2,
+        ),
+        _bw_sum_rhs,
+    ),
+    _record(
+        "T_BW_TRANSFORM", "q a b c", 1,
+        "Berkovich-Warnaar 4phi3 transformation (sum-vs-sum equality)",
+        lambda q, a, b, c, n: ([q**-n, b, c, -c], [-(q ** (1 - n)) * b / a, a, c * c], q),
+        _bw_transform_rhs,
+    ),
+    _record(
+        "T_NEW_N2", "q sa sc", 1,
+        "quadratic balanced terminating 4phi3 summation, plain-root form; a=sa^2, c=sc^2",
+        lambda q, sa, sc, a, c, n: ([q**-n, q**n * a, sc, -sc], [q * c, sa, -sa], q),
+        lambda q, sa, sc, a, c, n: (
+            c ** ((n + 1) // 2), [q, a / c], [a, q * c], q * q, (n + 1) // 2
+        ),
+    ),
+    _record(
+        "T_NEW_N1", "q sa sc", 1,
+        "quadratic balanced terminating 4phi3 summation, q-shifted-root form; a=sa^2, c=sc^2",
+        lambda q, sa, sc, a, c, n: (
+            [q**-n, q**n * a, q * sc, -q * sc], [q * c, q * sa, -q * sa], q
+        ),
+        lambda q, sa, sc, a, c, n: (
+            (-q) ** n * c ** ((n + 1) // 2) * (1 - a) / (1 - q ** (2 * n) * a),
+            [q, a / c],
+            [a, q * c],
+            q * q,
+            (n + 1) // 2,
+        ),
+    ),
+    _record(
+        "T_NEW_N5", "q sa sc", 1,
+        "esoteric quadratic balanced terminating 4phi3, complete product for odd n; "
+        "a=sa^2, c=sc^2",
+        lambda q, sa, sc, a, c, n: (
+            [q**-n, q ** (n + 1) * a, sc, -sc], [q * q * c, sa, -sa], q
+        ),
+        _n5_rhs,
+    ),
+    _record(
+        "T_NEW_N3", "q sqa sc", 2,
+        "quadratic 2-balanced terminating 4phi3 summation; qa=sqa^2, c=sc^2",
+        lambda q, sqa, sc, a, c, n: ([q**-n, q**n * a, sc, -sc], [sqa, -sqa, q * c], q),
+        _n3_rhs,
+    ),
+    _record(
+        "T_NEW_N4", "q sa sc", 2,
+        "quadratic 2-balanced terminating 4phi3 summation; a=sa^2, c=sc^2",
+        lambda q, sa, sc, a, c, n: ([q**-n, q**n * a, sc, -sc], [q * sa, -q * sa, c], q),
+        _n4_rhs,
+    ),
+    _record(
+        "T_NEW_N8", "q sa sc", 2,
+        "esoteric quadratic 2-balanced terminating 4phi3; a=sa^2, c=sc^2",
+        lambda q, sa, sc, a, c, n: (
+            [q**-n, q ** (n - 1) * a, q * sc, -q * sc], [q * sa, -q * sa, q * c], q
+        ),
+        _n8_rhs,
+    ),
+    _record(
+        "T_NEW_N7", "q sa sc", 3,
+        "quadratic 3-balanced terminating 4phi3, complete product for odd n; a=sa^2, c=sc^2",
+        lambda q, sa, sc, a, c, n: (
+            [q**-n, q ** (n - 1) * a, sc, -sc], [q * sa, -q * sa, c], q
+        ),
+        _n7_rhs,
+    ),
+    # specializes the 3-balanced sum T_NEW_N7 at a = -q^(1-2n)
+    _record(
+        "T_NEW_N6", "p sc", 3,
+        "quadratic 3-balanced terminating 4phi3 with completely factored RHS; q=p^2, c=sc^2",
+        lambda p, sc, q, c, n: (
+            [q**-n, -(q**-n), sc, -sc], [I * p ** (3 - 2 * n), -I * p ** (3 - 2 * n), c], q
+        ),
+        _n6_rhs,
+    ),
+    _record(
+        "X_SEARS", "q a b c d e", 1,
+        "Sears' balanced terminating 4phi3 transformation; DLMF 17.9.14 "
+        "(f fixed by the balance condition)",
+        lambda q, a, b, c, d, e, n: (
+            [q**-n, a, b, c], [d, e, a * b * c * q ** (1 - n) / (d * e)], q
+        ),
+        _sears_rhs,
+    ),
+)}
 
 
 # --------------------------------------------------------------------------
 # verification
 # --------------------------------------------------------------------------
-
-DEFAULT_APPROX_EPS = 1e-40
-DEFAULT_PRECISION_BITS = 256
-
 
 def _sides(rec: IdentityRecord, params: dict, n: int, precision_bits: int, eps: float, lhs=None):
     """(lhs, rhs) at one point: the exact LHS sum (unless given) and the RHS
@@ -1000,19 +610,6 @@ def _sides(rec: IdentityRecord, params: dict, n: int, precision_bits: int, eps: 
 
 # the precision of the constraint and accidental-zero screens on approx-only RHS
 _SCREEN_BITS, _SCREEN_EPS = 128, 1e-10
-
-
-def constraints(identity_id: str, params: dict, n: int) -> Optional[str]:
-    """None if (params, n) is valid; otherwise the violated predicate's name."""
-    try:
-        _sides(lookup(identity_id), params, n, _SCREEN_BITS, _SCREEN_EPS)
-    except ZeroDivisionError:
-        return "closed-form denominator nonzero"
-    except PoleError as exc:
-        return f"series pole absent ({exc})"
-    except DomainError as exc:
-        return f"domain ({exc})"
-    return None
 
 
 def verify(
@@ -1036,8 +633,6 @@ def verify(
     rec = lookup(identity_id)
     if rec.approx_only and mode == "exact":
         raise DomainError(f"{identity_id} is approx-only (its RHS has infinite products)")
-    if not rec.approx_only and mode not in ("exact",):
-        mode = "exact"  # exact records are strictly exact; approx adds nothing
 
     try:
         lhs, rhs = sides or (None, None)
@@ -1104,7 +699,7 @@ def draw_params(
             # reject draws that produce accidental (non-structural) zeros
             rhs = pairs[n][1]
             is_zero = rhs.is_zero() if isinstance(rhs, (ExactScalar, ApproxScalar)) else False
-            if is_zero != rec.structural_zero(n):
+            if is_zero != (rec.structural_zero and n % 2 == 1):
                 break
         else:
             return ps, pairs

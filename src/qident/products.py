@@ -23,7 +23,7 @@ import mpmath
 from mpmath import mp
 
 from .askey_wilson import AWParams, aw_hermite_degenerate, eval_aw
-from .errors import DivergenceError, DomainError, UnknownIdentity
+from .errors import DivergenceError, DomainError, UnknownIdentity, check_names
 from .powerseries import PowerSeriesTrunc, phi_series_coeffs
 from .qkernel import (
     ApproxScalar,
@@ -114,7 +114,7 @@ def awgf_coefficient_check(a, b, c, d, w, q, n_max: int) -> VerificationReport:
     ok = bad is None
     return _exact_report(
         "AWGF",
-        {"a": a.re, "b": b.re, "c": c.re, "d": d.re, "w": w.re, "q": q.re},
+        {"a": a, "b": b, "c": c, "d": d, "w": w, "q": q},
         ok,
         f"t^0..t^{n_max} product coefficients",
         "p_n/(q,ab,cd;q)_n",
@@ -136,7 +136,7 @@ def awgf_hermite_degeneration_check(w, q, n_max: int) -> VerificationReport:
     ok = bad is None
     return _exact_report(
         "AWGF",
-        {"w": w.re, "q": q.re},
+        {"w": w, "q": q},
         ok,
         "zero-parameter generating function coefficients",
         "continuous q-Hermite values",
@@ -709,9 +709,10 @@ def _rfs_product(side, z: Fraction, eps: float):
 
 def classical_limit_check(which: str, params: dict, eps: float = 1e-10) -> VerificationReport:
     """The classical hypergeometric product formulas the q-identities extend."""
-    a, b, z = Fraction(params["a"]), Fraction(params["b"]), Fraction(params["z"])
     if which not in CLASSICAL_IDS:
         raise UnknownIdentity(f"no classical limit registered under {which!r}")
+    check_names(which, ("a", "b", "z"), params)
+    a, b, z = Fraction(params["a"]), Fraction(params["b"]), Fraction(params["z"])
     if which in ("CLAUSEN", "COR_3F2") and 2 * a + 2 * b <= 0 and (2 * a + 2 * b).denominator == 1:
         raise DomainError("2a + 2b must avoid nonpositive integers")
     lhs, rhs = (_rfs_product(side, z, eps * 1e-3) for side in _classical_sides(a, b)[which])
@@ -768,7 +769,7 @@ def cayley_orr_check(which: str, a, b, c, q, n_max: int = 10) -> VerificationRep
     ok = bad is None
     return _exact_report(
         f"CAYLEY_ORR_{which}",
-        {"a": ae.re, "b": be.re, "c": ce.re, "q": qe.re},
+        {"a": ae, "b": be, "c": ce, "q": qe},
         ok,
         f"product-of-2phi1 coefficients z^0..z^{n_max}",
         "weighted auxiliary coefficients",
@@ -834,7 +835,7 @@ def cayley_orr_a_closed_form_check(a, b, q, n_max: int = 8) -> VerificationRepor
     )
     return _exact_report(
         "CAYLEY_ORR_A",
-        {"a": ae.re, "b": be.re, "q": qe.re},
+        {"a": ae, "b": be, "q": qe},
         ok,
         "a_n at c = ab/q",
         "(a,b;q)_n / ((q, ab/q;q)_n)",
@@ -873,7 +874,7 @@ def _cayley_consistency(identity_id: str, p, a, b, n_max: int) -> VerificationRe
     ok = all(weighted[n] == rhs.coeffs[n] for n in range(n_max + 1))
     return _exact_report(
         identity_id,
-        {k: v.re for k, v in params.items()},
+        params,
         ok,
         lhs_desc,
         "4phi3 coefficients",

@@ -125,6 +125,39 @@ class TestVerify:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("ident, params, problem", [
+        ("T_BAILEY41", "q=1/2,a=1/3,x=1/5", "T_BAILEY41 takes parameters (q, a, b): "
+         "missing b; unexpected x"),
+        ("CLAUSEN", "a=1/3", "CLAUSEN takes parameters (a, b, z): missing b, z"),
+    ])
+    def test_parameter_names_are_named(self, capsys, ident, params, problem):
+        code, _, err = run_cli(capsys, "verify", ident, "--params", params, "--n", "2")
+        assert code == EXIT_CONFIG
+        assert err == f"error: {problem}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("n_range, problem", [
+        ("5..2", "is empty"),
+        ("0..x", "is not of the form n or lo..hi"),
+        ("3..", "is not of the form n or lo..hi"),
+    ])
+    def test_malformed_n_range_is_named(self, capsys, command, n_range, problem):
+        code, _, err = run_cli(
+            capsys, command, "T_BAILEY41", "--params", "q=1/2,a=1/3,b=1/5", "--n-range", n_range
+        )
+        assert code == EXIT_CONFIG
+        assert err == f"error: --n-range {n_range!r} {problem}\n"
+
+    @pytest.mark.parametrize("flag, value", [("--sigma", "abc"), ("--f", "1/0")])
+    def test_malformed_sigma_and_f_are_named(self, capsys, flag, value):
+        args = {"--sigma": "1", "--f": "1/2", flag: value}
+        code, _, err = run_cli(
+            capsys, "verify", "IR_SRIV_JAIN", "--params", "q=1/2,a=1/3,b=2/5,z=1/5",
+            "--sigma", args["--sigma"], "--f", args["--f"],
+        )
+        assert code == EXIT_CONFIG
+        assert err == f"error: {flag} {value!r} is not a rational literal\n"
+
     def test_integral_needs_sigma_and_f(self, capsys):
         code, _, _ = run_cli(
             capsys, "verify", "IR_SRIV_JAIN", "--params", "q=1/2,a=1/3,b=2/5,z=1/5"

@@ -4,11 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from qident.errors import DomainError, SamplerExhausted, UnknownIdentity
+from qident.errors import ConstraintViolation, DomainError, SamplerExhausted, UnknownIdentity
 from qident.identities import (
     APPROX_ONLY_IDS,
     EXACT_IDS,
-    constraints,
     elementary_identity_check,
     list_ids,
     lookup,
@@ -23,10 +22,28 @@ E = ExactScalar
 # SHA-256 of the report file of `qident sweep <id> --trials 25 --seed 7
 # --n-range 0..8 --output <file>`: seeded sweeps are byte-identical across builds
 GOLDEN_SWEEP_SHA256 = {
-    "T_QBAILEY_1": "8d2d537d2ff62bf2cae62c2110532aa686561b9f18c3a0a8c6e99578af725da9",
+    "T_ANDREWS_WATSON": "946b5c19acb54d5aeada3c433b59bc021de541c6ded953043003ce9ba97b6e80",
+    "T_ANDREWS_WHIPPLE_C": "d1e03b55b3444ce73d25a76a2bbea096089592ca957d9a963c787487eee533e9",
+    "T_ANDREWS_WHIPPLE_E": "ce640d5d1f581cd25c02cde6475b150da1f0352ffe85fe4b6e0e16b173274424",
     "T_BAILEY41": "c54241c818f61965f8b61da5f52556c78f19eb1a6773945791607d2e1bd83bfd",
-    "X_SEARS": "ecc7728b1d988f766b25ce7c9a8acaab102ebe9d816c3bbb4c15476197968a11",
+    "T_BW_SUM": "3974e7a9b4c7705da0dde08587b6d1444f875b938f24441bb06c08727d48ca20",
+    "T_BW_TRANSFORM": "11ee6d56ee7080034f566a9be046949bf23e546e433a307db49daf4bcfc0fd61",
     "T_GASPER_RAHMAN_WATSON": "d399e748e035f5f45b8be2737e6c55780413f9b9190421c2f540a48fe390b907",
+    "T_GR_31010": "6cf8e7929782896e6afee450afdd2c9e1e1a2141366b0abf3ba2e91d7708419a",
+    "T_GR_3109": "8fc0e367d3748784486d8a5a9390e197378d3958b27ae6b805df24d06bee71eb",
+    "T_GR_EX214": "73af2ad7cbc81c04f4c07396ad9c43a719f80a8a7ec89e6ce284a82f9fc0b25e",
+    "T_NEW_N1": "925da9e884d0e66da8e2e31e9055e5500464ed84fa91b09bd45d48d6a06f4622",
+    "T_NEW_N2": "1cce1f1c255eb2cdf7300cbd5c7523af7810d5dfaf55d0279f52b690909f08db",
+    "T_NEW_N3": "76085e734bc96738fdf20e01ba1d750624ca8cbe8c87348dac7b513f4843a366",
+    "T_NEW_N4": "25020012a7de1a0201380c8d2b213a83a5a9fb740f6e8d6c08be2f6e709e4721",
+    "T_NEW_N5": "2ac546bba0b12fa60432f9f8d6a485ac08a501d1103ee94f870eaa39def491ac",
+    "T_NEW_N6": "7719ca9732f31f5d2bbb42acbb3dcfd10153a7700fe878b2edb0d04b36421138",
+    "T_NEW_N7": "168560d73e0928cdf9198f33a3c924754e7e56136268f1ef0bdafb7251839def",
+    "T_NEW_N8": "6a3b9177a487d1d3710301d3f4d4a73e57ad044dfbc337a02838cc27598ae7d7",
+    "T_QBAILEY_1": "8d2d537d2ff62bf2cae62c2110532aa686561b9f18c3a0a8c6e99578af725da9",
+    "T_QBAILEY_2": "ebe48caca45d1663d2c2095d3c106a170d33c37423a70446529fc8ec94d0da6a",
+    "T_QPFAFF_SAALSCHUTZ": "b3e02e5358fd2079fa277fc08b9e79388325f2c28602cf2aad23fe47f4072fe1",
+    "X_SEARS": "ecc7728b1d988f766b25ce7c9a8acaab102ebe9d816c3bbb4c15476197968a11",
 }
 
 
@@ -141,35 +158,45 @@ class TestVerify:
 
     def test_constraints_name_predicate(self):
         # a = 1 makes (1 - q^0 a) vanish inside the Bailey sum's RHS
-        name = constraints("T_BAILEY41", {"q": F(1, 2), "a": 1, "b": F(1, 5)}, 2)
-        assert name is not None
+        with pytest.raises(ConstraintViolation) as info:
+            verify("T_BAILEY41", {"q": F(1, 2), "a": 1, "b": F(1, 5)}, 2)
+        assert info.value.predicate == "closed-form denominator nonzero"
+
+    @pytest.mark.parametrize("params, problem", [
+        ({"q": F(1, 2), "a": F(1, 3), "x": F(1, 5)}, "missing b; unexpected x"),
+        ({"q": F(1, 2), "a": F(1, 3)}, "missing b"),
+        ({"q": F(1, 2), "a": F(1, 3), "b": F(1, 5), "c": F(1, 7)}, "unexpected c"),
+    ])
+    def test_parameter_names_are_checked(self, params, problem):
+        expected = f"T_BAILEY41 takes parameters \\(q, a, b\\): {problem}$"
+        with pytest.raises(DomainError, match=expected):
+            verify("T_BAILEY41", params, 2)
 
 
 class TestEquivalences:
     def test_grw_reduces_to_bailey41_exactly(self):
         # substitute (b, c) -> (-q^(1-n)/b, a) in the base-q^2 quadratic sum,
         # then read q^2 as the new base: term-for-term it is the Bailey-41 LHS
-        from qident.identities import _bailey41_lhs
-
+        bailey41_lhs = lookup("T_BAILEY41").lhs_spec
         a, b = E(F(1, 5)), E(F(2, 3))
         qr = E(F(1, 2))  # square root of the target base, Q = 1/4
         Q = qr * qr
         for n in range(0, 7):
             grw = eval_phi_terminating(_spec_subst_grw(qr, a, b, n))
-            bail41 = eval_phi_terminating(_bailey41_lhs({"q": Q.re, "a": a.re, "b": b.re}, n))
+            bail41 = eval_phi_terminating(bailey41_lhs({"q": Q.re, "a": a.re, "b": b.re}, n))
             assert grw == bail41
 
     def test_sears_connects_n1_to_n2(self):
         # the 3-parameter substitution turning the q-shifted-root sum into the
         # plain-root sum: lhs(N1) = prefactor * lhs(N2)
-        from qident.identities import _n1_lhs, _n2_lhs
         from qident.qkernel import qpoch_list
 
+        n1_lhs, n2_lhs = lookup("T_NEW_N1").lhs_spec, lookup("T_NEW_N2").lhs_spec
         q, sa, sc = E(F(1, 2)), E(F(1, 3)), E(F(2, 5))
         a = sa * sa
         for n in range(0, 7):
-            n1 = eval_phi_terminating(_n1_lhs({"q": q.re, "sa": sa.re, "sc": sc.re}, n))
-            n2 = eval_phi_terminating(_n2_lhs({"q": q.re, "sa": sa.re, "sc": sc.re}, n))
+            n1 = eval_phi_terminating(n1_lhs({"q": q.re, "sa": sa.re, "sc": sc.re}, n))
+            n2 = eval_phi_terminating(n2_lhs({"q": q.re, "sa": sa.re, "sc": sc.re}, n))
             pref = (
                 qpoch_list([q ** (1 - n) / sa, -(q ** (1 - n)) / sa], q, n)
                 / qpoch_list([q * sa, -q * sa], q, n)
@@ -197,28 +224,29 @@ class TestEquivalences:
             assert rep.passed
 
     def test_andrews_whipple_e_and_c_rhs_agree(self):
-        from qident.identities import _aw_c_rhs, _aw_e_rhs
         from qident.reporting import compare_approx
+
+        aw_c_rhs = lookup("T_ANDREWS_WHIPPLE_C").rhs_value
+        aw_e_rhs = lookup("T_ANDREWS_WHIPPLE_E").rhs_value
 
         ps = {"q": F(1, 2), "a": F(1, 3), "b": F(1, 5)}
         for n in range(0, 9):
-            rhs_c = _aw_c_rhs(ps, n)
-            rhs_e = _aw_e_rhs({"q": ps["q"], "c": ps["a"], "e": ps["b"]}, n)
+            rhs_c = aw_c_rhs(ps, n)
+            rhs_e = aw_e_rhs({"q": ps["q"], "c": ps["a"], "e": ps["b"]}, n)
             passed, _, _ = compare_approx(rhs_c.to_approx(256), rhs_e, 1e-38)
             assert passed, n
 
     def test_n6_specializes_n7(self):
         # a -> -q^(1-2n) in the 3-balanced sum, i.e. sa = i p^(1-2n), q = p^2
-        from qident.identities import _n6_lhs, _n6_rhs
-
+        n6_lhs, n6_rhs = lookup("T_NEW_N6").lhs_spec, lookup("T_NEW_N6").rhs_value
         p, sc = E(F(2, 3)), E(F(2, 5))
         q = p * p
         for n in range(0, 7):
             sa = I * p ** (1 - 2 * n)
             lhs7 = eval_phi_terminating(_spec_n7_gaussian(q, sa, sc, n))
-            lhs6 = eval_phi_terminating(_n6_lhs({"p": p.re, "sc": sc.re}, n))
+            lhs6 = eval_phi_terminating(n6_lhs({"p": p.re, "sc": sc.re}, n))
             assert lhs7 == lhs6
-            assert lhs6 == _n6_rhs({"p": p.re, "sc": sc.re}, n)
+            assert lhs6 == n6_rhs({"p": p.re, "sc": sc.re}, n)
 
 
 class TestSweep:

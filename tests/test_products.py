@@ -287,6 +287,18 @@ class TestCayleyOrr:
         rep = nassrallah2_cayley_consistency(F(7, 10), F(1, 2), F(2, 5), n_max=10)
         assert rep.passed
 
+    def test_complex_parameters_reported_in_full(self):
+        a = E(F(1, 3), F(1, 5))
+        cases = [
+            (cayley_orr_check("A", a, F(1, 5), F(2, 7), F(1, 2), 4), "a"),
+            (cayley_orr_a_closed_form_check(a, F(1, 5), F(1, 2), 4), "a"),
+            (awgf_coefficient_check(a, F(1, 5), F(2, 7), F(1, 3), F(1, 2), F(1, 2), 3), "a"),
+            (awgf_hermite_degeneration_check(a, F(1, 2), 3), "w"),
+            (thm21_cayley_consistency(F(7, 10), a, F(2, 5), 4), "a"),
+        ]
+        for rep, name in cases:
+            assert rep.passed and rep.params[name] == "1/3+1/5*i", rep.identity_id
+
     def test_consistency_random_points(self):
         rng = random.Random(99)
         for _ in range(3):
