@@ -13,15 +13,15 @@ node function evaluates all of them.  The series side of IR_X is the left
 side of product transformation X (IR_SCHLOSSER: SCHLOSSER_T4) in the table of
 :mod:`qident.products`.
 
-The node kernel runs in fixed point: complex values are pairs of Python ints
-scaled by 2^wp, wp being 20 guard bits above the quadrature's working
-precision, and products are rounded back with ``>> wp`` shifts.  Every node
+The node kernel runs on the fixed-point primitives of :mod:`qident.qkernel`
+(``_fx``, ``_mul``, ``_div``, ``_one_minus``, and ``_qprod`` for its ten
+products, the loop :func:`qident.qkernel.qpoch_infinite` runs).  Every node
 argument is a constant times w or times 1/w = conj(w), so the constants, the
 base, the 3phi2 kernel's parameters and the tolerance are converted once per
 integrand; a node converts w in and its value out (as an mpc).  Each product's
-factor count comes from the rule :func:`qident.qkernel.qpoch_infinite` uses,
-at the node tolerance eps * 1e-4, and the kernel stops after four successive
-terms below that tolerance.
+factor count comes from the rule qpoch_infinite uses, at the node tolerance
+eps * 1e-4, and the kernel stops after four successive terms below that
+tolerance.
 
 The hypothesis that every denominator q-Pochhammer argument keeps modulus
 below one (which also places all kernel poles correctly relative to the
@@ -42,7 +42,6 @@ from typing import Callable
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_fixed
 
 from .errors import (
     DomainError,
@@ -51,9 +50,22 @@ from .errors import (
     PoleOnContour,
     UnknownIdentity,
     ZeroArgument,
+    check_names,
 )
-from .products import product_sides, side_value
-from .qkernel import ApproxScalar, ExactScalar, QBase, _factor_count, qpoch_infinite
+from .products import _VALUE_PARAMS, product_sides, side_value
+from .qkernel import (
+    _GUARD_BITS,
+    ApproxScalar,
+    ExactScalar,
+    QBase,
+    _div,
+    _factor_count,
+    _fx,
+    _mul,
+    _one_minus,
+    _qprod,
+    qpoch_infinite,
+)
 from .reporting import VerificationReport, compare_approx, value_str
 
 E = ExactScalar.coerce
@@ -68,8 +80,6 @@ INTEGRAL_IDS = (
 
 DEFAULT_EPS = 1e-25
 DEFAULT_PRECISION_BITS = 256
-# fixed-point bits the node kernel keeps beyond the quadrature's precision_bits + 10
-_GUARD_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -159,6 +169,7 @@ def _series_side(identity_id: str, params: dict, eps: float, pb: int) -> ApproxS
     """The product of two 2phi1 series that the integral must reproduce: the
     left side of the matching product transformation."""
     product_id = "SCHLOSSER_T4" if identity_id == "IR_SCHLOSSER" else identity_id[3:]
+    check_names(identity_id, _VALUE_PARAMS[product_id], params)
     lhs, _ = product_sides(product_id, params)
     value, _ = side_value(lhs, E(params["z"]), eps / 4, pb)
     return value
@@ -184,27 +195,14 @@ def _node_integrand(num, den, kernel, base, sgv, eps: float, pb: int) -> Callabl
 
     num and den hold node arguments (c, form); kernel ([u1, u2, u3], [l1, l2], zc)
     stands for 3phi2(u1, u2, u3 sigma/w; l1, l2 w/sigma; base, zc w/sigma).  K is
-    each product's factor count at tail eps * 1e-4.  Fixed-point values are (re, im)
-    ints scaled by 2^wp (see the module docstring).
+    each product's factor count at tail eps * 1e-4.  Values are fixed-point
+    pairs at wp = pb + _GUARD_BITS bits (see :mod:`qident.qkernel`).
     """
-    wp = pb + 10 + _GUARD_BITS
+    wp = pb + _GUARD_BITS
     one = 1 << wp
     tol = eps * 1e-4
     tol2 = int(Fraction(tol) ** 2 * 4**wp)
     abs_q = float(abs(base))
-
-    def fixed(x):
-        return to_fixed(x.real._mpf_, wp), to_fixed(x.imag._mpf_, wp)
-
-    def mul(a, b):
-        return (a[0] * b[0] - a[1] * b[1]) >> wp, (a[0] * b[1] + a[1] * b[0]) >> wp
-
-    def div(a, b):
-        bb = b[0] * b[0] + b[1] * b[1]
-        return ((a[0] * b[0] + a[1] * b[1]) << wp) // bb, ((a[1] * b[0] - a[0] * b[1]) << wp) // bb
-
-    def one_minus(x):
-        return one - x[0], -x[1]
 
     def node_args(args):
         # (C, conj, K): the argument is C w, or C conj(w) when conj
@@ -212,29 +210,20 @@ def _node_integrand(num, den, kernel, base, sgv, eps: float, pb: int) -> Callabl
         for c, form in args:
             C = c / sgv if form == _WS else c * sgv if form == _SO else sgv / c
             K, _ = _factor_count(float(abs(C)) + 1e-300, abs_q, tol)
-            out.append((fixed(C), form != _WS, K))
+            out.append((_fx(C, wp), form != _WS, K))
         return out
 
     (u1, u2, u3), (l1, l2), zc = kernel
     with mp.workprec(wp):
         nums, dens = node_args(num), node_args(den)
-        q = qr, qi = fixed(base)
-        powers = [fixed(x) for x in (u1, u2, u3 * sgv, l1, l2 / sgv, base)]
-        zw = fixed(zc / sgv)
+        q = _fx(base, wp)
+        powers = [_fx(x, wp) for x in (u1, u2, u3 * sgv, l1, l2 / sgv, base)]
+        zw = _fx(zc / sgv, wp)
     # Kernel term k is term k-1 times n_k / d_k where, as w conj(w) = 1,
     #   n_k = (1 - u1 q^k) (1 - u2 q^k) (zc/sigma) (w - u3 sigma q^k),
     #   d_k = (1 - q^(k+1)) (1 - l1 q^k) (1 - (l2/sigma) q^k w).
     # steps[k] keeps what does not depend on w; powers holds the six q^k multiples.
     steps = []
-
-    def product(args, w, wc):
-        pr, pi = one, 0
-        for C, conj, K in args:
-            xr, xi = mul(C, wc if conj else w)
-            for _ in range(K):
-                pr, pi = pr - ((pr * xr - pi * xi) >> wp), pi - ((pr * xi + pi * xr) >> wp)
-                xr, xi = (xr * qr - xi * qi) >> wp, (xr * qi + xi * qr) >> wp
-        return pr, pi
 
     def phi32(w):
         term = total = (one, 0)
@@ -242,12 +231,12 @@ def _node_integrand(num, den, kernel, base, sgv, eps: float, pb: int) -> Callabl
         for k in range(4000):
             if k == len(steps):
                 a1, a2, a3, b1, b2, qk1 = powers
-                n = mul(mul(one_minus(a1), one_minus(a2)), zw)
-                steps.append((n, a3, mul(one_minus(qk1), one_minus(b1)), b2))
-                powers[:] = [mul(x, q) for x in powers]
+                n = _mul(_mul(_one_minus(a1, wp), _one_minus(a2, wp), wp), zw, wp)
+                steps.append((n, a3, _mul(_one_minus(qk1, wp), _one_minus(b1, wp), wp), b2))
+                powers[:] = [_mul(x, q, wp) for x in powers]
             n, a3, d, b2 = steps[k]
-            n = mul(n, (w[0] - a3[0], w[1] - a3[1]))
-            term = div(mul(term, n), mul(d, one_minus(mul(b2, w))))
+            n = _mul(n, (w[0] - a3[0], w[1] - a3[1]), wp)
+            term = _div(_mul(term, n, wp), _mul(d, _one_minus(_mul(b2, w, wp), wp), wp), wp)
             total = total[0] + term[0], total[1] + term[1]
             small = small + 1 if term[0] * term[0] + term[1] * term[1] < tol2 else 0
             if small >= 4:
@@ -255,9 +244,13 @@ def _node_integrand(num, den, kernel, base, sgv, eps: float, pb: int) -> Callabl
         raise NoConvergence("3phi2 kernel did not settle within 4000 terms")
 
     def integrand(psi):
-        w = fixed(mpmath.expjpi(psi / mpmath.pi))
+        w = _fx(mpmath.expjpi(psi / mpmath.pi), wp)
         wc = w[0], -w[1]
-        re, im = div(mul(product(nums, w, wc), phi32(w)), product(dens, w, wc))
+        value = phi32(w)
+        for args, op in ((nums, _mul), (dens, _div)):
+            for C, conj, K in args:
+                value = op(value, _qprod(_mul(C, wc if conj else w, wp), q, K, wp), wp)
+        re, im = value
         return mpmath.mpc(mpmath.ldexp(re, -wp), mpmath.ldexp(im, -wp))
 
     return integrand

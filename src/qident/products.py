@@ -19,25 +19,29 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import NamedTuple
-import mpmath
 from mpmath import mp
 
 from .askey_wilson import AWParams, aw_hermite_degenerate, eval_aw
 from .errors import DivergenceError, DomainError, UnknownIdentity, check_names
 from .powerseries import PowerSeriesTrunc, phi_series_coeffs
 from .qkernel import (
+    _GUARD_BITS,
     ApproxScalar,
     EXACT_ONE,
     ExactScalar,
     QBase,
+    _approx,
+    _fx,
+    _mul,
     qpoch_finite,
     qpoch_infinite,
     qpoch_list,
 )
 from .reporting import VerificationReport, compare_approx, value_str
 from .series import (
-    PochTable,
     SeriesSpec,
+    _phi_terms,
+    _Table,
     certified_sum,
     eval_phi_nonterminating,
     eval_qappell_phi1,
@@ -149,6 +153,21 @@ def awgf_hermite_degeneration_check(w, q, n_max: int) -> VerificationReport:
 # triple and quadruple sums (table-based, certified per index)
 # --------------------------------------------------------------------------
 
+def _cauchy_terms(X, Y, wp: int):
+    """n -> sum_{j<=n} X[j] Y[n-j]: the terms of the product of two series, from
+    tables of their fixed-point terms."""
+
+    def term(n: int) -> tuple:
+        re = im = 0
+        for j in range(n + 1):
+            (xr, xi), (yr, yi) = X[j], Y[n - j]
+            re += xr * yr - xi * yi
+            im += xr * yi + xi * yr
+        return _mul((re, im), (1, 0), wp)  # one rounding for the whole sum
+
+    return term
+
+
 def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, precision_bits):
     """sum over n,k,l of the shifted-parameter Askey-Wilson triple sum with
     weight t^n u^(k+l): the generating-function extension, and at u = t the
@@ -163,72 +182,49 @@ def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, precision_bits):
         KA(j) = sum_k (u/a)^k (a/w;q)_k (aw;q)_(k+j) / ((q;q)_k (ab;q)_(k+j))
         KC(m) = sum_l (u/c)^l (cw;q)_l (c/w;q)_(l+m) / ((q;q)_l (cd;q)_(l+m)).
     This is a finite/absolutely-convergent reordering of the displayed sum,
-    not a different identity.  The parameters are exact; the sums run in raw
-    mpmath arithmetic.
+    not a different identity.  The parameters are exact; the sums run in fixed
+    point on tables of the factors, and the value is returned at
+    precision_bits + 20 bits.
     """
-    with mp.workprec(precision_bits + 20):
-        u, t, w, a, b, c, d, q = (
-            x.to_approx(precision_bits + 20).value for x in (u, t, w, a, b, c, d, q)
-        )
-        pq = PochTable(q, q)
-        pab = PochTable(a * b, q)
-        pcd = PochTable(c * d, q)
-        paw = PochTable(a * w, q)
-        painv = PochTable(a / w, q)
-        pbw = PochTable(b * w, q)
-        pcw = PochTable(c * w, q)
-        pcinv = PochTable(c / w, q)
-        pdinv = PochTable(d / w, q)
-
+    pb = precision_bits
+    with mp.workprec(pb + 20):
+        u, t, w, a, b, c, d, q = (x.to_approx(pb + 20).value for x in (u, t, w, a, b, c, d, q))
         cap_k = (1.0 + float(abs(u / a))) / 2.0
         cap_l = (1.0 + float(abs(u / c))) / 2.0
         wmax = max(float(abs(w)), float(abs(1 / w)))
         cap_n = (1.0 + float(abs(t)) * wmax) / 2.0
         if not (cap_k < 1 and cap_l < 1 and cap_n < 1):
             raise DivergenceError("outside the stated convergence region")
-        inner_eps = eps / 1e6
+        wp = pb + _GUARD_BITS
+        args = (q, u / a, u / c, a / w, c * w, a * w, a * b, c / w, c * d, b * w, d / w,
+                t / w, t * w)
+        q, ua, uc, a_w, cw, aw, ab, c_w, cd, bw, d_w, t_w, tw = (_fx(x, wp) for x in args)
+    one = (1 << wp, 0)
+    inner_eps = eps / 1e6
+    tails = 0.0
 
-        tails = 0.0
+    def shifted_sum(first, ratio, num, den, cap, weight):
+        """The table of weight[m] sum_k ratio^k (first;q)_k (num;q)_(k+m) / ((q;q)_k (den;q)_(k+m)),
+        each m certified once."""
+        head = _Table(_phi_terms([first], [], q, ratio, wp))
+        quotient = _Table(_phi_terms([num, q], [den], q, one, wp))  # (num;q)_i / (den;q)_i
 
-        def shifted_sum(x, cap, p_first, p_num, p_den):
-            """m -> sum_k (u/x)^k (first;q)_k (num;q)_(k+m) / ((q;q)_k (den;q)_(k+m)),
-            each m certified once."""
-            cache: dict[int, mpmath.mpc] = {}
+        def value(m):
+            nonlocal tails
+            val, cert = certified_sum(
+                lambda k: _mul(head[k], quotient[k + m], wp), inner_eps, cap, pb, absolute=True
+            )
+            tails += cert.tail_bound
+            return _mul(weight[m], val, wp)
 
-            def value(m):
-                nonlocal tails
-                if m not in cache:
-                    ratio = u / x
+        return _Table(value)
 
-                    def term(k):
-                        return ratio**k * p_first[k] * p_num[k + m] / (pq[k] * p_den[k + m])
-
-                    val, cert = certified_sum(term, inner_eps, cap, precision_bits, absolute=True)
-                    tails += cert.tail_bound
-                    cache[m] = val
-                return cache[m]
-
-            return value
-
-        KA = shifted_sum(a, cap_k, painv, paw, pab)
-        KC = shifted_sum(c, cap_l, pcw, pcinv, pcd)
-
-        def term_n(n):
-            acc = mpmath.mpc(0)
-            for j in range(n + 1):
-                acc += (
-                    w ** (n - 2 * j)
-                    * pbw[j]
-                    / pq[j]
-                    * KA(j)
-                    * pdinv[n - j]
-                    / pq[n - j]
-                    * KC(n - j)
-                )
-            return t**n * acc
-
-        total, cert = certified_sum(term_n, eps / 2, cap_n, precision_bits)
-        return mpmath.mpc(total), tails + cert.tail_bound, cert.terms_used
+    # t^n w^(n-2j) splits as (t/w)^j (bw;q)_j/(q;q)_j KA(j) times
+    # (tw)^(n-j) (d/w;q)_(n-j)/(q;q)_(n-j) KC(n-j)
+    X = shifted_sum(a_w, ua, aw, ab, cap_k, _Table(_phi_terms([bw], [], q, t_w, wp)))
+    Y = shifted_sum(cw, uc, c_w, cd, cap_l, _Table(_phi_terms([d_w], [], q, tw, wp)))
+    total, cert = certified_sum(_cauchy_terms(X, Y, wp), eps / 2, cap_n, pb)
+    return _approx(total, wp, pb + 20), tails + cert.tail_bound, cert.terms_used
 
 
 def triple_sum_32pf(
@@ -252,17 +248,11 @@ def triple_sum_32pf(
     pb = precision_bits
     with mp.workprec(pb + 20):
         triple, tail, terms = _triple_sum_engine(ue, te, we, ae, be, ce, de, qe, eps / 8, pb)
-        pref_num1, _ = qpoch_infinite(ue / ae, qb, eps / 32, pb)
-        pref_num2, _ = qpoch_infinite(ue / ce, qb, eps / 32, pb)
-        pref_den1, _ = qpoch_infinite(ue * we, qb, eps / 32, pb)
-        pref_den2, _ = qpoch_infinite(ue / we, qb, eps / 32, pb)
-        rhs_v = (
-            pref_num1.value
-            * pref_num2.value
-            / (pref_den1.value * pref_den2.value)
-            * triple
+        n1, n2, d1, d2 = (
+            qpoch_infinite(x, qb, eps / 32, pb)[0].value
+            for x in (ue / ae, ue / ce, ue * we, ue / we)
         )
-        rhs = ApproxScalar(rhs_v, pb)
+        rhs = ApproxScalar(n1 * n2 / (d1 * d2) * triple.value, pb)
     return _report(
         "TRIPLE_32PF",
         params,
@@ -288,7 +278,7 @@ def quad_cor13(
     pb = precision_bits
     with mp.workprec(pb + 20):
         quad, tail, terms = _triple_sum_engine(te, te, we, ae, be, ce, de, qe, eps / 8, pb)
-        lhs = ApproxScalar(quad, pb)
+        lhs = ApproxScalar(quad.value, pb)
         n1, _ = qpoch_infinite(te * we, qb, eps / 32, pb)
         n2, _ = qpoch_infinite(te / we, qb, eps / 32, pb)
         d1, _ = qpoch_infinite(te / ae, qb, eps / 32, pb)
@@ -487,8 +477,13 @@ _SIDES = {
     "CAYLEY_ORR_B": ("qabc", "z", _cayley_orr_b),
 }
 
+# id -> parameter names of its value check, in order
+_VALUE_PARAMS = {
+    "AWGF": "qabcdwt", "TRIPLE_32PF": "uwtabcdq", "QUAD_COR13": "twabcdq", "WD_APPELL": "qutabd",
+    **{k: names + zname for k, (names, zname, _) in _SIDES.items()},
+}
 COEFF_CHECK_IDS = tuple(k for k in _SIDES if not k.startswith("CAYLEY_ORR"))
-PRODUCT_IDS = ("AWGF", "TRIPLE_32PF", "QUAD_COR13", "WD_APPELL") + tuple(_SIDES)
+PRODUCT_IDS = tuple(_VALUE_PARAMS)
 
 
 def product_sides(identity_id: str, params: dict) -> tuple:
@@ -548,38 +543,20 @@ def _awgf_value(params, eps, pb):
         t, eps / 8, pb,
     )
     with mp.workprec(pb + 20):
-        av, bv, cv, dv, wv, qv, tv = (
-            x.to_approx(pb + 20).value for x in (a, b, c, d, w, q, t)
-        )
-        pq = PochTable(qv, qv)
-        pab = PochTable(av * bv, qv)
-        pcd = PochTable(cv * dv, qv)
-        paw = PochTable(av * wv, qv)
-        pbw = PochTable(bv * wv, qv)
-        pcinv = PochTable(cv / wv, qv)
-        pdinv = PochTable(dv / wv, qv)
-
-        def term_n(n):
-            acc = mpmath.mpc(0)
-            for j in range(n + 1):
-                acc += (
-                    paw[j]
-                    * pbw[j]
-                    / (pq[j] * pab[j])
-                    * pcinv[n - j]
-                    * pdinv[n - j]
-                    / (pq[n - j] * pcd[n - j])
-                    * wv ** (n - 2 * j)
-                )
-            return tv**n * acc  # acc = p_n / ((q,ab,cd;q)_n)
-
+        av, bv, cv, dv, wv, qv, tv = (x.to_approx(pb + 20).value for x in (a, b, c, d, w, q, t))
         wmax = max(float(abs(wv)), float(abs(1 / wv)))
         cap_n = (1.0 + float(abs(tv)) * wmax) / 2.0
         if cap_n >= 1:
             raise DivergenceError("need |t| < min(|w|, 1/|w|)")
-        total, cert = certified_sum(term_n, eps / 8, cap_n, pb)
-        lhs = ApproxScalar(mpmath.mpc(total), pb)
-    return lhs, rhs, terms + cert.terms_used
+        wp = pb + _GUARD_BITS
+        args = (qv, tv / wv, tv * wv, av * wv, bv * wv, av * bv, cv / wv, dv / wv, cv * dv)
+        q, t_w, tw, aw, bw, ab, c_w, d_w, cd = (_fx(x, wp) for x in args)
+    # t^n p_n / (q, ab, cd; q)_n = sum_j X[j] Y[n-j], where X and Y are the terms
+    # of 2phi1(aw, bw; ab; q, t/w) and 2phi1(c/w, d/w; cd; q, tw)
+    X = _Table(_phi_terms([aw, bw], [ab], q, t_w, wp))
+    Y = _Table(_phi_terms([c_w, d_w], [cd], q, tw, wp))
+    total, cert = certified_sum(_cauchy_terms(X, Y, wp), eps / 8, cap_n, pb)
+    return _approx(total, wp, pb), rhs, terms + cert.terms_used
 
 
 def verify_product(
@@ -591,6 +568,9 @@ def verify_product(
     """Value check of one product identity at one exact parameter point."""
     if identity_id not in PRODUCT_IDS:
         raise UnknownIdentity(f"no product identity registered under {identity_id!r}")
+    # QUAD_COR13 is TRIPLE_32PF at u = t: it accepts that check's point, u unused
+    named = {k: v for k, v in params.items() if not (identity_id == "QUAD_COR13" and k == "u")}
+    check_names(identity_id, _VALUE_PARAMS[identity_id], named)
     if identity_id == "TRIPLE_32PF":
         return triple_sum_32pf(*(params[k] for k in "uwtabcdq"), eps, precision_bits)
     if identity_id == "QUAD_COR13":
@@ -712,7 +692,13 @@ def classical_limit_check(which: str, params: dict, eps: float = 1e-10) -> Verif
     if which not in CLASSICAL_IDS:
         raise UnknownIdentity(f"no classical limit registered under {which!r}")
     check_names(which, ("a", "b", "z"), params)
-    a, b, z = Fraction(params["a"]), Fraction(params["b"]), Fraction(params["z"])
+    for k in ("a", "b", "z"):
+        if isinstance(params[k], ExactScalar) and not params[k].is_real():
+            raise DomainError(
+                f"{which}: parameter {k} = {params[k]} is complex; "
+                "the classical limits take real parameters only"
+            )
+    a, b, z = (E(params[k]).re for k in ("a", "b", "z"))
     if which in ("CLAUSEN", "COR_3F2") and 2 * a + 2 * b <= 0 and (2 * a + 2 * b).denominator == 1:
         raise DomainError("2a + 2b must avoid nonpositive integers")
     lhs, rhs = (_rfs_product(side, z, eps * 1e-3) for side in _classical_sides(a, b)[which])
@@ -802,23 +788,16 @@ def cayley_orr_value_check(
     with mp.workprec(pb + 20):
         av, bv, cv, qv, zv = (x.to_approx(pb + 20).value for x in (a, b, c, q, z))
         alpha, up, low, zfac, wn, wd = _cayley_orr_lemma(which, av, bv, cv, qv)
-        Qv = qv * qv
-        # a_n = sum_i (alpha; q^2)_i/(q^2; q^2)_i * [z^(n-i)] 2phi1(up; low; q, zfac z)
-        binom = [mpmath.mpc(1)]
-        phi = [mpmath.mpc(1)]
-        for n in range(depth):
-            binom.append(binom[-1] * (1 - alpha * Qv**n) / (1 - Qv ** (n + 1)))
-            num = (1 - up[0] * qv**n) * (1 - up[1] * qv**n)
-            den = (1 - qv ** (n + 1)) * (1 - low[0] * qv**n)
-            phi.append(phi[-1] * num / den * zfac)
-        an = [mpmath.fsum(binom[i] * phi[n - i] for i in range(n + 1)) for n in range(depth + 1)]
-        wnum, wden = PochTable(wn, Qv), PochTable(wd, Qv)
-        acc = mpmath.mpc(0)
-        zn = mpmath.mpc(1)
-        for n in range(depth + 1):
-            acc += wnum[n] / wden[n] * an[n] * zn
-            zn *= zv
-        rhs = ApproxScalar(acc, pb)
+        wp = pb + _GUARD_BITS
+        args = (alpha, zv, zfac * zv, wn, wd, qv, qv * qv, *up, *low)
+        alpha, z, zfac_z, wn, wd, q, Q, *ul = (_fx(x, wp) for x in args)
+    # a_n z^n = sum_i (alpha; q^2)_i/(q^2; q^2)_i z^i * [z^(n-i)] 2phi1(up; low; q, zfac z)
+    binom = _Table(_phi_terms([alpha], [], Q, z, wp))
+    phi = _Table(_phi_terms(ul[:2], ul[2:], q, zfac_z, wp))
+    anzn = _cauchy_terms(binom, phi, wp)
+    weight = _Table(_phi_terms([wn, Q], [wd], Q, (1 << wp, 0), wp))  # (wn; q^2)_n / (wd; q^2)_n
+    parts = [_mul(weight[n], anzn(n), wp) for n in range(depth + 1)]
+    rhs = _approx((sum(x[0] for x in parts), sum(x[1] for x in parts)), wp, pb)
     return _report(identity_id, params, lhs, rhs, eps, terms=terms, note="lemma value check")
 
 

@@ -12,6 +12,14 @@ Two arithmetic modes coexist and never mix silently:
 On top of these sit the finite q-Pochhammer product, the list/product
 convention, and the certified-truncation infinite product ``(a;q)_inf``.
 All values are immutable and every operation is a pure function.
+
+The certified products and series (here, in :mod:`qident.series` and
+:mod:`qident.products`) and the contour node kernel of :mod:`qident.integrals`
+share one private fixed-point arithmetic.  A complex value is a pair (re, im)
+of Python ints scaled by 2^wp, wp = precision_bits + _GUARD_BITS: ``_fx``
+converts an mpmath value in, ``_mul``, ``_div`` and ``_one_minus`` operate on
+pairs, ``_qprod`` multiplies the K factors of a q-Pochhammer product, and
+``_approx`` converts a result out, once, to an :class:`ApproxScalar`.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from typing import Iterable, Sequence, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import fzero, to_fixed
 
 from .errors import DomainError, ModeMismatch
 
@@ -513,6 +522,66 @@ def _factor_count(abs_a: float, abs_q: float, tail: float) -> tuple[int, float]:
         K += 1
 
 
+# fixed point (see the module docstring).  _mul and _div round each part toward
+# zero, by less than one unit of 2^-wp, so a product never exceeds its exact
+# modulus: a decaying sequence of series terms reaches exact zero, where floor
+# rounding would leave it at -1 unit and break the ratio window.
+_GUARD_BITS = 30
+
+
+def _fx(x, wp: int) -> tuple:
+    """An mpf or mpc as a fixed-point pair."""
+    re, im = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
+    return to_fixed(re, wp), to_fixed(im, wp)
+
+
+def _mul(a, b, wp: int) -> tuple:
+    re = a[0] * b[0] - a[1] * b[1]
+    im = a[0] * b[1] + a[1] * b[0]
+    return (re >> wp if re >= 0 else -(-re >> wp)), (im >> wp if im >= 0 else -(-im >> wp))
+
+
+def _div(a, b, wp: int) -> tuple:
+    br, bi = b
+    if bi:  # a conj(b) / |b|^2
+        a, br = (a[0] * br + a[1] * bi, a[1] * br - a[0] * bi), br * br + bi * bi
+    elif br < 0:
+        a, br = (-a[0], -a[1]), -br
+    re, im = a
+    return (
+        (re << wp) // br if re >= 0 else -((-re << wp) // br),
+        (im << wp) // br if im >= 0 else -((-im << wp) // br),
+    )
+
+
+def _one_minus(x, wp: int) -> tuple:
+    return (1 << wp) - x[0], -x[1]
+
+
+def _fabs(x, wp: int) -> float:
+    """|x| as a float (a real x is rounded once)."""
+    s = max(0, max(abs(x[0]), abs(x[1])).bit_length() - 1000)  # float range
+    return math.ldexp(math.hypot(x[0] >> s, x[1] >> s), s - wp)
+
+
+def _approx(x, wp: int, precision_bits: int) -> "ApproxScalar":
+    """A fixed-point pair as an ApproxScalar, rounded once to precision_bits."""
+    with mp.workprec(precision_bits):
+        value = mpmath.mpc(mpmath.ldexp(x[0], -wp), mpmath.ldexp(x[1], -wp))
+    return ApproxScalar(value, precision_bits)
+
+
+def _qprod(x, q, K: int, wp: int) -> tuple:
+    """prod_{k<K} (1 - x q^k), x and q fixed-point."""
+    xr, xi = x
+    qr, qi = q
+    pr, pi = 1 << wp, 0
+    for _ in range(K):
+        pr, pi = pr - ((pr * xr - pi * xi) >> wp), pi - ((pr * xi + pi * xr) >> wp)
+        xr, xi = (xr * qr - xi * qi) >> wp, (xr * qi + xi * qr) >> wp
+    return pr, pi
+
+
 def qpoch_infinite(
     a,
     q,
@@ -525,7 +594,8 @@ def qpoch_infinite(
     |log prod_{k>=K} (1 - a q^k)| <= sum_{k>=K} |a||q|^k / (1 - |a||q|^K),
     applied once |a||q|^K < 1/2.  Exact inputs get an exact vanishing-factor
     prescan: when some 1 - a q^k = 0 the product is exact zero, returned with
-    a trivial certificate.
+    a trivial certificate.  The K factors are multiplied in fixed point
+    (:func:`_qprod`).
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -544,25 +614,10 @@ def qpoch_infinite(
 
     av = ApproxScalar.coerce(a, precision_bits)
     qa = ApproxScalar.coerce(qv, precision_bits)
-    if av.is_zero():
-        return ApproxScalar.coerce(1, precision_bits), TruncationCert(0, 0.0, eps)
 
     K, tail_log = _factor_count(float(abs(av)), qb.modulus_bound, eps / 4)
-    guard = 24 + max(0, K).bit_length()
-    with mp.workprec(precision_bits + guard):
-        prod = mpmath.mpc(1)
-        aqk = av.value
-        qq = qa.value
-        for k in range(K):
-            factor = 1 - aqk
-            if factor == 0:
-                return (
-                    ApproxScalar.coerce(0, precision_bits),
-                    TruncationCert(k + 1, 0.0, eps),
-                )
-            prod *= factor
-            aqk *= qq
-        value = ApproxScalar(mpmath.mpc(prod), precision_bits)
+    wp = precision_bits + _GUARD_BITS
+    value = _approx(_qprod(_fx(av.value, wp), _fx(qa.value, wp), K, wp), wp, precision_bits)
     tail_bound = float(abs(value)) * (math.expm1(tail_log) if tail_log < 1 else 2 * tail_log)
     target = eps * max(1.0, float(abs(value)))
     return value, TruncationCert(K, tail_bound, target)

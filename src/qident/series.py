@@ -1,11 +1,14 @@
 """Evaluation of basic hypergeometric series.
 
 Terminating series are summed exactly over Gaussian rationals.  Nonterminating
-series are summed in approximate mode with an empirical geometric tail
-certificate: once the term-ratio stays below a cap for 8 consecutive terms,
-the remaining tail is bounded by the geometric series at that cap.  The cap is
-(1+|z|)/2 for r = s+1 and 1/2 for r <= s (where the q^binom(k,2) factor makes
-the ratio eventually collapse to zero).
+series are summed in the fixed-point arithmetic of :mod:`qident.qkernel`: one
+term recurrence (``_phi_terms``) gives the terms of every r-phi-s series, and
+the q-Appell and multi-sum evaluators read on-demand tables of such terms
+(``_Table``).  ``certified_sum`` keeps the same empirical geometric tail
+certificate, which is still not a proof: once the term-ratio stays below a cap
+for 8 consecutive terms, the remaining tail is bounded by the geometric series
+at that cap.  The cap is (1+|z|)/2 for r = s+1 and 1/2 for r <= s (where the
+q^binom(k,2) factor makes the ratio eventually collapse to zero).
 
 Also here: the classical rFs series, the q-Appell Phi1 double series, the two
 q-binomial theorems, and the 2phi2 -> 2phi1 transformation check used as a
@@ -16,20 +19,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
-
-import mpmath
-from mpmath import mp
 
 from .errors import DivergenceError, DomainError, ModeMismatch, NoConvergence, PoleError
 from .qkernel import (
+    _GUARD_BITS,
     ApproxScalar,
     EXACT_ONE,
     ExactScalar,
     QBase,
     Scalar,
     TruncationCert,
+    _approx,
+    _div,
+    _fabs,
+    _fx,
+    _mul,
+    _one_minus,
     min_precision,
     qpoch_infinite,
     scalar_mode,
@@ -185,19 +191,58 @@ def _ratio_cap(spec_r: int, spec_s: int, abs_z: float) -> float:
     return 0.5
 
 
-class PochTable:
-    """(x;q)_m values grown on demand, in raw mpmath arithmetic."""
+class _Table:
+    """f(0), f(1), ... grown on demand: each value is computed once, in order."""
 
-    def __init__(self, x, q):
-        self.x = x
-        self.q = q
-        self.vals = [mpmath.mpc(1)]
+    def __init__(self, f: Callable[[int], tuple]):
+        self.f, self.vals = f, []
 
-    def __getitem__(self, m: int):
-        while len(self.vals) <= m:
-            k = len(self.vals) - 1
-            self.vals.append(self.vals[-1] * (1 - self.x * self.q**k))
-        return self.vals[m]
+    def __getitem__(self, i: int):
+        vals = self.vals
+        while len(vals) <= i:
+            vals.append(self.f(len(vals)))
+        return vals[i]
+
+
+def _phi_terms(upper, lower, q, z, wp: int) -> Callable[[int], tuple]:
+    """k -> term k of the r-phi-s series sum_k (upper;q)_k / (q, lower;q)_k
+    ((-1)^k q^binom(k,2))^(1+s-r) z^k, called for k = 0, 1, 2, ... in turn.
+
+    Parameters and terms are fixed-point pairs at wp bits.  Term k is term k-1
+    times prod (1 - a q^(k-1)) z (-q^(k-1))^(1+s-r) / ((1 - q^k) prod (1 - b q^(k-1))),
+    and a lower factor that is exactly zero raises PoleError naming index k.
+    """
+    e = 1 + len(lower) - len(upper)
+    ups, los = upper, lower  # a q^(k-1), b q^(k-1)
+    qk = t = (1 << wp, 0)
+
+    def term(k: int) -> tuple:
+        nonlocal ups, los, qk, t
+        if k == 0:
+            return t
+        qk1 = _mul(qk, q, wp)
+        den = _one_minus(qk1, wp)
+        for j, b in enumerate(los):
+            f = _one_minus(b, wp)
+            if not (f[0] or f[1]):
+                b = _approx(lower[j], wp, 64)
+                raise PoleError(f"lower parameter {b} produces a zero factor at index {k}", index=k)
+            den = _mul(den, f, wp)
+        num = z
+        for a in ups:
+            num = _mul(num, _one_minus(a, wp), wp)
+        minus_qk = (-qk[0], -qk[1])
+        for _ in range(e):
+            num = _mul(num, minus_qk, wp)
+        for _ in range(-e):
+            den = _mul(den, minus_qk, wp)
+        t = _div(_mul(t, num, wp), den, wp)
+        ups = [_mul(a, q, wp) for a in ups]
+        los = [_mul(b, q, wp) for b in los]
+        qk = qk1
+        return t
+
+    return term
 
 
 # consecutive term ratios at or below the cap that certify a tail, and the
@@ -207,49 +252,46 @@ _MAX_TERMS = 100_000
 
 
 def certified_sum(
-    term_fn: Callable[[int], mpmath.mpc],
+    term_fn: Callable[[int], tuple],
     eps: float,
     ratio_cap: float,
     precision_bits: int,
     absolute: bool = False,
-) -> tuple[mpmath.mpc, TruncationCert]:
+) -> tuple[tuple, TruncationCert]:
     """Sum term_fn(0) + term_fn(1) + ... with a geometric tail certificate.
 
-    Certification: 8 consecutive term ratios at or below `ratio_cap` (< 1),
-    after which the tail is bounded by cap/(1-cap) times the largest recent
-    |term|.  Stops once that bound is below eps (times max(1,|sum|) unless
-    `absolute`).
+    Terms and the returned sum are fixed-point pairs at precision_bits +
+    _GUARD_BITS bits.  Certification: 8 consecutive term ratios at or below
+    `ratio_cap` (< 1), after which the tail is bounded by cap/(1-cap) times the
+    largest recent |term|.  Stops once that bound is below eps (times
+    max(1,|sum|) unless `absolute`).
     """
     if not (0 < ratio_cap < 1):
         raise DivergenceError(f"certification ratio cap {ratio_cap} is not in (0,1)")
-    with mp.workprec(precision_bits + 10):
-        total = mpmath.mpc(0)
-        prev_abs = None
-        good = 0
-        recent_max = 0.0
-        k = 0
-        while k < _MAX_TERMS:
-            t = term_fn(k)
-            total += t
-            ta = float(abs(t))
-            if prev_abs is None:
-                good = 0
-                recent_max = ta
-            else:
-                ok = (ta <= ratio_cap * prev_abs) or (ta == 0.0 and prev_abs == 0.0)
-                if ok:
-                    good += 1
-                    recent_max = max(recent_max * ratio_cap, ta)
-                else:
-                    good = 0
-                    recent_max = ta
-            prev_abs = ta
-            if good >= _WINDOW:
-                tail = ratio_cap / (1.0 - ratio_cap) * recent_max
-                target = eps if absolute else eps * max(1.0, float(abs(total)))
-                if tail <= target:
-                    return mpmath.mpc(total), TruncationCert(k + 1, tail, target)
-            k += 1
+    wp = precision_bits + _GUARD_BITS
+    re = im = 0
+    prev_abs = None
+    good = 0
+    recent_max = 0.0
+    for k in range(_MAX_TERMS):
+        t = term_fn(k)
+        re += t[0]
+        im += t[1]
+        ta = _fabs(t, wp)
+        if prev_abs is None:
+            recent_max = ta
+        elif ta <= ratio_cap * prev_abs:
+            good += 1
+            recent_max = max(recent_max * ratio_cap, ta)
+        else:
+            good = 0
+            recent_max = ta
+        prev_abs = ta
+        if good >= _WINDOW:
+            tail = ratio_cap / (1.0 - ratio_cap) * recent_max
+            target = eps if absolute else eps * max(1.0, _fabs((re, im), wp))
+            if tail <= target:
+                return (re, im), TruncationCert(k + 1, tail, target)
     raise NoConvergence(f"series tail not certified within {_MAX_TERMS} terms")
 
 
@@ -258,75 +300,35 @@ def eval_phi_nonterminating(
     eps: float,
     precision_bits: Optional[int] = None,
 ) -> tuple[ApproxScalar, TruncationCert]:
-    """Certified approximate value of an r-phi-s series."""
+    """Certified approximate value of an r-phi-s series, summed in fixed point
+    (a terminating spec sums its n+1 terms)."""
     if precision_bits is None:
         precision_bits = min_precision(spec.scalars(), default=256)
-    q = ApproxScalar.coerce(spec.base.value, precision_bits).value
-    z = ApproxScalar.coerce(spec.arg, precision_bits).value
-    upper = [ApproxScalar.coerce(a, precision_bits).value for a in spec.upper]
-    lower = [ApproxScalar.coerce(b, precision_bits).value for b in spec.lower]
-    e = 1 + spec.s - spec.r
+    wp = precision_bits + _GUARD_BITS
+    q, z = (ApproxScalar.coerce(x, precision_bits).value for x in (spec.base.value, spec.arg))
+    upper, lower = (
+        [_fx(ApproxScalar.coerce(x, precision_bits).value, wp) for x in xs]
+        for xs in (spec.upper, spec.lower)
+    )
     abs_z = float(abs(z))
 
     if z == 0:
         return ApproxScalar.coerce(1, precision_bits), TruncationCert(1, 0.0, eps)
+    n = spec.termination
+    if n is None:
+        if spec.r > spec.s + 1:
+            raise DivergenceError("r > s+1 does not converge without termination")
+        if spec.r == spec.s + 1 and abs_z >= 1:
+            raise DivergenceError(f"|z| = {abs_z} >= 1 for an r = s+1 series")
 
-    if spec.termination is not None:
-        n = spec.termination
-        with mp.workprec(precision_bits + 10):
-            total = mpmath.mpc(1)
-            term = mpmath.mpc(1)
-            for k in range(n):
-                den = mpmath.mpc(1 - q ** (k + 1))
-                for b in lower:
-                    f = 1 - b * q**k
-                    if f == 0:
-                        raise PoleError(
-                            f"lower parameter {b} produces a zero factor at index {k + 1}",
-                            index=k + 1,
-                        )
-                    den *= f
-                num = mpmath.mpc(1)
-                for a in upper:
-                    num *= 1 - a * q**k
-                if num == 0:
-                    break
-                term = term * num / den * z * ((-(q**k)) ** e if e else 1)
-                total += term
-            return ApproxScalar(total, precision_bits), TruncationCert(n + 1, 0.0, eps)
-
-    if spec.r > spec.s + 1:
-        raise DivergenceError("r > s+1 does not converge without termination")
-    if spec.r == spec.s + 1 and abs_z >= 1:
-        raise DivergenceError(f"|z| = {abs_z} >= 1 for an r = s+1 series")
-
-    state = {"term": None, "qk": None}
-
-    def term_fn(k: int) -> mpmath.mpc:
-        if k == 0:
-            state["term"] = mpmath.mpc(1)
-            state["qk"] = mpmath.mpc(1)
-            return state["term"]
-        qk = state["qk"]
-        num = mpmath.mpc(1)
-        for a in upper:
-            num *= 1 - a * qk
-        den = mpmath.mpc(1 - qk * q)
-        for b in lower:
-            f = 1 - b * qk
-            if f == 0:
-                raise PoleError(f"lower parameter {b} produces a zero factor", index=k)
-            den *= f
-        t = state["term"] * num / den * z
-        if e:
-            t *= (-qk) ** e
-        state["term"] = t
-        state["qk"] = qk * q
-        return t
-
-    cap = _ratio_cap(spec.r, spec.s, abs_z)
-    total, cert = certified_sum(term_fn, eps, cap, precision_bits)
-    return ApproxScalar(total, precision_bits), cert
+    term = _phi_terms(upper, lower, _fx(q, wp), _fx(z, wp), wp)
+    if n is not None:
+        # a term that is exactly 0 (an upper factor vanished) ends the series
+        terms = list(itertools.takewhile(any, map(term, range(n + 1))))
+        total = sum(t[0] for t in terms), sum(t[1] for t in terms)
+        return _approx(total, wp, precision_bits), TruncationCert(n + 1, 0.0, eps)
+    total, cert = certified_sum(term, eps, _ratio_cap(spec.r, spec.s, abs_z), precision_bits)
+    return _approx(total, wp, precision_bits), cert
 
 
 def jackson_22_to_21_check(
@@ -427,66 +429,50 @@ def eval_rfs(
     eps: float = 1e-12,
     precision_bits: int = 128,
 ) -> ApproxScalar:
-    """Classical rFs via rising-factorial term recurrence, geometric tail."""
+    """Classical rFs via rising-factorial term recurrence, geometric tail,
+    summed in fixed point."""
+    ups, los = (
+        [ApproxScalar.coerce(x, precision_bits + 10).value for x in xs] for xs in (upper, lower)
+    )
+    zz = ApproxScalar.coerce(z, precision_bits + 10).value
 
-    def to_mpf(x):
-        if isinstance(x, Fraction):
-            return mpmath.mpf(x.numerator) / x.denominator
-        if isinstance(x, ExactScalar):
-            if not x.is_real():
-                return ApproxScalar.coerce(x, precision_bits).value
-            return mpmath.mpf(x.re.numerator) / x.re.denominator
-        if isinstance(x, ApproxScalar):
-            return x.value
-        return mpmath.mpf(x)
+    def nonpositive_integer(v) -> bool:
+        return v.imag == 0 and v.real <= 0 and v.real == int(v.real)
 
-    with mp.workprec(precision_bits + 10):
-        ups = [to_mpf(a) for a in upper]
-        los = [to_mpf(b) for b in lower]
-        zz = to_mpf(z)
-        for b in los:
-            if b == int(b) and b <= 0:
-                raise PoleError(f"lower parameter {b} is a nonpositive integer")
-        term_n = None
-        for a in ups:
-            if a == int(a) and a <= 0:
-                term_n = min(term_n, int(-a)) if term_n is not None else int(-a)
-        abs_z = float(abs(zz))
-        if term_n is None and len(ups) == len(los) + 1 and abs_z >= 1:
-            raise DivergenceError(f"|z| = {abs_z} >= 1 for an r = s+1 series")
+    for b in los:
+        if nonpositive_integer(b):
+            raise PoleError(f"lower parameter {b.real} is a nonpositive integer")
+    ends = [int(-a.real) for a in ups if nonpositive_integer(a)]
+    term_n = min(ends) if ends else None
+    abs_z = float(abs(zz))
+    if term_n is None and len(ups) == len(los) + 1 and abs_z >= 1:
+        raise DivergenceError(f"|z| = {abs_z} >= 1 for an r = s+1 series")
+    if zz == 0:
+        return ApproxScalar.coerce(1, precision_bits)
 
-        if zz == 0:
-            return ApproxScalar.coerce(1, precision_bits)
-        if term_n is not None:
-            total = mpmath.mpc(1)
-            term = mpmath.mpc(1)
-            for k in range(term_n):
-                fac = mpmath.mpc(1)
-                for a in ups:
-                    fac *= a + k
-                for b in los:
-                    fac /= b + k
-                term = term * fac * zz / (k + 1)
-                total += term
-            return ApproxScalar(total, precision_bits)
+    wp = precision_bits + _GUARD_BITS
+    ups, los, zz = [_fx(a, wp) for a in ups], [_fx(b, wp) for b in los], _fx(zz, wp)
+    t = (1 << wp, 0)
 
-        state = {"term": mpmath.mpc(1)}
-
-        def term_fn(k):
-            if k == 0:
-                state["term"] = mpmath.mpc(1)
-                return state["term"]
-            fac = mpmath.mpc(1)
+    def term(k: int) -> tuple:
+        # term k = term k-1 * prod (a + k-1) z / (k prod (b + k-1))
+        nonlocal t
+        if k:
+            shift = (k - 1) << wp
+            num, den = zz, (k << wp, 0)
             for a in ups:
-                fac *= a + (k - 1)
+                num = _mul(num, (a[0] + shift, a[1]), wp)
             for b in los:
-                fac /= b + (k - 1)
-            state["term"] = state["term"] * fac * zz / k
-            return state["term"]
+                den = _mul(den, (b[0] + shift, b[1]), wp)
+            t = _div(_mul(t, num, wp), den, wp)
+        return t
 
-        cap = _ratio_cap(len(ups), len(los), abs_z)
-        total, _ = certified_sum(term_fn, eps, cap, precision_bits)
-        return ApproxScalar(total, precision_bits)
+    if term_n is not None:
+        terms = [term(k) for k in range(term_n + 1)]
+        total = sum(x[0] for x in terms), sum(x[1] for x in terms)
+    else:
+        total, _ = certified_sum(term, eps, _ratio_cap(len(ups), len(los), abs_z), precision_bits)
+    return _approx(total, wp, precision_bits)
 
 
 def eval_qappell_phi1(
@@ -499,49 +485,28 @@ def eval_qappell_phi1(
                      / ((q;q)_m (q;q)_n (c;q)_{m+n}).
     """
     pb = precision_bits
-    qv = ApproxScalar.coerce(q, pb).value
-    av = ApproxScalar.coerce(a, pb).value
-    bv = ApproxScalar.coerce(b, pb).value
-    b2v = ApproxScalar.coerce(b2, pb).value
-    cv = ApproxScalar.coerce(c, pb).value
-    xv = ApproxScalar.coerce(x, pb).value
-    yv = ApproxScalar.coerce(y, pb).value
+    qv, av, bv, b2v, cv, xv, yv = (ApproxScalar.coerce(v, pb).value for v in (q, a, b, b2, c, x, y))
     ax, ay = float(abs(xv)), float(abs(yv))
     if ax >= 1 or ay >= 1:
         raise DivergenceError("q-Appell Phi1 needs |x| < 1 and |y| < 1")
     if xv == 0 and yv == 0:
         return ApproxScalar.coerce(1, pb)
 
-    with mp.workprec(pb + 10):
-        poch_a = PochTable(av, qv)
-        poch_b = PochTable(bv, qv)
-        poch_c = PochTable(cv, qv)
-        poch_q = PochTable(qv, qv)
-        cap_y = (1.0 + ay) / 2.0
+    wp = pb + _GUARD_BITS
+    q, a, b, b2, c, x, y = (_fx(v, wp) for v in (qv, av, bv, b2v, cv, xv, yv))
+    # Phi1 = sum_m P[m] sum_n A[m+n] B[n], with P[m] = (b;q)_m x^m / (q;q)_m,
+    # A[i] = (a;q)_i / (c;q)_i and B[n] = (b2;q)_n y^n / (q;q)_n
+    P = _Table(_phi_terms([b], [], q, x, wp))
+    A = _Table(_phi_terms([a, q], [c], q, (1 << wp, 0), wp))
+    B = _Table(_phi_terms([b2], [], q, y, wp))
+    cap_y = (1.0 + ay) / 2.0
 
-        def row_value(m: int) -> mpmath.mpc:
-            # row prefactor: (b;q)_m x^m / (q;q)_m
-            pref = poch_b[m] * (xv**m / poch_q[m])
+    def row_value(m: int) -> tuple:
+        row_eps = eps / (16.0 * 2.0**min(m, 40))
+        val, _ = certified_sum(
+            lambda n: _mul(A[m + n], B[n], wp), row_eps, cap_y, pb, absolute=True
+        )
+        return _mul(P[m], val, wp)
 
-            # inner terms share (b2;q)_n: one multiply/divide per index
-            st = {"t": None}
-
-            def inner_rec(nn):
-                if nn == 0:
-                    st["t"] = poch_a[m] / poch_c[m]
-                    return st["t"]
-                st["t"] = (
-                    st["t"]
-                    * (1 - av * qv ** (m + nn - 1))
-                    * (1 - b2v * qv ** (nn - 1))
-                    / ((1 - qv**nn) * (1 - cv * qv ** (m + nn - 1)))
-                    * yv
-                )
-                return st["t"]
-
-            row_eps = eps / (16.0 * 2.0**min(m, 40))
-            val, _ = certified_sum(inner_rec, row_eps, cap_y, pb, absolute=True)
-            return pref * val
-
-        total, _ = certified_sum(row_value, eps / 2, (1.0 + ax) / 2.0, pb)
-        return ApproxScalar(mpmath.mpc(total), pb)
+    total, _ = certified_sum(row_value, eps / 2, (1.0 + ax) / 2.0, pb)
+    return _approx(total, wp, pb)

@@ -129,11 +129,33 @@ class TestVerify:
         ("T_BAILEY41", "q=1/2,a=1/3,x=1/5", "T_BAILEY41 takes parameters (q, a, b): "
          "missing b; unexpected x"),
         ("CLAUSEN", "a=1/3", "CLAUSEN takes parameters (a, b, z): missing b, z"),
+        ("SRIV_JAIN", "q=1/2", "SRIV_JAIN takes parameters (q, a, b, z): missing a, b, z"),
+        ("CAYLEY_ORR_B", "q=1/2,a=1/3,b=1/5,c=1/7",
+         "CAYLEY_ORR_B takes parameters (q, a, b, c, z): missing z"),
+        ("TRIPLE_32PF", "u=1/10,w=9/10,t=1/8,a=1/2,b=1/3,c=1/2,d=1/5",
+         "TRIPLE_32PF takes parameters (u, w, t, a, b, c, d, q): missing q"),
+        ("QUAD_COR13", "u=1/10,t=1/8,w=9/10,a=1/2,b=1/3,c=1/2,q=1/3",
+         "QUAD_COR13 takes parameters (t, w, a, b, c, d, q): missing d"),
+        ("WD_APPELL", "q=1/3,u=1/10,t=1/8,a=1/2,b=1/3,d=9/10,z=1/5",
+         "WD_APPELL takes parameters (q, u, t, a, b, d): unexpected z"),
+        ("AWGF", "q=1/2,a=1/3,b=1/5,c=2/3,d=1/7,w=9/10",
+         "AWGF takes parameters (q, a, b, c, d, w, t): missing t"),
+        ("IR_SRIV_JAIN", "q=1/2", "IR_SRIV_JAIN takes parameters (q, a, b, z): missing a, b, z"),
     ])
     def test_parameter_names_are_named(self, capsys, ident, params, problem):
-        code, _, err = run_cli(capsys, "verify", ident, "--params", params, "--n", "2")
+        code, _, err = run_cli(
+            capsys, "verify", ident, "--params", params, "--n", "2", "--sigma", "1", "--f", "1/2"
+        )
         assert code == EXIT_CONFIG
         assert err == f"error: {problem}\n"
+
+    def test_complex_classical_parameter_is_named(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "CLAUSEN", "--params", "a=1/3+1/2*i,b=1/5,z=1/3")
+        assert code == EXIT_CONFIG
+        assert err == (
+            "error: CLAUSEN: parameter a = 1/3+1/2*i is complex; "
+            "the classical limits take real parameters only\n"
+        )
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     @pytest.mark.parametrize("n_range, problem", [

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qident import products, series
 from qident.errors import DivergenceError, DomainError, UnknownIdentity
 from qident.powerseries import PowerSeriesTrunc, phi_series_coeffs
 from qident.products import (
@@ -89,13 +90,11 @@ class TestAWGF:
         right2 = phi_series_coeffs([E(a) * E(w), E(b) * E(w)], [E(a) * E(b)], E(q), 1 / E(w), 8)
         assert (left1 * right1) == (left2 * right2)
 
+    VALUE_POINT = {"q": F(1, 2), "a": F(1, 3), "b": F(1, 5), "c": F(2, 3), "d": F(1, 7),
+                   "w": F(9, 10), "t": F(1, 5)}
+
     def test_awgf_value_check(self):
-        rep = verify_product(
-            "AWGF",
-            {"q": F(1, 2), "a": F(1, 3), "b": F(1, 5), "c": F(2, 3), "d": F(1, 7),
-             "w": F(9, 10), "t": F(1, 5)},
-            eps=1e-30,
-        )
+        rep = verify_product("AWGF", self.VALUE_POINT, eps=1e-30)
         assert rep.passed and rep.rel_err < 1e-30
 
 
@@ -399,3 +398,34 @@ def _golden_report(key):
 def test_golden_report(key):
     blob = json.dumps(dataclasses.asdict(_golden_report(key)), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_REPORT_SHA256[key]
+
+
+# (truncation_terms of the report, terms of every certified_sum the check runs)
+# at the benchmark's four multi-sum points and two pair points, recorded
+# before the sums moved to fixed point: the arithmetic must not move a count
+GOLDEN_TERM_COUNTS = {
+    "AWGF": (TestAWGF.VALUE_POINT, 429, 429),
+    "TRIPLE_32PF": (TestTripleQuad.POINT, 380, 43598),
+    "QUAD_COR13": ({k: v for k, v in TestTripleQuad.POINT.items() if k != "u"}, 129, 46961),
+    "WD_APPELL": (TestWDAppell.POINT, 128, 24953),
+    "SRIV_JAIN": (PRODUCT_POINTS["SRIV_JAIN"], 393, 393),
+    "CAYLEY_ORR_B": (PRODUCT_POINTS["CAYLEY_ORR_B"], 1112, 1112),
+}
+
+
+@pytest.mark.parametrize("ident", sorted(GOLDEN_TERM_COUNTS))
+def test_golden_term_counts(ident, monkeypatch):
+    point, truncation_terms, sum_terms = GOLDEN_TERM_COUNTS[ident]
+    counted = []
+    certified_sum = series.certified_sum
+
+    def counting(*args, **kwargs):
+        value, cert = certified_sum(*args, **kwargs)
+        counted.append(cert.terms_used)
+        return value, cert
+
+    monkeypatch.setattr(series, "certified_sum", counting)
+    monkeypatch.setattr(products, "certified_sum", counting)
+    rep = verify_product(ident, point, eps=1e-30)
+    assert rep.passed
+    assert (rep.truncation_terms, sum(counted)) == (truncation_terms, sum_terms)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qident.errors import DomainError, ModeMismatch
 from qident.qkernel import (
@@ -262,3 +262,21 @@ class TestQPochInfinite:
         assert abs(whole.value - (head * tail).value) <= 2 * eps * max(
             1.0, float(abs(whole.value))
         )
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_mpmath_qp_at_twice_the_precision(self, gaussian, data):
+        # the fixed-point product against mpmath.qp at 256 bits, for real and
+        # Gaussian a and q; the certificate promises eps * max(1, |v|)
+        def draw(bound):
+            part = st.fractions(min_value=-bound, max_value=bound, max_denominator=9)
+            return E(data.draw(part), data.draw(part) if gaussian else 0)
+
+        a, q = draw(2), draw(F(5, 8))
+        assume(not q.is_zero())
+        eps, bits = 1e-30, 128
+        v, _ = qpoch_infinite(a, q, eps, bits)
+        with mpmath.mp.workprec(2 * bits):
+            ref = mpmath.qp(a.to_approx(2 * bits).value, q.to_approx(2 * bits).value)
+            assert abs(v.value - ref) <= eps * max(1, abs(ref)), (a, q)

@@ -158,6 +158,30 @@ class TestNonterminating:
                 ref, _ = eval_phi_nonterminating(spec, 1e-60, 448)
                 assert abs(v.value - ref.value) <= 1e-29 * max(1.0, float(abs(ref.value)))
 
+    @pytest.mark.parametrize("r", [2, 3])
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_mpmath_qhyper_at_twice_the_precision(self, r, data):
+        # 2phi1 and 3phi2 summed in fixed point against mpmath.qhyper at 256
+        # bits, for Gaussian parameters.  With lower parameters of modulus below
+        # one no factor 1 - b q^k (k >= 1) nears zero, which is where the ratio
+        # window can stop early (the near-pole defect, ROADMAP item 1).
+        def draw(bound):
+            part = st.fractions(min_value=-bound, max_value=bound, max_denominator=9)
+            return E(data.draw(part), data.draw(part))
+
+        upper = [draw(F(3, 2)) for _ in range(r)]
+        lower = [draw(F(2, 3)) for _ in range(r - 1)]
+        q, z = draw(F(5, 8)), draw(F(1, 3))
+        assume(not q.is_zero() and not z.is_zero())  # z = 0 is test_z_zero
+        eps, bits = 1e-30, 128
+        v, _ = eval_phi_nonterminating(SeriesSpec.make(upper, lower, q, z), eps, bits)
+        with mp.workprec(2 * bits):
+            ref = mpmath.qhyper(*(
+                [x.to_approx(2 * bits).value for x in xs] for xs in (upper, lower)
+            ), q.to_approx(2 * bits).value, z.to_approx(2 * bits).value)
+            assert abs(v.value - ref) <= eps * max(1, abs(ref)), (upper, lower, q, z)
+
 
 class TestJackson:
     def test_generic_point(self):
