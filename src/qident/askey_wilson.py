@@ -181,10 +181,6 @@ def aw_w_equals_d_value(a, b, c, d, q, n: int) -> Scalar:
     return (d ** (-n)) * qpoch_list([a * d, b * d, c * d], q, n)
 
 
-def _floor_half(n: int) -> int:
-    return n // 2
-
-
 def _ceil_half(n: int) -> int:
     return (n + 1) // 2
 

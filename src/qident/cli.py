@@ -12,6 +12,7 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import (
@@ -27,16 +28,13 @@ from .errors import (
     ZeroArgument,
 )
 from . import identities, integrals, products
-from .qkernel import parse_exact
+from .qkernel import DEFAULT_PRECISION_BITS, parse_exact
 from .reporting import ReportFile
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NOCONV = 3
-
-DEFAULT_SERIES_EPS = 1e-30
-DEFAULT_INTEGRAL_EPS = 1e-25
 
 
 def _parse_params(text: str) -> dict:
@@ -49,6 +47,8 @@ def _parse_params(text: str) -> dict:
             raise DomainError(f"parameter {piece!r} is not of the form name=value")
         name, _, value = piece.partition("=")
         name = name.strip()
+        if name in out:
+            raise DomainError(f"parameter {name!r} is given twice")
         try:
             scalar = parse_exact(value)
         except ValueError as exc:
@@ -95,95 +95,102 @@ def _echo_config(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in keep if getattr(args, k, None) is not None}
 
 
-def _emit(report_file: ReportFile, args) -> None:
+def _emit(report_file: ReportFile, args) -> int:
+    """Write the report file where --output and --format say; its exit code."""
     text = report_file.to_csv() if args.format == "csv" else report_file.to_json()
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return EXIT_OK if report_file.all_passed else EXIT_FAIL
 
 
-def _identity_namespace(identity_id: str) -> str:
-    if identity_id in products.PRODUCT_IDS:
-        return "product"
-    if identity_id in integrals.INTEGRAL_IDS:
-        return "integral"
-    if identity_id in products.CLASSICAL_IDS:
-        return "classical"
-    identities.lookup(identity_id)  # raises UnknownIdentity when absent
-    return "terminating"
+def _eps(args) -> dict:
+    """--eps when given: a check given no --eps uses its own default."""
+    return {} if args.eps is None else {"eps": args.eps}
+
+
+def _options(args) -> dict:
+    return {"precision_bits": args.precision_bits, **_eps(args)}
+
+
+def _verify_summation(ident: str, params: dict, args) -> list:
+    rec = identities.lookup(ident)
+    mode = args.mode or ("approx" if rec.approx_only else "exact")
+    if args.n is not None and args.n_range:
+        raise DomainError("--n and --n-range exclude each other; give one of them")
+    n_values = _parse_n_range(args.n_range) if args.n_range else [args.n]
+    if n_values == [None]:
+        raise DomainError("verify needs --n or --n-range for summation identities")
+    return [identities.verify(ident, params, n, mode, **_options(args)) for n in n_values]
+
+
+def _verify_integral(ident: str, params: dict, args) -> list:
+    if args.sigma is None or args.f is None:
+        raise DomainError("integral representations need --sigma and --f")
+    sigma, f = _parse_fraction("--sigma", args.sigma), _parse_fraction("--f", args.f)
+    return [integrals.verify_integral_rep(ident, params, sigma, f, **_options(args))]
+
+
+class _Check(NamedTuple):
+    """An id `list` prints: its section, the text after the id, the run of its
+    check, (id, params, parsed arguments) -> reports, and whether `sweep` draws its parameters."""
+
+    section: str
+    detail: str
+    run: Callable
+    sweeps: bool = False
+
+
+CHECKS = {
+    rec.id: _Check(
+        "terminating summations (exact unless marked approx)",
+        f"{' [approx]' if rec.approx_only else ''}  params({', '.join(rec.param_names)})"
+        f"  -- {rec.anchor}",
+        _verify_summation,
+        sweeps=True,
+    )
+    for rec in map(identities.lookup, identities.list_ids())
+}
+CHECKS.update(
+    (ident, _Check(section, "", run))
+    for section, ids, run in (
+        ("product transformations and generating functions", products.PRODUCT_IDS,
+         lambda ident, params, args: [products.verify_product(ident, params, **_options(args))]),
+        ("classical limit targets", products.CLASSICAL_IDS,
+         lambda ident, params, args: [products.classical_limit_check(ident, params, **_eps(args))]),
+        ("integral representations", integrals.INTEGRAL_IDS, _verify_integral),
+    )
+    for ident in ids
+)
+
+
+def _check(ident: str) -> _Check:
+    if ident not in CHECKS:
+        raise UnknownIdentity(f"no identity registered under {ident!r}")
+    return CHECKS[ident]
 
 
 def cmd_list(args) -> int:
-    print("terminating summations (exact unless marked approx):")
-    for ident in identities.list_ids():
-        rec = identities.lookup(ident)
-        flag = " [approx]" if rec.approx_only else ""
-        print(f"  {ident}{flag}  params({', '.join(rec.param_names)})  -- {rec.anchor}")
-    print("product transformations and generating functions:")
-    for ident in products.PRODUCT_IDS:
-        print(f"  {ident}")
-    print("classical limit targets:")
-    for ident in products.CLASSICAL_IDS:
-        print(f"  {ident}")
-    print("integral representations:")
-    for ident in integrals.INTEGRAL_IDS:
-        print(f"  {ident}")
+    section = None
+    for ident, check in CHECKS.items():
+        if check.section != section:
+            section = check.section
+            print(f"{section}:")
+        print(f"  {ident}{check.detail}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     params = _parse_params(args.params or "")
-    namespace = _identity_namespace(args.identity)
-    rf = ReportFile(tool_version=__version__, config=_echo_config(args))
-
-    if namespace == "terminating":
-        rec = identities.lookup(args.identity)
-        mode = args.mode or ("approx" if rec.approx_only else "exact")
-        eps = args.eps if args.eps is not None else (
-            0.0 if mode == "exact" else identities.DEFAULT_APPROX_EPS
-        )
-        n_values = _parse_n_range(args.n_range) if args.n_range else [args.n]
-        if n_values == [None]:
-            raise DomainError("verify needs --n or --n-range for summation identities")
-        for n in n_values:
-            rf.add(
-                identities.verify(
-                    args.identity, params, n, mode=mode, eps=eps,
-                    precision_bits=args.precision_bits,
-                )
-            )
-    elif namespace == "product":
-        eps = args.eps if args.eps is not None else DEFAULT_SERIES_EPS
-        rf.add(
-            products.verify_product(
-                args.identity, params, eps=eps, precision_bits=args.precision_bits
-            )
-        )
-    elif namespace == "classical":
-        eps = args.eps if args.eps is not None else 1e-10
-        rf.add(products.classical_limit_check(args.identity, params, eps=eps))
-    else:
-        eps = args.eps if args.eps is not None else DEFAULT_INTEGRAL_EPS
-        if args.sigma is None or args.f is None:
-            raise DomainError("integral representations need --sigma and --f")
-        rf.add(
-            integrals.verify_integral_rep(
-                args.identity,
-                params,
-                sigma=_parse_fraction("--sigma", args.sigma),
-                f=_parse_fraction("--f", args.f),
-                eps=eps,
-                precision_bits=args.precision_bits,
-            )
-        )
-    _emit(rf, args)
-    return EXIT_OK if rf.all_passed else EXIT_FAIL
+    reports = _check(args.identity).run(args.identity, params, args)
+    rf = ReportFile(tool_version=__version__, config=_echo_config(args), entries=reports)
+    return _emit(rf, args)
 
 
 def cmd_sweep(args) -> int:
-    if _identity_namespace(args.identity) != "terminating":
+    if not _check(args.identity).sweeps:
         raise DomainError("sweep drives the terminating-summation registry only")
     n_values = _parse_n_range(args.n_range or "0..8")
     reports = identities.sweep(
@@ -194,18 +201,14 @@ def cmd_sweep(args) -> int:
         eps=args.eps or 0.0,
         precision_bits=args.precision_bits,
     )
-    rf = ReportFile(tool_version=__version__, config=_echo_config(args))
-    for r in reports:
-        rf.add(r)
-    _emit(rf, args)
-    return EXIT_OK if rf.all_passed else EXIT_FAIL
+    rf = ReportFile(tool_version=__version__, config=_echo_config(args), entries=reports)
+    return _emit(rf, args)
 
 
 def cmd_report(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         rf = ReportFile.from_json(fh.read())
-    _emit(rf, args)
-    return EXIT_OK if rf.all_passed else EXIT_FAIL
+    return _emit(rf, args)
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -223,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("identity", help="identity ID (see `qident list`)")
         p.add_argument("--params", help="comma-separated name=rational pairs")
-        p.add_argument("--precision-bits", type=int, default=256, dest="precision_bits")
+        p.add_argument(
+            "--precision-bits", type=int, default=DEFAULT_PRECISION_BITS, dest="precision_bits"
+        )
         p.add_argument("--eps", type=float, default=None)
         p.add_argument("--output", help="write the report to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -256,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # uniform attribute defaults across subcommands
-    for attr in ("mode", "sigma", "f", "n", "n_range", "params", "precision_bits",
-                 "eps", "seed", "trials", "identity", "output", "format"):
-        if not hasattr(args, attr):
-            setattr(args, attr, None)
     try:
         return args.func(args)
     except (NoConvergence, PoleOnContour) as exc:

@@ -45,6 +45,7 @@ from .errors import (
     check_names,
 )
 from .qkernel import (
+    DEFAULT_PRECISION_BITS,
     ApproxScalar,
     EXACT_ONE,
     ExactScalar,
@@ -53,13 +54,12 @@ from .qkernel import (
     qpoch_infinite,
     qpoch_list,
 )
-from .reporting import VerificationReport, compare_approx, compare_exact, value_str
+from .reporting import VerificationReport, compare_approx, compare_exact, make_report
 from .series import BalanceClass, SeriesSpec, eval_phi_terminating
 
 E = ExactScalar.coerce
 
 DEFAULT_APPROX_EPS = 1e-40
-DEFAULT_PRECISION_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -648,34 +648,18 @@ def verify(
             f"{identity_id}: {exc}", predicate="series pole absent"
         ) from exc
 
-    if isinstance(rhs, ExactScalar) and not rec.approx_only:
-        passed, abs_err, rel_err = compare_exact(lhs, rhs)
-        degenerate = lhs.is_zero() and rhs.is_zero()
-        used_mode = "exact"
+    exact = isinstance(rhs, ExactScalar) and not rec.approx_only
+    degenerate = lhs.is_zero() and rhs.is_zero()
+    if exact:
+        verdict = compare_exact(lhs, rhs)
+    elif isinstance(rhs, ExactScalar):
+        # exact zero detected inside an approx-only RHS
+        abs_err = 0.0 if degenerate else lhs.abs_upper()
+        verdict = degenerate, abs_err, abs_err
     else:
-        if isinstance(rhs, ExactScalar):
-            # exact zero detected inside an approx-only RHS
-            passed = lhs.is_zero() and rhs.is_zero()
-            abs_err = 0.0 if passed else lhs.abs_upper()
-            rel_err = abs_err
-            degenerate = passed
-            used_mode = "approx"
-        else:
-            lhs_a = lhs.to_approx(precision_bits)
-            passed, abs_err, rel_err = compare_approx(lhs_a, rhs, eps or DEFAULT_APPROX_EPS)
-            degenerate = lhs.is_zero() and rhs.is_zero()
-            used_mode = "approx"
-
-    return VerificationReport(
-        identity_id=identity_id,
-        params={k: value_str(E(v)) for k, v in sorted(params.items())},
-        n=n,
-        mode=used_mode,
-        lhs=value_str(lhs),
-        rhs=value_str(rhs),
-        abs_err=abs_err,
-        rel_err=rel_err,
-        passed=passed,
+        verdict = compare_approx(lhs.to_approx(precision_bits), rhs, eps or DEFAULT_APPROX_EPS)
+    return make_report(
+        identity_id, params, lhs, rhs, verdict, mode="exact" if exact else "approx", n=n,
         degenerate=degenerate,
     )
 
@@ -753,27 +737,18 @@ def elementary_identity_check(kind: str, params: dict) -> VerificationReport:
         rhs = 1 - q ** (-n - 1) * (1 - q**k) * (1 - q ** (2 * n + 1) * a) / (
             (1 - q ** (-n - 1 + k)) * (1 - q**n * a)
         )
-        shown = {"q": value_str(E(params["q"])), "a": value_str(E(params["a"])), "n": str(n), "k": str(k)}
+        shown = "qank"  # the parameters the report shows
     elif kind == "ELID2":
         c, q = E(params["c"]), E(params["q"])
         k = params["k"]
         lhs = (1 - c) / (1 - q**k * c)
         rhs = 1 - c * (1 - q**k) / (1 - q**k * c)
-        shown = {"c": value_str(E(params["c"])), "q": value_str(E(params["q"])), "k": str(k)}
+        shown = "cqk"
     else:
         raise DomainError(f"unknown elementary identity kind {kind!r}")
-    passed, abs_err, rel_err = compare_exact(lhs, rhs)
-    return VerificationReport(
-        identity_id=kind,
-        params=shown,
-        n=params.get("n"),
-        mode="exact",
-        lhs=value_str(lhs),
-        rhs=value_str(rhs),
-        abs_err=abs_err,
-        rel_err=rel_err,
-        passed=passed,
-        degenerate=lhs.is_zero() and rhs.is_zero(),
+    return make_report(
+        kind, {x: params[x] for x in shown}, lhs, rhs, compare_exact(lhs, rhs), mode="exact",
+        n=params.get("n"), degenerate=lhs.is_zero() and rhs.is_zero(),
     )
 
 

@@ -55,6 +55,7 @@ from .errors import (
 from .products import _VALUE_PARAMS, product_sides, side_value
 from .qkernel import (
     _GUARD_BITS,
+    DEFAULT_PRECISION_BITS,
     ApproxScalar,
     ExactScalar,
     QBase,
@@ -66,7 +67,7 @@ from .qkernel import (
     _qprod,
     qpoch_infinite,
 )
-from .reporting import VerificationReport, compare_approx, value_str
+from .reporting import VerificationReport, compare_approx, make_report
 
 E = ExactScalar.coerce
 
@@ -79,7 +80,6 @@ INTEGRAL_IDS = (
 )
 
 DEFAULT_EPS = 1e-25
-DEFAULT_PRECISION_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -395,21 +395,8 @@ def verify_integral_rep(
     )
     with mp.workprec(precision_bits + 10):
         value = pref * integral * ApproxScalar(1 / (2 * mpmath.pi), precision_bits)
-    passed, abs_err, rel_err = compare_approx(value, series, eps)
-    shown = {k: value_str(E(v)) for k, v in sorted(params.items())}
-    shown["sigma"] = value_str(E(sigma))
-    shown["f"] = value_str(E(f))
-    return VerificationReport(
-        identity_id=identity_id,
-        params=shown,
-        n=None,
-        mode="approx",
-        lhs=str(value),
-        rhs=str(series),
-        abs_err=abs_err,
-        rel_err=rel_err,
-        passed=passed,
-        degenerate=False,
-        quadrature_nodes=nodes,
+    return make_report(
+        identity_id, {**params, "sigma": sigma, "f": f}, value, series,
+        compare_approx(value, series, eps), quadrature_nodes=nodes,
         note=f"quadrature achieved_eps={achieved:.3e}",
     )

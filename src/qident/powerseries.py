@@ -22,10 +22,6 @@ class PowerSeriesTrunc:
             raise DomainError("a truncated series needs at least the constant term")
         return PowerSeriesTrunc(coeffs, len(coeffs) - 1)
 
-    @staticmethod
-    def one(order: int) -> "PowerSeriesTrunc":
-        return PowerSeriesTrunc.make([EXACT_ONE] + [ExactScalar(0)] * order)
-
     def __add__(self, other: "PowerSeriesTrunc") -> "PowerSeriesTrunc":
         T = min(self.order, other.order)
         return PowerSeriesTrunc.make(

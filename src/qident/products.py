@@ -26,6 +26,7 @@ from .errors import DivergenceError, DomainError, UnknownIdentity, check_names
 from .powerseries import PowerSeriesTrunc, phi_series_coeffs
 from .qkernel import (
     _GUARD_BITS,
+    DEFAULT_PRECISION_BITS,
     ApproxScalar,
     EXACT_ONE,
     ExactScalar,
@@ -37,7 +38,7 @@ from .qkernel import (
     qpoch_infinite,
     qpoch_list,
 )
-from .reporting import VerificationReport, compare_approx, value_str
+from .reporting import VerificationReport, compare_approx, make_report, matched
 from .series import (
     SeriesSpec,
     _phi_terms,
@@ -54,46 +55,11 @@ CLASSICAL_IDS = ("CLAUSEN", "ORR_A", "ORR_B", "BAILEY_211", "COR_3F2")
 
 # value checks refuse |z| beyond this, well inside every series' disc of convergence
 SAFETY_RADIUS = 0.25
-DEFAULT_PRECISION_BITS = 256
-
-
-def _report(identity_id, params, lhs, rhs, eps, terms=None, note=""):
-    passed, abs_err, rel_err = compare_approx(lhs, rhs, eps)
-    return VerificationReport(
-        identity_id=identity_id,
-        params={k: value_str(E(v)) if isinstance(v, (int, Fraction)) else str(v) for k, v in sorted(params.items())},
-        n=None,
-        mode="approx",
-        lhs=str(lhs),
-        rhs=str(rhs),
-        abs_err=abs_err,
-        rel_err=rel_err,
-        passed=passed,
-        degenerate=False,
-        truncation_terms=terms,
-        note=note,
-    )
 
 
 def _first_mismatch(got, expected, n_max: int):
     """The first n <= n_max with got[n] != expected(n), or None."""
     return next((n for n in range(n_max + 1) if got[n] != expected(n)), None)
-
-
-def _exact_report(identity_id, params, ok, lhs_desc, rhs_desc, n=None, note=""):
-    return VerificationReport(
-        identity_id=identity_id,
-        params={k: value_str(E(v)) for k, v in sorted(params.items())},
-        n=n,
-        mode="exact",
-        lhs=lhs_desc,
-        rhs=rhs_desc,
-        abs_err=0.0 if ok else None,
-        rel_err=0.0 if ok else None,
-        passed=ok,
-        degenerate=False,
-        note=note,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -116,12 +82,12 @@ def awgf_coefficient_check(a, b, c, d, w, q, n_max: int) -> VerificationReport:
 
     bad = _first_mismatch(product.coeffs, expected, n_max)
     ok = bad is None
-    return _exact_report(
+    return make_report(
         "AWGF",
         {"a": a, "b": b, "c": c, "d": d, "w": w, "q": q},
-        ok,
         f"t^0..t^{n_max} product coefficients",
         "p_n/(q,ab,cd;q)_n",
+        matched(ok), mode="exact",
         n=n_max,
         note="" if ok else f"first mismatch at n={bad}",
     )
@@ -138,12 +104,12 @@ def awgf_hermite_degeneration_check(w, q, n_max: int) -> VerificationReport:
     product = lcoef * rcoef
     bad = _first_mismatch(product.coeffs, lambda n: aw_hermite_degenerate(w, q, n) / qk[n], n_max)
     ok = bad is None
-    return _exact_report(
+    return make_report(
         "AWGF",
         {"w": w, "q": q},
-        ok,
         "zero-parameter generating function coefficients",
         "continuous q-Hermite values",
+        matched(ok), mode="exact",
         n=n_max,
         note="a=b=c=d=0 degeneration",
     )
@@ -253,13 +219,13 @@ def triple_sum_32pf(
             for x in (ue / ae, ue / ce, ue * we, ue / we)
         )
         rhs = ApproxScalar(n1 * n2 / (d1 * d2) * triple.value, pb)
-    return _report(
+    return make_report(
         "TRIPLE_32PF",
         params,
         lhs,
         rhs,
-        eps,
-        terms=lhs_terms + terms,
+        compare_approx(lhs, rhs, eps),
+        truncation_terms=lhs_terms + terms,
         note="extra-parameter generating function",
     )
 
@@ -284,13 +250,13 @@ def quad_cor13(
         d1, _ = qpoch_infinite(te / ae, qb, eps / 32, pb)
         d2, _ = qpoch_infinite(te / ce, qb, eps / 32, pb)
         rhs = n1 * n2 / (d1 * d2)
-    return _report(
+    return make_report(
         "QUAD_COR13",
         params,
         lhs,
         rhs,
-        eps,
-        terms=terms,
+        compare_approx(lhs, rhs, eps),
+        truncation_terms=terms,
         note="closed-form quadruple summation",
     )
 
@@ -594,7 +560,9 @@ def verify_product(
         lhs, lhs_terms = side_value(lhs_side, z, eps / 8, precision_bits)
         rhs, rhs_terms = side_value(rhs_side, z, eps / 8, precision_bits)
         terms = lhs_terms + rhs_terms
-    return _report(identity_id, params, lhs, rhs, eps, terms=terms)
+    return make_report(
+        identity_id, params, lhs, rhs, compare_approx(lhs, rhs, eps), truncation_terms=terms
+    )
 
 
 # --------------------------------------------------------------------------
@@ -611,12 +579,12 @@ def product_coefficient_check(
     lhs, rhs = side_series(lhs_side, order), side_series(rhs_side, order)
     bad = _first_mismatch(lhs.coeffs, lambda n: rhs.coeffs[n], order)
     ok = bad is None
-    return _exact_report(
+    return make_report(
         identity_id,
         params,
-        ok,
         f"series coefficients z^0..z^{order}",
         "identity right-hand side coefficients",
+        matched(ok), mode="exact",
         n=order,
         note="" if ok else f"first mismatch at degree {bad}",
     )
@@ -629,12 +597,12 @@ def schlosser_t4_parity_check(params: dict, order: int = 9) -> VerificationRepor
     lhs = side_series(lhs_side, order)
     r1, r2 = (side_series([term], order) for term in rhs_side)
     bad = _first_mismatch(lhs.coeffs, lambda n: (r2 if n % 2 else r1).coeffs[n], order)
-    return _exact_report(
+    return make_report(
         "SCHLOSSER_T4",
         params,
-        bad is None,
         "even/odd parts of the product",
         "first / z-prefactored second series",
+        matched(bad is None), mode="exact",
         n=order,
         note="parity structure",
     )
@@ -702,7 +670,9 @@ def classical_limit_check(which: str, params: dict, eps: float = 1e-10) -> Verif
     if which in ("CLAUSEN", "COR_3F2") and 2 * a + 2 * b <= 0 and (2 * a + 2 * b).denominator == 1:
         raise DomainError("2a + 2b must avoid nonpositive integers")
     lhs, rhs = (_rfs_product(side, z, eps * 1e-3) for side in _classical_sides(a, b)[which])
-    return _report(which, params, lhs, rhs, eps, note="classical limit target")
+    return make_report(
+        which, params, lhs, rhs, compare_approx(lhs, rhs, eps), note="classical limit target"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -753,12 +723,12 @@ def cayley_orr_check(which: str, a, b, c, q, n_max: int = 10) -> VerificationRep
     lhs = side_series(lhs_side, n_max)
     bad = _first_mismatch(lhs.coeffs, lambda n: weighted[n], n_max)
     ok = bad is None
-    return _exact_report(
+    return make_report(
         f"CAYLEY_ORR_{which}",
         {"a": ae, "b": be, "c": ce, "q": qe},
-        ok,
         f"product-of-2phi1 coefficients z^0..z^{n_max}",
         "weighted auxiliary coefficients",
+        matched(ok), mode="exact",
         n=n_max,
         note="" if ok else f"first mismatch at degree {bad}",
     )
@@ -798,7 +768,10 @@ def cayley_orr_value_check(
     weight = _Table(_phi_terms([wn, Q], [wd], Q, (1 << wp, 0), wp))  # (wn; q^2)_n / (wd; q^2)_n
     parts = [_mul(weight[n], anzn(n), wp) for n in range(depth + 1)]
     rhs = _approx((sum(x[0] for x in parts), sum(x[1] for x in parts)), wp, pb)
-    return _report(identity_id, params, lhs, rhs, eps, terms=terms, note="lemma value check")
+    return make_report(
+        identity_id, params, lhs, rhs, compare_approx(lhs, rhs, eps), truncation_terms=terms,
+        note="lemma value check",
+    )
 
 
 def cayley_orr_a_closed_form_check(a, b, q, n_max: int = 8) -> VerificationReport:
@@ -812,12 +785,12 @@ def cayley_orr_a_closed_form_check(a, b, q, n_max: int = 8) -> VerificationRepor
         == qpoch_list([ae, be], qe, n) / qpoch_list([qe, ae * be / qe], qe, n)
         for n in range(n_max + 1)
     )
-    return _exact_report(
+    return make_report(
         "CAYLEY_ORR_A",
         {"a": ae, "b": be, "q": qe},
-        ok,
         "a_n at c = ab/q",
         "(a,b;q)_n / ((q, ab/q;q)_n)",
+        matched(ok), mode="exact",
         n=n_max,
         note="q-Pfaff-Saalschutz collapse",
     )
@@ -851,12 +824,12 @@ def _cayley_consistency(identity_id: str, p, a, b, n_max: int) -> VerificationRe
     params = {"p": pe, "a": ae, "b": be}
     rhs = side_series(product_sides(identity_id, params)[1], n_max)
     ok = all(weighted[n] == rhs.coeffs[n] for n in range(n_max + 1))
-    return _exact_report(
+    return make_report(
         identity_id,
         params,
-        ok,
         lhs_desc,
         "4phi3 coefficients",
+        matched(ok), mode="exact",
         n=n_max,
         note=note,
     )

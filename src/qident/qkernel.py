@@ -37,6 +37,9 @@ from .errors import DomainError, ModeMismatch
 
 RationalLike = Union[int, Fraction]
 
+# the working precision of every certified evaluator that is given none
+DEFAULT_PRECISION_BITS = 256
+
 
 def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
@@ -158,9 +161,6 @@ class ExactScalar:
             e >>= 1
         return result
 
-    def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.re, -self.im)
-
     # -- comparisons / hashing ----------------------------------------
     def __eq__(self, other):
         other = _coerce_exact(other)
@@ -222,7 +222,6 @@ def _coerce_exact(x) -> "ExactScalar":
 
 
 I = ExactScalar(0, 1)
-EXACT_ZERO = ExactScalar(0)
 EXACT_ONE = ExactScalar(1)
 
 
@@ -347,9 +346,6 @@ class ApproxScalar:
         with mp.workprec(self.precision_bits):
             return ApproxScalar(self.value ** n, self.precision_bits)
 
-    def conjugate(self) -> "ApproxScalar":
-        return ApproxScalar(mpmath.conj(self.value), self.precision_bits)
-
     def __abs__(self):
         with mp.workprec(self.precision_bits):
             return abs(self.value)
@@ -404,7 +400,7 @@ def scalar_mode(values: Iterable) -> str:
     return mode or "exact"
 
 
-def min_precision(values: Iterable, default: int = 256) -> int:
+def min_precision(values: Iterable, default: int = DEFAULT_PRECISION_BITS) -> int:
     bits = [v.precision_bits for v in values if isinstance(v, ApproxScalar)]
     return min(bits) if bits else default
 
@@ -602,7 +598,7 @@ def qpoch_infinite(
     qb = QBase.of(q)
     qv = qb.value
     if precision_bits is None:
-        precision_bits = min_precision([a, qv], default=256)
+        precision_bits = min_precision([a, qv])
 
     # exact prescan: a q^k = 1 makes the whole product exactly zero
     if isinstance(a, (int, Fraction)):

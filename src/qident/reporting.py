@@ -69,12 +69,33 @@ def _err_str(e: Optional[float]) -> str:
     return repr(float(e))
 
 
-def value_str(v) -> str:
-    if isinstance(v, ExactScalar):
-        return str(v)
-    if isinstance(v, ApproxScalar):
-        return str(v)
-    return str(v)
+def make_report(
+    identity_id: str, params: dict, lhs, rhs, verdict: tuple, mode: str = "approx",
+    n: Optional[int] = None, **fields,
+) -> VerificationReport:
+    """The report of one check: the parameters and both sides shown by str
+    (values, or descriptions for coefficient checks), the (passed, abs_err,
+    rel_err) verdict, and the optional fields degenerate, truncation_terms,
+    quadrature_nodes and note."""
+    passed, abs_err, rel_err = verdict
+    return VerificationReport(
+        identity_id=identity_id,
+        params={k: str(v) for k, v in sorted(params.items())},
+        n=n,
+        mode=mode,
+        lhs=str(lhs),
+        rhs=str(rhs),
+        abs_err=abs_err,
+        rel_err=rel_err,
+        passed=passed,
+        **fields,
+    )
+
+
+def matched(ok: bool) -> tuple:
+    """The verdict of an exact check that compares coefficient lists rather
+    than two values: no error on a match, an unmeasured one otherwise."""
+    return (True, 0.0, 0.0) if ok else (False, None, None)
 
 
 def compare_exact(lhs: ExactScalar, rhs: ExactScalar):

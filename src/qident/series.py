@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 from .errors import DivergenceError, DomainError, ModeMismatch, NoConvergence, PoleError
 from .qkernel import (
     _GUARD_BITS,
+    DEFAULT_PRECISION_BITS,
     ApproxScalar,
     EXACT_ONE,
     ExactScalar,
@@ -37,10 +38,11 @@ from .qkernel import (
     _mul,
     _one_minus,
     min_precision,
+    qpoch_finite,
     qpoch_infinite,
     scalar_mode,
 )
-from .reporting import VerificationReport, compare_approx
+from .reporting import VerificationReport, compare_approx, make_report, matched
 
 
 @dataclass(frozen=True)
@@ -303,7 +305,7 @@ def eval_phi_nonterminating(
     """Certified approximate value of an r-phi-s series, summed in fixed point
     (a terminating spec sums its n+1 terms)."""
     if precision_bits is None:
-        precision_bits = min_precision(spec.scalars(), default=256)
+        precision_bits = min_precision(spec.scalars())
     wp = precision_bits + _GUARD_BITS
     q, z = (ApproxScalar.coerce(x, precision_bits).value for x in (spec.base.value, spec.arg))
     upper, lower = (
@@ -332,12 +334,11 @@ def eval_phi_nonterminating(
 
 
 def jackson_22_to_21_check(
-    a, b, c, z, q, eps: float, precision_bits: int = 256
+    a, b, c, z, q, eps: float, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> VerificationReport:
     """2phi2(a, c/b; c, az; q, bz) vs (z;q)inf/(az;q)inf * 2phi1(a,b;c;q,z)."""
     qb = QBase.of(q)
-    b_zero = isinstance(b, ExactScalar) and b.is_zero() or b == 0
-    if b_zero:
+    if b == 0:
         lhs_spec = SeriesSpec.make([a], [c, a * z], qb, c * z)
     else:
         lhs_spec = SeriesSpec.make([a, c / b], [c, a * z], qb, b * z)
@@ -349,31 +350,21 @@ def jackson_22_to_21_check(
     rhs_phi, cert_r = eval_phi_nonterminating(phi21, eps / 4, precision_bits)
     rhs = num / den * rhs_phi
 
-    passed, abs_err, rel_err = compare_approx(lhs, rhs, eps)
-    return VerificationReport(
-        identity_id="J22_TO_21",
-        params={"a": str(a), "b": str(b), "c": str(c), "z": str(z), "q": str(q)},
-        n=None,
-        mode="approx",
-        lhs=str(lhs),
-        rhs=str(rhs),
-        abs_err=abs_err,
-        rel_err=rel_err,
-        passed=passed,
-        degenerate=False,
-        truncation_terms=cert_l.terms_used + cert_r.terms_used,
+    return make_report(
+        "J22_TO_21", {"a": a, "b": b, "c": c, "z": z, "q": q}, lhs, rhs,
+        compare_approx(lhs, rhs, eps), truncation_terms=cert_l.terms_used + cert_r.terms_used,
     )
 
 
-def qbinomial_checks(kind: str, params: dict, eps: float = 1e-30, precision_bits: int = 256) -> VerificationReport:
+def qbinomial_checks(
+    kind: str, params: dict, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> VerificationReport:
     """The terminating and nonterminating q-binomial theorems.
 
     terminating: (u/t;q)_k t^k equals the alternating double-product sum
     sum_j (-1)^(k-j) q^binom(k-j,2) [k j]_q u^(k-j) t^j, exactly.
     nonterminating: 1phi0(a;-;q,z) = (az;q)inf/(z;q)inf within eps.
     """
-    from .qkernel import qpoch_finite  # local import to keep module tops light
-
     if kind == "terminating":
         u, t, q, k = params["u"], params["t"], params["q"], params["k"]
         u, t, q = ExactScalar.coerce(u), ExactScalar.coerce(t), ExactScalar.coerce(q)
@@ -384,17 +375,8 @@ def qbinomial_checks(kind: str, params: dict, eps: float = 1e-30, precision_bits
             kj = k - j
             sign = -1 if kj % 2 else 1
             rhs = rhs + sign * (q ** (kj * (kj - 1) // 2)) * qq[k] / (qq[j] * qq[kj]) * u**kj * t**j
-        passed = lhs == rhs
-        return VerificationReport(
-            identity_id="QBINOMIAL_TERMINATING",
-            params={k_: str(v) for k_, v in params.items()},
-            n=k,
-            mode="exact",
-            lhs=str(lhs),
-            rhs=str(rhs),
-            abs_err=0.0 if passed else None,
-            rel_err=0.0 if passed else None,
-            passed=passed,
+        return make_report(
+            "QBINOMIAL_TERMINATING", params, lhs, rhs, matched(lhs == rhs), mode="exact", n=k,
             degenerate=lhs.is_zero() and rhs.is_zero(),
         )
     if kind == "nonterminating":
@@ -405,18 +387,8 @@ def qbinomial_checks(kind: str, params: dict, eps: float = 1e-30, precision_bits
         num, _ = qpoch_infinite(a * z, qb, eps / 8, precision_bits)
         den, _ = qpoch_infinite(z, qb, eps / 8, precision_bits)
         rhs = num / den
-        passed, abs_err, rel_err = compare_approx(lhs, rhs, eps)
-        return VerificationReport(
-            identity_id="QBINOMIAL_NONTERMINATING",
-            params={k_: str(v) for k_, v in params.items()},
-            n=None,
-            mode="approx",
-            lhs=str(lhs),
-            rhs=str(rhs),
-            abs_err=abs_err,
-            rel_err=rel_err,
-            passed=passed,
-            degenerate=False,
+        return make_report(
+            "QBINOMIAL_NONTERMINATING", params, lhs, rhs, compare_approx(lhs, rhs, eps),
             truncation_terms=cert.terms_used,
         )
     raise DomainError(f"unknown q-binomial check kind: {kind}")
@@ -476,7 +448,7 @@ def eval_rfs(
 
 
 def eval_qappell_phi1(
-    a, b, b2, c, x, y, q, eps: float = 1e-30, precision_bits: int = 256
+    a, b, b2, c, x, y, q, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> ApproxScalar:
     """q-Appell Phi1 double series, rectangular truncation, certified per index.
 

@@ -1,6 +1,7 @@
 """CLI surface: parsing, exit codes, report round-trips, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import random
@@ -42,9 +43,7 @@ class TestList:
         assert "T_BAILEY41" in out and "SRIV_JAIN" in out and "IR_THM21" in out
         assert "CLAUSEN" in out
 
-    def test_every_listed_id_is_accepted_by_verify(self, capsys):
-        from qident.cli import _identity_namespace
-
+    def test_every_listed_id_is_routed_by_verify(self, capsys):
         code, out, _ = run_cli(capsys, "list")
         ids = [
             line.strip().split()[0]
@@ -53,10 +52,19 @@ class TestList:
         ]
         assert len(ids) >= 45
         for ident in ids:
-            # namespace resolution is exactly what `verify` dispatches on
-            assert _identity_namespace(ident) in (
-                "terminating", "product", "integral", "classical",
-            ), ident
+            # every listed id reaches its own check, which names its parameters
+            code, _, err = run_cli(
+                capsys, "verify", ident, "--params", "zz=1", "--n", "1", "--sigma", "1", "--f", "1/2"
+            )
+            assert code == EXIT_CONFIG, ident
+            assert err.startswith(f"error: {ident} takes parameters ("), err
+
+    def test_listing_bytes_are_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "list")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a6184fbb0288eec4b7a21df8fdfdc3c692caaa197f6ca8e562b1f23e814debe5"
+        )
 
 
 class TestVerify:
@@ -91,6 +99,21 @@ class TestVerify:
         )
         assert code == EXIT_CONFIG
         assert err.startswith("error: parameter 'q': ")
+
+    def test_repeated_parameter_is_named(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "T_BAILEY41", "--params", "q=1/2,q=1/3,a=1/3,b=1/5", "--n", "2"
+        )
+        assert code == EXIT_CONFIG
+        assert err == "error: parameter 'q' is given twice\n"
+
+    def test_n_with_n_range_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "T_BAILEY41", "--params", "q=1/2,a=1/3,b=1/5",
+            "--n", "2", "--n-range", "3..4",
+        )
+        assert code == EXIT_CONFIG and out == ""
+        assert "--n " in err and "--n-range" in err
 
     def test_exponent_literal_parameter(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,8 @@
 """Terminating-summation registry: lookup, verify, sweep, elementary identities."""
 
+import dataclasses
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -325,6 +328,18 @@ class TestElementary:
     def test_elid2_example(self):
         rep = elementary_identity_check("ELID2", {"c": F(1, 4), "q": F(1, 2), "k": 3})
         assert rep.passed
+
+    @pytest.mark.parametrize("kind, params, digest", [
+        ("ELID", {"q": F(1, 2), "a": F(1, 3), "n": 2, "k": 1},
+         "88f359868e6562337c9f34f6e2041e7b78d10e8eb6b7d8a410fd3dca6c633cc8"),
+        ("ELID2", {"c": F(1, 4), "q": F(1, 2), "k": 3},
+         "a86491c8e9cb8536648bded5a72e0baa533b4bf66a1cc7fcda90ef0cb0e9a0f8"),
+    ])
+    def test_report_bytes_are_pinned(self, kind, params, digest):
+        # SHA-256 of json.dumps(dataclasses.asdict(report), sort_keys=True)
+        rep = elementary_identity_check(kind, params)
+        blob = json.dumps(dataclasses.asdict(rep), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_elid_random(self):
         import random

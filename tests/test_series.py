@@ -1,5 +1,8 @@
 """Basic hypergeometric series evaluators."""
 
+import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -211,6 +214,14 @@ class TestQBinomial:
     def test_terminating_example(self):
         rep = qbinomial_checks("terminating", {"u": F(1, 2), "t": F(1, 3), "q": F(1, 5), "k": 4})
         assert rep.passed and rep.mode == "exact"
+
+    def test_terminating_report_bytes_are_pinned(self):
+        # SHA-256 of json.dumps(dataclasses.asdict(report), sort_keys=True)
+        rep = qbinomial_checks("terminating", {"u": F(1, 2), "t": F(1, 3), "q": F(1, 5), "k": 4})
+        blob = json.dumps(dataclasses.asdict(rep), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "d199507dac2f54dc7d2834842e168ba7967887c00b5ba0ceee07db2f3a059b3c"
+        )
 
     @given(small, small, qs, st.integers(0, 12))
     @settings(max_examples=30)
