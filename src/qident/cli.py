@@ -22,7 +22,6 @@ from .errors import (
     HypothesisViolation,
     NoConvergence,
     PoleError,
-    PoleOnContour,
     SamplerExhausted,
     UnknownIdentity,
     ZeroArgument,
@@ -263,7 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NoConvergence, PoleOnContour) as exc:
+    except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOCONV
     except (
@@ -276,6 +275,7 @@ def main(argv=None) -> int:
         SamplerExhausted,
         ZeroArgument,
         ValueError,
+        OSError,  # a report or output path that cannot be read or written
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,10 +29,6 @@ class NoConvergence(QIdentError):
     """An adaptive computation failed to reach the requested accuracy."""
 
 
-class PoleOnContour(QIdentError):
-    """A quadrature node evaluation blew up on the integration contour."""
-
-
 class ZeroArgument(QIdentError):
     """The theta function was called with x = 0."""
 
@@ -73,3 +69,9 @@ def check_names(identity_id: str, expected, params: dict) -> None:
             if names
         )
         raise DomainError(f"{identity_id} takes parameters ({', '.join(expected)}): {problems}")
+
+
+def check_eps(eps: float) -> None:
+    """DomainError naming eps unless it is a positive number."""
+    if not eps > 0:
+        raise DomainError(f"eps must be positive, got {eps!r}")

@@ -2,31 +2,29 @@
 
 Each representation writes a product of two 2phi1 series as a prefactor times
 an integral over psi in [-pi, pi] of theta-paired infinite products times a
-3phi2 kernel, with w = e^(i psi) on the unit circle.  The trapezoid rule on
-periodic analytic integrands converges geometrically; nodes double until two
-successive estimates agree.
-
-The five representations are data: the denominator moduli, the prefactor's
+3phi2 kernel, with w = e^(i psi).  The five are data: the prefactor's
 q-Pochhammer arguments, five numerator and five denominator node arguments
-(constants times sigma/w or w/sigma) and the 3phi2 kernel's arguments.  One
-node function evaluates all of them.  The series side of IR_X is the left
-side of product transformation X (IR_SCHLOSSER: SCHLOSSER_T4) in the table of
-:mod:`qident.products`.
+(exact constants times sigma/w or w/sigma) and the kernel's arguments, all
+evaluated by one node function.  The series side of IR_X is the left side of
+product transformation X (IR_SCHLOSSER: SCHLOSSER_T4) of :mod:`qident.products`.
 
-The node kernel runs on the fixed-point primitives of :mod:`qident.qkernel`
-(``_fx``, ``_mul``, ``_div``, ``_one_minus``, and ``_qprod`` for its ten
-products, the loop :func:`qident.qkernel.qpoch_infinite` runs).  Every node
-argument is a constant times w or times 1/w = conj(w), so the constants, the
-base, the 3phi2 kernel's parameters and the tolerance are converted once per
-integrand; a node converts w in and its value out (as an mpc).  Each product's
-factor count comes from the rule qpoch_infinite uses, at the node tolerance
-eps * 1e-4, and the kernel stops after four successive terms below that
-tolerance.
+The node count N is chosen in advance.  On a periodic integrand analytic, and
+bounded by M, in |Im psi| < a, the N-node trapezoid rule errs by at most
+4 pi M / (e^(a N) - 1) (Trefethen & Weideman, *The exponentially convergent
+trapezoidal rule*, SIAM Rev. 56(3), 2014, Thm 3.2); N is the least multiple of
+64 that meets the target.  M comes from one majorant pass per integrand on the
+circles |w| = e^(+-a), a below -log of the largest denominator modulus:
+|(x; q)_inf| <= (-|x|; |q|)_inf for a numerator product, 1/|(x; q)_inf| <=
+1/(|x|; |q|)_inf for a denominator product, and the 3phi2 kernel's absolute
+majorant series.  The same majorants on |w| = 1 fix each product's factor
+count, the kernel's term count and the working bits, so the nodes evaluate
+one fixed analytic function, which M bounds.
 
-The hypothesis that every denominator q-Pochhammer argument keeps modulus
-below one (which also places all kernel poles correctly relative to the
-contour) is pre-scanned on 64 coarse nodes before any full quadrature runs.
-Those 64 values are the first level of the quadrature, which reuses them.
+Every denominator argument, and the kernel's l2 w/sigma and zc w/sigma, must
+keep modulus below one on the contour (which also places the kernel's poles).
+The moduli are checked, then 64 coarse nodes are pre-scanned; they are the
+quadrature's first level, so each node runs once.  Nodes run on the fixed-point primitives of :mod:`qident.qkernel`
+(``_qprod`` for the ten products), with the constants converted once.
 
 theta(x; q) here is (x; q)_inf (q/x; q)_inf.  Displays whose f-elements did
 not form theta pairs (x, q/x) as printed are implemented with the paired form
@@ -36,8 +34,7 @@ f-independence and sigma-independence of the results confirm it numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
 from typing import Callable
 
 import mpmath
@@ -47,17 +44,18 @@ from .errors import (
     DomainError,
     HypothesisViolation,
     NoConvergence,
-    PoleOnContour,
     UnknownIdentity,
     ZeroArgument,
+    check_eps,
     check_names,
 )
+from .identities import _product_quotient
 from .products import _VALUE_PARAMS, product_sides, side_value
 from .qkernel import (
-    _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
     ApproxScalar,
     ExactScalar,
+    I,
     QBase,
     _div,
     _factor_count,
@@ -65,7 +63,6 @@ from .qkernel import (
     _mul,
     _one_minus,
     _qprod,
-    qpoch_infinite,
 )
 from .reporting import VerificationReport, compare_approx, make_report
 
@@ -81,18 +78,10 @@ INTEGRAL_IDS = (
 
 DEFAULT_EPS = 1e-25
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    nodes: int = 64
-    eps: float = DEFAULT_EPS
-    max_doublings: int = 14
-
-    def __post_init__(self):
-        if self.nodes < 16 or self.nodes & (self.nodes - 1):
-            raise DomainError("node count must be a power of two >= 16")
-        if self.eps <= 0:
-            raise DomainError("eps must be positive")
+# the coarse prescan grid, which is the first quadrature level: N is a multiple
+# of it.  Past _MAX_NODES a bound is taken as unreachable.
+_PRESCAN_NODES = 64
+_MAX_NODES = 1 << 20
 
 
 def theta(x, q, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS) -> ApproxScalar:
@@ -100,10 +89,8 @@ def theta(x, q, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS
     if (isinstance(x, ExactScalar) and x.is_zero()) or x == 0:
         raise ZeroArgument("theta requires a nonzero argument")
     qb = QBase.of(q)
-    xe = E(x) if isinstance(x, (int, Fraction, ExactScalar)) else x
-    first, _ = qpoch_infinite(xe, qb, eps / 4, precision_bits)
-    second, _ = qpoch_infinite(qb.value / xe, qb, eps / 4, precision_bits)
-    return first * second
+    value = _product_quotient(1, [(x, qb), (qb.value / x, qb)], [], precision_bits, eps / 4)
+    return ApproxScalar.coerce(value, precision_bits)
 
 
 def _node_psi(j: int, n: int):
@@ -111,58 +98,61 @@ def _node_psi(j: int, n: int):
     return -mpmath.pi + 2 * mpmath.pi * j / n
 
 
+def trapezoid_bound(a: float, M: float, n: int) -> float:
+    """4 pi M / (e^(a n) - 1): the error bound of the n-node trapezoid rule on
+    a 2pi-periodic integrand analytic, and bounded by M, in |Im psi| < a."""
+    return 4 * math.pi * M * math.exp(-a * n) / -math.expm1(-a * n)
+
+
+def trapezoid_nodes(strips, target: float) -> tuple[int, float]:
+    """(N, bound): the least multiple of 64 nodes whose trapezoid bound on one
+    of the strips (a, M) is at most target, and the least such bound."""
+    best = _MAX_NODES + _PRESCAN_NODES, math.inf
+    for a, M in strips:
+        n = _PRESCAN_NODES
+        while n < best[0] and trapezoid_bound(a, M, n) > target:
+            n += _PRESCAN_NODES
+        best = min(best, (n, trapezoid_bound(a, M, n)))
+    if best[0] > _MAX_NODES:
+        raise NoConvergence(f"no strip meets the quadrature target {target:.3e} "
+                            f"within {_MAX_NODES} nodes")
+    return best
+
+
 def integrate_periodic(
     integrand: Callable,
-    spec: QuadratureSpec,
+    strips,
+    target: float,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     *,
     first_level: list | None = None,
 ) -> tuple[ApproxScalar, float, int]:
-    """Integral over [-pi, pi] of a 2pi-periodic integrand.
+    """Integral over [-pi, pi] of a 2pi-periodic integrand, with a proven bound.
 
-    Returns (value, achieved_eps, nodes).  The trapezoid rule on the uniform
-    periodic grid is the plain node average times 2pi; levels double (reusing
-    previous nodes) until two successive estimates agree within
-    eps * max(1, |I|).  first_level, when given, holds the integrand's values at
-    the spec.nodes first-level nodes (as :func:`hypothesis_prescan` returns them),
-    which are then not evaluated again.
+    strips holds pairs (a, M): the integrand is analytic in |Im psi| < a and
+    bounded there by M.  Returns (value, bound, nodes), the trapezoid rule on
+    the node count :func:`trapezoid_nodes` picks, which is the plain node
+    average times 2pi, and that count's error bound.  first_level, when given,
+    holds the integrand's values at the 64 coarse nodes (as
+    :func:`hypothesis_prescan` returns them), which are not evaluated again.
     """
+    n, bound = trapezoid_nodes(strips, target)
+    step = n // _PRESCAN_NODES
+    if first_level is not None and len(first_level) != _PRESCAN_NODES:
+        raise DomainError(f"first_level holds {len(first_level)} values, not {_PRESCAN_NODES}")
     with mp.workprec(precision_bits + 10):
-        def node_value(j, n_nodes):
-            v = integrand(_node_psi(j, n_nodes))
-            if not mpmath.isfinite(v):
-                raise PoleOnContour(f"integrand not finite at node {j}/{n_nodes}")
-            return v
-
-        n = spec.nodes
-        if first_level is not None and len(first_level) != n:
-            raise DomainError(f"first_level holds {len(first_level)} values, not {n}")
-        vals = first_level or [node_value(j, n) for j in range(n)]
-        two_pi = 2 * mpmath.pi
-        estimate = two_pi * mpmath.fsum(vals) / n
-        for _ in range(spec.max_doublings):
-            new_vals = []
-            for j in range(n):
-                new_vals.append(vals[j])
-                new_vals.append(node_value(2 * j + 1, 2 * n))
-            n *= 2
-            vals = new_vals
-            new_estimate = two_pi * mpmath.fsum(vals) / n
-            achieved = float(abs(new_estimate - estimate))
-            estimate = new_estimate
-            if achieved <= spec.eps * max(1.0, float(abs(estimate))):
-                return ApproxScalar(estimate, precision_bits), achieved, n
-        raise NoConvergence(
-            f"quadrature not converged after {spec.max_doublings} doublings ({n} nodes)"
-        )
+        vals = [first_level[j // step] if first_level and j % step == 0
+                else integrand(_node_psi(j, n)) for j in range(n)]
+        estimate = 2 * mpmath.pi * mpmath.fsum(vals) / n
+    return ApproxScalar(estimate, precision_bits), bound, n
 
 
 # --------------------------------------------------------------------------
 # per-identity descriptors
 # --------------------------------------------------------------------------
 
-# Forms of a node argument (c, form): c sigma/w, c w/sigma, or sigma/(c w).
-_SO, _WS, _SO_OVER = "sigma/w", "w/sigma", "sigma/(c w)"
+# Forms of a node argument (c, form), which also name it: c sigma/w or c w/sigma.
+_SO, _WS = "{} sigma/w", "{} w/sigma"
 
 
 def _series_side(identity_id: str, params: dict, eps: float, pb: int) -> ApproxScalar:
@@ -175,200 +165,199 @@ def _series_side(identity_id: str, params: dict, eps: float, pb: int) -> ApproxS
     return value
 
 
-def _prefactor(num_args, den_args, base, eps: float, pb: int) -> ApproxScalar:
-    """prod (x; base)_inf over num_args / prod over den_args."""
-    num = ApproxScalar.coerce(1, pb)
-    for x in num_args:
-        v, _ = qpoch_infinite(x, base, eps / 64, pb)
-        num = num * v
-    den = ApproxScalar.coerce(1, pb)
-    for x in den_args:
-        v, _ = qpoch_infinite(x, base, eps / 64, pb)
-        if v.is_zero():
-            raise HypothesisViolation("a prefactor denominator product vanishes", factor=str(x))
-        den = den * v
-    return num / den
+def _log_poch_majorant(x: float, Q: float, den: bool) -> float:
+    """An upper bound on log (-x; Q)_inf, or with den on -log (x; Q)_inf (x < 1):
+    so on log |(y; q)_K|, or on -log |(y; q)_K|, for every K, |y| = x, |q| = Q.
+    Past the first K factors, the log-majorant of :func:`_factor_count` bounds both."""
+    K, rest = _factor_count(x, Q, 2.0**-20)
+    return rest + sum(-math.log1p(-x * Q**k) if den else math.log1p(x * Q**k) for k in range(K))
 
 
-def _node_integrand(num, den, kernel, base, sgv, eps: float, pb: int) -> Callable:
-    """psi -> prod (x; base)_K over num / prod over den * 3phi2 kernel, w = e^(i psi).
+def _kernel_majorant(kabs, Q: float, rho: float, tail: float) -> tuple[float, int | None]:
+    """(S, T) for the 3phi2 kernel on |w| = rho: S bounds the sum of its terms'
+    moduli, and the terms from T on have moduli summing to at most tail;
+    (inf, None) when that takes more than 10000 terms.
 
-    num and den hold node arguments (c, form); kernel ([u1, u2, u3], [l1, l2], zc)
-    stands for 3phi2(u1, u2, u3 sigma/w; l1, l2 w/sigma; base, zc w/sigma).  K is
-    each product's factor count at tail eps * 1e-4.  Values are fixed-point
-    pairs at wp = pb + _GUARD_BITS bits (see :mod:`qident.qkernel`).
+    kabs = (|u1|, |u2|, |u3| sigma, |l1|, |l2| / sigma, |zc| / sigma).  Term
+    k + 1 over term k has modulus at most R_k, the ratio below; R_k does not
+    increase once |l1||q|^k < 1 and |l2||q|^k rho / sigma < 1, so from such a
+    k with R_k < 1 the rest is at most the term majorant / (1 - R_k).
     """
-    wp = pb + _GUARD_BITS
-    one = 1 << wp
-    tol = eps * 1e-4
-    tol2 = int(Fraction(tol) ** 2 * 4**wp)
-    abs_q = float(abs(base))
+    u1, u2, u3, l1, l2, z = kabs
+    S, m = 0.0, 1.0
+    for k in range(10_000):
+        Qk = Q**k
+        den = (1 - Q * Qk) * abs(1 - l1 * Qk) * abs(1 - l2 * rho * Qk)
+        R = (1 + u1 * Qk) * (1 + u2 * Qk) * z * (rho + u3 * Qk) / den
+        if l1 * Qk < 1 and l2 * rho * Qk < 1 and R < 1:
+            rest = m / (1 - R)
+            if rest <= tail:
+                return S + rest, k
+        S, m = S + m, m * R
+    return math.inf, None
 
-    def node_args(args):
-        # (C, conj, K): the argument is C w, or C conj(w) when conj
-        out = []
-        for c, form in args:
-            C = c / sgv if form == _WS else c * sgv if form == _SO else sgv / c
-            K, _ = _factor_count(float(abs(C)) + 1e-300, abs_q, tol)
-            out.append((_fx(C, wp), form != _WS, K))
-        return out
 
+def _node_integrand(num, den, kernel, base, sig, tol: float) -> tuple[Callable, list, int]:
+    """(integrand, strips, wp): psi -> prod (x; base)_K over num / prod over den
+    * 3phi2 kernel at w = e^(i psi), to within tol of the untruncated value.
+
+    num and den hold exact node arguments (c, form); kernel ([u1, u2, u3], [l1,
+    l2], zc) stands for 3phi2(u1, u2, u3 sigma/w; l1, l2 w/sigma; base, zc
+    w/sigma).  The majorant pass gives strips, the pairs (a, M) for
+    :func:`integrate_periodic`, each product's factor count K, the kernel's term
+    count T and the working bits wp.  Truncating the products and the kernel
+    take a proven quarter of tol each.  Rounding has the other half by a margin,
+    not yet a proof: each operation errs by under 2^-wp and the majorants bound
+    every intermediate, so wp is log2(operations x magnitude / tol) + 4.
+    """
+    def node_arg(c, form):
+        # (C, |C|, e): the argument is C w^e; on the unit circle w^-1 = conj(w)
+        C = c / sig if form == _WS else c * sig
+        return C, C.abs_upper(), 1 if form == _WS else -1
+
+    nums, dens = ([node_arg(c, form) for c, form in args] for args in (num, den))
     (u1, u2, u3), (l1, l2), zc = kernel
-    with mp.workprec(wp):
-        nums, dens = node_args(num), node_args(den)
-        q = _fx(base, wp)
-        powers = [_fx(x, wp) for x in (u1, u2, u3 * sgv, l1, l2 / sgv, base)]
-        zw = _fx(zc / sgv, wp)
+    kabs = [x.abs_upper() for x in (u1, u2, u3 * sig, l1, l2 / sig, zc / sig)]
+    # the hypothesis, and the strips below a_max: -log of the largest modulus
+    moduli = [(form.format(c), m) for (c, form), (_, m, _) in zip(den, dens)]
+    moduli += [("3phi2 kernel l2 w/sigma", kabs[4]), ("3phi2 kernel zc w/sigma", kabs[5])]
+    for name, m in moduli:
+        if m >= 1:
+            raise HypothesisViolation(f"{name} has modulus {m:.6g} >= 1", factor=name)
+    a_max = -math.log(max(m for _, m in moduli))
+    Q = base.abs_upper()
+
+    def log_products(rho):
+        return sum(_log_poch_majorant(m * rho**e, Q, is_den)
+                   for args, is_den in ((nums, False), (dens, True)) for _, m, e in args)
+
+    # the unit circle: factor counts, term count, working bits
+    products_1 = math.exp(log_products(1.0))
+    tail = tol / (4 * products_1)
+    kernel_1, T = _kernel_majorant(kabs, Q, 1.0, tail)
+    if T is None:
+        raise NoConvergence("the 3phi2 kernel's majorant does not settle within 10000 terms")
+    mag = products_1 * kernel_1
+    tol_p = tol / (5 * len(nums + dens) * mag)  # e^x - 1 <= 5x/4 for x <= 1/5
+    Ks = [_factor_count(m, Q, tol_p)[0] for _, m, _ in nums + dens]
+    wp = max(64, math.ceil(math.log2((sum(Ks) + 8 * T) * mag / tol)) + 4)
+
+    strips = []
+    for i in range(1, 11):
+        a = a_max * (1 - 2.0**-i)
+        M = max(math.exp(log_products(rho)) * _kernel_majorant(kabs, Q, rho, tail)[0]
+                for rho in (math.exp(a), math.exp(-a)))
+        strips.append((a, M * (1 + 2.0**-30)))
+
+    def fixed(x):
+        return _fx(x.to_approx(wp).value, wp)
+
+    q = fixed(base)
+    consts = [(fixed(C), e < 0, K) for (C, _, e), K in zip(nums + dens, Ks)]
+    prods = (consts[:len(nums)], _mul), (consts[len(nums):], _div)
+    powers = [fixed(x) for x in (u1, u2, u3 * sig, l1, l2 / sig, base)]
+    zw = fixed(zc / sig)
     # Kernel term k is term k-1 times n_k / d_k where, as w conj(w) = 1,
     #   n_k = (1 - u1 q^k) (1 - u2 q^k) (zc/sigma) (w - u3 sigma q^k),
     #   d_k = (1 - q^(k+1)) (1 - l1 q^k) (1 - (l2/sigma) q^k w).
-    # steps[k] keeps what does not depend on w; powers holds the six q^k multiples.
+    # steps keeps what does not depend on w for the T - 1 ratios.
     steps = []
-
-    def phi32(w):
-        term = total = (one, 0)
-        small = 0
-        for k in range(4000):
-            if k == len(steps):
-                a1, a2, a3, b1, b2, qk1 = powers
-                n = _mul(_mul(_one_minus(a1, wp), _one_minus(a2, wp), wp), zw, wp)
-                steps.append((n, a3, _mul(_one_minus(qk1, wp), _one_minus(b1, wp), wp), b2))
-                powers[:] = [_mul(x, q, wp) for x in powers]
-            n, a3, d, b2 = steps[k]
-            n = _mul(n, (w[0] - a3[0], w[1] - a3[1]), wp)
-            term = _div(_mul(term, n, wp), _mul(d, _one_minus(_mul(b2, w, wp), wp), wp), wp)
-            total = total[0] + term[0], total[1] + term[1]
-            small = small + 1 if term[0] * term[0] + term[1] * term[1] < tol2 else 0
-            if small >= 4:
-                return total
-        raise NoConvergence("3phi2 kernel did not settle within 4000 terms")
+    for _ in range(T - 1):
+        a1, a2, a3, b1, b2, qk1 = powers
+        n = _mul(_mul(_one_minus(a1, wp), _one_minus(a2, wp), wp), zw, wp)
+        steps.append((n, a3, _mul(_one_minus(qk1, wp), _one_minus(b1, wp), wp), b2))
+        powers = [_mul(x, q, wp) for x in powers]
+    one = 1 << wp
 
     def integrand(psi):
         w = _fx(mpmath.expjpi(psi / mpmath.pi), wp)
         wc = w[0], -w[1]
-        value = phi32(w)
-        for args, op in ((nums, _mul), (dens, _div)):
-            for C, conj, K in args:
+        term = value = (one, 0)
+        for n, a3, d, b2 in steps:
+            n = _mul(n, (w[0] - a3[0], w[1] - a3[1]), wp)
+            term = _div(_mul(term, n, wp), _mul(d, _one_minus(_mul(b2, w, wp), wp), wp), wp)
+            value = value[0] + term[0], value[1] + term[1]
+        for consts, op in prods:
+            for C, conj, K in consts:
                 value = op(value, _qprod(_mul(C, wc if conj else w, wp), q, K, wp), wp)
         re, im = value
         return mpmath.mpc(mpmath.ldexp(re, -wp), mpmath.ldexp(im, -wp))
 
-    return integrand
+    return integrand, strips, wp
 
 
 def _descriptor(identity_id: str, params: dict, sigma, f, eps: float, pb: int):
-    """(prefactor, integrand, denominator-modulus list) for one identity.
-
-    Parameter values are rounded at pb + 20 bits; node constants are formed at
-    the pb + 10 bits the quadrature evaluates nodes at.
-    """
-    sig = E(sigma)
-    fe = E(f)
+    """(prefactor, integrand, strips, working bits) for one identity; the
+    integrand is accurate to eps / 16 over max(1, |prefactor|)."""
+    sig, fe = E(sigma), E(f)
+    if not sig.is_real() or sig.re <= 0:
+        raise DomainError("sigma must be a positive real")
     if fe.is_zero():
         raise ZeroArgument("the theta parameter f must be nonzero")
-    sv = float(sig.abs_upper())
-    i = mpmath.mpc(0, 1)
-
     if identity_id in ("IR_SCHLOSSER", "IR_SRIV_JAIN"):
         q, a, b, z = (E(params[k]) for k in "qabz")
-        qv, av, bv, zv, fv, sgv = (x.to_approx(pb + 20).value for x in (q, a, b, z, fe, sig))
-        base, node_base = q, qv
-        theta_den = [fe, q / fe, -fe, -q / fe]
-        moduli = [
-            ("i sigma/w", sv),
-            ("-i sigma/w", sv),
-            ("-i a w/sigma", a.abs_upper() / sv),
-            ("i b w/sigma", b.abs_upper() / sv),
-        ]
-        with mp.workprec(pb + 10):
-            num = [(i * fv, _SO), (-i * (qv / fv), _SO), (i * fv, _WS), (-i * (qv / fv), _WS)]
-            den = [(i, _SO), (-i, _SO), (-i * av, _WS), (i * bv, _WS)]
-            if identity_id == "IR_SCHLOSSER":
-                moduli.append(("i (q/b) w/sigma", (q / b).abs_upper() / sv))
-                pref_num = [q, a, -a, b, -b, q / b, -q / b]
-                pref_den = theta_den + [-q, a * b, q * a / b]
-                num.append((i * qv * av, _WS))
-                den.append((i * (qv / bv), _WS))
-                kernel = ([av * bv, qv * av / bv, -(i * qv / av)], [-qv, i * qv * av], i * zv)
-            else:  # IR_SRIV_JAIN
-                moduli.append(("-i b w/sigma", b.abs_upper() / sv))
-                pref_num = [q, a, -a, b, -b, b, -b]
-                pref_den = theta_den + [a * b, -a * b, b * b]
-                num.append((-i * av * bv * bv, _WS))
-                den.append((-i * bv, _WS))
-                kernel = ([av * bv, -av * bv, i * av], [av * av, -i * av * bv * bv], i * zv)
+        base = q
+        pref_den = [fe, q / fe, -fe, -q / fe]
+        num = [(I * fe, _SO), (-I * q / fe, _SO), (I * fe, _WS), (-I * q / fe, _WS)]
+        den = [(I, _SO), (-I, _SO), (-I * a, _WS), (I * b, _WS)]
+        if identity_id == "IR_SCHLOSSER":
+            pref_num = [q, a, -a, b, -b, q / b, -q / b]
+            pref_den += [-q, a * b, q * a / b]
+            num.append((I * q * a, _WS))
+            den.append((I * q / b, _WS))
+            kernel = ([a * b, q * a / b, -I * q / a], [-q, I * q * a], I * z)
+        else:  # IR_SRIV_JAIN
+            pref_num = [q, a, -a, b, -b, b, -b]
+            pref_den += [a * b, -a * b, b * b]
+            num.append((-I * a * b * b, _WS))
+            den.append((-I * b, _WS))
+            kernel = ([a * b, -a * b, I * a], [a * a, -I * a * b * b], I * z)
     else:
         # base-q^2 family: q = p^2, everything runs in base Q = q^2 = p^4
         p, a, b, z = (E(params[k]) for k in "pabz")
         q = p * p
-        Q = q * q
+        base = Q = q * q
         A, B = a * a, b * b
-        pv, av, bv, zv, fv, sgv = (x.to_approx(pb + 20).value for x in (p, a, b, z, fe, sig))
-        with mp.workprec(pb + 20):
-            qv = pv * pv
-            Qv = qv * qv
-            Av, Bv = av * av, bv * bv
-        base, node_base = Q, Qv
-        theta_den = [fe, Q / fe, q * fe, q / fe]
-        moduli = [
-            ("p sigma/w", p.abs_upper() * sv),
-            ("sigma/(p w)", sv / float(p.abs_upper())),
-            ("p a^2 w/sigma", (p * A).abs_upper() / sv),
-            ("a^2/p w/sigma", (A / p).abs_upper() / sv),
-        ]
-        with mp.workprec(pb + 10):
-            num = [(pv * fv, _SO), (pv**3 / fv, _SO), (pv * fv, _WS), (pv**3 / fv, _WS)]
-            den = [(pv, _SO), (pv, _SO_OVER), (pv * Av, _WS), (Av / pv, _WS)]
-            if identity_id == "IR_NASSRALLAH_1":
-                moduli.append(("p b^2 w/sigma", (p * B).abs_upper() / sv))
-                pref_num = [Q, A, A, q * A, A / q, B, q * B]
-                pref_den = theta_den + [A * A, A * B, q * A * B]
-                num.append((pv * Av * Av * Bv, _WS))
-                den.append((pv * Bv, _WS))
-                kernel = ([Av * Av, Av * Bv, Bv / pv], [Av * Bv / qv, pv * Av * Av * Bv], pv * zv)
-            elif identity_id == "IR_NASSRALLAH_2":
-                moduli.append(("p^3 b^2 w/sigma", (p**3 * B).abs_upper() / sv))
-                pref_num = [Q, q * A, A, A, A / q, q * B, Q * B]
-                pref_den = theta_den + [A * A, q * A * B, Q * A * B]
-                num.append((pv**3 * Av * Av * Bv, _WS))
-                den.append((pv**3 * Bv, _WS))
-                kernel = (
-                    [Av * Av, Qv * Av * Bv, pv * Bv], [qv * Av * Bv, pv**3 * Av * Av * Bv], pv * zv
-                )
-            else:  # IR_THM21
-                moduli.append(("b^2/p w/sigma", (B / p).abs_upper() / sv))
-                pref_num = [Q, q * A, A, A, A / q, B, B / q]
-                pref_den = theta_den + [A * A, A * B, A * B / q]
-                num.append((Av * Av * Bv / pv, _WS))
-                den.append((Bv / pv, _WS))
-                kernel = ([Av * Av, Av * Bv, pv * Bv], [qv * Av * Bv, Av * Av * Bv / pv], pv * zv)
+        pref_den = [fe, Q / fe, q * fe, q / fe]
+        num = [(p * fe, _SO), (p**3 / fe, _SO), (p * fe, _WS), (p**3 / fe, _WS)]
+        den = [(p, _SO), (1 / p, _SO), (p * A, _WS), (A / p, _WS)]
+        if identity_id == "IR_NASSRALLAH_1":
+            pref_num = [Q, A, A, q * A, A / q, B, q * B]
+            pref_den += [A * A, A * B, q * A * B]
+            num.append((p * A * A * B, _WS))
+            den.append((p * B, _WS))
+            kernel = ([A * A, A * B, B / p], [A * B / q, p * A * A * B], p * z)
+        elif identity_id == "IR_NASSRALLAH_2":
+            pref_num = [Q, q * A, A, A, A / q, q * B, Q * B]
+            pref_den += [A * A, q * A * B, Q * A * B]
+            num.append((p**3 * A * A * B, _WS))
+            den.append((p**3 * B, _WS))
+            kernel = ([A * A, Q * A * B, p * B], [q * A * B, p**3 * A * A * B], p * z)
+        else:  # IR_THM21
+            pref_num = [Q, q * A, A, A, A / q, B, B / q]
+            pref_den += [A * A, A * B, A * B / q]
+            num.append((A * A * B / p, _WS))
+            den.append((B / p, _WS))
+            kernel = ([A * A, A * B, p * B], [q * A * B, A * A * B / p], p * z)
 
-    pref = _prefactor(pref_num, pref_den, QBase.of(base), eps, pb)
-    return pref, _node_integrand(num, den, kernel, node_base, sgv, eps, pb), moduli
+    qb = QBase.of(base)
+    try:
+        pref = _product_quotient(1, [(x, qb) for x in pref_num], [(x, qb) for x in pref_den],
+                                 pb, eps / 64)
+    except ZeroDivisionError:
+        raise HypothesisViolation("a prefactor denominator product vanishes",
+                                  factor="prefactor") from None
+    pref = ApproxScalar.coerce(pref, pb)  # exact 0 when a numerator product vanishes
+    tol = eps / (16 * max(1.0, float(abs(pref))))
+    return (pref, *_node_integrand(num, den, kernel, base, sig, tol))
 
 
-def hypothesis_prescan(moduli, integrand, pb: int) -> list:
-    """Check the modulus-below-one hypothesis, then probe 64 coarse nodes.
-
-    Returns the integrand's values at those nodes: the first level of a 64-node
-    :func:`integrate_periodic` at the same precision.
-    """
-    for name, m in moduli:
-        if m >= 1.0:
-            raise HypothesisViolation(
-                f"denominator element {name} has modulus {m:.6g} >= 1", factor=name
-            )
-    vals = []
+def hypothesis_prescan(nodes: int, integrand, pb: int) -> list:
+    """The integrand's values at the nodes of the coarse grid, the first level
+    of :func:`integrate_periodic` at the same precision.  The hypothesis is
+    checked before, on the moduli (see :func:`_node_integrand`)."""
     with mp.workprec(pb + 10):
-        for j in range(64):
-            v = integrand(_node_psi(j, 64))
-            if not mpmath.isfinite(v):
-                raise HypothesisViolation(
-                    f"integrand blows up during the coarse prescan at node {j}",
-                    factor="prescan",
-                )
-            vals.append(v)
-    return vals
+        return [integrand(_node_psi(j, nodes)) for j in range(nodes)]
 
 
 def verify_integral_rep(
@@ -380,23 +369,24 @@ def verify_integral_rep(
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> VerificationReport:
     """Prefactor times contour integral against the series-side product; the
-    quadrature starts from the 64 prescan nodes and doubles, at most 14 times, to eps/16."""
+    quadrature runs on the node count whose proven bound is at most eps/16,
+    starting from the 64 prescan nodes."""
+    check_eps(eps)
     if identity_id not in INTEGRAL_IDS:
         raise UnknownIdentity(f"no integral representation registered under {identity_id!r}")
-    sig = E(sigma)
-    if sig.is_zero() or not sig.is_real() or sig.re <= 0:
-        raise DomainError("sigma must be a positive real")
     series = _series_side(identity_id, params, eps, precision_bits)
-    pref, integrand, moduli = _descriptor(identity_id, params, sigma, f, eps, precision_bits)
-    coarse = hypothesis_prescan(moduli, integrand, precision_bits)
-    spec = QuadratureSpec(nodes=len(coarse), eps=eps / 16, max_doublings=14)
-    integral, achieved, nodes = integrate_periodic(
-        integrand, spec, precision_bits, first_level=coarse
+    pref, integrand, strips, wp = _descriptor(identity_id, params, sigma, f, eps, precision_bits)
+    bits = max(precision_bits, wp)
+    coarse = hypothesis_prescan(_PRESCAN_NODES, integrand, bits)
+    # the value is pref * integral / (2 pi): a bound on the integral times scale bounds it
+    scale = max(1.0, float(abs(pref))) / (2 * math.pi)
+    integral, bound, nodes = integrate_periodic(
+        integrand, strips, eps / 16 / scale, bits, first_level=coarse
     )
     with mp.workprec(precision_bits + 10):
         value = pref * integral * ApproxScalar(1 / (2 * mpmath.pi), precision_bits)
     return make_report(
         identity_id, {**params, "sigma": sigma, "f": f}, value, series,
         compare_approx(value, series, eps), quadrature_nodes=nodes,
-        note=f"quadrature achieved_eps={achieved:.3e}",
+        note=f"quadrature nodes={nodes} bound={bound * scale:.3e} working_bits={wp}",
     )

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from mpmath import mp
 
 from .askey_wilson import AWParams, aw_hermite_degenerate, eval_aw
-from .errors import DivergenceError, DomainError, UnknownIdentity, check_names
+from .errors import DivergenceError, DomainError, UnknownIdentity, check_eps, check_names
 from .powerseries import PowerSeriesTrunc, phi_series_coeffs
 from .qkernel import (
     _GUARD_BITS,
@@ -532,6 +532,7 @@ def verify_product(
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> VerificationReport:
     """Value check of one product identity at one exact parameter point."""
+    check_eps(eps)
     if identity_id not in PRODUCT_IDS:
         raise UnknownIdentity(f"no product identity registered under {identity_id!r}")
     # QUAD_COR13 is TRIPLE_32PF at u = t: it accepts that check's point, u unused
@@ -657,6 +658,7 @@ def _rfs_product(side, z: Fraction, eps: float):
 
 def classical_limit_check(which: str, params: dict, eps: float = 1e-10) -> VerificationReport:
     """The classical hypergeometric product formulas the q-identities extend."""
+    check_eps(eps)
     if which not in CLASSICAL_IDS:
         raise UnknownIdentity(f"no classical limit registered under {which!r}")
     check_names(which, ("a", "b", "z"), params)

@@ -15,11 +15,11 @@ All values are immutable and every operation is a pure function.
 
 The certified products and series (here, in :mod:`qident.series` and
 :mod:`qident.products`) and the contour node kernel of :mod:`qident.integrals`
-share one private fixed-point arithmetic.  A complex value is a pair (re, im)
-of Python ints scaled by 2^wp, wp = precision_bits + _GUARD_BITS: ``_fx``
-converts an mpmath value in, ``_mul``, ``_div`` and ``_one_minus`` operate on
-pairs, ``_qprod`` multiplies the K factors of a q-Pochhammer product, and
-``_approx`` converts a result out, once, to an :class:`ApproxScalar`.
+share one private fixed-point arithmetic: pairs (re, im) of Python ints scaled
+by 2^wp, wp = precision_bits + _GUARD_BITS (the node kernel's wp is from eps).
+``_fx`` converts an mpmath value in, ``_mul``, ``_div`` and ``_one_minus``
+operate on pairs, ``_qprod`` multiplies the K factors of a q-Pochhammer
+product, and ``_approx`` converts a result out, once, to an :class:`ApproxScalar`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import fzero, to_fixed
 
-from .errors import DomainError, ModeMismatch
+from .errors import DomainError, ModeMismatch, check_eps
 
 RationalLike = Union[int, Fraction]
 
@@ -572,9 +572,14 @@ def _qprod(x, q, K: int, wp: int) -> tuple:
     xr, xi = x
     qr, qi = q
     pr, pi = 1 << wp, 0
-    for _ in range(K):
+    if qi:
+        for _ in range(K):
+            pr, pi = pr - ((pr * xr - pi * xi) >> wp), pi - ((pr * xi + pi * xr) >> wp)
+            xr, xi = (xr * qr - xi * qi) >> wp, (xr * qi + xi * qr) >> wp
+        return pr, pi
+    for _ in range(K):  # a real base, the same values with two products fewer
         pr, pi = pr - ((pr * xr - pi * xi) >> wp), pi - ((pr * xi + pi * xr) >> wp)
-        xr, xi = (xr * qr - xi * qi) >> wp, (xr * qi + xi * qr) >> wp
+        xr, xi = xr * qr >> wp, xi * qr >> wp
     return pr, pi
 
 
@@ -593,8 +598,7 @@ def qpoch_infinite(
     a trivial certificate.  The K factors are multiplied in fixed point
     (:func:`_qprod`).
     """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    check_eps(eps)
     qb = QBase.of(q)
     qv = qb.value
     if precision_bits is None:

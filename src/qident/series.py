@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import DivergenceError, DomainError, ModeMismatch, NoConvergence, PoleError
+from .errors import DivergenceError, DomainError, ModeMismatch, NoConvergence, PoleError, check_eps
 from .qkernel import (
     _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
@@ -403,6 +403,7 @@ def eval_rfs(
 ) -> ApproxScalar:
     """Classical rFs via rising-factorial term recurrence, geometric tail,
     summed in fixed point."""
+    check_eps(eps)
     ups, los = (
         [ApproxScalar.coerce(x, precision_bits + 10).value for x in xs] for xs in (upper, lower)
     )

@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from qident.askey_wilson import (
@@ -21,7 +22,7 @@ from qident.askey_wilson import (
 )
 from qident.errors import DomainError, PoleError
 from qident.identities import EXACT_IDS, list_ids, lookup, sweep
-from qident.integrals import verify_integral_rep
+from qident.integrals import _descriptor, verify_integral_rep
 from qident.products import (
     COEFF_CHECK_IDS,
     PRODUCT_IDS,
@@ -284,6 +285,26 @@ def test_criterion_09_integral_representations():
     _line(9, elapsed <= 300,
           f"all five integral representations match their series values at 1e-25 "
           f"with sigma/f-independence at 2e-25; {elapsed:.1f}s <= 300s")
+
+
+def test_criterion_09_quadrature_bounds_hold():
+    # at each criterion-9 point the report states a proven quadrature bound
+    # <= eps/16 on at most 2048 nodes for IR_SCHLOSSER and 512 for the others
+    # (the node doubling's counts at the first points; it took as many or more
+    # at the second), and the N-node and 2N-node values differ by at most it
+    eps = 1e-25
+    for ident, pts in INTEGRAL_POINTS.items():
+        for params, sigma, _ in pts:
+            rep = verify_integral_rep(ident, params, sigma=sigma, f=F(3, 2), eps=eps)
+            n = rep.quadrature_nodes
+            bound = float(rep.note.split("bound=")[1].split()[0])
+            assert bound <= eps / 16 and n <= (2048 if ident == "IR_SCHLOSSER" else 512), rep.note
+            pref, integrand, _, _ = _descriptor(ident, params, sigma, F(3, 2), eps, 256)
+            with mpmath.mp.workprec(266):
+                vals = [integrand(-mpmath.pi + mpmath.pi * j / n) for j in range(2 * n)]
+                mean_n, mean_2n = mpmath.fsum(vals[::2]) / n, mpmath.fsum(vals) / (2 * n)
+                diff = abs(pref.value) * abs(mean_n - mean_2n)
+            assert diff <= bound, (ident, sigma, float(diff), bound)
 
 
 def test_criterion_10_classical_limits():

@@ -209,6 +209,18 @@ class TestVerify:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("ident, extra", [
+        ("CLAUSEN", ["--params", "a=1/3,b=1/4,z=1/5"]),
+        ("SRIV_JAIN", ["--params", "q=1/2,a=1/3,b=1/4,z=1/5"]),
+        ("IR_THM21", ["--params", "p=7/10,a=1/2,b=2/5,z=1/5", "--sigma", "1/2", "--f", "3/2"]),
+    ])
+    def test_nonpositive_eps_is_named(self, capsys, ident, extra, eps):
+        # rejected before any series runs: exit 2, not a run to the term cap and exit 3
+        code, _, err = run_cli(capsys, "verify", ident, *extra, "--eps", eps)
+        assert code == EXIT_CONFIG
+        assert err == f"error: eps must be positive, got {float(eps)!r}\n"
+
 
 class TestSweepAndReport:
     def test_sweep_runs_and_roundtrips(self, capsys, tmp_path):
@@ -242,6 +254,12 @@ class TestSweepAndReport:
             assert code == EXIT_OK
             paths.append(p)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_missing_report_path_is_named(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        code, _, err = run_cli(capsys, "report", missing)
+        assert code == EXIT_CONFIG
+        assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
 
     def test_sweep_rejects_product_ids(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "SRIV_JAIN", "--trials", "1")

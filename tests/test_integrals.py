@@ -1,5 +1,6 @@
 """Theta function, periodic quadrature, and the contour-integral checks."""
 
+import math
 from fractions import Fraction as F
 
 import mpmath
@@ -16,10 +17,11 @@ from qident.errors import (
 )
 from qident.integrals import (
     INTEGRAL_IDS,
-    QuadratureSpec,
     _series_side,
     integrate_periodic,
     theta,
+    trapezoid_bound,
+    trapezoid_nodes,
     verify_integral_rep,
 )
 from qident.products import product_sides, side_value
@@ -66,38 +68,72 @@ class TestTheta:
             assert abs(v.value - ref) < 1e-33
 
 
+def _geometric(r):
+    """f(psi) = 1/(1 - r e^(i psi)), whose integral over [-pi, pi] is 2 pi."""
+    return lambda psi: 1 / (1 - r * mpmath.expjpi(psi / mpmath.pi))
+
+
 class TestQuadrature:
     def test_constant_integrand(self):
-        spec = QuadratureSpec(nodes=16, eps=1e-30, max_doublings=3)
-        val, achieved, nodes = integrate_periodic(lambda psi: mpmath.mpc(1), spec, 128)
+        val, bound, nodes = integrate_periodic(lambda psi: mpmath.mpc(1), [(1.0, 1.0)], 1e-30, 128)
+        assert bound <= 1e-30 and nodes % 64 == 0
         with mp.workprec(150):
             assert abs(val.value - 2 * mpmath.pi) < 1e-30
 
     def test_pure_oscillation_integrates_to_zero(self):
-        spec = QuadratureSpec(nodes=32, eps=1e-28, max_doublings=6)
+        # e^(5 i psi) is entire: on |Im psi| < 1 it is at most e^5
         k = 5
         val, _, _ = integrate_periodic(
-            lambda psi: mpmath.expjpi(k * psi / mpmath.pi), spec, 192
+            lambda psi: mpmath.expjpi(k * psi / mpmath.pi), [(1.0, math.exp(k))], 1e-28, 192
         )
         assert abs(val.value) < 1e-28
 
     def test_geometric_convergence_on_analytic_integrand(self):
-        # f(psi) = 1/(1 - r e^(i psi)) integrates to 2 pi (geometric series)
+        # analytic for |w| < 1/r, so in |Im psi| < log 3, and at most 1/(1 - r e^a) there
         r = mpmath.mpf(1) / 3
-
-        def f(psi):
-            return 1 / (1 - r * mpmath.expjpi(psi / mpmath.pi))
-
-        spec = QuadratureSpec(nodes=16, eps=1e-30, max_doublings=10)
-        val, achieved, nodes = integrate_periodic(f, spec, 192)
+        strips = [(a, 1 / (1 - float(r) * math.exp(a))) for a in (0.5, 0.8, 1.0)]
+        val, bound, nodes = integrate_periodic(_geometric(r), strips, 1e-30, 192)
+        assert bound <= 1e-30
         with mp.workprec(220):
-            assert abs(val.value - 2 * mpmath.pi) < 1e-28
+            assert abs(val.value - 2 * mpmath.pi) <= bound + 1e-50
+
+    @pytest.mark.parametrize("r", [F(1, 5), F(1, 3), F(1, 2), F(4, 5), F(9, 10)])
+    @pytest.mark.parametrize("n", [64, 128, 192, 512])
+    def test_bound_covers_closed_form_error(self, r, n):
+        # the n-node trapezoid error on 1/(1 - r e^(i psi)) is exactly
+        # 2 pi r^n / (1 - r^n); the proven bound must be at least that on
+        # every strip the integrand is analytic in
+        exact = 2 * math.pi * float(r) ** n / (1 - float(r) ** n)
+        a_max = -math.log(r)
+        for frac in (0.25, 0.5, 0.75, 0.9, 0.99):
+            a = a_max * frac
+            assert trapezoid_bound(a, 1 / (1 - float(r) * math.exp(a)), n) >= exact
+        if n <= 128:
+            with mp.workprec(400):
+                f = _geometric(mpmath.mpf(r.numerator) / r.denominator)
+                vals = [f(-mpmath.pi + 2 * mpmath.pi * j / n) for j in range(n)]
+                error = abs(2 * mpmath.pi * mpmath.fsum(vals) / n - 2 * mpmath.pi)
+                assert abs(error - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("a, M, target", [
+        (0.1, 1e3, 1e-10), (0.3, 2.0, 1e-25), (1.0, 1.0, 1e-30), (2.0, 0.5, 1.0),
+        (0.05, 1e9, 1e-12),
+    ])
+    def test_chosen_n_is_least_multiple_of_64(self, a, M, target):
+        n, bound = trapezoid_nodes([(a, M)], target)
+        assert n % 64 == 0 and bound == trapezoid_bound(a, M, n) <= target
+        assert n == 64 or trapezoid_bound(a, M, n - 64) > target
+        # of several strips, the one that needs the fewest nodes is taken
+        assert trapezoid_nodes([(a / 2, M), (a, M)], target) == (n, bound)
 
     def test_invalid_specs(self):
+        # the first level is the 64-node coarse grid, and eps must be positive
         with pytest.raises(DomainError):
-            QuadratureSpec(nodes=48)
-        with pytest.raises(DomainError):
-            QuadratureSpec(nodes=16, eps=0.0)
+            integrate_periodic(_geometric(0.5), [(0.5, 10.0)], 1e-10, 128,
+                               first_level=[mpmath.mpc(1)] * 48)
+        params, sigma, _ = POINTS["IR_SRIV_JAIN"]
+        with pytest.raises(DomainError, match="eps must be positive, got 0.0"):
+            verify_integral_rep("IR_SRIV_JAIN", params, sigma=sigma, f=F(3, 2), eps=0.0)
 
     def test_doubling_converges_geometrically(self):
         # inter-level differences shrink by at least 4x per doubling once
@@ -129,16 +165,12 @@ class TestQuadrature:
             assert b <= a / 4
 
     def test_no_convergence_error(self):
-        # a rough integrand cannot reach 1e-40 in two doublings
-        import random as _r
-
-        rng = _r.Random(1)
-
+        # a strip this thin cannot reach 1e-40 within 2^20 nodes; no node is evaluated
         def f(psi):
-            return mpmath.mpc(rng.random())
+            raise AssertionError("no node should be evaluated")
 
         with pytest.raises(NoConvergence):
-            integrate_periodic(f, QuadratureSpec(nodes=16, eps=1e-40, max_doublings=2), 128)
+            integrate_periodic(f, [(1e-6, 1.0)], 1e-40, 128)
 
 
 class TestIntegralReps:
@@ -186,6 +218,20 @@ class TestIntegralReps:
             verify_integral_rep("IR_SRIV_JAIN", params, sigma=F(6, 5), f=F(3, 2))
         assert err.value.factor is not None
 
+    def test_kernel_argument_outside_unit_disc_is_named(self):
+        # |zc|/sigma = (1/2)/(2/5) > 1: the 3phi2 kernel diverges on the contour
+        params = {"q": F(1, 2), "a": F(1, 5), "b": F(1, 5), "z": F(1, 2)}
+        with pytest.raises(HypothesisViolation) as err:
+            verify_integral_rep("IR_SRIV_JAIN", params, sigma=F(2, 5), f=F(3, 2))
+        assert err.value.factor == "3phi2 kernel zc w/sigma"
+
+    def test_kernel_argument_near_unit_circle(self):
+        # |zc|/sigma = 9/10 is the largest modulus: strips close to it, where
+        # the kernel's majorant settles slowly or not at all, are passed over
+        params = {"q": F(1, 2), "a": F(1, 5), "b": F(1, 5), "z": F(9, 20)}
+        rep = verify_integral_rep("IR_SRIV_JAIN", params, sigma=F(1, 2), f=F(3, 2), eps=1e-8)
+        assert rep.passed and rep.quadrature_nodes <= 512
+
     def test_sigma_one_rejected_by_prescan(self):
         # sigma = 1 puts |i sigma/w| = 1 on the contour
         params, _, _ = POINTS["IR_SRIV_JAIN"]
@@ -199,6 +245,14 @@ class TestIntegralReps:
         with pytest.raises(UnknownIdentity):
             verify_integral_rep("IR_NOPE", params, sigma=sigma, f=F(3, 2))
 
+    def test_report_is_deterministic(self):
+        # the note states N, the proven bound and the working bits, the same each run
+        params, sigma, _ = POINTS["IR_SCHLOSSER"]
+        r1, r2 = (verify_integral_rep("IR_SCHLOSSER", params, sigma=sigma, f=F(3, 2), eps=1e-10)
+                  for _ in range(2))
+        assert r1 == r2 and r1.passed
+        assert r1.note == "quadrature nodes=512 bound=1.251e-13 working_bits=82"
+
     def test_zero_f_rejected(self):
         params, sigma, _ = POINTS["IR_SRIV_JAIN"]
         with pytest.raises(ZeroArgument):
@@ -209,8 +263,9 @@ class TestNodeKernel:
     @pytest.mark.parametrize("ident", sorted(INTEGRAL_IDS))
     def test_nodes_match_certified_products_and_series(self, ident, monkeypatch):
         # the fixed-point node against qpoch_infinite for the ten products and
-        # eval_phi_nonterminating for the 3phi2 kernel, at 8 nodes; the kernel's
-        # own truncation (eps * 1e-4) is far below the 1e-60 asked for
+        # eval_phi_nonterminating for the 3phi2 kernel, at 8 nodes; the node's
+        # own truncation and rounding (eps / 16 / max(1, |prefactor|)) are far
+        # below the 1e-60 asked for
         seen = []
         build = integrals._node_integrand
 
@@ -220,9 +275,14 @@ class TestNodeKernel:
 
         monkeypatch.setattr(integrals, "_node_integrand", recording)
         params, sigma, _ = POINTS[ident]
-        _, integrand, _ = integrals._descriptor(ident, params, sigma, F(3, 2), 1e-62, 256)
-        num, den, ((u1, u2, u3), (l1, l2), zc), base, sgv, _, _ = seen[0]
+        _, integrand, _, _ = integrals._descriptor(ident, params, sigma, F(3, 2), 1e-62, 256)
+        num, den, ((u1, u2, u3), (l1, l2), zc), base, sgv, _ = seen[0]
         bits, tight = 320, 1e-72
+        # the exact node data, at the reference precision
+        u1, u2, u3, l1, l2, zc, base, sgv = (
+            x.to_approx(bits).value for x in (u1, u2, u3, l1, l2, zc, base, sgv)
+        )
+        num, den = ([(c.to_approx(bits).value, form) for c, form in args] for args in (num, den))
 
         def approx(x):
             return ApproxScalar(x, bits)
@@ -234,8 +294,7 @@ class TestNodeKernel:
             with mp.workprec(bits):
                 w = mpmath.expjpi(psi / mpmath.pi)
                 so, ws = sgv / w, w / sgv
-                forms = {"sigma/w": lambda c: c * so, "w/sigma": lambda c: c * ws,
-                         "sigma/(c w)": lambda c: so / c}
+                forms = {integrals._SO: lambda c: c * so, integrals._WS: lambda c: c * ws}
                 ref = approx(1)
                 for args, power in ((num, 1), (den, -1)):
                     for c, form in args:
@@ -255,16 +314,18 @@ class TestNodeKernel:
         build = integrals._node_integrand
 
         def counting(*args):
-            integrand = build(*args)
+            integrand, strips, wp = build(*args)
 
             def counted(psi):
                 calls.append(psi)
                 return integrand(psi)
 
-            return counted
+            return counted, strips, wp
 
         monkeypatch.setattr(integrals, "_node_integrand", counting)
         params, sigma, _ = POINTS["IR_THM21"]
         rep = verify_integral_rep("IR_THM21", params, sigma=sigma, f=F(3, 2), eps=1e-15)
         assert rep.passed
-        assert len(calls) == rep.quadrature_nodes == 256
+        # the bound's N (the node doubling took 256)
+        assert len(calls) == rep.quadrature_nodes == 192
+        assert rep.note.startswith("quadrature nodes=192 bound=")

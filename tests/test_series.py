@@ -269,6 +269,12 @@ class TestClassicalRFS:
         with pytest.raises(PoleError):
             eval_rfs([F(1, 2)], [-2], F(1, 3))
 
+    def test_nonpositive_eps_rejected(self):
+        # before any term is summed
+        for eps in (0.0, -1e-10):
+            with pytest.raises(DomainError, match="eps must be positive"):
+                eval_rfs([F(1, 3), F(1, 5)], [F(3, 7)], F(1, 4), eps=eps)
+
 
 class TestQAppell:
     def test_origin(self):
