@@ -205,8 +205,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        rf = ReportFile.from_json(fh.read())
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            rf = ReportFile.from_json(fh.read())
+    except OSError as exc:
+        raise DomainError(f"cannot read report {args.input!r}: {exc.strerror}") from None
     return _emit(rf, args)
 
 
@@ -275,7 +278,6 @@ def main(argv=None) -> int:
         SamplerExhausted,
         ZeroArgument,
         ValueError,
-        OSError,  # a report or output path that cannot be read or written
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

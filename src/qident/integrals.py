@@ -22,9 +22,9 @@ one fixed analytic function, which M bounds.
 
 Every denominator argument, and the kernel's l2 w/sigma and zc w/sigma, must
 keep modulus below one on the contour (which also places the kernel's poles).
-The moduli are checked, then 64 coarse nodes are pre-scanned; they are the
-quadrature's first level, so each node runs once.  Nodes run on the fixed-point primitives of :mod:`qident.qkernel`
-(``_qprod`` for the ten products), with the constants converted once.
+The moduli are checked before any node runs.  The 64 coarse prescan nodes are
+the quadrature's first level, so each node runs once, on the fixed-point
+primitives of :mod:`qident.qkernel` with the constants converted once.
 
 theta(x; q) here is (x; q)_inf (q/x; q)_inf.  Displays whose f-elements did
 not form theta pairs (x, q/x) as printed are implemented with the paired form
@@ -101,16 +101,18 @@ def _node_psi(j: int, n: int):
 def trapezoid_bound(a: float, M: float, n: int) -> float:
     """4 pi M / (e^(a n) - 1): the error bound of the n-node trapezoid rule on
     a 2pi-periodic integrand analytic, and bounded by M, in |Im psi| < a."""
-    return 4 * math.pi * M * math.exp(-a * n) / -math.expm1(-a * n)
+    # in logs, so that a large M does not meet an underflowed e^(-a n) as inf * 0
+    return 4 * math.pi * math.exp(math.log(M) - a * n) / -math.expm1(-a * n)
 
 
 def trapezoid_nodes(strips, target: float) -> tuple[int, float]:
     """(N, bound): the least multiple of 64 nodes whose trapezoid bound on one
-    of the strips (a, M) is at most target, and the least such bound."""
+    of the strips (a, M) is at most target, and the least such bound.  A strip
+    with M = inf has an infinite bound, and never meets the target."""
     best = _MAX_NODES + _PRESCAN_NODES, math.inf
     for a, M in strips:
         n = _PRESCAN_NODES
-        while n < best[0] and trapezoid_bound(a, M, n) > target:
+        while n < best[0] and not trapezoid_bound(a, M, n) <= target:
             n += _PRESCAN_NODES
         best = min(best, (n, trapezoid_bound(a, M, n)))
     if best[0] > _MAX_NODES:
@@ -227,27 +229,30 @@ def _node_integrand(num, den, kernel, base, sig, tol: float) -> tuple[Callable, 
     a_max = -math.log(max(m for _, m in moduli))
     Q = base.abs_upper()
 
-    def log_products(rho):
-        return sum(_log_poch_majorant(m * rho**e, Q, is_den)
-                   for args, is_den in ((nums, False), (dens, True)) for _, m, e in args)
+    def products(rho):  # the ten products' majorant on |w| = rho, inf past float range
+        log_m = sum(_log_poch_majorant(m * rho**e, Q, is_den)
+                    for args, is_den in ((nums, False), (dens, True)) for _, m, e in args)
+        return math.exp(log_m) if log_m < 700 else math.inf
 
     # the unit circle: factor counts, term count, working bits
-    products_1 = math.exp(log_products(1.0))
+    products_1 = products(1.0)
     tail = tol / (4 * products_1)
     kernel_1, T = _kernel_majorant(kabs, Q, 1.0, tail)
-    if T is None:
-        raise NoConvergence("the 3phi2 kernel's majorant does not settle within 10000 terms")
     mag = products_1 * kernel_1
+    if T is None or mag == math.inf:
+        raise NoConvergence("the node integrand has no finite majorant on the unit circle")
     tol_p = tol / (5 * len(nums + dens) * mag)  # e^x - 1 <= 5x/4 for x <= 1/5
     Ks = [_factor_count(m, Q, tol_p)[0] for _, m, _ in nums + dens]
-    wp = max(64, math.ceil(math.log2((sum(Ks) + 8 * T) * mag / tol)) + 4)
+    wp = max(64, math.ceil(math.log2(sum(Ks) + 8 * T) + math.log2(mag) - math.log2(tol)) + 4)
 
     strips = []
     for i in range(1, 11):
         a = a_max * (1 - 2.0**-i)
-        M = max(math.exp(log_products(rho)) * _kernel_majorant(kabs, Q, rho, tail)[0]
+        M = max(products(rho) * _kernel_majorant(kabs, Q, rho, tail)[0]
                 for rho in (math.exp(a), math.exp(-a)))
         strips.append((a, M * (1 + 2.0**-30)))
+    if all(M == math.inf for _, M in strips):
+        raise NoConvergence("no strip off the unit circle has a finite integrand majorant")
 
     def fixed(x):
         return _fx(x.to_approx(wp).value, wp)

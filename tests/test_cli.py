@@ -259,7 +259,7 @@ class TestSweepAndReport:
         missing = str(tmp_path / "missing.json")
         code, _, err = run_cli(capsys, "report", missing)
         assert code == EXIT_CONFIG
-        assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+        assert err == f"error: cannot read report {missing!r}: No such file or directory\n"
 
     def test_sweep_rejects_product_ids(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "SRIV_JAIN", "--trials", "1")

@@ -126,6 +126,17 @@ class TestQuadrature:
         # of several strips, the one that needs the fewest nodes is taken
         assert trapezoid_nodes([(a / 2, M), (a, M)], target) == (n, bound)
 
+    def test_strip_with_infinite_majorant_is_never_chosen(self):
+        # an infinite M proves nothing, also once e^(-a n) underflows to 0
+        with pytest.raises(NoConvergence):
+            trapezoid_nodes([(0.01, math.inf)], 1e-10)
+        finite = trapezoid_nodes([(0.01, 1.0)], 1e-10)
+        assert trapezoid_nodes([(0.5, math.inf), (0.01, 1.0)], 1e-10) == finite
+        assert math.isfinite(finite[1]) and finite[1] <= 1e-10
+        assert trapezoid_bound(0.01, math.inf, 80_000) == math.inf
+        # a large finite M is not lost to the underflow either
+        assert 0 < trapezoid_bound(0.01, 1e300, 80_000) < 1e-40
+
     def test_invalid_specs(self):
         # the first level is the 64-node coarse grid, and eps must be positive
         with pytest.raises(DomainError):
@@ -231,6 +242,13 @@ class TestIntegralReps:
         params = {"q": F(1, 2), "a": F(1, 5), "b": F(1, 5), "z": F(9, 20)}
         rep = verify_integral_rep("IR_SRIV_JAIN", params, sigma=F(1, 2), f=F(3, 2), eps=1e-8)
         assert rep.passed and rep.quadrature_nodes <= 512
+
+    def test_kernel_majorant_unsettled_off_circle(self):
+        # |zc|/sigma = 0.99: the kernel's majorant settles on |w| = 1 but on no
+        # strip, so no bound is proven and the check stops before any node runs
+        params = {"q": F(1, 2), "a": F(1, 5), "b": F(1, 5), "z": F(99, 200)}
+        with pytest.raises(NoConvergence, match="no strip"):
+            verify_integral_rep("IR_SRIV_JAIN", params, sigma=F(1, 2), f=F(3, 2), eps=1e-25)
 
     def test_sigma_one_rejected_by_prescan(self):
         # sigma = 1 puts |i sigma/w| = 1 on the contour
