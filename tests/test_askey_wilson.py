@@ -1,5 +1,6 @@
 """Askey-Wilson evaluation: representations, degenerations, special values."""
 
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -203,3 +204,52 @@ def _exact_polyfit(xs, ys):
                 f = rows[r][col]
                 rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
     return [rows[r][m] for r in range(m)]
+
+
+# SHA-256 of the printed values of p_n at fixed points, n = 0..8, one digest
+# per representation, and of the printed (lhs, rhs) of the four x = 0 special
+# values at two points, n = 0..10: a change of the exact arithmetic may not
+# move a digit of them.  The Gaussian point and x = 0 run the complex path.
+AW_PIN_POINTS = (
+    (F(-1, 3), F(-1, 5), F(-2, 7), F(-1, 2), F(1, 2), F(3, 4)),
+    (F(1, 3), F(2, 5), F(-3, 4), F(1, 7), F(2, 3), F(5, 6)),
+    (E(F(1, 3), F(1, 4)), F(-1, 5), F(2, 7), F(1, 2), F(1, 2), E(F(1, 2), F(-1, 3))),
+)
+SPECIAL_PIN_POINTS = (
+    {"q": F(1, 2), "a": F(1, 3), "b": F(2, 5)},
+    {"q": F(2, 7), "a": F(-1, 3), "b": F(3, 5)},
+)
+GOLDEN_AW_SHA256 = {
+    "eval_aw R1":
+        "bf8b31051f5aa3b069a488ac3c7aa50226310be366d3cb005b66c613260a8870",
+    "eval_aw R2":
+        "bf8b31051f5aa3b069a488ac3c7aa50226310be366d3cb005b66c613260a8870",
+    "eval_aw R3":
+        "bf8b31051f5aa3b069a488ac3c7aa50226310be366d3cb005b66c613260a8870",
+    "eval_aw CONV":
+        "bf8b31051f5aa3b069a488ac3c7aa50226310be366d3cb005b66c613260a8870",
+    "eval_special_value BAILEY0":
+        "f5e33904782fc9e3efb6020d94e05008e554b31930f08f4f19660c376e9684b4",
+    "eval_special_value ANDREWS_WHIPPLE0":
+        "1751c065b6cb1538528063c19f18fd7bf7674b58b48e660618f85b42c83b109f",
+    "eval_special_value NEWQUAD":
+        "2653a8f0e268ecdff1b5ab3cb45ef9fe36d884d791d10b79d07039ad6b0b62ed",
+    "eval_special_value ESOTERIC":
+        "595d33d980dd1736af4d11e5044162b7ec9d069023024830f4972ada419ec1cd",
+}
+
+
+def _pin(values) -> str:
+    return hashlib.sha256("\n".join(str(v) for v in values).encode()).hexdigest()
+
+
+def _aw_pin(key):
+    kind, name = key.split()
+    if kind == "eval_aw":
+        return _pin(eval_aw(params(*pt, n), name) for pt in AW_PIN_POINTS for n in range(9))
+    return _pin(v for P in SPECIAL_PIN_POINTS for n in range(11) for v in eval_special_value(name, P, n))
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_AW_SHA256))
+def test_golden_values(key):
+    assert _aw_pin(key) == GOLDEN_AW_SHA256[key]

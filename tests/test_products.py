@@ -429,3 +429,66 @@ def test_golden_term_counts(ident, monkeypatch):
     rep = verify_product(ident, point, eps=1e-30)
     assert rep.passed
     assert (rep.truncation_terms, sum(counted)) == (truncation_terms, sum_terms)
+
+
+# SHA-256 of each exact coefficient check's report followed by the
+# coefficients it compares (both sides through z^COEFF_PIN_ORDER, as printed),
+# at PRODUCT_POINTS and TestAWGF.VALUE_POINT: a change of the exact arithmetic
+# may not move a digit of them
+COEFF_PIN_ORDER = 20
+GOLDEN_COEFF_SHA256 = {
+    "AWGF":
+        "79010aa6b10a5dd0e2b41753499cecda3b794230c031e819e72333c1186a1321",
+    "JACKSON_CLAUSEN":
+        "7979fd1e623d016a912b0b614441563ece6cfe97cb3d61fb0edb672afca22618",
+    "NASSRALLAH_1":
+        "43218038e14d59a4e2cbafa759920603903aa55593cd260d9328d7574b599a31",
+    "NASSRALLAH_2":
+        "01e3059dbbbcf141130d7bd7114007cffa083c3bf6f9359f41e7d243b7892ce7",
+    "SCHLOSSER_T4":
+        "7bb5aad3ba6198f1757d77616feeebf24f7e896d386e546093a3d0b15ff85f0c",
+    "SCHLOSSER_T4 parity":
+        "950067fd060f86b38407d715081085f41d96b34be9e6df947d02f81d36c974c4",
+    "SRIVASTAVA_313":
+        "ddb5d577eb220006e708d698a78e9b992d1659c4fb1ebf5e4b0794d5fbff8fd2",
+    "SRIV_JAIN":
+        "5d7eb345bbe0f02831385e54c7c4e4f7a1f888b69e297400222bdb6961471e6f",
+    "T515":
+        "188405bbfbab20065874398acb682eb3bc68e38847fa0f79b69f6ca6deaa9cd9",
+    "T516":
+        "e44cabaab57e264fc052960c478cb36d1e44bba7c7a4040aec6d76bf0d587a49",
+    "T517":
+        "6a3b6e0f207c911fa517fc8637eaf287d06b43dbf962bf54df873012e89793ff",
+    "T518":
+        "95bb39e836305d07971df926cf659cb04c77bb17f17595b18652fea64df18ae3",
+    "THM21":
+        "25c5c3c1999c7b8254933fc1fbde10d10c2c2f8019ee4850b059f250bd739120",
+    "TRIVIAL_21_32":
+        "1160c346f3e63799da35173923c5c5042d838e51c934538a1a351c16cd9d4c64",
+}
+
+
+def _coefficient_pin(key):
+    if key == "AWGF":
+        P = {k: E(v) for k, v in TestAWGF.VALUE_POINT.items()}
+        a, b, c, d, w, q = (P[k] for k in "abcdwq")
+        rep = awgf_coefficient_check(a, b, c, d, w, q, n_max=COEFF_PIN_ORDER)
+        left = phi_series_coeffs([a * w, b * w], [a * b], q, 1 / w, COEFF_PIN_ORDER)
+        right = phi_series_coeffs([c / w, d / w], [c * d], q, w, COEFF_PIN_ORDER)
+        sides = [left * right]
+    else:
+        ident = key.split()[0]
+        params = {k: v for k, v in PRODUCT_POINTS[ident].items() if k not in ("z", "t")}
+        if key.endswith("parity"):
+            rep = schlosser_t4_parity_check(params, order=COEFF_PIN_ORDER)
+        else:
+            rep = product_coefficient_check(ident, params, order=COEFF_PIN_ORDER)
+        sides = [side_series(side, COEFF_PIN_ORDER) for side in product_sides(ident, params)]
+    lines = [json.dumps(dataclasses.asdict(rep), sort_keys=True)]
+    lines += [str(c) for s in sides for c in s.coeffs]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_COEFF_SHA256))
+def test_golden_coefficients(key):
+    assert _coefficient_pin(key) == GOLDEN_COEFF_SHA256[key]
