@@ -25,6 +25,7 @@ from .errors import (
     SamplerExhausted,
     UnknownIdentity,
     ZeroArgument,
+    check_eps,
 )
 from . import identities, integrals, products
 from .qkernel import DEFAULT_PRECISION_BITS, parse_exact
@@ -197,8 +198,7 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         seed=args.seed,
         n_range=n_values,
-        eps=args.eps or 0.0,
-        precision_bits=args.precision_bits,
+        **_options(args),
     )
     rf = ReportFile(tool_version=__version__, config=_echo_config(args), entries=reports)
     return _emit(rf, args)
@@ -264,6 +264,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "eps", None) is not None:
+            check_eps(args.eps)  # the value as given, before any check derives its own
         return args.func(args)
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

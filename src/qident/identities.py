@@ -42,6 +42,7 @@ from .errors import (
     PoleError,
     SamplerExhausted,
     UnknownIdentity,
+    check_eps,
     check_names,
 )
 from .qkernel import (
@@ -612,12 +613,20 @@ def _sides(rec: IdentityRecord, params: dict, n: int, precision_bits: int, eps: 
 _SCREEN_BITS, _SCREEN_EPS = 128, 1e-10
 
 
+def _checked_eps(eps: Optional[float]) -> float:
+    """The default eps for None; a given eps must be positive."""
+    if eps is None:
+        return DEFAULT_APPROX_EPS
+    check_eps(eps)
+    return eps
+
+
 def verify(
     identity_id: str,
     params: dict,
     n: int,
     mode: str = "exact",
-    eps: float = 0.0,
+    eps: Optional[float] = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     *,
     sides: Optional[tuple] = None,
@@ -625,11 +634,13 @@ def verify(
     """Check one identity at one exact parameter point.
 
     Exact records compare with strict equality; approx-only records certify
-    the RHS infinite products to eps (default 1e-40) and compare relatively.
-    `sides` is the (lhs, rhs) pair already evaluated at this point, as
-    `draw_params` returns it; when given, neither side is evaluated again,
-    except an rhs of None, which is evaluated at precision_bits and eps.
+    the RHS infinite products to eps (default 1e-40) and compare relatively;
+    a given eps must be positive, whatever the record.  `sides` is the
+    (lhs, rhs) pair already evaluated at this point, as `draw_params` returns
+    it; when given, neither side is evaluated again, except an rhs of None,
+    which is evaluated at precision_bits and eps.
     """
+    eps = _checked_eps(eps)
     rec = lookup(identity_id)
     if rec.approx_only and mode == "exact":
         raise DomainError(f"{identity_id} is approx-only (its RHS has infinite products)")
@@ -637,7 +648,7 @@ def verify(
     try:
         lhs, rhs = sides or (None, None)
         if rhs is None:
-            lhs, rhs = _sides(rec, params, n, precision_bits, eps or DEFAULT_APPROX_EPS, lhs)
+            lhs, rhs = _sides(rec, params, n, precision_bits, eps, lhs)
     except ZeroDivisionError as exc:
         raise ConstraintViolation(
             f"{identity_id}: closed-form denominator vanishes at {params}, n={n}",
@@ -657,7 +668,7 @@ def verify(
         abs_err = 0.0 if degenerate else lhs.abs_upper()
         verdict = degenerate, abs_err, abs_err
     else:
-        verdict = compare_approx(lhs.to_approx(precision_bits), rhs, eps or DEFAULT_APPROX_EPS)
+        verdict = compare_approx(lhs.to_approx(precision_bits), rhs, eps)
     return make_report(
         identity_id, params, lhs, rhs, verdict, mode="exact" if exact else "approx", n=n,
         degenerate=degenerate,
@@ -697,10 +708,11 @@ def sweep(
     trials: int,
     seed: int,
     n_range: Iterable[int],
-    eps: float = 0.0,
+    eps: Optional[float] = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[VerificationReport]:
     """Deterministic seeded sweep: `trials` parameter points, each n in range."""
+    eps = _checked_eps(eps)
     if trials < 1:
         raise DomainError("trials must be >= 1")
     rec = lookup(identity_id)

@@ -2,9 +2,9 @@
 
 Two arithmetic modes coexist and never mix silently:
 
-* :class:`ExactScalar` -- a Gaussian rational (real and imaginary parts are
-  arbitrary-size ``Fraction``\\ s).  Closed under +, -, *, / (by nonzero) and
-  integer powers; equality is exact.
+* :class:`ExactScalar` -- a Gaussian rational (n + m i)/d, held as three
+  arbitrary-size ints in canonical form (d > 0, gcd(n, m, d) = 1).  Closed
+  under +, -, *, / (by nonzero) and integer powers; equality is exact.
 * :class:`ApproxScalar` -- a complex number in binary floating point at a
   recorded precision of P >= 64 bits (mpmath storage).  Binary operations
   round at the minimum of the operand precisions.
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 import mpmath
@@ -41,100 +42,132 @@ RationalLike = Union[int, Fraction]
 DEFAULT_PRECISION_BITS = 256
 
 
-def _as_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _num_den(x: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x), 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 class ExactScalar:
-    """Gaussian rational p/q + (r/s)i with exact arithmetic."""
+    """The Gaussian rational (n + m i)/d with exact arithmetic.
 
-    __slots__ = ("re", "im")
+    The three ints are kept in canonical form, d > 0 and gcd(n, m, d) = 1, so
+    equal values have equal fields.  Operations work on the ints and build no
+    Fraction: a result is reduced by one gcd, or, for a sum or a real product,
+    by gcds of the smaller operands first, as ``Fraction`` does.  ``re`` and
+    ``im`` are read-only Fractions.
+    """
+
+    __slots__ = ("_n", "_m", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("ExactScalar is immutable")
+        a, b = _num_den(re)
+        c, e = _num_den(im)
+        # two parts in lowest terms over their least common denominator are canonical
+        d = b // gcd(b, e) * e
+        self._n, self._m, self._d = a * (d // b), c * (d // e), d
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def coerce(x: "ExactScalar | RationalLike") -> "ExactScalar":
-        if isinstance(x, ExactScalar):
-            return x
-        return ExactScalar(_as_fraction(x))
+        y = _coerce_exact(x)
+        if y is NotImplemented:
+            raise TypeError(f"cannot interpret {x!r} as an exact rational")
+        return y
+
+    @staticmethod
+    def from_parts(n: int, m: int, d: int) -> "ExactScalar":
+        """(n + m i)/d for ints with d > 0, in canonical form."""
+        if not d > 0:
+            raise ValueError(f"denominator must be positive, got {d}")
+        return _canonical(n, m, d)
+
+    # -- parts ----------------------------------------------------------
+    @property
+    def parts(self) -> tuple[int, int, int]:
+        """(n, m, d) of the canonical form (n + m i)/d."""
+        return self._n, self._m, self._d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._n, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._m, self._d)
 
     # -- predicates ---------------------------------------------------
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._n or self._m)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._m
 
     def abs2(self) -> Fraction:
         """|self|^2, exact."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._n * self._n + self._m * self._m, self._d * self._d)
 
     # -- arithmetic ---------------------------------------------------
-    # Both parts are already Fractions, so results are built by `_exact`;
-    # when both operands are real, one Fraction operation gives the result.
     def __add__(self, other):
-        other = _coerce_exact(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.im or other.im:
-            return _exact(self.re + other.re, self.im + other.im)
-        return _exact(self.re + other.re, _ZERO)
+        if type(other) is not ExactScalar:
+            other = _coerce_exact(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self._n, self._m, self._d, other._n, other._m, other._d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce_exact(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.im or other.im:
-            return _exact(self.re - other.re, self.im - other.im)
-        return _exact(self.re - other.re, _ZERO)
+        if type(other) is not ExactScalar:
+            other = _coerce_exact(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self._n, self._m, self._d, -other._n, -other._m, other._d)
 
     def __rsub__(self, other):
         other = _coerce_exact(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.im or other.im:
-            return _exact(other.re - self.re, other.im - self.im)
-        return _exact(other.re - self.re, _ZERO)
+        return _sum(other._n, other._m, other._d, -self._n, -self._m, self._d)
 
     def __mul__(self, other):
-        other = _coerce_exact(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.im or other.im:
-            return _exact(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return _exact(self.re * other.re, _ZERO)
+        if type(other) is not ExactScalar:
+            other = _coerce_exact(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, m1, d1, n2, m2, d2 = self._n, self._m, self._d, other._n, other._m, other._d
+        if m1 or m2:
+            return _canonical(n1 * n2 - m1 * m2, n1 * m2 + m1 * n2, d1 * d2)
+        # real: cancel each numerator against the other denominator first (as
+        # Fraction does); n1 n2 / (d1 d2) is then canonical
+        g = gcd(n1, d2)
+        if g != 1:
+            n1, d2 = n1 // g, d2 // g
+        g = gcd(n2, d1)
+        if g != 1:
+            n2, d1 = n2 // g, d1 // g
+        return _raw(n1 * n2, 0, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce_exact(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not (self.im or other.im):
-            if not other.re:
+        if type(other) is not ExactScalar:
+            other = _coerce_exact(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # ((n1 + m1 i)/d1) / ((n2 + m2 i)/d2) = (n1 + m1 i)(n2 - m2 i) d2 / (d1 (n2^2 + m2^2))
+        n1, m1, n2, m2, d2 = self._n, self._m, other._n, other._m, other._d
+        if not m2:
+            if not n2:
                 raise ZeroDivisionError("division by exact zero")
-            return _exact(self.re / other.re, _ZERO)
-        d = other.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return _exact(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+            if n2 < 0:
+                n2, d2 = -n2, -d2
+            return _canonical(n1 * d2, m1 * d2, self._d * n2)
+        return _canonical(
+            (n1 * n2 + m1 * m2) * d2, (m1 * n2 - n1 * m2) * d2, self._d * (n2 * n2 + m2 * m2)
         )
 
     def __rtruediv__(self, other):
@@ -144,50 +177,53 @@ class ExactScalar:
         return other / self
 
     def __neg__(self):
-        return _exact(-self.re, -self.im)
+        return _raw(-self._n, -self._m, self._d)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
+    def __pow__(self, k: int):
+        if not isinstance(k, int):
             raise TypeError("exact powers must have integer exponents")
-        if n < 0:
-            return ExactScalar(1) / (self ** (-n))
-        result = ExactScalar(1)
+        if k < 0:
+            return EXACT_ONE / self ** (-k)
+        if not self._m:  # n^k and d^k stay coprime
+            return _raw(self._n**k, 0, self._d**k)
+        result = EXACT_ONE
         base = self
-        e = n
-        while e:
-            if e & 1:
+        while k:
+            if k & 1:
                 result = result * base
             base = base * base
-            e >>= 1
+            k >>= 1
         return result
 
     # -- comparisons / hashing ----------------------------------------
     def __eq__(self, other):
-        other = _coerce_exact(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not ExactScalar:
+            other = _coerce_exact(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return (self._n, self._m, self._d) == (other._n, other._m, other._d)
 
     def __hash__(self):
         # a real value hashes as its Fraction, as equal ApproxScalar values do
-        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+        return hash(self.re) if not self._m else hash((self.re, self.im))
 
     # -- conversions ----------------------------------------------------
     def to_approx(self, precision_bits: int) -> "ApproxScalar":
+        re, im = self.re, self.im
         with mp.workprec(precision_bits):
             v = mpmath.mpc(
-                mpmath.mpf(self.re.numerator) / self.re.denominator,
-                mpmath.mpf(self.im.numerator) / self.im.denominator,
+                mpmath.mpf(re.numerator) / re.denominator,
+                mpmath.mpf(im.numerator) / im.denominator,
             )
         return ApproxScalar(v, precision_bits)
 
     def __float__(self) -> float:
-        if self.im != 0:
+        if self._m:
             raise ValueError("non-real exact scalar")
-        return float(self.re)
+        return self._n / self._d
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        return complex(self._n / self._d, self._m / self._d)
 
     def abs_upper(self) -> float:
         """A float upper bound on |self|."""
@@ -201,23 +237,48 @@ class ExactScalar:
         return format_exact(self)
 
 
-_ZERO = Fraction(0)
-_set_re, _set_im = ExactScalar.re.__set__, ExactScalar.im.__set__
+_new = object.__new__
 
 
-def _exact(re: Fraction, im: Fraction) -> ExactScalar:
-    """An ExactScalar from two Fractions, without `_as_fraction`'s checks."""
-    x = object.__new__(ExactScalar)
-    _set_re(x, re)
-    _set_im(x, im)
+def _raw(n: int, m: int, d: int) -> ExactScalar:
+    """The ExactScalar (n + m i)/d of fields already in canonical form."""
+    x = _new(ExactScalar)
+    x._n = n
+    x._m = m
+    x._d = d
     return x
+
+
+def _canonical(n: int, m: int, d: int) -> ExactScalar:
+    """The ExactScalar (n + m i)/d, d > 0, brought to canonical form by one gcd."""
+    g = gcd(d, n, m)  # d first: gcd stops at a unit, as when d = 1
+    if g != 1:
+        n, m, d = n // g, m // g, d // g
+    return _raw(n, m, d)
+
+
+def _sum(n1: int, m1: int, d1: int, n2: int, m2: int, d2: int) -> ExactScalar:
+    """(n1 + m1 i)/d1 + (n2 + m2 i)/d2 in canonical form (Knuth, TAOCP 4.5.1):
+    over lcm(d1, d2) the only common factor left can divide g = gcd(d1, d2),
+    so no gcd of the full numerators and denominator is needed."""
+    g = gcd(d1, d2)
+    if g == 1:
+        return _raw(n1 * d2 + n2 * d1, m1 * d2 + m2 * d1, d1 * d2)
+    s1, s2 = d1 // g, d2 // g
+    n, m = n1 * s2 + n2 * s1, m1 * s2 + m2 * s1
+    g = gcd(g, n, m)
+    if g != 1:
+        n, m, d2 = n // g, m // g, d2 // g
+    return _raw(n, m, s1 * d2)
 
 
 def _coerce_exact(x) -> "ExactScalar":
     if isinstance(x, ExactScalar):
         return x
-    if isinstance(x, (int, Fraction)):
-        return ExactScalar(x)
+    if isinstance(x, int):
+        return _raw(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _raw(x.numerator, 0, x.denominator)
     return NotImplemented
 
 

@@ -156,35 +156,70 @@ def eval_phi_terminating(spec: SeriesSpec) -> ExactScalar:
     lower = [ExactScalar.coerce(b) for b in spec.lower]
     e = 1 + spec.s - spec.r
 
-    total = EXACT_ONE
-    term = EXACT_ONE
-    qk = EXACT_ONE  # q^k
-    qk1 = q  # q^{k+1}
+    # Fraction-free: each scalar is a Gaussian integer (re, im) over a positive
+    # int, each term ratio a quotient of two unreduced Gaussian integers, and
+    # the sum 1 + r_0 (1 + r_1 (1 + ...)) is formed backwards, in Horner form,
+    # and reduced once, at the end.
+    q_num, q_den = _gaussian(q)
+    z_num, z_den = _gaussian(z)
+    Q, D = (1, 0), 1  # q^k = Q / D
+    ratios = []  # r_k = top / bot, term k+1 over term k
     for k in range(n):
         # pole detection comes first: a vanishing lower factor at or before
         # the termination index is an error even when an upper factor
         # vanishes at the same index (simultaneous 0/0 is excluded)
-        den = EXACT_ONE - qk1
+        Q1, D1 = _gmul(Q, q_num), D * q_den
+        bot, bot_d = (D1 - Q1[0], -Q1[1]), D1  # 1 - q^(k+1)
         for b in lower:
-            f = EXACT_ONE - b * qk
-            if f.is_zero():
+            f, f_d = _one_minus_aqk(b, Q, D)
+            if f == (0, 0):
                 raise PoleError(
                     f"lower parameter {b} produces a zero factor at index {k + 1}",
                     index=k + 1,
                 )
-            den = den * f
-        num = EXACT_ONE
+            bot, bot_d = _gmul(bot, f), bot_d * f_d
+        top, top_d = (1, 0), 1
         for a in upper:
-            num = num * (EXACT_ONE - a * qk)
-        if num.is_zero():
+            f, f_d = _one_minus_aqk(a, Q, D)
+            top, top_d = _gmul(top, f), top_d * f_d
+        if top == (0, 0):
             break  # an upper factor vanished strictly first: series terminated
-        term = term * num / den * z
-        if e:
-            term = term * ((-qk) ** e)
-        total = total + term
-        qk = qk1
-        qk1 = qk1 * q
-    return total
+        # r_k = z (-q^k)^e (top / top_d) / (bot / bot_d)
+        top = _gmul(top, (z_num[0] * bot_d, z_num[1] * bot_d))
+        bot = (bot[0] * top_d * z_den, bot[1] * top_d * z_den)
+        minus_q = (-Q[0], -Q[1])
+        for _ in range(e):
+            top, bot = _gmul(top, minus_q), (bot[0] * D, bot[1] * D)
+        for _ in range(-e):
+            top, bot = (top[0] * D, top[1] * D), _gmul(bot, minus_q)
+        ratios.append((top, bot))
+        Q, D = Q1, D1
+    A, B = (1, 0), (1, 0)  # the sum is A / B
+    for top, bot in reversed(ratios):
+        t, B = _gmul(A, top), _gmul(B, bot)
+        A = (B[0] + t[0], B[1] + t[1])
+    # A / B = A conj(B) / |B|^2
+    return ExactScalar.from_parts(
+        A[0] * B[0] + A[1] * B[1], A[1] * B[0] - A[0] * B[1], B[0] * B[0] + B[1] * B[1]
+    )
+
+
+def _gaussian(x: ExactScalar) -> tuple:
+    """x = (n + m i)/d as ((n, m), d)."""
+    n, m, d = x.parts
+    return (n, m), d
+
+
+def _gmul(x: tuple, y: tuple) -> tuple:
+    """The product of two Gaussian integers (re, im)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _one_minus_aqk(a: ExactScalar, Q: tuple, D: int) -> tuple:
+    """1 - a q^k, for q^k = Q / D, as (Gaussian numerator, denominator)."""
+    a_num, a_den = _gaussian(a)
+    t, d = _gmul(a_num, Q), a_den * D
+    return (d - t[0], -t[1]), d
 
 
 def _ratio_cap(spec_r: int, spec_s: int, abs_z: float) -> float:

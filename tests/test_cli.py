@@ -221,6 +221,19 @@ class TestVerify:
         assert code == EXIT_CONFIG
         assert err == f"error: eps must be positive, got {float(eps)!r}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "T_ANDREWS_WHIPPLE_E", "--params", "q=1/2,c=1/3,e=1/5", "--n", "2", "--eps", "-1"],
+        ["verify", "T_ANDREWS_WHIPPLE_E", "--params", "q=1/2,c=1/3,e=1/5", "--n", "2", "--eps", "0"],
+        ["sweep", "T_ANDREWS_WHIPPLE_E", "--eps", "0"],
+        ["verify", "T_BAILEY41", "--params", "q=1/2,a=1/3,b=1/5", "--n", "2", "--eps", "-1"],
+    ])
+    def test_summation_eps_is_named_as_given(self, capsys, argv):
+        # the value typed, not the eps/16 an approx-only record derives from it,
+        # and an exact record or an eps of 0 does not pass it over
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: eps must be positive, got {float(argv[-1])!r}\n"
+
 
 class TestSweepAndReport:
     def test_sweep_runs_and_roundtrips(self, capsys, tmp_path):

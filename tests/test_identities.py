@@ -315,6 +315,14 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep("T_BAILEY41", trials=0, seed=1, n_range=[1])
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_given_eps_must_be_positive(self, eps):
+        message = f"eps must be positive, got {eps!r}"
+        with pytest.raises(DomainError, match=message):
+            sweep("T_ANDREWS_WHIPPLE_E", trials=1, seed=1, n_range=[2], eps=eps)
+        with pytest.raises(DomainError, match=message):
+            verify("T_BAILEY41", {"q": F(1, 2), "a": F(1, 3), "b": F(1, 5)}, 2, eps=eps)
+
 
 class TestElementary:
     def test_elid_example(self):

@@ -1,6 +1,7 @@
 """Scalar arithmetic and q-Pochhammer layer."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import mpmath
 import pytest
@@ -29,6 +30,29 @@ small_fracs = st.fractions(
 )
 nonzero_fracs = small_fracs.filter(lambda f: f != 0)
 qs = st.fractions(min_value=F(1, 8), max_value=F(7, 8), max_denominator=8)
+
+
+# Gaussian rationals (re, im) as Fraction pairs, a third of them real
+wide_fracs = st.fractions(min_value=F(-10**6), max_value=F(10**6), max_denominator=10**6)
+gaussians = st.tuples(wide_fracs, st.one_of(st.just(F(0)), wide_fracs, wide_fracs))
+
+
+def _pair_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def _pair_div(x, y):
+    (a, b), (c, d) = x, y
+    m = c * c + d * d
+    return (a * c + b * d) / m, (b * c - a * d) / m
+
+
+def _pair_pow(x, k):
+    out = (F(1), F(0))
+    for _ in range(abs(k)):
+        out = _pair_mul(out, x)
+    return out if k >= 0 else _pair_div((F(1), F(0)), out)
 
 
 class TestExactScalar:
@@ -62,8 +86,8 @@ class TestExactScalar:
     )
     @given(small_fracs, nonzero_fracs, small_fracs, nonzero_fracs, st.integers(-9, 9))
     def test_ops_match_gaussian_formulas(self, x_real, y_real, a, b, c, d, k):
-        # real operands take a one-Fraction path; the results must be what
-        # the Gaussian-rational formulas give on (re, im) Fraction pairs
+        # real operands take the real branch of each operation; the results
+        # must be what the Gaussian-rational formulas give on (re, im) Fraction pairs
         b, d = (F(0) if x_real else b), (F(0) if y_real else d)
         x, y = E(a, b), E(c, d)
         expected = {
@@ -80,6 +104,52 @@ class TestExactScalar:
             assert (got.re, got.im) == (re, im), op
             if im == 0:
                 assert got.im == 0 and got == re and hash(got) == hash(re), op
+
+    @given(gaussians, gaussians, st.integers(-5, 5), st.integers(-50, 50))
+    def test_matches_fraction_pair_model(self, x, y, k, j):
+        # every result against the same operation on (re, im) Fraction pairs
+        X, Y = E(*x), E(*y)
+        expected = {
+            "E(re, im)": (X, x),
+            "+": (X + Y, (x[0] + y[0], x[1] + y[1])),
+            "-": (X - Y, (x[0] - y[0], x[1] - y[1])),
+            "*": (X * Y, _pair_mul(x, y)),
+            "int -": (j - X, (j - x[0], -x[1])),
+            "Fraction *": (x[0] * Y, (x[0] * y[0], x[0] * y[1])),
+            "neg": (-X, (-x[0], -x[1])),
+        }
+        if y == (0, 0):
+            for divide in (lambda: X / Y, lambda: j / Y, lambda: Y**-1, lambda: X / 0):
+                with pytest.raises(ZeroDivisionError):
+                    divide()
+        else:
+            expected["/"] = (X / Y, _pair_div(x, y))
+            expected["int /"] = (j / Y, _pair_div((F(j), F(0)), y))
+            expected["**"] = (Y**k, _pair_pow(y, k))
+        for op, (got, (re, im)) in expected.items():
+            assert type(got) is E and type(got.re) is F and type(got.im) is F, op
+            assert (got.re, got.im) == (re, im), op
+            n, m, d = got.parts
+            assert d > 0 and gcd(n, m, d) == 1 and got == E.from_parts(n * 3, m * 3, d * 3), op
+            assert got == E(re, im) and (got == re) == (re == got) == (im == 0), op
+            assert (got == X) == ((re, im) == x), op
+            if im == 0:
+                assert hash(got) == hash(re), op
+                if re.denominator == 1:
+                    assert got == re.numerator and hash(got) == hash(re.numerator), op
+
+    @given(st.integers(-(2**60), 2**60), st.integers(-(2**60), 2**60), st.integers(0, 30))
+    def test_hash_matches_equal_values(self, n, m, k):
+        # a dyadic value reached by division is equal, and hashes alike, as an
+        # int, a Fraction and an ApproxScalar of the same value
+        z = E(n, m) / 2**k
+        assert z == E(F(n, 2**k), F(m, 2**k))
+        az = ApproxScalar.coerce(z, 128)
+        assert az == z and z == az and hash(az) == hash(z)
+        r = E(n) / 2**k
+        assert hash(r) == hash(F(n, 2**k)) == hash(ApproxScalar.coerce(r, 128))
+        if k == 0:
+            assert r == n and hash(r) == hash(n)
 
     @given(small_fracs, small_fracs)
     def test_division_by_exact_zero(self, a, b):
