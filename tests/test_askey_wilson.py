@@ -207,9 +207,9 @@ def _exact_polyfit(xs, ys):
 
 
 # SHA-256 of the printed values of p_n at fixed points, n = 0..8, one digest
-# per representation, and of the printed (lhs, rhs) of the four x = 0 special
-# values at two points, n = 0..10: a change of the exact arithmetic may not
-# move a digit of them.  The Gaussian point and x = 0 run the complex path.
+# per representation, and of the printed (lhs, rhs) of the five special values
+# at two points each, n = 0..10: a change of the exact arithmetic may not move
+# a digit of them.  The Gaussian point and x = 0 run the complex path.
 AW_PIN_POINTS = (
     (F(-1, 3), F(-1, 5), F(-2, 7), F(-1, 2), F(1, 2), F(3, 4)),
     (F(1, 3), F(2, 5), F(-3, 4), F(1, 7), F(2, 3), F(5, 6)),
@@ -218,6 +218,10 @@ AW_PIN_POINTS = (
 SPECIAL_PIN_POINTS = (
     {"q": F(1, 2), "a": F(1, 3), "b": F(2, 5)},
     {"q": F(2, 7), "a": F(-1, 3), "b": F(3, 5)},
+)
+AW32_PIN_POINTS = (
+    {"q": F(1, 2), "a": F(1, 3), "b": F(1, 5), "c": F(2, 3), "d": F(1, 7)},
+    {"q": F(2, 7), "a": F(-1, 3), "b": F(3, 5), "c": F(1, 4), "d": F(-2, 5)},
 )
 GOLDEN_AW_SHA256 = {
     "eval_aw R1":
@@ -228,6 +232,8 @@ GOLDEN_AW_SHA256 = {
         "bf8b31051f5aa3b069a488ac3c7aa50226310be366d3cb005b66c613260a8870",
     "eval_aw CONV":
         "bf8b31051f5aa3b069a488ac3c7aa50226310be366d3cb005b66c613260a8870",
+    "eval_special_value AW32":
+        "64f5b8193bec995c0b96bdc585418523ca386e2587956268ea4fb059b55a501b",
     "eval_special_value BAILEY0":
         "f5e33904782fc9e3efb6020d94e05008e554b31930f08f4f19660c376e9684b4",
     "eval_special_value ANDREWS_WHIPPLE0":
@@ -247,7 +253,8 @@ def _aw_pin(key):
     kind, name = key.split()
     if kind == "eval_aw":
         return _pin(eval_aw(params(*pt, n), name) for pt in AW_PIN_POINTS for n in range(9))
-    return _pin(v for P in SPECIAL_PIN_POINTS for n in range(11) for v in eval_special_value(name, P, n))
+    points = AW32_PIN_POINTS if name == "AW32" else SPECIAL_PIN_POINTS
+    return _pin(v for P in points for n in range(11) for v in eval_special_value(name, P, n))
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_AW_SHA256))

@@ -317,10 +317,12 @@ class TestWDAppell:
 
 
 # SHA-256 of json.dumps(dataclasses.asdict(report), sort_keys=True) for the
-# Cayley-Orr, WD_APPELL and classical-limit reports at the points of the tests
-# above (classical ids at TestClassicalLimits.POINTS[i]): these reports are
+# Cayley-Orr, Hermite degeneration, WD_APPELL and classical-limit reports at
+# the points of the tests above (classical ids at TestClassicalLimits.POINTS[i]): these reports are
 # byte-identical across builds
 GOLDEN_REPORT_SHA256 = {
+    "awgf_hermite_degeneration_check":
+        "a87aca9b0e9eb5d7f4e9710d1124a5c0c01197b13701364bc6fb0bc20e4e9d0f",
     "cayley_orr_check A":
         "3f5bc590ba1325278f8af205c15a597dfd71867edaeea32af7ecf8b7e274900a",
     "cayley_orr_check B":
@@ -378,6 +380,8 @@ def _golden_report(key):
     kind, *args = key.split()
     co = (F(1, 3), F(1, 5), F(2, 7), F(1, 2))
     pab = (F(7, 10), F(1, 2), F(2, 5))
+    if kind == "awgf_hermite_degeneration_check":
+        return awgf_hermite_degeneration_check(F(3, 4), F(1, 2), 10)
     if kind == "cayley_orr_check":
         return cayley_orr_check(args[0], *co, n_max=10)
     if kind == "cayley_orr_a_closed_form_check":
