@@ -12,21 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, check_names
 from .qkernel import (
     ExactScalar,
     I,
     QBase,
     Scalar,
+    _qpow_index,
     qpoch_finite,
     qpoch_list,
     scalar_mode,
 )
-from .series import SeriesSpec, eval_phi_terminating, _exact_is_qpow
+from .series import SeriesSpec, eval_phi_terminating
 
 Representation = Literal["R1", "R2", "R3", "CONV"]
-
-SPECIAL_VALUE_IDS = ("AW32", "BAILEY0", "ANDREWS_WHIPPLE0", "NEWQUAD", "ESOTERIC")
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class AWParams:
 def _check_no_pole(x, q, length: int, label: str):
     """Reject x in Omega_q^length = {q^-k : 0 <= k < length} (exact mode)."""
     if isinstance(x, ExactScalar) and isinstance(q, ExactScalar):
-        k = _exact_is_qpow(x, q, length - 1)
+        k = _qpow_index(x, q, length - 1)
         if k is not None:
             raise PoleError(f"{label} = q^-{k} lies in the pole set", index=k)
 
@@ -181,8 +180,63 @@ def aw_w_equals_d_value(a, b, c, d, q, n: int) -> Scalar:
     return (d ** (-n)) * qpoch_list([a * d, b * d, c * d], q, n)
 
 
-def _ceil_half(n: int) -> int:
-    return (n + 1) // 2
+# id -> (q, a, b) -> (the point (a, b, c, d) of p_n at w = i, the right side
+# at even n, the right side at odd n).  A right side is a quotient (pref, num,
+# den), a list of quotients to add, or None for an exact zero (see _right_side).
+_SPECIAL = {
+    "BAILEY0": lambda q, a, b: (
+        (I * a, -I * a, I * b, -I * b),
+        (1, [q, a * a, b * b, a * b, -a * b, q * a * b, -q * a * b], [a * a * b * b]),
+        None,
+    ),
+    "ANDREWS_WHIPPLE0": lambda q, a, b: (
+        (I * a, I * q / a, -I * b, -I * q / b),
+        (1, [-q, -q * q, a * b, q * q / (a * b), q * a / b, q * b / a], []),
+        ((I * q / b) * (1 + q) * (1 - a * b / q) * (1 - b / a),
+         [-q * q, -q**3, q * a * b, q**3 / (a * b), q * q * a / b, q * q * b / a], []),
+    ),
+    "NEWQUAD": lambda q, a, b: (
+        (I * a, -I * a, I * b, -I * q * b),
+        (1, [q, a * a, q * q * b * b, a * b, -a * b, q * a * b, -q * a * b], [a * a * b * b]),
+        (-I * (1 - q) * (1 - a * a) * b,
+         [q**3, q * q * a * a, q * q * b * b, q * a * b, -q * a * b, q * q * a * b, -q * q * a * b],
+         [q * q * a * a * b * b]),
+    ),
+    "ESOTERIC": lambda q, a, b: (
+        (I * a, -I * a, I * b, -I * q * q * b),
+        _esoteric_even(q, a, b),
+        (-I * b * (1 - q * q) * (1 - a * a),
+         [q**3, q * q * a * a, q**4 * b * b, q * a * b, -q * a * b, q * q * a * b, -q * q * a * b],
+         [q * q * a * a * b * b]),
+    ),
+}
+SPECIAL_VALUE_IDS = ("AW32", *_SPECIAL)
+
+
+def _esoteric_even(q, a, b) -> list:
+    """ESOTERIC's even right side, two quotients over a common part.  The
+    second's (q^3, q a^2; q^2)_m runs in base q^2 (base q fails the exact
+    convolution cross-check from n = 4 on)."""
+    num = [a * a, q * q * b * b, a * b, -a * b, q * a * b, -q * a * b]
+    den = [q * q * a * a * b * b]
+    scale = (1 - q * q * b * b) * (1 - a * a * b * b)
+    return [
+        ((1 - q * b * b) * (1 - q * a * a * b * b) / scale,
+         num + [q, q**3 * b * b, q**3 * a * a * b * b], den + [q * b * b, q * a * a * b * b]),
+        (q * b * b * (1 - q) * (1 - a * a / q) / scale, num + [q**3, q * a * a], den + [a * a / q]),
+    ]
+
+
+def _right_side(side, q2, m: int) -> Scalar:
+    """The sum over the side's quotients (pref, num, den) of
+    (-1)^m pref (num; q^2)_m / (den; q^2)_m; None is exact zero."""
+    if side is None:
+        return ExactScalar(0)
+    total = ExactScalar(0)
+    for pref, num, den in side if isinstance(side, list) else [side]:
+        term = pref * qpoch_list(num, q2, m)
+        total = total + (term / qpoch_list(den, q2, m) if den else term)
+    return ExactScalar(-1) ** m * total
 
 
 def eval_special_value(
@@ -190,147 +244,25 @@ def eval_special_value(
 ) -> tuple[Scalar, Scalar]:
     """(lhs, rhs) for a quadratic special value; the caller asserts equality.
 
-    Parameters are exact Gaussian rationals.  lhs is always the convolution
-    evaluation of p_n at the prescribed substitution; rhs is the parity-split
-    closed form.  n_max caps the exact-arithmetic cost.
+    Parameters are exact Gaussian rationals: q, a, b, and for AW32 also c, d.
+    lhs is always the convolution evaluation of p_n at the prescribed
+    substitution; rhs is the parity-split closed form of the _SPECIAL row, at
+    m = floor(n/2).  n_max caps the exact-arithmetic cost.
     """
     if sv_id not in SPECIAL_VALUE_IDS:
         raise DomainError(f"unknown special value id {sv_id!r}")
+    names = "qabcd" if sv_id == "AW32" else "qab"
+    check_names(sv_id, names, params)
     if n > n_max:
         raise DomainError(f"n = {n} exceeds n_max = {n_max} (raise n_max to go deeper)")
-    q = ExactScalar.coerce(params["q"])
+    q, a, b, *cd = (ExactScalar.coerce(params[k]) for k in names)
     qb = QBase.of(q)
-
     if sv_id == "AW32":
-        a, b, c, d = (ExactScalar.coerce(params[k]) for k in "abcd")
-        lhs = eval_aw(AWParams.make(a, b, c, d, qb, d, n), "CONV")
-        rhs = aw_w_equals_d_value(a, b, c, d, q, n)
-        return lhs, rhs
-
-    a = ExactScalar.coerce(params["a"])
-    b = ExactScalar.coerce(params["b"])
-    q2 = q * q
-    h = _ceil_half(n)
-    m = n // 2 if n % 2 == 0 else (n - 1) // 2
-
-    if sv_id == "BAILEY0":
-        lhs = eval_aw(AWParams.make(I * a, -I * a, I * b, -I * b, qb, I, n), "CONV")
-        if n % 2 == 1:
-            return lhs, ExactScalar(0)
-        rhs = (
-            ExactScalar(-1) ** m
-            * qpoch_list([q, a * a, b * b, a * b, -a * b, q * a * b, -q * a * b], q2, m)
-            / qpoch_finite(a * a * b * b, q2, m)
-        )
-        return lhs, rhs
-
-    if sv_id == "ANDREWS_WHIPPLE0":
-        lhs = eval_aw(
-            AWParams.make(I * a, I * q / a, -I * b, -I * q / b, qb, I, n), "CONV"
-        )
-        if n % 2 == 0:
-            rhs = ExactScalar(-1) ** m * qpoch_list(
-                [-q, -q * q, a * b, q * q / (a * b), q * a / b, q * b / a], q2, m
-            )
-        else:
-            rhs = (
-                (I * q / b)
-                * (1 + q)
-                * (1 - a * b / q)
-                * (1 - b / a)
-                * ExactScalar(-1) ** m
-                * qpoch_list(
-                    [-q * q, -q**3, q * a * b, q**3 / (a * b), q * q * a / b, q * q * b / a],
-                    q2,
-                    m,
-                )
-            )
-        return lhs, rhs
-
-    if sv_id == "NEWQUAD":
-        lhs = eval_aw(AWParams.make(I * a, -I * a, I * b, -I * q * b, qb, I, n), "CONV")
-        if n % 2 == 0:
-            rhs = (
-                ExactScalar(-1) ** m
-                * qpoch_list(
-                    [q, a * a, q * q * b * b, a * b, -a * b, q * a * b, -q * a * b], q2, m
-                )
-                / qpoch_finite(a * a * b * b, q2, m)
-            )
-        else:
-            rhs = (
-                -I
-                * (1 - q)
-                * (1 - a * a)
-                * b
-                * ExactScalar(-1) ** m
-                * qpoch_list(
-                    [
-                        q**3,
-                        q * q * a * a,
-                        q * q * b * b,
-                        q * a * b,
-                        -q * a * b,
-                        q * q * a * b,
-                        -q * q * a * b,
-                    ],
-                    q2,
-                    m,
-                )
-                / qpoch_finite(q * q * a * a * b * b, q2, m)
-            )
-        return lhs, rhs
-
-    # ESOTERIC
-    lhs = eval_aw(AWParams.make(I * a, -I * a, I * b, -I * q * q * b, qb, I, n), "CONV")
-    if n % 2 == 1:
-        rhs = (
-            -I
-            * b
-            * (1 - q * q)
-            * (1 - a * a)
-            * ExactScalar(-1) ** m
-            * qpoch_list(
-                [
-                    q**3,
-                    q * q * a * a,
-                    q**4 * b * b,
-                    q * a * b,
-                    -q * a * b,
-                    q * q * a * b,
-                    -q * q * a * b,
-                ],
-                q2,
-                m,
-            )
-            / qpoch_finite(q * q * a * a * b * b, q2, m)
-        )
-        return lhs, rhs
-    # even branch.  The bracketed sum's first product runs in base q^2
-    # (base q fails the exact convolution cross-check from n = 4 on).
-    common = (
-        ExactScalar(-1) ** m
-        * qpoch_list([a * a, q * q * b * b, a * b, -a * b, q * a * b, -q * a * b], q2, m)
-        / (
-            (1 - q * q * b * b)
-            * (1 - a * a * b * b)
-            * qpoch_finite(q * q * a * a * b * b, q2, m)
-        )
-    )
-    bracket = (
-        (1 - q * b * b)
-        * (1 - q * a * a * b * b)
-        * qpoch_list([q, q**3 * b * b, q**3 * a * a * b * b], q2, m)
-        / (qpoch_finite(q * b * b, q2, m) * qpoch_finite(q * a * a * b * b, q2, m))
-        + q
-        * b
-        * b
-        * (1 - q)
-        * (1 - a * a / q)
-        * qpoch_list([q**3, q * a * a], q2, m)
-        / qpoch_finite(a * a / q, q2, m)
-    )
-    return lhs, common * bracket
+        lhs = eval_aw(AWParams.make(a, b, *cd, qb, cd[1], n), "CONV")
+        return lhs, aw_w_equals_d_value(a, b, *cd, q, n)
+    point, *sides = _SPECIAL[sv_id](q, a, b)
+    lhs = eval_aw(AWParams.make(*point, qb, I, n), "CONV")
+    return lhs, _right_side(sides[n % 2], q * q, n // 2)
 
 
 def newquad_product_form(a, b, q, n: int) -> ExactScalar:
@@ -343,7 +275,7 @@ def newquad_product_form(a, b, q, n: int) -> ExactScalar:
     b = ExactScalar.coerce(b)
     q = ExactScalar.coerce(q)
     q2 = q * q
-    h = _ceil_half(n)
+    h = (n + 1) // 2
     return (
         ((-I) ** n)
         * b ** (2 * h - n)

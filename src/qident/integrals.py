@@ -22,9 +22,9 @@ one fixed analytic function, which M bounds.
 
 Every denominator argument, and the kernel's l2 w/sigma and zc w/sigma, must
 keep modulus below one on the contour (which also places the kernel's poles).
-The moduli are checked before any node runs.  The 64 coarse prescan nodes are
-the quadrature's first level, so each node runs once, on the fixed-point
-primitives of :mod:`qident.qkernel` with the constants converted once.
+The moduli are checked before any node runs.  Each of the N nodes then runs
+once, on the fixed-point primitives of :mod:`qident.qkernel` with the constants
+converted once.
 
 theta(x; q) here is (x; q)_inf (q/x; q)_inf.  Displays whose f-elements did
 not form theta pairs (x, q/x) as printed are implemented with the paired form
@@ -78,9 +78,9 @@ INTEGRAL_IDS = (
 
 DEFAULT_EPS = 1e-25
 
-# the coarse prescan grid, which is the first quadrature level: N is a multiple
-# of it.  Past _MAX_NODES a bound is taken as unreachable.
-_PRESCAN_NODES = 64
+# the node-count step: N is a multiple of it.  Past _MAX_NODES a bound is taken
+# as unreachable.
+_NODE_STEP = 64
 _MAX_NODES = 1 << 20
 
 
@@ -91,11 +91,6 @@ def theta(x, q, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS
     qb = QBase.of(q)
     value = _product_quotient(1, [(x, qb), (qb.value / x, qb)], [], precision_bits, eps / 4)
     return ApproxScalar.coerce(value, precision_bits)
-
-
-def _node_psi(j: int, n: int):
-    """psi of node j of the uniform n-node grid on [-pi, pi), at the working precision."""
-    return -mpmath.pi + 2 * mpmath.pi * j / n
 
 
 def trapezoid_bound(a: float, M: float, n: int) -> float:
@@ -109,11 +104,11 @@ def trapezoid_nodes(strips, target: float) -> tuple[int, float]:
     """(N, bound): the least multiple of 64 nodes whose trapezoid bound on one
     of the strips (a, M) is at most target, and the least such bound.  A strip
     with M = inf has an infinite bound, and never meets the target."""
-    best = _MAX_NODES + _PRESCAN_NODES, math.inf
+    best = _MAX_NODES + _NODE_STEP, math.inf
     for a, M in strips:
-        n = _PRESCAN_NODES
+        n = _NODE_STEP
         while n < best[0] and not trapezoid_bound(a, M, n) <= target:
-            n += _PRESCAN_NODES
+            n += _NODE_STEP
         best = min(best, (n, trapezoid_bound(a, M, n)))
     if best[0] > _MAX_NODES:
         raise NoConvergence(f"no strip meets the quadrature target {target:.3e} "
@@ -126,25 +121,18 @@ def integrate_periodic(
     strips,
     target: float,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    *,
-    first_level: list | None = None,
 ) -> tuple[ApproxScalar, float, int]:
     """Integral over [-pi, pi] of a 2pi-periodic integrand, with a proven bound.
 
     strips holds pairs (a, M): the integrand is analytic in |Im psi| < a and
     bounded there by M.  Returns (value, bound, nodes), the trapezoid rule on
     the node count :func:`trapezoid_nodes` picks, which is the plain node
-    average times 2pi, and that count's error bound.  first_level, when given,
-    holds the integrand's values at the 64 coarse nodes (as
-    :func:`hypothesis_prescan` returns them), which are not evaluated again.
+    average times 2pi, and that count's error bound.  Each node psi_j = -pi +
+    2 pi j / N is evaluated once.
     """
     n, bound = trapezoid_nodes(strips, target)
-    step = n // _PRESCAN_NODES
-    if first_level is not None and len(first_level) != _PRESCAN_NODES:
-        raise DomainError(f"first_level holds {len(first_level)} values, not {_PRESCAN_NODES}")
     with mp.workprec(precision_bits + 10):
-        vals = [first_level[j // step] if first_level and j % step == 0
-                else integrand(_node_psi(j, n)) for j in range(n)]
+        vals = [integrand(-mpmath.pi + 2 * mpmath.pi * j / n) for j in range(n)]
         estimate = 2 * mpmath.pi * mpmath.fsum(vals) / n
     return ApproxScalar(estimate, precision_bits), bound, n
 
@@ -357,14 +345,6 @@ def _descriptor(identity_id: str, params: dict, sigma, f, eps: float, pb: int):
     return (pref, *_node_integrand(num, den, kernel, base, sig, tol))
 
 
-def hypothesis_prescan(nodes: int, integrand, pb: int) -> list:
-    """The integrand's values at the nodes of the coarse grid, the first level
-    of :func:`integrate_periodic` at the same precision.  The hypothesis is
-    checked before, on the moduli (see :func:`_node_integrand`)."""
-    with mp.workprec(pb + 10):
-        return [integrand(_node_psi(j, nodes)) for j in range(nodes)]
-
-
 def verify_integral_rep(
     identity_id: str,
     params: dict,
@@ -374,20 +354,17 @@ def verify_integral_rep(
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> VerificationReport:
     """Prefactor times contour integral against the series-side product; the
-    quadrature runs on the node count whose proven bound is at most eps/16,
-    starting from the 64 prescan nodes."""
+    hypothesis is checked on the moduli before any node runs, and the
+    quadrature runs on the node count whose proven bound is at most eps/16."""
     check_eps(eps)
     if identity_id not in INTEGRAL_IDS:
         raise UnknownIdentity(f"no integral representation registered under {identity_id!r}")
     series = _series_side(identity_id, params, eps, precision_bits)
     pref, integrand, strips, wp = _descriptor(identity_id, params, sigma, f, eps, precision_bits)
     bits = max(precision_bits, wp)
-    coarse = hypothesis_prescan(_PRESCAN_NODES, integrand, bits)
     # the value is pref * integral / (2 pi): a bound on the integral times scale bounds it
     scale = max(1.0, float(abs(pref))) / (2 * math.pi)
-    integral, bound, nodes = integrate_periodic(
-        integrand, strips, eps / 16 / scale, bits, first_level=coarse
-    )
+    integral, bound, nodes = integrate_periodic(integrand, strips, eps / 16 / scale, bits)
     with mp.workprec(precision_bits + 10):
         value = pref * integral * ApproxScalar(1 / (2 * mpmath.pi), precision_bits)
     return make_report(

@@ -57,9 +57,19 @@ CLASSICAL_IDS = ("CLAUSEN", "ORR_A", "ORR_B", "BAILEY_211", "COR_3F2")
 SAFETY_RADIUS = 0.25
 
 
-def _first_mismatch(got, expected, n_max: int):
-    """The first n <= n_max with got[n] != expected(n), or None."""
-    return next((n for n in range(n_max + 1) if got[n] != expected(n)), None)
+def _coefficient_report(
+    identity_id: str, params: dict, lhs_desc: str, rhs_desc: str, got, expected, n_max: int,
+    note: str = "", at: str = "degree ",
+) -> VerificationReport:
+    """The exact report of got[n] == expected(n) for n = 0..n_max.  A failing
+    report's note names the first mismatching n, as "first mismatch at " + at + n."""
+    bad = next((n for n in range(n_max + 1) if got[n] != expected(n)), None)
+    if bad is not None:
+        note = "; ".join(filter(None, (note, f"first mismatch at {at}{bad}")))
+    return make_report(
+        identity_id, params, lhs_desc, rhs_desc, matched(bad is None), mode="exact", n=n_max,
+        note=note,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -80,16 +90,10 @@ def awgf_coefficient_check(a, b, c, d, w, q, n_max: int) -> VerificationReport:
             [q, a * b, c * d], q, n
         )
 
-    bad = _first_mismatch(product.coeffs, expected, n_max)
-    ok = bad is None
-    return make_report(
-        "AWGF",
-        {"a": a, "b": b, "c": c, "d": d, "w": w, "q": q},
-        f"t^0..t^{n_max} product coefficients",
-        "p_n/(q,ab,cd;q)_n",
-        matched(ok), mode="exact",
-        n=n_max,
-        note="" if ok else f"first mismatch at n={bad}",
+    return _coefficient_report(
+        "AWGF", {"a": a, "b": b, "c": c, "d": d, "w": w, "q": q},
+        f"t^0..t^{n_max} product coefficients", "p_n/(q,ab,cd;q)_n",
+        product.coeffs, expected, n_max, at="n=",
     )
 
 
@@ -102,16 +106,11 @@ def awgf_hermite_degeneration_check(w, q, n_max: int) -> VerificationReport:
     lcoef = PowerSeriesTrunc.make([(1 / w) ** k / qk[k] for k in range(n_max + 1)])
     rcoef = PowerSeriesTrunc.make([w**k / qk[k] for k in range(n_max + 1)])
     product = lcoef * rcoef
-    bad = _first_mismatch(product.coeffs, lambda n: aw_hermite_degenerate(w, q, n) / qk[n], n_max)
-    ok = bad is None
-    return make_report(
-        "AWGF",
-        {"w": w, "q": q},
-        "zero-parameter generating function coefficients",
-        "continuous q-Hermite values",
-        matched(ok), mode="exact",
-        n=n_max,
-        note="a=b=c=d=0 degeneration",
+    return _coefficient_report(
+        "AWGF", {"w": w, "q": q},
+        "zero-parameter generating function coefficients", "continuous q-Hermite values",
+        product.coeffs, lambda n: aw_hermite_degenerate(w, q, n) / qk[n], n_max,
+        "a=b=c=d=0 degeneration", at="n=",
     )
 
 
@@ -576,36 +575,26 @@ def product_coefficient_check(
     """Exact power-series comparison of both sides through z^order."""
     if identity_id not in COEFF_CHECK_IDS:
         raise UnknownIdentity(f"{identity_id} has no exact coefficient check")
+    check_names(identity_id, _SIDES[identity_id][0], params)
     lhs_side, rhs_side = product_sides(identity_id, params)
     lhs, rhs = side_series(lhs_side, order), side_series(rhs_side, order)
-    bad = _first_mismatch(lhs.coeffs, lambda n: rhs.coeffs[n], order)
-    ok = bad is None
-    return make_report(
-        identity_id,
-        params,
-        f"series coefficients z^0..z^{order}",
-        "identity right-hand side coefficients",
-        matched(ok), mode="exact",
-        n=order,
-        note="" if ok else f"first mismatch at degree {bad}",
+    return _coefficient_report(
+        identity_id, params, f"series coefficients z^0..z^{order}",
+        "identity right-hand side coefficients", lhs.coeffs, rhs.coeffs.__getitem__, order,
     )
 
 
 def schlosser_t4_parity_check(params: dict, order: int = 9) -> VerificationReport:
     """Even part of the product matches the first 4phi3; odd part matches the
     z-prefactored second, term by term."""
+    check_names("SCHLOSSER_T4", _SIDES["SCHLOSSER_T4"][0], params)
     lhs_side, rhs_side = product_sides("SCHLOSSER_T4", params)
     lhs = side_series(lhs_side, order)
     r1, r2 = (side_series([term], order) for term in rhs_side)
-    bad = _first_mismatch(lhs.coeffs, lambda n: (r2 if n % 2 else r1).coeffs[n], order)
-    return make_report(
-        "SCHLOSSER_T4",
-        params,
-        "even/odd parts of the product",
+    return _coefficient_report(
+        "SCHLOSSER_T4", params, "even/odd parts of the product",
         "first / z-prefactored second series",
-        matched(bad is None), mode="exact",
-        n=order,
-        note="parity structure",
+        lhs.coeffs, lambda n: (r2 if n % 2 else r1).coeffs[n], order, "parity structure",
     )
 
 
@@ -723,16 +712,10 @@ def cayley_orr_check(which: str, a, b, c, q, n_max: int = 10) -> VerificationRep
     weighted = _cayley_orr_weighted(which, ae, be, ce, qe, n_max)
     lhs_side, _ = product_sides(f"CAYLEY_ORR_{which}", {"a": ae, "b": be, "c": ce, "q": qe})
     lhs = side_series(lhs_side, n_max)
-    bad = _first_mismatch(lhs.coeffs, lambda n: weighted[n], n_max)
-    ok = bad is None
-    return make_report(
-        f"CAYLEY_ORR_{which}",
-        {"a": ae, "b": be, "c": ce, "q": qe},
-        f"product-of-2phi1 coefficients z^0..z^{n_max}",
-        "weighted auxiliary coefficients",
-        matched(ok), mode="exact",
-        n=n_max,
-        note="" if ok else f"first mismatch at degree {bad}",
+    return _coefficient_report(
+        f"CAYLEY_ORR_{which}", {"a": ae, "b": be, "c": ce, "q": qe},
+        f"product-of-2phi1 coefficients z^0..z^{n_max}", "weighted auxiliary coefficients",
+        lhs.coeffs, weighted.__getitem__, n_max,
     )
 
 
@@ -781,20 +764,11 @@ def cayley_orr_a_closed_form_check(a, b, q, n_max: int = 8) -> VerificationRepor
     (a, b; q)_n / ((q, ab/q; q)_n)."""
     ae, be, qe = E(a), E(b), E(q)
     ce = ae * be / qe
-    an = cayley_orr_an("A", ae, be, ce, qe, n_max)
-    ok = all(
-        an[n]
-        == qpoch_list([ae, be], qe, n) / qpoch_list([qe, ae * be / qe], qe, n)
-        for n in range(n_max + 1)
-    )
-    return make_report(
-        "CAYLEY_ORR_A",
-        {"a": ae, "b": be, "q": qe},
-        "a_n at c = ab/q",
-        "(a,b;q)_n / ((q, ab/q;q)_n)",
-        matched(ok), mode="exact",
-        n=n_max,
-        note="q-Pfaff-Saalschutz collapse",
+    return _coefficient_report(
+        "CAYLEY_ORR_A", {"a": ae, "b": be, "q": qe}, "a_n at c = ab/q",
+        "(a,b;q)_n / ((q, ab/q;q)_n)", cayley_orr_an("A", ae, be, ce, qe, n_max),
+        lambda n: qpoch_list([ae, be], qe, n) / qpoch_list([qe, ce], qe, n), n_max,
+        "q-Pfaff-Saalschutz collapse", at="n=",
     )
 
 
@@ -825,15 +799,9 @@ def _cayley_consistency(identity_id: str, p, a, b, n_max: int) -> VerificationRe
     weighted = _cayley_orr_weighted(which, *lemma_params(q, ae * ae, be * be), q, n_max)
     params = {"p": pe, "a": ae, "b": be}
     rhs = side_series(product_sides(identity_id, params)[1], n_max)
-    ok = all(weighted[n] == rhs.coeffs[n] for n in range(n_max + 1))
-    return make_report(
-        identity_id,
-        params,
-        lhs_desc,
-        "4phi3 coefficients",
-        matched(ok), mode="exact",
-        n=n_max,
-        note=note,
+    return _coefficient_report(
+        identity_id, params, lhs_desc, "4phi3 coefficients", weighted, rhs.coeffs.__getitem__,
+        n_max, note,
     )
 
 

@@ -549,19 +549,17 @@ def qpoch_list(args: Sequence[Scalar], q: Scalar, n: int) -> Scalar:
     return result
 
 
-def _exact_zero_factor_index(a: ExactScalar, q: ExactScalar) -> int | None:
-    """Least k >= 0 with a q^k = 1, if any (requires |q| < 1)."""
-    if a.is_zero():
-        return None
-    x = a
+def _qpow_index(x: ExactScalar, q: ExactScalar, kmax: int | None = None) -> int | None:
+    """Least k >= 0 (and <= kmax, when given) with x q^k = 1, else None.  As
+    |q| < 1, the search ends once |x q^k| < 1."""
     k = 0
-    while float(x.abs2()) >= 1.0 - 1e-12:
+    while kmax is None or k <= kmax:
         if x == EXACT_ONE:
             return k
+        if x._n * x._n + x._m * x._m < x._d * x._d:
+            return None
         x = x * q
         k += 1
-        if k > 100000:  # unreachable for |q| < 1
-            break
     return None
 
 
@@ -669,7 +667,7 @@ def qpoch_infinite(
     if isinstance(a, (int, Fraction)):
         a = ExactScalar(a)
     if isinstance(a, ExactScalar) and isinstance(qv, ExactScalar):
-        if _exact_zero_factor_index(a, qv) is not None:
+        if _qpow_index(a, qv) is not None:
             zero = ApproxScalar.coerce(0, precision_bits)
             return zero, TruncationCert(0, 0.0, eps)
 

@@ -37,6 +37,7 @@ from .qkernel import (
     _fx,
     _mul,
     _one_minus,
+    _qpow_index,
     min_precision,
     qpoch_finite,
     qpoch_infinite,
@@ -82,18 +83,6 @@ class SeriesSpec:
         return list(self.upper) + list(self.lower) + [self.base.value, self.arg]
 
 
-def _exact_is_qpow(x, q: ExactScalar, kmax: int) -> Optional[int]:
-    """Least k in [0, kmax] with x * q^k = 1, else None (exact)."""
-    if not isinstance(x, ExactScalar):
-        return None
-    v = ExactScalar.coerce(x)
-    for k in range(kmax + 1):
-        if v == EXACT_ONE:
-            return k
-        v = v * q
-    return None
-
-
 def validate_termination(spec: SeriesSpec) -> None:
     """Exact specs must really have an upper parameter equal to q^-n."""
     n = spec.termination
@@ -105,7 +94,7 @@ def validate_termination(spec: SeriesSpec) -> None:
     if not isinstance(q, ExactScalar):
         return  # approx mode: caller-declared termination is trusted
     for a in spec.upper:
-        if isinstance(a, ExactScalar) and _exact_is_qpow(a, q, n) == n:
+        if isinstance(a, ExactScalar) and _qpow_index(a, q, n) == n:
             return
     raise DomainError(f"no upper parameter equals q^-{n}; spec does not terminate there")
 

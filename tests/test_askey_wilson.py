@@ -180,6 +180,14 @@ class TestSpecialValues:
                         # both displayed forms agree at every random point
                         assert newquad_product_form(a, b, q, n) == rhs
 
+    def test_special_value_parameter_names_checked(self):
+        with pytest.raises(DomainError, match=r"BAILEY0 takes parameters \(q, a, b\): missing b"):
+            eval_special_value("BAILEY0", {"q": F(1, 2), "a": F(1, 3)}, 2)
+        with pytest.raises(DomainError, match="unexpected zz"):
+            eval_special_value("NEWQUAD", {"q": F(1, 2), "a": F(1, 3), "b": F(1, 5), "zz": 1}, 2)
+        with pytest.raises(DomainError, match="missing c, d"):
+            eval_special_value("AW32", {"q": F(1, 2), "a": F(1, 3), "b": F(1, 5)}, 2)
+
     def test_special_value_n_max_guard(self):
         with pytest.raises(DomainError):
             eval_special_value("BAILEY0", {"q": F(1, 2), "a": F(1, 3), "b": F(2, 5)}, 11)

@@ -138,10 +138,7 @@ class TestQuadrature:
         assert 0 < trapezoid_bound(0.01, 1e300, 80_000) < 1e-40
 
     def test_invalid_specs(self):
-        # the first level is the 64-node coarse grid, and eps must be positive
-        with pytest.raises(DomainError):
-            integrate_periodic(_geometric(0.5), [(0.5, 10.0)], 1e-10, 128,
-                               first_level=[mpmath.mpc(1)] * 48)
+        # eps must be positive
         params, sigma, _ = POINTS["IR_SRIV_JAIN"]
         with pytest.raises(DomainError, match="eps must be positive, got 0.0"):
             verify_integral_rep("IR_SRIV_JAIN", params, sigma=sigma, f=F(3, 2), eps=0.0)
@@ -327,7 +324,7 @@ class TestNodeKernel:
                 assert abs(got - ref.value) <= 1e-60 * abs(ref.value), (ident, j)
 
     def test_no_node_evaluated_twice(self, monkeypatch):
-        # the prescan's 64 nodes are the quadrature's first level, reused
+        # the hypothesis is checked on the moduli, so each node runs once
         calls = []
         build = integrals._node_integrand
 

@@ -223,6 +223,18 @@ class TestCoefficientChecks:
         rep = schlosser_t4_parity_check({"q": F(1, 2), "a": F(1, 3), "b": F(7, 10)}, order=9)
         assert rep.passed
 
+    def test_coefficient_check_parameter_names_checked(self):
+        with pytest.raises(DomainError, match=r"THM21 takes parameters \(p, a, b\): missing b"):
+            product_coefficient_check("THM21", {"p": F(1, 2), "a": F(1, 3)})
+        with pytest.raises(DomainError, match="unexpected zz"):
+            product_coefficient_check("THM21", {"p": F(7, 10), "a": F(1, 2), "b": F(2, 5), "zz": 1})
+
+    def test_parity_check_parameter_names_checked(self):
+        with pytest.raises(DomainError, match="missing a, b"):
+            schlosser_t4_parity_check({"q": F(1, 2)})
+        with pytest.raises(DomainError, match="unexpected zz"):
+            schlosser_t4_parity_check({"q": F(1, 2), "a": F(1, 3), "b": F(7, 10), "zz": 1})
+
     def test_lhs_series_vs_values(self):
         # the truncated LHS series evaluated at z agrees with the product of
         # certified series values, independently of the RHS path
@@ -297,6 +309,44 @@ class TestCayleyOrr:
         ]
         for rep, name in cases:
             assert rep.passed and rep.params[name] == "1/3+1/5*i", rep.identity_id
+
+    def test_failing_checks_name_the_first_mismatch(self, monkeypatch):
+        # one expected coefficient is moved off its value at a time
+        def bump(values, k):
+            return [v + 1 if n == k else v for n, v in enumerate(values)]
+
+        side_series_ = products.side_series
+        calls = []
+
+        def third_call_bumped(side, order):  # lhs, first, then second rhs series
+            calls.append(side)
+            s = side_series_(side, order)
+            return PowerSeriesTrunc.make(bump(s.coeffs, 5)) if len(calls) == 3 else s
+
+        monkeypatch.setattr(products, "side_series", third_call_bumped)
+        rep = schlosser_t4_parity_check({"q": F(1, 2), "a": F(1, 3), "b": F(7, 10)}, order=9)
+        assert not rep.passed
+        assert rep.note == "parity structure; first mismatch at degree 5"
+        monkeypatch.undo()
+
+        hermite = products.aw_hermite_degenerate
+        monkeypatch.setattr(products, "aw_hermite_degenerate",
+                            lambda w, q, n: hermite(w, q, n) + (n == 4))
+        rep = awgf_hermite_degeneration_check(F(3, 4), F(1, 2), 10)
+        assert not rep.passed and rep.note == "a=b=c=d=0 degeneration; first mismatch at n=4"
+        monkeypatch.undo()
+
+        an = products.cayley_orr_an
+        monkeypatch.setattr(products, "cayley_orr_an", lambda *args: bump(an(*args), 6))
+        rep = cayley_orr_a_closed_form_check(F(1, 3), F(1, 5), F(1, 2), n_max=8)
+        assert not rep.passed and rep.note == "q-Pfaff-Saalschutz collapse; first mismatch at n=6"
+        monkeypatch.undo()
+
+        weighted = products._cayley_orr_weighted
+        monkeypatch.setattr(products, "_cayley_orr_weighted", lambda *args: bump(weighted(*args), 7))
+        rep = thm21_cayley_consistency(F(7, 10), F(1, 2), F(2, 5), n_max=10)
+        assert not rep.passed
+        assert rep.note.endswith("with the coefficient lemma; first mismatch at degree 7")
 
     def test_consistency_random_points(self):
         rng = random.Random(99)
