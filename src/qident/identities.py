@@ -51,8 +51,8 @@ from .qkernel import (
     EXACT_ONE,
     ExactScalar,
     I,
+    _product_quotient,
     qpoch_finite,
-    qpoch_infinite,
     qpoch_list,
 )
 from .reporting import VerificationReport, compare_approx, compare_exact, make_report
@@ -164,25 +164,6 @@ def _record(ident, names, k, anchor, lhs, rhs, odd_zero=False, approx_only=False
 def _phi(upper, lower, base, m):
     """The terminating series sum_k (upper)_k / (base, lower)_k base^k, k <= m."""
     return eval_phi_terminating(SeriesSpec.make(upper, lower, base, base, terminates_at=m))
-
-
-def _product_quotient(pref, num_args, den_args, precision_bits, eps):
-    """pref * prod (x; base)_inf over num_args / prod over den_args, each
-    factor certified to eps: exact 0 when a numerator factor vanishes, and
-    ZeroDivisionError when a denominator factor does."""
-    num = ApproxScalar.coerce(pref, precision_bits)
-    for x, base in num_args:
-        v, _ = qpoch_infinite(x, base, eps, precision_bits)
-        if v.is_zero():
-            return ExactScalar(0)
-        num = num * v
-    den = ApproxScalar.coerce(1, precision_bits)
-    for x, base in den_args:
-        v, _ = qpoch_infinite(x, base, eps, precision_bits)
-        if v.is_zero():
-            raise ZeroDivisionError("infinite-product denominator vanishes")
-        den = den * v
-    return num / den
 
 
 # --------------------------------------------------------------------------

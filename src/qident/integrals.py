@@ -49,7 +49,6 @@ from .errors import (
     check_eps,
     check_names,
 )
-from .identities import _product_quotient
 from .products import _VALUE_PARAMS, product_sides, side_value
 from .qkernel import (
     DEFAULT_PRECISION_BITS,
@@ -60,11 +59,14 @@ from .qkernel import (
     _div,
     _factor_count,
     _fx,
+    _log_poch_majorant,
     _mul,
     _one_minus,
+    _product_quotient,
     _qprod,
 )
 from .reporting import VerificationReport, compare_approx, make_report
+from .series import _ratio_majorant
 
 E = ExactScalar.coerce
 
@@ -155,31 +157,21 @@ def _series_side(identity_id: str, params: dict, eps: float, pb: int) -> ApproxS
     return value
 
 
-def _log_poch_majorant(x: float, Q: float, den: bool) -> float:
-    """An upper bound on log (-x; Q)_inf, or with den on -log (x; Q)_inf (x < 1):
-    so on log |(y; q)_K|, or on -log |(y; q)_K|, for every K, |y| = x, |q| = Q.
-    Past the first K factors, the log-majorant of :func:`_factor_count` bounds both."""
-    K, rest = _factor_count(x, Q, 2.0**-20)
-    return rest + sum(-math.log1p(-x * Q**k) if den else math.log1p(x * Q**k) for k in range(K))
-
-
 def _kernel_majorant(kabs, Q: float, rho: float, tail: float) -> tuple[float, int | None]:
     """(S, T) for the 3phi2 kernel on |w| = rho: S bounds the sum of its terms'
     moduli, and the terms from T on have moduli summing to at most tail;
     (inf, None) when that takes more than 10000 terms.
 
-    kabs = (|u1|, |u2|, |u3| sigma, |l1|, |l2| / sigma, |zc| / sigma).  Term
-    k + 1 over term k has modulus at most R_k, the ratio below; R_k does not
-    increase once |l1||q|^k < 1 and |l2||q|^k rho / sigma < 1, so from such a
-    k with R_k < 1 the rest is at most the term majorant / (1 - R_k).
+    kabs = (|u1|, |u2|, |u3| sigma, |l1|, |l2| / sigma, |zc| / sigma).  R_k, the
+    series ratio majorant at z rho, upper (u1, u2, u3 / rho), lower (l1, l2 rho),
+    bounds term k + 1 over term k and does not increase once l1, l2 rho < |q|^-k,
+    so from such a k with R_k < 1 the rest is at most the term majorant / (1 - R_k).
     """
     u1, u2, u3, l1, l2, z = kabs
     S, m = 0.0, 1.0
     for k in range(10_000):
-        Qk = Q**k
-        den = (1 - Q * Qk) * abs(1 - l1 * Qk) * abs(1 - l2 * rho * Qk)
-        R = (1 + u1 * Qk) * (1 + u2 * Qk) * z * (rho + u3 * Qk) / den
-        if l1 * Qk < 1 and l2 * rho * Qk < 1 and R < 1:
+        R = _ratio_majorant(z * rho, (u1, u2, u3 / rho), (l1, l2 * rho), Q, k)
+        if max(l1, l2 * rho) * Q**k < 1 and R < 1:
             rest = m / (1 - R)
             if rest <= tail:
                 return S + rest, k

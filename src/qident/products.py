@@ -10,16 +10,16 @@ parameters by ``product_sides``.  Two interpreters read that table:
 sides from the same table.  Identities whose displays contain q^(1/2) take the
 square root p as the parameter, with q = p^2, so every exponent stays integral.
 Each Cayley-Orr lemma's 2phi1, prefactor and weight arguments are one entry of
-``_cayley_orr_lemma`` (exact or raw mpmath alike), read by every lemma check,
-and the five classical limits are a table of rFs products (``_classical_sides``).
+``_cayley_orr_lemma``, read by every lemma check, and the five classical limits
+are a table of rFs products (``_classical_sides``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
-from mpmath import mp
 
 from .askey_wilson import AWParams, aw_hermite_degenerate, eval_aw
 from .errors import DivergenceError, DomainError, UnknownIdentity, check_eps, check_names
@@ -32,17 +32,21 @@ from .qkernel import (
     ExactScalar,
     QBase,
     _approx,
+    _fabs,
     _fx,
     _mul,
+    _product_quotient,
     qpoch_finite,
-    qpoch_infinite,
     qpoch_list,
 )
 from .reporting import VerificationReport, compare_approx, make_report, matched
 from .series import (
     SeriesSpec,
     _phi_terms,
+    _poch_majorant,
+    _shifted_rows,
     _Table,
+    _tailed,
     certified_sum,
     eval_phi_nonterminating,
     eval_qappell_phi1,
@@ -119,16 +123,27 @@ def awgf_hermite_degeneration_check(w, q, n_max: int) -> VerificationReport:
 # --------------------------------------------------------------------------
 
 def _cauchy_terms(X, Y, wp: int):
-    """n -> sum_{j<=n} X[j] Y[n-j]: the terms of the product of two series, from
-    tables of their fixed-point terms."""
+    """n -> (sum_{j<=n} X[j] Y[n-j], tail after it), from tables of two series'
+    terms and ratio majorants.  A pair with j + i > n has i > n - j or j > M, so
+    for each M <= n the tail is at most sum_{j<=M} |X[j]| tau_Y(n-j) + tau_X(M)
+    sum |Y|, tau(k) the tail after term k; the least over M is taken."""
+    ax, tx, ty = [], [], []  # |X[j]|, tau_X(j), tau_Y(j) for j <= n
+    sy = 0.0  # sum_{j<=n} |Y[j]|
 
     def term(n: int) -> tuple:
-        re = im = 0
-        for j in range(n + 1):
-            (xr, xi), (yr, yi) = X[j], Y[n - j]
+        nonlocal sy
+        ax.append(_fabs(X[n][0], wp))
+        tx.append(_tailed(X[n], wp)[1])
+        ty.append(_tailed(Y[n], wp)[1])
+        sy += _fabs(Y[n][0], wp)
+        re = im = 0  # both tables hold terms 0..n from here
+        for ((xr, xi), _), ((yr, yi), _) in zip(X.vals[:n + 1], reversed(Y.vals[:n + 1])):
             re += xr * yr - xi * yi
             im += xr * yi + xi * yr
-        return _mul((re, im), (1, 0), wp)  # one rounding for the whole sum
+        heads = accumulate(a * t if a else 0.0 for a, t in zip(ax, reversed(ty)))
+        tails = (h + t * (sy + ty[n]) for h, t in zip(heads, tx))
+        # one rounding for the whole sum
+        return _mul((re, im), (1, 0), wp), min(tails) if ty[n] < math.inf else math.inf
 
     return term
 
@@ -136,60 +151,27 @@ def _cauchy_terms(X, Y, wp: int):
 def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, precision_bits):
     """sum over n,k,l of the shifted-parameter Askey-Wilson triple sum with
     weight t^n u^(k+l): the generating-function extension, and at u = t the
-    closed-form quadruple sum.
+    closed-form quadruple sum; the parameters are exact, with |u| < min(|a|, |c|)
+    and |t| < min(|w|, 1/|w|).
 
     The convolution form of p_n(x; q^k a, b, q^l c, d | q) makes the k- and
-    l-sums depend only on the split index j, so after exact Pochhammer index
-    splitting the triple sum is
-        sum_n t^n sum_j w^(n-2j) (bw;q)_j/(q;q)_j KA(j)
-                                  (d/w;q)_(n-j)/(q;q)_(n-j) KC(n-j)
-    with the one-dimensional certified sums
-        KA(j) = sum_k (u/a)^k (a/w;q)_k (aw;q)_(k+j) / ((q;q)_k (ab;q)_(k+j))
-        KC(m) = sum_l (u/c)^l (cw;q)_l (c/w;q)_(l+m) / ((q;q)_l (cd;q)_(l+m)).
-    This is a finite/absolutely-convergent reordering of the displayed sum,
-    not a different identity.  The parameters are exact; the sums run in fixed
-    point on tables of the factors, and the value is returned at
-    precision_bits + 20 bits.
+    l-sums depend only on the split index j, and t^n w^(n-2j) = (t/w)^j
+    (tw)^(n-j), so after exact Pochhammer index splitting the triple sum is X Y:
+        X = sum_j (t/w)^j (bw;q)_j/(q;q)_j KA(j),  Y = sum_i (tw)^i (d/w;q)_i/(q;q)_i KC(i),
+        KA(j) = sum_k (u/a)^k (a/w;q)_k (aw;q)_(k+j) / ((q;q)_k (ab;q)_(k+j)),
+        KC(i) = sum_l (u/c)^l (cw;q)_l (c/w;q)_(l+i) / ((q;q)_l (cd;q)_(l+i)),
+    an absolutely convergent reordering of the displayed sum, not a different
+    identity.  X and Y are sums of shifted rows (series._shifted_rows), each
+    certified on its own.  Returns the value at precision_bits + 20 bits and the
+    number of rows summed.
     """
     pb = precision_bits
-    with mp.workprec(pb + 20):
-        u, t, w, a, b, c, d, q = (x.to_approx(pb + 20).value for x in (u, t, w, a, b, c, d, q))
-        cap_k = (1.0 + float(abs(u / a))) / 2.0
-        cap_l = (1.0 + float(abs(u / c))) / 2.0
-        wmax = max(float(abs(w)), float(abs(1 / w)))
-        cap_n = (1.0 + float(abs(t)) * wmax) / 2.0
-        if not (cap_k < 1 and cap_l < 1 and cap_n < 1):
-            raise DivergenceError("outside the stated convergence region")
-        wp = pb + _GUARD_BITS
-        args = (q, u / a, u / c, a / w, c * w, a * w, a * b, c / w, c * d, b * w, d / w,
-                t / w, t * w)
-        q, ua, uc, a_w, cw, aw, ab, c_w, cd, bw, d_w, t_w, tw = (_fx(x, wp) for x in args)
-    one = (1 << wp, 0)
-    inner_eps = eps / 1e6
-    tails = 0.0
-
-    def shifted_sum(first, ratio, num, den, cap, weight):
-        """The table of weight[m] sum_k ratio^k (first;q)_k (num;q)_(k+m) / ((q;q)_k (den;q)_(k+m)),
-        each m certified once."""
-        head = _Table(_phi_terms([first], [], q, ratio, wp))
-        quotient = _Table(_phi_terms([num, q], [den], q, one, wp))  # (num;q)_i / (den;q)_i
-
-        def value(m):
-            nonlocal tails
-            val, cert = certified_sum(
-                lambda k: _mul(head[k], quotient[k + m], wp), inner_eps, cap, pb, absolute=True
-            )
-            tails += cert.tail_bound
-            return _mul(weight[m], val, wp)
-
-        return _Table(value)
-
-    # t^n w^(n-2j) splits as (t/w)^j (bw;q)_j/(q;q)_j KA(j) times
-    # (tw)^(n-j) (d/w;q)_(n-j)/(q;q)_(n-j) KC(n-j)
-    X = shifted_sum(a_w, ua, aw, ab, cap_k, _Table(_phi_terms([bw], [], q, t_w, wp)))
-    Y = shifted_sum(cw, uc, c_w, cd, cap_l, _Table(_phi_terms([d_w], [], q, tw, wp)))
-    total, cert = certified_sum(_cauchy_terms(X, Y, wp), eps / 2, cap_n, pb)
-    return _approx(total, wp, pb + 20), tails + cert.tail_bound, cert.terms_used
+    wp = pb + _GUARD_BITS
+    args = (q, u / a, u / c, a / w, c * w, a * w, a * b, c / w, c * d, b * w, d / w, t / w, t * w)
+    q, ua, uc, a_w, cw, aw, ab, c_w, cd, bw, d_w, t_w, tw = (_fx(x, wp) for x in args)
+    rows = (((bw, t_w), (a_w, ua), (aw, ab)), ((d_w, tw), (cw, uc), (c_w, cd)))
+    (X, cx), (Y, cy) = (certified_sum(_shifted_rows(*r, q, eps / 8, pb), eps / 4, pb) for r in rows)
+    return _approx(_mul(X, Y, wp), wp, pb + 20), cx.terms_used + cy.terms_used
 
 
 def triple_sum_32pf(
@@ -210,14 +192,9 @@ def triple_sum_32pf(
     )
     lhs, lhs_terms = side_value(lhs_side, te, eps / 8, precision_bits)
     qb = QBase.of(qe)
-    pb = precision_bits
-    with mp.workprec(pb + 20):
-        triple, tail, terms = _triple_sum_engine(ue, te, we, ae, be, ce, de, qe, eps / 8, pb)
-        n1, n2, d1, d2 = (
-            qpoch_infinite(x, qb, eps / 32, pb)[0].value
-            for x in (ue / ae, ue / ce, ue * we, ue / we)
-        )
-        rhs = ApproxScalar(n1 * n2 / (d1 * d2) * triple.value, pb)
+    triple, terms = _triple_sum_engine(ue, te, we, ae, be, ce, de, qe, eps / 8, precision_bits)
+    rhs = triple * _product_quotient(1, [(ue / ae, qb), (ue / ce, qb)],
+                                     [(ue * we, qb), (ue / we, qb)], precision_bits, eps / 32)
     return make_report(
         "TRIPLE_32PF",
         params,
@@ -240,15 +217,10 @@ def quad_cor13(
     if not te.abs_upper() < min(mods):
         raise DivergenceError("hypothesis |t| < min(|a|,|c|,|w|,1/|w|) fails")
     qb = QBase.of(qe)
-    pb = precision_bits
-    with mp.workprec(pb + 20):
-        quad, tail, terms = _triple_sum_engine(te, te, we, ae, be, ce, de, qe, eps / 8, pb)
-        lhs = ApproxScalar(quad.value, pb)
-        n1, _ = qpoch_infinite(te * we, qb, eps / 32, pb)
-        n2, _ = qpoch_infinite(te / we, qb, eps / 32, pb)
-        d1, _ = qpoch_infinite(te / ae, qb, eps / 32, pb)
-        d2, _ = qpoch_infinite(te / ce, qb, eps / 32, pb)
-        rhs = n1 * n2 / (d1 * d2)
+    quad, terms = _triple_sum_engine(te, te, we, ae, be, ce, de, qe, eps / 8, precision_bits)
+    lhs = ApproxScalar(quad.value, precision_bits)
+    rhs = _product_quotient(1, [(te * we, qb), (te / we, qb)], [(te / ae, qb), (te / ce, qb)],
+                            precision_bits, eps / 32)
     return make_report(
         "QUAD_COR13",
         params,
@@ -495,10 +467,9 @@ def _wd_appell_value(params, eps, pb):
     qb = QBase.of(q)
     lhs_side = _plain(Phi([u / t, a * d, b * d], [a * b, d * u], q, 1 / d))
     lhs, terms = side_value(lhs_side, t, eps / 8, pb)
-    pref_n, _ = qpoch_infinite(u / a, qb, eps / 32, pb)
-    pref_d, _ = qpoch_infinite(d * u, qb, eps / 32, pb)
+    pref = _product_quotient(1, [(u / a, qb)], [(d * u, qb)], pb, eps / 32)
     appell = eval_qappell_phi1(a * d, b * d, a / d, a * b, t / d, u / a, q, eps / 8, pb)
-    return lhs, pref_n / pref_d * appell, terms
+    return lhs, pref * appell, terms
 
 
 def _awgf_value(params, eps, pb):
@@ -507,20 +478,16 @@ def _awgf_value(params, eps, pb):
         _plain(Phi([a * w, b * w], [a * b], q, 1 / w), Phi([c / w, d / w], [c * d], q, w)),
         t, eps / 8, pb,
     )
-    with mp.workprec(pb + 20):
-        av, bv, cv, dv, wv, qv, tv = (x.to_approx(pb + 20).value for x in (a, b, c, d, w, q, t))
-        wmax = max(float(abs(wv)), float(abs(1 / wv)))
-        cap_n = (1.0 + float(abs(tv)) * wmax) / 2.0
-        if cap_n >= 1:
-            raise DivergenceError("need |t| < min(|w|, 1/|w|)")
-        wp = pb + _GUARD_BITS
-        args = (qv, tv / wv, tv * wv, av * wv, bv * wv, av * bv, cv / wv, dv / wv, cv * dv)
-        q, t_w, tw, aw, bw, ab, c_w, d_w, cd = (_fx(x, wp) for x in args)
+    if (t * w).abs2() >= 1 or (t / w).abs2() >= 1:
+        raise DivergenceError("need |t| < min(|w|, 1/|w|)")
+    wp = pb + _GUARD_BITS
+    args = (q, t / w, t * w, a * w, b * w, a * b, c / w, d / w, c * d)
+    q, t_w, tw, aw, bw, ab, c_w, d_w, cd = (_fx(x, wp) for x in args)
     # t^n p_n / (q, ab, cd; q)_n = sum_j X[j] Y[n-j], where X and Y are the terms
     # of 2phi1(aw, bw; ab; q, t/w) and 2phi1(c/w, d/w; cd; q, tw)
     X = _Table(_phi_terms([aw, bw], [ab], q, t_w, wp))
     Y = _Table(_phi_terms([c_w, d_w], [cd], q, tw, wp))
-    total, cert = certified_sum(_cauchy_terms(X, Y, wp), eps / 8, cap_n, pb)
+    total, cert = certified_sum(_cauchy_terms(X, Y, wp), eps / 8, pb)
     return _approx(total, wp, pb), rhs, terms + cert.terms_used
 
 
@@ -534,16 +501,16 @@ def verify_product(
     check_eps(eps)
     if identity_id not in PRODUCT_IDS:
         raise UnknownIdentity(f"no product identity registered under {identity_id!r}")
-    # QUAD_COR13 is TRIPLE_32PF at u = t: it accepts that check's point, u unused
+    # QUAD_COR13 is TRIPLE_32PF at u = t: it accepts that check's point; the note names u
     named = {k: v for k, v in params.items() if not (identity_id == "QUAD_COR13" and k == "u")}
     check_names(identity_id, _VALUE_PARAMS[identity_id], named)
     if identity_id == "TRIPLE_32PF":
         return triple_sum_32pf(*(params[k] for k in "uwtabcdq"), eps, precision_bits)
     if identity_id == "QUAD_COR13":
-        return quad_cor13(*(params[k] for k in "twabcdq"), eps, precision_bits)
-    if identity_id in ("CAYLEY_ORR_A", "CAYLEY_ORR_B"):
-        return cayley_orr_value_check(identity_id, params, eps=eps, precision_bits=precision_bits)
-
+        report = quad_cor13(*(params[k] for k in "twabcdq"), eps, precision_bits)
+        if "u" in params:
+            report.note += f"; evaluated at u = t, the given u = {params['u']} not used"
+        return report
     zname = "z" if "z" in params else "t"
     zval = E(params[zname])
     if zval.abs_upper() > SAFETY_RADIUS:
@@ -554,6 +521,8 @@ def verify_product(
         lhs, rhs, terms = _wd_appell_value(params, eps, precision_bits)
     elif identity_id == "AWGF":
         lhs, rhs, terms = _awgf_value(params, eps, precision_bits)
+    elif identity_id.startswith("CAYLEY_ORR"):
+        lhs, rhs, terms = _cayley_orr_value(identity_id, params, eps, precision_bits)
     else:
         lhs_side, rhs_side = product_sides(identity_id, params)
         z = E(params[_SIDES[identity_id][1]])
@@ -561,7 +530,8 @@ def verify_product(
         rhs, rhs_terms = side_value(rhs_side, z, eps / 8, precision_bits)
         terms = lhs_terms + rhs_terms
     return make_report(
-        identity_id, params, lhs, rhs, compare_approx(lhs, rhs, eps), truncation_terms=terms
+        identity_id, params, lhs, rhs, compare_approx(lhs, rhs, eps), truncation_terms=terms,
+        note="lemma value check" if identity_id.startswith("CAYLEY_ORR") else "",
     )
 
 
@@ -671,10 +641,10 @@ def classical_limit_check(which: str, params: dict, eps: float = 1e-10) -> Verif
 # --------------------------------------------------------------------------
 
 def _cayley_orr_lemma(which: str, a, b, c, q) -> tuple:
-    """(alpha, upper, lower, zscale, wn, wd) of lemma A or B, in ExactScalar or
-    raw mpmath arithmetic alike.  The auxiliary coefficient a_n is the z^n
-    coefficient of (alpha z; q^2)_inf / (z; q^2)_inf * 2phi1(upper; lower; q,
-    zscale z), and the lemma weights it by (wn; q^2)_n / (wd; q^2)_n."""
+    """(alpha, upper, lower, zscale, wn, wd) of lemma A or B.  The auxiliary
+    coefficient a_n is the z^n coefficient of (alpha z; q^2)_inf / (z; q^2)_inf
+    * 2phi1(upper; lower; q, zscale z), and the lemma weights it by (wn; q^2)_n
+    / (wd; q^2)_n."""
     Q = q * q
     if which == "A":
         return q**3 * c / (a * b), [a / q, b / q], [c], Q * c / (a * b), q * c, Q * c
@@ -719,44 +689,36 @@ def cayley_orr_check(which: str, a, b, c, q, n_max: int = 10) -> VerificationRep
     )
 
 
-def cayley_orr_value_check(
-    identity_id: str,
-    params: dict,
-    eps: float = 1e-30,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> VerificationReport:
-    """The lemma evaluated at a z value: both sides as certified numbers."""
-    which = identity_id[-1]
+def _cayley_orr_value(identity_id: str, params: dict, eps: float, pb: int) -> tuple:
+    """(lhs, rhs, terms) of a Cayley-Orr lemma at a z value, both sides certified;
+    the tail of the right side, sum_n (wn; q^2)_n / (wd; q^2)_n a_n z^n, is
+    sup_{i>=n} |(wn; q^2)_i / (wd; q^2)_i| times that of the a_n z^n."""
     a, b, c, q, z = (E(params[k]) for k in ("a", "b", "c", "q", "z"))
-    if z.abs_upper() > SAFETY_RADIUS:
-        raise DomainError(f"|z| exceeds the safety radius {SAFETY_RADIUS}")
     if (q * q * c * z).abs2() >= (a * b).abs2():
         raise DomainError("the lemma needs |q^2 c z| < |ab|")
-    pb = precision_bits
     lhs_side, _ = product_sides(identity_id, params)
     lhs, terms = side_value(lhs_side, z, eps / 8, pb)
     # a_n z^n decays like max(|z|, |second series argument|)^n
     r_eff = max((f.zscale * z).abs_upper() for f in lhs_side[0][2])
     if r_eff >= 1:
         raise DomainError("the weighted coefficient series does not converge here")
-    depth = max(16, int(math.ceil(math.log(eps / 8) / math.log(r_eff + 1e-12))) + 8)
-    with mp.workprec(pb + 20):
-        av, bv, cv, qv, zv = (x.to_approx(pb + 20).value for x in (a, b, c, q, z))
-        alpha, up, low, zfac, wn, wd = _cayley_orr_lemma(which, av, bv, cv, qv)
-        wp = pb + _GUARD_BITS
-        args = (alpha, zv, zfac * zv, wn, wd, qv, qv * qv, *up, *low)
-        alpha, z, zfac_z, wn, wd, q, Q, *ul = (_fx(x, wp) for x in args)
+    alpha, up, low, zfac, wn, wd = _cayley_orr_lemma(identity_id[-1], a, b, c, q)
+    wp = pb + _GUARD_BITS
+    args = (alpha, z, zfac * z, wn, wd, q, q * q, *up, *low)
+    alpha, z, zfac_z, wn, wd, q, Q, *ul = (_fx(x, wp) for x in args)
     # a_n z^n = sum_i (alpha; q^2)_i/(q^2; q^2)_i z^i * [z^(n-i)] 2phi1(up; low; q, zfac z)
-    binom = _Table(_phi_terms([alpha], [], Q, z, wp))
-    phi = _Table(_phi_terms(ul[:2], ul[2:], q, zfac_z, wp))
-    anzn = _cauchy_terms(binom, phi, wp)
+    anzn = _cauchy_terms(_Table(_phi_terms([alpha], [], Q, z, wp)),
+                         _Table(_phi_terms(ul[:2], ul[2:], q, zfac_z, wp)), wp)
     weight = _Table(_phi_terms([wn, Q], [wd], Q, (1 << wp, 0), wp))  # (wn; q^2)_n / (wd; q^2)_n
-    parts = [_mul(weight[n], anzn(n), wp) for n in range(depth + 1)]
-    rhs = _approx((sum(x[0] for x in parts), sum(x[1] for x in parts)), wp, pb)
-    return make_report(
-        identity_id, params, lhs, rhs, compare_approx(lhs, rhs, eps), truncation_terms=terms,
-        note="lemma value check",
-    )
+    Qa, wn, wd = (_fabs(x, wp) for x in (Q, wn, wd))
+
+    def term(n: int) -> tuple:
+        value, tail = anzn(n)
+        w, Qn = weight[n][0], Qa**n
+        return _mul(w, value, wp), _fabs(w, wp) * _poch_majorant(wn * Qn, wd * Qn, Qa) * tail
+
+    total, _ = certified_sum(term, eps / 8, pb)
+    return lhs, _approx(total, wp, pb), terms
 
 
 def cayley_orr_a_closed_form_check(a, b, q, n_max: int = 8) -> VerificationReport:

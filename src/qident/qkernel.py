@@ -577,15 +577,25 @@ def _factor_count(abs_a: float, abs_q: float, tail: float) -> tuple[int, float]:
         K += 1
 
 
+def _log_poch_majorant(x: float, Q: float, den: bool) -> float:
+    """An upper bound on log (-x; Q)_inf, or with den on -log (x; Q)_inf (x < 1):
+    so on log |(y; q)_K|, or on -log |(y; q)_K|, for every K, |y| = x, |q| = Q.
+    Past the first K factors, the log-majorant of :func:`_factor_count` bounds both."""
+    K, rest = _factor_count(x, Q, 2.0**-20)
+    return rest + sum(-math.log1p(-x * Q**k) if den else math.log1p(x * Q**k) for k in range(K))
+
+
 # fixed point (see the module docstring).  _mul and _div round each part toward
 # zero, by less than one unit of 2^-wp, so a product never exceeds its exact
-# modulus: a decaying sequence of series terms reaches exact zero, where floor
-# rounding would leave it at -1 unit and break the ratio window.
+# modulus.  The guard bits are a fixed margin for rounding, which the proven
+# truncation bounds of the series (series._phi_terms) do not count.
 _GUARD_BITS = 30
 
 
 def _fx(x, wp: int) -> tuple:
-    """An mpf or mpc as a fixed-point pair."""
+    """An mpf, an mpc or an ExactScalar (each part rounded down once) as a fixed-point pair."""
+    if isinstance(x, ExactScalar):
+        return (x._n << wp) // x._d, (x._m << wp) // x._d
     re, im = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
     return to_fixed(re, wp), to_fixed(im, wp)
 
@@ -614,9 +624,10 @@ def _one_minus(x, wp: int) -> tuple:
 
 
 def _fabs(x, wp: int) -> float:
-    """|x| as a float (a real x is rounded once)."""
+    """|x| as a float, taken 2^-40 above the computed value: an upper bound that
+    covers the rounding of a few float operations on it."""
     s = max(0, max(abs(x[0]), abs(x[1])).bit_length() - 1000)  # float range
-    return math.ldexp(math.hypot(x[0] >> s, x[1] >> s), s - wp)
+    return math.ldexp(math.hypot(x[0] >> s, x[1] >> s), s - wp) * (1 + 2.0**-40)
 
 
 def _approx(x, wp: int, precision_bits: int) -> "ApproxScalar":
@@ -680,3 +691,22 @@ def qpoch_infinite(
     tail_bound = float(abs(value)) * (math.expm1(tail_log) if tail_log < 1 else 2 * tail_log)
     target = eps * max(1.0, float(abs(value)))
     return value, TruncationCert(K, tail_bound, target)
+
+
+def _product_quotient(pref, num_args, den_args, precision_bits, eps):
+    """pref * prod (x; base)_inf over num_args / prod over den_args, each
+    factor certified to eps: exact 0 when a numerator factor vanishes, and
+    ZeroDivisionError when a denominator factor does."""
+    num = ApproxScalar.coerce(pref, precision_bits)
+    for x, base in num_args:
+        v, _ = qpoch_infinite(x, base, eps, precision_bits)
+        if v.is_zero():
+            return ExactScalar(0)
+        num = num * v
+    den = ApproxScalar.coerce(1, precision_bits)
+    for x, base in den_args:
+        v, _ = qpoch_infinite(x, base, eps, precision_bits)
+        if v.is_zero():
+            raise ZeroDivisionError("infinite-product denominator vanishes")
+        den = den * v
+    return num / den

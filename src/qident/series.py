@@ -2,13 +2,14 @@
 
 Terminating series are summed exactly over Gaussian rationals.  Nonterminating
 series are summed in the fixed-point arithmetic of :mod:`qident.qkernel`: one
-term recurrence (``_phi_terms``) gives the terms of every r-phi-s series, and
-the q-Appell and multi-sum evaluators read on-demand tables of such terms
-(``_Table``).  ``certified_sum`` keeps the same empirical geometric tail
-certificate, which is still not a proof: once the term-ratio stays below a cap
-for 8 consecutive terms, the remaining tail is bounded by the geometric series
-at that cap.  The cap is (1+|z|)/2 for r = s+1 and 1/2 for r <= s (where the
-q^binom(k,2) factor makes the ratio eventually collapse to zero).
+term recurrence (``_phi_terms``) gives the terms of every r-phi-s series, each
+with a non-increasing majorant R_k of every later term ratio (F. Johansson,
+*Computing hypergeometric functions rigorously*, ACM TOMS 45(3), 2019), so
+|t_k| R_k / (1 - R_k) bounds the tail after term k.  The q-Appell and multi-sum
+evaluators build their tails from tables of such terms (``_Table``,
+``_shifted_rows``).  ``certified_sum`` stops at the first term whose proven tail
+bound meets the target; until a majorant is finite, terms are summed one by
+one, which covers any hump of the terms near a pole.
 
 Also here: the classical rFs series, the q-Appell Phi1 double series, the two
 q-binomial theorems, and the 2phi2 -> 2phi1 transformation check used as a
@@ -18,6 +19,7 @@ cross-evaluator oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -35,12 +37,13 @@ from .qkernel import (
     _div,
     _fabs,
     _fx,
+    _log_poch_majorant,
     _mul,
     _one_minus,
+    _product_quotient,
     _qpow_index,
     min_precision,
     qpoch_finite,
-    qpoch_infinite,
     scalar_mode,
 )
 from .reporting import VerificationReport, compare_approx, make_report, matched
@@ -211,10 +214,25 @@ def _one_minus_aqk(a: ExactScalar, Q: tuple, D: int) -> tuple:
     return (d - t[0], -t[1]), d
 
 
-def _ratio_cap(spec_r: int, spec_s: int, abs_z: float) -> float:
-    if spec_r == spec_s + 1:
-        return (1.0 + abs_z) / 2.0
-    return 0.5
+def _ratio_majorant(z: float, upper, lower, Q: float, k: int, e: int = 0) -> float:
+    """|z| Q^(ek) prod (1 + |a| Q^k) / ((1 - Q^(k+1)) prod |1 - |b| Q^k|), of moduli
+    and Q >= |q|: a bound on |term k+1 / term k| of sum_k (upper;q)_k / (q, lower;q)_k
+    ((-1)^k q^binom(k,2))^e z^k, not increasing from the first k with all |b| Q^k < 1."""
+    Qk = Q**k
+    R = z * Qk**e / (1 - Q * Qk)
+    for a in upper:
+        R *= 1 + a * Qk
+    for b in lower:
+        R /= abs(1 - b * Qk)
+    return R
+
+
+def _poch_majorant(x: float, y: float, Q: float) -> float:
+    """A bound on (-x; Q)_inf / (y; Q)_inf, inf unless y < 1.  With Q >= |q| it
+    bounds sum_k |(f;q)_k r^k / (q;q)_k| at x = |f||r|, y = |r| (the q-binomial
+    theorem), and |(u q^m;q)_j / (v q^m;q)_j| for all j at x = |u||q|^m, y = |v||q|^m."""
+    log_m = _log_poch_majorant(x, Q, False) + _log_poch_majorant(y, Q, True) if y < 1 else math.inf
+    return math.exp(log_m + 2.0**-40) if log_m < 700 else math.inf
 
 
 class _Table:
@@ -231,21 +249,30 @@ class _Table:
 
 
 def _phi_terms(upper, lower, q, z, wp: int) -> Callable[[int], tuple]:
-    """k -> term k of the r-phi-s series sum_k (upper;q)_k / (q, lower;q)_k
-    ((-1)^k q^binom(k,2))^(1+s-r) z^k, called for k = 0, 1, 2, ... in turn.
+    """k -> (term k, R_k) of the r-phi-s series sum_k (upper;q)_k / (q, lower;q)_k
+    ((-1)^k q^binom(k,2))^e z^k, e = 1+s-r, called for k = 0, 1, 2, ... in turn.
 
     Parameters and terms are fixed-point pairs at wp bits.  Term k is term k-1
-    times prod (1 - a q^(k-1)) z (-q^(k-1))^(1+s-r) / ((1 - q^k) prod (1 - b q^(k-1))),
+    times prod (1 - a q^(k-1)) z (-q^(k-1))^e / ((1 - q^k) prod (1 - b q^(k-1))),
     and a lower factor that is exactly zero raises PoleError naming index k.
+    R_k, the :func:`_ratio_majorant`, bounds |term j+1 / term j| for every j >=
+    k; it is inf before every |b||q|^k < 1, and for e < 0.
     """
     e = 1 + len(lower) - len(upper)
+    Q, za = _fabs(q, wp), _fabs(z, wp)
+    am, bm = ([_fabs(x, wp) for x in xs] for xs in (upper, lower))
     ups, los = upper, lower  # a q^(k-1), b q^(k-1)
     qk = t = (1 << wp, 0)
+
+    def ratio(k: int) -> float:
+        if e < 0 or max(bm, default=0.0) * Q**k >= 1:
+            return math.inf
+        return _ratio_majorant(za, am, bm, Q, k, e)
 
     def term(k: int) -> tuple:
         nonlocal ups, los, qk, t
         if k == 0:
-            return t
+            return t, ratio(0)
         qk1 = _mul(qk, q, wp)
         den = _one_minus(qk1, wp)
         for j, b in enumerate(los):
@@ -266,55 +293,68 @@ def _phi_terms(upper, lower, q, z, wp: int) -> Callable[[int], tuple]:
         ups = [_mul(a, q, wp) for a in ups]
         los = [_mul(b, q, wp) for b in los]
         qk = qk1
-        return t
+        return t, ratio(k)
 
     return term
 
 
-# consecutive term ratios at or below the cap that certify a tail, and the
-# number of terms after which a sum gives up
-_WINDOW = 8
+def _tailed(entry: tuple, wp: int) -> tuple:
+    """(t, |t| R / (1 - R)) from a term t and a bound R < 1 on every later term
+    ratio: t and a bound on the sum of the later terms' moduli (inf unless R < 1)."""
+    t, R = entry
+    return t, _fabs(t, wp) * R / (1 - R) if R < 1 else math.inf
+
+
+def _shifted_rows(weight, head, quot, q, eps: float, pb: int) -> Callable[[int], tuple]:
+    """m -> (weight[m] sum_k head[k] quot[k+m], the tail after it), for certified_sum.
+
+    weight = (g, s) and head = (f, r) stand for the 1phi0 terms (g;q)_m s^m /
+    (q;q)_m and (f;q)_k r^k / (q;q)_k, |s|, |r| < 1, and quot = (u, v) for
+    (u;q)_i / (v;q)_i, all fixed-point pairs.  Row m is certified to eps / sum
+    |weight| with ratios R_head(k) R_quot(k+m); the tail after it is at most sum
+    |head| sup_{i>=m} |quot[i]| times the weights' tail (:func:`_poch_majorant`).
+    """
+    wp = pb + _GUARD_BITS
+    Q, num, den = (_fabs(x, wp) for x in (q, *quot))
+
+    def table_sum(first, ratio):
+        f, r = _fabs(first, wp), _fabs(ratio, wp)
+        return _Table(_phi_terms([first], [], q, ratio, wp)), _poch_majorant(f * r, r, Q)
+
+    (W, weight_sum), (H, head_sum) = table_sum(*weight), table_sum(*head)
+    A = _Table(_phi_terms([quot[0], q], [quot[1]], q, (1 << wp, 0), wp))
+
+    def row(m: int) -> tuple:
+        def term(k: int) -> tuple:
+            (h, Rh), (a, Ra) = H[k], A[k + m]
+            return _tailed((_mul(h, a, wp), Rh * Ra), wp)
+
+        value, _ = certified_sum(term, eps / weight_sum, pb, absolute=True)
+        w, tail = _tailed(W[m], wp)
+        Qm = Q**m
+        sup = _fabs(A[m][0], wp) * _poch_majorant(num * Qm, den * Qm, Q)
+        return _mul(w, value, wp), head_sum * sup * tail
+
+    return row
+
+
 _MAX_TERMS = 100_000
 
 
 def certified_sum(
-    term_fn: Callable[[int], tuple],
-    eps: float,
-    ratio_cap: float,
-    precision_bits: int,
-    absolute: bool = False,
+    terms: Callable[[int], tuple], eps: float, precision_bits: int, absolute: bool = False
 ) -> tuple[tuple, TruncationCert]:
-    """Sum term_fn(0) + term_fn(1) + ... with a geometric tail certificate.
-
-    Terms and the returned sum are fixed-point pairs at precision_bits +
-    _GUARD_BITS bits.  Certification: 8 consecutive term ratios at or below
-    `ratio_cap` (< 1), after which the tail is bounded by cap/(1-cap) times the
-    largest recent |term|.  Stops once that bound is below eps (times
-    max(1,|sum|) unless `absolute`).
-    """
-    if not (0 < ratio_cap < 1):
-        raise DivergenceError(f"certification ratio cap {ratio_cap} is not in (0,1)")
+    """Sum t_0 + t_1 + ... for terms(k) = (t_k, tail_k), fixed-point pairs at
+    precision_bits + _GUARD_BITS bits and a proven bound on sum_{j>k} |t_j| (inf
+    while none is known), up to the first k whose tail_k is at most eps (times
+    max(1, |sum|) unless `absolute`)."""
     wp = precision_bits + _GUARD_BITS
     re = im = 0
-    prev_abs = None
-    good = 0
-    recent_max = 0.0
     for k in range(_MAX_TERMS):
-        t = term_fn(k)
-        re += t[0]
-        im += t[1]
-        ta = _fabs(t, wp)
-        if prev_abs is None:
-            recent_max = ta
-        elif ta <= ratio_cap * prev_abs:
-            good += 1
-            recent_max = max(recent_max * ratio_cap, ta)
-        else:
-            good = 0
-            recent_max = ta
-        prev_abs = ta
-        if good >= _WINDOW:
-            tail = ratio_cap / (1.0 - ratio_cap) * recent_max
+        (tr, ti), tail = terms(k)
+        re += tr
+        im += ti
+        if tail < math.inf:
             target = eps if absolute else eps * max(1.0, _fabs((re, im), wp))
             if tail <= target:
                 return (re, im), TruncationCert(k + 1, tail, target)
@@ -326,10 +366,14 @@ def eval_phi_nonterminating(
     eps: float,
     precision_bits: Optional[int] = None,
 ) -> tuple[ApproxScalar, TruncationCert]:
-    """Certified approximate value of an r-phi-s series, summed in fixed point
-    (a terminating spec sums its n+1 terms)."""
+    """Certified value of an r-phi-s series, summed in fixed point; a terminating
+    spec, or exact inputs with an upper parameter q^-n, sum the n+1 terms."""
     if precision_bits is None:
         precision_bits = min_precision(spec.scalars())
+    n = spec.termination
+    if n is None and not any(isinstance(x, ApproxScalar) for x in spec.scalars()):
+        ends = [_qpow_index(ExactScalar.coerce(a), spec.base.value) for a in spec.upper]
+        n = min((k for k in ends if k is not None), default=None)
     wp = precision_bits + _GUARD_BITS
     q, z = (ApproxScalar.coerce(x, precision_bits).value for x in (spec.base.value, spec.arg))
     upper, lower = (
@@ -340,7 +384,6 @@ def eval_phi_nonterminating(
 
     if z == 0:
         return ApproxScalar.coerce(1, precision_bits), TruncationCert(1, 0.0, eps)
-    n = spec.termination
     if n is None:
         if spec.r > spec.s + 1:
             raise DivergenceError("r > s+1 does not converge without termination")
@@ -350,10 +393,10 @@ def eval_phi_nonterminating(
     term = _phi_terms(upper, lower, _fx(q, wp), _fx(z, wp), wp)
     if n is not None:
         # a term that is exactly 0 (an upper factor vanished) ends the series
-        terms = list(itertools.takewhile(any, map(term, range(n + 1))))
+        terms = list(itertools.takewhile(any, (term(k)[0] for k in range(n + 1))))
         total = sum(t[0] for t in terms), sum(t[1] for t in terms)
         return _approx(total, wp, precision_bits), TruncationCert(n + 1, 0.0, eps)
-    total, cert = certified_sum(term, eps, _ratio_cap(spec.r, spec.s, abs_z), precision_bits)
+    total, cert = certified_sum(lambda k: _tailed(term(k), wp), eps, precision_bits)
     return _approx(total, wp, precision_bits), cert
 
 
@@ -368,11 +411,10 @@ def jackson_22_to_21_check(
         lhs_spec = SeriesSpec.make([a, c / b], [c, a * z], qb, b * z)
     lhs, cert_l = eval_phi_nonterminating(lhs_spec, eps / 4, precision_bits)
 
-    num, _ = qpoch_infinite(z, qb, eps / 8, precision_bits)
-    den, _ = qpoch_infinite(a * z, qb, eps / 8, precision_bits)
+    pref = _product_quotient(1, [(z, qb)], [(a * z, qb)], precision_bits, eps / 8)
     phi21 = SeriesSpec.make([a, b], [c], qb, z)
     rhs_phi, cert_r = eval_phi_nonterminating(phi21, eps / 4, precision_bits)
-    rhs = num / den * rhs_phi
+    rhs = pref * rhs_phi
 
     return make_report(
         "J22_TO_21", {"a": a, "b": b, "c": c, "z": z, "q": q}, lhs, rhs,
@@ -408,9 +450,7 @@ def qbinomial_checks(
         qb = QBase.of(q)
         spec = SeriesSpec.make([a], [], qb, z)
         lhs, cert = eval_phi_nonterminating(spec, eps / 4, precision_bits)
-        num, _ = qpoch_infinite(a * z, qb, eps / 8, precision_bits)
-        den, _ = qpoch_infinite(z, qb, eps / 8, precision_bits)
-        rhs = num / den
+        rhs = _product_quotient(1, [(a * z, qb)], [(z, qb)], precision_bits, eps / 8)
         return make_report(
             "QBINOMIAL_NONTERMINATING", params, lhs, rhs, compare_approx(lhs, rhs, eps),
             truncation_terms=cert.terms_used,
@@ -425,8 +465,10 @@ def eval_rfs(
     eps: float = 1e-12,
     precision_bits: int = 128,
 ) -> ApproxScalar:
-    """Classical rFs via rising-factorial term recurrence, geometric tail,
-    summed in fixed point."""
+    """Classical rFs via rising-factorial term recurrence, summed in fixed point.
+    For j >= k > max |b|, |t_(j+1) / t_j| = |z prod (a + j) / ((j + 1) prod (b +
+    j))| is at most |z| times max(1, (|a| + k) / (k - |b|)) per upper parameter,
+    paired with a lower one or k + 1, and 1 / (k - |b|) per unpaired one."""
     check_eps(eps)
     ups, los = (
         [ApproxScalar.coerce(x, precision_bits + 10).value for x in xs] for xs in (upper, lower)
@@ -442,14 +484,26 @@ def eval_rfs(
     ends = [int(-a.real) for a in ups if nonpositive_integer(a)]
     term_n = min(ends) if ends else None
     abs_z = float(abs(zz))
-    if term_n is None and len(ups) == len(los) + 1 and abs_z >= 1:
-        raise DivergenceError(f"|z| = {abs_z} >= 1 for an r = s+1 series")
+    r, s = len(ups), len(los)
+    if term_n is None and (r > s + 1 or r == s + 1 and abs_z >= 1):
+        raise DivergenceError(f"an r = {r}, s = {s} series does not converge at |z| = {abs_z}")
     if zz == 0:
         return ApproxScalar.coerce(1, precision_bits)
 
     wp = precision_bits + _GUARD_BITS
     ups, los, zz = [_fx(a, wp) for a in ups], [_fx(b, wp) for b in los], _fx(zz, wp)
+    am, bm = [_fabs(a, wp) for a in ups], [_fabs(b, wp) for b in los] + [-1.0]  # k + 1 = k - (-1)
     t = (1 << wp, 0)
+
+    def ratio(k: int) -> float:
+        if term_n is not None and k >= term_n:
+            return 0.0  # the terms after t_n are exactly 0
+        if k <= max(bm) or len(am) > len(bm):
+            return math.inf
+        R = _fabs(zz, wp)
+        for a, b in itertools.zip_longest(am, bm):
+            R *= 1 / (k - b) if a is None else max(1.0, (a + k) / (k - b))
+        return R
 
     def term(k: int) -> tuple:
         # term k = term k-1 * prod (a + k-1) z / (k prod (b + k-1))
@@ -462,20 +516,16 @@ def eval_rfs(
             for b in los:
                 den = _mul(den, (b[0] + shift, b[1]), wp)
             t = _div(_mul(t, num, wp), den, wp)
-        return t
+        return _tailed((t, ratio(k)), wp)
 
-    if term_n is not None:
-        terms = [term(k) for k in range(term_n + 1)]
-        total = sum(x[0] for x in terms), sum(x[1] for x in terms)
-    else:
-        total, _ = certified_sum(term, eps, _ratio_cap(len(ups), len(los), abs_z), precision_bits)
+    total, _ = certified_sum(term, eps, precision_bits)
     return _approx(total, wp, precision_bits)
 
 
 def eval_qappell_phi1(
     a, b, b2, c, x, y, q, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> ApproxScalar:
-    """q-Appell Phi1 double series, rectangular truncation, certified per index.
+    """q-Appell Phi1 double series, certified per row and over the rows.
 
     Phi1(a; b, b2; c; q; x, y)
       = sum_{m,n>=0} (a;q)_{m+n} (b;q)_m (b2;q)_n x^m y^n
@@ -483,27 +533,11 @@ def eval_qappell_phi1(
     """
     pb = precision_bits
     qv, av, bv, b2v, cv, xv, yv = (ApproxScalar.coerce(v, pb).value for v in (q, a, b, b2, c, x, y))
-    ax, ay = float(abs(xv)), float(abs(yv))
-    if ax >= 1 or ay >= 1:
+    if max(abs(xv), abs(yv)) >= 1:
         raise DivergenceError("q-Appell Phi1 needs |x| < 1 and |y| < 1")
-    if xv == 0 and yv == 0:
-        return ApproxScalar.coerce(1, pb)
-
     wp = pb + _GUARD_BITS
     q, a, b, b2, c, x, y = (_fx(v, wp) for v in (qv, av, bv, b2v, cv, xv, yv))
-    # Phi1 = sum_m P[m] sum_n A[m+n] B[n], with P[m] = (b;q)_m x^m / (q;q)_m,
-    # A[i] = (a;q)_i / (c;q)_i and B[n] = (b2;q)_n y^n / (q;q)_n
-    P = _Table(_phi_terms([b], [], q, x, wp))
-    A = _Table(_phi_terms([a, q], [c], q, (1 << wp, 0), wp))
-    B = _Table(_phi_terms([b2], [], q, y, wp))
-    cap_y = (1.0 + ay) / 2.0
-
-    def row_value(m: int) -> tuple:
-        row_eps = eps / (16.0 * 2.0**min(m, 40))
-        val, _ = certified_sum(
-            lambda n: _mul(A[m + n], B[n], wp), row_eps, cap_y, pb, absolute=True
-        )
-        return _mul(P[m], val, wp)
-
-    total, _ = certified_sum(row_value, eps / 2, (1.0 + ax) / 2.0, pb)
+    # Phi1 = sum_m P[m] sum_n B[n] A[n+m], with P[m] = (b;q)_m x^m / (q;q)_m,
+    # B[n] = (b2;q)_n y^n / (q;q)_n and A[i] = (a;q)_i / (c;q)_i
+    total, _ = certified_sum(_shifted_rows((b, x), (b2, y), (a, c), q, eps / 4, pb), eps / 2, pb)
     return _approx(total, wp, pb)

@@ -137,6 +137,15 @@ class TestTripleQuad:
         assert r1.passed and r2.passed
         assert r1.rhs == r2.rhs
 
+    def test_quad_note_names_the_unused_u(self):
+        # QUAD_COR13 is TRIPLE_32PF at u = t: a given u is accepted and named
+        rep = verify_product("QUAD_COR13", self.POINT, eps=1e-30)
+        assert rep.passed and rep.note == (
+            "closed-form quadruple summation; evaluated at u = t, the given u = 1/10 not used"
+        )
+        plain = verify_product("QUAD_COR13", {k: v for k, v in self.POINT.items() if k != "u"})
+        assert plain.passed and plain.note == "closed-form quadruple summation"
+
     def test_hypothesis_guard(self):
         with pytest.raises(DivergenceError):
             triple_sum_32pf(F(3, 4), F(9, 10), F(1, 8), F(1, 2), F(1, 3), F(1, 2),
@@ -384,45 +393,45 @@ GOLDEN_REPORT_SHA256 = {
     "nassrallah2_cayley_consistency":
         "21ec9d3f9b78b0915824abc4ec96144d803307f131ddb418f248f36bfd2cba14",
     "verify_product CAYLEY_ORR_A":
-        "a65cb85abc91f4e0ea8b950de85a140d307879998a662d0d814be8aad4153bb0",
+        "4378bf3b8fac04039d60fffcde82748bb77fae54b719309f38b268ae7296e2fa",
     "verify_product CAYLEY_ORR_A z=0":
         "84d2b133616badff5b1544b33044cafc2d9c4c3b9fdecd6273ec23d5020a808a",
     "verify_product CAYLEY_ORR_B":
-        "dc40667f3cf1de4172eba24b3fc51630927f30b089261a1e47306907139446c8",
+        "4613f7d2210ca3ff6a7b732a06944f6ef5f1ec16fd978a2cb25ec1dbe06ff08a",
     "verify_product CAYLEY_ORR_B z=0":
         "9c574acc8f3550b9fd37c0c226920834f33d646f7826c9947ce2dfc7ae73f920",
     "verify_product WD_APPELL":
-        "2f6eca135d0316bf72541c24b1be815dbe92e4f31aab2c3865aa7c7c97ca4cf0",
+        "f344f7f4926386dac5f3923b705b3e0d1a19646a82bbc53201351cecf5c29df4",
     "classical_limit_check CLAUSEN 0":
-        "88ee1f8d9291aaff56ce227a6129e038084f6b6c34384b0b6101416c1d1f79bb",
+        "a4906726425df921cbfdbf6a32b60a81b4b89456573aabd66e424c96b85c49ba",
     "classical_limit_check CLAUSEN 1":
-        "abdb32506d57649ffcf49c2f070d96d83256bae8f0c0840234746be89999560d",
+        "404c59a5ec50cc662f36bc1d63310976fa944201db1a960b21c4be7028383416",
     "classical_limit_check CLAUSEN 2":
-        "37eff06e6e298c164ad9e8a9d2bd2dcf5bcfb13a6ec3001991b5516b0b2d9bfc",
+        "a2ac3f0208add3ef3f429fbebb15f2770b26d1a5b0b2c0f2334e19169cc4e947",
     "classical_limit_check ORR_A 0":
-        "d2d070c85e27c4eb1627b151ddffe69f33b6ad8894959f47bc60b419b88f38bd",
+        "3b070dad776aae4d32b04d05d17cfdbb720bb7835fc9bf72b22afa8e4c127d5c",
     "classical_limit_check ORR_A 1":
-        "56eb3e502c935a6384e6b22f79f0538e5bee2adb5dcd1b75aa32d89838dd0a47",
+        "2831c16fa5681fb43ebdfebc7092e9fc8d154e328b635c7a3aa484b8d7aeaa30",
     "classical_limit_check ORR_A 2":
-        "3ac5ee035c7314290d94f64d5b7490a59f1663930ee251b0aac45add0b267b84",
+        "6f30c814ac7e61dba241369488b57fbd9aba8f57ac1c2fa4787299efe7693ea6",
     "classical_limit_check ORR_B 0":
-        "2104c5ab3ae43358eaff7d1226d097264763712ec52ab6e9dc272ae64f0d5866",
+        "fa12bba2a54f9c131bcfe6872271cb02acd90542d890e6d467e422432a71a0f6",
     "classical_limit_check ORR_B 1":
-        "ec4a47bec616aee2c52f6d06e4fa1c2334fb3906cf2cea0833b84b7db6ce1599",
+        "0c6419e838b54315e78a28fca9457198729ac3aea46df201657532f8c7481c0a",
     "classical_limit_check ORR_B 2":
-        "085e6bc022b233fc170755763b259e86789a2fa7b1a546151f8920ec800de7ea",
+        "74df0f85e49ca38a566b58e30de1ebfb02c50f0a58b3c07560d05399351c3d81",
     "classical_limit_check BAILEY_211 0":
-        "a2dd06756f6276c35900bebbde2753474be90859eb0b2e637cc1ef165f54b65e",
+        "29f6eaeb0ca2f2eb028cc8d2d3ab07f0865369906e6528d7ce03caca3b947e2c",
     "classical_limit_check BAILEY_211 1":
-        "1e3a88cfd66258b3c45e0ac7af24fe83f07374a06a08cecda20cbd577c46d2df",
+        "4cc537b6f2d6d63183af9811f92358c021a9d3c3dd9d780bcd7006f01fa836ab",
     "classical_limit_check BAILEY_211 2":
-        "ed17d1f65685dc8a294eda57a3f881be41be4da863dacac2ed7195a4cfe49122",
+        "ad05decbc3740110a780598cdedd4aecf78023e439079a958aa341cc983301d6",
     "classical_limit_check COR_3F2 0":
-        "02f426694bcb4d50d6dbf4090abe375dba248b58709483f48b499f44293d3d87",
+        "32c9312f03322f346a44d42f577413f009e625cb9fc9d8934d3d4d9917be0847",
     "classical_limit_check COR_3F2 1":
-        "fbd5c6d711099358d74f6369a1dfbb1d23e97d9252a679ebd0afc3d3072bbd29",
+        "c9b2648cfa9b49449470de123d8dc459ee8be02094da76bb557933a55f3fccf1",
     "classical_limit_check COR_3F2 2":
-        "8e3f5c4eb92392ba2545f274119d5f379da07779685cebc00a3bb3e5b8bf5985",
+        "a5ff20b6332e1cd762c2a7b917eeecd92e6b85a46aef33013dda90d2630abde9",
 }
 
 
@@ -455,15 +464,16 @@ def test_golden_report(key):
 
 
 # (truncation_terms of the report, terms of every certified_sum the check runs)
-# at the benchmark's four multi-sum points and two pair points, recorded
-# before the sums moved to fixed point: the arithmetic must not move a count
+# at the benchmark's four multi-sum points and two pair points, recorded when
+# each sum came to stop at its first proven tail bound: the truncation rule
+# sets the counts, and a change of the arithmetic alone must not move one
 GOLDEN_TERM_COUNTS = {
-    "AWGF": (TestAWGF.VALUE_POINT, 429, 429),
-    "TRIPLE_32PF": (TestTripleQuad.POINT, 380, 43598),
-    "QUAD_COR13": ({k: v for k, v in TestTripleQuad.POINT.items() if k != "u"}, 129, 46961),
-    "WD_APPELL": (TestWDAppell.POINT, 128, 24953),
-    "SRIV_JAIN": (PRODUCT_POINTS["SRIV_JAIN"], 393, 393),
-    "CAYLEY_ORR_B": (PRODUCT_POINTS["CAYLEY_ORR_B"], 1112, 1112),
+    "AWGF": (TestAWGF.VALUE_POINT, 138, 138),
+    "TRIPLE_32PF": (TestTripleQuad.POINT, 138, 3404),
+    "QUAD_COR13": ({k: v for k, v in TestTripleQuad.POINT.items() if k != "u"}, 71, 3834),
+    "WD_APPELL": (TestWDAppell.POINT, 35, 1737),
+    "SRIV_JAIN": (PRODUCT_POINTS["SRIV_JAIN"], 114, 114),
+    "CAYLEY_ORR_B": (PRODUCT_POINTS["CAYLEY_ORR_B"], 506, 973),
 }
 
 

@@ -167,8 +167,8 @@ class TestNonterminating:
     def test_matches_mpmath_qhyper_at_twice_the_precision(self, r, data):
         # 2phi1 and 3phi2 summed in fixed point against mpmath.qhyper at 256
         # bits, for Gaussian parameters.  With lower parameters of modulus below
-        # one no factor 1 - b q^k (k >= 1) nears zero, which is where the ratio
-        # window can stop early (the near-pole defect, ROADMAP item 1).
+        # one no factor 1 - b q^k (k >= 1) nears zero; lower parameters near a
+        # pole are test_near_pole_lower_parameter's.
         def draw(bound):
             part = st.fractions(min_value=-bound, max_value=bound, max_denominator=9)
             return E(data.draw(part), data.draw(part))
@@ -191,6 +191,48 @@ class TestNonterminating:
                 for k in range(min(ends) + 1)
             ) if ends else mpmath.qhyper(A, B, Q, Z)
             assert abs(v.value - ref) <= eps * max(1, abs(ref)), (upper, lower, q, z)
+
+    def test_upper_qpow_ends_the_series(self):
+        # an exact upper parameter q^-n ends the series after term n: 1 = q^0
+        # leaves the one term 1, and q^-3 the four terms of a terminating sum
+        spec = SeriesSpec.make([E(F(-3, 2)), E(1)], [E(0)], E(0, F(1, 3)), E(F(2, 7)))
+        v, cert = eval_phi_nonterminating(spec, 1e-30, 128)
+        assert cert.terms_used == 1 and v.value == 1
+        q = E(F(1, 2))
+        upper, lower, z = [q**-3, E(F(1, 3))], [E(F(1, 5))], E(F(1, 3))
+        v, cert = eval_phi_nonterminating(SeriesSpec.make(upper, lower, q, z), 1e-30, 256)
+        exact = eval_phi_terminating(terminating_phi(upper, lower, q, z, 3))
+        assert cert.terms_used == 4 and abs(v.value - exact.to_approx(256).value) < 1e-70
+
+    def test_near_pole_hump_is_summed(self):
+        # 2phi1(3 2^130, 1/3; 2^130 (1 + 10^-45); 1/2, 1/10): the factor
+        # 1 - b q^130 = -10^-45 makes the terms rise again after k = 130, past
+        # a long run of small term ratios
+        upper, lower = [F(3 * 2**130), F(1, 3)], [F(2**130) * (1 + F(1, 10**45))]
+        q, z, eps = F(1, 2), F(1, 10), 1e-30
+        spec = SeriesSpec.make([E(a) for a in upper], [E(b) for b in lower], E(q), E(z))
+        v, cert = eval_phi_nonterminating(spec, eps)
+        ref = _direct_sum(upper, lower, q, z, 1500, 1200)
+        with mp.workprec(1200):
+            assert abs(v.value - ref) <= eps * max(1, abs(ref)), cert
+
+    @given(
+        st.integers(5, 60), qs, st.integers(10, 40), st.sampled_from([1, -1]),
+        st.fractions(min_value=1, max_value=3, max_denominator=3),
+        st.fractions(min_value=F(1, 16), max_value=F(1, 4), max_denominator=16),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_near_pole_lower_parameter(self, K, q, digits, sign, c, z):
+        # lower parameter b = q^-K (1 + delta): 1 - b q^K = -delta, so the
+        # terms jump by about 1/delta at k = K + 1, after K small term ratios;
+        # the upper c q^-K keeps the terms before it from vanishing
+        upper, lower = [c / q**K, F(1, 3)], [(1 + F(sign, 10**digits)) / q**K]
+        eps, bits = 1e-10, 256
+        spec = SeriesSpec.make([E(a) for a in upper], [E(b) for b in lower], E(q), E(z))
+        v, _ = eval_phi_nonterminating(spec, eps, bits)
+        ref = _direct_sum(upper, lower, q, z, K + 400, 2 * bits)
+        with mp.workprec(2 * bits):
+            assert abs(v.value - ref) <= eps * max(1, abs(ref))
 
 
 class TestJackson:
@@ -350,6 +392,20 @@ class TestBalance:
             q * a / (b * c),
         )
         assert derive_balance(spec).kind == "very_well_poised"
+
+
+def _direct_sum(upper, lower, q, z, terms, bits):
+    """The first `terms` terms of an r-phi-(r-1) series of rational parameters,
+    summed directly at `bits` bits."""
+    with mp.workprec(bits):
+        A, B, (Q,), (Z,) = ([mpmath.mpf(x.numerator) / x.denominator for x in xs]
+                            for xs in (upper, lower, [q], [z]))
+        total, term, qk = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
+        for _ in range(terms):
+            total += term
+            term *= mpmath.fprod(1 - a * qk for a in A) * Z / mpmath.fprod(1 - b * qk for b in B + [Q])
+            qk *= Q
+        return total
 
 
 def _qp_direct(x, q, k):
