@@ -3,8 +3,9 @@
 The polynomial p_n(x; a,b,c,d | q), x = (w + 1/w)/2, is evaluated through
 three terminating balanced 4phi3 representations (R1, R2, R3) and the
 convolution form (CONV), which also covers zero parameters (continuous
-q-Hermite at a=b=c=d=0).  x is always carried as w so that exact mode stays
-inside Gaussian rationals; special points like x = 0 enter through w = i.
+q-Hermite at a=b=c=d=0).  Every evaluation is exact: x is always carried as w
+so that it stays inside Gaussian rationals; special points like x = 0 enter
+through w = i.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ from .qkernel import (
     ExactScalar,
     I,
     QBase,
-    Scalar,
     _qpow_index,
     qpoch_finite,
     qpoch_list,
-    scalar_mode,
 )
 from .series import SeriesSpec, eval_phi_terminating
 
@@ -30,36 +29,35 @@ Representation = Literal["R1", "R2", "R3", "CONV"]
 
 @dataclass(frozen=True)
 class AWParams:
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
+    """The exact parameters of p_n(x; a,b,c,d | q) at x = (w + 1/w)/2."""
+
+    a: ExactScalar
+    b: ExactScalar
+    c: ExactScalar
+    d: ExactScalar
     q: QBase
-    w: Scalar
+    w: ExactScalar
     n: int
 
     @staticmethod
     def make(a, b, c, d, q, w, n: int) -> "AWParams":
         if n < 0:
             raise DomainError("polynomial degree must be nonnegative")
-        w = ExactScalar.coerce(w) if isinstance(w, (int,)) else w
-        if (isinstance(w, ExactScalar) and w.is_zero()) or w == 0:
+        qb = QBase.of(q)
+        a, b, c, d, w, _ = (ExactScalar.coerce(x) for x in (a, b, c, d, w, qb.value))
+        if w.is_zero():
             raise DomainError("w must be nonzero")
-        return AWParams(a, b, c, d, QBase.of(q), w, n)
-
-    def scalars(self):
-        return [self.a, self.b, self.c, self.d, self.q.value, self.w]
+        return AWParams(a, b, c, d, qb, w, n)
 
 
-def _check_no_pole(x, q, length: int, label: str):
-    """Reject x in Omega_q^length = {q^-k : 0 <= k < length} (exact mode)."""
-    if isinstance(x, ExactScalar) and isinstance(q, ExactScalar):
-        k = _qpow_index(x, q, length - 1)
-        if k is not None:
-            raise PoleError(f"{label} = q^-{k} lies in the pole set", index=k)
+def _check_no_pole(x: ExactScalar, q: ExactScalar, length: int, label: str):
+    """Reject x in Omega_q^length = {q^-k : 0 <= k < length}."""
+    k = _qpow_index(x, q, length - 1)
+    if k is not None:
+        raise PoleError(f"{label} = q^-{k} lies in the pole set", index=k)
 
 
-def eval_aw(params: AWParams, rep: Representation = "R1") -> Scalar:
+def eval_aw(params: AWParams, rep: Representation = "R1") -> ExactScalar:
     """p_n(x; a,b,c,d | q) via the requested representation.
 
     All four representations agree exactly; R1..R3 reject zero parameters
@@ -69,7 +67,6 @@ def eval_aw(params: AWParams, rep: Representation = "R1") -> Scalar:
     q = params.q.value
     w = params.w
     n = params.n
-    mode = scalar_mode(params.scalars())
 
     if rep == "CONV":
         _check_no_pole(a * b, q, n, "ab")
@@ -77,45 +74,39 @@ def eval_aw(params: AWParams, rep: Representation = "R1") -> Scalar:
         return _aw_convolution(a, b, c, d, q, w, n)
 
     for name, v in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if (isinstance(v, ExactScalar) and v.is_zero()) or v == 0:
+        if v.is_zero():
             raise DomainError(f"representation {rep} requires nonzero {name}")
-    if mode != "exact":
-        raise DomainError("representations R1-R3 are exact-mode evaluators")
 
     abcd = a * b * c * d
     if rep == "R1":
         for label, x in (("ab", a * b), ("ac", a * c), ("ad", a * d)):
             _check_no_pole(x, q, n, label)
-        qinvn = ExactScalar.coerce(q) ** (-n)
         spec = SeriesSpec.make(
-            [qinvn, (ExactScalar.coerce(q) ** (n - 1)) * abcd, a * w, a / w],
+            [q ** (-n), q ** (n - 1) * abcd, a * w, a / w],
             [a * b, a * c, a * d],
             params.q,
             q,
             terminates_at=n,
         )
-        return (a ** (-n) if isinstance(a, ExactScalar) else 1 / a**n) * qpoch_list(
-            [a * b, a * c, a * d], q, n
-        ) * eval_phi_terminating(spec)
+        return a ** (-n) * qpoch_list([a * b, a * c, a * d], q, n) * eval_phi_terminating(spec)
 
     if rep == "R2":
-        qe = ExactScalar.coerce(q)
         for label, x in (
-            ("q^(2-2n)/abcd", qe ** (2 - 2 * n) / abcd),
-            ("q^(1-n)w/a", qe ** (1 - n) * w / a),
-            ("q^(1-n)/(aw)", qe ** (1 - n) / (a * w)),
+            ("q^(2-2n)/abcd", q ** (2 - 2 * n) / abcd),
+            ("q^(1-n)w/a", q ** (1 - n) * w / a),
+            ("q^(1-n)/(aw)", q ** (1 - n) / (a * w)),
         ):
             _check_no_pole(x, q, n, label)
         pref = (
-            qe ** (-(n * (n - 1) // 2))
+            q ** (-(n * (n - 1) // 2))
             * ((-a) ** (-n))
             * qpoch_finite(abcd / q, q, 2 * n)
             / qpoch_finite(abcd / q, q, n)
             * qpoch_list([a * w, a / w], q, n)
         )
         spec = SeriesSpec.make(
-            [qe ** (-n), qe ** (1 - n) / (a * b), qe ** (1 - n) / (a * c), qe ** (1 - n) / (a * d)],
-            [qe ** (2 - 2 * n) / abcd, qe ** (1 - n) * w / a, qe ** (1 - n) / (a * w)],
+            [q ** (-n), q ** (1 - n) / (a * b), q ** (1 - n) / (a * c), q ** (1 - n) / (a * d)],
+            [q ** (2 - 2 * n) / abcd, q ** (1 - n) * w / a, q ** (1 - n) / (a * w)],
             params.q,
             q,
             terminates_at=n,
@@ -123,16 +114,15 @@ def eval_aw(params: AWParams, rep: Representation = "R1") -> Scalar:
         return pref * eval_phi_terminating(spec)
 
     if rep == "R3":
-        qe = ExactScalar.coerce(q)
         for label, x in (
             ("ab", a * b),
-            ("q^(1-n)w/c", qe ** (1 - n) * w / c),
-            ("q^(1-n)w/d", qe ** (1 - n) * w / d),
+            ("q^(1-n)w/c", q ** (1 - n) * w / c),
+            ("q^(1-n)w/d", q ** (1 - n) * w / d),
         ):
             _check_no_pole(x, q, n, label)
         spec = SeriesSpec.make(
-            [qe ** (-n), a * w, b * w, qe ** (1 - n) / (c * d)],
-            [a * b, qe ** (1 - n) * w / c, qe ** (1 - n) * w / d],
+            [q ** (-n), a * w, b * w, q ** (1 - n) / (c * d)],
+            [a * b, q ** (1 - n) * w / c, q ** (1 - n) * w / d],
             params.q,
             q,
             terminates_at=n,
@@ -142,7 +132,7 @@ def eval_aw(params: AWParams, rep: Representation = "R1") -> Scalar:
     raise DomainError(f"unknown representation {rep!r}")
 
 
-def _aw_convolution(a, b, c, d, q, w, n: int) -> Scalar:
+def _aw_convolution(a, b, c, d, q, w, n: int) -> ExactScalar:
     """(q,ab,cd;q)_n sum_j [(aw,bw;q)_j/((q,ab;q)_j)]
     [(c/w,d/w;q)_{n-j}/((q,cd;q)_{n-j})] w^{n-2j}."""
     aw_up = [qpoch_list([a * w, b * w], q, j) for j in range(n + 1)]
@@ -163,9 +153,9 @@ def _aw_convolution(a, b, c, d, q, w, n: int) -> Scalar:
     return total * qj[n] * abj[n] * cdj[n]
 
 
-def aw_hermite_degenerate(w, q, n: int) -> Scalar:
+def aw_hermite_degenerate(w, q, n: int) -> ExactScalar:
     """Continuous q-Hermite value: CONV at a=b=c=d=0."""
-    if (isinstance(w, ExactScalar) and w.is_zero()) or w == 0:
+    if w == 0:
         raise DomainError("w must be nonzero")
     qj = [qpoch_finite(q, q, j) for j in range(n + 1)]
     total = None
@@ -175,7 +165,7 @@ def aw_hermite_degenerate(w, q, n: int) -> Scalar:
     return total * qj[n]
 
 
-def aw_w_equals_d_value(a, b, c, d, q, n: int) -> Scalar:
+def aw_w_equals_d_value(a, b, c, d, q, n: int) -> ExactScalar:
     """Closed form at w = d: d^-n (ad, bd, cd; q)_n."""
     return (d ** (-n)) * qpoch_list([a * d, b * d, c * d], q, n)
 
@@ -227,7 +217,7 @@ def _esoteric_even(q, a, b) -> list:
     ]
 
 
-def _right_side(side, q2, m: int) -> Scalar:
+def _right_side(side, q2, m: int) -> ExactScalar:
     """The sum over the side's quotients (pref, num, den) of
     (-1)^m pref (num; q^2)_m / (den; q^2)_m; None is exact zero."""
     if side is None:
@@ -241,7 +231,7 @@ def _right_side(side, q2, m: int) -> Scalar:
 
 def eval_special_value(
     sv_id: str, params: dict, n: int, n_max: int = 10
-) -> tuple[Scalar, Scalar]:
+) -> tuple[ExactScalar, ExactScalar]:
     """(lhs, rhs) for a quadratic special value; the caller asserts equality.
 
     Parameters are exact Gaussian rationals: q, a, b, and for AW32 also c, d.

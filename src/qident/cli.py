@@ -1,8 +1,8 @@
 """Command-line driver: list, verify, sweep, report.
 
-Parameters are exact rational literals ("p/q" or Gaussian "p/q+r/s*i") even in
-approx mode, so every run is reproducible bit for bit.  Exit codes: 0 all
-pass, 1 verification failure, 2 configuration error, 3 numerical
+Parameters are exact rational literals ("p/q" or Gaussian "p/q+r/s*i") even
+for the certified checks, so every run is reproducible bit for bit.  Exit
+codes: 0 all pass, 1 verification failure, 2 configuration error, 3 numerical
 non-convergence.
 """
 
@@ -83,7 +83,6 @@ def _echo_config(args: argparse.Namespace) -> dict:
         "params",
         "n",
         "n_range",
-        "mode",
         "precision_bits",
         "eps",
         "seed",
@@ -116,14 +115,12 @@ def _options(args) -> dict:
 
 
 def _verify_summation(ident: str, params: dict, args) -> list:
-    rec = identities.lookup(ident)
-    mode = args.mode or ("approx" if rec.approx_only else "exact")
     if args.n is not None and args.n_range:
         raise DomainError("--n and --n-range exclude each other; give one of them")
     n_values = _parse_n_range(args.n_range) if args.n_range else [args.n]
     if n_values == [None]:
         raise DomainError("verify needs --n or --n-range for summation identities")
-    return [identities.verify(ident, params, n, mode, **_options(args)) for n in n_values]
+    return [identities.verify(ident, params, n, **_options(args)) for n in n_values]
 
 
 def _verify_integral(ident: str, params: dict, args) -> list:
@@ -239,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--n-range", dest="n_range", help="e.g. 0..8")
-    p_verify.add_argument("--mode", choices=("exact", "approx"), default=None)
     p_verify.add_argument("--sigma", help="contour scale for integral representations")
     p_verify.add_argument("--f", help="theta parameter for integral representations")
     p_verify.set_defaults(func=cmd_verify)

@@ -5,10 +5,6 @@ class QIdentError(Exception):
     """Base class for all engine errors."""
 
 
-class ModeMismatch(QIdentError):
-    """Exact and approximate scalars were mixed in one operation."""
-
-
 class DomainError(QIdentError):
     """An input lies outside the operation's domain (|q| >= 1, n < 0, ...)."""
 

@@ -47,7 +47,6 @@ from .errors import (
 )
 from .qkernel import (
     DEFAULT_PRECISION_BITS,
-    ApproxScalar,
     EXACT_ONE,
     ExactScalar,
     I,
@@ -606,7 +605,6 @@ def verify(
     identity_id: str,
     params: dict,
     n: int,
-    mode: str = "exact",
     eps: Optional[float] = None,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     *,
@@ -614,18 +612,16 @@ def verify(
 ) -> VerificationReport:
     """Check one identity at one exact parameter point.
 
-    Exact records compare with strict equality; approx-only records certify
-    the RHS infinite products to eps (default 1e-40) and compare relatively;
-    a given eps must be positive, whatever the record.  `sides` is the
-    (lhs, rhs) pair already evaluated at this point, as `draw_params` returns
-    it; when given, neither side is evaluated again, except an rhs of None,
-    which is evaluated at precision_bits and eps.
+    The record sets the mode of the report: exact records compare with strict
+    equality; approx-only records certify the RHS infinite products to eps
+    (default 1e-40) and compare relatively.  A given eps must be positive,
+    whatever the record.  `sides` is the (lhs, rhs) pair already evaluated at
+    this point, as `draw_params` returns it; when given, neither side is
+    evaluated again, except an rhs of None, which is evaluated at
+    precision_bits and eps.
     """
     eps = _checked_eps(eps)
     rec = lookup(identity_id)
-    if rec.approx_only and mode == "exact":
-        raise DomainError(f"{identity_id} is approx-only (its RHS has infinite products)")
-
     try:
         lhs, rhs = sides or (None, None)
         if rhs is None:
@@ -640,9 +636,8 @@ def verify(
             f"{identity_id}: {exc}", predicate="series pole absent"
         ) from exc
 
-    exact = isinstance(rhs, ExactScalar) and not rec.approx_only
     degenerate = lhs.is_zero() and rhs.is_zero()
-    if exact:
+    if not rec.approx_only:
         verdict = compare_exact(lhs, rhs)
     elif isinstance(rhs, ExactScalar):
         # exact zero detected inside an approx-only RHS
@@ -651,8 +646,8 @@ def verify(
     else:
         verdict = compare_approx(lhs.to_approx(precision_bits), rhs, eps)
     return make_report(
-        identity_id, params, lhs, rhs, verdict, mode="exact" if exact else "approx", n=n,
-        degenerate=degenerate,
+        identity_id, params, lhs, rhs, verdict, mode="approx" if rec.approx_only else "exact",
+        n=n, degenerate=degenerate,
     )
 
 
@@ -674,8 +669,7 @@ def draw_params(
                 break
             # reject draws that produce accidental (non-structural) zeros
             rhs = pairs[n][1]
-            is_zero = rhs.is_zero() if isinstance(rhs, (ExactScalar, ApproxScalar)) else False
-            if is_zero != (rec.structural_zero and n % 2 == 1):
+            if rhs.is_zero() != (rec.structural_zero and n % 2 == 1):
                 break
         else:
             return ps, pairs
@@ -699,7 +693,6 @@ def sweep(
     rec = lookup(identity_id)
     rng = random.Random(seed)
     n_values = list(n_range)
-    mode = "approx" if rec.approx_only else "exact"
     reports = []
     for _ in range(trials):
         ps, pairs = draw_params(rec, rng, n_values)
@@ -708,7 +701,7 @@ def sweep(
             # approx-only records certify their RHS again at the sweep's precision and eps
             sides = (lhs, None if rec.approx_only else rhs)
             reports.append(
-                verify(identity_id, ps, n, mode=mode, eps=eps, precision_bits=precision_bits,
+                verify(identity_id, ps, n, eps=eps, precision_bits=precision_bits,
                        sides=sides)
             )
     return reports
@@ -721,6 +714,10 @@ def elementary_identity_check(kind: str, params: dict) -> VerificationReport:
            = 1 - q^(-n-1) (1-q^k)(1-q^(2n+1) a) / ((1-q^(-n-1+k))(1-q^n a))
     ELID2: (1-c)/(1-q^k c) = 1 - c (1-q^k)/(1-q^k c)
     """
+    names = {"ELID": "qank", "ELID2": "cqk"}.get(kind)
+    if names is None:
+        raise DomainError(f"unknown elementary identity kind {kind!r}")
+    check_names(kind, names, params)
     if kind == "ELID":
         q, a = E(params["q"]), E(params["a"])
         n, k = params["n"], params["k"]
@@ -730,18 +727,14 @@ def elementary_identity_check(kind: str, params: dict) -> VerificationReport:
         rhs = 1 - q ** (-n - 1) * (1 - q**k) * (1 - q ** (2 * n + 1) * a) / (
             (1 - q ** (-n - 1 + k)) * (1 - q**n * a)
         )
-        shown = "qank"  # the parameters the report shows
-    elif kind == "ELID2":
+    else:
         c, q = E(params["c"]), E(params["q"])
         k = params["k"]
         lhs = (1 - c) / (1 - q**k * c)
         rhs = 1 - c * (1 - q**k) / (1 - q**k * c)
-        shown = "cqk"
-    else:
-        raise DomainError(f"unknown elementary identity kind {kind!r}")
     return make_report(
-        kind, {x: params[x] for x in shown}, lhs, rhs, compare_exact(lhs, rhs), mode="exact",
-        n=params.get("n"), degenerate=lhs.is_zero() and rhs.is_zero(),
+        kind, params, lhs, rhs, compare_exact(lhs, rhs), mode="exact", n=params.get("n"),
+        degenerate=lhs.is_zero() and rhs.is_zero(),
     )
 
 

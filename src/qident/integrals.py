@@ -88,7 +88,7 @@ _MAX_NODES = 1 << 20
 
 def theta(x, q, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS) -> ApproxScalar:
     """Modified theta function (x; q)_inf (q/x; q)_inf."""
-    if (isinstance(x, ExactScalar) and x.is_zero()) or x == 0:
+    if x == 0:
         raise ZeroArgument("theta requires a nonzero argument")
     qb = QBase.of(q)
     value = _product_quotient(1, [(x, qb), (qb.value / x, qb)], [], precision_bits, eps / 4)

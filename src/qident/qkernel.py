@@ -1,6 +1,6 @@
 """Scalar arithmetic and the q-Pochhammer symbol.
 
-Two arithmetic modes coexist and never mix silently:
+Two scalar types:
 
 * :class:`ExactScalar` -- a Gaussian rational (n + m i)/d, held as three
   arbitrary-size ints in canonical form (d > 0, gcd(n, m, d) = 1).  Closed
@@ -9,9 +9,12 @@ Two arithmetic modes coexist and never mix silently:
   recorded precision of P >= 64 bits (mpmath storage).  Binary operations
   round at the minimum of the operand precisions.
 
-On top of these sit the finite q-Pochhammer product, the list/product
-convention, and the certified-truncation infinite product ``(a;q)_inf``.
-All values are immutable and every operation is a pure function.
+Exact code takes ExactScalars (ints and Fractions too) only: it coerces its
+inputs once with :meth:`ExactScalar.coerce`, which raises TypeError on an
+ApproxScalar.  Here that is the finite q-Pochhammer product and the
+list/product convention.  Certified code, here the infinite product
+``(a;q)_inf``, converts exact or mpmath-backed inputs once, at its working
+precision.  All values are immutable and every operation is a pure function.
 
 The certified products and series (here, in :mod:`qident.series` and
 :mod:`qident.products`) and the contour node kernel of :mod:`qident.integrals`
@@ -28,13 +31,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import fzero, to_fixed
 
-from .errors import DomainError, ModeMismatch, check_eps
+from .errors import DomainError, check_eps
 
 RationalLike = Union[int, Fraction]
 
@@ -442,30 +445,6 @@ class ApproxScalar:
 Scalar = Union[ExactScalar, ApproxScalar]
 
 
-def scalar_mode(values: Iterable) -> str:
-    """Return "exact" or "approx"; raise ModeMismatch when modes are mixed."""
-    mode = None
-    for v in values:
-        if isinstance(v, ExactScalar):
-            m = "exact"
-        elif isinstance(v, ApproxScalar):
-            m = "approx"
-        elif isinstance(v, (int, Fraction)):
-            continue
-        else:
-            raise TypeError(f"not a scalar: {v!r}")
-        if mode is None:
-            mode = m
-        elif mode != m:
-            raise ModeMismatch("exact and approximate scalars mixed in one operation")
-    return mode or "exact"
-
-
-def min_precision(values: Iterable, default: int = DEFAULT_PRECISION_BITS) -> int:
-    bits = [v.precision_bits for v in values if isinstance(v, ApproxScalar)]
-    return min(bits) if bits else default
-
-
 def plus_minus(x: Scalar) -> list:
     """List shorthand: "+-x" expands to [x, -x]."""
     return [x, -x]
@@ -497,9 +476,7 @@ class QBase:
             raise TypeError(f"not a scalar: {q!r}")
         if bound >= 1:
             raise DomainError(f"|q| must be < 1, got |q| ~ {bound}")
-        if (isinstance(q, ExactScalar) and q.is_zero()) or (
-            isinstance(q, ApproxScalar) and q.is_zero()
-        ):
+        if q.is_zero():
             raise DomainError("q must be nonzero")
         return QBase(q, bound)
 
@@ -517,31 +494,26 @@ class TruncationCert:
         return self.tail_bound <= self.target_eps
 
 
-def qpoch_finite(a: Scalar, q: Scalar, n: int) -> Scalar:
-    """(a;q)_n = prod_{k=0}^{n-1} (1 - a q^k); the empty product is 1."""
+def qpoch_finite(a, q, n: int) -> ExactScalar:
+    """(a;q)_n = prod_{k=0}^{n-1} (1 - a q^k), exactly; the empty product is 1."""
     if n < 0:
         raise DomainError("negative q-Pochhammer index is not supported")
-    mode = scalar_mode([a, q])
-    one = EXACT_ONE if mode == "exact" else ApproxScalar.coerce(1, min_precision([a, q]))
-    a = ExactScalar.coerce(a) if mode == "exact" else ApproxScalar.coerce(a, min_precision([a, q]))
-    q = ExactScalar.coerce(q) if mode == "exact" else ApproxScalar.coerce(q, min_precision([a, q]))
-    result = one
-    aqk = a
+    aqk, q = ExactScalar.coerce(a), ExactScalar.coerce(q)
+    result = EXACT_ONE
     for _ in range(n):
-        result = result * (one - aqk)
+        result = result * (EXACT_ONE - aqk)
         aqk = aqk * q
     return result
 
 
-def qpoch_list(args: Sequence[Scalar], q: Scalar, n: int) -> Scalar:
-    """(a_1,...,a_k;q)_n, the product convention over a nonempty list.
+def qpoch_list(args: Sequence, q, n: int) -> ExactScalar:
+    """(a_1,...,a_k;q)_n, the product convention over a nonempty list, exactly.
 
     Use :func:`plus_minus` / :func:`w_pm` to expand the +-a and w^(+-)
     shorthands into explicit list entries before calling.
     """
     if not args:
         raise DomainError("qpoch_list requires a nonempty parameter list")
-    scalar_mode(list(args) + [q])
     result = None
     for a in args:
         term = qpoch_finite(a, q, n)
@@ -657,9 +629,12 @@ def qpoch_infinite(
     a,
     q,
     eps: float,
-    precision_bits: int | None = None,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> tuple[ApproxScalar, TruncationCert]:
     """(a;q)_inf with a certificate: |V - (a;q)_inf| <= eps * max(1, |V|).
+
+    a and q are exact or ApproxScalars; exact inputs are converted once, at
+    precision_bits (by default DEFAULT_PRECISION_BITS).
 
     The tail past the first K factors is controlled through
     |log prod_{k>=K} (1 - a q^k)| <= sum_{k>=K} |a||q|^k / (1 - |a||q|^K),
@@ -671,8 +646,6 @@ def qpoch_infinite(
     check_eps(eps)
     qb = QBase.of(q)
     qv = qb.value
-    if precision_bits is None:
-        precision_bits = min_precision([a, qv])
 
     # exact prescan: a q^k = 1 makes the whole product exactly zero
     if isinstance(a, (int, Fraction)):

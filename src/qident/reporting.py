@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import mpmath
@@ -161,7 +161,7 @@ class ReportFile:
             "schema_version": self.schema_version,
             "tool_version": self.tool_version,
             "config": self.config,
-            "reports": [asdict(e) for e in self.entries],
+            "reports": [vars(e) for e in self.entries],  # the fields, not a deep copy
             "summary": self.summary,
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"

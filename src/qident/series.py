@@ -21,9 +21,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import DivergenceError, DomainError, ModeMismatch, NoConvergence, PoleError, check_eps
+from .errors import DivergenceError, DomainError, NoConvergence, PoleError, check_eps, check_names
 from .qkernel import (
     _GUARD_BITS,
     DEFAULT_PRECISION_BITS,
@@ -42,9 +43,7 @@ from .qkernel import (
     _one_minus,
     _product_quotient,
     _qpow_index,
-    min_precision,
     qpoch_finite,
-    scalar_mode,
 )
 from .reporting import VerificationReport, compare_approx, make_report, matched
 
@@ -82,28 +81,23 @@ class SeriesSpec:
     def s(self) -> int:
         return len(self.lower)
 
-    def scalars(self):
-        return list(self.upper) + list(self.lower) + [self.base.value, self.arg]
-
 
 def validate_termination(spec: SeriesSpec) -> None:
-    """Exact specs must really have an upper parameter equal to q^-n."""
+    """An exact spec that terminates at n must have an upper parameter equal to q^-n."""
     n = spec.termination
     if n is None:
         return
     if n < 0:
         raise DomainError("termination index must be nonnegative")
-    q = spec.base.value
-    if not isinstance(q, ExactScalar):
-        return  # approx mode: caller-declared termination is trusted
+    q = ExactScalar.coerce(spec.base.value)
     for a in spec.upper:
-        if isinstance(a, ExactScalar) and _qpow_index(a, q, n) == n:
+        if _qpow_index(ExactScalar.coerce(a), q, n) == n:
             return
     raise DomainError(f"no upper parameter equals q^-{n}; spec does not terminate there")
 
 
 def derive_balance(spec: SeriesSpec) -> BalanceClass:
-    """Re-derive the balance class from the parameters (exact mode)."""
+    """Re-derive the balance class from the exact parameters."""
     if spec.r != spec.s + 1:
         return BalanceClass("none")
     q = spec.base.value
@@ -138,8 +132,6 @@ def eval_phi_terminating(spec: SeriesSpec) -> ExactScalar:
     """Exact finite sum of the n+1 terms of a terminating series."""
     if spec.termination is None:
         raise DomainError("spec does not terminate")
-    if scalar_mode(spec.scalars()) != "exact":
-        raise ModeMismatch("terminating exact evaluation requires exact scalars")
     validate_termination(spec)
     n = spec.termination
     q = ExactScalar.coerce(spec.base.value)
@@ -364,18 +356,21 @@ def certified_sum(
 def eval_phi_nonterminating(
     spec: SeriesSpec,
     eps: float,
-    precision_bits: Optional[int] = None,
+    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> tuple[ApproxScalar, TruncationCert]:
-    """Certified value of an r-phi-s series, summed in fixed point; a terminating
-    spec, or exact inputs with an upper parameter q^-n, sum the n+1 terms."""
-    if precision_bits is None:
-        precision_bits = min_precision(spec.scalars())
+    """Certified value of an r-phi-s series, summed in fixed point.
+
+    The parameters are exact or ApproxScalars; exact ones are converted once,
+    at precision_bits.  A terminating spec sums its n+1 terms, as does a spec
+    of exact base with an exact upper parameter equal to q^-n."""
     n = spec.termination
-    if n is None and not any(isinstance(x, ApproxScalar) for x in spec.scalars()):
-        ends = [_qpow_index(ExactScalar.coerce(a), spec.base.value) for a in spec.upper]
+    base = spec.base.value
+    if n is None and isinstance(base, ExactScalar):
+        ends = [_qpow_index(ExactScalar.coerce(a), base) for a in spec.upper
+                if isinstance(a, (ExactScalar, int, Fraction))]
         n = min((k for k in ends if k is not None), default=None)
     wp = precision_bits + _GUARD_BITS
-    q, z = (ApproxScalar.coerce(x, precision_bits).value for x in (spec.base.value, spec.arg))
+    q, z = (ApproxScalar.coerce(x, precision_bits).value for x in (base, spec.arg))
     upper, lower = (
         [_fx(ApproxScalar.coerce(x, precision_bits).value, wp) for x in xs]
         for xs in (spec.upper, spec.lower)
@@ -432,6 +427,7 @@ def qbinomial_checks(
     nonterminating: 1phi0(a;-;q,z) = (az;q)inf/(z;q)inf within eps.
     """
     if kind == "terminating":
+        check_names("QBINOMIAL_TERMINATING", "utqk", params)
         u, t, q, k = params["u"], params["t"], params["q"], params["k"]
         u, t, q = ExactScalar.coerce(u), ExactScalar.coerce(t), ExactScalar.coerce(q)
         lhs = qpoch_finite(u / t, q, k) * t**k
@@ -446,6 +442,7 @@ def qbinomial_checks(
             degenerate=lhs.is_zero() and rhs.is_zero(),
         )
     if kind == "nonterminating":
+        check_names("QBINOMIAL_NONTERMINATING", "azq", params)
         a, z, q = params["a"], params["z"], params["q"]
         qb = QBase.of(q)
         spec = SeriesSpec.make([a], [], qb, z)

@@ -72,7 +72,6 @@ class TestVerify:
         code, out, _ = run_cli(
             capsys,
             "verify", "T_BAILEY41", "--params", "q=1/2,a=1/3,b=1/5", "--n", "4",
-            "--mode", "exact",
         )
         assert code == EXIT_OK
         payload = json.loads(out)
@@ -140,13 +139,15 @@ class TestVerify:
         )
         assert code == EXIT_OK
 
-    def test_exact_mode_rejected_for_approx_only(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "verify", "T_GASPER_RAHMAN_WATSON", "--params", "q=1/2,b=1/3,c=1/5",
-            "--n", "2", "--mode", "exact",
-        )
-        assert code == EXIT_CONFIG
+    @pytest.mark.parametrize("ident, params, n", [
+        ("T_GASPER_RAHMAN_WATSON", "q=1/2,b=1/3,c=1/5", "4"),
+        ("T_ANDREWS_WHIPPLE_E", "q=1/2,c=1/3,e=1/5", "5"),
+    ])
+    def test_approx_only_mode_follows_record(self, capsys, ident, params, n):
+        code, out, _ = run_cli(capsys, "verify", ident, "--params", params, "--n", n)
+        assert code == EXIT_OK
+        [report] = json.loads(out)["reports"]
+        assert report["passed"] and report["mode"] == "approx"
 
     @pytest.mark.parametrize("ident, params, problem", [
         ("T_BAILEY41", "q=1/2,a=1/3,x=1/5", "T_BAILEY41 takes parameters (q, a, b): "

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -114,8 +115,7 @@ class TestVerify:
         for ident in list_ids():
             rec = lookup(ident)
             ps, _ = draw_params(rec, random.Random(11), [0])
-            mode = "approx" if rec.approx_only else "exact"
-            rep = verify(ident, ps, 0, mode=mode)
+            rep = verify(ident, ps, 0)
             assert rep.passed, ident
             assert rep.lhs == "1", ident
 
@@ -133,30 +133,15 @@ class TestVerify:
         rep = verify("T_BAILEY41", {"q": F(1, 2), "a": F(1, 3), "b": F(1, 5)}, 4)
         assert rep.passed
 
-    def test_exact_mode_forbidden_for_approx_only(self):
-        with pytest.raises(DomainError):
-            verify("T_GASPER_RAHMAN_WATSON", {"q": F(1, 2), "b": F(1, 3), "c": F(1, 5)}, 2)
-
     def test_approx_only_records_pass(self):
-        rep = verify(
-            "T_GASPER_RAHMAN_WATSON",
-            {"q": F(1, 2), "b": F(1, 3), "c": F(1, 5)},
-            4,
-            mode="approx",
-        )
-        assert rep.passed and rep.rel_err < 1e-38
-        rep = verify(
-            "T_ANDREWS_WHIPPLE_E", {"q": F(1, 2), "c": F(1, 3), "e": F(1, 5)}, 5, mode="approx"
-        )
-        assert rep.passed and rep.rel_err < 1e-38
+        # the record sets the mode: approx-only records compare certified values
+        rep = verify("T_GASPER_RAHMAN_WATSON", {"q": F(1, 2), "b": F(1, 3), "c": F(1, 5)}, 4)
+        assert rep.passed and rep.rel_err < 1e-38 and rep.mode == "approx"
+        rep = verify("T_ANDREWS_WHIPPLE_E", {"q": F(1, 2), "c": F(1, 3), "e": F(1, 5)}, 5)
+        assert rep.passed and rep.rel_err < 1e-38 and rep.mode == "approx"
 
     def test_grw_odd_n_exact_zero_in_approx_mode(self):
-        rep = verify(
-            "T_GASPER_RAHMAN_WATSON",
-            {"q": F(1, 2), "b": F(1, 3), "c": F(1, 5)},
-            3,
-            mode="approx",
-        )
+        rep = verify("T_GASPER_RAHMAN_WATSON", {"q": F(1, 2), "b": F(1, 3), "c": F(1, 5)}, 3)
         assert rep.passed and rep.degenerate and rep.lhs == "0"
 
     def test_constraints_name_predicate(self):
@@ -348,6 +333,17 @@ class TestElementary:
         rep = elementary_identity_check(kind, params)
         blob = json.dumps(dataclasses.asdict(rep), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
+
+    @pytest.mark.parametrize("kind, params, problem", [
+        ("ELID", {"q": F(1, 2), "a": F(1, 3), "n": 2}, "(q, a, n, k): missing k"),
+        ("ELID", {"q": F(1, 2), "a": F(1, 3), "n": 2, "k": 1, "x": 1}, "(q, a, n, k): unexpected x"),
+        ("ELID2", {"c": F(1, 4), "k": 3}, "(c, q, k): missing q"),
+        ("ELID2", {"c": F(1, 4), "q": F(1, 2), "k": 3, "n": 2}, "(c, q, k): unexpected n"),
+    ])
+    def test_parameter_names_are_checked(self, kind, params, problem):
+        expected = re.escape(f"{kind} takes parameters {problem}") + "$"
+        with pytest.raises(DomainError, match=expected):
+            elementary_identity_check(kind, params)
 
     def test_elid_random(self):
         import random

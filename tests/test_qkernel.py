@@ -7,7 +7,8 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qident.errors import DomainError, ModeMismatch
+from qident.askey_wilson import AWParams
+from qident.errors import DomainError
 from qident.qkernel import (
     ApproxScalar,
     ExactScalar,
@@ -21,6 +22,7 @@ from qident.qkernel import (
     qpoch_list,
     w_pm,
 )
+from qident.series import SeriesSpec, eval_phi_terminating
 
 E = ExactScalar
 
@@ -238,9 +240,21 @@ class TestQPochFinite:
         with pytest.raises(DomainError):
             qpoch_finite(E(1), E(F(1, 2)), -1)
 
-    def test_mode_mismatch(self):
-        with pytest.raises(ModeMismatch):
-            qpoch_finite(E(F(1, 2)), ApproxScalar(mpmath.mpf(0.5), 128), 3)
+    def test_approx_scalar_rejected_by_exact_layer(self):
+        half, third = E(F(1, 2)), E(F(1, 3))
+        x = ApproxScalar(mpmath.mpf(0.5), 128)
+        exact_calls = [
+            lambda: qpoch_finite(half, x, 3),
+            lambda: qpoch_finite(x, half, 0),
+            lambda: qpoch_list([half, x], third, 2),
+            lambda: eval_phi_terminating(SeriesSpec.make([half**-2, x], [third], half, half, 2)),
+            lambda: eval_phi_terminating(SeriesSpec.make([half**-2], [third], x, half, 2)),
+            lambda: AWParams.make(half, third, half, third, half, x, 2),
+            lambda: AWParams.make(half, third, half, third, x, half, 2),
+        ]
+        for call in exact_calls:
+            with pytest.raises(TypeError, match="cannot interpret"):
+                call()
 
     @given(small_fracs, qs, st.integers(0, 6), st.integers(0, 6))
     @settings(max_examples=60)

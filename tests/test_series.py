@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import mpmath
@@ -278,6 +279,19 @@ class TestQBinomial:
         rep = qbinomial_checks("terminating", {"u": u, "t": t, "q": q, "k": k})
         assert rep.passed
 
+    @pytest.mark.parametrize("kind, params, problem", [
+        ("terminating", {"u": F(1, 2), "t": F(1, 3), "q": F(1, 5)}, "(u, t, q, k): missing k"),
+        ("terminating", {"u": F(1, 2), "t": F(1, 3), "q": F(1, 5), "k": 2, "z": 1},
+         "(u, t, q, k): unexpected z"),
+        ("nonterminating", {"a": F(1, 2), "z": F(1, 3)}, "(a, z, q): missing q"),
+        ("nonterminating", {"a": F(1, 2), "z": F(1, 3), "q": F(1, 2), "extra": 1},
+         "(a, z, q): unexpected extra"),
+    ])
+    def test_parameter_names_are_checked(self, kind, params, problem):
+        expected = re.escape(f"QBINOMIAL_{kind.upper()} takes parameters {problem}") + "$"
+        with pytest.raises(DomainError, match=expected):
+            qbinomial_checks(kind, params)
+
     def test_nonterminating_against_product(self):
         rep = qbinomial_checks(
             "nonterminating",
@@ -343,12 +357,14 @@ class TestQAppell:
         a, b, c, x, y, q = F(1, 3), F(1, 5), F(2, 5), F(1, 4), F(1, 5), F(1, 2)
         v = eval_qappell_phi1(a, b, 0, c, x, y, q, eps=1e-30, precision_bits=256)
         with mp.workprec(400):
+            # (x;q)_k for k <= 238, the products _qp_direct forms, each tabulated once
+            A, B, Q, C = (_qp_prefixes(f, q, 238) for f in (a, b, q, c))
             tot = mpmath.mpf(0)
             for m in range(120):
                 for n in range(120):
                     tot += (
-                        _qp_direct(a, q, m + n) * _qp_direct(b, q, m)
-                        / (_qp_direct(q, q, m) * _qp_direct(q, q, n) * _qp_direct(c, q, m + n))
+                        A[m + n] * B[m]
+                        / (Q[m] * Q[n] * C[m + n])
                         * mpmath.mpf(x.numerator) ** m / mpmath.mpf(x.denominator) ** m
                         * mpmath.mpf(y.numerator) ** n / mpmath.mpf(y.denominator) ** n
                     )
@@ -408,10 +424,17 @@ def _direct_sum(upper, lower, q, z, terms, bits):
         return total
 
 
-def _qp_direct(x, q, k):
-    prod = mpmath.mpf(1)
+def _qp_prefixes(x, q, k):
+    """[(x;q)_0, ..., (x;q)_k] at the working precision, each product formed
+    from the previous one: the same factors, multiplied in the same order, as
+    :func:`_qp_direct`."""
+    prods = [mpmath.mpf(1)]
     xv = mpmath.mpf(x.numerator) / x.denominator
     qv = mpmath.mpf(q.numerator) / q.denominator
     for j in range(k):
-        prod *= 1 - xv * qv**j
-    return prod
+        prods.append(prods[-1] * (1 - xv * qv**j))
+    return prods
+
+
+def _qp_direct(x, q, k):
+    return _qp_prefixes(x, q, k)[k]
