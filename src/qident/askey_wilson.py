@@ -42,7 +42,7 @@ class AWParams:
     @staticmethod
     def make(a, b, c, d, q, w, n: int) -> "AWParams":
         if n < 0:
-            raise DomainError("polynomial degree must be nonnegative")
+            raise DomainError(f"polynomial degree must be nonnegative, got n = {n}")
         qb = QBase.of(q)
         a, b, c, d, w, _ = (ExactScalar.coerce(x) for x in (a, b, c, d, w, qb.value))
         if w.is_zero():
@@ -155,13 +155,10 @@ def _aw_convolution(a, b, c, d, q, w, n: int) -> ExactScalar:
 
 def aw_hermite_degenerate(w, q, n: int) -> ExactScalar:
     """Continuous q-Hermite value: CONV at a=b=c=d=0."""
-    if w == 0:
-        raise DomainError("w must be nonzero")
+    p = AWParams.make(0, 0, 0, 0, q, w, n)
+    w, q = p.w, p.q.value
     qj = [qpoch_finite(q, q, j) for j in range(n + 1)]
-    total = None
-    for j in range(n + 1):
-        term = w ** (n - 2 * j) / (qj[j] * qj[n - j])
-        total = term if total is None else total + term
+    total = sum((w ** (n - 2 * j) / (qj[j] * qj[n - j]) for j in range(n + 1)), ExactScalar(0))
     return total * qj[n]
 
 

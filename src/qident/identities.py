@@ -721,17 +721,24 @@ def elementary_identity_check(kind: str, params: dict) -> VerificationReport:
     if kind == "ELID":
         q, a = E(params["q"]), E(params["a"])
         n, k = params["n"], params["k"]
-        lhs = ((1 - q ** (-n - 1)) * (1 - q ** (n + k) * a)) / (
-            (1 - q ** (-n - 1 + k)) * (1 - q**n * a)
-        )
-        rhs = 1 - q ** (-n - 1) * (1 - q**k) * (1 - q ** (2 * n + 1) * a) / (
-            (1 - q ** (-n - 1 + k)) * (1 - q**n * a)
-        )
+        dens = {"1-q^(-n-1+k)": 1 - q ** (-n - 1 + k), "1-q^n a": 1 - q**n * a}
     else:
         c, q = E(params["c"]), E(params["q"])
         k = params["k"]
-        lhs = (1 - c) / (1 - q**k * c)
-        rhs = 1 - c * (1 - q**k) / (1 - q**k * c)
+        dens = {"1-q^k c": 1 - q**k * c}
+    den = EXACT_ONE
+    for name, factor in dens.items():
+        if factor.is_zero():
+            raise ConstraintViolation(
+                f"{kind}: denominator {name} vanishes at {params}", predicate=f"{name} nonzero"
+            )
+        den = den * factor
+    if kind == "ELID":
+        lhs = (1 - q ** (-n - 1)) * (1 - q ** (n + k) * a) / den
+        rhs = 1 - q ** (-n - 1) * (1 - q**k) * (1 - q ** (2 * n + 1) * a) / den
+    else:
+        lhs = (1 - c) / den
+        rhs = 1 - c * (1 - q**k) / den
     return make_report(
         kind, params, lhs, rhs, compare_exact(lhs, rhs), mode="exact", n=params.get("n"),
         degenerate=lhs.is_zero() and rhs.is_zero(),

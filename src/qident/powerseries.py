@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .qkernel import EXACT_ONE, ExactScalar
+from .qkernel import EXACT_ONE, ExactScalar, _gaussian, _gdiv, _gmul
+from .series import _term_ratios
 
 
 @dataclass(frozen=True)
@@ -23,28 +24,15 @@ class PowerSeriesTrunc:
         return PowerSeriesTrunc(coeffs, len(coeffs) - 1)
 
     def __add__(self, other: "PowerSeriesTrunc") -> "PowerSeriesTrunc":
-        T = min(self.order, other.order)
-        return PowerSeriesTrunc.make(
-            [self.coeffs[i] + other.coeffs[i] for i in range(T + 1)]
-        )
-
-    def __sub__(self, other: "PowerSeriesTrunc") -> "PowerSeriesTrunc":
-        T = min(self.order, other.order)
-        return PowerSeriesTrunc.make(
-            [self.coeffs[i] - other.coeffs[i] for i in range(T + 1)]
-        )
+        return PowerSeriesTrunc.make([x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other) -> "PowerSeriesTrunc":
         if isinstance(other, PowerSeriesTrunc):
-            T = min(self.order, other.order)
-            out = []
-            for k in range(T + 1):
-                acc = None
-                for i in range(k + 1):
-                    term = self.coeffs[i] * other.coeffs[k - i]
-                    acc = term if acc is None else acc + term
-                out.append(acc)
-            return PowerSeriesTrunc.make(out)
+            x, y = self.coeffs, other.coeffs
+            return PowerSeriesTrunc.make(
+                sum((x[i] * y[k - i] for i in range(1, k + 1)), x[0] * y[k])
+                for k in range(min(self.order, other.order) + 1)
+            )
         return PowerSeriesTrunc.make([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -53,46 +41,33 @@ class PowerSeriesTrunc:
         """Multiply by the variable^amount (degree shift, same order)."""
         if amount < 0:
             raise DomainError("negative shifts are not defined for truncations")
-        zeros = [ExactScalar(0)] * amount
-        kept = list(self.coeffs[: max(0, self.order + 1 - amount)])
-        return PowerSeriesTrunc.make(zeros + kept)
+        shifted = [ExactScalar(0)] * amount + list(self.coeffs)
+        return PowerSeriesTrunc.make(shifted[: self.order + 1])
 
     def dilate_square(self) -> "PowerSeriesTrunc":
         """Substitute variable -> variable^2 (series in z^2 read as series in z)."""
         out = [ExactScalar(0)] * (self.order + 1)
-        for i, c in enumerate(self.coeffs):
-            if 2 * i > self.order:
-                break
-            out[2 * i] = c
+        out[::2] = self.coeffs[: self.order // 2 + 1]
         return PowerSeriesTrunc.make(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerSeriesTrunc):
             return NotImplemented
-        T = min(self.order, other.order)
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(T + 1))
+        return all(x == y for x, y in zip(self.coeffs, other.coeffs))
 
 
 def phi_series_coeffs(upper, lower, q, zfactor, order: int) -> PowerSeriesTrunc:
     """Coefficients of r-phi-s(upper; lower; q, zfactor * z) as a series in z.
 
     coefficient_n = prod (a_i;q)_n / ((q;q)_n prod (b_j;q)_n)
-                    * ((-1)^n q^binom(n,2))^(1+s-r) * zfactor^n.
+                    * ((-1)^n q^binom(n,2))^(1+s-r) * zfactor^n,
+
+    the running products of the series' term ratios (``series._term_ratios``),
+    each reduced once.  A lower parameter q^-k raises PoleError naming index
+    k+1; after an upper factor vanishes every coefficient is 0.
     """
-    e = 1 + len(lower) - len(upper)
-    coeffs = []
-    term = EXACT_ONE
-    qn = EXACT_ONE  # q^n
-    for n in range(order + 1):
-        coeffs.append(term)
-        num = EXACT_ONE
-        for a in upper:
-            num = num * (1 - a * qn)
-        den = 1 - qn * q
-        for b in lower:
-            den = den * (1 - b * qn)
-        term = term * num / den * zfactor
-        if e:
-            term = term * ((-qn) ** e)
-        qn = qn * q
-    return PowerSeriesTrunc.make(coeffs)
+    coeffs = [EXACT_ONE] + [ExactScalar(0)] * order
+    for k, (top, bot) in enumerate(_term_ratios(upper, lower, q, zfactor, order)):
+        num, d = _gaussian(coeffs[k])
+        coeffs[k + 1] = _gdiv(_gmul(num, top), (bot[0] * d, bot[1] * d))
+    return PowerSeriesTrunc.make(coeffs[: order + 1])

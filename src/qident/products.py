@@ -104,16 +104,13 @@ def awgf_coefficient_check(a, b, c, d, w, q, n_max: int) -> VerificationReport:
 def awgf_hermite_degeneration_check(w, q, n_max: int) -> VerificationReport:
     """a=b=c=d=0 coefficients reproduce continuous q-Hermite values."""
     w, q = E(w), E(q)
-    # with all parameters zero the two 2phi1 series become sum_k (t/w)^k / (q;q)_k
-    # and sum_k (tw)^k / (q;q)_k
-    qk = [qpoch_finite(q, q, k) for k in range(n_max + 1)]
-    lcoef = PowerSeriesTrunc.make([(1 / w) ** k / qk[k] for k in range(n_max + 1)])
-    rcoef = PowerSeriesTrunc.make([w**k / qk[k] for k in range(n_max + 1)])
-    product = lcoef * rcoef
+    # with all parameters zero the two 2phi1 series become 1phi0(0; -; q, t/w)
+    # and 1phi0(0; -; q, tw)
+    product = phi_series_coeffs([0], [], q, 1 / w, n_max) * phi_series_coeffs([0], [], q, w, n_max)
     return _coefficient_report(
         "AWGF", {"w": w, "q": q},
         "zero-parameter generating function coefficients", "continuous q-Hermite values",
-        product.coeffs, lambda n: aw_hermite_degenerate(w, q, n) / qk[n], n_max,
+        product.coeffs, lambda n: aw_hermite_degenerate(w, q, n) / qpoch_finite(q, q, n), n_max,
         "a=b=c=d=0 degeneration", at="n=",
     )
 

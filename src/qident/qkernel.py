@@ -16,9 +16,15 @@ list/product convention.  Certified code, here the infinite product
 ``(a;q)_inf``, converts exact or mpmath-backed inputs once, at its working
 precision.  All values are immutable and every operation is a pure function.
 
-The certified products and series (here, in :mod:`qident.series` and
-:mod:`qident.products`) and the contour node kernel of :mod:`qident.integrals`
-share one private fixed-point arithmetic: pairs (re, im) of Python ints scaled
+Under the products and series are two private arithmetics.  Exact code (the
+finite products here, the terminating sums and coefficient series of
+:mod:`qident.series` and :mod:`qident.powerseries`) is fraction-free, on
+Gaussian integers (re, im) of Python ints: ``_gaussian`` splits an ExactScalar
+into one over a positive int, ``_gmul`` multiplies two and ``_one_minus_aqk``
+forms 1 - a q^k, unreduced; a result is reduced once, by ``_gdiv`` or
+``ExactScalar.from_parts``.  Certified code (the products and series here, in
+:mod:`qident.series` and :mod:`qident.products`, and the contour node kernel of
+:mod:`qident.integrals`) is fixed point: pairs (re, im) of Python ints scaled
 by 2^wp, wp = precision_bits + _GUARD_BITS (the node kernel's wp is from eps).
 ``_fx`` converts an mpmath value in, ``_mul``, ``_div`` and ``_one_minus``
 operate on pairs, ``_qprod`` multiplies the K factors of a q-Pochhammer
@@ -494,31 +500,60 @@ class TruncationCert:
         return self.tail_bound <= self.target_eps
 
 
+# Gaussian integers (see the module docstring)
+def _gaussian(x: ExactScalar) -> tuple:
+    """x = (n + m i)/d as ((n, m), d)."""
+    return (x._n, x._m), x._d
+
+
+def _gmul(x: tuple, y: tuple) -> tuple:
+    """The product of two Gaussian integers (re, im)."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _one_minus_aqk(a: ExactScalar, Q: tuple, D: int) -> tuple:
+    """1 - a q^k, for q^k = Q / D, as (Gaussian numerator, denominator)."""
+    a_num, a_den = _gaussian(a)
+    t, d = _gmul(a_num, Q), a_den * D
+    return (d - t[0], -t[1]), d
+
+
+def _gdiv(num: tuple, den: tuple) -> ExactScalar:
+    """The quotient of two Gaussian integers, den nonzero, reduced once."""
+    re, im = den
+    if im:  # num conj(den) / |den|^2
+        num, re = _gmul(num, (re, -im)), re * re + im * im
+    elif re < 0:
+        num, re = (-num[0], -num[1]), -re
+    return ExactScalar.from_parts(num[0], num[1], re)
+
+
 def qpoch_finite(a, q, n: int) -> ExactScalar:
     """(a;q)_n = prod_{k=0}^{n-1} (1 - a q^k), exactly; the empty product is 1."""
-    if n < 0:
-        raise DomainError("negative q-Pochhammer index is not supported")
-    aqk, q = ExactScalar.coerce(a), ExactScalar.coerce(q)
-    result = EXACT_ONE
-    for _ in range(n):
-        result = result * (EXACT_ONE - aqk)
-        aqk = aqk * q
-    return result
+    return qpoch_list([a], q, n)
 
 
 def qpoch_list(args: Sequence, q, n: int) -> ExactScalar:
-    """(a_1,...,a_k;q)_n, the product convention over a nonempty list, exactly.
+    """(a_1,...,a_k;q)_n, the product convention over a nonempty list, exactly:
+    one Gaussian integer over one int, reduced once.
 
     Use :func:`plus_minus` / :func:`w_pm` to expand the +-a and w^(+-)
     shorthands into explicit list entries before calling.
     """
     if not args:
         raise DomainError("qpoch_list requires a nonempty parameter list")
-    result = None
-    for a in args:
-        term = qpoch_finite(a, q, n)
-        result = term if result is None else result * term
-    return result
+    if n < 0:
+        raise DomainError("negative q-Pochhammer index is not supported")
+    args = [ExactScalar.coerce(a) for a in args]
+    q_num, q_den = _gaussian(ExactScalar.coerce(q))
+    Q, D = (1, 0), 1  # q^k = Q / D
+    p, p_den = (1, 0), 1
+    for _ in range(n):
+        for a in args:
+            f, f_den = _one_minus_aqk(a, Q, D)
+            p, p_den = _gmul(p, f), p_den * f_den
+        Q, D = _gmul(Q, q_num), D * q_den
+    return ExactScalar.from_parts(p[0], p[1], p_den)
 
 
 def _qpow_index(x: ExactScalar, q: ExactScalar, kmax: int | None = None) -> int | None:

@@ -1,6 +1,8 @@
 """Evaluation of basic hypergeometric series.
 
-Terminating series are summed exactly over Gaussian rationals.  Nonterminating
+Terminating series are summed exactly, on the Gaussian integers of
+:mod:`qident.qkernel`, from the term ratios of ``_term_ratios``, which also
+give the exact coefficient series of :mod:`qident.powerseries`.  Nonterminating
 series are summed in the fixed-point arithmetic of :mod:`qident.qkernel`: one
 term recurrence (``_phi_terms``) gives the terms of every r-phi-s series, each
 with a non-increasing majorant R_k of every later term ratio (F. Johansson,
@@ -38,9 +40,13 @@ from .qkernel import (
     _div,
     _fabs,
     _fx,
+    _gaussian,
+    _gdiv,
+    _gmul,
     _log_poch_majorant,
     _mul,
     _one_minus,
+    _one_minus_aqk,
     _product_quotient,
     _qpow_index,
     qpoch_finite,
@@ -100,29 +106,22 @@ def derive_balance(spec: SeriesSpec) -> BalanceClass:
     """Re-derive the balance class from the exact parameters."""
     if spec.r != spec.s + 1:
         return BalanceClass("none")
-    q = spec.base.value
-    up = EXACT_ONE
-    for a in spec.upper:
-        up = up * ExactScalar.coerce(a)
-    low = EXACT_ONE
-    for b in spec.lower:
-        low = low * ExactScalar.coerce(b)
+    q = ExactScalar.coerce(spec.base.value)
+    upper, lower = ([ExactScalar.coerce(x) for x in xs] for xs in (spec.upper, spec.lower))
+    up, low = (math.prod(xs, start=EXACT_ONE) for xs in (upper, lower))
     if not up.is_zero():
         ratio = low / up
-        probe = ExactScalar.coerce(q)
+        probe = q
         for k in range(1, 64):
             if ratio == probe:
                 return BalanceClass("balanced", k)
             probe = probe * q
     # well-poised: q a1 = a2 b1 = ... = ar b_{r-1} under some pairing
-    qa1 = ExactScalar.coerce(q) * ExactScalar.coerce(spec.upper[0])
-    rest = [ExactScalar.coerce(a) for a in spec.upper[1:]]
-    lows = [ExactScalar.coerce(b) for b in spec.lower]
-    for perm in itertools.permutations(range(len(lows))):
-        if all((rest[i] * lows[perm[i]]) == qa1 for i in range(len(rest))):
-            a1 = ExactScalar.coerce(spec.upper[0])
-            sq = [x for x in rest if (x * x) == (ExactScalar.coerce(q) ** 2) * a1]
-            if any((x in rest and (-x) in rest) for x in sq):
+    a1, rest = upper[0], upper[1:]
+    for perm in itertools.permutations(range(len(lower))):
+        if all(rest[i] * lower[perm[i]] == q * a1 for i in range(len(rest))):
+            # very well-poised: two of them are +-q sqrt(a1)
+            if any(x * x == q * q * a1 and -x in rest for x in rest):
                 return BalanceClass("very_well_poised")
             return BalanceClass("well_poised")
     return BalanceClass("none")
@@ -133,25 +132,34 @@ def eval_phi_terminating(spec: SeriesSpec) -> ExactScalar:
     if spec.termination is None:
         raise DomainError("spec does not terminate")
     validate_termination(spec)
-    n = spec.termination
-    q = ExactScalar.coerce(spec.base.value)
-    z = ExactScalar.coerce(spec.arg)
-    upper = [ExactScalar.coerce(a) for a in spec.upper]
-    lower = [ExactScalar.coerce(b) for b in spec.lower]
-    e = 1 + spec.s - spec.r
-
-    # Fraction-free: each scalar is a Gaussian integer (re, im) over a positive
-    # int, each term ratio a quotient of two unreduced Gaussian integers, and
+    ratios = list(_term_ratios(spec.upper, spec.lower, spec.base.value, spec.arg, spec.termination))
     # the sum 1 + r_0 (1 + r_1 (1 + ...)) is formed backwards, in Horner form,
-    # and reduced once, at the end.
-    q_num, q_den = _gaussian(q)
-    z_num, z_den = _gaussian(z)
+    # on Gaussian integers, and reduced once, at the end
+    A, B = (1, 0), (1, 0)  # the sum is A / B
+    for top, bot in reversed(ratios):
+        t, B = _gmul(A, top), _gmul(B, bot)
+        A = (B[0] + t[0], B[1] + t[1])
+    return _gdiv(A, B)
+
+
+def _term_ratios(upper, lower, q, z, n: int):
+    """Yield r_k = term k+1 / term k, k = 0, ..., n-1, of the r-phi-s series
+    sum_k (upper;q)_k / (q, lower;q)_k ((-1)^k q^binom(k,2))^e z^k, e = 1+s-r,
+    as a pair (top, bot) of unreduced Gaussian integers; the inputs are coerced
+    once with ExactScalar.coerce.
+
+    r_k = z (-q^k)^e prod (1 - a q^k) / ((1 - q^(k+1)) prod (1 - b q^k)).  A
+    lower factor that vanishes raises PoleError naming index k+1, even when an
+    upper factor vanishes at the same k (simultaneous 0/0 is excluded).  A
+    vanishing upper factor ends the series: no later ratio is formed, so no
+    later pole is looked for.
+    """
+    e = 1 + len(lower) - len(upper)
+    upper, lower = ([ExactScalar.coerce(x) for x in xs] for xs in (upper, lower))
+    q_num, q_den = _gaussian(ExactScalar.coerce(q))
+    z_num, z_den = _gaussian(ExactScalar.coerce(z))
     Q, D = (1, 0), 1  # q^k = Q / D
-    ratios = []  # r_k = top / bot, term k+1 over term k
     for k in range(n):
-        # pole detection comes first: a vanishing lower factor at or before
-        # the termination index is an error even when an upper factor
-        # vanishes at the same index (simultaneous 0/0 is excluded)
         Q1, D1 = _gmul(Q, q_num), D * q_den
         bot, bot_d = (D1 - Q1[0], -Q1[1]), D1  # 1 - q^(k+1)
         for b in lower:
@@ -166,8 +174,8 @@ def eval_phi_terminating(spec: SeriesSpec) -> ExactScalar:
         for a in upper:
             f, f_d = _one_minus_aqk(a, Q, D)
             top, top_d = _gmul(top, f), top_d * f_d
-        if top == (0, 0):
-            break  # an upper factor vanished strictly first: series terminated
+        if top == (0, 0):  # tested before z enters: z = 0 skips no later pole check
+            return
         # r_k = z (-q^k)^e (top / top_d) / (bot / bot_d)
         top = _gmul(top, (z_num[0] * bot_d, z_num[1] * bot_d))
         bot = (bot[0] * top_d * z_den, bot[1] * top_d * z_den)
@@ -176,34 +184,8 @@ def eval_phi_terminating(spec: SeriesSpec) -> ExactScalar:
             top, bot = _gmul(top, minus_q), (bot[0] * D, bot[1] * D)
         for _ in range(-e):
             top, bot = (top[0] * D, top[1] * D), _gmul(bot, minus_q)
-        ratios.append((top, bot))
+        yield top, bot
         Q, D = Q1, D1
-    A, B = (1, 0), (1, 0)  # the sum is A / B
-    for top, bot in reversed(ratios):
-        t, B = _gmul(A, top), _gmul(B, bot)
-        A = (B[0] + t[0], B[1] + t[1])
-    # A / B = A conj(B) / |B|^2
-    return ExactScalar.from_parts(
-        A[0] * B[0] + A[1] * B[1], A[1] * B[0] - A[0] * B[1], B[0] * B[0] + B[1] * B[1]
-    )
-
-
-def _gaussian(x: ExactScalar) -> tuple:
-    """x = (n + m i)/d as ((n, m), d)."""
-    n, m, d = x.parts
-    return (n, m), d
-
-
-def _gmul(x: tuple, y: tuple) -> tuple:
-    """The product of two Gaussian integers (re, im)."""
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _one_minus_aqk(a: ExactScalar, Q: tuple, D: int) -> tuple:
-    """1 - a q^k, for q^k = Q / D, as (Gaussian numerator, denominator)."""
-    a_num, a_den = _gaussian(a)
-    t, d = _gmul(a_num, Q), a_den * D
-    return (d - t[0], -t[1]), d
 
 
 def _ratio_majorant(z: float, upper, lower, Q: float, k: int, e: int = 0) -> float:

@@ -117,6 +117,10 @@ class TestHermiteDegeneration:
             p = AWParams.make(E(0), E(0), E(0), E(0), q, w, n)
             assert eval_aw(p, "CONV") == aw_hermite_degenerate(w, q, n)
 
+    def test_negative_degree_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="got n = -1"):
+            aw_hermite_degenerate(E(F(1, 2)), E(F(1, 2)), -1)
+
     def test_w_inversion(self):
         q = E(F(1, 2))
         for n in range(9):

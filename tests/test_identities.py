@@ -345,6 +345,17 @@ class TestElementary:
         with pytest.raises(DomainError, match=expected):
             elementary_identity_check(kind, params)
 
+    @pytest.mark.parametrize("kind, params, factor", [
+        ("ELID", {"q": F(1, 2), "a": F(1, 3), "n": 0, "k": 1}, "1-q^(-n-1+k)"),
+        ("ELID", {"q": F(1, 2), "a": F(4), "n": 2, "k": 1}, "1-q^n a"),
+        ("ELID2", {"c": 4, "q": F(1, 2), "k": 2}, "1-q^k c"),
+    ])
+    def test_vanishing_denominator_is_a_constraint_violation(self, kind, params, factor):
+        expected = re.escape(f"{kind}: denominator {factor} vanishes")
+        with pytest.raises(ConstraintViolation, match=expected) as info:
+            elementary_identity_check(kind, params)
+        assert info.value.predicate == f"{factor} nonzero"
+
     def test_elid_random(self):
         import random
 

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from qident import products, series
-from qident.errors import DivergenceError, DomainError, UnknownIdentity
+from qident.errors import DivergenceError, DomainError, PoleError, UnknownIdentity
 from qident.powerseries import PowerSeriesTrunc, phi_series_coeffs
 from qident.products import (
     COEFF_CHECK_IDS,
@@ -55,6 +55,14 @@ class TestPowerSeries:
         q = E(F(1, 2))
         s = phi_series_coeffs([q], [], q, E(1), 6)
         assert all(c == E(1) for c in s.coeffs)
+
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_lower_pole_names_its_index(self, k):
+        q = E(F(1, 2))
+        with pytest.raises(PoleError) as info:
+            phi_series_coeffs([E(F(1, 3)), E(F(2, 5))], [q**-k], q, E(1), 6)
+        assert info.value.index == k + 1
 
 
 class TestAWGF:

@@ -22,6 +22,7 @@ from qident.qkernel import (
     qpoch_list,
     w_pm,
 )
+from qident.powerseries import phi_series_coeffs
 from qident.series import SeriesSpec, eval_phi_terminating
 
 E = ExactScalar
@@ -293,6 +294,94 @@ class TestQPochList:
         shuffled = list(xs)
         rng.shuffle(shuffled)
         assert qpoch_list(shuffled, q, n) == ref
+
+
+# Reference products for the fraction-free exact layer: (re, im) pairs of
+# Fractions multiplied factor by factor.  A parameter is a Gaussian rational,
+# 0, or q^-k for a drawn k (a factor 1 - a q^k that vanishes).
+small_gaussians = st.tuples(small_fracs, st.one_of(st.just(F(0)), small_fracs))
+gaussian_bases = st.tuples(small_fracs, st.one_of(st.just(F(0)), small_fracs)).filter(
+    lambda p: 0 < p[0] ** 2 + p[1] ** 2 < 1
+)
+parameters = st.one_of(
+    small_gaussians, st.just((F(0), F(0))), st.integers(0, 12).map(lambda k: ("q^-k", k))
+)
+
+
+def _param(x, q):
+    """A drawn parameter as a Fraction pair, q^-k taken at the pair q."""
+    return _pair_pow(q, -x[1]) if x[0] == "q^-k" else x
+
+
+def _ref_qpoch(a, q, n):
+    out, aqk = (F(1), F(0)), a
+    for _ in range(n):
+        out = _pair_mul(out, (1 - aqk[0], -aqk[1]))
+        aqk = _pair_mul(aqk, q)
+    return out
+
+
+def _ref_phi_terms(upper, lower, q, z, n):
+    """Terms 0..n of sum_k (upper;q)_k / (q, lower;q)_k ((-1)^k q^binom(k,2))^e z^k,
+    or None when a lower factor vanishes among the first n."""
+    e = 1 + len(lower) - len(upper)
+    terms = []
+    for k in range(n + 1):
+        num, den = _pair_pow(z, k), _ref_qpoch(q, q, k)
+        for a in upper:
+            num = _pair_mul(num, _ref_qpoch(a, q, k))
+        for b in lower:
+            den = _pair_mul(den, _ref_qpoch(b, q, k))
+        if den == (0, 0):
+            return None
+        sign = -1 if k % 2 and e % 2 else 1
+        num = _pair_mul(num, _pair_pow(q, k * (k - 1) // 2 * e))
+        terms.append(_pair_div((sign * num[0], sign * num[1]), den))
+    return terms
+
+
+def _exact(pair):
+    return E(*pair)
+
+
+class TestFractionFreeAgainstReference:
+    @given(parameters, gaussian_bases, st.integers(0, 12))
+    @settings(max_examples=50, deadline=None)
+    def test_qpoch_finite(self, a, q, n):
+        a = _param(a, q)
+        assert qpoch_finite(_exact(a), _exact(q), n) == _exact(_ref_qpoch(a, q, n))
+
+    @given(st.lists(parameters, min_size=1, max_size=4), gaussian_bases, st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_qpoch_list(self, args, q, n):
+        args = [_param(a, q) for a in args]
+        ref = (F(1), F(0))
+        for a in args:
+            ref = _pair_mul(ref, _ref_qpoch(a, q, n))
+        assert qpoch_list([_exact(a) for a in args], _exact(q), n) == _exact(ref)
+
+    @given(st.lists(parameters, max_size=3), st.lists(small_gaussians, max_size=3),
+           gaussian_bases, small_gaussians, st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_phi_series_coeffs(self, upper, lower, q, z, order):
+        upper = [_param(a, q) for a in upper]
+        ref = _ref_phi_terms(upper, lower, q, z, order)
+        assume(ref is not None)
+        got = phi_series_coeffs(*([_exact(x) for x in xs] for xs in (upper, lower)),
+                                _exact(q), _exact(z), order)
+        assert got.coeffs == tuple(_exact(t) for t in ref)
+
+    @given(st.lists(parameters, max_size=3), st.lists(small_gaussians, max_size=3),
+           gaussian_bases, small_gaussians, st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_eval_phi_terminating(self, upper, lower, q, z, n):
+        upper = [_pair_pow(q, -n)] + [_param(a, q) for a in upper]
+        ref = _ref_phi_terms(upper, lower, q, z, n)
+        assume(ref is not None)
+        total = (sum(t[0] for t in ref), sum(t[1] for t in ref))
+        spec = SeriesSpec.make([_exact(x) for x in upper], [_exact(x) for x in lower],
+                               _exact(q), _exact(z), n)
+        assert eval_phi_terminating(spec) == _exact(total)
 
 
 class TestQPochInfinite:
