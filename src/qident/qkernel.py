@@ -519,12 +519,14 @@ def _one_minus_aqk(a: ExactScalar, Q: tuple, D: int) -> tuple:
 
 
 def _gdiv(num: tuple, den: tuple) -> ExactScalar:
-    """The quotient of two Gaussian integers, den nonzero, reduced once."""
+    """The quotient of two Gaussian integers, reduced once."""
     re, im = den
     if im:  # num conj(den) / |den|^2
         num, re = _gmul(num, (re, -im)), re * re + im * im
     elif re < 0:
         num, re = (-num[0], -num[1]), -re
+    elif not re:
+        raise ZeroDivisionError("division by exact zero")
     return ExactScalar.from_parts(num[0], num[1], re)
 
 

@@ -65,6 +65,12 @@ class TestPowerSeries:
         assert info.value.index == k + 1
 
 
+    def test_base_one_is_a_division_by_zero(self):
+        # 1 - q^(k+1) vanishes at q = 1, as it does for every root of unity
+        with pytest.raises(ZeroDivisionError):
+            phi_series_coeffs([E(F(1, 3))], [], E(1), E(1), 3)
+
+
 class TestAWGF:
     def test_coefficients_at_random_exact_points(self):
         rng = random.Random(31)
