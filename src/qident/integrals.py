@@ -22,9 +22,15 @@ one fixed analytic function, which M bounds.
 
 Every denominator argument, and the kernel's l2 w/sigma and zc w/sigma, must
 keep modulus below one on the contour (which also places the kernel's poles).
-The moduli are checked before any node runs.  Each of the N nodes then runs
-once, on the fixed-point primitives of :mod:`qident.qkernel` with the constants
-converted once.
+The moduli are checked before any node runs.  The nodes run on the
+fixed-point primitives of :mod:`qident.qkernel` with the constants converted
+once.  At a real point (real parameters, f and sigma) the base and the kernel's
+u1, u2 and l1 are real, and every other argument is a constant C times w^(+-1),
+with C real in the base-p^4 family and imaginary in IR_SCHLOSSER and
+IR_SRIV_JAIN.  So f(-psi), or f(pi - psi), is conj f(psi): a map of the N
+nodes onto themselves, under which N/2 + 1 evaluations give the same N-node
+sum, with the same bound, N, factor counts and working bits.  Any other point
+(a complex z or f, say) evaluates all N nodes.
 
 theta(x; q) here is (x; q)_inf (q/x; q)_inf.  Displays whose f-elements did
 not form theta pairs (x, q/x) as printed are implemented with the paired form
@@ -123,18 +129,36 @@ def integrate_periodic(
     strips,
     target: float,
     precision_bits: int = DEFAULT_PRECISION_BITS,
+    mirror: int | None = None,
 ) -> tuple[ApproxScalar, float, int]:
     """Integral over [-pi, pi] of a 2pi-periodic integrand, with a proven bound.
 
     strips holds pairs (a, M): the integrand is analytic in |Im psi| < a and
     bounded there by M.  Returns (value, bound, nodes), the trapezoid rule on
     the node count :func:`trapezoid_nodes` picks, which is the plain node
-    average times 2pi, and that count's error bound.  Each node psi_j = -pi +
-    2 pi j / N is evaluated once.
+    average times 2pi, and that count's error bound.  The nodes are psi_j =
+    -pi + 2 pi j / N.
+
+    mirror = 1 says f(-psi) = conj f(psi), and mirror = -1 that f(pi - psi) =
+    conj f(psi).  Either map sends the N nodes to themselves (N is a multiple of
+    64) and fixes two of them, psi = -pi and 0 or psi = -pi/2 and pi/2, so the
+    same N-node sum is the real parts at the two fixed nodes plus 2 Re f_j over
+    the N/2 - 1 nodes strictly between them: N/2 + 1 evaluations, and the same
+    bound.  2 Re f_j stands for the values at two nodes, so the two rounding
+    errors it carries are those two nodes' own share of the budget.  With
+    mirror None each of the N nodes is evaluated once.
     """
     n, bound = trapezoid_nodes(strips, target)
     with mp.workprec(precision_bits + 10):
-        vals = [integrand(-mpmath.pi + 2 * mpmath.pi * j / n) for j in range(n)]
+        def node(j):
+            return integrand(-mpmath.pi + 2 * mpmath.pi * j / n)
+
+        if mirror is None:
+            vals = [node(j) for j in range(n)]
+        else:
+            j0 = 0 if mirror == 1 else n // 4  # the first fixed node
+            vals = [node(j0).real, node(j0 + n // 2).real]
+            vals += [2 * node(j).real for j in range(j0 + 1, j0 + n // 2)]
         estimate = 2 * mpmath.pi * mpmath.fsum(vals) / n
     return ApproxScalar(estimate, precision_bits), bound, n
 
@@ -179,9 +203,11 @@ def _kernel_majorant(kabs, Q: float, rho: float, tail: float) -> tuple[float, in
     return math.inf, None
 
 
-def _node_integrand(num, den, kernel, base, sig, tol: float) -> tuple[Callable, list, int]:
-    """(integrand, strips, wp): psi -> prod (x; base)_K over num / prod over den
-    * 3phi2 kernel at w = e^(i psi), to within tol of the untruncated value.
+def _node_integrand(num, den, kernel, base, sig,
+                    tol: float) -> tuple[Callable, int | None, list, int]:
+    """(integrand, mirror, strips, wp): psi -> prod (x; base)_K over num / prod
+    over den * 3phi2 kernel at w = e^(i psi), to within tol of the untruncated
+    value.
 
     num and den hold exact node arguments (c, form); kernel ([u1, u2, u3], [l1,
     l2], zc) stands for 3phi2(u1, u2, u3 sigma/w; l1, l2 w/sigma; base, zc
@@ -191,6 +217,11 @@ def _node_integrand(num, den, kernel, base, sig, tol: float) -> tuple[Callable, 
     take a proven quarter of tol each.  Rounding has the other half by a margin,
     not yet a proof: each operation errs by under 2^-wp and the majorants bound
     every intermediate, so wp is log2(operations x magnitude / tol) + 4.
+
+    mirror, for :func:`integrate_periodic`, is read off the exact data: with
+    the base, u1, u2 and l1 real, it is 1 when every w-dependent constant C
+    (of the node arguments and of u3 sigma/w, l2 w/sigma and zc w/sigma) is
+    real, -1 when every C is imaginary, and otherwise None.
     """
     def node_arg(c, form):
         # (C, |C|, e): the argument is C w^e; on the unit circle w^-1 = conj(w)
@@ -199,6 +230,13 @@ def _node_integrand(num, den, kernel, base, sig, tol: float) -> tuple[Callable, 
 
     nums, dens = ([node_arg(c, form) for c, form in args] for args in (num, den))
     (u1, u2, u3), (l1, l2), zc = kernel
+    cs = [C for C, _, _ in nums + dens] + [u3 * sig, l2 / sig, zc / sig]
+    mirror = None
+    if all(x.is_real() for x in (base, u1, u2, l1)):
+        if all(C.is_real() for C in cs):
+            mirror = 1
+        elif all(C.re == 0 for C in cs):
+            mirror = -1
     kabs = [x.abs_upper() for x in (u1, u2, u3 * sig, l1, l2 / sig, zc / sig)]
     # the hypothesis, and the strips below a_max: -log of the largest modulus
     moduli = [(form.format(c), m) for (c, form), (_, m, _) in zip(den, dens)]
@@ -268,11 +306,11 @@ def _node_integrand(num, den, kernel, base, sig, tol: float) -> tuple[Callable, 
         re, im = value
         return mpmath.mpc(mpmath.ldexp(re, -wp), mpmath.ldexp(im, -wp))
 
-    return integrand, strips, wp
+    return integrand, mirror, strips, wp
 
 
 def _descriptor(identity_id: str, params: dict, sigma, f, eps: float, pb: int):
-    """(prefactor, integrand, strips, working bits) for one identity; the
+    """(prefactor, integrand, mirror, strips, working bits) for one identity; the
     integrand is accurate to eps / 16 over max(1, |prefactor|)."""
     sig, fe = E(sigma), E(f)
     if not sig.is_real() or sig.re <= 0:
@@ -352,11 +390,12 @@ def verify_integral_rep(
     if identity_id not in INTEGRAL_IDS:
         raise UnknownIdentity(f"no integral representation registered under {identity_id!r}")
     series = _series_side(identity_id, params, eps, precision_bits)
-    pref, integrand, strips, wp = _descriptor(identity_id, params, sigma, f, eps, precision_bits)
+    pref, integrand, mirror, strips, wp = _descriptor(identity_id, params, sigma, f, eps,
+                                                      precision_bits)
     bits = max(precision_bits, wp)
     # the value is pref * integral / (2 pi): a bound on the integral times scale bounds it
     scale = max(1.0, float(abs(pref))) / (2 * math.pi)
-    integral, bound, nodes = integrate_periodic(integrand, strips, eps / 16 / scale, bits)
+    integral, bound, nodes = integrate_periodic(integrand, strips, eps / 16 / scale, bits, mirror)
     with mp.workprec(precision_bits + 10):
         value = pref * integral * ApproxScalar(1 / (2 * mpmath.pi), precision_bits)
     return make_report(

@@ -64,8 +64,16 @@ def phi_series_coeffs(upper, lower, q, zfactor, order: int) -> PowerSeriesTrunc:
 
     the running products of the series' term ratios (``series._term_ratios``),
     each reduced once.  A lower parameter q^-k raises PoleError naming index
-    k+1; after an upper factor vanishes every coefficient is 0.
+    k+1; after an upper factor vanishes every coefficient is 0.  A base with
+    q^j = 1 for some 1 <= j <= order, which zeroes (q;q)_j, raises DomainError;
+    the roots of unity among Gaussian rationals are 1, -1 and +-i, so j <= 4
+    covers them.
     """
+    qe = ExactScalar.coerce(q)
+    for j in range(1, min(order, 4) + 1):
+        if qe**j == EXACT_ONE:
+            raise DomainError(f"the base q = {qe} has q^{j} = 1, so the coefficient "
+                              f"series is undefined from degree {j}")
     coeffs = [EXACT_ONE] + [ExactScalar(0)] * order
     for k, (top, bot) in enumerate(_term_ratios(upper, lower, q, zfactor, order)):
         num, d = _gaussian(coeffs[k])

@@ -299,7 +299,7 @@ def test_criterion_09_quadrature_bounds_hold():
             n = rep.quadrature_nodes
             bound = float(rep.note.split("bound=")[1].split()[0])
             assert bound <= eps / 16 and n <= (2048 if ident == "IR_SCHLOSSER" else 512), rep.note
-            pref, integrand, _, _ = _descriptor(ident, params, sigma, F(3, 2), eps, 256)
+            pref, integrand, _, _, _ = _descriptor(ident, params, sigma, F(3, 2), eps, 256)
             with mpmath.mp.workprec(266):
                 vals = [integrand(-mpmath.pi + mpmath.pi * j / n) for j in range(2 * n)]
                 mean_n, mean_2n = mpmath.fsum(vals[::2]) / n, mpmath.fsum(vals) / (2 * n)

@@ -73,6 +73,26 @@ def _geometric(r):
     return lambda psi: 1 / (1 - r * mpmath.expjpi(psi / mpmath.pi))
 
 
+def _count_nodes(monkeypatch):
+    """(calls, mirrors): the psi of every node the integral checks evaluate,
+    and the mirror each node integrand declares."""
+    calls, mirrors = [], []
+    build = integrals._node_integrand
+
+    def counting(*args):
+        integrand, mirror, strips, wp = build(*args)
+        mirrors.append(mirror)
+
+        def counted(psi):
+            calls.append(psi)
+            return integrand(psi)
+
+        return counted, mirror, strips, wp
+
+    monkeypatch.setattr(integrals, "_node_integrand", counting)
+    return calls, mirrors
+
+
 class TestQuadrature:
     def test_constant_integrand(self):
         val, bound, nodes = integrate_periodic(lambda psi: mpmath.mpc(1), [(1.0, 1.0)], 1e-30, 128)
@@ -94,6 +114,24 @@ class TestQuadrature:
         strips = [(a, 1 / (1 - float(r) * math.exp(a))) for a in (0.5, 0.8, 1.0)]
         val, bound, nodes = integrate_periodic(_geometric(r), strips, 1e-30, 192)
         assert bound <= 1e-30
+        with mp.workprec(220):
+            assert abs(val.value - 2 * mpmath.pi) <= bound + 1e-50
+
+    @pytest.mark.parametrize("r, mirror", [(mpmath.mpf(1) / 3, 1), (mpmath.mpc(0, 1) / 3, -1)])
+    def test_mirror_evaluates_half_the_nodes(self, r, mirror):
+        # 1/(1 - r e^(i psi)) is conj f at -psi for a real r, and at pi - psi for
+        # an imaginary r: the N-node sum takes N/2 + 1 distinct nodes
+        calls = []
+        f = _geometric(r)
+
+        def counted(psi):
+            calls.append(psi)
+            return f(psi)
+
+        strips = [(a, 1 / (1 - float(abs(r)) * math.exp(a))) for a in (0.5, 0.8, 1.0)]
+        val, bound, nodes = integrate_periodic(counted, strips, 1e-30, 192, mirror)
+        assert bound <= 1e-30
+        assert len(calls) == len(set(calls)) == nodes // 2 + 1
         with mp.workprec(220):
             assert abs(val.value - 2 * mpmath.pi) <= bound + 1e-50
 
@@ -290,7 +328,7 @@ class TestNodeKernel:
 
         monkeypatch.setattr(integrals, "_node_integrand", recording)
         params, sigma, _ = POINTS[ident]
-        _, integrand, _, _ = integrals._descriptor(ident, params, sigma, F(3, 2), 1e-62, 256)
+        _, integrand, _, _, _ = integrals._descriptor(ident, params, sigma, F(3, 2), 1e-62, 256)
         num, den, ((u1, u2, u3), (l1, l2), zc), base, sgv, _ = seen[0]
         bits, tight = 320, 1e-72
         # the exact node data, at the reference precision
@@ -324,23 +362,39 @@ class TestNodeKernel:
                 assert abs(got - ref.value) <= 1e-60 * abs(ref.value), (ident, j)
 
     def test_no_node_evaluated_twice(self, monkeypatch):
-        # the hypothesis is checked on the moduli, so each node runs once
-        calls = []
-        build = integrals._node_integrand
-
-        def counting(*args):
-            integrand, strips, wp = build(*args)
-
-            def counted(psi):
-                calls.append(psi)
-                return integrand(psi)
-
-            return counted, strips, wp
-
-        monkeypatch.setattr(integrals, "_node_integrand", counting)
+        # the hypothesis is checked on the moduli, so each node runs once, and
+        # the mirror leaves N/2 + 1 of the N nodes to run
+        calls, _ = _count_nodes(monkeypatch)
         params, sigma, _ = POINTS["IR_THM21"]
         rep = verify_integral_rep("IR_THM21", params, sigma=sigma, f=F(3, 2), eps=1e-15)
         assert rep.passed
         # the bound's N (the node doubling took 256)
-        assert len(calls) == rep.quadrature_nodes == 192
+        assert rep.quadrature_nodes == 192
+        assert len(calls) == len(set(calls)) == 192 // 2 + 1
         assert rep.note.startswith("quadrature nodes=192 bound=")
+
+    @pytest.mark.parametrize("ident", sorted(INTEGRAL_IDS))
+    def test_mirrored_sum_matches_all_nodes(self, ident):
+        # the base-p^4 family is conj f at -psi, IR_SCHLOSSER and IR_SRIV_JAIN
+        # at pi - psi; the halved sum is the N-node sum to within the node
+        # tolerance tol: each pair of nodes may differ from conjugates by 2 tol
+        eps, bits = 1e-10, 256
+        params, sigma, _ = POINTS[ident]
+        pref, integrand, mirror, strips, wp = integrals._descriptor(
+            ident, params, sigma, F(3, 2), eps, bits)
+        assert mirror == (-1 if ident in ("IR_SCHLOSSER", "IR_SRIV_JAIN") else 1)
+        tol = eps / (16 * max(1.0, float(abs(pref))))
+        half, _, n = integrate_periodic(integrand, strips, 2 * math.pi * tol, bits, mirror)
+        with mp.workprec(bits + 10):
+            vals = [integrand(-mpmath.pi + 2 * mpmath.pi * j / n) for j in range(n)]
+            full = 2 * mpmath.pi * mpmath.fsum(vals) / n
+            assert abs(half.value - full) <= 2 * math.pi * tol, (ident, n)
+
+    def test_complex_point_evaluates_every_node(self, monkeypatch):
+        # a complex z breaks both mirrors: all N nodes run, and the check passes
+        calls, mirrors = _count_nodes(monkeypatch)
+        params, sigma, _ = POINTS["IR_SRIV_JAIN"]
+        params = {**params, "z": E(F(1, 5), F(1, 10))}
+        rep = verify_integral_rep("IR_SRIV_JAIN", params, sigma=sigma, f=F(3, 2))
+        assert rep.passed and mirrors == [None]
+        assert len(calls) == len(set(calls)) == rep.quadrature_nodes == 256

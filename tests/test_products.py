@@ -31,7 +31,7 @@ from qident.products import (
     triple_sum_32pf,
     verify_product,
 )
-from qident.qkernel import ExactScalar
+from qident.qkernel import ExactScalar, I
 from qident.reporting import compare_approx
 
 E = ExactScalar
@@ -65,10 +65,18 @@ class TestPowerSeries:
         assert info.value.index == k + 1
 
 
-    def test_base_one_is_a_division_by_zero(self):
-        # 1 - q^(k+1) vanishes at q = 1, as it does for every root of unity
-        with pytest.raises(ZeroDivisionError):
-            phi_series_coeffs([E(F(1, 3))], [], E(1), E(1), 3)
+    @pytest.mark.parametrize("q, j", [(E(1), 1), (E(-1), 2), (I, 4)], ids=["1", "-1", "i"])
+    def test_root_of_unity_base_is_a_domain_error(self, q, j):
+        # 1 - q^j vanishes when q^j = 1: the coefficient series, and the exact
+        # coefficient checks built on it, name the base from order j on
+        with pytest.raises(DomainError, match=f"base q = .* has q\\^{j} = 1"):
+            phi_series_coeffs([E(F(1, 3))], [E(F(1, 5))], q, E(1), 5)
+        assert phi_series_coeffs([E(F(1, 3))], [E(F(1, 5))], q, E(1), j - 1).order == j - 1
+        with pytest.raises(DomainError, match="base q"):
+            cayley_orr_check("A", F(1, 3), F(1, 5), F(2, 7), q, 4)
+        with pytest.raises(DomainError, match="base q"):
+            product_coefficient_check("JACKSON_CLAUSEN", {"p": q, "a": F(1, 3), "b": F(1, 5)},
+                                      order=4)
 
 
 class TestAWGF:
