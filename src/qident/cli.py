@@ -120,7 +120,7 @@ def _verify_summation(ident: str, params: dict, args) -> list:
     n_values = _parse_n_range(args.n_range) if args.n_range else [args.n]
     if n_values == [None]:
         raise DomainError("verify needs --n or --n-range for summation identities")
-    return [identities.verify(ident, params, n, **_options(args)) for n in n_values]
+    return [identities.verify(ident, params, n, **_eps(args)) for n in n_values]
 
 
 def _verify_integral(ident: str, params: dict, args) -> list:
@@ -142,9 +142,8 @@ class _Check(NamedTuple):
 
 CHECKS = {
     rec.id: _Check(
-        "terminating summations (exact unless marked approx)",
-        f"{' [approx]' if rec.approx_only else ''}  params({', '.join(rec.param_names)})"
-        f"  -- {rec.anchor}",
+        "terminating summations",
+        f"  params({', '.join(rec.param_names)})  -- {rec.anchor}",
         _verify_summation,
         sweeps=True,
     )
@@ -195,7 +194,7 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         seed=args.seed,
         n_range=n_values,
-        **_options(args),
+        **_eps(args),
     )
     rf = ReportFile(tool_version=__version__, config=_echo_config(args), entries=reports)
     return _emit(rf, args)

@@ -2,25 +2,20 @@
 
 The 22 records are one table, `_REGISTRY`, each entry one `_record(...)`
 call: the parameter names, the balance class, the anchor, the left side, the
-right side, and two flags (the RHS vanishes at odd n; the record is
-approx-only).  `_record` is the one code path that reads a record:
-`_scalars` checks the parameter names and hands each side the parameters as
-positional ExactScalars, the left side gives only (upper, lower, base) of a
-series that terminates at n (or at a fourth entry m), and the right side
-gives its closed-form value or a plain quotient
-pref * (num; base)_m / (den; base)_m as data.  The seeded sampler is derived
-from the parameter names.  Records whose RHS involves infinite products
-(T_GASPER_RAHMAN_WATSON, T_ANDREWS_WHIPPLE_E) are approx-only: their LHS is
-still summed exactly, the RHS is certified to a configurable eps (default
-1e-40 at 256 bits) with an exact vanishing-factor prescan so parity zeros
-stay exact.
+right side, and a flag (the RHS vanishes at odd n).  `_record` is the one
+code path that reads a record: `_scalars` checks the parameter names and
+hands each side the parameters as positional ExactScalars, the left side
+gives only (upper, lower, base) of a series that terminates at n (or at a
+fourth entry m), and the right side gives its closed-form value or a plain
+quotient pref * (num; base)_m / (den; base)_m as data.  The seeded sampler is
+derived from the parameter names.  Every record is exact: the two whose
+printed right sides are infinite-product quotients (T_GASPER_RAHMAN_WATSON,
+T_ANDREWS_WHIPPLE_E) are written as the finite quotients those reduce to.
 
 A sweep evaluates each (params, n) point once: `_sides` is the one place that
 sums an LHS and evaluates an RHS, `draw_params` screens a draw with the pairs
-it computes and returns them, and `sweep` hands each exact record's pair to
-`verify(..., sides=)`.  Approx-only records are screened at 128 bits, so
-`sweep` hands `verify` only their exact LHS, and `verify` certifies the RHS
-again at the sweep's precision and eps.
+it computes and returns them, and `sweep` hands each pair to
+`verify(..., sides=)`.
 
 Square roots never appear at this layer: records are parameterized by the
 square-root variables themselves (sa, sc, sqa, p), and `_scalars` appends the
@@ -45,21 +40,11 @@ from .errors import (
     check_eps,
     check_names,
 )
-from .qkernel import (
-    DEFAULT_PRECISION_BITS,
-    EXACT_ONE,
-    ExactScalar,
-    I,
-    _product_quotient,
-    qpoch_finite,
-    qpoch_list,
-)
-from .reporting import VerificationReport, compare_approx, compare_exact, make_report
+from .qkernel import EXACT_ONE, ExactScalar, I, qpoch_finite, qpoch_list
+from .reporting import VerificationReport, compare_exact, make_report
 from .series import BalanceClass, SeriesSpec, eval_phi_terminating
 
 E = ExactScalar.coerce
-
-DEFAULT_APPROX_EPS = 1e-40
 
 
 @dataclass(frozen=True)
@@ -71,7 +56,6 @@ class IdentityRecord:
     lhs_spec: Callable[[dict, int], SeriesSpec]
     rhs_value: Callable
     sampler: Callable[[random.Random], dict]
-    approx_only: bool = False
     structural_zero: bool = False  # the RHS vanishes at every odd n
 
 
@@ -127,7 +111,7 @@ def _scalars(identity_id: str, names: tuple, params: dict) -> list:
     return xs
 
 
-def _record(ident, names, k, anchor, lhs, rhs, odd_zero=False, approx_only=False):
+def _record(ident, names, k, anchor, lhs, rhs, odd_zero=False):
     """The IdentityRecord of one table entry.
 
     `names` lists the parameters, space-separated, in sampler order; the
@@ -135,20 +119,19 @@ def _record(ident, names, k, anchor, lhs, rhs, odd_zero=False, approx_only=False
     left side, which terminates at n, or (upper, lower, base, m) when it
     terminates at m.  `rhs(*scalars, n)` is the closed-form value or the
     quotient (pref, num, den, base, m), read as pref * (num; base)_m /
-    (den; base)_m; approx-only right sides also take precision_bits and eps.
-    An exact record with odd_zero is exact zero at odd n without evaluating
-    its RHS; an approx-only record's certified products find that zero."""
+    (den; base)_m.  A record with odd_zero is exact zero at odd n without
+    evaluating its RHS."""
     names = tuple(names.split())
 
     def lhs_spec(params, n):
         upper, lower, base, *m = lhs(*_scalars(ident, names, params), n)
         return SeriesSpec.make(upper, lower, base, base, terminates_at=m[0] if m else n)
 
-    def rhs_value(params, n, **certify):
+    def rhs_value(params, n):
         xs = _scalars(ident, names, params)
-        if odd_zero and n % 2 == 1 and not approx_only:
+        if odd_zero and n % 2 == 1:
             return ExactScalar(0)
-        value = rhs(*xs, n, **certify)
+        value = rhs(*xs, n)
         if isinstance(value, tuple):
             pref, num, den, base, m = value
             value = pref * qpoch_list(num, base, m) / qpoch_list(den, base, m)
@@ -156,7 +139,7 @@ def _record(ident, names, k, anchor, lhs, rhs, odd_zero=False, approx_only=False
 
     return IdentityRecord(
         ident, names, BalanceClass("balanced", k), anchor, lhs_spec, rhs_value,
-        _sampler(names), approx_only, odd_zero,
+        _sampler(names), odd_zero,
     )
 
 
@@ -168,39 +151,6 @@ def _phi(upper, lower, base, m):
 # --------------------------------------------------------------------------
 # right sides that are not a plain quotient
 # --------------------------------------------------------------------------
-
-def _grw_rhs(q, b, c, n, precision_bits=DEFAULT_PRECISION_BITS, eps=DEFAULT_APPROX_EPS):
-    Q, Q4 = q * q, (q * q) ** 2
-    num_args = [
-        (q ** (1 - n) * b, Q),
-        (c * c, Q),
-        (q ** (2 * n) * c, Q),
-        (q ** (1 + n) * c / b, Q),
-        (q ** (2 - 2 * n), Q4),
-        (Q * b * b, Q4),
-        (q ** (2 * n + 2) * c * c, Q4),
-        (Q * c * c / (b * b), Q4),
-    ]
-    den_args = [
-        (q ** (n + 1) * b, Q),
-        (c, Q),
-        (q ** (2 * n) * c * c, Q),
-        (q ** (1 - n) * c / b, Q),
-        (Q, Q4),
-        (q ** (2 - 2 * n) * b * b, Q4),
-        (Q * c * c, Q4),
-        (q ** (2 * n + 2) * c * c / (b * b), Q4),
-    ]
-    return _product_quotient(1, num_args, den_args, precision_bits, eps / 32)
-
-
-def _aw_e_rhs(q, c, e, n, precision_bits=DEFAULT_PRECISION_BITS, eps=DEFAULT_APPROX_EPS):
-    Q = q * q
-    tops = (q**-n * e, q ** (n + 1) * e, q ** (1 - n) * c * c / e, q ** (n + 2) * c * c / e)
-    num_args = [(x, Q) for x in tops]
-    den_args = [(e, q), (q * c * c / e, q)]
-    return _product_quotient(q ** ((n + 1) * n // 2), num_args, den_args, precision_bits, eps / 16)
-
 
 def _bailey41_rhs(q, a, b, n):
     m = n // 2
@@ -376,9 +326,16 @@ _REGISTRY: dict[str, IdentityRecord] = {rec.id: rec for rec in (
             [q ** (2 - 2 * n) / c, -(q ** (1 - n)) * b, q ** (1 - n) * c / b],
             q * q,
         ),
-        _grw_rhs,
+        # the printed quotient of infinite products pairs into products (x; q^2)_n;
+        # at even n = 2m each splits as (x; q^4)_m (x q^2; q^4)_m, and (q^2 c^2; q^4)_m cancels
+        lambda q, b, c, n: (
+            EXACT_ONE,
+            [q ** (1 - n) * b, q ** (3 - n) * b, c * c, q ** (2 - 2 * n), q * q * c * c / (b * b)],
+            [c, q * q * c, q ** (1 - n) * c / b, q ** (3 - n) * c / b, q ** (2 - 2 * n) * b * b],
+            q**4,
+            n // 2,
+        ),
         odd_zero=True,
-        approx_only=True,
     ),
     _record(
         "T_BAILEY41", "q a b", 1,
@@ -396,8 +353,15 @@ _REGISTRY: dict[str, IdentityRecord] = {rec.id: rec for rec in (
         "Andrews' q-analogue of terminating Whipple 3F2(1), product form; "
         "GR (II.19) / DLMF 17.7.11",
         lambda q, c, e, n: ([q**-n, q ** (n + 1), c, -c], [-q, e, q * c * c / e], q),
-        _aw_e_rhs,
-        approx_only=True,
+        # the printed quotient of infinite products, with (x; q)_inf = (x; q^2)_inf
+        # (x q; q^2)_inf, pairs into base-q^2 products of length ceil(n/2)
+        lambda q, c, e, n: (
+            q ** (n * (n + 1) // 2),
+            [q**-n * e, q ** (1 - n) * c * c / e],
+            [q * e, q * q * c * c / e] if n % 2 == 0 else [e, q * c * c / e],
+            q * q,
+            (n + 1) // 2,
+        ),
     ),
     _record(
         "T_ANDREWS_WHIPPLE_C", "q a b", 1,
@@ -579,26 +543,9 @@ _REGISTRY: dict[str, IdentityRecord] = {rec.id: rec for rec in (
 # verification
 # --------------------------------------------------------------------------
 
-def _sides(rec: IdentityRecord, params: dict, n: int, precision_bits: int, eps: float, lhs=None):
-    """(lhs, rhs) at one point: the exact LHS sum (unless given) and the RHS
-    closed form, which approx-only records certify to eps at precision_bits."""
-    if lhs is None:
-        lhs = eval_phi_terminating(rec.lhs_spec(params, n))
-    if rec.approx_only:
-        return lhs, rec.rhs_value(params, n, precision_bits=precision_bits, eps=eps)
-    return lhs, rec.rhs_value(params, n)
-
-
-# the precision of the constraint and accidental-zero screens on approx-only RHS
-_SCREEN_BITS, _SCREEN_EPS = 128, 1e-10
-
-
-def _checked_eps(eps: Optional[float]) -> float:
-    """The default eps for None; a given eps must be positive."""
-    if eps is None:
-        return DEFAULT_APPROX_EPS
-    check_eps(eps)
-    return eps
+def _sides(rec: IdentityRecord, params: dict, n: int):
+    """(lhs, rhs) at one point: the exact LHS sum and the exact RHS."""
+    return eval_phi_terminating(rec.lhs_spec(params, n)), rec.rhs_value(params, n)
 
 
 def verify(
@@ -606,26 +553,20 @@ def verify(
     params: dict,
     n: int,
     eps: Optional[float] = None,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
     *,
     sides: Optional[tuple] = None,
 ) -> VerificationReport:
-    """Check one identity at one exact parameter point.
+    """Check one identity at one exact parameter point, by strict equality.
 
-    The record sets the mode of the report: exact records compare with strict
-    equality; approx-only records certify the RHS infinite products to eps
-    (default 1e-40) and compare relatively.  A given eps must be positive,
-    whatever the record.  `sides` is the (lhs, rhs) pair already evaluated at
-    this point, as `draw_params` returns it; when given, neither side is
-    evaluated again, except an rhs of None, which is evaluated at
-    precision_bits and eps.
+    A given eps must be positive; every record is exact, so it has no other
+    effect.  `sides` is the (lhs, rhs) pair already evaluated at this point,
+    as `draw_params` returns it; when given, neither side is evaluated again.
     """
-    eps = _checked_eps(eps)
+    if eps is not None:
+        check_eps(eps)
     rec = lookup(identity_id)
     try:
-        lhs, rhs = sides or (None, None)
-        if rhs is None:
-            lhs, rhs = _sides(rec, params, n, precision_bits, eps, lhs)
+        lhs, rhs = sides or _sides(rec, params, n)
     except ZeroDivisionError as exc:
         raise ConstraintViolation(
             f"{identity_id}: closed-form denominator vanishes at {params}, n={n}",
@@ -635,19 +576,9 @@ def verify(
         raise ConstraintViolation(
             f"{identity_id}: {exc}", predicate="series pole absent"
         ) from exc
-
-    degenerate = lhs.is_zero() and rhs.is_zero()
-    if not rec.approx_only:
-        verdict = compare_exact(lhs, rhs)
-    elif isinstance(rhs, ExactScalar):
-        # exact zero detected inside an approx-only RHS
-        abs_err = 0.0 if degenerate else lhs.abs_upper()
-        verdict = degenerate, abs_err, abs_err
-    else:
-        verdict = compare_approx(lhs.to_approx(precision_bits), rhs, eps)
     return make_report(
-        identity_id, params, lhs, rhs, verdict, mode="approx" if rec.approx_only else "exact",
-        n=n, degenerate=degenerate,
+        identity_id, params, lhs, rhs, compare_exact(lhs, rhs), mode="exact",
+        n=n, degenerate=lhs.is_zero() and rhs.is_zero(),
     )
 
 
@@ -657,14 +588,14 @@ def draw_params(
     """Constraint-filtered deterministic draw from the record's sampler.
 
     Returns the accepted parameters and, for each n, the (lhs, rhs) pair the
-    screens evaluated (approx-only RHS at the screens' 128 bits)."""
+    screens evaluated."""
     n_values = list(n_values)
     for _ in range(1000):
         ps = rec.sampler(rng)
         pairs = {}
         for n in n_values:
             try:
-                pairs[n] = _sides(rec, ps, n, _SCREEN_BITS, _SCREEN_EPS)
+                pairs[n] = _sides(rec, ps, n)
             except (ZeroDivisionError, PoleError, DomainError):
                 break
             # reject draws that produce accidental (non-structural) zeros
@@ -684,10 +615,11 @@ def sweep(
     seed: int,
     n_range: Iterable[int],
     eps: Optional[float] = None,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> list[VerificationReport]:
-    """Deterministic seeded sweep: `trials` parameter points, each n in range."""
-    eps = _checked_eps(eps)
+    """Deterministic seeded sweep: `trials` parameter points, each n in range.
+    A given eps must be positive, as in `verify`."""
+    if eps is not None:
+        check_eps(eps)
     if trials < 1:
         raise DomainError("trials must be >= 1")
     rec = lookup(identity_id)
@@ -696,14 +628,7 @@ def sweep(
     reports = []
     for _ in range(trials):
         ps, pairs = draw_params(rec, rng, n_values)
-        for n in n_values:
-            lhs, rhs = pairs[n]
-            # approx-only records certify their RHS again at the sweep's precision and eps
-            sides = (lhs, None if rec.approx_only else rhs)
-            reports.append(
-                verify(identity_id, ps, n, eps=eps, precision_bits=precision_bits,
-                       sides=sides)
-            )
+        reports.extend(verify(identity_id, ps, n, sides=pairs[n]) for n in n_values)
     return reports
 
 
@@ -745,5 +670,8 @@ def elementary_identity_check(kind: str, params: dict) -> VerificationReport:
     )
 
 
-APPROX_ONLY_IDS = tuple(r.id for r in _REGISTRY.values() if r.approx_only)
-EXACT_IDS = tuple(sorted(r.id for r in _REGISTRY.values() if not r.approx_only))
+# Every record is exact.  The benchmark sweeps these two groups apart: the
+# two records whose printed right sides are infinite-product quotients, and
+# the other 20.
+APPROX_ONLY_IDS = ("T_GASPER_RAHMAN_WATSON", "T_ANDREWS_WHIPPLE_E")
+EXACT_IDS = tuple(sorted(set(_REGISTRY) - set(APPROX_ONLY_IDS)))

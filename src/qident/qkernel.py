@@ -43,7 +43,7 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import fzero, to_fixed
 
-from .errors import DomainError, check_eps
+from .errors import DomainError, NoConvergence, check_eps
 
 RationalLike = Union[int, Fraction]
 
@@ -634,9 +634,16 @@ def _one_minus(x, wp: int) -> tuple:
 
 def _fabs(x, wp: int) -> float:
     """|x| as a float, taken 2^-40 above the computed value: an upper bound that
-    covers the rounding of a few float operations on it."""
-    s = max(0, max(abs(x[0]), abs(x[1])).bit_length() - 1000)  # float range
-    return math.ldexp(math.hypot(x[0] >> s, x[1] >> s), s - wp) * (1 + 2.0**-40)
+    covers the rounding of a few float operations on it.  NoConvergence when
+    |x| passes the float range."""
+    top = max(abs(x[0]), abs(x[1])).bit_length()
+    s = max(0, top - 1000)  # float range
+    try:
+        return math.ldexp(math.hypot(x[0] >> s, x[1] >> s), s - wp) * (1 + 2.0**-40)
+    except OverflowError:
+        raise NoConvergence(
+            f"a magnitude of about 2^{top - wp} passes the float range (2^1024)"
+        ) from None
 
 
 def _approx(x, wp: int, precision_bits: int) -> "ApproxScalar":

@@ -21,7 +21,7 @@ from qident.askey_wilson import (
     newquad_product_form,
 )
 from qident.errors import DomainError, PoleError
-from qident.identities import EXACT_IDS, list_ids, lookup, sweep
+from qident.identities import list_ids, lookup, sweep
 from qident.integrals import _descriptor, verify_integral_rep
 from qident.products import (
     COEFF_CHECK_IDS,
@@ -57,10 +57,10 @@ def _rand_nonzero(rng, den_max=7):
 def test_criterion_01_terminating_registry_exact_sweeps():
     t0 = time.time()
     total = 0
-    for ident in EXACT_IDS:
+    for ident in list_ids():
         reports = sweep(ident, trials=25, seed=7, n_range=range(0, 9))
         total += len(reports)
-        assert all(r.passed for r in reports), ident
+        assert all(r.passed and r.mode == "exact" for r in reports), ident
         for r in reports:
             if not r.degenerate:
                 assert r.abs_err == 0.0 and r.rel_err == 0.0, (ident, r.n)
@@ -68,7 +68,7 @@ def test_criterion_01_terminating_registry_exact_sweeps():
     _line(
         1,
         elapsed <= 300,
-        f"20 exact records x 25 points x n=0..8 ({total} checks), all exact, "
+        f"22 exact records x 25 points x n=0..8 ({total} checks), all exact, "
         f"{elapsed:.1f}s <= 300s",
     )
 

@@ -5,11 +5,12 @@ import hashlib
 import io
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from qident.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_OK, main
+from qident.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NOCONV, EXIT_OK, main
 from qident.qkernel import ExactScalar, format_exact, parse_exact
 from qident.reporting import CSV_COLUMNS, ReportFile
 
@@ -63,7 +64,7 @@ class TestList:
         code, out, _ = run_cli(capsys, "list")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "a6184fbb0288eec4b7a21df8fdfdc3c692caaa197f6ca8e562b1f23e814debe5"
+            "b7d54d6498a4e61d6c509cf6495c1b7c743851ef750882257c1579361057ae40"
         )
 
 
@@ -133,6 +134,18 @@ class TestVerify:
         )
         assert code == EXIT_OK
 
+    def test_magnitude_past_float_range_exits_3(self, capsys):
+        # at base 9999/10000 a series term passes 2^1024: a named reason, not a crash
+        code, out, err = run_cli(
+            capsys,
+            "verify", "SRIV_JAIN", "--params", "q=9999/10000,a=1/3,b=1/4,z=1/5",
+            "--eps", "1e-30",
+        )
+        assert (code, out) == (EXIT_NOCONV, "")
+        assert re.fullmatch(
+            r"error: a magnitude of about 2\^\d+ passes the float range \(2\^1024\)\n", err
+        )
+
     def test_classical_identity(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "CLAUSEN", "--params", "a=1/3,b=1/4,z=1/5"
@@ -147,7 +160,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", ident, "--params", params, "--n", n)
         assert code == EXIT_OK
         [report] = json.loads(out)["reports"]
-        assert report["passed"] and report["mode"] == "approx"
+        assert report["passed"] and report["mode"] == "exact"
 
     @pytest.mark.parametrize("ident, params, problem", [
         ("T_BAILEY41", "q=1/2,a=1/3,x=1/5", "T_BAILEY41 takes parameters (q, a, b): "
@@ -229,8 +242,8 @@ class TestVerify:
         ["verify", "T_BAILEY41", "--params", "q=1/2,a=1/3,b=1/5", "--n", "2", "--eps", "-1"],
     ])
     def test_summation_eps_is_named_as_given(self, capsys, argv):
-        # the value typed, not the eps/16 an approx-only record derives from it,
-        # and an exact record or an eps of 0 does not pass it over
+        # the value typed is named, and no record or eps of 0 passes it over,
+        # though eps has no other effect on an exact record
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == f"error: eps must be positive, got {float(argv[-1])!r}\n"

@@ -6,6 +6,7 @@ import json
 import re
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from qident.errors import ConstraintViolation, DomainError, SamplerExhausted, UnknownIdentity
@@ -28,11 +29,11 @@ E = ExactScalar
 GOLDEN_SWEEP_SHA256 = {
     "T_ANDREWS_WATSON": "946b5c19acb54d5aeada3c433b59bc021de541c6ded953043003ce9ba97b6e80",
     "T_ANDREWS_WHIPPLE_C": "d1e03b55b3444ce73d25a76a2bbea096089592ca957d9a963c787487eee533e9",
-    "T_ANDREWS_WHIPPLE_E": "ce640d5d1f581cd25c02cde6475b150da1f0352ffe85fe4b6e0e16b173274424",
+    "T_ANDREWS_WHIPPLE_E": "238faac4166bb4a7fb6de6c692e9406a1ab6f46fdc89419871553a49688527a4",
     "T_BAILEY41": "c54241c818f61965f8b61da5f52556c78f19eb1a6773945791607d2e1bd83bfd",
     "T_BW_SUM": "3974e7a9b4c7705da0dde08587b6d1444f875b938f24441bb06c08727d48ca20",
     "T_BW_TRANSFORM": "11ee6d56ee7080034f566a9be046949bf23e546e433a307db49daf4bcfc0fd61",
-    "T_GASPER_RAHMAN_WATSON": "d399e748e035f5f45b8be2737e6c55780413f9b9190421c2f540a48fe390b907",
+    "T_GASPER_RAHMAN_WATSON": "378581c3f9d35fa251dff10a16ec1c2af22c80f8b07049ab7d0f83518c1553b0",
     "T_GR_31010": "6cf8e7929782896e6afee450afdd2c9e1e1a2141366b0abf3ba2e91d7708419a",
     "T_GR_3109": "8fc0e367d3748784486d8a5a9390e197378d3958b27ae6b805df24d06bee71eb",
     "T_GR_EX214": "73af2ad7cbc81c04f4c07396ad9c43a719f80a8a7ec89e6ce284a82f9fc0b25e",
@@ -56,7 +57,10 @@ class TestLookup:
         ids = list_ids()
         assert ids == sorted(ids)
         assert len(ids) == 22
-        assert len(EXACT_IDS) == 20 and len(APPROX_ONLY_IDS) == 2
+        # the benchmark sweeps these two groups apart, in this order
+        assert APPROX_ONLY_IDS == ("T_GASPER_RAHMAN_WATSON", "T_ANDREWS_WHIPPLE_E")
+        assert EXACT_IDS == tuple(sorted(set(ids) - set(APPROX_ONLY_IDS)))
+        assert len(EXACT_IDS) == 20
 
     def test_balance_metadata(self):
         assert lookup("T_BAILEY41").balance == BalanceClass("balanced", 1)
@@ -134,15 +138,16 @@ class TestVerify:
         assert rep.passed
 
     def test_approx_only_records_pass(self):
-        # the record sets the mode: approx-only records compare certified values
+        # the two records with infinite-product right sides compare exactly
         rep = verify("T_GASPER_RAHMAN_WATSON", {"q": F(1, 2), "b": F(1, 3), "c": F(1, 5)}, 4)
-        assert rep.passed and rep.rel_err < 1e-38 and rep.mode == "approx"
+        assert rep.passed and rep.abs_err == 0 and rep.mode == "exact"
         rep = verify("T_ANDREWS_WHIPPLE_E", {"q": F(1, 2), "c": F(1, 3), "e": F(1, 5)}, 5)
-        assert rep.passed and rep.rel_err < 1e-38 and rep.mode == "approx"
+        assert rep.passed and rep.abs_err == 0 and rep.mode == "exact"
 
     def test_grw_odd_n_exact_zero_in_approx_mode(self):
         rep = verify("T_GASPER_RAHMAN_WATSON", {"q": F(1, 2), "b": F(1, 3), "c": F(1, 5)}, 3)
-        assert rep.passed and rep.degenerate and rep.lhs == "0"
+        assert rep.passed and rep.degenerate and rep.lhs == "0" and rep.rhs == "0"
+        assert rep.abs_err == 0 and rep.mode == "exact"
 
     def test_constraints_name_predicate(self):
         # a = 1 makes (1 - q^0 a) vanish inside the Bailey sum's RHS
@@ -212,8 +217,6 @@ class TestEquivalences:
             assert rep.passed
 
     def test_andrews_whipple_e_and_c_rhs_agree(self):
-        from qident.reporting import compare_approx
-
         aw_c_rhs = lookup("T_ANDREWS_WHIPPLE_C").rhs_value
         aw_e_rhs = lookup("T_ANDREWS_WHIPPLE_E").rhs_value
 
@@ -221,8 +224,7 @@ class TestEquivalences:
         for n in range(0, 9):
             rhs_c = aw_c_rhs(ps, n)
             rhs_e = aw_e_rhs({"q": ps["q"], "c": ps["a"], "e": ps["b"]}, n)
-            passed, _, _ = compare_approx(rhs_c.to_approx(256), rhs_e, 1e-38)
-            assert passed, n
+            assert rhs_c == rhs_e, n
 
     def test_n6_specializes_n7(self):
         # a -> -q^(1-2n) in the 3-balanced sum, i.e. sa = i p^(1-2n), q = p^2
@@ -235,6 +237,67 @@ class TestEquivalences:
             lhs6 = eval_phi_terminating(n6_lhs({"p": p.re, "sc": sc.re}, n))
             assert lhs7 == lhs6
             assert lhs6 == n6_rhs({"p": p.re, "sc": sc.re}, n)
+
+
+# The printed right sides of the two records whose closed forms are quotients
+# of infinite products (DLMF 17.7.8 via 17.9.16, and GR (II.19)), evaluated
+# with mpmath.qp alone, at four points given in each record's parameter order.
+def _qp_quotient(pref, num, den):
+    value = pref
+    for x, base in num:
+        value *= mpmath.qp(x, base)
+    for x, base in den:
+        value /= mpmath.qp(x, base)
+    return value
+
+
+PRINTED_RHS = {
+    "T_GASPER_RAHMAN_WATSON": ("q b c", lambda q, b, c, n: _qp_quotient(
+        1,
+        [(q ** (1 - n) * b, q**2), (c * c, q**2), (q ** (2 * n) * c, q**2),
+         (q ** (1 + n) * c / b, q**2), (q ** (2 - 2 * n), q**4), (q**2 * b * b, q**4),
+         (q ** (2 * n + 2) * c * c, q**4), (q**2 * c * c / (b * b), q**4)],
+        [(q ** (n + 1) * b, q**2), (c, q**2), (q ** (2 * n) * c * c, q**2),
+         (q ** (1 - n) * c / b, q**2), (q**2, q**4), (q ** (2 - 2 * n) * b * b, q**4),
+         (q**2 * c * c, q**4), (q ** (2 * n + 2) * c * c / (b * b), q**4)],
+    )),
+    "T_ANDREWS_WHIPPLE_E": ("q c e", lambda q, c, e, n: _qp_quotient(
+        q ** (n * (n + 1) // 2),
+        [(q**-n * e, q**2), (q ** (n + 1) * e, q**2), (q ** (1 - n) * c * c / e, q**2),
+         (q ** (n + 2) * c * c / e, q**2)],
+        [(e, q), (q * c * c / e, q)],
+    )),
+}
+PRINTED_POINTS = [
+    (F(1, 2), F(1, 3), F(1, 5)),
+    (F(2, 5), F(4, 5), F(1, 8)),
+    (F(2, 3), F(3, 7), F(2, 9)),
+    (F(3, 5), E(F(-1, 4), F(1, 3)), F(2, 7)),
+]
+
+
+def _mp(x):
+    x = E.coerce(x)
+    return mpmath.mpc(mpmath.mpf(x.re.numerator) / x.re.denominator,
+                      mpmath.mpf(x.im.numerator) / x.im.denominator)
+
+
+class TestPrintedProducts:
+    @pytest.mark.parametrize("ident", sorted(PRINTED_RHS))
+    def test_rhs_data_matches_printed_products(self, ident):
+        names, printed = PRINTED_RHS[ident]
+        rhs_value = lookup(ident).rhs_value
+        for point in PRINTED_POINTS:
+            params = dict(zip(names.split(), point))
+            for n in range(7):
+                exact = rhs_value(params, n)
+                if lookup(ident).structural_zero and n % 2 == 1:
+                    # a numerator factor (q^(-4m); q^4)_inf vanishes at n = 2m + 1
+                    assert exact == E(0), (point, n)
+                    continue
+                with mpmath.workprec(256):
+                    reference = printed(*map(_mp, point), n)
+                    assert abs(_mp(exact) - reference) <= 1e-60 * abs(reference), (point, n)
 
 
 class TestSweep:
@@ -258,9 +321,7 @@ class TestSweep:
     def test_each_point_evaluated_once(self, monkeypatch):
         # counters wrapped around each record's sides, as the benchmark tracer
         # does; seed 7 accepts its first draw, so no rejected draw adds
-        # evaluations and each of the 9 points is evaluated exactly once.  An
-        # approx-only record screens its RHS at 128 bits, so the sweep
-        # certifies that side a second time at its own precision and eps.
+        # evaluations and each of the 9 points is evaluated exactly once
         import dataclasses
 
         from qident import identities
@@ -272,7 +333,7 @@ class TestSweep:
 
             return wrapper
 
-        for ident, rhs_evals in (("T_BAILEY41", 9), ("T_GASPER_RAHMAN_WATSON", 18)):
+        for ident, rhs_evals in (("T_BAILEY41", 9), ("T_GASPER_RAHMAN_WATSON", 9)):
             rec = lookup(ident)
             calls = {"lhs": 0, "rhs": 0, "draws": 0}
             monkeypatch.setitem(identities._REGISTRY, rec.id, dataclasses.replace(
