@@ -28,7 +28,7 @@ from .errors import (
     check_eps,
 )
 from . import identities, integrals, products
-from .qkernel import DEFAULT_PRECISION_BITS, parse_exact
+from .qkernel import DEFAULT_PRECISION_BITS, ApproxScalar, parse_exact
 from .reporting import ReportFile
 
 EXIT_OK = 0
@@ -261,6 +261,9 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "eps", None) is not None:
             check_eps(args.eps)  # the value as given, before any check derives its own
+        if getattr(args, "precision_bits", ApproxScalar.MIN_BITS) < ApproxScalar.MIN_BITS:
+            raise DomainError(f"--precision-bits must be >= {ApproxScalar.MIN_BITS}, "
+                              f"got {args.precision_bits}")
         return args.func(args)
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,21 +16,30 @@ trapezoidal rule*, SIAM Rev. 56(3), 2014, Thm 3.2); N is the least multiple of
 circles |w| = e^(+-a), a below -log of the largest denominator modulus:
 |(x; q)_inf| <= (-|x|; |q|)_inf for a numerator product, 1/|(x; q)_inf| <=
 1/(|x|; |q|)_inf for a denominator product, and the 3phi2 kernel's absolute
-majorant series.  The same majorants on |w| = 1 fix each product's factor
-count, the kernel's term count and the working bits, so the nodes evaluate
-one fixed analytic function, which M bounds.
+majorant series.  The same majorants on |w| = 1 fix the truncations and the
+working bits, so the nodes evaluate one fixed analytic function, which M bounds.
+
+Before any node runs, everything free of w is computed once.  Two numerator
+arguments C w^e and (q/C) w^-e form a theta pair theta(C w^e; q), evaluated as
+its Jacobi triple-product series: a Laurent polynomial in w with exact
+coefficients (-1)^k q^(k(k-1)/2) C^k over (q; q)_inf, cut where a ratio bound
+proves the tail small, and summed by Horner's rule in w and conj(w).  Two
+denominator arguments +-C w^e form one product (C^2 w^(2e); q^2)_inf.  The
+pairs are read off the exact data, and the product of a pair's two majorants
+bounds it, so M and N are as unfolded.  The 3phi2 kernel's term ratios keep
+w-free constants rho_k, and the nodes run its term loop on plain ints, the rest
+on the fixed-point primitives of :mod:`qident.qkernel`.
 
 Every denominator argument, and the kernel's l2 w/sigma and zc w/sigma, must
 keep modulus below one on the contour (which also places the kernel's poles).
-The moduli are checked before any node runs.  The nodes run on the
-fixed-point primitives of :mod:`qident.qkernel` with the constants converted
-once.  At a real point (real parameters, f and sigma) the base and the kernel's
-u1, u2 and l1 are real, and every other argument is a constant C times w^(+-1),
-with C real in the base-p^4 family and imaginary in IR_SCHLOSSER and
-IR_SRIV_JAIN.  So f(-psi), or f(pi - psi), is conj f(psi): a map of the N
-nodes onto themselves, under which N/2 + 1 evaluations give the same N-node
-sum, with the same bound, N, factor counts and working bits.  Any other point
-(a complex z or f, say) evaluates all N nodes.
+The moduli are checked before any node runs.  At a real point (real
+parameters, f and sigma) the base and the kernel's u1, u2 and l1 are real, and
+every other argument is a constant C times w^(+-1), with C real in the
+base-p^4 family and imaginary in IR_SCHLOSSER and IR_SRIV_JAIN.  So f(-psi),
+or f(pi - psi), is conj f(psi): a map of the N nodes onto themselves, under
+which N/2 + 1 evaluations give the same N-node sum, with the same bound, N,
+truncations and working bits.  Any other point (a complex z or f, say)
+evaluates all N nodes.
 
 theta(x; q) here is (x; q)_inf (q/x; q)_inf.  Displays whose f-elements did
 not form theta pairs (x, q/x) as printed are implemented with the paired form
@@ -40,6 +49,7 @@ f-independence and sigma-independence of the results confirm it numerically.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -203,32 +213,111 @@ def _kernel_majorant(kabs, Q: float, rho: float, tail: float) -> tuple[float, in
     return math.inf, None
 
 
+def _theta_pair(C, base, budget: float) -> tuple[list, list, int]:
+    """(plus, minus, K): theta(C x; q) is within budget, on |x| = 1, of
+    sum_(k>=0) plus[k] x^k + sum_(m>=1) minus[m-1] conj(x)^m over (q; q)_K,
+    q = base, the coefficients exact.
+
+    By the Jacobi triple product (Gasper & Rahman, *Basic Hypergeometric
+    Series*, 2nd ed., (1.6.1)), theta(y; q) (q; q)_inf is the sum over all
+    integers k of c_k = (-1)^k q^(k(k-1)/2) y^k: plus holds k >= 0, in C, and
+    minus k = -m, the same series in q/C.  |c_(k+1) / c_k| = r_k = |C| |q|^k
+    decreases, so a side cut at c_K with r_K < 1 has a tail of at most
+    |c_K| r_K / (1 - r_K), kept under budget / (4G), G = e^lambda >= 1/(|q|;
+    |q|)_inf.  (q; q)_K has log-tail L <= (2/5) budget / (G S), S the series'
+    absolute majorant, so 1/(q; q)_K errs by at most (5/4) L G: each part
+    contributes at most budget / 2.
+    """
+    Q = base.abs_upper()
+    G = math.exp(_log_poch_majorant(Q, Q, True))
+    sides, tail = [], budget / (4 * G)
+    for x in (C, base / C):
+        coeffs, c, r = [E(1)], 1.0, x.abs_upper()  # c and r bound |c_k| and r_k
+        while r >= 1 or c * r / (1 - r) > tail:
+            coeffs.append(-coeffs[-1] * x)
+            x, c, r = x * base, c * r, r * Q
+        sides.append(coeffs)
+    plus, minus = sides[0], sides[1][1:]
+    S = 2 * tail + sum(c.abs_upper() for c in plus + minus)
+    return plus, minus, _factor_count(Q, Q, 0.4 * budget / (G * S))[0]
+
+
+def _theta_fixed(series, base, wp: int) -> tuple[list, list]:
+    """A :func:`_theta_pair` series as fixed-point coefficients over (q; q)_K,
+    highest power first, for :func:`_laurent`."""
+    plus, minus, K = series
+    q = _fx(base, wp)
+    scale = _div((1 << wp, 0), _qprod(q, q, K, wp), wp)
+    return tuple([_mul(_fx(c, wp), scale, wp) for c in reversed(cs)] for cs in (plus, minus))
+
+
+def _laurent(plus: list, minus: list, x: tuple, wp: int) -> tuple:
+    """sum_k plus[-1-k] x^k + sum_(m>=1) minus[-m] conj(x)^m for a fixed-point x
+    on the unit circle, by Horner's rule in x and in conj(x) = 1/x."""
+    xr, xi = x
+    sr = si = tr = ti = 0
+    for cr, ci in plus:
+        sr, si = ((sr * xr - si * xi) >> wp) + cr, ((sr * xi + si * xr) >> wp) + ci
+    for cr, ci in minus:
+        tr, ti = tr + cr, ti + ci
+        tr, ti = (tr * xr + ti * xi) >> wp, (ti * xr - tr * xi) >> wp
+    return sr + tr, si + ti
+
+
+def _fold(num, den, base, sig) -> tuple[list, list, list, list]:
+    """(nums, dens, thetas, pms): each node argument as (C, |C|, e), for C w^e,
+    and the index pairs read off the exact data that fold: (i, j) of nums with
+    C_i C_j = base and e_j = -e_i, theta(C_i w^e_i; base), and (i, j) of dens
+    with C_j = -C_i and e_j = e_i, (C_i^2 w^(2 e_i); base^2)_inf."""
+    def node_arg(c, form):  # on the unit circle w^-1 = conj(w)
+        C = c / sig if form == _WS else c * sig
+        return C, C.abs_upper(), 1 if form == _WS else -1
+
+    def pairs(args, joins):  # the first match first, each index in one pair at most
+        out = []
+        for i, j in itertools.combinations(range(len(args)), 2):
+            if not {i, j} & {k for pair in out for k in pair} and joins(args[i], args[j]):
+                out.append((i, j))
+        return out
+
+    nums, dens = ([node_arg(c, form) for c, form in args] for args in (num, den))
+    thetas = pairs(nums, lambda x, y: y[2] == -x[2] and x[0] * y[0] == base)
+    return nums, dens, thetas, pairs(dens, lambda x, y: y[2] == x[2] and y[0] == -x[0])
+
+
 def _node_integrand(num, den, kernel, base, sig,
                     tol: float) -> tuple[Callable, int | None, list, int]:
-    """(integrand, mirror, strips, wp): psi -> prod (x; base)_K over num / prod
-    over den * 3phi2 kernel at w = e^(i psi), to within tol of the untruncated
-    value.
+    """(integrand, mirror, strips, wp): psi -> prod (x; base)_inf over num / prod
+    over den * 3phi2 kernel at w = e^(i psi), to within tol.
 
     num and den hold exact node arguments (c, form); kernel ([u1, u2, u3], [l1,
     l2], zc) stands for 3phi2(u1, u2, u3 sigma/w; l1, l2 w/sigma; base, zc
     w/sigma).  The majorant pass gives strips, the pairs (a, M) for
-    :func:`integrate_periodic`, each product's factor count K, the kernel's term
-    count T and the working bits wp.  Truncating the products and the kernel
-    take a proven quarter of tol each.  Rounding has the other half by a margin,
-    not yet a proof: each operation errs by under 2^-wp and the majorants bound
-    every intermediate, so wp is log2(operations x magnitude / tol) + 4.
+    :func:`integrate_periodic`, and on |w| = 1 the bound mag, the kernel's term
+    count T and the working bits wp.  Everything free of w is computed here.
+
+    :func:`_fold` gives the pairs; each theta pair is a :func:`_theta_pair`
+    series, each +- pair one product in base^2 and each other argument a
+    product (x; base)_K.  Each of these n factors, its majorant m_j the product
+    of its arguments' majorants, errs by at most t m_j, t = tol / (4 n mag); as
+    every factor and its truncation is at most m_j, the products err by at most
+    sum_j t m_j prod_(i!=j) m_i = tol / 4.  A product's log-tail L is at most
+    4t/5, as it errs by m_j (e^L - 1) <= m_j 5L/4 (L <= 1/5).  The kernel's
+    truncation takes a proven quarter of tol too.  Rounding has the other half
+    by a margin, not yet a proof: each operation errs by under 2^-wp and the
+    majorants bound every intermediate, so wp is log2(operations x mag / tol) +
+    4, counting the product factors, the series terms and 8 per kernel term.
+
+    The kernel's term ratio k is rho_k (w - u3 sigma q^k) / (1 - (l2/sigma) q^k
+    w), as w conj(w) = 1, with rho_k = (1 - u1 q^k)(1 - u2 q^k)(zc/sigma) /
+    ((1 - q^(k+1))(1 - l1 q^k)) computed here.
 
     mirror, for :func:`integrate_periodic`, is read off the exact data: with
     the base, u1, u2 and l1 real, it is 1 when every w-dependent constant C
     (of the node arguments and of u3 sigma/w, l2 w/sigma and zc w/sigma) is
     real, -1 when every C is imaginary, and otherwise None.
     """
-    def node_arg(c, form):
-        # (C, |C|, e): the argument is C w^e; on the unit circle w^-1 = conj(w)
-        C = c / sig if form == _WS else c * sig
-        return C, C.abs_upper(), 1 if form == _WS else -1
-
-    nums, dens = ([node_arg(c, form) for c, form in args] for args in (num, den))
+    nums, dens, thetas, pms = _fold(num, den, base, sig)
     (u1, u2, u3), (l1, l2), zc = kernel
     cs = [C for C, _, _ in nums + dens] + [u3 * sig, l2 / sig, zc / sig]
     mirror = None
@@ -247,21 +336,32 @@ def _node_integrand(num, den, kernel, base, sig,
     a_max = -math.log(max(m for _, m in moduli))
     Q = base.abs_upper()
 
-    def products(rho):  # the ten products' majorant on |w| = rho, inf past float range
-        log_m = sum(_log_poch_majorant(m * rho**e, Q, is_den)
-                    for args, is_den in ((nums, False), (dens, True)) for _, m, e in args)
+    def log_majorants(rho):  # of each argument's product on |w| = rho
+        return [_log_poch_majorant(m * rho**e, Q, is_den)
+                for args, is_den in ((nums, False), (dens, True)) for _, m, e in args]
+
+    def products(rho):  # the ten products' majorant, inf past float range
+        log_m = sum(log_majorants(rho))
         return math.exp(log_m) if log_m < 700 else math.inf
 
-    # the unit circle: factor counts, term count, working bits
+    # the unit circle: term counts, working bits
     products_1 = products(1.0)
     tail = tol / (4 * products_1)
     kernel_1, T = _kernel_majorant(kabs, Q, 1.0, tail)
     mag = products_1 * kernel_1
     if T is None or mag == math.inf:
         raise NoConvergence("the node integrand has no finite majorant on the unit circle")
-    tol_p = tol / (5 * len(nums + dens) * mag)  # e^x - 1 <= 5x/4 for x <= 1/5
-    Ks = [_factor_count(m, Q, tol_p)[0] for _, m, _ in nums + dens]
-    wp = max(64, math.ceil(math.log2(sum(Ks) + 8 * T) + math.log2(mag) - math.log2(tol)) + 4)
+    singles = [(x, op) for args, pairs, op in ((nums, thetas, _mul), (dens, pms, _div))
+               for i, x in enumerate(args) if i not in itertools.chain(*pairs)]
+    t = tol / (4 * (len(thetas) + len(pms) + len(singles)) * mag)
+    # (C, power of w, base, K, op) per product, the +- pairs in base^2
+    prods = [(C, e, base, _factor_count(m, Q, 0.8 * t)[0], op) for (C, m, e), op in singles]
+    prods += [(dens[i][0] ** 2, 2 * dens[i][2], base * base,
+               _factor_count(dens[i][1] ** 2, Q * Q, 0.8 * t)[0], _div) for i, _ in pms]
+    lm = log_majorants(1.0)
+    series = [_theta_pair(nums[i][0], base, t * math.exp(lm[i] + lm[j])) for i, j in thetas]
+    ops = sum(K for *_, K, _ in prods) + sum(len(p) + len(m) for p, m, _ in series) + 8 * T
+    wp = max(64, math.ceil(math.log2(ops) + math.log2(mag) - math.log2(tol)) + 4)
 
     strips = []
     for i in range(1, 11):
@@ -272,37 +372,39 @@ def _node_integrand(num, den, kernel, base, sig,
     if all(M == math.inf for _, M in strips):
         raise NoConvergence("no strip off the unit circle has a finite integrand majorant")
 
-    def fixed(x):
-        return _fx(x.to_approx(wp).value, wp)
-
-    q = fixed(base)
-    consts = [(fixed(C), e < 0, K) for (C, _, e), K in zip(nums + dens, Ks)]
-    prods = (consts[:len(nums)], _mul), (consts[len(nums):], _div)
-    powers = [fixed(x) for x in (u1, u2, u3 * sig, l1, l2 / sig, base)]
-    zw = fixed(zc / sig)
-    # Kernel term k is term k-1 times n_k / d_k where, as w conj(w) = 1,
-    #   n_k = (1 - u1 q^k) (1 - u2 q^k) (zc/sigma) (w - u3 sigma q^k),
-    #   d_k = (1 - q^(k+1)) (1 - l1 q^k) (1 - (l2/sigma) q^k w).
-    # steps keeps what does not depend on w for the T - 1 ratios.
+    thetas = [(*_theta_fixed(sr, base, wp), nums[i][2]) for sr, (i, _) in zip(series, thetas)]
+    prods = [(_fx(C, wp), e, _fx(b, wp), K, op) for C, e, b, K, op in prods]
+    q = _fx(base, wp)
+    powers = [_fx(x, wp) for x in (u1, u2, u3 * sig, l1, l2 / sig, base)]
+    zw = _fx(zc / sig, wp)
+    # steps: (rho_k, rho_k u3 sigma q^k, (l2/sigma) q^k) for the T - 1 ratios
     steps = []
     for _ in range(T - 1):
         a1, a2, a3, b1, b2, qk1 = powers
-        n = _mul(_mul(_one_minus(a1, wp), _one_minus(a2, wp), wp), zw, wp)
-        steps.append((n, a3, _mul(_one_minus(qk1, wp), _one_minus(b1, wp), wp), b2))
+        rho = _div(_mul(_mul(_one_minus(a1, wp), _one_minus(a2, wp), wp), zw, wp),
+                   _mul(_one_minus(qk1, wp), _one_minus(b1, wp), wp), wp)
+        steps.append((*rho, *_mul(rho, a3, wp), *b2))
         powers = [_mul(x, q, wp) for x in powers]
     one = 1 << wp
 
     def integrand(psi):
-        w = _fx(mpmath.expjpi(psi / mpmath.pi), wp)
-        wc = w[0], -w[1]
-        term = value = (one, 0)
-        for n, a3, d, b2 in steps:
-            n = _mul(n, (w[0] - a3[0], w[1] - a3[1]), wp)
-            term = _div(_mul(term, n, wp), _mul(d, _one_minus(_mul(b2, w, wp), wp), wp), wp)
-            value = value[0] + term[0], value[1] + term[1]
-        for consts, op in prods:
-            for C, conj, K in consts:
-                value = op(value, _qprod(_mul(C, wc if conj else w, wp), q, K, wp), wp)
+        w = wr, wi = _fx(mpmath.expjpi(psi / mpmath.pi), wp)
+        w2 = _mul(w, w, wp)
+        xs = {1: w, -1: (wr, -wi), 2: w2, -2: (w2[0], -w2[1])}
+        tr, ti = vr, vi = one, 0
+        for rr, ri, pr, pi, br, bi in steps:
+            # term *= rho (w - a3) / (1 - b2 w), as term rho (w - a3) conj(d) / |d|^2
+            nr, ni = ((rr * wr - ri * wi) >> wp) - pr, ((rr * wi + ri * wr) >> wp) - pi
+            nr, ni = (tr * nr - ti * ni) >> wp, (tr * ni + ti * nr) >> wp
+            dr, di = one - ((br * wr - bi * wi) >> wp), -((br * wi + bi * wr) >> wp)
+            d2 = dr * dr + di * di
+            tr, ti = ((nr * dr + ni * di) << wp) // d2, ((ni * dr - nr * di) << wp) // d2
+            vr, vi = vr + tr, vi + ti
+        value = vr, vi
+        for plus, minus, e in thetas:
+            value = _mul(value, _laurent(plus, minus, xs[e], wp), wp)
+        for C, e, b, K, op in prods:
+            value = op(value, _qprod(_mul(C, xs[e], wp), b, K, wp), wp)
         re, im = value
         return mpmath.mpc(mpmath.ldexp(re, -wp), mpmath.ldexp(im, -wp))
 

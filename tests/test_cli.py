@@ -249,6 +249,22 @@ class TestVerify:
         assert err == f"error: eps must be positive, got {float(argv[-1])!r}\n"
 
 
+    @pytest.mark.parametrize("bits", ["-5", "8", "63"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "T_BAILEY41", "--params", "q=1/2,a=1/3,b=1/5", "--n", "2"],
+        ["sweep", "T_BAILEY41", "--trials", "1"],
+        ["verify", "SRIV_JAIN", "--params", "q=1/2,a=1/3,b=1/4,z=1/5"],
+        ["verify", "IR_SRIV_JAIN", "--params", "q=1/2,a=1/3,b=2/5,z=1/5", "--sigma", "3/5",
+         "--f", "3/2"],
+    ])
+    def test_precision_bits_below_minimum_is_named(self, capsys, argv, bits):
+        # one check for every id, before any check runs: the exact summation
+        # records, which use no working precision, reject it too
+        code, out, err = run_cli(capsys, *argv, "--precision-bits", bits)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: --precision-bits must be >= 64, got {bits}\n"
+
+
 class TestSweepAndReport:
     def test_sweep_runs_and_roundtrips(self, capsys, tmp_path):
         out_path = tmp_path / "sweep.json"

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from qident import integrals
@@ -25,7 +26,7 @@ from qident.integrals import (
     verify_integral_rep,
 )
 from qident.products import product_sides, side_value
-from qident.qkernel import ApproxScalar, ExactScalar, qpoch_infinite
+from qident.qkernel import ApproxScalar, ExactScalar, _fx, qpoch_infinite
 from qident.series import SeriesSpec, eval_phi_nonterminating
 
 E = ExactScalar
@@ -66,6 +67,43 @@ class TestTheta:
                 ref *= (1 + q**k) * (1 + q * q**k)
             v = theta(E(F(-1)), E(F(1, 2)), 1e-35, 256)
             assert abs(v.value - ref) < 1e-33
+
+
+def _unit(t):
+    """The exact point ((1 - t^2) + 2t i) / (1 + t^2) of the unit circle."""
+    return E(1 - t * t, 2 * t) / (1 + t * t)
+
+
+class TestThetaSeries:
+    # the node's theta evaluator (the triple-product series over (q; q)_K and
+    # its Horner sum) against mpmath's products at four times its precision;
+    # budgets from 1e-5 to 1e-40 keep the truncation a visible part of the error
+    @given(
+        st.fractions(min_value=F(1, 20), max_value=F(9, 10), max_denominator=20),
+        st.sampled_from([F(0), F(1, 3), F(-2, 5), F(3, 2)]),
+        st.fractions(min_value=F(1, 10), max_value=10, max_denominator=10),
+        st.fractions(min_value=-2, max_value=2, max_denominator=5),
+        st.sampled_from([1, -1]), st.integers(0, 255), st.integers(5, 40),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_series_against_qp_oracle(self, r, t, R, s, e, j, digits):
+        # q = r u(t), real when t = 0; x = C w^e, C = R u(s), |x| = R on |w| = 1
+        q, C = E(r) * _unit(t), E(R) * _unit(s)
+        budget, wp = 10.0**-digits, 200
+        plus, minus = integrals._theta_fixed(integrals._theta_pair(C, q, budget), q, wp)
+        with mp.workprec(4 * wp):
+            w = mpmath.expjpi(mpmath.mpf(j) / 128 - 1)  # psi = -pi + 2 pi j / 256
+            u = _fx(w, wp)
+            re, im = integrals._laurent(plus, minus, u if e == 1 else (u[0], -u[1]), wp)
+            got = mpmath.mpc(mpmath.ldexp(re, -wp), mpmath.ldexp(im, -wp))
+            qv, x = (mpmath.mpc(mpmath.mpf(v.re.numerator) / v.re.denominator,
+                                mpmath.mpf(v.im.numerator) / v.im.denominator) for v in (q, C))
+            x *= w**e
+            ref = mpmath.qp(x, qv) * mpmath.qp(qv / x, qv)
+            # rounding: each of the fewer than 2^12 operations errs by under
+            # 2^-wp relative to the series' absolute majorant
+            majorant = mpmath.qp(-abs(x), abs(qv)) * mpmath.qp(-abs(qv / x), abs(qv))
+            assert abs(got - ref) <= budget + 2.0 ** (12 - wp) * majorant, (budget, abs(got - ref))
 
 
 def _geometric(r):
@@ -304,7 +342,7 @@ class TestIntegralReps:
         r1, r2 = (verify_integral_rep("IR_SCHLOSSER", params, sigma=sigma, f=F(3, 2), eps=1e-10)
                   for _ in range(2))
         assert r1 == r2 and r1.passed
-        assert r1.note == "quadrature nodes=512 bound=1.251e-13 working_bits=82"
+        assert r1.note == "quadrature nodes=512 bound=1.251e-13 working_bits=81"
 
     def test_zero_f_rejected(self):
         params, sigma, _ = POINTS["IR_SRIV_JAIN"]
@@ -398,3 +436,53 @@ class TestNodeKernel:
         rep = verify_integral_rep("IR_SRIV_JAIN", params, sigma=sigma, f=F(3, 2))
         assert rep.passed and mirrors == [None]
         assert len(calls) == len(set(calls)) == rep.quadrature_nodes == 256
+
+
+def _folds(monkeypatch, nudge=None):
+    """The (theta pairs, +- pairs) that every integrand built folds, the node
+    arguments first passed through nudge(num, den) when given."""
+    folds, fold, build = [], integrals._fold, integrals._node_integrand
+
+    def recording(*args):
+        nums, dens, thetas, pms = fold(*args)
+        folds.append((len(thetas), len(pms)))
+        return nums, dens, thetas, pms
+
+    def nudged(num, den, *rest):
+        return build(*nudge(list(num), list(den)), *rest)
+
+    monkeypatch.setattr(integrals, "_fold", recording)
+    if nudge is not None:
+        monkeypatch.setattr(integrals, "_node_integrand", nudged)
+    return folds
+
+
+def _scale(args, indices, factor=1 + F(1, 10**40)):
+    return [(c * factor, form) if i in indices else (c, form) for i, (c, form) in enumerate(args)]
+
+
+class TestFolding:
+    @pytest.mark.parametrize("ident", sorted(INTEGRAL_IDS))
+    def test_pairs_are_read_off_the_data(self, ident, monkeypatch):
+        # two theta pairs of the five numerator arguments everywhere; +- pairs
+        # (i sigma/w, -i sigma/w) in both, and (i b w/sigma, -i b w/sigma) in
+        # IR_SRIV_JAIN; none in the base-p^4 family
+        folds = _folds(monkeypatch)
+        params, sigma, _ = POINTS[ident]
+        integrals._descriptor(ident, params, sigma, F(3, 2), 1e-15, 256)
+        assert folds == [(2, {"IR_SCHLOSSER": 1, "IR_SRIV_JAIN": 2}.get(ident, 0))]
+
+    @pytest.mark.parametrize("ident, num_nudged, den_nudged, expected", [
+        # sigma nudged in the two sigma/w numerator arguments: C_i C_j = base nowhere
+        ("IR_THM21", (0, 1), (), (0, 0)),
+        ("IR_SCHLOSSER", (), (0,), (2, 0)),
+        ("IR_SRIV_JAIN", (0,), (3,), (1, 1)),
+    ])
+    def test_nudged_constant_is_not_folded(self, ident, num_nudged, den_nudged, expected,
+                                           monkeypatch):
+        # a pair off by 1e-40 runs as its two products, and the check still passes
+        folds = _folds(monkeypatch,
+                       lambda num, den: (_scale(num, num_nudged), _scale(den, den_nudged)))
+        params, sigma, _ = POINTS[ident]
+        rep = verify_integral_rep(ident, params, sigma=sigma, f=F(3, 2), eps=1e-20)
+        assert folds == [expected] and rep.passed, rep.rel_err
