@@ -26,7 +26,7 @@ class NoConvergence(QIdentError):
 
 
 class ZeroArgument(QIdentError):
-    """The theta function was called with x = 0."""
+    """An argument that must be nonzero is zero: theta's x, or a divisor parameter."""
 
 
 class HypothesisViolation(QIdentError):

@@ -20,15 +20,15 @@ majorant series.  The same majorants on |w| = 1 fix the truncations and the
 working bits, so the nodes evaluate one fixed analytic function, which M bounds.
 
 Before any node runs, everything free of w is computed once.  Two numerator
-arguments C w^e and (q/C) w^-e form a theta pair theta(C w^e; q), evaluated as
-its Jacobi triple-product series: a Laurent polynomial in w with exact
-coefficients (-1)^k q^(k(k-1)/2) C^k over (q; q)_inf, cut where a ratio bound
-proves the tail small, and summed by Horner's rule in w and conj(w).  Two
-denominator arguments +-C w^e form one product (C^2 w^(2e); q^2)_inf.  The
-pairs are read off the exact data, and the product of a pair's two majorants
-bounds it, so M and N are as unfolded.  The 3phi2 kernel's term ratios keep
-w-free constants rho_k, and the nodes run its term loop on plain ints, the rest
-on the fixed-point primitives of :mod:`qident.qkernel`.
+arguments C w^e and (q/C) w^-e form a theta pair theta(C w^e; q), run as its
+Jacobi triple-product series, with 1/(q; q)_inf in its exact coefficients; two
+denominator arguments +-C w^e form one product (C^2 w^(2e); q^2)_inf, which,
+like each other argument's product, runs as Euler's series in w^e with exact
+coefficients.  Each series is cut where a ratio bound proves its tail small and
+summed by Horner's rule in w or conj(w), and the denominators are divided once
+per node.  The pairs are read off the exact data, and the product of a pair's
+two majorants bounds it, so M and N are as unfolded.  The 3phi2 kernel's term
+ratios keep w-free constants rho_k; the nodes run on fixed-point ints.
 
 Every denominator argument, and the kernel's l2 w/sigma and zc w/sigma, must
 keep modulus below one on the contour (which also places the kernel's poles).
@@ -213,31 +213,43 @@ def _kernel_majorant(kabs, Q: float, rho: float, tail: float) -> tuple[float, in
     return math.inf, None
 
 
+def _euler(C, base, budget: float, theta: bool = False) -> list:
+    """Exact c_0, ..., c_K: sum_(n<=K) c_n x^n is within budget, on |x| = 1, of
+    Euler's series (C x; q)_inf = sum_n (-1)^n q^(n(n-1)/2) (C x)^n / (q; q)_n,
+    q = base (Gasper & Rahman, *Basic Hypergeometric Series*, 2nd ed.,
+    (1.3.16)), or with theta of sum_n (-1)^n q^(n(n-1)/2) (C x)^n.
+
+    |c_(n+1) / c_n| <= r_n = |C| |q|^n / (1 - |q|^(n+1)), or |C| |q|^n with
+    theta, decreases, so a cut at c_K with r_K < 1 has a tail of at most |c_K|
+    r_K / (1 - r_K).  Without theta the |c_n| sum to at most (-|C|; |q|)_inf.
+    """
+    Q = base.abs_upper()
+    coeffs, x, qk = [E(1)], C, E(0) if theta else base  # x = C q^n, qk = q^(n+1)
+    c, xa, Qk = 1.0, C.abs_upper(), 0.0 if theta else Q  # bounds on |c_n|, |x|, |qk|
+    while xa >= 1 - Qk or c * xa / (1 - Qk - xa) > budget:  # r_n >= 1, or the tail
+        coeffs.append(-coeffs[-1] * x / (1 - qk))
+        c, xa, Qk, x, qk = c * xa / (1 - Qk), xa * Q, Qk * Q, x * base, qk * base
+    return coeffs
+
+
 def _theta_pair(C, base, budget: float) -> tuple[list, list, int]:
     """(plus, minus, K): theta(C x; q) is within budget, on |x| = 1, of
     sum_(k>=0) plus[k] x^k + sum_(m>=1) minus[m-1] conj(x)^m over (q; q)_K,
     q = base, the coefficients exact.
 
-    By the Jacobi triple product (Gasper & Rahman, *Basic Hypergeometric
-    Series*, 2nd ed., (1.6.1)), theta(y; q) (q; q)_inf is the sum over all
-    integers k of c_k = (-1)^k q^(k(k-1)/2) y^k: plus holds k >= 0, in C, and
-    minus k = -m, the same series in q/C.  |c_(k+1) / c_k| = r_k = |C| |q|^k
-    decreases, so a side cut at c_K with r_K < 1 has a tail of at most
-    |c_K| r_K / (1 - r_K), kept under budget / (4G), G = e^lambda >= 1/(|q|;
-    |q|)_inf.  (q; q)_K has log-tail L <= (2/5) budget / (G S), S the series'
-    absolute majorant, so 1/(q; q)_K errs by at most (5/4) L G: each part
-    contributes at most budget / 2.
+    By the Jacobi triple product (Gasper & Rahman, (1.6.1)), theta(y; q) (q;
+    q)_inf is the sum over all integers k of (-1)^k q^(k(k-1)/2) y^k: plus
+    holds k >= 0, in C, and minus k = -m, the same series in q/C, each an
+    :func:`_euler` series with theta cut at budget / (4G), G = e^lambda >=
+    1/(|q|; |q|)_inf.  (q; q)_K has log-tail L <= (2/5) budget / (G S), S the
+    series' absolute majorant, so 1/(q; q)_K errs by at most (5/4) L G: each
+    part contributes at most budget / 2.
     """
     Q = base.abs_upper()
     G = math.exp(_log_poch_majorant(Q, Q, True))
-    sides, tail = [], budget / (4 * G)
-    for x in (C, base / C):
-        coeffs, c, r = [E(1)], 1.0, x.abs_upper()  # c and r bound |c_k| and r_k
-        while r >= 1 or c * r / (1 - r) > tail:
-            coeffs.append(-coeffs[-1] * x)
-            x, c, r = x * base, c * r, r * Q
-        sides.append(coeffs)
-    plus, minus = sides[0], sides[1][1:]
+    tail = budget / (4 * G)
+    plus, minus = (_euler(x, base, tail, theta=True) for x in (C, base / C))
+    minus = minus[1:]
     S = 2 * tail + sum(c.abs_upper() for c in plus + minus)
     return plus, minus, _factor_count(Q, Q, 0.4 * budget / (G * S))[0]
 
@@ -297,16 +309,20 @@ def _node_integrand(num, den, kernel, base, sig,
     count T and the working bits wp.  Everything free of w is computed here.
 
     :func:`_fold` gives the pairs; each theta pair is a :func:`_theta_pair`
-    series, each +- pair one product in base^2 and each other argument a
-    product (x; base)_K.  Each of these n factors, its majorant m_j the product
-    of its arguments' majorants, errs by at most t m_j, t = tol / (4 n mag); as
-    every factor and its truncation is at most m_j, the products err by at most
-    sum_j t m_j prod_(i!=j) m_i = tol / 4.  A product's log-tail L is at most
-    4t/5, as it errs by m_j (e^L - 1) <= m_j 5L/4 (L <= 1/5).  The kernel's
-    truncation takes a proven quarter of tol too.  Rounding has the other half
-    by a margin, not yet a proof: each operation errs by under 2^-wp and the
-    majorants bound every intermediate, so wp is log2(operations x mag / tol) +
-    4, counting the product factors, the series terms and 8 per kernel term.
+    series, each +- pair (in base^2) and each other argument an :func:`_euler`
+    series.  Each of these n factors, its majorant m_j the product of its
+    arguments' majorants, errs by at most t m_j, t = tol / (4 n mag).  A
+    numerator's series is cut at t m_j, and its partial sums, as a theta
+    series', are at most m_j.  A denominator's, P*, is cut at t / (2 m_j) from
+    its product P; as |P| >= 1/m_j, 1/P* is within t m_j / (2 - t) <= t m_j of
+    1/P and exceeds m_j by at most the factor 1 / (1 - t/2).  Telescoping with
+    the d denominators first, an error meets d - 1 such factors at most, and
+    (1 - t/2)^-d <= 2 as d t <= n t <= tol / 4 <= 1 (mag >= 1, tol <= 4): the
+    products err by at most sum_j t m_j prod_(i!=j) m_i = tol / 4.  The
+    kernel's truncation takes a proven quarter of tol too.  Rounding has the
+    other half by a margin, not yet a proof: each operation errs by under
+    2^-wp and the majorants bound every intermediate, so wp is log2(operations
+    x mag / tol) + 4, counting the series terms and 8 per kernel term.
 
     The kernel's term ratio k is rho_k (w - u3 sigma q^k) / (1 - (l2/sigma) q^k
     w), as w conj(w) = 1, with rho_k = (1 - u1 q^k)(1 - u2 q^k)(zc/sigma) /
@@ -351,16 +367,19 @@ def _node_integrand(num, den, kernel, base, sig,
     mag = products_1 * kernel_1
     if T is None or mag == math.inf:
         raise NoConvergence("the node integrand has no finite majorant on the unit circle")
-    singles = [(x, op) for args, pairs, op in ((nums, thetas, _mul), (dens, pms, _div))
-               for i, x in enumerate(args) if i not in itertools.chain(*pairs)]
-    t = tol / (4 * (len(thetas) + len(pms) + len(singles)) * mag)
-    # (C, power of w, base, K, op) per product, the +- pairs in base^2
-    prods = [(C, e, base, _factor_count(m, Q, 0.8 * t)[0], op) for (C, m, e), op in singles]
-    prods += [(dens[i][0] ** 2, 2 * dens[i][2], base * base,
-               _factor_count(dens[i][1] ** 2, Q * Q, 0.8 * t)[0], _div) for i, _ in pms]
-    lm = log_majorants(1.0)
+    # (C, power of w, base, log m_j, den) per product, each +- pair one in base^2
+    lm, k = log_majorants(1.0), len(nums)  # nums, then dens
+    paired = set(itertools.chain(*thetas, *((k + i, k + j) for i, j in pms)))
+    prods = [(C, e, base, lm[i], i >= k) for i, (C, _, e) in enumerate(nums + dens)
+             if i not in paired]
+    prods += [(dens[i][0] ** 2, 2 * dens[i][2], base * base, lm[k + i] + lm[k + j], True)
+              for i, j in pms]
+    t = tol / (4 * (len(thetas) + len(prods)) * mag)
     series = [_theta_pair(nums[i][0], base, t * math.exp(lm[i] + lm[j])) for i, j in thetas]
-    ops = sum(K for *_, K, _ in prods) + sum(len(p) + len(m) for p, m, _ in series) + 8 * T
+    # each Euler series cut at t m_j, or at t / (2 m_j) for a denominator
+    eulers = [(_euler(C, b, t / (2 * math.exp(L)) if den else t * math.exp(L)), e, den)
+             for C, e, b, L, den in prods]
+    ops = sum(len(p) + len(m) for p, m, _ in series) + sum(len(cs) for cs, _, _ in eulers) + 8 * T
     wp = max(64, math.ceil(math.log2(ops) + math.log2(mag) - math.log2(tol)) + 4)
 
     strips = []
@@ -372,8 +391,9 @@ def _node_integrand(num, den, kernel, base, sig,
     if all(M == math.inf for _, M in strips):
         raise NoConvergence("no strip off the unit circle has a finite integrand majorant")
 
-    thetas = [(*_theta_fixed(sr, base, wp), nums[i][2]) for sr, (i, _) in zip(series, thetas)]
-    prods = [(_fx(C, wp), e, _fx(b, wp), K, op) for C, e, b, K, op in prods]
+    # (coefficients, minus coefficients, power of w, den) per series, fixed-point
+    series = [(*_theta_fixed(sr, base, wp), nums[i][2], 0) for sr, (i, _) in zip(series, thetas)]
+    series += [([_fx(c, wp) for c in reversed(cs)], (), e, den) for cs, e, den in eulers]
     q = _fx(base, wp)
     powers = [_fx(x, wp) for x in (u1, u2, u3 * sig, l1, l2 / sig, base)]
     zw = _fx(zc / sig, wp)
@@ -400,12 +420,10 @@ def _node_integrand(num, den, kernel, base, sig,
             d2 = dr * dr + di * di
             tr, ti = ((nr * dr + ni * di) << wp) // d2, ((ni * dr - nr * di) << wp) // d2
             vr, vi = vr + tr, vi + ti
-        value = vr, vi
-        for plus, minus, e in thetas:
-            value = _mul(value, _laurent(plus, minus, xs[e], wp), wp)
-        for C, e, b, K, op in prods:
-            value = op(value, _qprod(_mul(C, xs[e], wp), b, K, wp), wp)
-        re, im = value
+        parts = [(vr, vi), (one, 0)]  # the numerator, and the denominator divided once
+        for plus, minus, e, den in series:
+            parts[den] = _mul(parts[den], _laurent(plus, minus, xs[e], wp), wp)
+        re, im = _div(*parts, wp)
         return mpmath.mpc(mpmath.ldexp(re, -wp), mpmath.ldexp(im, -wp))
 
     return integrand, mirror, strips, wp

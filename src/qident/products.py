@@ -22,7 +22,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .askey_wilson import AWParams, aw_hermite_degenerate, eval_aw
-from .errors import DivergenceError, DomainError, UnknownIdentity, check_eps, check_names
+from .errors import (DivergenceError, DomainError, UnknownIdentity, ZeroArgument, check_eps,
+                     check_names)
 from .powerseries import PowerSeriesTrunc, phi_series_coeffs
 from .qkernel import (
     _GUARD_BITS,
@@ -192,15 +193,9 @@ def triple_sum_32pf(
     triple, terms = _triple_sum_engine(ue, te, we, ae, be, ce, de, qe, eps / 8, precision_bits)
     rhs = triple * _product_quotient(1, [(ue / ae, qb), (ue / ce, qb)],
                                      [(ue * we, qb), (ue / we, qb)], precision_bits, eps / 32)
-    return make_report(
-        "TRIPLE_32PF",
-        params,
-        lhs,
-        rhs,
-        compare_approx(lhs, rhs, eps),
-        truncation_terms=lhs_terms + terms,
-        note="extra-parameter generating function",
-    )
+    return make_report("TRIPLE_32PF", params, lhs, rhs, compare_approx(lhs, rhs, eps),
+                       truncation_terms=lhs_terms + terms,
+                       note="extra-parameter generating function")
 
 
 def quad_cor13(
@@ -218,15 +213,8 @@ def quad_cor13(
     lhs = ApproxScalar(quad.value, precision_bits)
     rhs = _product_quotient(1, [(te * we, qb), (te / we, qb)], [(te / ae, qb), (te / ce, qb)],
                             precision_bits, eps / 32)
-    return make_report(
-        "QUAD_COR13",
-        params,
-        lhs,
-        rhs,
-        compare_approx(lhs, rhs, eps),
-        truncation_terms=terms,
-        note="closed-form quadruple summation",
-    )
+    return make_report("QUAD_COR13", params, lhs, rhs, compare_approx(lhs, rhs, eps),
+                       truncation_terms=terms, note="closed-form quadruple summation")
 
 
 # --------------------------------------------------------------------------
@@ -416,6 +404,8 @@ _VALUE_PARAMS = {
     "AWGF": "qabcdwt", "TRIPLE_32PF": "uwtabcdq", "QUAD_COR13": "twabcdq", "WD_APPELL": "qutabd",
     **{k: names + zname for k, (names, zname, _) in _SIDES.items()},
 }
+# the parameters that the value checks outside _SIDES divide by
+_DIVISORS = {"AWGF": "w", "TRIPLE_32PF": "tw", "QUAD_COR13": "w", "WD_APPELL": "adt"}
 COEFF_CHECK_IDS = tuple(k for k in _SIDES if not k.startswith("CAYLEY_ORR"))
 PRODUCT_IDS = tuple(_VALUE_PARAMS)
 
@@ -424,7 +414,18 @@ def product_sides(identity_id: str, params: dict) -> tuple:
     """(lhs, rhs) sides of a tabled identity at exact params; rhs is None for
     the Cayley-Orr lemmas, whose right side is a weighted coefficient sum."""
     names, _, build = _SIDES[identity_id]
-    return build(*(E(params[k]) for k in names))
+    try:
+        return build(*(E(params[k]) for k in names))
+    except ZeroDivisionError:  # the builders divide by parameters only
+        _nonzero(identity_id, params, names)
+        raise
+
+
+def _nonzero(identity_id: str, params: dict, names) -> None:
+    """ZeroArgument naming each parameter in names whose value is zero."""
+    zeros = [f"{k} = 0" for k in names if E(params[k]).is_zero()]
+    if zeros:
+        raise ZeroArgument(f"{identity_id} divides by a zero parameter: {', '.join(zeros)}")
 
 
 def side_value(side, z, eps: float, pb: int) -> tuple:
@@ -501,6 +502,7 @@ def verify_product(
     # QUAD_COR13 is TRIPLE_32PF at u = t: it accepts that check's point; the note names u
     named = {k: v for k, v in params.items() if not (identity_id == "QUAD_COR13" and k == "u")}
     check_names(identity_id, _VALUE_PARAMS[identity_id], named)
+    _nonzero(identity_id, params, _DIVISORS.get(identity_id, ""))
     if identity_id == "TRIPLE_32PF":
         return triple_sum_32pf(*(params[k] for k in "uwtabcdq"), eps, precision_bits)
     if identity_id == "QUAD_COR13":

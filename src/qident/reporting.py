@@ -64,9 +64,7 @@ class VerificationReport:
 
 
 def _err_str(e: Optional[float]) -> str:
-    if e is None:
-        return ""
-    return repr(float(e))
+    return "" if e is None else repr(float(e))
 
 
 def make_report(
@@ -102,10 +100,8 @@ def compare_exact(lhs: ExactScalar, rhs: ExactScalar):
     """(passed, abs_err, rel_err) under strict equality."""
     if lhs == rhs:
         return True, 0.0, 0.0
-    diff = lhs - rhs
-    abs_err = diff.abs_upper()
-    scale = max(1.0, rhs.abs_upper())
-    return False, abs_err, abs_err / scale
+    abs_err = (lhs - rhs).abs_upper()
+    return False, abs_err, abs_err / max(1.0, rhs.abs_upper())
 
 
 def compare_approx(lhs, rhs, eps: float):
@@ -114,15 +110,9 @@ def compare_approx(lhs, rhs, eps: float):
     rel_err is measured against max(1, |rhs|), matching the certified-error
     convention used by the evaluators.
     """
-    bits = 64
-    for v in (lhs, rhs):
-        if isinstance(v, ApproxScalar):
-            bits = max(bits, v.precision_bits)
-    la = lhs.value if isinstance(lhs, ApproxScalar) else lhs
-    ra = rhs.value if isinstance(rhs, ApproxScalar) else rhs
+    bits = max([64] + [v.precision_bits for v in (lhs, rhs) if isinstance(v, ApproxScalar)])
     with mpmath.mp.workprec(bits + 10):
-        la = mpmath.mpc(la)
-        ra = mpmath.mpc(ra)
+        la, ra = (mpmath.mpc(v.value if isinstance(v, ApproxScalar) else v) for v in (lhs, rhs))
         abs_err = float(abs(la - ra))
         rel_err = abs_err / max(1.0, float(abs(ra)))
     return rel_err <= eps, abs_err, rel_err
@@ -142,15 +132,9 @@ class ReportFile:
 
     @property
     def summary(self) -> dict:
-        total = len(self.entries)
-        passed = sum(1 for e in self.entries if e.passed)
+        total, passed = len(self.entries), sum(1 for e in self.entries if e.passed)
         degenerate = sum(1 for e in self.entries if e.degenerate)
-        return {
-            "total": total,
-            "passed": passed,
-            "failed": total - passed,
-            "degenerate": degenerate,
-        }
+        return dict(total=total, passed=passed, failed=total - passed, degenerate=degenerate)
 
     @property
     def all_passed(self) -> bool:
@@ -177,11 +161,6 @@ class ReportFile:
     @staticmethod
     def from_json(text: str) -> "ReportFile":
         payload = json.loads(text)
-        rf = ReportFile(
-            tool_version=payload["tool_version"],
-            config=payload["config"],
-            schema_version=payload["schema_version"],
-        )
-        for e in payload["reports"]:
-            rf.add(VerificationReport(**e))
-        return rf
+        return ReportFile(payload["tool_version"], payload["config"],
+                          [VerificationReport(**e) for e in payload["reports"]],
+                          payload["schema_version"])

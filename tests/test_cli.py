@@ -264,6 +264,25 @@ class TestVerify:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == f"error: --precision-bits must be >= 64, got {bits}\n"
 
+    @pytest.mark.parametrize("argv, name", [
+        (["SCHLOSSER_T4", "--params", "q=1/2,a=0,b=7/10,z=1/5"], "a"),
+        (["NASSRALLAH_1", "--params", "p=0,a=1/2,b=2/5,z=1/5"], "p"),
+        (["THM21", "--params", "p=0,a=1/2,b=2/5,z=1/5"], "p"),
+        (["IR_SCHLOSSER", "--params", "q=1/2,a=0,b=7/10,z=1/5", "--sigma", "4/5", "--f", "3/2"],
+         "a"),
+        (["IR_THM21", "--params", "p=0,a=1/2,b=2/5,z=1/5", "--sigma", "1/2", "--f", "3/2"], "p"),
+        (["AWGF", "--params", "q=1/2,a=1/3,b=1/5,c=1/7,d=1/11,w=0,t=1/5"], "w"),
+        (["WD_APPELL", "--params", "q=1/3,u=1/10,t=1/8,a=1/2,b=1/3,d=0"], "d"),
+        (["TRIPLE_32PF", "--params", "u=1/10,w=9/10,t=0,a=1/2,b=1/3,c=1/2,d=1/5,q=1/3"], "t"),
+        (["QUAD_COR13", "--params", "t=1/10,w=0,a=1/2,b=1/3,c=1/2,d=1/5,q=1/3"], "w"),
+    ])
+    def test_zero_divisor_parameter_is_named(self, capsys, argv, name):
+        # a side that divides by a zero parameter is malformed input, not a
+        # failed verdict: exit 2, naming the parameter
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith("error: ") and f"zero parameter: {name} = 0" in err, err
+
 
 class TestSweepAndReport:
     def test_sweep_runs_and_roundtrips(self, capsys, tmp_path):

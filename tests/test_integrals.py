@@ -26,7 +26,7 @@ from qident.integrals import (
     verify_integral_rep,
 )
 from qident.products import product_sides, side_value
-from qident.qkernel import ApproxScalar, ExactScalar, _fx, qpoch_infinite
+from qident.qkernel import ApproxScalar, ExactScalar, _div, _fx, qpoch_infinite
 from qident.series import SeriesSpec, eval_phi_nonterminating
 
 E = ExactScalar
@@ -104,6 +104,64 @@ class TestThetaSeries:
             # 2^-wp relative to the series' absolute majorant
             majorant = mpmath.qp(-abs(x), abs(qv)) * mpmath.qp(-abs(qv / x), abs(qv))
             assert abs(got - ref) <= budget + 2.0 ** (12 - wp) * majorant, (budget, abs(got - ref))
+
+
+def _euler_at(C, q, budget, e, j, wp):
+    """The node's Euler series for (C w^e; q)_inf at psi = -pi + 2 pi j / 256,
+    fixed point at wp, and x = C w^e and q as mpmath values at the working
+    precision (set it to 4 wp)."""
+    coeffs = [_fx(c, wp) for c in reversed(integrals._euler(C, q, budget))]
+    w = mpmath.expjpi(mpmath.mpf(j) / 128 - 1)
+    u = _fx(w, wp)
+    value = integrals._laurent(coeffs, (), u if e == 1 else (u[0], -u[1]), wp)
+    qv, x = (mpmath.mpc(mpmath.mpf(v.re.numerator) / v.re.denominator,
+                        mpmath.mpf(v.im.numerator) / v.im.denominator) for v in (q, C))
+    return value, x * w**e, qv
+
+
+def _mp(value, wp):
+    return mpmath.mpc(mpmath.ldexp(value[0], -wp), mpmath.ldexp(value[1], -wp))
+
+
+# |q| from 1/20 to 9/10, q real when its angle t is 0, the angle s of C, the
+# power e of w, the node j and the budget's digits
+_EULER_DRAWS = (
+    st.fractions(min_value=F(1, 20), max_value=F(9, 10), max_denominator=20),
+    st.sampled_from([F(0), F(1, 3), F(-2, 5), F(3, 2)]),
+    st.fractions(min_value=-2, max_value=2, max_denominator=5),
+    st.sampled_from([1, -1]), st.integers(0, 255), st.integers(5, 40),
+)
+
+
+class TestEulerSeries:
+    # the node's Euler series for a single product and the reciprocal it
+    # divides by, against mpmath's products at four times its precision;
+    # budgets from 1e-5 to 1e-40 keep the truncation a visible part of the error
+    @given(st.fractions(min_value=F(1, 10), max_value=10, max_denominator=10), *_EULER_DRAWS)
+    @settings(max_examples=10, deadline=None)
+    def test_numerator_against_qp_oracle(self, R, r, t, s, e, j, digits):
+        budget, wp = 10.0**-digits, 200
+        with mp.workprec(4 * wp):
+            value, x, qv = _euler_at(E(R) * _unit(s), E(r) * _unit(t), budget, e, j, wp)
+            # rounding: each of the fewer than 2^12 operations errs by under
+            # 2^-wp relative to the series' absolute majorant (-|x|; |q|)_inf
+            majorant = mpmath.qp(-abs(x), abs(qv))
+            err = abs(_mp(value, wp) - mpmath.qp(x, qv))
+            assert err <= budget + 2.0 ** (12 - wp) * majorant, (budget, err)
+
+    @given(st.fractions(min_value=F(1, 10), max_value=F(19, 20), max_denominator=20),
+           *_EULER_DRAWS)
+    @settings(max_examples=10, deadline=None)
+    def test_reciprocal_against_qp_oracle(self, R, r, t, s, e, j, digits):
+        # summed to budget / (2m), m = 1/(|x|; |q|)_inf >= 1/|(x; q)_inf|, the
+        # reciprocal is within budget m; rounding as above, times m^2
+        budget, wp = 10.0**-digits, 200
+        with mp.workprec(4 * wp):
+            m = 1 / mpmath.qp(abs(R), r)
+            value, x, qv = _euler_at(E(R) * _unit(s), E(r) * _unit(t), budget / (2 * m), e, j, wp)
+            majorant = mpmath.qp(-abs(x), abs(qv))
+            err = abs(_mp(_div((1 << wp, 0), value, wp), wp) - 1 / mpmath.qp(x, qv))
+            assert err <= budget * m + 2.0 ** (14 - wp) * majorant * m * m, (budget, err)
 
 
 def _geometric(r):
@@ -427,6 +485,33 @@ class TestNodeKernel:
             vals = [integrand(-mpmath.pi + 2 * mpmath.pi * j / n) for j in range(n)]
             full = 2 * mpmath.pi * mpmath.fsum(vals) / n
             assert abs(half.value - full) <= 2 * math.pi * tol, (ident, n)
+
+    @pytest.mark.parametrize("ident, eps, pinned", [
+        ("IR_SCHLOSSER", 1e-10, "quadrature nodes=512 bound=1.251e-13"),
+        ("IR_SRIV_JAIN", 1e-15, "quadrature nodes=192 bound=1.865e-22"),
+        ("IR_NASSRALLAH_1", 1e-15, "quadrature nodes=192 bound=3.718e-22"),
+        ("IR_NASSRALLAH_2", 1e-15, "quadrature nodes=192 bound=2.972e-22"),
+        ("IR_THM21", 1e-15, "quadrature nodes=192 bound=5.649e-22"),
+    ])
+    def test_nodes_run_no_factor_loop(self, ident, eps, pinned, monkeypatch):
+        # every single and +- product is an Euler series summed by Horner's
+        # rule: no _qprod runs at a node, only each theta pair's (q; q)_K
+        # while the integrand is built; N and the bound are those of the
+        # factor products the series replaced
+        calls, during, qprod, integrate = [], [], integrals._qprod, integrals.integrate_periodic
+
+        def counted(*args):
+            before = len(calls)
+            result = integrate(*args)
+            during.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(integrals, "_qprod", lambda *args: calls.append(args) or qprod(*args))
+        monkeypatch.setattr(integrals, "integrate_periodic", counted)
+        params, sigma, _ = POINTS[ident]
+        rep = verify_integral_rep(ident, params, sigma=sigma, f=F(3, 2), eps=eps)
+        assert rep.passed and during == [0] and len(calls) == 2
+        assert rep.note.startswith(pinned + " working_bits="), rep.note
 
     def test_complex_point_evaluates_every_node(self, monkeypatch):
         # a complex z breaks both mirrors: all N nodes run, and the check passes
