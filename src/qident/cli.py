@@ -15,18 +15,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import (
-    ConstraintViolation,
-    DomainError,
-    DivergenceError,
-    HypothesisViolation,
-    NoConvergence,
-    PoleError,
-    SamplerExhausted,
-    UnknownIdentity,
-    ZeroArgument,
-    check_eps,
-)
+from .errors import DomainError, NoConvergence, QIdentError, UnknownIdentity, check_eps
 from . import identities, integrals, products
 from .qkernel import DEFAULT_PRECISION_BITS, ApproxScalar, parse_exact
 from .reporting import ReportFile
@@ -77,20 +66,8 @@ def _parse_fraction(flag: str, text: str) -> Fraction:
 
 
 def _echo_config(args: argparse.Namespace) -> dict:
-    keep = (
-        "command",
-        "identity",
-        "params",
-        "n",
-        "n_range",
-        "precision_bits",
-        "eps",
-        "seed",
-        "trials",
-        "sigma",
-        "f",
-        "format",
-    )
+    keep = ("command", "identity", "params", "n", "n_range", "precision_bits", "eps", "seed",
+            "trials", "sigma", "f", "format")
     return {k: getattr(args, k) for k in keep if getattr(args, k, None) is not None}
 
 
@@ -189,13 +166,8 @@ def cmd_sweep(args) -> int:
     if not _check(args.identity).sweeps:
         raise DomainError("sweep drives the terminating-summation registry only")
     n_values = _parse_n_range(args.n_range or "0..8")
-    reports = identities.sweep(
-        args.identity,
-        trials=args.trials,
-        seed=args.seed,
-        n_range=n_values,
-        **_eps(args),
-    )
+    reports = identities.sweep(args.identity, trials=args.trials, seed=args.seed,
+                               n_range=n_values, **_eps(args))
     rf = ReportFile(tool_version=__version__, config=_echo_config(args), entries=reports)
     return _emit(rf, args)
 
@@ -268,17 +240,7 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOCONV
-    except (
-        UnknownIdentity,
-        ConstraintViolation,
-        DomainError,
-        DivergenceError,
-        HypothesisViolation,
-        PoleError,
-        SamplerExhausted,
-        ZeroArgument,
-        ValueError,
-    ) as exc:
+    except (QIdentError, ValueError) as exc:  # every engine error but NoConvergence
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

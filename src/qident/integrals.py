@@ -12,7 +12,7 @@ The node count N is chosen in advance.  On a periodic integrand analytic, and
 bounded by M, in |Im psi| < a, the N-node trapezoid rule errs by at most
 4 pi M / (e^(a N) - 1) (Trefethen & Weideman, *The exponentially convergent
 trapezoidal rule*, SIAM Rev. 56(3), 2014, Thm 3.2); N is the least multiple of
-64 that meets the target.  M comes from one majorant pass per integrand on the
+4 that meets the target.  M comes from one majorant pass per integrand on the
 circles |w| = e^(+-a), a below -log of the largest denominator modulus:
 |(x; q)_inf| <= (-|x|; |q|)_inf for a numerator product, 1/|(x; q)_inf| <=
 1/(|x|; |q|)_inf for a denominator product, and the 3phi2 kernel's absolute
@@ -28,7 +28,8 @@ coefficients.  Each series is cut where a ratio bound proves its tail small and
 summed by Horner's rule in w or conj(w), and the denominators are divided once
 per node.  The pairs are read off the exact data, and the product of a pair's
 two majorants bounds it, so M and N are as unfolded.  The 3phi2 kernel's term
-ratios keep w-free constants rho_k; the nodes run on fixed-point ints.
+ratios keep w-free constants rho_k.  The quadrature runs on fixed-point ints:
+each node w is the last times e^(2 pi i/N), and the node values sum as ints.
 
 Every denominator argument, and the kernel's l2 w/sigma and zc w/sigma, must
 keep modulus below one on the contour (which also places the kernel's poles).
@@ -96,9 +97,9 @@ INTEGRAL_IDS = (
 
 DEFAULT_EPS = 1e-25
 
-# the node-count step: N is a multiple of it.  Past _MAX_NODES a bound is taken
-# as unreachable.
-_NODE_STEP = 64
+# the node-count step: N is a multiple of it, as the mirror needs.  Past
+# _MAX_NODES a bound is taken as unreachable.
+_NODE_STEP = 4
 _MAX_NODES = 1 << 20
 
 
@@ -119,13 +120,17 @@ def trapezoid_bound(a: float, M: float, n: int) -> float:
 
 
 def trapezoid_nodes(strips, target: float) -> tuple[int, float]:
-    """(N, bound): the least multiple of 64 nodes whose trapezoid bound on one
-    of the strips (a, M) is at most target, and the least such bound.  A strip
-    with M = inf has an infinite bound, and never meets the target."""
+    """(N, bound): the least multiple of _NODE_STEP nodes whose trapezoid bound on
+    a strip (a, M) is at most target, and the least such bound: log1p(4 pi M /
+    target) / a, up to the step, confirmed a step either way.  M = inf never does."""
     best = _MAX_NODES + _NODE_STEP, math.inf
     for a, M in strips:
-        n = _NODE_STEP
-        while n < best[0] and not trapezoid_bound(a, M, n) <= target:
+        x = math.log(4 * math.pi) + math.log(M) - math.log(target)  # log(4 pi M / target)
+        least = (max(x, 0) + math.log1p(math.exp(-abs(x)))) / a  # log1p(e^x) / a
+        n = _NODE_STEP * max(1, math.ceil(min(least, _MAX_NODES + 1) / _NODE_STEP))
+        while n > _NODE_STEP and trapezoid_bound(a, M, n - _NODE_STEP) <= target:
+            n -= _NODE_STEP
+        while n <= _MAX_NODES and not trapezoid_bound(a, M, n) <= target:
             n += _NODE_STEP
         best = min(best, (n, trapezoid_bound(a, M, n)))
     if best[0] > _MAX_NODES:
@@ -134,10 +139,37 @@ def trapezoid_nodes(strips, target: float) -> tuple[int, float]:
     return best
 
 
+def _nodes(n: int, wp: int, mirror: int | None):
+    """The nodes w_j = e^(i psi_j), psi_j = -pi + 2 pi j / n, that
+    :func:`integrate_periodic` evaluates, as fixed-point pairs at wp: all n in
+    order, or with a mirror its two fixed nodes, then the n/2 - 1 between them.
+
+    w_j = -omega^j, omega = e^(2 pi i/n): each power of omega is the last times
+    omega at g = wp + s bits, s = ceil(log2 n) + 4, from the exact omega^j0 (1,
+    or i at j0 = n/4), its parts rounded to nearest at wp.  Lemma: |w_j -
+    e^(i psi_j)| < 2^-wp.  With u = 2^-g, omega is within 2u and a product
+    rounds by under sqrt(2) u, so the j-th power errs by e_j <= e_(j-1) (1 + 2u)
+    + (2 + sqrt 2) u, at most 3.5 j u <= (7/32) 2^-wp (j <= n <= 2^20); rounding
+    adds at most 2^-wp / sqrt 2.  The fixed nodes, -omega^j0 and omega^j0, and
+    w_0 = -1 are exact."""
+    s = (n - 1).bit_length() + 4
+    g, half = wp + s, 1 << (s - 1)
+    with mp.workprec(g + 10):
+        wr, wi = _fx(mpmath.expjpi(mpmath.mpf(2) / n), g)
+    zr, zi = (0, 1 << g) if mirror == -1 else (1 << g, 0)
+    yield -zr >> s, -zi >> s
+    if mirror is not None:
+        yield zr >> s, zi >> s
+    for _ in range((n if mirror is None else n // 2) - 1):
+        zr, zi = (zr * wr - zi * wi) >> g, (zr * wi + zi * wr) >> g
+        yield -((zr + half) >> s), -((zi + half) >> s)
+
+
 def integrate_periodic(
     integrand: Callable,
     strips,
     target: float,
+    wp: int,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     mirror: int | None = None,
 ) -> tuple[ApproxScalar, float, int]:
@@ -146,12 +178,13 @@ def integrate_periodic(
     strips holds pairs (a, M): the integrand is analytic in |Im psi| < a and
     bounded there by M.  Returns (value, bound, nodes), the trapezoid rule on
     the node count :func:`trapezoid_nodes` picks, which is the plain node
-    average times 2pi, and that count's error bound.  The nodes are psi_j =
-    -pi + 2 pi j / N.
+    average times 2pi, at precision_bits, and that count's error bound.  The
+    integrand takes w = e^(i psi_j), psi_j = -pi + 2 pi j / N, as a fixed-point
+    pair at wp (:func:`_nodes`) and returns one; the ints are summed exactly.
 
     mirror = 1 says f(-psi) = conj f(psi), and mirror = -1 that f(pi - psi) =
     conj f(psi).  Either map sends the N nodes to themselves (N is a multiple of
-    64) and fixes two of them, psi = -pi and 0 or psi = -pi/2 and pi/2, so the
+    4) and fixes two of them, psi = -pi and 0 or psi = -pi/2 and pi/2, so the
     same N-node sum is the real parts at the two fixed nodes plus 2 Re f_j over
     the N/2 - 1 nodes strictly between them: N/2 + 1 evaluations, and the same
     bound.  2 Re f_j stands for the values at two nodes, so the two rounding
@@ -159,17 +192,17 @@ def integrate_periodic(
     mirror None each of the N nodes is evaluated once.
     """
     n, bound = trapezoid_nodes(strips, target)
+    nodes = _nodes(n, wp, mirror)
+    if mirror is None:
+        sr = si = 0
+        for w in nodes:
+            fr, fi = integrand(w)
+            sr, si = sr + fr, si + fi
+    else:
+        sr, si = integrand(next(nodes))[0] + integrand(next(nodes))[0], 0
+        sr += 2 * sum(integrand(w)[0] for w in nodes)
     with mp.workprec(precision_bits + 10):
-        def node(j):
-            return integrand(-mpmath.pi + 2 * mpmath.pi * j / n)
-
-        if mirror is None:
-            vals = [node(j) for j in range(n)]
-        else:
-            j0 = 0 if mirror == 1 else n // 4  # the first fixed node
-            vals = [node(j0).real, node(j0 + n // 2).real]
-            vals += [2 * node(j).real for j in range(j0 + 1, j0 + n // 2)]
-        estimate = 2 * mpmath.pi * mpmath.fsum(vals) / n
+        estimate = 2 * mpmath.pi * mpmath.mpc(mpmath.ldexp(sr, -wp), mpmath.ldexp(si, -wp)) / n
     return ApproxScalar(estimate, precision_bits), bound, n
 
 
@@ -256,10 +289,13 @@ def _theta_pair(C, base, budget: float) -> tuple[list, list, int]:
 
 def _theta_fixed(series, base, wp: int) -> tuple[list, list]:
     """A :func:`_theta_pair` series as fixed-point coefficients over (q; q)_K,
-    highest power first, for :func:`_laurent`."""
+    highest power first, for :func:`_laurent`.  1/(q; q)_K, up to G, magnifies
+    the K roundings of (q; q)_K, so (q; q)_K is formed at log2(K G) bits more."""
     plus, minus, K = series
-    q = _fx(base, wp)
-    scale = _div((1 << wp, 0), _qprod(q, q, K, wp), wp)
+    Q = base.abs_upper()
+    hi = wp + K.bit_length() + math.ceil(_log_poch_majorant(Q, Q, True) / math.log(2))
+    q = _fx(base, hi)
+    scale = _div((1 << wp, 0), _qprod(q, q, K, hi), hi)
     return tuple([_mul(_fx(c, wp), scale, wp) for c in reversed(cs)] for cs in (plus, minus))
 
 
@@ -407,8 +443,8 @@ def _node_integrand(num, den, kernel, base, sig,
         powers = [_mul(x, q, wp) for x in powers]
     one = 1 << wp
 
-    def integrand(psi):
-        w = wr, wi = _fx(mpmath.expjpi(psi / mpmath.pi), wp)
+    def integrand(w):
+        wr, wi = w
         w2 = _mul(w, w, wp)
         xs = {1: w, -1: (wr, -wi), 2: w2, -2: (w2[0], -w2[1])}
         tr, ti = vr, vi = one, 0
@@ -423,8 +459,7 @@ def _node_integrand(num, den, kernel, base, sig,
         parts = [(vr, vi), (one, 0)]  # the numerator, and the denominator divided once
         for plus, minus, e, den in series:
             parts[den] = _mul(parts[den], _laurent(plus, minus, xs[e], wp), wp)
-        re, im = _div(*parts, wp)
-        return mpmath.mpc(mpmath.ldexp(re, -wp), mpmath.ldexp(im, -wp))
+        return _div(*parts, wp)
 
     return integrand, mirror, strips, wp
 
@@ -512,10 +547,10 @@ def verify_integral_rep(
     series = _series_side(identity_id, params, eps, precision_bits)
     pref, integrand, mirror, strips, wp = _descriptor(identity_id, params, sigma, f, eps,
                                                       precision_bits)
-    bits = max(precision_bits, wp)
     # the value is pref * integral / (2 pi): a bound on the integral times scale bounds it
     scale = max(1.0, float(abs(pref))) / (2 * math.pi)
-    integral, bound, nodes = integrate_periodic(integrand, strips, eps / 16 / scale, bits, mirror)
+    integral, bound, nodes = integrate_periodic(integrand, strips, eps / 16 / scale, wp,
+                                                max(precision_bits, wp), mirror)
     with mp.workprec(precision_bits + 10):
         value = pref * integral * ApproxScalar(1 / (2 * mpmath.pi), precision_bits)
     return make_report(

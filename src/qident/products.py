@@ -161,15 +161,17 @@ def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, precision_bits):
     an absolutely convergent reordering of the displayed sum, not a different
     identity.  X and Y are sums of shifted rows (series._shifted_rows), each
     certified on its own.  Returns the value at precision_bits + 20 bits and the
-    number of rows summed.
+    number of terms summed, the rows' own terms included.
     """
     pb = precision_bits
     wp = pb + _GUARD_BITS
     args = (q, u / a, u / c, a / w, c * w, a * w, a * b, c / w, c * d, b * w, d / w, t / w, t * w)
     q, ua, uc, a_w, cw, aw, ab, c_w, cd, bw, d_w, t_w, tw = (_fx(x, wp) for x in args)
     rows = (((bw, t_w), (a_w, ua), (aw, ab)), ((d_w, tw), (cw, uc), (c_w, cd)))
-    (X, cx), (Y, cy) = (certified_sum(_shifted_rows(*r, q, eps / 8, pb), eps / 4, pb) for r in rows)
-    return _approx(_mul(X, Y, wp), wp, pb + 20), cx.terms_used + cy.terms_used
+    rows = [_shifted_rows(*r, q, eps / 8, pb) for r in rows]
+    (X, cx), (Y, cy) = (certified_sum(row, eps / 4, pb) for row, _ in rows)
+    terms = cx.terms_used + cy.terms_used + sum(sum(used) for _, used in rows)
+    return _approx(_mul(X, Y, wp), wp, pb + 20), terms
 
 
 def triple_sum_32pf(
@@ -466,8 +468,8 @@ def _wd_appell_value(params, eps, pb):
     lhs_side = _plain(Phi([u / t, a * d, b * d], [a * b, d * u], q, 1 / d))
     lhs, terms = side_value(lhs_side, t, eps / 8, pb)
     pref = _product_quotient(1, [(u / a, qb)], [(d * u, qb)], pb, eps / 32)
-    appell = eval_qappell_phi1(a * d, b * d, a / d, a * b, t / d, u / a, q, eps / 8, pb)
-    return lhs, pref * appell, terms
+    appell, cert = eval_qappell_phi1(a * d, b * d, a / d, a * b, t / d, u / a, q, eps / 8, pb)
+    return lhs, pref * appell, terms + cert.terms_used
 
 
 def _awgf_value(params, eps, pb):
@@ -716,8 +718,8 @@ def _cayley_orr_value(identity_id: str, params: dict, eps: float, pb: int) -> tu
         w, Qn = weight[n][0], Qa**n
         return _mul(w, value, wp), _fabs(w, wp) * _poch_majorant(wn * Qn, wd * Qn, Qa) * tail
 
-    total, _ = certified_sum(term, eps / 8, pb)
-    return lhs, _approx(total, wp, pb), terms
+    total, cert = certified_sum(term, eps / 8, pb)
+    return lhs, _approx(total, wp, pb), terms + cert.terms_used
 
 
 def cayley_orr_a_closed_form_check(a, b, q, n_max: int = 8) -> VerificationReport:

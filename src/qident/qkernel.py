@@ -316,9 +316,6 @@ def parse_exact(text: str) -> ExactScalar:
     if not s:
         raise ValueError("empty scalar literal")
 
-    def parse_frac(t: str) -> Fraction:
-        return Fraction(t)
-
     # split into real and imaginary chunks at a +/- that is not leading and
     # not an exponent's sign
     chunks = []
@@ -336,11 +333,11 @@ def parse_exact(text: str) -> ExactScalar:
         elif chunk == "-i":
             im -= 1
         elif chunk.endswith("*i"):
-            im += parse_frac(chunk[:-2])
+            im += Fraction(chunk[:-2])
         elif chunk.endswith("i"):
-            im += parse_frac(chunk[:-1])
+            im += Fraction(chunk[:-1])
         else:
-            re += parse_frac(chunk)
+            re += Fraction(chunk)
     return ExactScalar(re, im)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -279,8 +279,9 @@ def _tailed(entry: tuple, wp: int) -> tuple:
     return t, _fabs(t, wp) * R / (1 - R) if R < 1 else math.inf
 
 
-def _shifted_rows(weight, head, quot, q, eps: float, pb: int) -> Callable[[int], tuple]:
-    """m -> (weight[m] sum_k head[k] quot[k+m], the tail after it), for certified_sum.
+def _shifted_rows(weight, head, quot, q, eps: float, pb: int) -> tuple[Callable, list]:
+    """(row, used): row is m -> (weight[m] sum_k head[k] quot[k+m], the tail
+    after it), for certified_sum, and used collects the terms each row summed.
 
     weight = (g, s) and head = (f, r) stand for the 1phi0 terms (g;q)_m s^m /
     (q;q)_m and (f;q)_k r^k / (q;q)_k, |s|, |r| < 1, and quot = (u, v) for
@@ -297,19 +298,21 @@ def _shifted_rows(weight, head, quot, q, eps: float, pb: int) -> Callable[[int],
 
     (W, weight_sum), (H, head_sum) = table_sum(*weight), table_sum(*head)
     A = _Table(_phi_terms([quot[0], q], [quot[1]], q, (1 << wp, 0), wp))
+    used = []
 
     def row(m: int) -> tuple:
         def term(k: int) -> tuple:
             (h, Rh), (a, Ra) = H[k], A[k + m]
             return _tailed((_mul(h, a, wp), Rh * Ra), wp)
 
-        value, _ = certified_sum(term, eps / weight_sum, pb, absolute=True)
+        value, cert = certified_sum(term, eps / weight_sum, pb, absolute=True)
+        used.append(cert.terms_used)
         w, tail = _tailed(W[m], wp)
         Qm = Q**m
         sup = _fabs(A[m][0], wp) * _poch_majorant(num * Qm, den * Qm, Q)
         return _mul(w, value, wp), head_sum * sup * tail
 
-    return row
+    return row, used
 
 
 _MAX_TERMS = 100_000
@@ -503,8 +506,9 @@ def eval_rfs(
 
 def eval_qappell_phi1(
     a, b, b2, c, x, y, q, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> ApproxScalar:
-    """q-Appell Phi1 double series, certified per row and over the rows.
+) -> tuple[ApproxScalar, TruncationCert]:
+    """q-Appell Phi1 double series, certified per row and over the rows; the
+    certificate's terms_used counts the rows' terms too.
 
     Phi1(a; b, b2; c; q; x, y)
       = sum_{m,n>=0} (a;q)_{m+n} (b;q)_m (b2;q)_n x^m y^n
@@ -518,5 +522,6 @@ def eval_qappell_phi1(
     q, a, b, b2, c, x, y = (_fx(v, wp) for v in (qv, av, bv, b2v, cv, xv, yv))
     # Phi1 = sum_m P[m] sum_n B[n] A[n+m], with P[m] = (b;q)_m x^m / (q;q)_m,
     # B[n] = (b2;q)_n y^n / (q;q)_n and A[i] = (a;q)_i / (c;q)_i
-    total, _ = certified_sum(_shifted_rows((b, x), (b2, y), (a, c), q, eps / 4, pb), eps / 2, pb)
-    return _approx(total, wp, pb)
+    row, used = _shifted_rows((b, x), (b2, y), (a, c), q, eps / 4, pb)
+    total, cert = certified_sum(row, eps / 2, pb)
+    return _approx(total, wp, pb), replace(cert, terms_used=cert.terms_used + sum(used))

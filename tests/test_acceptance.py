@@ -36,7 +36,7 @@ from qident.products import (
     triple_sum_32pf,
     verify_product,
 )
-from qident.qkernel import ExactScalar, QBase
+from qident.qkernel import ExactScalar, QBase, _fx
 
 E = ExactScalar
 
@@ -299,10 +299,13 @@ def test_criterion_09_quadrature_bounds_hold():
             n = rep.quadrature_nodes
             bound = float(rep.note.split("bound=")[1].split()[0])
             assert bound <= eps / 16 and n <= (2048 if ident == "IR_SCHLOSSER" else 512), rep.note
-            pref, integrand, _, _, _ = _descriptor(ident, params, sigma, F(3, 2), eps, 256)
+            pref, integrand, _, _, wp = _descriptor(ident, params, sigma, F(3, 2), eps, 256)
             with mpmath.mp.workprec(266):
-                vals = [integrand(-mpmath.pi + mpmath.pi * j / n) for j in range(2 * n)]
-                mean_n, mean_2n = mpmath.fsum(vals[::2]) / n, mpmath.fsum(vals) / (2 * n)
+                # the integrand at w = e^(i psi), fixed point at its working bits
+                vals = [integrand(_fx(mpmath.expjpi(mpmath.mpf(j) / n - 1), wp))
+                        for j in range(2 * n)]
+                mean_n, mean_2n = (mpmath.mpc(*(mpmath.ldexp(sum(p), -wp) for p in zip(*vs))) / m
+                                   for vs, m in ((vals[::2], n), (vals, 2 * n)))
                 diff = abs(pref.value) * abs(mean_n - mean_2n)
             assert diff <= bound, (ident, sigma, float(diff), bound)
 

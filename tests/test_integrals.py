@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from qident import integrals
@@ -26,7 +26,7 @@ from qident.integrals import (
     verify_integral_rep,
 )
 from qident.products import product_sides, side_value
-from qident.qkernel import ApproxScalar, ExactScalar, _div, _fx, qpoch_infinite
+from qident.qkernel import ApproxScalar, ExactScalar, _div, _fx, _mul, _one_minus, qpoch_infinite
 from qident.series import SeriesSpec, eval_phi_nonterminating
 
 E = ExactScalar
@@ -85,6 +85,9 @@ class TestThetaSeries:
         st.fractions(min_value=-2, max_value=2, max_denominator=5),
         st.sampled_from([1, -1]), st.integers(0, 255), st.integers(5, 40),
     )
+    # q = 9/10: 1/(q; q)_K is about 7.8e5, and K = 1171 roundings of (q; q)_K
+    # at wp alone put the value 4.6e-35 off, past the budget 1e-35
+    @example(F(9, 10), F(0), F(1, 10), F(-3, 2), 1, 74, 35)
     @settings(max_examples=20, deadline=None)
     def test_series_against_qp_oracle(self, r, t, R, s, e, j, digits):
         # q = r u(t), real when t = 0; x = C w^e, C = R u(s), |x| = R on |w| = 1
@@ -169,6 +172,18 @@ def _geometric(r):
     return lambda psi: 1 / (1 - r * mpmath.expjpi(psi / mpmath.pi))
 
 
+def _geometric_fx(r, wp):
+    """The same f on the fixed-point node w = e^(i psi) at wp, as integrate_periodic
+    evaluates it: 1/(1 - r w), fixed point at wp."""
+    rw = _fx(r, wp)
+    return lambda w: _div((1 << wp, 0), _one_minus(_mul(rw, w, wp), wp), wp)
+
+
+def _node(psi, wp):
+    """e^(i psi) as a fixed-point pair at wp, each part rounded down once."""
+    return _fx(mpmath.expjpi(psi / mpmath.pi), wp)
+
+
 def _count_nodes(monkeypatch):
     """(calls, mirrors): the psi of every node the integral checks evaluate,
     and the mirror each node integrand declares."""
@@ -179,9 +194,9 @@ def _count_nodes(monkeypatch):
         integrand, mirror, strips, wp = build(*args)
         mirrors.append(mirror)
 
-        def counted(psi):
-            calls.append(psi)
-            return integrand(psi)
+        def counted(w):
+            calls.append(w)
+            return integrand(w)
 
         return counted, mirror, strips, wp
 
@@ -191,24 +206,29 @@ def _count_nodes(monkeypatch):
 
 class TestQuadrature:
     def test_constant_integrand(self):
-        val, bound, nodes = integrate_periodic(lambda psi: mpmath.mpc(1), [(1.0, 1.0)], 1e-30, 128)
-        assert bound <= 1e-30 and nodes % 64 == 0
+        val, bound, nodes = integrate_periodic(lambda w: (1 << 128, 0), [(1.0, 1.0)], 1e-30, 128)
+        assert bound <= 1e-30 and nodes % 4 == 0
         with mp.workprec(150):
             assert abs(val.value - 2 * mpmath.pi) < 1e-30
 
     def test_pure_oscillation_integrates_to_zero(self):
-        # e^(5 i psi) is entire: on |Im psi| < 1 it is at most e^5
-        k = 5
-        val, _, _ = integrate_periodic(
-            lambda psi: mpmath.expjpi(k * psi / mpmath.pi), [(1.0, math.exp(k))], 1e-28, 192
-        )
+        # e^(5 i psi) = w^5 is entire: on |Im psi| < 1 it is at most e^5
+        k, wp = 5, 192
+
+        def power(w):
+            v = (1 << wp, 0)
+            for _ in range(k):
+                v = _mul(v, w, wp)
+            return v
+
+        val, _, _ = integrate_periodic(power, [(1.0, math.exp(k))], 1e-28, wp)
         assert abs(val.value) < 1e-28
 
     def test_geometric_convergence_on_analytic_integrand(self):
         # analytic for |w| < 1/r, so in |Im psi| < log 3, and at most 1/(1 - r e^a) there
         r = mpmath.mpf(1) / 3
         strips = [(a, 1 / (1 - float(r) * math.exp(a))) for a in (0.5, 0.8, 1.0)]
-        val, bound, nodes = integrate_periodic(_geometric(r), strips, 1e-30, 192)
+        val, bound, nodes = integrate_periodic(_geometric_fx(r, 192), strips, 1e-30, 192)
         assert bound <= 1e-30
         with mp.workprec(220):
             assert abs(val.value - 2 * mpmath.pi) <= bound + 1e-50
@@ -218,14 +238,14 @@ class TestQuadrature:
         # 1/(1 - r e^(i psi)) is conj f at -psi for a real r, and at pi - psi for
         # an imaginary r: the N-node sum takes N/2 + 1 distinct nodes
         calls = []
-        f = _geometric(r)
+        f = _geometric_fx(r, 192)
 
-        def counted(psi):
-            calls.append(psi)
-            return f(psi)
+        def counted(w):
+            calls.append(w)
+            return f(w)
 
         strips = [(a, 1 / (1 - float(abs(r)) * math.exp(a))) for a in (0.5, 0.8, 1.0)]
-        val, bound, nodes = integrate_periodic(counted, strips, 1e-30, 192, mirror)
+        val, bound, nodes = integrate_periodic(counted, strips, 1e-30, 192, 192, mirror)
         assert bound <= 1e-30
         assert len(calls) == len(set(calls)) == nodes // 2 + 1
         with mp.workprec(220):
@@ -253,12 +273,27 @@ class TestQuadrature:
         (0.1, 1e3, 1e-10), (0.3, 2.0, 1e-25), (1.0, 1.0, 1e-30), (2.0, 0.5, 1.0),
         (0.05, 1e9, 1e-12),
     ])
-    def test_chosen_n_is_least_multiple_of_64(self, a, M, target):
+    def test_chosen_n_is_least_multiple_of_4(self, a, M, target):
         n, bound = trapezoid_nodes([(a, M)], target)
-        assert n % 64 == 0 and bound == trapezoid_bound(a, M, n) <= target
-        assert n == 64 or trapezoid_bound(a, M, n - 64) > target
+        assert n % 4 == 0 and bound == trapezoid_bound(a, M, n) <= target
+        assert n == 4 or trapezoid_bound(a, M, n - 4) > target
         # of several strips, the one that needs the fewest nodes is taken
         assert trapezoid_nodes([(a / 2, M), (a, M)], target) == (n, bound)
+
+    def test_closed_form_matches_linear_scan(self):
+        # the closed-form N against the least multiple of 4 a plain scan finds
+        for a in (0.003, 0.05, 0.3, 1.0, 4.0):
+            for M in (1e-3, 1.0, 7.5, 1e9, 1e200):
+                for target in (1e-300, 1e-40, 1e-10, 1.0, 1e3):
+                    n = 4
+                    while n <= 1 << 20 and not trapezoid_bound(a, M, n) <= target:
+                        n += 4
+                    if n > 1 << 20:
+                        with pytest.raises(NoConvergence):
+                            trapezoid_nodes([(a, M)], target)
+                    else:
+                        assert trapezoid_nodes([(a, M)], target) == (
+                            n, trapezoid_bound(a, M, n)), (a, M, target)
 
     def test_strip_with_infinite_majorant_is_never_chosen(self):
         # an infinite M proves nothing, also once e^(-a n) underflows to 0
@@ -313,6 +348,47 @@ class TestQuadrature:
 
         with pytest.raises(NoConvergence):
             integrate_periodic(f, [(1e-6, 1.0)], 1e-40, 128)
+
+    @given(st.integers(1, 1024), st.integers(64, 800), st.sampled_from([None, 1, -1]))
+    @settings(max_examples=12, deadline=None)
+    def test_nodes_are_accurate(self, k, wp, mirror):
+        # each node within 2^-wp of e^(i psi_j), mpmath's at four times the
+        # bits; the mirror's fixed nodes, and w_0 = -1, exact
+        n, one = 4 * k, 1 << wp
+        nodes = list(integrals._nodes(n, wp, mirror))
+        if mirror is None:
+            js, fixed = range(n), [(-one, 0)]
+        else:
+            j0 = 0 if mirror == 1 else n // 4
+            js = [j0, j0 + n // 2, *range(j0 + 1, j0 + n // 2)]
+            fixed = [(-one, 0), (one, 0)] if mirror == 1 else [(0, -one), (0, one)]
+        assert len(nodes) == len(js) and nodes[:len(fixed)] == fixed
+        with mp.workprec(4 * wp):
+            for j, w in zip(js, nodes):
+                err = abs(_mp(w, wp) - mpmath.expjpi(mpmath.mpf(2 * j - n) / n))
+                assert err <= 2.0**-wp, (n, wp, mirror, j, float(err * 2**wp))
+
+    @pytest.mark.parametrize("point", [*sorted(INTEGRAL_IDS), "complex"])
+    def test_no_mpmath_at_a_node(self, point, monkeypatch):
+        # e^(i psi) is formed once per quadrature, for omega; every node is a
+        # rotation of the last, in ints
+        calls, during, expjpi = [], [], mpmath.expjpi
+        integrate = integrals.integrate_periodic
+
+        def counted(*args):
+            before = len(calls)
+            result = integrate(*args)
+            during.append(len(calls) - before)
+            return result
+
+        monkeypatch.setattr(mpmath, "expjpi", lambda *args: calls.append(args) or expjpi(*args))
+        monkeypatch.setattr(integrals, "integrate_periodic", counted)
+        ident = "IR_SRIV_JAIN" if point == "complex" else point
+        params, sigma, _ = POINTS[ident]
+        if point == "complex":
+            params = {**params, "z": E(F(1, 5), F(1, 10))}
+        rep = verify_integral_rep(ident, params, sigma=sigma, f=F(3, 2), eps=1e-15)
+        assert rep.passed and len(during) == 1 and during[0] <= 1
 
 
 class TestIntegralReps:
@@ -400,7 +476,7 @@ class TestIntegralReps:
         r1, r2 = (verify_integral_rep("IR_SCHLOSSER", params, sigma=sigma, f=F(3, 2), eps=1e-10)
                   for _ in range(2))
         assert r1 == r2 and r1.passed
-        assert r1.note == "quadrature nodes=512 bound=1.251e-13 working_bits=81"
+        assert r1.note == "quadrature nodes=480 bound=4.442e-12 working_bits=81"
 
     def test_zero_f_rejected(self):
         params, sigma, _ = POINTS["IR_SRIV_JAIN"]
@@ -424,7 +500,7 @@ class TestNodeKernel:
 
         monkeypatch.setattr(integrals, "_node_integrand", recording)
         params, sigma, _ = POINTS[ident]
-        _, integrand, _, _, _ = integrals._descriptor(ident, params, sigma, F(3, 2), 1e-62, 256)
+        _, integrand, _, _, wp = integrals._descriptor(ident, params, sigma, F(3, 2), 1e-62, 256)
         num, den, ((u1, u2, u3), (l1, l2), zc), base, sgv, _ = seen[0]
         bits, tight = 320, 1e-72
         # the exact node data, at the reference precision
@@ -439,7 +515,7 @@ class TestNodeKernel:
         for j in range(0, 64, 8):
             with mp.workprec(266):
                 psi = -mpmath.pi + 2 * mpmath.pi * j / 64
-                got = integrand(psi)
+                got = _mp(integrand(_node(psi, wp)), wp)
             with mp.workprec(bits):
                 w = mpmath.expjpi(psi / mpmath.pi)
                 so, ws = sgv / w, w / sgv
@@ -465,9 +541,9 @@ class TestNodeKernel:
         rep = verify_integral_rep("IR_THM21", params, sigma=sigma, f=F(3, 2), eps=1e-15)
         assert rep.passed
         # the bound's N (the node doubling took 256)
-        assert rep.quadrature_nodes == 192
-        assert len(calls) == len(set(calls)) == 192 // 2 + 1
-        assert rep.note.startswith("quadrature nodes=192 bound=")
+        assert rep.quadrature_nodes == 160
+        assert len(calls) == len(set(calls)) == 160 // 2 + 1
+        assert rep.note.startswith("quadrature nodes=160 bound=")
 
     @pytest.mark.parametrize("ident", sorted(INTEGRAL_IDS))
     def test_mirrored_sum_matches_all_nodes(self, ident):
@@ -480,18 +556,18 @@ class TestNodeKernel:
             ident, params, sigma, F(3, 2), eps, bits)
         assert mirror == (-1 if ident in ("IR_SCHLOSSER", "IR_SRIV_JAIN") else 1)
         tol = eps / (16 * max(1.0, float(abs(pref))))
-        half, _, n = integrate_periodic(integrand, strips, 2 * math.pi * tol, bits, mirror)
+        half, _, n = integrate_periodic(integrand, strips, 2 * math.pi * tol, wp, bits, mirror)
         with mp.workprec(bits + 10):
-            vals = [integrand(-mpmath.pi + 2 * mpmath.pi * j / n) for j in range(n)]
-            full = 2 * mpmath.pi * mpmath.fsum(vals) / n
+            vals = [integrand(_node(-mpmath.pi + 2 * mpmath.pi * j / n, wp)) for j in range(n)]
+            full = 2 * mpmath.pi * _mp([sum(parts) for parts in zip(*vals)], wp) / n
             assert abs(half.value - full) <= 2 * math.pi * tol, (ident, n)
 
     @pytest.mark.parametrize("ident, eps, pinned", [
-        ("IR_SCHLOSSER", 1e-10, "quadrature nodes=512 bound=1.251e-13"),
-        ("IR_SRIV_JAIN", 1e-15, "quadrature nodes=192 bound=1.865e-22"),
-        ("IR_NASSRALLAH_1", 1e-15, "quadrature nodes=192 bound=3.718e-22"),
-        ("IR_NASSRALLAH_2", 1e-15, "quadrature nodes=192 bound=2.972e-22"),
-        ("IR_THM21", 1e-15, "quadrature nodes=192 bound=5.649e-22"),
+        ("IR_SCHLOSSER", 1e-10, "quadrature nodes=480 bound=4.442e-12"),
+        ("IR_SRIV_JAIN", 1e-15, "quadrature nodes=160 bound=5.363e-17"),
+        ("IR_NASSRALLAH_1", 1e-15, "quadrature nodes=156 bound=5.608e-17"),
+        ("IR_NASSRALLAH_2", 1e-15, "quadrature nodes=156 bound=4.483e-17"),
+        ("IR_THM21", 1e-15, "quadrature nodes=160 bound=2.265e-17"),
     ])
     def test_nodes_run_no_factor_loop(self, ident, eps, pinned, monkeypatch):
         # every single and +- product is an Euler series summed by Horner's
@@ -520,7 +596,7 @@ class TestNodeKernel:
         params = {**params, "z": E(F(1, 5), F(1, 10))}
         rep = verify_integral_rep("IR_SRIV_JAIN", params, sigma=sigma, f=F(3, 2))
         assert rep.passed and mirrors == [None]
-        assert len(calls) == len(set(calls)) == rep.quadrature_nodes == 256
+        assert len(calls) == len(set(calls)) == rep.quadrature_nodes == 220
 
 
 def _folds(monkeypatch, nudge=None):

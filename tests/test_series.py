@@ -341,13 +341,13 @@ class TestClassicalRFS:
 
 class TestQAppell:
     def test_origin(self):
-        v = eval_qappell_phi1(F(1, 3), F(1, 5), F(1, 7), F(2, 5), 0, 0, F(1, 2))
+        v, _ = eval_qappell_phi1(F(1, 3), F(1, 5), F(1, 7), F(2, 5), 0, 0, F(1, 2))
         assert v.value == 1
 
     def test_y_zero_row_collapse(self):
         # y = 0 collapses the double sum to 2phi1(a, b; c; q, x)
         a, b, b2, c, x, q = F(1, 3), F(1, 5), F(2, 7), F(2, 5), F(1, 4), F(1, 2)
-        v = eval_qappell_phi1(a, b, b2, c, x, 0, q, eps=1e-32, precision_bits=256)
+        v, _ = eval_qappell_phi1(a, b, b2, c, x, 0, q, eps=1e-32, precision_bits=256)
         spec = SeriesSpec.make([E(a), E(b)], [E(c)], E(q), E(x))
         ref, _ = eval_phi_nonterminating(spec, 1e-32, 256)
         with mp.workprec(280):
@@ -355,7 +355,7 @@ class TestQAppell:
 
     def test_b2_zero_against_explicit_double_sum(self):
         a, b, c, x, y, q = F(1, 3), F(1, 5), F(2, 5), F(1, 4), F(1, 5), F(1, 2)
-        v = eval_qappell_phi1(a, b, 0, c, x, y, q, eps=1e-30, precision_bits=256)
+        v, _ = eval_qappell_phi1(a, b, 0, c, x, y, q, eps=1e-30, precision_bits=256)
         with mp.workprec(400):
             # (x;q)_k for k <= 238, the products _qp_direct forms, each tabulated once
             A, B, Q, C = (_qp_prefixes(f, q, 238) for f in (a, b, q, c))
