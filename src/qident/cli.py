@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -38,12 +37,17 @@ def _parse_params(text: str) -> dict:
         name = name.strip()
         if name in out:
             raise DomainError(f"parameter {name!r} is given twice")
-        try:
-            scalar = parse_exact(value)
-        except ValueError as exc:
-            raise DomainError(f"parameter {name!r}: {exc}") from exc
-        out[name] = scalar if not scalar.is_real() else scalar.re
+        out[name] = _parse_scalar(f"parameter {name!r}:", value)
     return out
+
+
+def _parse_scalar(name: str, text: str):
+    """An exact literal (:func:`parse_exact`), as a Fraction when real."""
+    try:
+        scalar = parse_exact(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{name} {text!r} is not a rational literal") from None
+    return scalar if not scalar.is_real() else scalar.re
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -56,13 +60,6 @@ def _parse_n_range(text: str) -> list[int]:
     if not n_values:
         raise DomainError(f"--n-range {text!r} is empty")
     return n_values
-
-
-def _parse_fraction(flag: str, text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise DomainError(f"{flag} {text!r} is not a rational literal") from None
 
 
 def _echo_config(args: argparse.Namespace) -> dict:
@@ -103,7 +100,7 @@ def _verify_summation(ident: str, params: dict, args) -> list:
 def _verify_integral(ident: str, params: dict, args) -> list:
     if args.sigma is None or args.f is None:
         raise DomainError("integral representations need --sigma and --f")
-    sigma, f = _parse_fraction("--sigma", args.sigma), _parse_fraction("--f", args.f)
+    sigma, f = _parse_scalar("--sigma", args.sigma), _parse_scalar("--f", args.f)
     return [integrals.verify_integral_rep(ident, params, sigma, f, **_options(args))]
 
 

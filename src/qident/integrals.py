@@ -19,28 +19,21 @@ circles |w| = e^(+-a), a below -log of the largest denominator modulus:
 majorant series.  The same majorants on |w| = 1 fix the truncations and the
 working bits, so the nodes evaluate one fixed analytic function, which M bounds.
 
-Before any node runs, everything free of w is computed once.  Two numerator
-arguments C w^e and (q/C) w^-e form a theta pair theta(C w^e; q), run as its
-Jacobi triple-product series, with 1/(q; q)_inf in its exact coefficients; two
-denominator arguments +-C w^e form one product (C^2 w^(2e); q^2)_inf, which,
-like each other argument's product, runs as Euler's series in w^e with exact
-coefficients.  Each series is cut where a ratio bound proves its tail small and
-summed by Horner's rule in w or conj(w), and the denominators are divided once
-per node.  The pairs are read off the exact data, and the product of a pair's
-two majorants bounds it, so M and N are as unfolded.  The 3phi2 kernel's term
-ratios keep w-free constants rho_k.  The quadrature runs on fixed-point ints:
-each node w is the last times e^(2 pi i/N), and the node values sum as ints.
+Before any node runs, everything free of w is computed once, and each factor
+becomes a series in w or conj(w) summed by Horner's rule: a theta pair theta(C
+w^e; q) of numerator arguments C w^e and (q/C) w^-e is a Jacobi triple-product
+series; a product (C^2 w^(2e); q^2)_inf of denominator arguments +-C w^e, and
+each other argument's product, is Euler's series in w^e; the 3phi2 kernel's
+first T terms are one power series in w, cut by Cauchy's estimate.  The pairs
+are read off the exact data, and the product of a pair's two majorants bounds
+it, so M and N are as unfolded.  The denominators are divided once per node,
+on fixed-point ints, and each node w is the last times e^(2 pi i/N).
 
 Every denominator argument, and the kernel's l2 w/sigma and zc w/sigma, must
-keep modulus below one on the contour (which also places the kernel's poles).
-The moduli are checked before any node runs.  At a real point (real
-parameters, f and sigma) the base and the kernel's u1, u2 and l1 are real, and
-every other argument is a constant C times w^(+-1), with C real in the
-base-p^4 family and imaginary in IR_SCHLOSSER and IR_SRIV_JAIN.  So f(-psi),
-or f(pi - psi), is conj f(psi): a map of the N nodes onto themselves, under
-which N/2 + 1 evaluations give the same N-node sum, with the same bound, N,
-truncations and working bits.  Any other point (a complex z or f, say)
-evaluates all N nodes.
+keep modulus below one on the contour (which also places the kernel's poles),
+checked before any node runs.  At a real point (real parameters, f and sigma)
+f(-psi), or f(pi - psi), is conj f(psi), and N/2 + 1 evaluations give the same
+N-node sum (:func:`integrate_periodic`); any other point evaluates all N nodes.
 
 theta(x; q) here is (x; q)_inf (q/x; q)_inf.  Displays whose f-elements did
 not form theta pairs (x, q/x) as printed are implemented with the paired form
@@ -87,13 +80,7 @@ from .series import _ratio_majorant
 
 E = ExactScalar.coerce
 
-INTEGRAL_IDS = (
-    "IR_SCHLOSSER",
-    "IR_NASSRALLAH_1",
-    "IR_NASSRALLAH_2",
-    "IR_SRIV_JAIN",
-    "IR_THM21",
-)
+INTEGRAL_IDS = ("IR_SCHLOSSER", "IR_NASSRALLAH_1", "IR_NASSRALLAH_2", "IR_SRIV_JAIN", "IR_THM21")
 
 DEFAULT_EPS = 1e-25
 
@@ -165,14 +152,9 @@ def _nodes(n: int, wp: int, mirror: int | None):
         yield -((zr + half) >> s), -((zi + half) >> s)
 
 
-def integrate_periodic(
-    integrand: Callable,
-    strips,
-    target: float,
-    wp: int,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-    mirror: int | None = None,
-) -> tuple[ApproxScalar, float, int]:
+def integrate_periodic(integrand: Callable, strips, target: float, wp: int,
+                       precision_bits: int = DEFAULT_PRECISION_BITS,
+                       mirror: int | None = None) -> tuple[ApproxScalar, float, int]:
     """Integral over [-pi, pi] of a 2pi-periodic integrand, with a proven bound.
 
     strips holds pairs (a, M): the integrand is analytic in |Im psi| < a and
@@ -194,10 +176,7 @@ def integrate_periodic(
     n, bound = trapezoid_nodes(strips, target)
     nodes = _nodes(n, wp, mirror)
     if mirror is None:
-        sr = si = 0
-        for w in nodes:
-            fr, fi = integrand(w)
-            sr, si = sr + fr, si + fi
+        sr, si = map(sum, zip(*map(integrand, nodes)))
     else:
         sr, si = integrand(next(nodes))[0] + integrand(next(nodes))[0], 0
         sr += 2 * sum(integrand(w)[0] for w in nodes)
@@ -244,6 +223,52 @@ def _kernel_majorant(kabs, Q: float, rho: float, tail: float) -> tuple[float, in
                 return S + rest, k
         S, m = S + m, m * R
     return math.inf, None
+
+
+def _kernel_degree(kabs, Q: float, T: int, budget: float) -> int:
+    """N: the power series of the kernel's first T terms has coefficients past
+    w^N of moduli summing to at most budget, by the Cauchy lemma of :func:`_node_integrand`
+    at R = r^(1 - 2^-i), r = min(sigma/|l2|, sigma/|zc|), i = 1, 2, ... until N grows;
+    T > 1, so that zc is not 0."""
+    u1, u2, u3, l1, l2, z = kabs
+    r, best = 1 / max(l2, z), math.inf
+    for i in range(1, 11):
+        R = r ** (1 - 2.0**-i)
+        rs = (_ratio_majorant(z * R, (u1, u2, u3 / R), (l1, l2 * R), Q, k) for k in range(T - 1))
+        S = sum(itertools.accumulate(rs, lambda m, x: m * x, initial=1.0))  # the T term majorants
+        n = (math.log(S) - math.log1p(-1 / R) - math.log(budget)) / math.log(R)
+        if not n < best:
+            break
+        best = n
+    if best == math.inf:  # S past float range
+        raise NoConvergence("the 3phi2 kernel's series has no finite majorant off the unit circle")
+    return max(0, math.ceil(best) - 1)
+
+
+def _kernel_fixed(kernel, base, sig, T: int, N: int, wp: int) -> list:
+    """The fixed-point coefficients of w^N, ..., w^0 (for :func:`_laurent`) of the
+    kernel's first T terms, K_0: K_(T-1) = 1, K_k = 1 + rho_k (w - u3 sigma q^k)
+    K_(k+1) / (1 - (l2/sigma) q^k w) cut at w^N, exact up to w^N as no step lowers
+    a degree; dividing f by 1 - c w is h_n = f_n + c h_(n-1)."""
+    (u1, u2, u3), (l1, l2), zc = kernel
+    q, zw, one = _fx(base, wp), _fx(zc / sig, wp), 1 << wp
+    powers, steps = [_fx(x, wp) for x in (u1, u2, u3 * sig, l1, l2 / sig, base)], []
+    for _ in range(T - 1):  # (rho_k, rho_k u3 sigma q^k, (l2/sigma) q^k)
+        a1, a2, a3, b1, b2, qk1 = powers
+        rho = _div(_mul(_mul(_one_minus(a1, wp), _one_minus(a2, wp), wp), zw, wp),
+                   _mul(_one_minus(qk1, wp), _one_minus(b1, wp), wp), wp)
+        steps.append((*rho, *_mul(rho, a3, wp), *b2))
+        powers = [_mul(x, q, wp) for x in powers]
+    kr, ki = [one] + [0] * N, [0] * (N + 1)
+    for rr, ri, pr, pi, br, bi in reversed(steps):
+        hr = hi = gr = gi = 0  # h_(n-1) and f_(n-1)
+        for n in range(N + 1):  # h_n = rho_k (f_(n-1) - u3 sigma q^k f_n) + c h_(n-1)
+            fr, fi = kr[n], ki[n]
+            hr, hi = ((rr * gr - ri * gi - pr * fr + pi * fi + br * hr - bi * hi) >> wp,
+                      (rr * gi + ri * gr - pr * fi - pi * fr + br * hi + bi * hr) >> wp)
+            kr[n], ki[n], gr, gi = hr, hi, fr, fi
+        kr[0] += one
+    return list(zip(reversed(kr), reversed(ki)))
 
 
 def _euler(C, base, budget: float, theta: bool = False) -> list:
@@ -355,14 +380,18 @@ def _node_integrand(num, den, kernel, base, sig,
     the d denominators first, an error meets d - 1 such factors at most, and
     (1 - t/2)^-d <= 2 as d t <= n t <= tol / 4 <= 1 (mag >= 1, tol <= 4): the
     products err by at most sum_j t m_j prod_(i!=j) m_i = tol / 4.  The
-    kernel's truncation takes a proven quarter of tol too.  Rounding has the
-    other half by a margin, not yet a proof: each operation errs by under
-    2^-wp and the majorants bound every intermediate, so wp is log2(operations
-    x mag / tol) + 4, counting the series terms and 8 per kernel term.
-
-    The kernel's term ratio k is rho_k (w - u3 sigma q^k) / (1 - (l2/sigma) q^k
-    w), as w conj(w) = 1, with rho_k = (1 - u1 q^k)(1 - u2 q^k)(zc/sigma) /
-    ((1 - q^(k+1))(1 - l1 q^k)) computed here.
+    kernel's truncation takes a quarter, tail: its first T terms are within
+    tail / 2 of it (:func:`_kernel_majorant`), and their power series cut at
+    w^N within tail / 2 of them (:func:`_kernel_degree`).  Term k + 1 over term
+    k is rho_k (w - u3 sigma q^k) / (1 - (l2/sigma) q^k w), as w conj(w) = 1,
+    rho_k = (1 - u1 q^k)(1 - u2 q^k)(zc/sigma) / ((1 - q^(k+1))(1 - l1 q^k)), so
+    the T terms' sum is analytic in |w| < sigma/|l2|.  Lemma (Cauchy): on |w| =
+    R, 1 < R < min(sigma/|l2|, sigma/|zc|), the sum S_R of the T term majorants
+    bounds it, so its w^n coefficient has modulus at most S_R R^-n, and those
+    past w^N sum to at most S_R R^(-N-1) / (1 - 1/R).  Rounding has the other
+    half by a margin, not yet a proof: each operation errs by under 2^-wp and
+    the majorants bound every intermediate, so wp is log2(operations x mag /
+    tol) + 4, counting the series terms and 8 per kernel coefficient.
 
     mirror, for :func:`integrate_periodic`, is read off the exact data: with
     the base, u1, u2 and l1 real, it is 1 when every w-dependent constant C
@@ -399,10 +428,19 @@ def _node_integrand(num, den, kernel, base, sig,
     # the unit circle: term counts, working bits
     products_1 = products(1.0)
     tail = tol / (4 * products_1)
-    kernel_1, T = _kernel_majorant(kabs, Q, 1.0, tail)
-    mag = products_1 * kernel_1
+    kernel_1, T = _kernel_majorant(kabs, Q, 1.0, tail / 2)
+    mag = products_1 * (kernel_1 + tail / 2)  # the kernel's series cut at w^N too
     if T is None or mag == math.inf:
         raise NoConvergence("the node integrand has no finite majorant on the unit circle")
+    strips = []
+    for i in range(1, 11):
+        a = a_max * (1 - 2.0**-i)
+        M = max(products(rho) * _kernel_majorant(kabs, Q, rho, tail)[0]
+                for rho in (math.exp(a), math.exp(-a)))
+        strips.append((a, M * (1 + 2.0**-30)))
+    if all(M == math.inf for _, M in strips):
+        raise NoConvergence("no strip off the unit circle has a finite integrand majorant")
+
     # (C, power of w, base, log m_j, den) per product, each +- pair one in base^2
     lm, k = log_majorants(1.0), len(nums)  # nums, then dens
     paired = set(itertools.chain(*thetas, *((k + i, k + j) for i, j in pms)))
@@ -415,48 +453,19 @@ def _node_integrand(num, den, kernel, base, sig,
     # each Euler series cut at t m_j, or at t / (2 m_j) for a denominator
     eulers = [(_euler(C, b, t / (2 * math.exp(L)) if den else t * math.exp(L)), e, den)
              for C, e, b, L, den in prods]
-    ops = sum(len(p) + len(m) for p, m, _ in series) + sum(len(cs) for cs, _, _ in eulers) + 8 * T
+    N = _kernel_degree(kabs, Q, T, tail / 2) if T > 1 else 0  # the first term is 1
+    ops = sum(len(p) + len(m) for p, m, _ in series) + sum(len(e[0]) for e in eulers) + 8 * (N + 1)
     wp = max(64, math.ceil(math.log2(ops) + math.log2(mag) - math.log2(tol)) + 4)
-
-    strips = []
-    for i in range(1, 11):
-        a = a_max * (1 - 2.0**-i)
-        M = max(products(rho) * _kernel_majorant(kabs, Q, rho, tail)[0]
-                for rho in (math.exp(a), math.exp(-a)))
-        strips.append((a, M * (1 + 2.0**-30)))
-    if all(M == math.inf for _, M in strips):
-        raise NoConvergence("no strip off the unit circle has a finite integrand majorant")
 
     # (coefficients, minus coefficients, power of w, den) per series, fixed-point
     series = [(*_theta_fixed(sr, base, wp), nums[i][2], 0) for sr, (i, _) in zip(series, thetas)]
     series += [([_fx(c, wp) for c in reversed(cs)], (), e, den) for cs, e, den in eulers]
-    q = _fx(base, wp)
-    powers = [_fx(x, wp) for x in (u1, u2, u3 * sig, l1, l2 / sig, base)]
-    zw = _fx(zc / sig, wp)
-    # steps: (rho_k, rho_k u3 sigma q^k, (l2/sigma) q^k) for the T - 1 ratios
-    steps = []
-    for _ in range(T - 1):
-        a1, a2, a3, b1, b2, qk1 = powers
-        rho = _div(_mul(_mul(_one_minus(a1, wp), _one_minus(a2, wp), wp), zw, wp),
-                   _mul(_one_minus(qk1, wp), _one_minus(b1, wp), wp), wp)
-        steps.append((*rho, *_mul(rho, a3, wp), *b2))
-        powers = [_mul(x, q, wp) for x in powers]
-    one = 1 << wp
+    series.append((_kernel_fixed(kernel, base, sig, T, N, wp), (), 1, 0))
 
     def integrand(w):
-        wr, wi = w
         w2 = _mul(w, w, wp)
-        xs = {1: w, -1: (wr, -wi), 2: w2, -2: (w2[0], -w2[1])}
-        tr, ti = vr, vi = one, 0
-        for rr, ri, pr, pi, br, bi in steps:
-            # term *= rho (w - a3) / (1 - b2 w), as term rho (w - a3) conj(d) / |d|^2
-            nr, ni = ((rr * wr - ri * wi) >> wp) - pr, ((rr * wi + ri * wr) >> wp) - pi
-            nr, ni = (tr * nr - ti * ni) >> wp, (tr * ni + ti * nr) >> wp
-            dr, di = one - ((br * wr - bi * wi) >> wp), -((br * wi + bi * wr) >> wp)
-            d2 = dr * dr + di * di
-            tr, ti = ((nr * dr + ni * di) << wp) // d2, ((ni * dr - nr * di) << wp) // d2
-            vr, vi = vr + tr, vi + ti
-        parts = [(vr, vi), (one, 0)]  # the numerator, and the denominator divided once
+        xs = {1: w, -1: (w[0], -w[1]), 2: w2, -2: (w2[0], -w2[1])}
+        parts = [(1 << wp, 0)] * 2  # the numerator, and the denominator divided once
         for plus, minus, e, den in series:
             parts[den] = _mul(parts[den], _laurent(plus, minus, xs[e], wp), wp)
         return _div(*parts, wp)
@@ -530,14 +539,8 @@ def _descriptor(identity_id: str, params: dict, sigma, f, eps: float, pb: int):
     return (pref, *_node_integrand(num, den, kernel, base, sig, tol))
 
 
-def verify_integral_rep(
-    identity_id: str,
-    params: dict,
-    sigma,
-    f,
-    eps: float = DEFAULT_EPS,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> VerificationReport:
+def verify_integral_rep(identity_id: str, params: dict, sigma, f, eps: float = DEFAULT_EPS,
+                        precision_bits: int = DEFAULT_PRECISION_BITS) -> VerificationReport:
     """Prefactor times contour integral against the series-side product; the
     hypothesis is checked on the moduli before any node runs, and the
     quadrature runs on the node count whose proven bound is at most eps/16."""

@@ -217,6 +217,28 @@ class TestVerify:
         assert code == EXIT_CONFIG
         assert err == f"error: {flag} {value!r} is not a rational literal\n"
 
+    @pytest.mark.parametrize("argv", [
+        # a complex f, parsed as --params parses values; no mirror at either
+        ["IR_SRIV_JAIN", "--params", "q=1/2,a=1/3,b=1/5,z=1/5", "--sigma", "1/2", "--f", "1/2*i"],
+        ["IR_THM21", "--params", "p=7/10,a=1/2,b=2/5,z=1/5", "--sigma", "1/2",
+         "--f=3/2+1/2*i"],
+        # a negative f, given with = so that argparse does not read it as a flag
+        ["IR_SRIV_JAIN", "--params", "q=1/2,a=1/3,b=2/5,z=1/5", "--sigma", "3/5", "--f=-3/2"],
+    ])
+    def test_gaussian_and_negative_f_are_accepted(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--eps", "1e-12")
+        assert code == EXIT_OK
+        assert json.loads(out)["reports"][0]["passed"]
+
+    @pytest.mark.parametrize("sigma", ["1/2+1/10*i", "i", "-1/2"])
+    def test_non_real_sigma_is_refused(self, capsys, sigma):
+        code, _, err = run_cli(
+            capsys, "verify", "IR_SRIV_JAIN", "--params", "q=1/2,a=1/3,b=2/5,z=1/5",
+            f"--sigma={sigma}", "--f", "3/2",
+        )
+        assert code == EXIT_CONFIG
+        assert err == "error: sigma must be a positive real\n"
+
     def test_integral_needs_sigma_and_f(self, capsys):
         code, _, _ = run_cli(
             capsys, "verify", "IR_SRIV_JAIN", "--params", "q=1/2,a=1/3,b=2/5,z=1/5"

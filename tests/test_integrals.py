@@ -167,6 +167,49 @@ class TestEulerSeries:
             assert err <= budget * m + 2.0 ** (14 - wp) * majorant * m * m, (budget, err)
 
 
+def _mpc(v):
+    """An exact Gaussian rational as an mpmath value at the working precision."""
+    return mpmath.mpc(mpmath.mpf(v.re.numerator) / v.re.denominator,
+                      mpmath.mpf(v.im.numerator) / v.im.denominator)
+
+
+class TestKernelSeries:
+    # the node's 3phi2 kernel, 3phi2(u1, u2, u3/w; l1, l2 w; q, zc w) at sigma = 1,
+    # as its power series in w summed by Horner's rule, against mpmath.qhyper at
+    # four times its precision; budgets from 1e-5 to 1e-40 keep the two cuts (at
+    # T terms and at w^N) a visible part of the error
+    @given(
+        *_EULER_DRAWS[:2],
+        st.fractions(min_value=F(1, 20), max_value=F(9, 10), max_denominator=20),
+        st.fractions(min_value=0, max_value=F(9, 10), max_denominator=20),
+        *_EULER_DRAWS[2:],
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_series_against_qhyper_oracle(self, r, t, Z, L, s, e, j, digits):
+        # |zc| = Z and |l2| = L, at angles s and e s; u3 at angle -s
+        q, zc, l2 = E(r) * _unit(t), E(Z) * _unit(s), E(L) * _unit(e * s)
+        u1, u2, u3, l1 = E(F(1, 3)), E(F(-1, 5), F(1, 5)), E(F(3, 2)) * _unit(-s), E(F(2, 5))
+        budget, wp = 10.0**-digits, 160
+        kabs = [x.abs_upper() for x in (u1, u2, u3, l1, l2, zc)]
+        Q = q.abs_upper()
+        _, T = integrals._kernel_majorant(kabs, Q, 1.0, budget / 2)
+        N = integrals._kernel_degree(kabs, Q, T, budget / 2)
+        coeffs = integrals._kernel_fixed(([u1, u2, u3], [l1, l2], zc), q, E(1), T, N, wp)
+        assert len(coeffs) == N + 1
+        with mp.workprec(4 * wp):
+            w = mpmath.expjpi(mpmath.mpf(j) / 128 - 1)  # psi = -pi + 2 pi j / 256
+            got = _mp(integrals._laurent(coeffs, (), _fx(w, wp), wp), wp)
+            qv, zv, lv, a1, a2, a3, b1 = map(_mpc, (q, zc, l2, u1, u2, u3, l1))
+            ref = mpmath.qhyper([a1, a2, a3 / w], [b1, lv * w], qv, zv * w, maxterms=10**6)
+        with mp.workprec(64):
+            # rounding: under 2^-wp per operation, relative to the absolute
+            # majorant series, for at most 2^16 (N + 1) operations
+            majorant = mpmath.qhyper([-abs(a1), -abs(a2), -abs(a3)], [abs(b1), abs(lv)],
+                                     abs(qv), abs(zv), maxterms=10**6)
+            err = abs(got - ref)
+            assert err <= budget + 2.0 ** (16 - wp) * (N + 1) * majorant, (budget, err, T, N)
+
+
 def _geometric(r):
     """f(psi) = 1/(1 - r e^(i psi)), whose integral over [-pi, pi] is 2 pi."""
     return lambda psi: 1 / (1 - r * mpmath.expjpi(psi / mpmath.pi))
@@ -182,6 +225,19 @@ def _geometric_fx(r, wp):
 def _node(psi, wp):
     """e^(i psi) as a fixed-point pair at wp, each part rounded down once."""
     return _fx(mpmath.expjpi(psi / mpmath.pi), wp)
+
+
+def _kernel_lengths(monkeypatch):
+    """(T, coefficients) of every kernel series the integral checks build."""
+    lengths, build = [], integrals._kernel_fixed
+
+    def recording(kernel, base, sig, T, N, wp):
+        coeffs = build(kernel, base, sig, T, N, wp)
+        lengths.append((T, len(coeffs)))
+        return coeffs
+
+    monkeypatch.setattr(integrals, "_kernel_fixed", recording)
+    return lengths
 
 
 def _count_nodes(monkeypatch):
@@ -443,12 +499,14 @@ class TestIntegralReps:
             verify_integral_rep("IR_SRIV_JAIN", params, sigma=F(2, 5), f=F(3, 2))
         assert err.value.factor == "3phi2 kernel zc w/sigma"
 
-    def test_kernel_argument_near_unit_circle(self):
+    def test_kernel_argument_near_unit_circle(self, monkeypatch):
         # |zc|/sigma = 9/10 is the largest modulus: strips close to it, where
-        # the kernel's majorant settles slowly or not at all, are passed over
+        # the kernel's majorant settles slowly or not at all, are passed over;
+        # the kernel's T = 369 terms run as a series of 425 coefficients, built once
+        lengths = _kernel_lengths(monkeypatch)
         params = {"q": F(1, 2), "a": F(1, 5), "b": F(1, 5), "z": F(9, 20)}
         rep = verify_integral_rep("IR_SRIV_JAIN", params, sigma=F(1, 2), f=F(3, 2), eps=1e-8)
-        assert rep.passed and rep.quadrature_nodes <= 512
+        assert rep.passed and rep.quadrature_nodes <= 512 and lengths == [(369, 425)]
 
     def test_kernel_majorant_unsettled_off_circle(self):
         # |zc|/sigma = 0.99: the kernel's majorant settles on |w| = 1 but on no
@@ -572,8 +630,10 @@ class TestNodeKernel:
     def test_nodes_run_no_factor_loop(self, ident, eps, pinned, monkeypatch):
         # every single and +- product is an Euler series summed by Horner's
         # rule: no _qprod runs at a node, only each theta pair's (q; q)_K
-        # while the integrand is built; N and the bound are those of the
-        # factor products the series replaced
+        # while the integrand is built, and the 3phi2 kernel's T terms are one
+        # series of N + 1 coefficients, built once; N and the bound are those
+        # of the factor products and the kernel term loop the series replaced
+        lengths = _kernel_lengths(monkeypatch)
         calls, during, qprod, integrate = [], [], integrals._qprod, integrals.integrate_periodic
 
         def counted(*args):
@@ -586,7 +646,9 @@ class TestNodeKernel:
         monkeypatch.setattr(integrals, "integrate_periodic", counted)
         params, sigma, _ = POINTS[ident]
         rep = verify_integral_rep(ident, params, sigma=sigma, f=F(3, 2), eps=eps)
-        assert rep.passed and during == [0] and len(calls) == 2
+        # (T, N + 1) of the kernel series
+        kernel = {"IR_SCHLOSSER": (38, 42), "IR_SRIV_JAIN": (52, 56)}.get(ident, (39, 42))
+        assert rep.passed and during == [0] and len(calls) == 2 and lengths == [kernel]
         assert rep.note.startswith(pinned + " working_bits="), rep.note
 
     def test_complex_point_evaluates_every_node(self, monkeypatch):
