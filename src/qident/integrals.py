@@ -95,8 +95,7 @@ def theta(x, q, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS
     if x == 0:
         raise ZeroArgument("theta requires a nonzero argument")
     qb = QBase.of(q)
-    value = _product_quotient(1, [(x, qb), (qb.value / x, qb)], [], precision_bits, eps / 4)
-    return ApproxScalar.coerce(value, precision_bits)
+    return _product_quotient([(x, qb), (qb.value / x, qb)], [], precision_bits, eps / 4)
 
 
 def trapezoid_bound(a: float, M: float, n: int) -> float:
@@ -426,7 +425,11 @@ def _node_integrand(num, den, kernel, base, sig,
         return math.exp(log_m) if log_m < 700 else math.inf
 
     # the unit circle: term counts, working bits
-    products_1 = products(1.0)
+    lm = log_majorants(1.0)
+    if sum(lm) >= 700:
+        raise NoConvergence(f"the node products' majorant on the unit circle passes the float "
+                            f"range: its log is {sum(lm):.6g} >= 700")
+    products_1 = math.exp(sum(lm))
     tail = tol / (4 * products_1)
     kernel_1, T = _kernel_majorant(kabs, Q, 1.0, tail / 2)
     mag = products_1 * (kernel_1 + tail / 2)  # the kernel's series cut at w^N too
@@ -442,7 +445,7 @@ def _node_integrand(num, den, kernel, base, sig,
         raise NoConvergence("no strip off the unit circle has a finite integrand majorant")
 
     # (C, power of w, base, log m_j, den) per product, each +- pair one in base^2
-    lm, k = log_majorants(1.0), len(nums)  # nums, then dens
+    k = len(nums)  # lm holds nums, then dens
     paired = set(itertools.chain(*thetas, *((k + i, k + j) for i, j in pms)))
     prods = [(C, e, base, lm[i], i >= k) for i, (C, _, e) in enumerate(nums + dens)
              if i not in paired]
@@ -529,12 +532,11 @@ def _descriptor(identity_id: str, params: dict, sigma, f, eps: float, pb: int):
 
     qb = QBase.of(base)
     try:
-        pref = _product_quotient(1, [(x, qb) for x in pref_num], [(x, qb) for x in pref_den],
+        pref = _product_quotient([(x, qb) for x in pref_num], [(x, qb) for x in pref_den],
                                  pb, eps / 64)
     except ZeroDivisionError:
         raise HypothesisViolation("a prefactor denominator product vanishes",
                                   factor="prefactor") from None
-    pref = ApproxScalar.coerce(pref, pb)  # exact 0 when a numerator product vanishes
     tol = eps / (16 * max(1.0, float(abs(pref))))
     return (pref, *_node_integrand(num, den, kernel, base, sig, tol))
 

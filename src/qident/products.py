@@ -16,9 +16,7 @@ are a table of rFs products (``_classical_sides``).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import accumulate
 from typing import NamedTuple
 
 from .askey_wilson import AWParams, aw_hermite_degenerate, eval_aw
@@ -43,11 +41,11 @@ from .qkernel import (
 from .reporting import VerificationReport, compare_approx, make_report, matched
 from .series import (
     SeriesSpec,
+    _cauchy_terms,
     _phi_terms,
     _poch_majorant,
     _shifted_rows,
     _Table,
-    _tailed,
     certified_sum,
     eval_phi_nonterminating,
     eval_qappell_phi1,
@@ -120,32 +118,6 @@ def awgf_hermite_degeneration_check(w, q, n_max: int) -> VerificationReport:
 # triple and quadruple sums (table-based, certified per index)
 # --------------------------------------------------------------------------
 
-def _cauchy_terms(X, Y, wp: int):
-    """n -> (sum_{j<=n} X[j] Y[n-j], tail after it), from tables of two series'
-    terms and ratio majorants.  A pair with j + i > n has i > n - j or j > M, so
-    for each M <= n the tail is at most sum_{j<=M} |X[j]| tau_Y(n-j) + tau_X(M)
-    sum |Y|, tau(k) the tail after term k; the least over M is taken."""
-    ax, tx, ty = [], [], []  # |X[j]|, tau_X(j), tau_Y(j) for j <= n
-    sy = 0.0  # sum_{j<=n} |Y[j]|
-
-    def term(n: int) -> tuple:
-        nonlocal sy
-        ax.append(_fabs(X[n][0], wp))
-        tx.append(_tailed(X[n], wp)[1])
-        ty.append(_tailed(Y[n], wp)[1])
-        sy += _fabs(Y[n][0], wp)
-        re = im = 0  # both tables hold terms 0..n from here
-        for ((xr, xi), _), ((yr, yi), _) in zip(X.vals[:n + 1], reversed(Y.vals[:n + 1])):
-            re += xr * yr - xi * yi
-            im += xr * yi + xi * yr
-        heads = accumulate(a * t if a else 0.0 for a, t in zip(ax, reversed(ty)))
-        tails = (h + t * (sy + ty[n]) for h, t in zip(heads, tx))
-        # one rounding for the whole sum
-        return _mul((re, im), (1, 0), wp), min(tails) if ty[n] < math.inf else math.inf
-
-    return term
-
-
 def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, precision_bits):
     """sum over n,k,l of the shifted-parameter Askey-Wilson triple sum with
     weight t^n u^(k+l): the generating-function extension, and at u = t the
@@ -193,7 +165,7 @@ def triple_sum_32pf(
     lhs, lhs_terms = side_value(lhs_side, te, eps / 8, precision_bits)
     qb = QBase.of(qe)
     triple, terms = _triple_sum_engine(ue, te, we, ae, be, ce, de, qe, eps / 8, precision_bits)
-    rhs = triple * _product_quotient(1, [(ue / ae, qb), (ue / ce, qb)],
+    rhs = triple * _product_quotient([(ue / ae, qb), (ue / ce, qb)],
                                      [(ue * we, qb), (ue / we, qb)], precision_bits, eps / 32)
     return make_report("TRIPLE_32PF", params, lhs, rhs, compare_approx(lhs, rhs, eps),
                        truncation_terms=lhs_terms + terms,
@@ -213,7 +185,7 @@ def quad_cor13(
     qb = QBase.of(qe)
     quad, terms = _triple_sum_engine(te, te, we, ae, be, ce, de, qe, eps / 8, precision_bits)
     lhs = ApproxScalar(quad.value, precision_bits)
-    rhs = _product_quotient(1, [(te * we, qb), (te / we, qb)], [(te / ae, qb), (te / ce, qb)],
+    rhs = _product_quotient([(te * we, qb), (te / we, qb)], [(te / ae, qb), (te / ce, qb)],
                             precision_bits, eps / 32)
     return make_report("QUAD_COR13", params, lhs, rhs, compare_approx(lhs, rhs, eps),
                        truncation_terms=terms, note="closed-form quadruple summation")
@@ -431,20 +403,20 @@ def _nonzero(identity_id: str, params: dict, names) -> None:
 
 
 def side_value(side, z, eps: float, pb: int) -> tuple:
-    """(certified value, terms used) of a side at exact z; eps goes to each factor."""
-    total, terms = None, 0
+    """(certified value, terms used) of a side at exact z; eps goes to each
+    factor.  Each term, its exact prefactor and its factor values are
+    multiplied in fixed point, and the sum is rounded once."""
+    wp = pb + _GUARD_BITS
+    re = im = terms = 0
     for pref, power, factors in side:
-        prod = None
+        prod = _fx(EXACT_ONE if pref is None else pref * z**power, wp)
         for f in factors:
-            arg = f.zscale * (z * z if f.squared else z)
-            spec = SeriesSpec.make(f.upper, f.lower, f.base, arg)
+            spec = SeriesSpec.make(f.upper, f.lower, f.base, f.zscale * (z * z if f.squared else z))
             v, cert = eval_phi_nonterminating(spec, eps, pb)
             terms += cert.terms_used
-            prod = v if prod is None else prod * v
-        if pref is not None:
-            prod = (pref * z**power).to_approx(pb) * prod
-        total = prod if total is None else total + prod
-    return total, terms
+            prod = _mul(prod, _fx(v, wp), wp)
+        re, im = re + prod[0], im + prod[1]
+    return _approx((re, im), wp, pb), terms
 
 
 def side_series(side, order: int) -> PowerSeriesTrunc:
@@ -467,7 +439,7 @@ def _wd_appell_value(params, eps, pb):
     qb = QBase.of(q)
     lhs_side = _plain(Phi([u / t, a * d, b * d], [a * b, d * u], q, 1 / d))
     lhs, terms = side_value(lhs_side, t, eps / 8, pb)
-    pref = _product_quotient(1, [(u / a, qb)], [(d * u, qb)], pb, eps / 32)
+    pref = _product_quotient([(u / a, qb)], [(d * u, qb)], pb, eps / 32)
     appell, cert = eval_qappell_phi1(a * d, b * d, a / d, a * b, t / d, u / a, q, eps / 8, pb)
     return lhs, pref * appell, terms + cert.terms_used
 

@@ -13,8 +13,9 @@ Exact code takes ExactScalars (ints and Fractions too) only: it coerces its
 inputs once with :meth:`ExactScalar.coerce`, which raises TypeError on an
 ApproxScalar.  Here that is the finite q-Pochhammer product and the
 list/product convention.  Certified code, here the infinite product
-``(a;q)_inf``, converts exact or mpmath-backed inputs once, at its working
-precision.  All values are immutable and every operation is a pure function.
+``(a;q)_inf``, converts exact or mpmath-backed inputs once, to fixed point at
+its working precision.  All values are immutable and every operation is a
+pure function.
 
 Under the products and series are two private arithmetics.  Exact code (the
 finite products here, the terminating sums and coefficient series of
@@ -26,9 +27,12 @@ forms 1 - a q^k, unreduced; a result is reduced once, by ``_gdiv`` or
 :mod:`qident.series` and :mod:`qident.products`, and the contour node kernel of
 :mod:`qident.integrals`) is fixed point: pairs (re, im) of Python ints scaled
 by 2^wp, wp = precision_bits + _GUARD_BITS (the node kernel's wp is from eps).
-``_fx`` converts an mpmath value in, ``_mul``, ``_div`` and ``_one_minus``
-operate on pairs, ``_qprod`` multiplies the K factors of a q-Pochhammer
-product, and ``_approx`` converts a result out, once, to an :class:`ApproxScalar`.
+``_fx`` converts an exact value in as (n << wp) // d, with no mpmath step, and
+an mpmath value by its binary digits; ``_mul``, ``_div`` and ``_one_minus``
+operate on pairs, and ``_rmul`` and ``_rdiv`` on one int each where all data
+are real, with the same truncation (the rounding lemma of ``_mul``);
+``_qprod`` multiplies the K factors of a q-Pochhammer product, and ``_approx``
+converts a result out, once, to an :class:`ApproxScalar`.
 """
 
 from __future__ import annotations
@@ -591,28 +595,39 @@ def _log_poch_majorant(x: float, Q: float, den: bool) -> float:
     return rest + sum(-math.log1p(-x * Q**k) if den else math.log1p(x * Q**k) for k in range(K))
 
 
-# fixed point (see the module docstring).  _mul and _div round each part toward
-# zero, by less than one unit of 2^-wp, so a product never exceeds its exact
-# modulus.  The guard bits are a fixed margin for rounding, which the proven
-# truncation bounds of the series (series._phi_terms) do not count.
+# fixed point (see the module docstring).  The guard bits are a fixed margin
+# for rounding, which the proven truncation bounds of the series
+# (series._phi_terms) do not count.
 _GUARD_BITS = 30
 
 
 def _fx(x, wp: int) -> tuple:
-    """An mpf, an mpc or an ExactScalar (each part rounded down once) as a fixed-point pair."""
-    if isinstance(x, ExactScalar):
+    """x as a fixed-point pair: an exact x (an ExactScalar, int or Fraction)
+    as ((n << wp) // d, (m << wp) // d), each part the exact one rounded down
+    by less than 2^-wp; an ApproxScalar, mpf, mpc or float rounded down the
+    same way from its binary value.  No exact input goes through mpmath."""
+    if isinstance(x, (ExactScalar, int, Fraction)):
+        x = ExactScalar.coerce(x)
         return (x._n << wp) // x._d, (x._m << wp) // x._d
+    x = x.value if isinstance(x, ApproxScalar) else mpmath.mpmathify(x)
     re, im = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
     return to_fixed(re, wp), to_fixed(im, wp)
 
 
 def _mul(a, b, wp: int) -> tuple:
+    """a b for fixed-point pairs (ints scaled by 2^wp).  The rounding lemma:
+    each part of the result is that part of the exact product truncated
+    toward zero onto the grid 2^-wp, so it is off by less than 2^-wp and never
+    larger in modulus; a product of moduli bounds every computed product."""
     re = a[0] * b[0] - a[1] * b[1]
     im = a[0] * b[1] + a[1] * b[0]
     return (re >> wp if re >= 0 else -(-re >> wp)), (im >> wp if im >= 0 else -(-im >> wp))
 
 
 def _div(a, b, wp: int) -> tuple:
+    """a / b for fixed-point pairs, b != 0: a conj(b) / |b|^2 is formed exactly
+    on ints, so each part is that of the exact quotient truncated toward zero
+    onto the grid 2^-wp, as in :func:`_mul`'s lemma."""
     br, bi = b
     if bi:  # a conj(b) / |b|^2
         a, br = (a[0] * br + a[1] * bi, a[1] * br - a[0] * bi), br * br + bi * bi
@@ -626,21 +641,48 @@ def _div(a, b, wp: int) -> tuple:
 
 
 def _one_minus(x, wp: int) -> tuple:
+    """1 - x for a fixed-point pair, exactly."""
     return (1 << wp) - x[0], -x[1]
+
+
+def _rmul(a: int, b: int, wp: int) -> int:
+    """a b for real fixed-point ints, truncated toward zero as :func:`_mul`
+    truncates: _mul((a, 0), (b, 0)) is exactly (_rmul(a, b), 0)."""
+    p = a * b
+    return p >> wp if p >= 0 else -(-p >> wp)
+
+
+def _rdiv(a: int, b: int, wp: int) -> int:
+    """a / b for real fixed-point ints, b != 0, truncated toward zero as
+    :func:`_div` truncates: _div((a, 0), (b, 0)) is exactly (_rdiv(a, b), 0)."""
+    if b < 0:
+        a, b = -a, -b
+    return (a << wp) // b if a >= 0 else -((-a << wp) // b)
 
 
 def _fabs(x, wp: int) -> float:
     """|x| as a float, taken 2^-40 above the computed value: an upper bound that
-    covers the rounding of a few float operations on it.  NoConvergence when
-    |x| passes the float range."""
-    top = max(abs(x[0]), abs(x[1])).bit_length()
-    s = max(0, top - 1000)  # float range
+    covers the rounding of a few float operations on it.  A real x's modulus is
+    one correctly rounded int division.  NoConvergence when |x| passes the float
+    range."""
+    re, im = x
     try:
-        return math.ldexp(math.hypot(x[0] >> s, x[1] >> s), s - wp) * (1 + 2.0**-40)
+        if not im:
+            return abs(re) / (1 << wp) * (1 + 2.0**-40)
+        s = max(0, max(abs(re), abs(im)).bit_length() - 1000)  # float range
+        return math.ldexp(math.hypot(re >> s, im >> s), s - wp) * (1 + 2.0**-40)
     except OverflowError:
+        top = max(abs(re), abs(im)).bit_length()
         raise NoConvergence(
             f"a magnitude of about 2^{top - wp} passes the float range (2^1024)"
         ) from None
+
+
+def _abs_at_least_one(x) -> bool:
+    """|x| >= 1, decided exactly for an exact x (an ExactScalar, int or Fraction)."""
+    if isinstance(x, (ExactScalar, int, Fraction)):
+        return ExactScalar.coerce(x).abs2() >= 1
+    return abs(x) >= 1
 
 
 def _approx(x, wp: int, precision_bits: int) -> "ApproxScalar":
@@ -674,8 +716,10 @@ def qpoch_infinite(
 ) -> tuple[ApproxScalar, TruncationCert]:
     """(a;q)_inf with a certificate: |V - (a;q)_inf| <= eps * max(1, |V|).
 
-    a and q are exact or ApproxScalars; exact inputs are converted once, at
-    precision_bits (by default DEFAULT_PRECISION_BITS).
+    a and q are exact or ApproxScalars, converted once by :func:`_fx` (an
+    exact one with no mpmath step) to fixed point at precision_bits +
+    _GUARD_BITS; the value is rounded once to precision_bits (by default
+    DEFAULT_PRECISION_BITS).
 
     The tail past the first K factors is controlled through
     |log prod_{k>=K} (1 - a q^k)| <= sum_{k>=K} |a||q|^k / (1 - |a||q|^K),
@@ -693,34 +737,32 @@ def qpoch_infinite(
         a = ExactScalar(a)
     if isinstance(a, ExactScalar) and isinstance(qv, ExactScalar):
         if _qpow_index(a, qv) is not None:
-            zero = ApproxScalar.coerce(0, precision_bits)
-            return zero, TruncationCert(0, 0.0, eps)
+            return ApproxScalar(0, precision_bits), TruncationCert(0, 0.0, eps)
 
-    av = ApproxScalar.coerce(a, precision_bits)
-    qa = ApproxScalar.coerce(qv, precision_bits)
-
-    K, tail_log = _factor_count(float(abs(av)), qb.modulus_bound, eps / 4)
     wp = precision_bits + _GUARD_BITS
-    value = _approx(_qprod(_fx(av.value, wp), _fx(qa.value, wp), K, wp), wp, precision_bits)
-    tail_bound = float(abs(value)) * (math.expm1(tail_log) if tail_log < 1 else 2 * tail_log)
-    target = eps * max(1.0, float(abs(value)))
-    return value, TruncationCert(K, tail_bound, target)
+    a = _fx(a, wp)
+    K, tail_log = _factor_count(_fabs(a, wp), qb.modulus_bound, eps / 4)
+    p = _qprod(a, _fx(qv, wp), K, wp)
+    abs_p = _fabs(p, wp)
+    tail_bound = abs_p * (math.expm1(tail_log) if tail_log < 1 else 2 * tail_log)
+    return _approx(p, wp, precision_bits), TruncationCert(K, tail_bound, eps * max(1.0, abs_p))
 
 
-def _product_quotient(pref, num_args, den_args, precision_bits, eps):
-    """pref * prod (x; base)_inf over num_args / prod over den_args, each
-    factor certified to eps: exact 0 when a numerator factor vanishes, and
-    ZeroDivisionError when a denominator factor does."""
-    num = ApproxScalar.coerce(pref, precision_bits)
+def _product_quotient(num_args, den_args, precision_bits, eps):
+    """prod (x; base)_inf over num_args / prod over den_args, each factor
+    certified to eps and the quotient formed in fixed point: 0 when a
+    numerator factor vanishes, and ZeroDivisionError when a denominator
+    factor does."""
+    wp = precision_bits + _GUARD_BITS
+    num = den = (1 << wp, 0)
     for x, base in num_args:
         v, _ = qpoch_infinite(x, base, eps, precision_bits)
         if v.is_zero():
-            return ExactScalar(0)
-        num = num * v
-    den = ApproxScalar.coerce(1, precision_bits)
+            return v
+        num = _mul(num, _fx(v, wp), wp)
     for x, base in den_args:
         v, _ = qpoch_infinite(x, base, eps, precision_bits)
         if v.is_zero():
             raise ZeroDivisionError("infinite-product denominator vanishes")
-        den = den * v
-    return num / den
+        den = _mul(den, _fx(v, wp), wp)
+    return _approx(_div(num, den, wp), wp, precision_bits)

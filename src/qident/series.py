@@ -3,15 +3,19 @@
 Terminating series are summed exactly, on the Gaussian integers of
 :mod:`qident.qkernel`, from the term ratios of ``_term_ratios``, which also
 give the exact coefficient series of :mod:`qident.powerseries`.  Nonterminating
-series are summed in the fixed-point arithmetic of :mod:`qident.qkernel`: one
-term recurrence (``_phi_terms``) gives the terms of every r-phi-s series, each
+series are summed in the fixed-point arithmetic of :mod:`qident.qkernel`, each
+exact parameter converted once by ``_fx`` with no mpmath step: one term
+recurrence (``_phi_terms``) gives the terms of every r-phi-s series, on one int
+per value (``_rmul``, ``_rdiv``) when q, z and every parameter are real and on
+(re, im) pairs otherwise, with bit-identical terms either way.  Each term comes
 with a non-increasing majorant R_k of every later term ratio (F. Johansson,
 *Computing hypergeometric functions rigorously*, ACM TOMS 45(3), 2019), so
-|t_k| R_k / (1 - R_k) bounds the tail after term k.  The q-Appell and multi-sum
-evaluators build their tails from tables of such terms (``_Table``,
-``_shifted_rows``).  ``certified_sum`` stops at the first term whose proven tail
-bound meets the target; until a majorant is finite, terms are summed one by
-one, which covers any hump of the terms near a pole.
+|t_k| R_k / (1 - R_k) bounds the tail after term k; a real term's modulus is
+one correctly rounded int division.  The q-Appell and multi-sum evaluators
+build their tails from tables of such terms (``_Table``, ``_shifted_rows``,
+``_cauchy_terms``).  ``certified_sum`` stops at the first term whose proven
+tail bound meets the target; until a majorant is finite, terms are summed one
+by one, which covers any hump of the terms near a pole.
 
 Also here: the classical rFs series, the q-Appell Phi1 double series, the two
 q-binomial theorems, and the 2phi2 -> 2phi1 transformation check used as a
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -36,6 +41,7 @@ from .qkernel import (
     QBase,
     Scalar,
     TruncationCert,
+    _abs_at_least_one,
     _approx,
     _div,
     _fabs,
@@ -49,6 +55,8 @@ from .qkernel import (
     _one_minus_aqk,
     _product_quotient,
     _qpow_index,
+    _rdiv,
+    _rmul,
     qpoch_finite,
 )
 from .reporting import VerificationReport, compare_approx, make_report, matched
@@ -222,6 +230,12 @@ class _Table:
         return vals[i]
 
 
+# the arithmetic of _phi_terms, chosen once per series: (mul, div, 1 - x, -x,
+# zero) on fixed-point pairs, or on one int per value when all data are real
+_PAIR_OPS = (_mul, _div, _one_minus, lambda x: (-x[0], -x[1]), (0, 0))
+_REAL_OPS = (_rmul, _rdiv, lambda x, wp: (1 << wp) - x, operator.neg, 0)
+
+
 def _phi_terms(upper, lower, q, z, wp: int) -> Callable[[int], tuple]:
     """k -> (term k, R_k) of the r-phi-s series sum_k (upper;q)_k / (q, lower;q)_k
     ((-1)^k q^binom(k,2))^e z^k, e = 1+s-r, called for k = 0, 1, 2, ... in turn.
@@ -229,45 +243,52 @@ def _phi_terms(upper, lower, q, z, wp: int) -> Callable[[int], tuple]:
     Parameters and terms are fixed-point pairs at wp bits.  Term k is term k-1
     times prod (1 - a q^(k-1)) z (-q^(k-1))^e / ((1 - q^k) prod (1 - b q^(k-1))),
     and a lower factor that is exactly zero raises PoleError naming index k.
-    R_k, the :func:`_ratio_majorant`, bounds |term j+1 / term j| for every j >=
-    k; it is inf before every |b||q|^k < 1, and for e < 0.
+    When q, z and every parameter are real, the recurrence runs on one int per
+    value (``_rmul``, ``_rdiv``: one product per factor, not four); these
+    truncate as the pair ops do, so every term and pole index is bit-identical
+    to the pair path's.  R_k, the :func:`_ratio_majorant`, bounds |term j+1 /
+    term j| for every j >= k; it is inf before every |b||q|^k < 1, and for e < 0.
     """
     e = 1 + len(lower) - len(upper)
     Q, za = _fabs(q, wp), _fabs(z, wp)
     am, bm = ([_fabs(x, wp) for x in xs] for xs in (upper, lower))
+    real = not any(x[1] for x in (q, z, *upper, *lower))
+    mul, div, one_minus, neg, zero = _REAL_OPS if real else _PAIR_OPS
     ups, los = upper, lower  # a q^(k-1), b q^(k-1)
-    qk = t = (1 << wp, 0)
+    if real:
+        q, z, ups, los = q[0], z[0], [a[0] for a in ups], [b[0] for b in los]
+    qk = t = one_minus(zero, wp)  # q^(k-1) and term k-1: 1
+    b_max = max(bm, default=0.0)
 
     def ratio(k: int) -> float:
-        if e < 0 or max(bm, default=0.0) * Q**k >= 1:
+        if e < 0 or b_max * Q**k >= 1:
             return math.inf
         return _ratio_majorant(za, am, bm, Q, k, e)
 
     def term(k: int) -> tuple:
         nonlocal ups, los, qk, t
-        if k == 0:
-            return t, ratio(0)
-        qk1 = _mul(qk, q, wp)
-        den = _one_minus(qk1, wp)
-        for j, b in enumerate(los):
-            f = _one_minus(b, wp)
-            if not (f[0] or f[1]):
-                b = _approx(lower[j], wp, 64)
-                raise PoleError(f"lower parameter {b} produces a zero factor at index {k}", index=k)
-            den = _mul(den, f, wp)
-        num = z
-        for a in ups:
-            num = _mul(num, _one_minus(a, wp), wp)
-        minus_qk = (-qk[0], -qk[1])
-        for _ in range(e):
-            num = _mul(num, minus_qk, wp)
-        for _ in range(-e):
-            den = _mul(den, minus_qk, wp)
-        t = _div(_mul(t, num, wp), den, wp)
-        ups = [_mul(a, q, wp) for a in ups]
-        los = [_mul(b, q, wp) for b in los]
-        qk = qk1
-        return t, ratio(k)
+        if k:
+            qk1 = mul(qk, q, wp)
+            den = one_minus(qk1, wp)
+            for j, b in enumerate(los):
+                f = one_minus(b, wp)
+                if f == zero:
+                    b = _approx(lower[j], wp, 64)
+                    raise PoleError(f"lower parameter {b} produces a zero factor at index {k}",
+                                    index=k)
+                den = mul(den, f, wp)
+            num = z
+            for a in ups:
+                num = mul(num, one_minus(a, wp), wp)
+            for _ in range(e):
+                num = mul(num, neg(qk), wp)
+            for _ in range(-e):
+                den = mul(den, neg(qk), wp)
+            t = div(mul(t, num, wp), den, wp)
+            ups = [mul(a, q, wp) for a in ups]
+            los = [mul(b, q, wp) for b in los]
+            qk = qk1
+        return ((t, 0) if real else t), ratio(k)
 
     return term
 
@@ -315,6 +336,43 @@ def _shifted_rows(weight, head, quot, q, eps: float, pb: int) -> tuple[Callable,
     return row, used
 
 
+def _cauchy_terms(X, Y, wp: int):
+    """n -> (sum_{j<=n} X[j] Y[n-j], tail after it), from tables of two series'
+    terms and ratio majorants.  A pair with j + i > n has i > n - j or j > M, so
+    for each M <= n the tail is at most sum_{j<=M} |X[j]| tau_Y(n-j) + tau_X(M)
+    sum |Y|, tau(k) the tail after term k; the least over M is taken."""
+    parts = [], [], [], []  # the real and imaginary parts of X[j], then of Y[j], j <= n
+    ax, tx, ty = [], [], []  # |X[j]|, tau_X(j), tau_Y(j) for j <= n
+    sy = 0.0  # sum_{j<=n} |Y[j]|
+
+    def term(n: int) -> tuple:
+        nonlocal sy
+        for p, v in zip(parts, (*X[n][0], *Y[n][0])):
+            p.append(v)
+        ax.append(_fabs(X[n][0], wp))
+        tx.append(_tailed(X[n], wp)[1])
+        ty.append(_tailed(Y[n], wp)[1])
+        sy += _fabs(Y[n][0], wp)
+        xr, xi, yr, yi = parts
+        yr, yi = yr[::-1], yi[::-1]
+        # exact products of ints, one rounding for the whole sum
+        re, im = sum(map(operator.mul, xr, yr)), 0
+        if any(xi) or any(yi):
+            re -= sum(map(operator.mul, xi, yi))
+            im = sum(map(operator.mul, xr, yi)) + sum(map(operator.mul, xi, yr))
+        if ty[n] == math.inf:
+            return _mul((re, im), (1, 0), wp), math.inf
+        s, head, tail = sy + ty[n], 0.0, math.inf
+        for a, t, x in zip(ax, reversed(ty), tx):
+            if a:
+                head += a * t
+            if head + x * s < tail:
+                tail = head + x * s
+        return _mul((re, im), (1, 0), wp), tail
+
+    return term
+
+
 _MAX_TERMS = 100_000
 
 
@@ -345,32 +403,28 @@ def eval_phi_nonterminating(
 ) -> tuple[ApproxScalar, TruncationCert]:
     """Certified value of an r-phi-s series, summed in fixed point.
 
-    The parameters are exact or ApproxScalars; exact ones are converted once,
-    at precision_bits.  A terminating spec sums its n+1 terms, as does a spec
-    of exact base with an exact upper parameter equal to q^-n."""
+    The parameters are exact or ApproxScalars; each is converted once, by
+    :func:`_fx`, to fixed point at precision_bits + _GUARD_BITS (an exact one
+    with no mpmath step), and the sum is rounded once to precision_bits.  A
+    terminating spec sums its n+1 terms, as does a spec of exact base with an
+    exact upper parameter equal to q^-n."""
     n = spec.termination
     base = spec.base.value
     if n is None and isinstance(base, ExactScalar):
         ends = [_qpow_index(ExactScalar.coerce(a), base) for a in spec.upper
                 if isinstance(a, (ExactScalar, int, Fraction))]
         n = min((k for k in ends if k is not None), default=None)
-    wp = precision_bits + _GUARD_BITS
-    q, z = (ApproxScalar.coerce(x, precision_bits).value for x in (base, spec.arg))
-    upper, lower = (
-        [_fx(ApproxScalar.coerce(x, precision_bits).value, wp) for x in xs]
-        for xs in (spec.upper, spec.lower)
-    )
-    abs_z = float(abs(z))
-
-    if z == 0:
-        return ApproxScalar.coerce(1, precision_bits), TruncationCert(1, 0.0, eps)
+    if spec.arg == 0:
+        return ApproxScalar(1, precision_bits), TruncationCert(1, 0.0, eps)
     if n is None:
         if spec.r > spec.s + 1:
             raise DivergenceError("r > s+1 does not converge without termination")
-        if spec.r == spec.s + 1 and abs_z >= 1:
-            raise DivergenceError(f"|z| = {abs_z} >= 1 for an r = s+1 series")
+        if spec.r == spec.s + 1 and _abs_at_least_one(spec.arg):
+            raise DivergenceError(f"|z| >= 1 for an r = s+1 series, z = {spec.arg}")
 
-    term = _phi_terms(upper, lower, _fx(q, wp), _fx(z, wp), wp)
+    wp = precision_bits + _GUARD_BITS
+    upper, lower = ([_fx(x, wp) for x in xs] for xs in (spec.upper, spec.lower))
+    term = _phi_terms(upper, lower, _fx(base, wp), _fx(spec.arg, wp), wp)
     if n is not None:
         # a term that is exactly 0 (an upper factor vanished) ends the series
         terms = list(itertools.takewhile(any, (term(k)[0] for k in range(n + 1))))
@@ -391,7 +445,7 @@ def jackson_22_to_21_check(
         lhs_spec = SeriesSpec.make([a, c / b], [c, a * z], qb, b * z)
     lhs, cert_l = eval_phi_nonterminating(lhs_spec, eps / 4, precision_bits)
 
-    pref = _product_quotient(1, [(z, qb)], [(a * z, qb)], precision_bits, eps / 8)
+    pref = _product_quotient([(z, qb)], [(a * z, qb)], precision_bits, eps / 8)
     phi21 = SeriesSpec.make([a, b], [c], qb, z)
     rhs_phi, cert_r = eval_phi_nonterminating(phi21, eps / 4, precision_bits)
     rhs = pref * rhs_phi
@@ -432,7 +486,7 @@ def qbinomial_checks(
         qb = QBase.of(q)
         spec = SeriesSpec.make([a], [], qb, z)
         lhs, cert = eval_phi_nonterminating(spec, eps / 4, precision_bits)
-        rhs = _product_quotient(1, [(a * z, qb)], [(z, qb)], precision_bits, eps / 8)
+        rhs = _product_quotient([(a * z, qb)], [(z, qb)], precision_bits, eps / 8)
         return make_report(
             "QBINOMIAL_NONTERMINATING", params, lhs, rhs, compare_approx(lhs, rhs, eps),
             truncation_terms=cert.terms_used,
@@ -514,12 +568,11 @@ def eval_qappell_phi1(
       = sum_{m,n>=0} (a;q)_{m+n} (b;q)_m (b2;q)_n x^m y^n
                      / ((q;q)_m (q;q)_n (c;q)_{m+n}).
     """
-    pb = precision_bits
-    qv, av, bv, b2v, cv, xv, yv = (ApproxScalar.coerce(v, pb).value for v in (q, a, b, b2, c, x, y))
-    if max(abs(xv), abs(yv)) >= 1:
+    if _abs_at_least_one(x) or _abs_at_least_one(y):
         raise DivergenceError("q-Appell Phi1 needs |x| < 1 and |y| < 1")
+    pb = precision_bits
     wp = pb + _GUARD_BITS
-    q, a, b, b2, c, x, y = (_fx(v, wp) for v in (qv, av, bv, b2v, cv, xv, yv))
+    q, a, b, b2, c, x, y = (_fx(v, wp) for v in (q, a, b, b2, c, x, y))
     # Phi1 = sum_m P[m] sum_n B[n] A[n+m], with P[m] = (b;q)_m x^m / (q;q)_m,
     # B[n] = (b2;q)_n y^n / (q;q)_n and A[i] = (a;q)_i / (c;q)_i
     row, used = _shifted_rows((b, x), (b2, y), (a, c), q, eps / 4, pb)

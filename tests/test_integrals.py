@@ -515,6 +515,13 @@ class TestIntegralReps:
         with pytest.raises(NoConvergence, match="no strip"):
             verify_integral_rep("IR_SRIV_JAIN", params, sigma=F(1, 2), f=F(3, 2), eps=1e-25)
 
+    def test_products_past_float_range_are_named(self):
+        # f = 10^10 puts the node products' log-majorant on |w| = 1 past 700:
+        # the refusal gives that log, not a missing majorant of the integrand
+        params, sigma, _ = POINTS["IR_SRIV_JAIN"]
+        with pytest.raises(NoConvergence, match=r"products' majorant .* log is 801\.662 >= 700"):
+            verify_integral_rep("IR_SRIV_JAIN", params, sigma=sigma, f=F(10**10), eps=1e-10)
+
     def test_sigma_one_rejected_by_prescan(self):
         # sigma = 1 puts |i sigma/w| = 1 on the contour
         params, _, _ = POINTS["IR_SRIV_JAIN"]

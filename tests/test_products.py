@@ -579,3 +579,18 @@ def _coefficient_pin(key):
 @pytest.mark.parametrize("key", sorted(GOLDEN_COEFF_SHA256))
 def test_golden_coefficients(key):
     assert _coefficient_pin(key) == GOLDEN_COEFF_SHA256[key]
+
+
+# every product id at its test point (the multi-sums at their term-count points)
+VALUE_POINTS = {**{k: point for k, (point, _) in GOLDEN_TERM_COUNTS.items()}, **PRODUCT_POINTS}
+
+
+@pytest.mark.parametrize("ident", PRODUCT_IDS)
+def test_no_exact_input_goes_through_mpmath(ident, monkeypatch):
+    # the value path takes each exact input straight to fixed point: with the
+    # exact-to-mpmath conversion made to fail, every check still runs and passes
+    def refused(self, precision_bits):
+        raise AssertionError(f"{self} was converted to mpmath at {precision_bits} bits")
+
+    monkeypatch.setattr(ExactScalar, "to_approx", refused)
+    assert verify_product(ident, VALUE_POINTS[ident], eps=1e-30).passed

@@ -1,7 +1,7 @@
 """Scalar arithmetic and q-Pochhammer layer."""
 
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
 import pytest
@@ -14,6 +14,13 @@ from qident.qkernel import (
     ExactScalar,
     I,
     QBase,
+    _div,
+    _fabs,
+    _fx,
+    _mul,
+    _one_minus,
+    _rdiv,
+    _rmul,
     format_exact,
     parse_exact,
     plus_minus,
@@ -300,7 +307,23 @@ class TestQPochList:
 # Fractions multiplied factor by factor.  A parameter is a Gaussian rational,
 # 0, or q^-k for a drawn k (a factor 1 - a q^k that vanishes).
 small_gaussians = st.tuples(small_fracs, st.one_of(st.just(F(0)), small_fracs))
-gaussian_bases = small_gaussians.filter(lambda p: 0 < p[0] ** 2 + p[1] ** 2 < 1)
+
+
+@st.composite
+def gaussian_bases(draw):
+    """A base (n/d, m/e) != 0 with (n/d)^2 + (m/e)^2 < 1 by construction, d and
+    e at most 6: (m d)^2 < e^2 (d^2 - n^2).  With n != 0, about half are real."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1 - d, d - 1))
+    e = draw(st.integers(1 if n else 2, 6))
+    m_max = isqrt(e * e * (d * d - n * n) - 1) // d
+    if n:
+        m = draw(st.one_of(st.just(0), st.integers(-m_max, m_max)))
+    else:
+        m = draw(st.integers(1, m_max)) * draw(st.sampled_from((1, -1)))
+    return F(n, d), F(m, e)
+
+
 parameters = st.one_of(
     small_gaussians, st.just((F(0), F(0))), st.integers(0, 12).map(lambda k: ("q^-k", k))
 )
@@ -339,13 +362,13 @@ def _ref_phi_terms(upper, lower, q, z, n):
 
 
 class TestFractionFreeAgainstReference:
-    @given(parameters, gaussian_bases, st.integers(0, 12))
+    @given(parameters, gaussian_bases(), st.integers(0, 12))
     @settings(max_examples=50, deadline=None)
     def test_qpoch_finite(self, a, q, n):
         a = _param(a, q)
         assert qpoch_finite(E(*a), E(*q), n) == E(*_ref_qpoch(a, q, n))
 
-    @given(st.lists(parameters, min_size=1, max_size=4), gaussian_bases, st.integers(0, 12))
+    @given(st.lists(parameters, min_size=1, max_size=4), gaussian_bases(), st.integers(0, 12))
     @settings(max_examples=40, deadline=None)
     def test_qpoch_list(self, args, q, n):
         args = [_param(a, q) for a in args]
@@ -355,7 +378,7 @@ class TestFractionFreeAgainstReference:
         assert qpoch_list([E(*a) for a in args], E(*q), n) == E(*ref)
 
     @given(st.lists(parameters, max_size=3), st.lists(small_gaussians, max_size=3),
-           gaussian_bases, small_gaussians, st.integers(0, 12))
+           gaussian_bases(), small_gaussians, st.integers(0, 12))
     @settings(max_examples=40, deadline=None)
     def test_phi_series_coeffs(self, upper, lower, q, z, order):
         upper = [_param(a, q) for a in upper]
@@ -366,7 +389,7 @@ class TestFractionFreeAgainstReference:
         assert got.coeffs == tuple(E(*t) for t in ref)
 
     @given(st.lists(parameters, max_size=3), st.lists(small_gaussians, max_size=3),
-           gaussian_bases, small_gaussians, st.integers(0, 12))
+           gaussian_bases(), small_gaussians, st.integers(0, 12))
     @settings(max_examples=40, deadline=None)
     def test_eval_phi_terminating(self, upper, lower, q, z, n):
         upper = [_pair_pow(q, -n)] + [_param(a, q) for a in upper]
@@ -447,3 +470,47 @@ class TestQPochInfinite:
         with mpmath.mp.workprec(2 * bits):
             ref = mpmath.qp(a.to_approx(2 * bits).value, q.to_approx(2 * bits).value)
             assert abs(v.value - ref) <= eps * max(1, abs(ref)), (a, q)
+
+
+# Fixed-point values: pairs of ints scaled by 2^wp, signs and sizes mixed
+fixed_parts = st.one_of(st.integers(-(2**40), 2**40), st.integers(-(2**400), 2**400))
+fixed_pairs = st.tuples(fixed_parts, st.one_of(st.just(0), fixed_parts))
+
+
+def _value(x, wp):
+    return F(x[0], 2**wp), F(x[1], 2**wp)
+
+
+def _truncated(got, exact, wp):
+    """got (a Fraction) is exact cut toward zero onto the grid 2^-wp."""
+    return got * 2**wp % 1 == 0 and 0 <= abs(exact) - abs(got) < F(1, 2**wp) and got * exact >= 0
+
+
+class TestRoundingLemma:
+    """Each part of _mul and _div is the exact product's or quotient's part cut
+    toward zero onto the grid 2^-wp; _one_minus is exact and _fx rounds an exact
+    value down by less than 2^-wp; the real ops give the pair ops' real parts."""
+
+    @given(fixed_pairs, fixed_pairs, st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_mul_and_div_truncate_the_exact_result(self, a, b, wp):
+        x, y = _value(a, wp), _value(b, wp)
+        product = _pair_mul(x, y)
+        assert all(_truncated(g, e, wp) for g, e in zip(_value(_mul(a, b, wp), wp), product))
+        assert _one_minus(a, wp) == (2**wp - a[0], -a[1])
+        if b != (0, 0):
+            quotient = _pair_div(x, y)
+            assert all(_truncated(g, e, wp) for g, e in zip(_value(_div(a, b, wp), wp), quotient))
+        if not (a[1] or b[1]):
+            assert _mul(a, b, wp) == (_rmul(a[0], b[0], wp), 0)
+            if b[0]:
+                assert _div(a, b, wp) == (_rdiv(a[0], b[0], wp), 0)
+            assert _fabs(a, wp) == float(F(abs(a[0]), 2**wp)) * (1 + 2.0**-40)
+
+    @given(gaussians, st.integers(1, 300))
+    @settings(max_examples=100, deadline=None)
+    def test_fx_rounds_an_exact_value_down(self, x, wp):
+        got = _value(_fx(E(*x), wp), wp)
+        assert all(0 <= e - g < F(1, 2**wp) and g * 2**wp % 1 == 0 for g, e in zip(got, x))
+        if not x[1]:
+            assert _fx(x[0], wp) == _fx(E(*x), wp)

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
+from qident import series
 from qident.errors import DivergenceError, DomainError, PoleError
-from qident.qkernel import ApproxScalar, ExactScalar, QBase, qpoch_finite, qpoch_infinite
+from qident.qkernel import ApproxScalar, ExactScalar, QBase, _fx, qpoch_finite, qpoch_infinite
 from qident.series import (
     BalanceClass,
     SeriesSpec,
@@ -193,6 +194,22 @@ class TestNonterminating:
             ) if ends else mpmath.qhyper(A, B, Q, Z)
             assert abs(v.value - ref) <= eps * max(1, abs(ref)), (upper, lower, q, z)
 
+    def test_float_parameters_are_taken_at_their_binary_value(self):
+        # a float or complex parameter is converted as the mpf or mpc of equal value
+        floats = SeriesSpec.make([0.5 + 0.1j], [0.25], E(F(1, 2)), 0.3)
+        mpfs = SeriesSpec.make([mpmath.mpc(0.5, 0.1)], [mpmath.mpf(0.25)], E(F(1, 2)),
+                               mpmath.mpf(0.3))
+        assert eval_phi_nonterminating(floats, 1e-20) == eval_phi_nonterminating(mpfs, 1e-20)
+
+    @pytest.mark.parametrize("q", [E(F(1, 2)), E(F(-1, 2)), E(0, F(1, 2))])
+    def test_lower_pole_names_index(self, q):
+        # a lower parameter q^-3 makes the factor 1 - b q^3 exactly 0 in fixed
+        # point: index 4, on the real ints and on the pairs alike
+        spec = SeriesSpec.make([E(F(1, 3))], [E(F(1, 7)), q**-3], q, E(F(1, 5)))
+        with pytest.raises(PoleError) as err:
+            eval_phi_nonterminating(spec, 1e-30)
+        assert err.value.index == 4
+
     def test_upper_qpow_ends_the_series(self):
         # an exact upper parameter q^-n ends the series after term n: 1 = q^0
         # leaves the one term 1, and q^-3 the four terms of a terminating sum
@@ -234,6 +251,59 @@ class TestNonterminating:
         ref = _direct_sum(upper, lower, q, z, K + 400, 2 * bits)
         with mp.workprec(2 * bits):
             assert abs(v.value - ref) <= eps * max(1, abs(ref))
+
+
+def _pair_ops_on_ints():
+    """series._PAIR_OPS run on the real path's ints: each op takes pairs (x, 0)
+    and must give a real result, whose real part it returns."""
+
+    def lift(op, n):
+        def lifted(*args):
+            r = op(*((x, 0) for x in args[:n]), *args[n:])
+            assert r[1] == 0
+            return r[0]
+
+        return lifted
+
+    mul, div, one_minus, neg, _ = series._PAIR_OPS
+    return lift(mul, 2), lift(div, 2), lift(one_minus, 1), lift(neg, 1), 0
+
+
+def _first_terms(upper, lower, q, z, wp, n=25) -> tuple:
+    """The first n outputs of series._phi_terms, then the index of its
+    PoleError, ZeroDivisionError when a denominator rounds to 0, or None."""
+    term, out = series._phi_terms(upper, lower, q, z, wp), []
+    try:
+        for k in range(n):
+            out.append(term(k))
+    except PoleError as err:
+        return out, err.index
+    except ZeroDivisionError:
+        return out, ZeroDivisionError
+    return out, None
+
+
+class TestRealArithmetic:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_real_terms_are_the_pair_path_terms(self, data):
+        # real data: the int recurrence against the same recurrence over the
+        # pair ops, term for term; a base +-2^-j makes q^-k exact in fixed
+        # point, so an upper q^-k ends the terms and a lower q^-k is a pole
+        wp = data.draw(st.integers(20, 200))
+        power = st.integers(1, 3).map(lambda j: F(1, 2**j))
+        q = data.draw(st.one_of(power, power.map(lambda x: -x),
+                                st.fractions(F(-7, 8), F(7, 8), max_denominator=8).filter(bool)))
+        param = st.one_of(st.fractions(F(-3), F(3), max_denominator=8),
+                          st.integers(1, 6).map(lambda k: q**-k))
+        upper, lower = (data.draw(st.lists(param, max_size=3)) for _ in range(2))
+        z = data.draw(st.fractions(F(-2), F(2), max_denominator=9).filter(bool))
+        upper, lower = ([_fx(E(x), wp) for x in xs] for xs in (upper, lower))
+        args = upper, lower, _fx(E(q), wp), _fx(E(z), wp)
+        real = _first_terms(*args, wp)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(series, "_REAL_OPS", _pair_ops_on_ints())
+            assert _first_terms(*args, wp) == real
 
 
 class TestJackson:
