@@ -20,14 +20,18 @@ majorant series.  The same majorants on |w| = 1 fix the truncations and the
 working bits, so the nodes evaluate one fixed analytic function, which M bounds.
 
 Before any node runs, everything free of w is computed once, and each factor
-becomes a series in w or conj(w) summed by Horner's rule: a theta pair theta(C
-w^e; q) of numerator arguments C w^e and (q/C) w^-e is a Jacobi triple-product
-series; a product (C^2 w^(2e); q^2)_inf of denominator arguments +-C w^e, and
-each other argument's product, is Euler's series in w^e; the 3phi2 kernel's
-first T terms are one power series in w, cut by Cauchy's estimate.  The pairs
-are read off the exact data, and the product of a pair's two majorants bounds
-it, so M and N are as unfolded.  The denominators are divided once per node,
-on fixed-point ints, and each node w is the last times e^(2 pi i/N).
+becomes a series in w or conj(w): a theta pair theta(C w^e; q) of numerator
+arguments C w^e and (q/C) w^-e is a Jacobi triple-product series; a product
+(C^2 w^(2e); q^2)_inf of denominator arguments +-C w^e, and each other
+argument's product, is Euler's series in w^e; the 3phi2 kernel's first T terms
+are one power series in w, cut by Cauchy's estimate.  The pairs are read off
+the exact data, and the product of a pair's two majorants bounds it, so M and N
+are as unfolded.  Each series is a cosine sum plus i times a sine sum, summed
+by Clenshaw's recurrence at a node (:func:`_clenshaw`: one product per
+coefficient and sum, its roundings under 2^-wp / 8); where the mirror below
+says the constants are real, or imaginary and real after w = -i v, every
+coefficient is one int.  The denominators are divided once per node, on
+fixed-point ints, and each node w is the last times e^(2 pi i/N).
 
 Every denominator argument, and the kernel's l2 w/sigma and zc w/sigma, must
 keep modulus below one on the contour (which also places the kernel's poles),
@@ -244,11 +248,13 @@ def _kernel_degree(kabs, Q: float, T: int, budget: float) -> int:
     return max(0, math.ceil(best) - 1)
 
 
-def _kernel_fixed(kernel, base, sig, T: int, N: int, wp: int) -> list:
-    """The fixed-point coefficients of w^N, ..., w^0 (for :func:`_laurent`) of the
-    kernel's first T terms, K_0: K_(T-1) = 1, K_k = 1 + rho_k (w - u3 sigma q^k)
-    K_(k+1) / (1 - (l2/sigma) q^k w) cut at w^N, exact up to w^N as no step lowers
-    a degree; dividing f by 1 - c w is h_n = f_n + c h_(n-1)."""
+def _kernel_fixed(kernel, base, sig, T: int, N: int, wp: int) -> tuple[list, list]:
+    """The fixed-point coefficients of w^0, ..., w^N of the kernel's first T
+    terms, as (re, im) int lists, K_0: K_(T-1) = 1, K_k = 1 + rho_k (w - u3 sigma
+    q^k) K_(k+1) / (1 - (l2/sigma) q^k w) cut at w^N, exact up to w^N as no step
+    lowers a degree; dividing f by 1 - c w is h_n = f_n + c h_(n-1).  When every
+    step's constants are real, so is each K_k, and a step runs on the real parts
+    alone: 3 products per coefficient, not 12."""
     (u1, u2, u3), (l1, l2), zc = kernel
     q, zw, one = _fx(base, wp), _fx(zc / sig, wp), 1 << wp
     powers, steps = [_fx(x, wp) for x in (u1, u2, u3 * sig, l1, l2 / sig, base)], []
@@ -259,15 +265,22 @@ def _kernel_fixed(kernel, base, sig, T: int, N: int, wp: int) -> list:
         steps.append((*rho, *_mul(rho, a3, wp), *b2))
         powers = [_mul(x, q, wp) for x in powers]
     kr, ki = [one] + [0] * N, [0] * (N + 1)
+    real = not any(ri or pi or bi for _, ri, _, pi, _, bi in steps)
     for rr, ri, pr, pi, br, bi in reversed(steps):
+        # h_n = rho_k (f_(n-1) - u3 sigma q^k f_n) + c h_(n-1)
         hr = hi = gr = gi = 0  # h_(n-1) and f_(n-1)
-        for n in range(N + 1):  # h_n = rho_k (f_(n-1) - u3 sigma q^k f_n) + c h_(n-1)
-            fr, fi = kr[n], ki[n]
-            hr, hi = ((rr * gr - ri * gi - pr * fr + pi * fi + br * hr - bi * hi) >> wp,
-                      (rr * gi + ri * gr - pr * fi - pi * fr + br * hi + bi * hr) >> wp)
-            kr[n], ki[n], gr, gi = hr, hi, fr, fi
+        if real:
+            for n, fr in enumerate(kr):
+                hr = (rr * gr - pr * fr + br * hr) >> wp
+                kr[n], gr = hr, fr
+        else:
+            for n in range(N + 1):
+                fr, fi = kr[n], ki[n]
+                hr, hi = ((rr * gr - ri * gi - pr * fr + pi * fi + br * hr - bi * hi) >> wp,
+                          (rr * gi + ri * gr - pr * fi - pi * fr + br * hi + bi * hr) >> wp)
+                kr[n], ki[n], gr, gi = hr, hi, fr, fi
         kr[0] += one
-    return list(zip(reversed(kr), reversed(ki)))
+    return kr, ki
 
 
 def _euler(C, base, budget: float, theta: bool = False) -> list:
@@ -311,29 +324,62 @@ def _theta_pair(C, base, budget: float) -> tuple[list, list, int]:
     return plus, minus, _factor_count(Q, Q, 0.4 * budget / (G * S))[0]
 
 
-def _theta_fixed(series, base, wp: int) -> tuple[list, list]:
-    """A :func:`_theta_pair` series as fixed-point coefficients over (q; q)_K,
-    highest power first, for :func:`_laurent`.  1/(q; q)_K, up to G, magnifies
-    the K roundings of (q; q)_K, so (q; q)_K is formed at log2(K G) bits more."""
+def _theta_fixed(series, base, wp: int) -> tuple[tuple, tuple]:
+    """A :func:`_theta_pair` series on |x| = 1, x = e^(i theta), as sum_k A_k cos
+    k theta + i sum_k B_k sin k theta: A_k = plus[k] + minus[k-1] and B_k =
+    plus[k] - minus[k-1] (minus[-1] = 0), in fixed point over (q; q)_K, as
+    (re, im) int lists.  1/(q; q)_K, up to G, magnifies the K roundings of (q;
+    q)_K, so (q; q)_K is formed at log2(K G) bits more."""
     plus, minus, K = series
     Q = base.abs_upper()
     hi = wp + K.bit_length() + math.ceil(_log_poch_majorant(Q, Q, True) / math.log(2))
     q = _fx(base, hi)
     scale = _div((1 << wp, 0), _qprod(q, q, K, hi), hi)
-    return tuple([_mul(_fx(c, wp), scale, wp) for c in reversed(cs)] for cs in (plus, minus))
+    c, d, A, B = [_fx(x, wp) for x in plus], [_fx(x, wp) for x in [0, *minus]], [], []
+    for (cr, ci), (dr, di) in itertools.zip_longest(c, d, fillvalue=(0, 0)):
+        A.append(_mul((cr + dr, ci + di), scale, wp))
+        B.append(_mul((cr - dr, ci - di), scale, wp))
+    return tuple(zip(*A)), tuple(zip(*B))
 
 
-def _laurent(plus: list, minus: list, x: tuple, wp: int) -> tuple:
-    """sum_k plus[-1-k] x^k + sum_(m>=1) minus[-m] conj(x)^m for a fixed-point x
-    on the unit circle, by Horner's rule in x and in conj(x) = 1/x."""
-    xr, xi = x
-    sr = si = tr = ti = 0
-    for cr, ci in plus:
-        sr, si = ((sr * xr - si * xi) >> wp) + cr, ((sr * xi + si * xr) >> wp) + ci
-    for cr, ci in minus:
-        tr, ti = tr + cr, ti + ci
-        tr, ti = (tr * xr + ti * xi) >> wp, (ti * xr - tr * xi) >> wp
-    return sr + tr, si + ti
+def _parts(A, B) -> tuple[int, list]:
+    """(g, parts): the parts (u, v, a_0, [a_D, ..., a_1]) that :func:`_clenshaw`
+    sums to sum_k A_k cos k theta + i sum_k B_k sin k theta, from (re, im) int
+    lists of A and B (B None: B = A, a series in x = e^(i theta), whose parts
+    then give both sums), each int shifted up by the lemma's g = 2
+    bit_length(D) + 2 bits.  u and v are the Gaussian units (or 0) that weigh a
+    part's cosine and sine sums; a part whose ints are all 0 is left out, so
+    real coefficients hold one int each."""
+    g, units, zero = 2 * (len(A[0]) - 1).bit_length() + 2, ((1, 0), (0, 1)), ((0, 0),) * 2
+    parts = zip(units + zero, units if B is None else zero + units, A + (B or ()))
+    return g, [(u, v, a[0] << g, [x << g for x in reversed(a[1:])])
+               for u, v, a in parts if any(a)]
+
+
+def _clenshaw(parts: list, c: int, s: int, W: int) -> tuple:
+    """sum over parts (u, v, a_0, [a_D, ..., a_1]) of u sum_k a_k cos k theta + i
+    v sum_k a_k sin k theta, for fixed-point ints at W bits and c = cos theta,
+    s = sin theta, |c| <= 1, as a fixed-point pair at W.
+
+    Clenshaw's recurrence (C. W. Clenshaw, *A note on the summation of
+    Chebyshev series*, Math. Comp. 9, 1955): b_k = a_k + 2c b_(k+1) - b_(k+2)
+    from b_(D+1) = b_(D+2) = 0 gives sum_k a_k cos k theta = a_0 + b_1 c - b_2
+    and sum_k a_k sin k theta = b_1 s, one product per coefficient.  Lemma:
+    each step rounds 2c b_(k+1) down by under one unit 2^-W, and an error at
+    step k reaches b_1 as U_(k-1)(c) times it and b_2 as U_(k-2)(c) times it;
+    |U_j(c)| <= j + 1, so the sine sum moves by under D(D+1)/2 + 1 <= (D+1)^2/2
+    units and the cosine sum, whose errors meet T_k(c) = c U_(k-1)(c) -
+    U_(k-2)(c), |T_k(c)| <= 1, by under D + 1 <= (D+1)^2/2 (D >= 1; at D = 0
+    both are exact).  At W = wp + g, g = 2 bit_length(D) + 2, that is under
+    2^-wp / 8."""
+    c2, re, im = 2 * c, 0, 0
+    for u, v, a0, rest in parts:
+        b1 = b2 = 0
+        for a in rest:
+            b1, b2 = a + (c2 * b1 >> W) - b2, b1
+        cos, sin = a0 + (b1 * c >> W) - b2, b1 * s >> W
+        re, im = re + u[0] * cos - v[1] * sin, im + u[1] * cos + v[0] * sin
+    return re, im
 
 
 def _fold(num, den, base, sig) -> tuple[list, list, list, list]:
@@ -389,13 +435,23 @@ def _node_integrand(num, den, kernel, base, sig,
     bounds it, so its w^n coefficient has modulus at most S_R R^-n, and those
     past w^N sum to at most S_R R^(-N-1) / (1 - 1/R).  Rounding has the other
     half by a margin, not yet a proof: each operation errs by under 2^-wp and
-    the majorants bound every intermediate, so wp is log2(operations x mag /
-    tol) + 4, counting the series terms and 8 per kernel coefficient.
+    the majorants bound every factor, so wp is log2(operations x mag / tol) +
+    4, counting the series terms and 8 per kernel coefficient.  A series is
+    summed by Clenshaw's recurrence at wp + g bits, on coefficients shifted up
+    by g at build time; by the lemma of :func:`_clenshaw` (|U_j(cos theta)| <=
+    j + 1, so a degree-D sum's roundings move it by under (D+1)^2/2 units of
+    2^-(wp+g), g = 2 bit_length(D) + 2) each sum is within 2^-wp / 8 of the
+    same coefficients' exact sum, less than the one operation per coefficient
+    counted for it.
 
     mirror, for :func:`integrate_periodic`, is read off the exact data: with
     the base, u1, u2 and l1 real, it is 1 when every w-dependent constant C
     (of the node arguments and of u3 sigma/w, l2 w/sigma and zc w/sigma) is
-    real, -1 when every C is imaginary, and otherwise None.
+    real, -1 when every C is imaginary, and otherwise None.  At mirror -1 the
+    nodes run on v = i w, and each C w^e is C (-i)^e v^e with C (-i)^e real,
+    rotated exactly before any series is built; so at either mirror every
+    series has real coefficients, one int each, and the kernel's backward
+    recurrence takes 3 products per step, not 12.
     """
     nums, dens, thetas, pms = _fold(num, den, base, sig)
     (u1, u2, u3), (l1, l2), zc = kernel
@@ -444,6 +500,10 @@ def _node_integrand(num, den, kernel, base, sig,
     if all(M == math.inf for _, M in strips):
         raise NoConvergence("no strip off the unit circle has a finite integrand majorant")
 
+    if mirror == -1:  # the nodes run on v = i w: C w^e = C (-i)^e v^e, C (-i)^e real
+        nums, dens = ([(C * (-I if e == 1 else I), m, e) for C, m, e in args]
+                      for args in (nums, dens))
+        kernel = ([u1, u2, u3 * I], [l1, -I * l2], -I * zc)
     # (C, power of w, base, log m_j, den) per product, each +- pair one in base^2
     k = len(nums)  # lm holds nums, then dens
     paired = set(itertools.chain(*thetas, *((k + i, k + j) for i, j in pms)))
@@ -460,17 +520,22 @@ def _node_integrand(num, den, kernel, base, sig,
     ops = sum(len(p) + len(m) for p, m, _ in series) + sum(len(e[0]) for e in eulers) + 8 * (N + 1)
     wp = max(64, math.ceil(math.log2(ops) + math.log2(mag) - math.log2(tol)) + 4)
 
-    # (coefficients, minus coefficients, power of w, den) per series, fixed-point
-    series = [(*_theta_fixed(sr, base, wp), nums[i][2], 0) for sr, (i, _) in zip(series, thetas)]
-    series += [([_fx(c, wp) for c in reversed(cs)], (), e, den) for cs, e, den in eulers]
-    series.append((_kernel_fixed(kernel, base, sig, T, N, wp), (), 1, 0))
+    # ((g, Clenshaw parts at wp + g bits), power of w, den) per series
+    series = [(_parts(*_theta_fixed(sr, base, wp)), nums[i][2], 0)
+              for sr, (i, _) in zip(series, thetas)]
+    series += [(_parts(tuple(zip(*(_fx(c, wp) for c in cs))), None), e, den)
+               for cs, e, den in eulers]
+    series.append((_parts(_kernel_fixed(kernel, base, sig, T, N, wp), None), 1, 0))
 
     def integrand(w):
+        if mirror == -1:
+            w = -w[1], w[0]  # v = i w
         w2 = _mul(w, w, wp)
         xs = {1: w, -1: (w[0], -w[1]), 2: w2, -2: (w2[0], -w2[1])}
         parts = [(1 << wp, 0)] * 2  # the numerator, and the denominator divided once
-        for plus, minus, e, den in series:
-            parts[den] = _mul(parts[den], _laurent(plus, minus, xs[e], wp), wp)
+        for (g, terms), e, den in series:  # one factor at wp, one at wp + g
+            c, s = xs[e]
+            parts[den] = _mul(parts[den], _clenshaw(terms, c << g, s << g, wp + g), wp + g)
         return _div(*parts, wp)
 
     return integrand, mirror, strips, wp

@@ -559,18 +559,25 @@ def qpoch_list(args: Sequence, q, n: int) -> ExactScalar:
     return ExactScalar.from_parts(p[0], p[1], p_den)
 
 
+def _log_abs2(x: ExactScalar) -> float:
+    """log |x|^2 for a nonzero x, to a few ulps also when |x| is near 1."""
+    a, b = x._n * x._n + x._m * x._m, x._d * x._d
+    return math.log1p((a - b) / b) if abs(a - b) < b else math.log(a) - math.log(b)
+
+
 def _qpow_index(x: ExactScalar, q: ExactScalar, kmax: int | None = None) -> int | None:
-    """Least k >= 0 (and <= kmax, when given) with x q^k = 1, else None.  As
-    |q| < 1, the search ends once |x q^k| < 1."""
-    k = 0
-    while kmax is None or k <= kmax:
-        if x == EXACT_ONE:
-            return k
-        if x._n * x._n + x._m * x._m < x._d * x._d:
-            return None
-        x = x * q
-        k += 1
-    return None
+    """Least k >= 0 (and <= kmax, when given) with x q^k = 1, else None, for
+    0 < |q| < 1.  |x q^k| falls strictly with k, so only the k with |x| |q|^k =
+    1 can qualify: it is read off the logs of the moduli, whose float error is
+    far below the 10^-12 relative slack and the half step of the rounding, and
+    tested exactly, so no power of q is formed unless the moduli match."""
+    if x._n * x._n + x._m * x._m < x._d * x._d:  # |x| < 1
+        return None
+    lx, lq = _log_abs2(x), _log_abs2(q)
+    k = round(lx / -lq)
+    if abs(lx + k * lq) > 1e-12 * max(1.0, lx) or (kmax is not None and k > kmax):
+        return None
+    return k if x * q**k == EXACT_ONE else None
 
 
 def _factor_count(abs_a: float, abs_q: float, tail: float) -> tuple[int, float]:

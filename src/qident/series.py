@@ -236,13 +236,17 @@ _PAIR_OPS = (_mul, _div, _one_minus, lambda x: (-x[0], -x[1]), (0, 0))
 _REAL_OPS = (_rmul, _rdiv, lambda x, wp: (1 << wp) - x, operator.neg, 0)
 
 
-def _phi_terms(upper, lower, q, z, wp: int) -> Callable[[int], tuple]:
+def _phi_terms(upper, lower, q, z, wp: int, poles=None) -> Callable[[int], tuple]:
     """k -> (term k, R_k) of the r-phi-s series sum_k (upper;q)_k / (q, lower;q)_k
     ((-1)^k q^binom(k,2))^e z^k, e = 1+s-r, called for k = 0, 1, 2, ... in turn.
 
     Parameters and terms are fixed-point pairs at wp bits.  Term k is term k-1
     times prod (1 - a q^(k-1)) z (-q^(k-1))^e / ((1 - q^k) prod (1 - b q^(k-1))),
-    and a lower factor that is exactly zero raises PoleError naming index k.
+    and a lower factor that is zero raises PoleError naming index k: decided
+    exactly for each lower parameter b_j in poles, whose value is the least m
+    with b_j q^m = 1 or None, and in fixed point for the others.  A denominator
+    that is not zero but truncates to 0 at wp raises NoConvergence naming the
+    index and the lower parameters.
     When q, z and every parameter are real, the recurrence runs on one int per
     value (``_rmul``, ``_rdiv``: one product per factor, not four); these
     truncate as the pair ops do, so every term and pole index is bit-identical
@@ -254,6 +258,7 @@ def _phi_terms(upper, lower, q, z, wp: int) -> Callable[[int], tuple]:
     am, bm = ([_fabs(x, wp) for x in xs] for xs in (upper, lower))
     real = not any(x[1] for x in (q, z, *upper, *lower))
     mul, div, one_minus, neg, zero = _REAL_OPS if real else _PAIR_OPS
+    poles = poles or {}
     ups, los = upper, lower  # a q^(k-1), b q^(k-1)
     if real:
         q, z, ups, los = q[0], z[0], [a[0] for a in ups], [b[0] for b in los]
@@ -272,7 +277,7 @@ def _phi_terms(upper, lower, q, z, wp: int) -> Callable[[int], tuple]:
             den = one_minus(qk1, wp)
             for j, b in enumerate(los):
                 f = one_minus(b, wp)
-                if f == zero:
+                if (poles[j] == k - 1) if j in poles else f == zero:
                     b = _approx(lower[j], wp, 64)
                     raise PoleError(f"lower parameter {b} produces a zero factor at index {k}",
                                     index=k)
@@ -284,6 +289,10 @@ def _phi_terms(upper, lower, q, z, wp: int) -> Callable[[int], tuple]:
                 num = mul(num, neg(qk), wp)
             for _ in range(-e):
                 den = mul(den, neg(qk), wp)
+            if den == zero:  # no factor is 0, but their product truncates to 0
+                names = ", ".join(str(_approx(b, wp, 64)) for b in lower)
+                raise NoConvergence(f"the denominator at index {k}, lower parameters [{names}], "
+                                    f"is not zero but truncates to 0 at {wp} bits")
             t = div(mul(t, num, wp), den, wp)
             ups = [mul(a, q, wp) for a in ups]
             los = [mul(b, q, wp) for b in los]
@@ -407,13 +416,18 @@ def eval_phi_nonterminating(
     :func:`_fx`, to fixed point at precision_bits + _GUARD_BITS (an exact one
     with no mpmath step), and the sum is rounded once to precision_bits.  A
     terminating spec sums its n+1 terms, as does a spec of exact base with an
-    exact upper parameter equal to q^-n."""
+    exact upper parameter equal to q^-n.  With an exact base, an exact lower
+    parameter's pole is decided exactly, as :func:`_term_ratios` decides it."""
     n = spec.termination
     base = spec.base.value
-    if n is None and isinstance(base, ExactScalar):
-        ends = [_qpow_index(ExactScalar.coerce(a), base) for a in spec.upper
-                if isinstance(a, (ExactScalar, int, Fraction))]
-        n = min((k for k in ends if k is not None), default=None)
+    exact = isinstance(base, ExactScalar)
+
+    def qpow_indices(xs, kmax=None):  # j -> the least k with x_j q^k = 1, each exact x_j
+        return {j: _qpow_index(ExactScalar.coerce(x), base, kmax) for j, x in enumerate(xs)
+                if exact and isinstance(x, (ExactScalar, int, Fraction))}
+
+    if n is None:
+        n = min((k for k in qpow_indices(spec.upper).values() if k is not None), default=None)
     if spec.arg == 0:
         return ApproxScalar(1, precision_bits), TruncationCert(1, 0.0, eps)
     if n is None:
@@ -424,7 +438,8 @@ def eval_phi_nonterminating(
 
     wp = precision_bits + _GUARD_BITS
     upper, lower = ([_fx(x, wp) for x in xs] for xs in (spec.upper, spec.lower))
-    term = _phi_terms(upper, lower, _fx(base, wp), _fx(spec.arg, wp), wp)
+    term = _phi_terms(upper, lower, _fx(base, wp), _fx(spec.arg, wp), wp,
+                      qpow_indices(spec.lower, n))
     if n is not None:
         # a term that is exactly 0 (an upper factor vanished) ends the series
         terms = list(itertools.takewhile(any, (term(k)[0] for k in range(n + 1))))

@@ -1,6 +1,7 @@
 """Theta function, periodic quadrature, and the contour-integral checks."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -74,9 +75,18 @@ def _unit(t):
     return E(1 - t * t, 2 * t) / (1 + t * t)
 
 
+def _clenshaw_at(A, B, x, wp):
+    """The node's sum of a series (A, B) (:func:`integrals._parts`) at the
+    fixed-point x = (cos theta, sin theta) at wp, run as the node runs it at
+    wp + g bits and shifted back to a pair at wp."""
+    g, parts = integrals._parts(A, B)
+    re, im = integrals._clenshaw(parts, x[0] << g, x[1] << g, wp + g)
+    return re >> g, im >> g
+
+
 class TestThetaSeries:
     # the node's theta evaluator (the triple-product series over (q; q)_K and
-    # its Horner sum) against mpmath's products at four times its precision;
+    # its Clenshaw sum) against mpmath's products at four times its precision;
     # budgets from 1e-5 to 1e-40 keep the truncation a visible part of the error
     @given(
         st.fractions(min_value=F(1, 20), max_value=F(9, 10), max_denominator=20),
@@ -88,16 +98,19 @@ class TestThetaSeries:
     # q = 9/10: 1/(q; q)_K is about 7.8e5, and K = 1171 roundings of (q; q)_K
     # at wp alone put the value 4.6e-35 off, past the budget 1e-35
     @example(F(9, 10), F(0), F(1, 10), F(-3, 2), 1, 74, 35)
+    # psi = -pi and psi = 0, where sin psi = 0 and |U_j(cos psi)| = j + 1 is largest
+    @example(F(1, 2), F(0), F(3, 2), F(0), 1, 0, 40)
+    @example(F(4, 5), F(1, 3), F(9, 10), F(1, 2), -1, 128, 40)
     @settings(max_examples=20, deadline=None)
     def test_series_against_qp_oracle(self, r, t, R, s, e, j, digits):
         # q = r u(t), real when t = 0; x = C w^e, C = R u(s), |x| = R on |w| = 1
         q, C = E(r) * _unit(t), E(R) * _unit(s)
         budget, wp = 10.0**-digits, 200
-        plus, minus = integrals._theta_fixed(integrals._theta_pair(C, q, budget), q, wp)
+        A, B = integrals._theta_fixed(integrals._theta_pair(C, q, budget), q, wp)
         with mp.workprec(4 * wp):
             w = mpmath.expjpi(mpmath.mpf(j) / 128 - 1)  # psi = -pi + 2 pi j / 256
             u = _fx(w, wp)
-            re, im = integrals._laurent(plus, minus, u if e == 1 else (u[0], -u[1]), wp)
+            re, im = _clenshaw_at(A, B, u if e == 1 else (u[0], -u[1]), wp)
             got = mpmath.mpc(mpmath.ldexp(re, -wp), mpmath.ldexp(im, -wp))
             qv, x = (mpmath.mpc(mpmath.mpf(v.re.numerator) / v.re.denominator,
                                 mpmath.mpf(v.im.numerator) / v.im.denominator) for v in (q, C))
@@ -113,10 +126,10 @@ def _euler_at(C, q, budget, e, j, wp):
     """The node's Euler series for (C w^e; q)_inf at psi = -pi + 2 pi j / 256,
     fixed point at wp, and x = C w^e and q as mpmath values at the working
     precision (set it to 4 wp)."""
-    coeffs = [_fx(c, wp) for c in reversed(integrals._euler(C, q, budget))]
+    A = tuple(zip(*(_fx(c, wp) for c in integrals._euler(C, q, budget))))
     w = mpmath.expjpi(mpmath.mpf(j) / 128 - 1)
     u = _fx(w, wp)
-    value = integrals._laurent(coeffs, (), u if e == 1 else (u[0], -u[1]), wp)
+    value = _clenshaw_at(A, None, u if e == 1 else (u[0], -u[1]), wp)
     qv, x = (mpmath.mpc(mpmath.mpf(v.re.numerator) / v.re.denominator,
                         mpmath.mpf(v.im.numerator) / v.im.denominator) for v in (q, C))
     return value, x * w**e, qv
@@ -141,6 +154,9 @@ class TestEulerSeries:
     # divides by, against mpmath's products at four times its precision;
     # budgets from 1e-5 to 1e-40 keep the truncation a visible part of the error
     @given(st.fractions(min_value=F(1, 10), max_value=10, max_denominator=10), *_EULER_DRAWS)
+    # psi = -pi and psi = 0, where sin psi = 0 and |U_j(cos psi)| = j + 1 is largest
+    @example(F(10), F(1, 2), F(0), F(0), 1, 0, 40)
+    @example(F(7, 2), F(9, 10), F(-2, 5), F(1, 5), -1, 128, 40)
     @settings(max_examples=10, deadline=None)
     def test_numerator_against_qp_oracle(self, R, r, t, s, e, j, digits):
         budget, wp = 10.0**-digits, 200
@@ -154,6 +170,8 @@ class TestEulerSeries:
 
     @given(st.fractions(min_value=F(1, 10), max_value=F(19, 20), max_denominator=20),
            *_EULER_DRAWS)
+    @example(F(19, 20), F(9, 10), F(0), F(0), 1, 0, 40)
+    @example(F(9, 10), F(1, 2), F(1, 3), F(-1, 2), -1, 128, 40)
     @settings(max_examples=10, deadline=None)
     def test_reciprocal_against_qp_oracle(self, R, r, t, s, e, j, digits):
         # summed to budget / (2m), m = 1/(|x|; |q|)_inf >= 1/|(x; q)_inf|, the
@@ -167,6 +185,43 @@ class TestEulerSeries:
             assert err <= budget * m + 2.0 ** (14 - wp) * majorant * m * m, (budget, err)
 
 
+class TestClenshaw:
+    # the recurrence's own rounding: against the same coefficients summed with
+    # T_k(c) and s U_(k-1)(c), (c, s) the fixed-point node, at four times the
+    # bits; the lemma of integrals._clenshaw puts each sum within 2^-wp / 8, so
+    # each part of a value within 2^-wp / 4; random ints of either sign up to
+    # 2^(wp+4), real or Gaussian, one series in x (B = A) or a theta's (A, B)
+    @given(st.integers(0, 450), st.integers(64, 200), st.integers(0, 255),
+           st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+    # the |zc|/sigma = 9/10 kernel's length, at a node where c is not +-1 or 0
+    @example(424, 160, 37, False, False, random.Random(1))
+    @example(424, 69, 201, True, True, random.Random(2))
+    @settings(max_examples=12, deadline=None)
+    def test_rounding_lemma(self, D, wp, j, gaussian, theta, rng):
+        def ints():
+            return [rng.randint(-1 << (wp + 4), 1 << (wp + 4)) for _ in range(D + 1)]
+
+        A = (ints(), ints() if gaussian else [0] * (D + 1))
+        B = (ints(), ints() if gaussian else [0] * (D + 1)) if theta else None
+        g, parts = integrals._parts(A, B)
+        with mp.workprec(4 * wp):
+            x = _fx(mpmath.expjpi(mpmath.mpf(j) / 128 - 1), wp)
+            re, im = integrals._clenshaw(parts, x[0] << g, x[1] << g, wp + g)
+            c, s = (mpmath.ldexp(v, -wp) for v in x)
+            t, u = [mpmath.mpf(1), c], [mpmath.mpf(0), mpmath.mpf(1)]  # T_k, U_(k-1)
+            for _ in range(D):
+                t.append(2 * c * t[-1] - t[-2])
+                u.append(2 * c * u[-1] - u[-2])
+
+            def at(seqs, polys):  # sum_k a_k p_k, for the re and im ints of a
+                return mpmath.mpc(*(mpmath.fsum(mpmath.ldexp(a, -wp) * p
+                                                for a, p in zip(seq, polys)) for seq in seqs))
+
+            ref = at(A, t) + 1j * at(B or A, [s * p for p in u])
+            err = mpmath.mpc(mpmath.ldexp(re, -wp - g), mpmath.ldexp(im, -wp - g)) - ref
+            assert max(abs(err.real), abs(err.imag)) <= 2.0 ** -wp / 4, float(abs(err) * 2**wp)
+
+
 def _mpc(v):
     """An exact Gaussian rational as an mpmath value at the working precision."""
     return mpmath.mpc(mpmath.mpf(v.re.numerator) / v.re.denominator,
@@ -175,7 +230,7 @@ def _mpc(v):
 
 class TestKernelSeries:
     # the node's 3phi2 kernel, 3phi2(u1, u2, u3/w; l1, l2 w; q, zc w) at sigma = 1,
-    # as its power series in w summed by Horner's rule, against mpmath.qhyper at
+    # as its power series in w summed by Clenshaw's recurrence, against mpmath.qhyper at
     # four times its precision; budgets from 1e-5 to 1e-40 keep the two cuts (at
     # T terms and at w^N) a visible part of the error
     @given(
@@ -184,6 +239,12 @@ class TestKernelSeries:
         st.fractions(min_value=0, max_value=F(9, 10), max_denominator=20),
         *_EULER_DRAWS[2:],
     )
+    # psi = -pi and psi = 0, where sin psi = 0 and |U_j(cos psi)| = j + 1 is largest
+    @example(F(1, 2), F(0), F(1, 2), F(1, 4), F(0), 1, 0, 40)
+    @example(F(1, 5), F(1, 3), F(3, 4), F(1, 2), F(1, 2), -1, 128, 40)
+    # |zc| = 9/10: T = 369 terms as N + 1 = 425 coefficients, the shape of the
+    # longest kernel series at a contour point, where the roundings grow most
+    @example(F(3, 4), F(0), F(9, 10), F(1, 2), F(0), 1, 128, 9)
     @settings(max_examples=10, deadline=None)
     def test_series_against_qhyper_oracle(self, r, t, Z, L, s, e, j, digits):
         # |zc| = Z and |l2| = L, at angles s and e s; u3 at angle -s
@@ -195,10 +256,10 @@ class TestKernelSeries:
         _, T = integrals._kernel_majorant(kabs, Q, 1.0, budget / 2)
         N = integrals._kernel_degree(kabs, Q, T, budget / 2)
         coeffs = integrals._kernel_fixed(([u1, u2, u3], [l1, l2], zc), q, E(1), T, N, wp)
-        assert len(coeffs) == N + 1
+        assert len(coeffs[0]) == len(coeffs[1]) == N + 1
         with mp.workprec(4 * wp):
             w = mpmath.expjpi(mpmath.mpf(j) / 128 - 1)  # psi = -pi + 2 pi j / 256
-            got = _mp(integrals._laurent(coeffs, (), _fx(w, wp), wp), wp)
+            got = _mp(_clenshaw_at(coeffs, None, _fx(w, wp), wp), wp)
             qv, zv, lv, a1, a2, a3, b1 = map(_mpc, (q, zc, l2, u1, u2, u3, l1))
             ref = mpmath.qhyper([a1, a2, a3 / w], [b1, lv * w], qv, zv * w, maxterms=10**6)
         with mp.workprec(64):
@@ -233,7 +294,7 @@ def _kernel_lengths(monkeypatch):
 
     def recording(kernel, base, sig, T, N, wp):
         coeffs = build(kernel, base, sig, T, N, wp)
-        lengths.append((T, len(coeffs)))
+        lengths.append((T, len(coeffs[0])))
         return coeffs
 
     monkeypatch.setattr(integrals, "_kernel_fixed", recording)
@@ -635,8 +696,8 @@ class TestNodeKernel:
         ("IR_THM21", 1e-15, "quadrature nodes=160 bound=2.265e-17"),
     ])
     def test_nodes_run_no_factor_loop(self, ident, eps, pinned, monkeypatch):
-        # every single and +- product is an Euler series summed by Horner's
-        # rule: no _qprod runs at a node, only each theta pair's (q; q)_K
+        # every single and +- product is an Euler series summed by Clenshaw's
+        # recurrence: no _qprod runs at a node, only each theta pair's (q; q)_K
         # while the integrand is built, and the 3phi2 kernel's T terms are one
         # series of N + 1 coefficients, built once; N and the bound are those
         # of the factor products and the kernel term loop the series replaced
@@ -657,6 +718,42 @@ class TestNodeKernel:
         kernel = {"IR_SCHLOSSER": (38, 42), "IR_SRIV_JAIN": (52, 56)}.get(ident, (39, 42))
         assert rep.passed and during == [0] and len(calls) == 2 and lengths == [kernel]
         assert rep.note.startswith(pinned + " working_bits="), rep.note
+
+    @pytest.mark.parametrize("point", [*sorted(INTEGRAL_IDS), "complex z", "complex f"])
+    def test_real_coefficients_hold_one_int(self, point, monkeypatch):
+        # at the workload points (mirror 1, or -1 after w = -i v) every series
+        # the nodes sum has real coefficients, one int each; the series that a
+        # complex z (the kernel, last) or f (the two theta pairs, first) enters
+        # keep (re, im) pairs, and the value is that of the Horner sums the
+        # recurrence replaced, within the stated bound
+        built, build = [], integrals._parts
+        monkeypatch.setattr(integrals, "_parts",
+                            lambda *args: built.append(build(*args)) or built[-1])
+        ident, f, eps = {"complex z": ("IR_SRIV_JAIN", F(3, 2), 1e-15),
+                         "complex f": ("IR_THM21", E(F(3, 2), F(1, 2)), 1e-15)}.get(
+                             point, (point, F(3, 2), 1e-10 if point == "IR_SCHLOSSER" else 1e-15))
+        params, sigma, _ = POINTS[ident]
+        if point == "complex z":
+            params = {**params, "z": E(F(1, 5), F(1, 10))}
+        rep = verify_integral_rep(ident, params, sigma=sigma, f=f, eps=eps)
+        assert rep.passed
+        imag = [any(u[1] or v[1] for u, v, _, _ in parts) for _, parts in built]
+        assert all(isinstance(a, int) for _, parts in built for *_, rest in parts for a in rest)
+        if point == "complex z":
+            assert imag[-1] and rep.quadrature_nodes == 164
+            horner = ("1.044435041074346580853735701049482809719",
+                      "0.06523754146939585191446112189775060400483")
+        elif point == "complex f":
+            assert imag[:2] == [True, True] and rep.quadrature_nodes == 156
+            horner = ("1.336769224203325942416815329125325665449",
+                      "9.380742778355648508272656859659414614667e-19")
+        else:
+            assert not any(imag)
+            return
+        bound = float(rep.note.split("bound=")[1].split()[0])
+        with mp.workprec(256):
+            value = mpmath.mpmathify(rep.lhs.replace(" ", ""))
+            assert abs(value - mpmath.mpc(*horner)) <= bound, value
 
     def test_complex_point_evaluates_every_node(self, monkeypatch):
         # a complex z breaks both mirrors: all N nodes run, and the check passes

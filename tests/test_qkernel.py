@@ -19,6 +19,7 @@ from qident.qkernel import (
     _fx,
     _mul,
     _one_minus,
+    _qpow_index,
     _rdiv,
     _rmul,
     format_exact,
@@ -399,6 +400,38 @@ class TestFractionFreeAgainstReference:
         spec = SeriesSpec.make([E(*x) for x in upper], [E(*x) for x in lower],
                                E(*q), E(*z), n)
         assert eval_phi_terminating(spec) == E(*total)
+
+
+def _ref_qpow_index(x, q, kmax):
+    """The least k <= kmax with x q^k = 1, by stepping k up until |x q^k| < 1."""
+    k = 0
+    while kmax is None or k <= kmax:
+        if x == 1:
+            return k
+        if x.abs2() < 1:
+            return None
+        x, k = x * q, k + 1
+    return None
+
+
+class TestQPowIndex:
+    # the index read off the moduli' logs and tested exactly against the
+    # stepping search: q^-k times 1, a unit, or 1 +- 10^-40, and any small x
+    @given(gaussian_bases(), st.integers(0, 60),
+           st.sampled_from([1, -1, I, 1 + F(1, 10**40), 1 - F(1, 10**40)]),
+           st.one_of(st.none(), st.integers(-1, 60)), small_gaussians)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_stepping_search(self, q, k, unit, kmax, other):
+        q = E(*q)
+        for x in (unit * q**-k, E(*other)):
+            assert _qpow_index(x, q, kmax) == _ref_qpow_index(x, q, kmax), (x, q, kmax)
+
+    def test_base_near_one_takes_no_step_search(self):
+        # |x| = 10 at q = 1 - 10^-6: no k has |x q^k| = 1 exactly; the stepping
+        # search would form 2.3 million exact powers
+        assert _qpow_index(E(10), E(1 - F(1, 10**6))) is None
+        q = E(F(999, 1000))
+        assert _qpow_index(q**-2302, q) == 2302 and _qpow_index(q**-2302, q, 2301) is None
 
 
 class TestQPochInfinite:

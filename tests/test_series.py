@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from qident import series
-from qident.errors import DivergenceError, DomainError, PoleError
+from qident.errors import DivergenceError, DomainError, NoConvergence, PoleError
 from qident.qkernel import ApproxScalar, ExactScalar, QBase, _fx, qpoch_finite, qpoch_infinite
 from qident.series import (
     BalanceClass,
@@ -210,6 +210,33 @@ class TestNonterminating:
             eval_phi_nonterminating(spec, 1e-30)
         assert err.value.index == 4
 
+    @pytest.mark.parametrize("q", [E(F(1, 3)), E(F(-2, 3)), E(F(1, 3), F(1, 3))])
+    def test_pole_off_the_fixed_point_grid_is_found(self, q):
+        # b = q^-3 with q not a power of 2: b q^3 rounds off 1 in fixed point,
+        # and the factor is only small there; decided exactly, it is a pole
+        spec = SeriesSpec.make([E(F(1, 3))], [E(F(1, 7)), q**-3], q, E(F(1, 5)))
+        with pytest.raises(PoleError) as err:
+            eval_phi_nonterminating(spec, 1e-30)
+        assert err.value.index == 4
+
+    def test_factor_below_the_grid_is_not_a_pole(self):
+        # b = 32 (1 + 2^-300) at q = 1/2: 1 - b q^5 = -2^-300 truncates to 0 at
+        # 286 bits, but it is no pole; the refusal names the index and parameter
+        q = E(F(1, 2))
+        spec = SeriesSpec.make([E(F(1, 3))], [32 * (1 + q**300)], q, E(F(1, 5)))
+        with pytest.raises(NoConvergence, match=r"index 6, lower parameters \[\(32\.0 .*\], is"):
+            eval_phi_nonterminating(spec, 1e-30)
+
+    def test_denominator_below_the_grid_is_named(self):
+        # two lower factors of about -+2^-150 at index 6: each is kept, their
+        # product -2^-300 truncates to 0 (a bare ZeroDivisionError before)
+        q = E(F(1, 2))
+        spec = SeriesSpec.make([E(F(1, 3))], [32 * (1 + q**150), 32 * (1 - q**150)], q,
+                               E(F(1, 5)))
+        with pytest.raises(NoConvergence,
+                           match=r"index 6, lower parameters \[\(32\.0 .*, \(32\.0 .*\], is not"):
+            eval_phi_nonterminating(spec, 1e-30)
+
     def test_upper_qpow_ends_the_series(self):
         # an exact upper parameter q^-n ends the series after term n: 1 = q^0
         # leaves the one term 1, and q^-3 the four terms of a terminating sum
@@ -271,15 +298,15 @@ def _pair_ops_on_ints():
 
 def _first_terms(upper, lower, q, z, wp, n=25) -> tuple:
     """The first n outputs of series._phi_terms, then the index of its
-    PoleError, ZeroDivisionError when a denominator rounds to 0, or None."""
+    PoleError, NoConvergence when a denominator rounds to 0, or None."""
     term, out = series._phi_terms(upper, lower, q, z, wp), []
     try:
         for k in range(n):
             out.append(term(k))
     except PoleError as err:
         return out, err.index
-    except ZeroDivisionError:
-        return out, ZeroDivisionError
+    except NoConvergence:
+        return out, NoConvergence
     return out, None
 
 
