@@ -12,12 +12,16 @@ The node count N is chosen in advance.  On a periodic integrand analytic, and
 bounded by M, in |Im psi| < a, the N-node trapezoid rule errs by at most
 4 pi M / (e^(a N) - 1) (Trefethen & Weideman, *The exponentially convergent
 trapezoidal rule*, SIAM Rev. 56(3), 2014, Thm 3.2); N is the least multiple of
-4 that meets the target.  M comes from one majorant pass per integrand on the
-circles |w| = e^(+-a), a below -log of the largest denominator modulus:
-|(x; q)_inf| <= (-|x|; |q|)_inf for a numerator product, 1/|(x; q)_inf| <=
-1/(|x|; |q|)_inf for a denominator product, and the 3phi2 kernel's absolute
-majorant series.  The same majorants on |w| = 1 fix the truncations and the
-working bits, so the nodes evaluate one fixed analytic function, which M bounds.
+4 that meets the target.  M is a majorant on the circles |w| = e^(+-a) of a
+strip, a = a_max (1 - 2^-i), i = 1, ..., 10, a_max -log of the largest
+denominator modulus: |(x; q)_inf| <= (-|x|; |q|)_inf for a numerator product,
+1/|(x; q)_inf| <= 1/(|x|; |q|)_inf for a denominator product, and the 3phi2
+kernel's absolute majorant series.  The log of that majorant is convex in
+log |w|, so the strips are scanned from the middle, and a strip whose count a
+lower value already shows above the best is skipped; N and its bound are those
+of the ten-strip scan.  The same majorants on |w| = 1 fix the truncations and
+the working bits, so the nodes evaluate one fixed analytic function, which M
+bounds.
 
 Before any node runs, everything free of w is computed once, and each factor
 becomes a series in w or conj(w): a theta pair theta(C w^e; q) of numerator
@@ -71,8 +75,11 @@ from .qkernel import (
     I,
     QBase,
     _div,
+    _abs_upper,
     _factor_count,
     _fx,
+    _gaussian,
+    _gmul,
     _log_poch_majorant,
     _mul,
     _one_minus,
@@ -109,20 +116,26 @@ def trapezoid_bound(a: float, M: float, n: int) -> float:
     return 4 * math.pi * math.exp(math.log(M) - a * n) / -math.expm1(-a * n)
 
 
+def _strip_nodes(a: float, M: float, target: float) -> tuple[int, float]:
+    """(n, bound) on one strip (a, M): the least multiple n of _NODE_STEP nodes
+    whose trapezoid bound is at most target, log1p(4 pi M / target) / a up to
+    the step, confirmed a step either way; n > _MAX_NODES when none is."""
+    x = math.log(4 * math.pi) + math.log(M) - math.log(target)  # log(4 pi M / target)
+    least = (max(x, 0) + math.log1p(math.exp(-abs(x)))) / a  # log1p(e^x) / a
+    n = _NODE_STEP * max(1, math.ceil(min(least, _MAX_NODES + 1) / _NODE_STEP))
+    while n > _NODE_STEP and trapezoid_bound(a, M, n - _NODE_STEP) <= target:
+        n -= _NODE_STEP
+    while n <= _MAX_NODES and not trapezoid_bound(a, M, n) <= target:
+        n += _NODE_STEP
+    return n, trapezoid_bound(a, M, n)
+
+
 def trapezoid_nodes(strips, target: float) -> tuple[int, float]:
     """(N, bound): the least multiple of _NODE_STEP nodes whose trapezoid bound on
-    a strip (a, M) is at most target, and the least such bound: log1p(4 pi M /
-    target) / a, up to the step, confirmed a step either way.  M = inf never does."""
-    best = _MAX_NODES + _NODE_STEP, math.inf
-    for a, M in strips:
-        x = math.log(4 * math.pi) + math.log(M) - math.log(target)  # log(4 pi M / target)
-        least = (max(x, 0) + math.log1p(math.exp(-abs(x)))) / a  # log1p(e^x) / a
-        n = _NODE_STEP * max(1, math.ceil(min(least, _MAX_NODES + 1) / _NODE_STEP))
-        while n > _NODE_STEP and trapezoid_bound(a, M, n - _NODE_STEP) <= target:
-            n -= _NODE_STEP
-        while n <= _MAX_NODES and not trapezoid_bound(a, M, n) <= target:
-            n += _NODE_STEP
-        best = min(best, (n, trapezoid_bound(a, M, n)))
+    a strip (a, M) is at most target, and the least such bound
+    (:func:`_strip_nodes`).  M = inf never does."""
+    best = min([(_MAX_NODES + _NODE_STEP, math.inf)]
+               + [_strip_nodes(a, M, target) for a, M in strips])
     if best[0] > _MAX_NODES:
         raise NoConvergence(f"no strip meets the quadrature target {target:.3e} "
                             f"within {_MAX_NODES} nodes")
@@ -217,10 +230,10 @@ def _kernel_majorant(kabs, Q: float, rho: float, tail: float) -> tuple[float, in
     so from such a k with R_k < 1 the rest is at most the term majorant / (1 - R_k).
     """
     u1, u2, u3, l1, l2, z = kabs
-    S, m = 0.0, 1.0
+    args, top, S, m = (z * rho, (u1, u2, u3 / rho), (l1, l2 * rho), Q), max(l1, l2 * rho), 0.0, 1.0
     for k in range(10_000):
-        R = _ratio_majorant(z * rho, (u1, u2, u3 / rho), (l1, l2 * rho), Q, k)
-        if max(l1, l2 * rho) * Q**k < 1 and R < 1:
+        R = _ratio_majorant(*args, k)
+        if top * Q**k < 1 and R < 1:
             rest = m / (1 - R)
             if rest <= tail:
                 return S + rest, k
@@ -292,13 +305,24 @@ def _euler(C, base, budget: float, theta: bool = False) -> list:
     |c_(n+1) / c_n| <= r_n = |C| |q|^n / (1 - |q|^(n+1)), or |C| |q|^n with
     theta, decreases, so a cut at c_K with r_K < 1 has a tail of at most |c_K|
     r_K / (1 - r_K).  Without theta the |c_n| sum to at most (-|C|; |q|)_inf.
+
+    Each c_n is a triple (n, m, d), c_n = (n + m i)/d, unreduced and built
+    without a gcd (:func:`_fx` reads any form alike).  With C = X/e and q = P/p,
+    X and P Gaussian integers over ints e and p, c_(n+1) / c_n = -X P^n p / (e
+    g), g = p^(n+1) (1 - q^(n+1)) or with theta p^(n+1): over |g|^2 by conj(g)
+    unless g is real, and then positive.
     """
     Q = base.abs_upper()
-    coeffs, x, qk = [E(1)], C, E(0) if theta else base  # x = C q^n, qk = q^(n+1)
-    c, xa, Qk = 1.0, C.abs_upper(), 0.0 if theta else Q  # bounds on |c_n|, |x|, |qk|
+    (X, e), (P, p) = _gaussian(C), _gaussian(base)
+    coeffs, Pk, pk = [(1, 0, 1)], P, p  # X P^n in X, q^(n+1) = Pk / pk
+    c, xa, Qk = 1.0, C.abs_upper(), 0.0 if theta else Q  # bounds on |c_n|, |x|, |q^(n+1)|
     while xa >= 1 - Qk or c * xa / (1 - Qk - xa) > budget:  # r_n >= 1, or the tail
-        coeffs.append(-coeffs[-1] * x / (1 - qk))
-        c, xa, Qk, x, qk = c * xa / (1 - Qk), xa * Q, Qk * Q, x * base, qk * base
+        g = (pk, 0) if theta else (pk - Pk[0], -Pk[1])
+        f, h = (_gmul(X, (g[0], -g[1])), g[0] * g[0] + g[1] * g[1]) if g[1] else (X, g[0])
+        n, m, d = coeffs[-1]
+        coeffs.append((*_gmul((-p * n, -p * m), f), d * e * h))
+        c, xa, Qk = c * xa / (1 - Qk), xa * Q, Qk * Q
+        X, Pk, pk = _gmul(X, P), _gmul(Pk, P), pk * p
     return coeffs
 
 
@@ -320,7 +344,7 @@ def _theta_pair(C, base, budget: float) -> tuple[list, list, int]:
     tail = budget / (4 * G)
     plus, minus = (_euler(x, base, tail, theta=True) for x in (C, base / C))
     minus = minus[1:]
-    S = 2 * tail + sum(c.abs_upper() for c in plus + minus)
+    S = 2 * tail + sum(_abs_upper(*c) for c in plus + minus)
     return plus, minus, _factor_count(Q, Q, 0.4 * budget / (G * S))[0]
 
 
@@ -403,6 +427,29 @@ def _fold(num, den, base, sig) -> tuple[list, list, list, list]:
     return nums, dens, thetas, pairs(dens, lambda x, y: y[2] == x[2] and y[0] == -x[0])
 
 
+def _strips(circle, a_max: float, target: float) -> list:
+    """The strips (a, M), of the ten at a = a_max (1 - 2^-i), i = 1, ..., 10,
+    that can set :func:`trapezoid_nodes`' (N, bound) at target, the others
+    skipped by the rule of :func:`_node_integrand`, the middle strips first.
+    circle(rho) is (M, log m), the integrand's majorant on |w| = rho at most M
+    and at least m; a strip's M is the larger of its two circles' times 1 +
+    2^-30."""
+    runs, best = [], math.inf  # (a, M, log m) per strip run
+    for i in (5, 6, 4, 7, 3, 8, 2, 9, 1, 10):
+        a = a_max * (1 - 2.0**-i)
+        low = max([m for b, _, m in runs if b <= a]
+                  + [m + (m - math.log(M)) * (b - a) / (c - b)
+                     for b, _, m in runs for c, M, _ in runs if min(a, c) < b < max(a, c)],
+                  default=-math.inf)
+        if a * best + 2.0**-20 < low + math.log(4 * math.pi / target):
+            continue
+        (M1, m1), (M2, m2) = circle(math.exp(a)), circle(math.exp(-a))
+        runs.append((a, max(M1, M2) * (1 + 2.0**-30), max(m1, m2)))
+        n, _ = _strip_nodes(*runs[-1][:2], target)
+        best = min(best, n if n <= _MAX_NODES else math.inf)
+    return [(a, M) for a, M, _ in runs]
+
+
 def _node_integrand(num, den, kernel, base, sig,
                     tol: float) -> tuple[Callable, int | None, list, int]:
     """(integrand, mirror, strips, wp): psi -> prod (x; base)_inf over num / prod
@@ -411,8 +458,29 @@ def _node_integrand(num, den, kernel, base, sig,
     num and den hold exact node arguments (c, form); kernel ([u1, u2, u3], [l1,
     l2], zc) stands for 3phi2(u1, u2, u3 sigma/w; l1, l2 w/sigma; base, zc
     w/sigma).  The majorant pass gives strips, the pairs (a, M) for
-    :func:`integrate_periodic`, and on |w| = 1 the bound mag, the kernel's term
-    count T and the working bits wp.  Everything free of w is computed here.
+    :func:`integrate_periodic` (:func:`_strips`), and on |w| = 1 the bound mag,
+    the kernel's term count T and the working bits wp.  Everything free of w
+    is computed here.
+
+    Lemma (the strips): with s = log |w|, log (-m e^(e s); Q)_inf for a
+    numerator argument of modulus m e^(e s), -log (m e^(e s); Q)_inf for a
+    denominator's and the log of each kernel term majorant (the ratio
+    majorants' logs: s, log(1 + c e^-s) and -log(1 - c e^s), c >= 0, and
+    constants) are convex in s, so the integrand's majorant F, their product
+    times the sum of the term majorants, is log-convex, and Phi(a) =
+    max(log F(e^a), log F(e^-a)) is convex and nondecreasing in a >= 0 (a lies
+    between -b and b for b > a).  A strip run at b gives log m_b <= Phi(b) <=
+    log M_b: m is the majorant less its tails (each product's log-tail is
+    under 2^-20, :func:`_log_poch_majorant`, and the kernel's under its tail,
+    over a first term 1), M the majorant.  So Phi(a) >= log m_b for b <= a,
+    and, by convexity, Phi(a) >= log m_b + (log m_b - log M_c) (b - a) / (c -
+    b) for b between a and c.  Skip rule: the quadrature's
+    target is 2 pi tol, and a strip (a, M) needs at least log(4 pi M / target)
+    / a >= (Phi(a) + log(4 pi / target)) / a nodes.  :func:`_strips` skips a
+    strip when that bound exceeds the least count n of the strips run so far
+    by 2^-20 / a: its trapezoid bound at n nodes or fewer is then above target
+    e^(2^-20), a margin for the float roundings, so its count is above n and
+    it sets neither N nor the bound.
 
     :func:`_fold` gives the pairs; each theta pair is a :func:`_theta_pair`
     series, each +- pair (in base^2) and each other argument an :func:`_euler`
@@ -476,10 +544,6 @@ def _node_integrand(num, den, kernel, base, sig,
         return [_log_poch_majorant(m * rho**e, Q, is_den)
                 for args, is_den in ((nums, False), (dens, True)) for _, m, e in args]
 
-    def products(rho):  # the ten products' majorant, inf past float range
-        log_m = sum(log_majorants(rho))
-        return math.exp(log_m) if log_m < 700 else math.inf
-
     # the unit circle: term counts, working bits
     lm = log_majorants(1.0)
     if sum(lm) >= 700:
@@ -491,12 +555,14 @@ def _node_integrand(num, den, kernel, base, sig,
     mag = products_1 * (kernel_1 + tail / 2)  # the kernel's series cut at w^N too
     if T is None or mag == math.inf:
         raise NoConvergence("the node integrand has no finite majorant on the unit circle")
-    strips = []
-    for i in range(1, 11):
-        a = a_max * (1 - 2.0**-i)
-        M = max(products(rho) * _kernel_majorant(kabs, Q, rho, tail)[0]
-                for rho in (math.exp(a), math.exp(-a)))
-        strips.append((a, M * (1 + 2.0**-30)))
+
+    def circle(rho):  # (M, log m) on |w| = rho; m less the tails (the lemma)
+        log_p, kern = sum(log_majorants(rho)), _kernel_majorant(kabs, Q, rho, tail)[0]
+        low = log_p - len(lm) * 2.0**-20 + (math.log(max(1.0, kern - tail))
+                                            if kern < math.inf else 0)
+        return (math.exp(log_p) if log_p < 700 else math.inf) * kern, low
+
+    strips = _strips(circle, a_max, 2 * math.pi * tol)
     if all(M == math.inf for _, M in strips):
         raise NoConvergence("no strip off the unit circle has a finite integrand majorant")
 

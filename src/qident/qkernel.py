@@ -240,7 +240,7 @@ class ExactScalar:
 
     def abs_upper(self) -> float:
         """A float upper bound on |self|."""
-        return math.sqrt(float(self.abs2())) * (1 + 1e-14) + 1e-300
+        return _abs_upper(self._n, self._m, self._d)
 
     # -- printing -------------------------------------------------------
     def __repr__(self):
@@ -283,6 +283,12 @@ def _sum(n1: int, m1: int, d1: int, n2: int, m2: int, d2: int) -> ExactScalar:
     if g != 1:
         n, m, d2 = n // g, m // g, d2 // g
     return _raw(n, m, s1 * d2)
+
+
+def _abs_upper(n: int, m: int, d: int) -> float:
+    """A float upper bound on |(n + m i)/d|, d > 0, the same for every form of
+    the value: |.|^2 is one correctly rounded int division."""
+    return math.sqrt((n * n + m * m) / (d * d)) * (1 + 1e-14) + 1e-300
 
 
 def _coerce_exact(x) -> "ExactScalar":
@@ -582,16 +588,24 @@ def _qpow_index(x: ExactScalar, q: ExactScalar, kmax: int | None = None) -> int 
 
 def _factor_count(abs_a: float, abs_q: float, tail: float) -> tuple[int, float]:
     """(K, tail_log): the least K with |a| |q|^K < 1/2 whose log-majorant tail
-    tail_log = |a| |q|^K / ((1 - |q|) (1 - |a| |q|^K)) is at most `tail`."""
-    K = 0
-    while abs_a * abs_q**K >= 0.5:
-        K += 1
-    while True:
+    tail_log = |a| |q|^K / ((1 - |q|) (1 - |a| |q|^K)) is at most `tail`.
+
+    Both hold from some K on, as head = |a| |q|^K falls with K, and they hold
+    when head <= min(1/2, c / (1 + c)), c = tail (1 - |q|): K is read off the
+    logs of that, then confirmed a step either way on the same float tests."""
+    def tail_log(K):  # inf while |a| |q|^K >= 1/2
         head = abs_a * abs_q**K
-        tail_log = head / ((1.0 - abs_q) * (1.0 - head))
-        if tail_log <= tail:
-            return K, tail_log
+        return head / ((1.0 - abs_q) * (1.0 - head)) if head < 0.5 else math.inf
+
+    c = tail * (1.0 - abs_q)
+    h, K = min(0.5, c / (1.0 + c)), 0
+    if abs_a > h > 0 and abs_q > 0:
+        K = max(0, math.ceil((math.log(h) - math.log(abs_a)) / math.log(abs_q)))
+    while K and tail_log(K - 1) <= tail:
+        K -= 1
+    while not (t := tail_log(K)) <= tail:
         K += 1
+    return K, t
 
 
 def _log_poch_majorant(x: float, Q: float, den: bool) -> float:
@@ -612,10 +626,13 @@ def _fx(x, wp: int) -> tuple:
     """x as a fixed-point pair: an exact x (an ExactScalar, int or Fraction)
     as ((n << wp) // d, (m << wp) // d), each part the exact one rounded down
     by less than 2^-wp; an ApproxScalar, mpf, mpc or float rounded down the
-    same way from its binary value.  No exact input goes through mpmath."""
+    same way from its binary value; a triple (n, m, d) as the exact (n + m
+    i)/d, d > 0, in any form, to the same pair.  No exact input goes through
+    mpmath."""
     if isinstance(x, (ExactScalar, int, Fraction)):
-        x = ExactScalar.coerce(x)
-        return (x._n << wp) // x._d, (x._m << wp) // x._d
+        x = ExactScalar.coerce(x).parts
+    if isinstance(x, tuple):
+        return (x[0] << wp) // x[2], (x[1] << wp) // x[2]
     x = x.value if isinstance(x, ApproxScalar) else mpmath.mpmathify(x)
     re, im = x._mpc_ if hasattr(x, "_mpc_") else (x._mpf_, fzero)
     return to_fixed(re, wp), to_fixed(im, wp)
@@ -700,18 +717,18 @@ def _approx(x, wp: int, precision_bits: int) -> "ApproxScalar":
 
 
 def _qprod(x, q, K: int, wp: int) -> tuple:
-    """prod_{k<K} (1 - x q^k), x and q fixed-point."""
+    """prod_{k<K} (1 - x q^k), x and q fixed-point.  With x and q real it runs
+    on one int per value, to the values of the pair loop."""
     xr, xi = x
     qr, qi = q
     pr, pi = 1 << wp, 0
-    if qi:
+    if qi or xi:
         for _ in range(K):
             pr, pi = pr - ((pr * xr - pi * xi) >> wp), pi - ((pr * xi + pi * xr) >> wp)
             xr, xi = (xr * qr - xi * qi) >> wp, (xr * qi + xi * qr) >> wp
-        return pr, pi
-    for _ in range(K):  # a real base, the same values with two products fewer
-        pr, pi = pr - ((pr * xr - pi * xi) >> wp), pi - ((pr * xi + pi * xr) >> wp)
-        xr, xi = xr * qr >> wp, xi * qr >> wp
+    else:
+        for _ in range(K):
+            pr, xr = pr - (pr * xr >> wp), xr * qr >> wp
     return pr, pi
 
 
@@ -733,43 +750,47 @@ def qpoch_infinite(
     applied once |a||q|^K < 1/2.  Exact inputs get an exact vanishing-factor
     prescan: when some 1 - a q^k = 0 the product is exact zero, returned with
     a trivial certificate.  The K factors are multiplied in fixed point
-    (:func:`_qprod`).
+    (:func:`_qpoch_fixed`).
     """
     check_eps(eps)
-    qb = QBase.of(q)
-    qv = qb.value
-
-    # exact prescan: a q^k = 1 makes the whole product exactly zero
-    if isinstance(a, (int, Fraction)):
-        a = ExactScalar(a)
-    if isinstance(a, ExactScalar) and isinstance(qv, ExactScalar):
-        if _qpow_index(a, qv) is not None:
-            return ApproxScalar(0, precision_bits), TruncationCert(0, 0.0, eps)
-
     wp = precision_bits + _GUARD_BITS
-    a = _fx(a, wp)
-    K, tail_log = _factor_count(_fabs(a, wp), qb.modulus_bound, eps / 4)
-    p = _qprod(a, _fx(qv, wp), K, wp)
+    p, K, tail_log = _qpoch_fixed(a, QBase.of(q), eps, wp)
     abs_p = _fabs(p, wp)
     tail_bound = abs_p * (math.expm1(tail_log) if tail_log < 1 else 2 * tail_log)
     return _approx(p, wp, precision_bits), TruncationCert(K, tail_bound, eps * max(1.0, abs_p))
 
 
+def _qpoch_fixed(a, qb: QBase, eps: float, wp: int) -> tuple[tuple, int, float]:
+    """(p, K, tail_log): the first K factors of (a; q)_inf as a fixed-point
+    pair at wp (:func:`_qprod`), K and tail_log from :func:`_factor_count` at
+    eps / 4; p = (0, 0) and K = 0 when the exact prescan finds a q^k = 1."""
+    qv = qb.value
+    if isinstance(a, (int, Fraction)):
+        a = ExactScalar(a)
+    if (isinstance(a, ExactScalar) and isinstance(qv, ExactScalar)
+            and _qpow_index(a, qv) is not None):
+        return (0, 0), 0, 0.0
+    a = _fx(a, wp)
+    K, tail_log = _factor_count(_fabs(a, wp), qb.modulus_bound, eps / 4)
+    return _qprod(a, _fx(qv, wp), K, wp), K, tail_log
+
+
 def _product_quotient(num_args, den_args, precision_bits, eps):
     """prod (x; base)_inf over num_args / prod over den_args, each factor
-    certified to eps and the quotient formed in fixed point: 0 when a
-    numerator factor vanishes, and ZeroDivisionError when a denominator
-    factor does."""
+    certified to eps (:func:`_qpoch_fixed`) and the quotient formed in fixed
+    point, rounded once: 0 when a numerator factor vanishes, and
+    ZeroDivisionError when a denominator factor does."""
+    check_eps(eps)
     wp = precision_bits + _GUARD_BITS
-    num = den = (1 << wp, 0)
-    for x, base in num_args:
-        v, _ = qpoch_infinite(x, base, eps, precision_bits)
-        if v.is_zero():
-            return v
-        num = _mul(num, _fx(v, wp), wp)
-    for x, base in den_args:
-        v, _ = qpoch_infinite(x, base, eps, precision_bits)
-        if v.is_zero():
-            raise ZeroDivisionError("infinite-product denominator vanishes")
-        den = _mul(den, _fx(v, wp), wp)
-    return _approx(_div(num, den, wp), wp, precision_bits)
+    parts = []
+    for den, args in enumerate((num_args, den_args)):
+        prod = (1 << wp, 0)
+        for x, base in args:
+            p, _, _ = _qpoch_fixed(x, QBase.of(base), eps, wp)
+            if p == (0, 0):
+                if den:
+                    raise ZeroDivisionError("infinite-product denominator vanishes")
+                return ApproxScalar(0, precision_bits)
+            prod = _mul(prod, p, wp)
+        parts.append(prod)
+    return _approx(_div(*parts, wp), wp, precision_bits)

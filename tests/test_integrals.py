@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
 from qident import integrals
@@ -813,3 +813,132 @@ class TestFolding:
         params, sigma, _ = POINTS[ident]
         rep = verify_integral_rep(ident, params, sigma=sigma, f=F(3, 2), eps=1e-20)
         assert folds == [expected] and rep.passed, rep.rel_err
+
+
+def _euler_reference(C, q, budget, theta=False):
+    """The ExactScalar recurrence c_(n+1) = -c_n C q^n / (1 - q^(n+1)), or -c_n C
+    q^n with theta, cut where :func:`integrals._euler` cuts, each coefficient
+    reduced by a gcd."""
+    Q = q.abs_upper()
+    coeffs, x, qk = [E(1)], C, E(0) if theta else q
+    c, xa, Qk = 1.0, C.abs_upper(), 0.0 if theta else Q
+    while xa >= 1 - Qk or c * xa / (1 - Qk - xa) > budget:
+        coeffs.append(-coeffs[-1] * x / (1 - qk))
+        c, xa, Qk, x, qk = c * xa / (1 - Qk), xa * Q, Qk * Q, x * q, qk * q
+    return coeffs
+
+
+class TestFractionFreeCoefficients:
+    @pytest.mark.parametrize("C", [E(F(3, 7)), E(F(-5, 2)), E(0, F(2, 3)), E(F(1, 3), F(-2, 5))])
+    @pytest.mark.parametrize("q", [E(F(1, 2)), E(F(7, 10)) ** 4, E(0, F(1, 2))])
+    @pytest.mark.parametrize("theta", [False, True])
+    def test_coefficients_are_the_reduced_ones(self, C, q, theta):
+        # unreduced triples convert to the same fixed-point pairs and moduli
+        # as the gcd-reduced recurrence, so every node series is bit-identical
+        got, ref = integrals._euler(C, q, 1e-30, theta), _euler_reference(C, q, 1e-30, theta)
+        assert len(got) == len(ref) > 5
+        for wp in (64, 90, 256):
+            assert [_fx(c, wp) for c in got] == [_fx(c, wp) for c in ref]
+        assert [integrals._abs_upper(*c) for c in got] == [c.abs_upper() for c in ref]
+
+
+# the second point of each representation in criterion 9, with its two sigmas
+SECOND_POINTS = {
+    "IR_SCHLOSSER": ({"q": F(2, 5), "a": F(1, 4), "b": F(3, 5), "z": F(1, 6)}, F(4, 5), F(9, 10)),
+    "IR_SRIV_JAIN": ({"q": F(2, 5), "a": F(1, 4), "b": F(1, 2), "z": F(1, 6)}, F(7, 10), F(4, 5)),
+    "IR_NASSRALLAH_1": ({"p": F(3, 5), "a": F(2, 5), "b": F(1, 2), "z": F(1, 6)}, F(2, 5), F(1, 2)),
+    "IR_NASSRALLAH_2": ({"p": F(3, 5), "a": F(2, 5), "b": F(1, 2), "z": F(1, 6)}, F(2, 5), F(1, 2)),
+    "IR_THM21": ({"p": F(3, 5), "a": F(2, 5), "b": F(1, 2), "z": F(1, 6)}, F(1, 2), F(11, 20)),
+}
+
+
+def _strip_scan(ident, params, sigma, f, eps):
+    """(pruned, full, targets): the strips the pruned scan keeps and the ten
+    of the full scan, from the same circles, and the pruned scan's target
+    beside the one verify_integral_rep passes to the quadrature."""
+    scans, pruned_scan = [], integrals._strips
+
+    def recording(circle, a_max, target):
+        full = []
+        for i in range(1, 11):
+            a = a_max * (1 - 2.0**-i)
+            full.append((a, max(circle(math.exp(a))[0], circle(math.exp(-a))[0]) * (1 + 2.0**-30)))
+        scans.append((pruned_scan(circle, a_max, target), full, target))
+        return scans[-1][0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrals, "_strips", recording)
+        pref, *_ = integrals._descriptor(ident, params, sigma, f, eps, 256)
+    (pruned, full, target), = scans
+    return pruned, full, (target, eps / 16 / (max(1.0, float(abs(pref))) / (2 * math.pi)))
+
+
+def _same_count(pruned, full, targets):
+    for target in targets:
+        assert trapezoid_nodes(pruned, target) == trapezoid_nodes(full, target), target
+
+
+class TestStripScan:
+    @pytest.mark.parametrize("ident", sorted(INTEGRAL_IDS))
+    def test_workload_points_keep_the_count_on_six_strips(self, ident):
+        # the note's N and bound are the full scan's, from at most 6 strips
+        params, sigma, _ = POINTS[ident]
+        eps = 1e-10 if ident == "IR_SCHLOSSER" else 1e-15
+        pruned, full, targets = _strip_scan(ident, params, sigma, F(3, 2), eps)
+        _same_count(pruned, full, targets)
+        assert len(pruned) <= 6, len(pruned)
+        rep = verify_integral_rep(ident, params, sigma=sigma, f=F(3, 2), eps=eps)
+        n, _ = trapezoid_nodes(full, targets[1])
+        assert rep.quadrature_nodes == n and rep.note.startswith(f"quadrature nodes={n} bound=")
+
+    @pytest.mark.parametrize("ident", sorted(INTEGRAL_IDS))
+    def test_criterion_9_points(self, ident):
+        # both points at both sigmas at f = 3/2, and f = 5/2 at the first point, as
+        # criterion 9 checks it (at the second, q = 2/5 puts 5/2 on a prefactor
+        # pole of IR_SCHLOSSER and IR_SRIV_JAIN)
+        (p1, s1, s2), (p2, s3, s4) = POINTS[ident], SECOND_POINTS[ident]
+        for params, sigma, f in [(p1, s1, F(3, 2)), (p1, s2, F(3, 2)), (p1, s1, F(5, 2)),
+                                 (p2, s3, F(3, 2)), (p2, s4, F(3, 2))]:
+            _same_count(*_strip_scan(ident, params, sigma, f, 1e-25))
+
+    @pytest.mark.parametrize("ident, params, sigma, f, eps", [
+        ("IR_SRIV_JAIN", {**POINTS["IR_SRIV_JAIN"][0], "z": E(F(1, 5), F(1, 10))}, F(3, 5),
+         F(3, 2), 1e-15),
+        ("IR_SRIV_JAIN", {**POINTS["IR_SRIV_JAIN"][0], "q": E(0, F(1, 2))}, F(3, 5),
+         F(3, 2), 1e-15),
+        ("IR_THM21", POINTS["IR_THM21"][0], F(1, 2), E(F(3, 2), F(1, 2)), 1e-15),
+        # |zc|/sigma = 9/10: the top six strips' kernel majorants do not settle
+        ("IR_SRIV_JAIN", {"q": F(1, 2), "a": F(1, 5), "b": F(1, 5), "z": F(9, 20)}, F(1, 2),
+         F(3, 2), 1e-8),
+    ], ids=["complex z", "complex base", "complex f", "zc near the circle"])
+    def test_complex_and_edge_points(self, ident, params, sigma, f, eps):
+        _same_count(*_strip_scan(ident, params, sigma, f, eps))
+
+    @given(st.sampled_from(sorted(INTEGRAL_IDS)), st.data(),
+           st.sampled_from([F(3, 2), F(5, 2), F(1, 3)]), st.sampled_from([1e-8, 1e-15, 1e-25]))
+    @settings(max_examples=25, deadline=None)
+    def test_real_points(self, ident, data, f, eps):
+        # real points, sigma drawn between the moduli it must exceed (the
+        # denominator arguments and the kernel's l2 and zc times sigma) and
+        # the bound it must stay below (1, or p for the base-p^4 family)
+        qp = ident in ("IR_SCHLOSSER", "IR_SRIV_JAIN")
+        q, a, b, z = (data.draw(st.fractions(lo, hi, max_denominator=20)) for lo, hi in [
+            (F(1, 5), F(1, 2)) if qp else (F(3, 5), F(4, 5)),
+            *[(F(1, 5), F(7, 10) if qp else F(1, 2))] * 2, (F(1, 20), F(1, 4))])
+        if qp:
+            params, top = {"q": q, "a": a, "b": b, "z": z}, F(1)
+            low = [a, b, z] + ([q / b, q * a] if ident == "IR_SCHLOSSER" else [a * b * b])
+        else:
+            A, B = a * a, b * b
+            params, top = {"p": q, "a": a, "b": b, "z": z}, q
+            low = [q * A, A / q, q * z] + {"IR_NASSRALLAH_1": [q * B, q * A * A * B],
+                                            "IR_NASSRALLAH_2": [q**3 * B, q**3 * A * A * B],
+                                            "IR_THM21": [B / q, A * A * B / q]}[ident]
+        assume(max(low) < top)
+        t = data.draw(st.fractions(F(1, 5), F(4, 5), max_denominator=10))
+        sigma = max(low) + (top - max(low)) * t
+        try:
+            scan = _strip_scan(ident, params, sigma, f, eps)
+        except (HypothesisViolation, NoConvergence):  # a prefactor pole, or no finite strip
+            assume(False)
+        _same_count(*scan)

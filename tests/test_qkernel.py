@@ -1,11 +1,12 @@
 """Scalar arithmetic and q-Pochhammer layer."""
 
+import math
 from fractions import Fraction as F
 from math import gcd, isqrt
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qident.askey_wilson import AWParams
 from qident.errors import DomainError
@@ -16,10 +17,12 @@ from qident.qkernel import (
     QBase,
     _div,
     _fabs,
+    _factor_count,
     _fx,
     _mul,
     _one_minus,
     _qpow_index,
+    _qprod,
     _rdiv,
     _rmul,
     format_exact,
@@ -547,3 +550,71 @@ class TestRoundingLemma:
         assert all(0 <= e - g < F(1, 2**wp) and g * 2**wp % 1 == 0 for g, e in zip(got, x))
         if not x[1]:
             assert _fx(x[0], wp) == _fx(E(*x), wp)
+
+
+def _factor_count_loop(abs_a, abs_q, tail):
+    """The step-by-step search that _factor_count's closed form replaces."""
+    K = 0
+    while abs_a * abs_q**K >= 0.5:
+        K += 1
+    while True:
+        head = abs_a * abs_q**K
+        tail_log = head / ((1.0 - abs_q) * (1.0 - head))
+        if tail_log <= tail:
+            return K, tail_log
+        K += 1
+
+
+class _CountedBase(float):
+    """A float base that counts the powers taken of it."""
+
+    def __new__(cls, value, calls):
+        self = super().__new__(cls, value)
+        self.calls = calls
+        return self
+
+    def __pow__(self, k):
+        self.calls.append(k)
+        return float(self) ** k
+
+
+class TestFactorCount:
+    @given(st.floats(1e-12, 0.99), st.floats(1e-3, 0.9999), st.floats(-40, math.log10(2.0**-20)),
+           st.sampled_from([1.0, 2.0, 64.0]))
+    @example(1 / 3, 0.9999, math.log10(2.5e-31), 1.0)
+    @example(0.5, 0.5, -20.0, 1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_closed_form_is_the_loop(self, x, Q, digits, scale):
+        # x / scale and x * scale: moduli below and above 1/2, as the node
+        # arguments and the prefactor's are
+        for a in (x / scale, x * scale):
+            assert _factor_count(a, Q, 10.0**digits) == _factor_count_loop(a, Q, 10.0**digits)
+
+    def test_count_is_read_off_the_logs(self):
+        # K = 785,717 at |q| = 0.9999, found with a handful of powers of |q|
+        calls = []
+        K, tail = _factor_count(1 / 3, _CountedBase(0.9999, calls), 2.5e-31)
+        assert (K, tail) == _factor_count_loop(1 / 3, 0.9999, 2.5e-31) and K == 785_717
+        assert len(calls) <= 4, calls
+
+
+def _qprod_pairs(x, q, K, wp):
+    """The pair recurrence of _qprod, which its one-int path for a real x and
+    q replaces."""
+    (xr, xi), (qr, qi), pr, pi = x, q, 1 << wp, 0
+    for _ in range(K):
+        pr, pi = pr - ((pr * xr - pi * xi) >> wp), pi - ((pr * xi + pi * xr) >> wp)
+        xr, xi = (xr * qr - xi * qi) >> wp, (xr * qi + xi * qr) >> wp
+    return pr, pi
+
+
+class TestQProd:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_real_path_is_the_pair_path(self, data):
+        # real x and q of either sign, |x| past 1 and |q| up to 1, at 20-300 bits
+        wp = data.draw(st.integers(20, 300))
+        x = data.draw(st.integers(-(2 << wp), 2 << wp))
+        q = data.draw(st.integers(-(1 << wp), 1 << wp))
+        K = data.draw(st.integers(0, 60))
+        assert _qprod((x, 0), (q, 0), K, wp) == _qprod_pairs((x, 0), (q, 0), K, wp)
