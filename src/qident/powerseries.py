@@ -1,12 +1,41 @@
-"""Truncated power series with exact (or uniform approximate) coefficients."""
+"""Truncated power series with exact coefficients.
+
+A product of two series is a Cauchy product of plain ints on common
+denominators (Knuth, TAOCP vol. 2, 4.5.1): for output coefficient k, each
+operand's coefficients 0..k are numerators over L_k, the lcm of their
+denominators, and the coefficient is one convolution of those numerators over
+the product of the two L_k, reduced once, by one gcd.  A q-series'
+denominators nearly nest, so L_k is about the size of the k-th denominator and
+L_(k+1) / L_k is small: the numerators are rescaled by it, step by step, and
+output k multiplies ints no larger than the coefficients it uses.
+"""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import DomainError
-from .qkernel import EXACT_ONE, ExactScalar, _gaussian, _gdiv, _gmul
+from .qkernel import EXACT_ONE, ExactScalar, _canonical, _gaussian, _gdiv, _gmul, _raw
 from .series import _term_ratios
+
+_ZERO = ExactScalar(0)
+
+
+def _over_prefix_lcms(coeffs):
+    """Yield (re, im, L) for k = 0, 1, ...: the real and imaginary parts of
+    coefficients 0..k as numerators over L = lcm(d_0, ..., d_k); the lists
+    grow in place, so each is read before the next is yielded."""
+    re, im, L = [], [], 1
+    for c in coeffs:
+        n, m, d = c.parts
+        s = d // gcd(L, d)  # L s = lcm(L, d)
+        if s != 1:
+            re, im, L = [x * s for x in re], [x * s for x in im], L * s
+        re.append(n * (L // d))
+        im.append(m * (L // d))
+        yield re, im, L
 
 
 @dataclass(frozen=True)
@@ -27,13 +56,26 @@ class PowerSeriesTrunc:
         return PowerSeriesTrunc.make([x + y for x, y in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other) -> "PowerSeriesTrunc":
-        if isinstance(other, PowerSeriesTrunc):
-            x, y = self.coeffs, other.coeffs
-            return PowerSeriesTrunc.make(
-                sum((x[i] * y[k - i] for i in range(1, k + 1)), x[0] * y[k])
-                for k in range(min(self.order, other.order) + 1)
-            )
-        return PowerSeriesTrunc.make([c * other for c in self.coeffs])
+        """The truncated product with a series, on common denominators (see
+        the module docstring): one int product per pair of coefficients when
+        both series are real, three sums of products (Karatsuba's split of the
+        Gaussian product) otherwise, and one gcd per output coefficient; or the
+        product with a scalar, coefficient by coefficient."""
+        if not isinstance(other, PowerSeriesTrunc):
+            return PowerSeriesTrunc.make([c * other for c in self.coeffs])
+        K = min(self.order, other.order)
+        x, y = self.coeffs[: K + 1], other.coeffs[: K + 1]
+        real = all(c.is_real() for c in x + y)
+        out = []
+        for (xr, xi, Lx), (yr, yi, Ly) in zip(_over_prefix_lcms(x), _over_prefix_lcms(y)):
+            yr, yi = yr[::-1], yi[::-1]
+            re, im = sum(map(operator.mul, xr, yr)), 0
+            if not real:  # (a + bi)(c + di) = ac - bd + ((a + b)(c + d) - ac - bd)i
+                bd = sum(map(operator.mul, xi, yi))
+                mixed = sum(map(operator.mul, map(operator.add, xr, xi), map(operator.add, yr, yi)))
+                re, im = re - bd, mixed - re - bd
+            out.append(_canonical(re, im, Lx * Ly))
+        return PowerSeriesTrunc(tuple(out), K)
 
     __rmul__ = __mul__
 
@@ -41,12 +83,12 @@ class PowerSeriesTrunc:
         """Multiply by the variable^amount (degree shift, same order)."""
         if amount < 0:
             raise DomainError("negative shifts are not defined for truncations")
-        shifted = [ExactScalar(0)] * amount + list(self.coeffs)
+        shifted = [_ZERO] * amount + list(self.coeffs)
         return PowerSeriesTrunc.make(shifted[: self.order + 1])
 
     def dilate_square(self) -> "PowerSeriesTrunc":
         """Substitute variable -> variable^2 (series in z^2 read as series in z)."""
-        out = [ExactScalar(0)] * (self.order + 1)
+        out = [_ZERO] * (self.order + 1)
         out[::2] = self.coeffs[: self.order // 2 + 1]
         return PowerSeriesTrunc.make(out)
 
@@ -62,20 +104,34 @@ def phi_series_coeffs(upper, lower, q, zfactor, order: int) -> PowerSeriesTrunc:
     coefficient_n = prod (a_i;q)_n / ((q;q)_n prod (b_j;q)_n)
                     * ((-1)^n q^binom(n,2))^(1+s-r) * zfactor^n,
 
-    the running products of the series' term ratios (``series._term_ratios``),
-    each reduced once.  A lower parameter q^-k raises PoleError naming index
-    k+1; after an upper factor vanishes every coefficient is 0.  A base with
-    q^j = 1 for some 1 <= j <= order, which zeroes (q;q)_j, raises DomainError;
-    the roots of unity among Gaussian rationals are 1, -1 and +-i, so j <= 4
-    covers them.
+    the running products of the series' term ratios (``series._term_ratios``).
+    When q, zfactor and every parameter are real, each ratio top/bot is one
+    int over one int, brought to lowest terms by their gcd, and the product
+    with the coefficient n/d is cross-cancelled by gcd(n, bot) and gcd(top, d),
+    as ``Fraction`` multiplies: no gcd of the full products is formed.  Complex
+    data run on Gaussian integers, each coefficient reduced once.  A lower
+    parameter q^-k raises PoleError naming index k+1; after an upper factor
+    vanishes every coefficient is 0.  A base with q^j = 1 for some
+    1 <= j <= order, which zeroes (q;q)_j, raises DomainError; the roots of
+    unity among Gaussian rationals are 1, -1 and +-i, so j <= 4 covers them.
     """
     qe = ExactScalar.coerce(q)
     for j in range(1, min(order, 4) + 1):
         if qe**j == EXACT_ONE:
             raise DomainError(f"the base q = {qe} has q^{j} = 1, so the coefficient "
                               f"series is undefined from degree {j}")
-    coeffs = [EXACT_ONE] + [ExactScalar(0)] * order
-    for k, (top, bot) in enumerate(_term_ratios(upper, lower, q, zfactor, order)):
-        num, d = _gaussian(coeffs[k])
-        coeffs[k + 1] = _gdiv(_gmul(num, top), (bot[0] * d, bot[1] * d))
-    return PowerSeriesTrunc.make(coeffs[: order + 1])
+    coeffs = [EXACT_ONE] + [_ZERO] * order
+    ratios = _term_ratios(upper, lower, q, zfactor, order)
+    if next(ratios):
+        n, d = 1, 1  # the coefficient n/d, in lowest terms
+        for k, (top, bot) in enumerate(ratios):
+            g = gcd(top, bot)
+            top, bot = (top // g, bot // g) if bot > 0 else (-top // g, -bot // g)
+            g, h = gcd(n, bot), gcd(top, d)
+            n, d = (n // g) * (top // h), (d // h) * (bot // g)
+            coeffs[k + 1] = _raw(n, 0, d)
+    else:
+        for k, (top, bot) in enumerate(ratios):
+            num, d = _gaussian(coeffs[k])
+            coeffs[k + 1] = _gdiv(_gmul(num, top), (bot[0] * d, bot[1] * d))
+    return PowerSeriesTrunc.make(coeffs)

@@ -20,11 +20,12 @@ pure function.
 Under the products and series are two private arithmetics.  Exact code (the
 finite products here, the terminating sums and coefficient series of
 :mod:`qident.series` and :mod:`qident.powerseries`) is fraction-free, on
-Gaussian integers (re, im) of Python ints: ``_gaussian`` splits an ExactScalar
-into one over a positive int, ``_gmul`` multiplies two and ``_one_minus_aqk``
-forms 1 - a q^k, unreduced; a result is reduced once, by ``_gdiv`` or
-``ExactScalar.from_parts``.  Certified code (the products and series here, in
-:mod:`qident.series` and :mod:`qident.products`, and the contour node kernel of
+Gaussian integers (re, im) of Python ints, or on one int per value where every
+input is real (``_GAUSS_EXACT``, ``_REAL_EXACT``): ``_gaussian`` splits an
+ExactScalar into one over a positive int and ``_gmul`` multiplies two; a result
+is reduced once, by ``_gdiv`` or ``ExactScalar.from_parts``.  Certified code
+(the products and series here, in :mod:`qident.series` and
+:mod:`qident.products`, and the contour node kernel of
 :mod:`qident.integrals`) is fixed point: pairs (re, im) of Python ints scaled
 by 2^wp, wp = precision_bits + _GUARD_BITS (the node kernel's wp is from eps).
 ``_fx`` converts an exact value in as (n << wp) // d, with no mpmath step, and
@@ -38,6 +39,7 @@ converts a result out, once, to an :class:`ApproxScalar`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -518,11 +520,13 @@ def _gmul(x: tuple, y: tuple) -> tuple:
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _one_minus_aqk(a: ExactScalar, Q: tuple, D: int) -> tuple:
-    """1 - a q^k, for q^k = Q / D, as (Gaussian numerator, denominator)."""
-    a_num, a_den = _gaussian(a)
-    t, d = _gmul(a_num, Q), a_den * D
-    return (d - t[0], -t[1]), d
+# the fraction-free arithmetic of an exact product or series, chosen once for
+# its inputs: (numerator, x * y, x * int, int - x, x + y, zero, one) on Gaussian
+# integers (re, im), or on one int per value when every input is real
+_GAUSS_EXACT = (lambda x: (x._n, x._m), _gmul, lambda x, s: (x[0] * s, x[1] * s),
+                lambda s, x: (s - x[0], -x[1]), lambda x, y: (x[0] + y[0], x[1] + y[1]),
+                (0, 0), (1, 0))
+_REAL_EXACT = (lambda x: x._n, operator.mul, operator.mul, operator.sub, operator.add, 0, 1)
 
 
 def _gdiv(num: tuple, den: tuple) -> ExactScalar:
@@ -544,7 +548,8 @@ def qpoch_finite(a, q, n: int) -> ExactScalar:
 
 def qpoch_list(args: Sequence, q, n: int) -> ExactScalar:
     """(a_1,...,a_k;q)_n, the product convention over a nonempty list, exactly:
-    one Gaussian integer over one int, reduced once.
+    one int (a Gaussian integer unless q and every a_i are real) over one int,
+    reduced once.
 
     Use :func:`plus_minus` / :func:`w_pm` to expand the +-a and w^(+-)
     shorthands into explicit list entries before calling.
@@ -553,16 +558,20 @@ def qpoch_list(args: Sequence, q, n: int) -> ExactScalar:
         raise DomainError("qpoch_list requires a nonempty parameter list")
     if n < 0:
         raise DomainError("negative q-Pochhammer index is not supported")
-    args = [ExactScalar.coerce(a) for a in args]
-    q_num, q_den = _gaussian(ExactScalar.coerce(q))
-    Q, D = (1, 0), 1  # q^k = Q / D
-    p, p_den = (1, 0), 1
+    q, *args = map(ExactScalar.coerce, (q, *args))
+    real = not any(x._m for x in (q, *args))
+    part, mul, _, rsub, _, _, one = _REAL_EXACT if real else _GAUSS_EXACT
+    q_num, q_den = part(q), q._d
+    args = [(part(a), a._d) for a in args]
+    Q, D = one, 1  # q^k = Q / D
+    p, p_den = one, 1
     for _ in range(n):
-        for a in args:
-            f, f_den = _one_minus_aqk(a, Q, D)
-            p, p_den = _gmul(p, f), p_den * f_den
-        Q, D = _gmul(Q, q_num), D * q_den
-    return ExactScalar.from_parts(p[0], p[1], p_den)
+        for a_num, a_den in args:
+            f_den = a_den * D  # 1 - a q^k = f / f_den
+            p, p_den = mul(p, rsub(f_den, mul(a_num, Q))), p_den * f_den
+        Q, D = mul(Q, q_num), D * q_den
+    re, im = (p, 0) if real else p
+    return ExactScalar.from_parts(re, im, p_den)
 
 
 def _log_abs2(x: ExactScalar) -> float:

@@ -1,8 +1,9 @@
 """Evaluation of basic hypergeometric series.
 
-Terminating series are summed exactly, on the Gaussian integers of
-:mod:`qident.qkernel`, from the term ratios of ``_term_ratios``, which also
-give the exact coefficient series of :mod:`qident.powerseries`.  Nonterminating
+Terminating series are summed exactly, on the fraction-free ints of
+:mod:`qident.qkernel` (one int per value when q, z and every parameter are
+real, Gaussian integers otherwise), from the term ratios of ``_term_ratios``,
+which also give the exact coefficient series of :mod:`qident.powerseries`.  Nonterminating
 series are summed in the fixed-point arithmetic of :mod:`qident.qkernel`, each
 exact parameter converted once by ``_fx`` with no mpmath step: one term
 recurrence (``_phi_terms``) gives the terms of every r-phi-s series, on one int
@@ -33,7 +34,9 @@ from typing import Callable, Optional, Sequence
 
 from .errors import DivergenceError, DomainError, NoConvergence, PoleError, check_eps, check_names
 from .qkernel import (
+    _GAUSS_EXACT,
     _GUARD_BITS,
+    _REAL_EXACT,
     DEFAULT_PRECISION_BITS,
     ApproxScalar,
     EXACT_ONE,
@@ -46,13 +49,10 @@ from .qkernel import (
     _div,
     _fabs,
     _fx,
-    _gaussian,
     _gdiv,
-    _gmul,
     _log_poch_majorant,
     _mul,
     _one_minus,
-    _one_minus_aqk,
     _product_quotient,
     _qpow_index,
     _rdiv,
@@ -140,21 +140,25 @@ def eval_phi_terminating(spec: SeriesSpec) -> ExactScalar:
     if spec.termination is None:
         raise DomainError("spec does not terminate")
     validate_termination(spec)
-    ratios = list(_term_ratios(spec.upper, spec.lower, spec.base.value, spec.arg, spec.termination))
+    ratios = _term_ratios(spec.upper, spec.lower, spec.base.value, spec.arg, spec.termination)
+    real = next(ratios)
+    _, mul, _, _, add, _, one = _REAL_EXACT if real else _GAUSS_EXACT
     # the sum 1 + r_0 (1 + r_1 (1 + ...)) is formed backwards, in Horner form,
-    # on Gaussian integers, and reduced once, at the end
-    A, B = (1, 0), (1, 0)  # the sum is A / B
-    for top, bot in reversed(ratios):
-        t, B = _gmul(A, top), _gmul(B, bot)
-        A = (B[0] + t[0], B[1] + t[1])
-    return _gdiv(A, B)
+    # on the ratios' ints, and reduced once, at the end
+    A = B = one  # the sum is A / B
+    for top, bot in reversed(list(ratios)):
+        t, B = mul(A, top), mul(B, bot)
+        A = add(B, t)
+    return _gdiv((A, 0), (B, 0)) if real else _gdiv(A, B)
 
 
 def _term_ratios(upper, lower, q, z, n: int):
     """Yield r_k = term k+1 / term k, k = 0, ..., n-1, of the r-phi-s series
     sum_k (upper;q)_k / (q, lower;q)_k ((-1)^k q^binom(k,2))^e z^k, e = 1+s-r,
-    as a pair (top, bot) of unreduced Gaussian integers; the inputs are coerced
-    once with ExactScalar.coerce.
+    as a pair (top, bot) of unreduced values: one int each when q, z and every
+    parameter are real, Gaussian integers (re, im) otherwise; the first item
+    yielded says which (True when real).  The inputs are coerced once with
+    ExactScalar.coerce.
 
     r_k = z (-q^k)^e prod (1 - a q^k) / ((1 - q^(k+1)) prod (1 - b q^k)).  A
     lower factor that vanishes raises PoleError naming index k+1, even when an
@@ -164,34 +168,39 @@ def _term_ratios(upper, lower, q, z, n: int):
     """
     e = 1 + len(lower) - len(upper)
     upper, lower = ([ExactScalar.coerce(x) for x in xs] for xs in (upper, lower))
-    q_num, q_den = _gaussian(ExactScalar.coerce(q))
-    z_num, z_den = _gaussian(ExactScalar.coerce(z))
-    Q, D = (1, 0), 1  # q^k = Q / D
+    q, z = ExactScalar.coerce(q), ExactScalar.coerce(z)
+    real = all(x.is_real() for x in (q, z, *upper, *lower))
+    part, mul, scale, rsub, _, zero, one = _REAL_EXACT if real else _GAUSS_EXACT
+    yield real
+    (q_num, q_den), (z_num, z_den) = ((part(x), x.parts[2]) for x in (q, z))
+    ups = [(part(a), a.parts[2]) for a in upper]
+    los = [(b, part(b), b.parts[2]) for b in lower]
+    Q, D = one, 1  # q^k = Q / D
     for k in range(n):
-        Q1, D1 = _gmul(Q, q_num), D * q_den
-        bot, bot_d = (D1 - Q1[0], -Q1[1]), D1  # 1 - q^(k+1)
-        for b in lower:
-            f, f_d = _one_minus_aqk(b, Q, D)
-            if f == (0, 0):
+        Q1, D1 = mul(Q, q_num), D * q_den
+        bot, bot_d = rsub(D1, Q1), D1  # 1 - q^(k+1)
+        for b, b_num, b_den in los:
+            f_d = b_den * D  # 1 - b q^k = f / f_d
+            f = rsub(f_d, mul(b_num, Q))
+            if f == zero:
                 raise PoleError(
                     f"lower parameter {b} produces a zero factor at index {k + 1}",
                     index=k + 1,
                 )
-            bot, bot_d = _gmul(bot, f), bot_d * f_d
-        top, top_d = (1, 0), 1
-        for a in upper:
-            f, f_d = _one_minus_aqk(a, Q, D)
-            top, top_d = _gmul(top, f), top_d * f_d
-        if top == (0, 0):  # tested before z enters: z = 0 skips no later pole check
+            bot, bot_d = mul(bot, f), bot_d * f_d
+        top, top_d = one, 1
+        for a_num, a_den in ups:
+            f_d = a_den * D
+            top, top_d = mul(top, rsub(f_d, mul(a_num, Q))), top_d * f_d
+        if top == zero:  # tested before z enters: z = 0 skips no later pole check
             return
         # r_k = z (-q^k)^e (top / top_d) / (bot / bot_d)
-        top = _gmul(top, (z_num[0] * bot_d, z_num[1] * bot_d))
-        bot = (bot[0] * top_d * z_den, bot[1] * top_d * z_den)
-        minus_q = (-Q[0], -Q[1])
+        top, bot = mul(top, scale(z_num, bot_d)), scale(bot, top_d * z_den)
+        minus_q = rsub(0, Q)
         for _ in range(e):
-            top, bot = _gmul(top, minus_q), (bot[0] * D, bot[1] * D)
+            top, bot = mul(top, minus_q), scale(bot, D)
         for _ in range(-e):
-            top, bot = (top[0] * D, top[1] * D), _gmul(bot, minus_q)
+            top, bot = scale(top, D), mul(bot, minus_q)
         yield top, bot
         Q, D = Q1, D1
 

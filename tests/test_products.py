@@ -7,8 +7,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qident import products, series
+from qident import powerseries, products, series
 from qident.errors import DivergenceError, DomainError, PoleError, UnknownIdentity
 from qident.powerseries import PowerSeriesTrunc, phi_series_coeffs
 from qident.products import (
@@ -37,6 +38,38 @@ from qident.reporting import compare_approx
 E = ExactScalar
 
 
+def _schoolbook(x, y) -> tuple:
+    """The truncated Cauchy product of two series, one ExactScalar operation at a time."""
+    return tuple(sum((x.coeffs[i] * y.coeffs[k - i] for i in range(k + 1)), E(0))
+                 for k in range(min(x.order, y.order) + 1))
+
+
+def _part(kind, re, im):
+    """A coefficient of the given kind from two drawn parts."""
+    return E(re if kind != "imaginary" else 0, im if kind != "real" else 0)
+
+
+@st.composite
+def _exact_series(draw):
+    """A series of real, imaginary or Gaussian coefficients, often zero, over
+    one shared denominator or one each (small, or near 2^70)."""
+    kind = draw(st.sampled_from(("real", "imaginary", "gaussian")))
+    dens = st.one_of(st.integers(1, 12), st.integers(2**70, 2**70 + 40))
+    nums = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+    shared = draw(st.one_of(st.none(), dens))
+    coeffs = []
+    for _ in range(draw(st.integers(1, 8))):
+        d = shared or draw(dens)
+        coeffs.append(_part(kind, F(draw(nums), d), F(draw(nums), d)))
+    return PowerSeriesTrunc.make(coeffs)
+
+
+def _series_of(kind, length):
+    """A fixed series of the given kind, with distinct denominators and no zero."""
+    return PowerSeriesTrunc.make([_part(kind, F(k + 1, k + 2), F(2 * k - 7, 3 * k + 5))
+                                  for k in range(length)])
+
+
 class TestPowerSeries:
     def test_mul_and_shift(self):
         one = PowerSeriesTrunc.make([E(1), E(2), E(3)])
@@ -48,6 +81,27 @@ class TestPowerSeries:
     def test_dilate_square(self):
         s = PowerSeriesTrunc.make([E(5), E(7), E(9), E(0), E(0)])
         assert s.dilate_square().coeffs == (E(5), E(0), E(7), E(0), E(9))
+
+    @given(_exact_series(), _exact_series())
+    @settings(max_examples=60, deadline=None)
+    def test_mul_matches_the_schoolbook_product(self, x, y):
+        assert (x * y).coeffs == _schoolbook(x, y)
+        assert (y * x).coeffs == _schoolbook(x, y)
+
+    @pytest.mark.parametrize("kinds", [("real", "real"), ("real", "gaussian"),
+                                       ("imaginary", "gaussian"), ("gaussian", "gaussian")])
+    def test_mul_reduces_each_output_once(self, monkeypatch, kinds):
+        # one gcd per output coefficient: K + 1 reductions for order K, and
+        # the longer operand's extra terms are never reduced
+        calls = []
+        canonical = powerseries._canonical
+        monkeypatch.setattr(powerseries, "_canonical", lambda *a: calls.append(a) or canonical(*a))
+        K = 9
+        x, y = (_series_of(kind, length) for kind, length in zip(kinds, (K + 1, K + 4)))
+        prod = x * y
+        assert len(calls) == K + 1 and prod.order == K
+        monkeypatch.undo()
+        assert prod.coeffs == _schoolbook(x, y)
 
     def test_geometric_series_coeffs(self):
         # 1phi0(q; -; q, z) = (qz;q)inf/(z;q)inf = (1-qz...)/... with a = q the

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qident.askey_wilson import AWParams
-from qident.errors import DomainError
+from qident.errors import DomainError, PoleError
 from qident.qkernel import (
     ApproxScalar,
     ExactScalar,
@@ -332,6 +332,13 @@ parameters = st.one_of(
     small_gaussians, st.just((F(0), F(0))), st.integers(0, 12).map(lambda k: ("q^-k", k))
 )
 
+# the real values, bases and parameters among those
+real_values = small_fracs.map(lambda x: (x, F(0)))
+real_bases = gaussian_bases().filter(lambda q: not q[1])
+real_parameters = st.one_of(
+    real_values, st.just((F(0), F(0))), st.integers(0, 12).map(lambda k: ("q^-k", k))
+)
+
 
 def _param(x, q):
     """A drawn parameter as a Fraction pair, q^-k taken at the pair q."""
@@ -375,34 +382,90 @@ class TestFractionFreeAgainstReference:
     @given(st.lists(parameters, min_size=1, max_size=4), gaussian_bases(), st.integers(0, 12))
     @settings(max_examples=40, deadline=None)
     def test_qpoch_list(self, args, q, n):
-        args = [_param(a, q) for a in args]
-        ref = (F(1), F(0))
-        for a in args:
-            ref = _pair_mul(ref, _ref_qpoch(a, q, n))
-        assert qpoch_list([E(*a) for a in args], E(*q), n) == E(*ref)
+        _check_qpoch_list(args, q, n)
 
     @given(st.lists(parameters, max_size=3), st.lists(small_gaussians, max_size=3),
            gaussian_bases(), small_gaussians, st.integers(0, 12))
     @settings(max_examples=40, deadline=None)
     def test_phi_series_coeffs(self, upper, lower, q, z, order):
-        upper = [_param(a, q) for a in upper]
-        ref = _ref_phi_terms(upper, lower, q, z, order)
-        assume(ref is not None)
-        got = phi_series_coeffs(*([E(*x) for x in xs] for xs in (upper, lower)),
-                                E(*q), E(*z), order)
-        assert got.coeffs == tuple(E(*t) for t in ref)
+        _check_phi_series_coeffs(upper, lower, q, z, order)
 
     @given(st.lists(parameters, max_size=3), st.lists(small_gaussians, max_size=3),
            gaussian_bases(), small_gaussians, st.integers(0, 12))
     @settings(max_examples=40, deadline=None)
     def test_eval_phi_terminating(self, upper, lower, q, z, n):
-        upper = [_pair_pow(q, -n)] + [_param(a, q) for a in upper]
-        ref = _ref_phi_terms(upper, lower, q, z, n)
-        assume(ref is not None)
-        total = (sum(t[0] for t in ref), sum(t[1] for t in ref))
-        spec = SeriesSpec.make([E(*x) for x in upper], [E(*x) for x in lower],
-                               E(*q), E(*z), n)
-        assert eval_phi_terminating(spec) == E(*total)
+        _check_eval_phi_terminating(upper, lower, q, z, n)
+
+    # the same checks where q, z and every parameter are real, which runs the
+    # ratios on one int per value; e = 1+s-r of both signs and z = 0 as examples
+    @given(st.lists(real_parameters, max_size=3), st.lists(real_values, max_size=3),
+           real_bases, real_values, st.integers(0, 12))
+    @example([(F(1, 3), F(0))] * 3, [], (F(1, 2), F(0)), (F(-2, 5), F(0)), 9)  # e = -2
+    @example([], [(F(1, 3), F(0)), (F(-3, 4), F(0))], (F(-1, 2), F(0)), (F(5, 2), F(0)), 9)  # e = 3
+    @example([(F(1, 3), F(0))], [(F(3), F(0))], (F(1, 2), F(0)), (F(0), F(0)), 6)  # z = 0
+    @settings(max_examples=40, deadline=None)
+    def test_real_phi_series_coeffs(self, upper, lower, q, z, order):
+        _check_phi_series_coeffs(upper, lower, q, z, order)
+
+    @given(st.lists(real_parameters, max_size=3), st.lists(real_values, max_size=3),
+           real_bases, real_values, st.integers(0, 12))
+    @example([(F(1, 3), F(0))] * 3, [], (F(1, 2), F(0)), (F(-2, 5), F(0)), 7)  # e = -3
+    @example([], [(F(1, 3), F(0))], (F(-1, 2), F(0)), (F(5, 2), F(0)), 7)  # e = 1
+    @example([(F(1, 3), F(0))], [(F(3), F(0))], (F(1, 2), F(0)), (F(0), F(0)), 6)  # z = 0
+    @settings(max_examples=40, deadline=None)
+    def test_real_eval_phi_terminating(self, upper, lower, q, z, n):
+        _check_eval_phi_terminating(upper, lower, q, z, n)
+
+    @given(st.lists(real_parameters, min_size=1, max_size=4), real_bases, st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_real_qpoch_list(self, args, q, n):
+        _check_qpoch_list(args, q, n)
+
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    @pytest.mark.parametrize("upper_vanishes", [False, True])
+    def test_pole_is_named_alike_on_both_paths(self, k, upper_vanishes):
+        # b = q^-k at q = 1/2 with a real z (one int per value) and with an
+        # imaginary z (Gaussian integers): the same PoleError, index k+1, also
+        # when an upper factor vanishes at the same k
+        q = E(F(1, 2))
+        upper = [q**-k if upper_vanishes else E(F(1, 3))]
+        errors = []
+        for z in (E(F(1, 5)), E(0, F(1, 5))):
+            for run in (lambda: phi_series_coeffs(upper, [q**-k], q, z, k + 3),
+                        lambda: eval_phi_terminating(SeriesSpec.make(
+                            [q**-(k + 2)] + upper, [q**-k], q, z, k + 2))):
+                with pytest.raises(PoleError) as err:
+                    run()
+                errors.append((err.value.index, str(err.value)))
+        msg = f"lower parameter {2**k} produces a zero factor at index {k + 1}"
+        assert errors == [(k + 1, msg)] * 4
+
+
+def _check_qpoch_list(args, q, n):
+    args = [_param(a, q) for a in args]
+    ref = (F(1), F(0))
+    for a in args:
+        ref = _pair_mul(ref, _ref_qpoch(a, q, n))
+    assert qpoch_list([E(*a) for a in args], E(*q), n) == E(*ref)
+
+
+def _check_phi_series_coeffs(upper, lower, q, z, order):
+    upper = [_param(a, q) for a in upper]
+    ref = _ref_phi_terms(upper, lower, q, z, order)
+    assume(ref is not None)
+    got = phi_series_coeffs(*([E(*x) for x in xs] for xs in (upper, lower)),
+                            E(*q), E(*z), order)
+    assert got.coeffs == tuple(E(*t) for t in ref)
+
+
+def _check_eval_phi_terminating(upper, lower, q, z, n):
+    upper = [_pair_pow(q, -n)] + [_param(a, q) for a in upper]
+    ref = _ref_phi_terms(upper, lower, q, z, n)
+    assume(ref is not None)
+    total = (sum(t[0] for t in ref), sum(t[1] for t in ref))
+    spec = SeriesSpec.make([E(*x) for x in upper], [E(*x) for x in lower],
+                           E(*q), E(*z), n)
+    assert eval_phi_terminating(spec) == E(*total)
 
 
 def _ref_qpow_index(x, q, kmax):
