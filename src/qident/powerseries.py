@@ -23,19 +23,21 @@ from .series import _term_ratios
 _ZERO = ExactScalar(0)
 
 
-def _over_prefix_lcms(coeffs):
-    """Yield (re, im, L) for k = 0, 1, ...: the real and imaginary parts of
-    coefficients 0..k as numerators over L = lcm(d_0, ..., d_k); the lists
-    grow in place, so each is read before the next is yielded."""
-    re, im, L = [], [], 1
+def _over_prefix_lcms(coeffs, real: bool):
+    """Yield (parts, L) for k = 0, 1, ...: parts holds the real parts of
+    coefficients 0..k, and their imaginary parts unless real, as numerators over
+    L = lcm(d_0, ..., d_k); the lists grow in place, so each is read before the
+    next is yielded."""
+    parts, L = ([],) if real else ([], []), 1
     for c in coeffs:
         n, m, d = c.parts
         s = d // gcd(L, d)  # L s = lcm(L, d)
         if s != 1:
-            re, im, L = [x * s for x in re], [x * s for x in im], L * s
-        re.append(n * (L // d))
-        im.append(m * (L // d))
-        yield re, im, L
+            parts, L = tuple([x * s for x in p] for p in parts), L * s
+        r = L // d
+        for p, v in zip(parts, (n, m)):
+            p.append(v * r)
+        yield parts, L
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,11 @@ class PowerSeriesTrunc:
         x, y = self.coeffs[: K + 1], other.coeffs[: K + 1]
         real = all(c.is_real() for c in x + y)
         out = []
-        for (xr, xi, Lx), (yr, yi, Ly) in zip(_over_prefix_lcms(x), _over_prefix_lcms(y)):
-            yr, yi = yr[::-1], yi[::-1]
+        for (xs, Lx), (ys, Ly) in zip(_over_prefix_lcms(x, real), _over_prefix_lcms(y, real)):
+            xr, yr = xs[0], ys[0][::-1]
             re, im = sum(map(operator.mul, xr, yr)), 0
             if not real:  # (a + bi)(c + di) = ac - bd + ((a + b)(c + d) - ac - bd)i
+                xi, yi = xs[1], ys[1][::-1]
                 bd = sum(map(operator.mul, xi, yi))
                 mixed = sum(map(operator.mul, map(operator.add, xr, xi), map(operator.add, yr, yi)))
                 re, im = re - bd, mixed - re - bd

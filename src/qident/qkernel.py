@@ -20,10 +20,11 @@ pure function.
 Under the products and series are two private arithmetics.  Exact code (the
 finite products here, the terminating sums and coefficient series of
 :mod:`qident.series` and :mod:`qident.powerseries`) is fraction-free, on
-Gaussian integers (re, im) of Python ints, or on one int per value where every
-input is real (``_GAUSS_EXACT``, ``_REAL_EXACT``): ``_gaussian`` splits an
-ExactScalar into one over a positive int and ``_gmul`` multiplies two; a result
-is reduced once, by ``_gdiv`` or ``ExactScalar.from_parts``.  Certified code
+Gaussian integers (re, im) of Python ints (the sums and series also on one int
+per value where every input is real: ``_GAUSS_EXACT``, ``_REAL_EXACT``):
+``_gaussian`` splits an ExactScalar into one over a positive int and ``_gmul``
+multiplies two; a result is reduced once, by ``_gdiv`` or
+``ExactScalar.from_parts``.  Certified code
 (the products and series here, in :mod:`qident.series` and
 :mod:`qident.products`, and the contour node kernel of
 :mod:`qident.integrals`) is fixed point: pairs (re, im) of Python ints scaled
@@ -548,8 +549,7 @@ def qpoch_finite(a, q, n: int) -> ExactScalar:
 
 def qpoch_list(args: Sequence, q, n: int) -> ExactScalar:
     """(a_1,...,a_k;q)_n, the product convention over a nonempty list, exactly:
-    one int (a Gaussian integer unless q and every a_i are real) over one int,
-    reduced once.
+    one Gaussian integer over one int, reduced once.
 
     Use :func:`plus_minus` / :func:`w_pm` to expand the +-a and w^(+-)
     shorthands into explicit list entries before calling.
@@ -558,20 +558,16 @@ def qpoch_list(args: Sequence, q, n: int) -> ExactScalar:
         raise DomainError("qpoch_list requires a nonempty parameter list")
     if n < 0:
         raise DomainError("negative q-Pochhammer index is not supported")
-    q, *args = map(ExactScalar.coerce, (q, *args))
-    real = not any(x._m for x in (q, *args))
-    part, mul, _, rsub, _, _, one = _REAL_EXACT if real else _GAUSS_EXACT
-    q_num, q_den = part(q), q._d
-    args = [(part(a), a._d) for a in args]
-    Q, D = one, 1  # q^k = Q / D
-    p, p_den = one, 1
+    args = [_gaussian(ExactScalar.coerce(a)) for a in args]
+    q_num, q_den = _gaussian(ExactScalar.coerce(q))
+    Q, D = (1, 0), 1  # q^k = Q / D
+    p, p_den = (1, 0), 1
     for _ in range(n):
         for a_num, a_den in args:
-            f_den = a_den * D  # 1 - a q^k = f / f_den
-            p, p_den = mul(p, rsub(f_den, mul(a_num, Q))), p_den * f_den
-        Q, D = mul(Q, q_num), D * q_den
-    re, im = (p, 0) if real else p
-    return ExactScalar.from_parts(re, im, p_den)
+            t, f_den = _gmul(a_num, Q), a_den * D  # 1 - a q^k = (f_den - t) / f_den
+            p, p_den = _gmul(p, (f_den - t[0], -t[1])), p_den * f_den
+        Q, D = _gmul(Q, q_num), D * q_den
+    return ExactScalar.from_parts(p[0], p[1], p_den)
 
 
 def _log_abs2(x: ExactScalar) -> float:

@@ -382,7 +382,11 @@ class TestFractionFreeAgainstReference:
     @given(st.lists(parameters, min_size=1, max_size=4), gaussian_bases(), st.integers(0, 12))
     @settings(max_examples=40, deadline=None)
     def test_qpoch_list(self, args, q, n):
-        _check_qpoch_list(args, q, n)
+        args = [_param(a, q) for a in args]
+        ref = (F(1), F(0))
+        for a in args:
+            ref = _pair_mul(ref, _ref_qpoch(a, q, n))
+        assert qpoch_list([E(*a) for a in args], E(*q), n) == E(*ref)
 
     @given(st.lists(parameters, max_size=3), st.lists(small_gaussians, max_size=3),
            gaussian_bases(), small_gaussians, st.integers(0, 12))
@@ -416,11 +420,6 @@ class TestFractionFreeAgainstReference:
     def test_real_eval_phi_terminating(self, upper, lower, q, z, n):
         _check_eval_phi_terminating(upper, lower, q, z, n)
 
-    @given(st.lists(real_parameters, min_size=1, max_size=4), real_bases, st.integers(0, 12))
-    @settings(max_examples=40, deadline=None)
-    def test_real_qpoch_list(self, args, q, n):
-        _check_qpoch_list(args, q, n)
-
     @pytest.mark.parametrize("k", [0, 2, 5])
     @pytest.mark.parametrize("upper_vanishes", [False, True])
     def test_pole_is_named_alike_on_both_paths(self, k, upper_vanishes):
@@ -439,14 +438,6 @@ class TestFractionFreeAgainstReference:
                 errors.append((err.value.index, str(err.value)))
         msg = f"lower parameter {2**k} produces a zero factor at index {k + 1}"
         assert errors == [(k + 1, msg)] * 4
-
-
-def _check_qpoch_list(args, q, n):
-    args = [_param(a, q) for a in args]
-    ref = (F(1), F(0))
-    for a in args:
-        ref = _pair_mul(ref, _ref_qpoch(a, q, n))
-    assert qpoch_list([E(*a) for a in args], E(*q), n) == E(*ref)
 
 
 def _check_phi_series_coeffs(upper, lower, q, z, order):
