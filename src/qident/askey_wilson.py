@@ -18,6 +18,9 @@ from .qkernel import (
     ExactScalar,
     I,
     QBase,
+    _gaussian,
+    _gdiv,
+    _gmul,
     _qpow_index,
     qpoch_finite,
     qpoch_list,
@@ -97,12 +100,11 @@ def eval_aw(params: AWParams, rep: Representation = "R1") -> ExactScalar:
             ("q^(1-n)/(aw)", q ** (1 - n) / (a * w)),
         ):
             _check_no_pole(x, q, n, label)
+        # (abcd/q; q)_2n / (abcd/q; q)_n = (abcd q^(n-1); q)_n
         pref = (
             q ** (-(n * (n - 1) // 2))
             * ((-a) ** (-n))
-            * qpoch_finite(abcd / q, q, 2 * n)
-            / qpoch_finite(abcd / q, q, n)
-            * qpoch_list([a * w, a / w], q, n)
+            * qpoch_list([abcd * q ** (n - 1), a * w, a / w], q, n)
         )
         spec = SeriesSpec.make(
             [q ** (-n), q ** (1 - n) / (a * b), q ** (1 - n) / (a * c), q ** (1 - n) / (a * d)],
@@ -134,23 +136,56 @@ def eval_aw(params: AWParams, rep: Representation = "R1") -> ExactScalar:
 
 def _aw_convolution(a, b, c, d, q, w, n: int) -> ExactScalar:
     """(q,ab,cd;q)_n sum_j [(aw,bw;q)_j/((q,ab;q)_j)]
-    [(c/w,d/w;q)_{n-j}/((q,cd;q)_{n-j})] w^{n-2j}."""
-    aw_up = [qpoch_list([a * w, b * w], q, j) for j in range(n + 1)]
-    cw_up = [qpoch_list([c / w, d / w], q, j) for j in range(n + 1)]
-    qj = [qpoch_finite(q, q, j) for j in range(n + 1)]
-    abj = [qpoch_finite(a * b, q, j) for j in range(n + 1)]
-    cdj = [qpoch_finite(c * d, q, j) for j in range(n + 1)]
-    total = None
-    for j in range(n + 1):
-        term = (
-            aw_up[j]
-            / (qj[j] * abj[j])
-            * cw_up[n - j]
-            / (qj[n - j] * cdj[n - j])
-            * w ** (n - 2 * j)
-        )
-        total = term if total is None else total + term
-    return total * qj[n] * abj[n] * cdj[n]
+    [(c/w,d/w;q)_{n-j}/((q,cd;q)_{n-j})] w^{n-2j}, in one pass.
+
+    With the suffix products S_x[j] = prod_{k=j}^{n-1} (1 - x q^k) and
+    S_q[j] = prod_{k=j}^{n-1} (1 - q^(k+1)), (ab;q)_n / (ab;q)_j = S_ab[j] and
+    (q;q)_n / ((q;q)_j (q;q)_{n-j}) = S_q[j] S_q[n-j] / (q;q)_n, so the sum is
+    sum_j A_j B_{n-j} w^{n-2j} / (q;q)_n with A_j = (aw,bw;q)_j S_ab[j] S_q[j]
+    and B_i = (c/w,d/w;q)_i S_cd[i] S_q[i]: prefix and suffix products, each
+    formed once, on Gaussian integers.  A factor 1 - x q^k is a numerator over
+    x's denominator times qd^k (q = qn/qd); the k-th prefix pair, scaled by
+    xy's denominator and qd, and the k-th suffix pair, scaled by x's and y's
+    denominators, then share one denominator, and A_j holds one of the two
+    for each k, so every term of the sum has the same denominator and the
+    value is reduced once.  The form builds no 2phi1 coefficient series:
+    ``awgf_coefficient_check`` compares it against the product of two.
+    """
+    (qn, qd), (wn, wd) = _gaussian(q), _gaussian(w)
+    powers = [((1, 0), 1)]  # q^k, k = 0..n, as Gaussian integer over int
+    for _ in range(n):
+        powers.append((_gmul(powers[-1][0], qn), powers[-1][1] * qd))
+    q_factors = [(den - num[0], -num[1]) for num, den in powers[1:]]  # 1 - q^(k+1)
+
+    def factors(x):  # 1 - x q^k, k = 0..n-1, over x's denominator times qd^k
+        (xn, xd), out = x, []
+        for num, den in powers[:n]:
+            t = _gmul(xn, num)
+            out.append((xd * den - t[0], -t[1]))
+        return out
+
+    def side(x, y, xy, step):  # A_j (or B_j) over (xd yd xyd)^n qd^(n^2), times step^j
+        x, y, xy = (_gaussian(v) for v in (x, y, xy))
+        pre_scale, suf_scale = _gmul(step, (xy[1] * qd, 0)), (x[1] * y[1], 0)
+        pre, suf = [(1, 0)], [(1, 0)]
+        for f, g in zip(factors(x), factors(y)):
+            pre.append(_gmul(pre[-1], _gmul(_gmul(f, g), pre_scale)))
+        for f, g in zip(factors(xy)[::-1], q_factors[::-1]):
+            suf.append(_gmul(suf[-1], _gmul(_gmul(f, g), suf_scale)))
+        return [_gmul(p, s) for p, s in zip(pre, suf[::-1])], x[1] * y[1] * xy[1]
+
+    # w^(n-2j) = wn^(2(n-j)) wd^(2j) / (wn wd)^n
+    left, left_den = side(a * w, b * w, a * b, (wd * wd, 0))
+    right, right_den = side(c / w, d / w, c * d, _gmul(wn, wn))
+    re = im = 0
+    for x, y in zip(left, right[::-1]):
+        t = _gmul(x, y)
+        re, im = re + t[0], im + t[1]
+    den = (1, 0)  # (q;q)_n qd^(n(n+1)/2) wn^n
+    for f in q_factors:
+        den = _gmul(den, _gmul(f, wn))
+    scale = (left_den * right_den * wd) ** n * qd ** (2 * n * n - n * (n + 1) // 2)
+    return _gdiv((re, im), (den[0] * scale, den[1] * scale))
 
 
 def aw_hermite_degenerate(w, q, n: int) -> ExactScalar:

@@ -89,10 +89,12 @@ class PowerSeriesTrunc:
         shifted = [_ZERO] * amount + list(self.coeffs)
         return PowerSeriesTrunc.make(shifted[: self.order + 1])
 
-    def dilate_square(self) -> "PowerSeriesTrunc":
-        """Substitute variable -> variable^2 (series in z^2 read as series in z)."""
-        out = [_ZERO] * (self.order + 1)
-        out[::2] = self.coeffs[: self.order // 2 + 1]
+    def dilate_square(self, order: int) -> "PowerSeriesTrunc":
+        """Substitute variable -> variable^2 (series in z^2 read as series in z)
+        through z^order: the coefficients 0..order // 2 are used, so a series
+        built to order // 2 suffices."""
+        out = [_ZERO] * (order + 1)
+        out[::2] = self.coeffs[: order // 2 + 1]
         return PowerSeriesTrunc.make(out)
 
     def __eq__(self, other) -> bool:

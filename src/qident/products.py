@@ -425,8 +425,9 @@ def side_series(side, order: int) -> PowerSeriesTrunc:
     for pref, power, factors in side:
         prod = None
         for f in factors:
-            s = phi_series_coeffs(f.upper, f.lower, f.base, f.zscale, order)
-            s = s.dilate_square() if f.squared else s
+            # a factor in z^2 is built to order // 2 (Phi's first four fields are the args)
+            s = phi_series_coeffs(*f[:4], order // 2 if f.squared else order)
+            s = s.dilate_square(order) if f.squared else s
             prod = s if prod is None else prod * s
         if pref is not None:
             prod = (pref * prod).shift(power)
@@ -642,11 +643,12 @@ def cayley_orr_an(which: str, a, b, c, q, order: int) -> list:
 
 
 def _cayley_orr_weighted(which: str, a, b, c, q, n_max: int) -> list:
-    """The weighted coefficients (wn; q^2)_n / (wd; q^2)_n * a_n, n = 0..n_max, exactly."""
+    """The weighted coefficients (wn; q^2)_n / (wd; q^2)_n * a_n, n = 0..n_max, exactly;
+    the weights are the coefficients of 2phi1(wn, q^2; wd; q^2, z), one running product."""
     an = cayley_orr_an(which, a, b, c, q, n_max)
     *_, wn, wd = _cayley_orr_lemma(which, a, b, c, q)
-    Q = q * q
-    return [qpoch_finite(wn, Q, n) / qpoch_finite(wd, Q, n) * an[n] for n in range(n_max + 1)]
+    return [w * x for w, x in zip(
+        phi_series_coeffs([wn, q * q], [wd], q * q, EXACT_ONE, n_max).coeffs, an)]
 
 
 def cayley_orr_check(which: str, a, b, c, q, n_max: int = 10) -> VerificationReport:

@@ -5,7 +5,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from qident import askey_wilson, powerseries, products, qkernel
 from qident.askey_wilson import (
     AWParams,
     aw_hermite_degenerate,
@@ -15,7 +17,7 @@ from qident.askey_wilson import (
     newquad_product_form,
 )
 from qident.errors import DomainError, PoleError
-from qident.qkernel import ExactScalar, I
+from qident.qkernel import ExactScalar, I, qpoch_finite, qpoch_list
 
 E = ExactScalar
 
@@ -79,6 +81,13 @@ class TestRepresentations:
             for perm in itertools.permutations((a, b, c, d)):
                 assert eval_aw(params(*perm, q, w, n), "R1") == ref
 
+    def test_r2_at_abcd_equal_to_q(self):
+        # (abcd/q; q)_2n / (abcd/q; q)_n is (abcd q^(n-1); q)_n, which stays
+        # finite where (abcd/q; q)_n = (1; q)_n vanishes
+        for n in range(7):
+            p = params(F(1, 3), 1, F(3, 2), 1, F(1, 2), F(3, 5), n)
+            assert eval_aw(p, "R2") == eval_aw(p, "R1") == eval_aw(p, "CONV")
+
     def test_zero_parameter_rejected_in_phi_reps(self):
         p = params(0, F(1, 5), F(2, 3), F(1, 7), F(1, 2), F(3, 4), 3)
         for rep in ("R1", "R2", "R3"):
@@ -103,6 +112,78 @@ class TestRepresentations:
             coeffs = _exact_polyfit(xs, ys)
             assert coeffs[n + 1] == E(0)
             assert coeffs[n] != E(0)
+
+
+def _rebuild_convolution(a, b, c, d, q, w, n):
+    """CONV with every q-Pochhammer symbol of every term built from scratch and
+    each operation reduced: the reference for the one-pass form."""
+    aw_up = [qpoch_list([a * w, b * w], q, j) for j in range(n + 1)]
+    cw_up = [qpoch_list([c / w, d / w], q, j) for j in range(n + 1)]
+    qj = [qpoch_finite(q, q, j) for j in range(n + 1)]
+    abj = [qpoch_finite(a * b, q, j) for j in range(n + 1)]
+    cdj = [qpoch_finite(c * d, q, j) for j in range(n + 1)]
+    total = E(0)
+    for j in range(n + 1):
+        total = total + (aw_up[j] / (qj[j] * abj[j]) * cw_up[n - j] / (qj[n - j] * cdj[n - j])
+                         * w ** (n - 2 * j))
+    return total * qj[n] * abj[n] * cdj[n]
+
+
+_PART = st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def _conv_points(draw):
+    """(a, b, c, d, q, w, n): real, negative or Gaussian parameters, or all zero
+    (continuous q-Hermite); w = i, w = d or drawn; 0 < |q| < 1."""
+    kind = draw(st.sampled_from(("real", "negative", "gaussian", "hermite")))
+    value = {"real": st.builds(E, _PART), "negative": st.builds(lambda x: E(-abs(x)), _PART),
+             "gaussian": st.builds(E, _PART, _PART), "hermite": st.just(E(0))}[kind]
+    a, b, c, d = (draw(value) for _ in range(4))
+    q = draw(st.builds(E, st.builds(F, st.integers(-8, 8), st.just(9)),
+                       st.sampled_from((0, F(1, 3), F(-2, 5))) if kind == "gaussian" else st.just(0))
+             .filter(lambda x: not x.is_zero()))
+    w = draw(st.sampled_from((I, d, draw(value), draw(st.builds(E, _PART, _PART)))))
+    assume(not w.is_zero())
+    return a, b, c, d, q, w, draw(st.integers(0, 14))
+
+
+class TestConvolution:
+    @given(_conv_points())
+    @settings(max_examples=80, deadline=None)
+    @example((E(F(1, 3), F(1, 4)), E(F(-1, 5)), E(F(2, 7)), E(F(1, 2)), E(F(1, 2)), I, 14))
+    @example((E(0), E(0), E(0), E(0), E(F(2, 5)), E(F(3, 5)), 14))
+    @example((E(F(-1, 3)), E(F(-1, 5)), E(F(-2, 7)), E(F(-1, 2)), E(F(1, 2)), E(F(-1, 2)), 9))
+    def test_matches_the_rebuilt_terms(self, point):
+        try:
+            expected = _rebuild_convolution(*point)
+        except ZeroDivisionError:  # ab or cd on the pole set, which eval_aw refuses
+            assume(False)
+        assert askey_wilson._aw_convolution(*point).parts == expected.parts
+
+    def test_builds_no_series_or_pochhammer(self, monkeypatch):
+        # CONV is the independent side of awgf_coefficient_check, which multiplies
+        # two coefficient series: it may not be computed through them
+        def refuse(*args):
+            raise AssertionError("CONV called a series or q-Pochhammer builder")
+
+        for owner, name in ((askey_wilson, "qpoch_list"), (askey_wilson, "qpoch_finite"),
+                            (qkernel, "qpoch_list"), (powerseries, "phi_series_coeffs"),
+                            (products, "phi_series_coeffs"),
+                            (powerseries.PowerSeriesTrunc, "__mul__")):
+            monkeypatch.setattr(owner, name, refuse)
+        point = (E(F(1, 3), F(1, 4)), F(-1, 5), F(2, 7), F(1, 2), E(F(1, 2), F(1, 3)))
+        values = [eval_aw(params(*point, w, 8), "CONV") for w in (I, F(3, 4))]
+        monkeypatch.undo()
+        assert values == [eval_aw(params(*point, w, 8), "R1") for w in (I, F(3, 4))]
+
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    def test_products_grow_linearly_in_n(self, monkeypatch, n):
+        calls = []
+        gmul = askey_wilson._gmul
+        monkeypatch.setattr(askey_wilson, "_gmul", lambda x, y: calls.append(1) or gmul(x, y))
+        eval_aw(params(E(F(1, 3), F(1, 4)), F(-1, 5), F(2, 7), F(1, 2), F(1, 2), I, n), "CONV")
+        assert n <= len(calls) <= 25 * n
 
 
 class TestHermiteDegeneration:

@@ -70,6 +70,25 @@ def _series_of(kind, length):
                                   for k in range(length)])
 
 
+def _full_order_series(side, order) -> tuple:
+    """A side's coefficients through z^order with each factor in z^2 built to
+    order and its coefficients past order // 2 dropped."""
+    total = None
+    for pref, power, factors in side:
+        prod = None
+        for f in factors:
+            s = phi_series_coeffs(f.upper, f.lower, f.base, f.zscale, order)
+            if f.squared:
+                coeffs = [E(0)] * (order + 1)
+                coeffs[::2] = s.coeffs[: order // 2 + 1]
+                s = PowerSeriesTrunc.make(coeffs)
+            prod = s if prod is None else prod * s
+        if pref is not None:
+            prod = (pref * prod).shift(power)
+        total = prod if total is None else total + prod
+    return total.coeffs
+
+
 class TestPowerSeries:
     def test_mul_and_shift(self):
         one = PowerSeriesTrunc.make([E(1), E(2), E(3)])
@@ -80,7 +99,11 @@ class TestPowerSeries:
 
     def test_dilate_square(self):
         s = PowerSeriesTrunc.make([E(5), E(7), E(9), E(0), E(0)])
-        assert s.dilate_square().coeffs == (E(5), E(0), E(7), E(0), E(9))
+        assert s.dilate_square(4).coeffs == (E(5), E(0), E(7), E(0), E(9))
+        # a series to order // 2 is enough
+        half = PowerSeriesTrunc.make([E(5), E(7), E(9)])
+        assert half.dilate_square(4).coeffs == (E(5), E(0), E(7), E(0), E(9))
+        assert half.dilate_square(5).coeffs == (E(5), E(0), E(7), E(0), E(9), E(0))
 
     @given(_exact_series(), _exact_series())
     @settings(max_examples=60, deadline=None)
@@ -303,6 +326,36 @@ class TestCoefficientChecks:
         params = {k: v for k, v in PRODUCT_POINTS[ident].items() if k not in ("z", "t")}
         rep = product_coefficient_check(ident, params, order=9)
         assert rep.passed, (ident, rep.note)
+
+    @pytest.mark.parametrize("ident", sorted(COEFF_CHECK_IDS))
+    def test_squared_factors_built_to_half_order(self, ident, monkeypatch):
+        # a factor in z^2 is built to order // 2 and dilated to order: the same
+        # series as the full-order build, kept here as the reference
+        params = {k: v for k, v in PRODUCT_POINTS[ident].items() if k not in ("z", "t")}
+        orders = []
+        monkeypatch.setattr(products, "phi_series_coeffs",
+                            lambda *args: orders.append(args[-1]) or phi_series_coeffs(*args))
+        for side in product_sides(ident, params):
+            factors = [f for _, _, term in side for f in term]
+            for order in (0, 1, 2, 5, 20):
+                orders.clear()
+                assert side_series(side, order).coeffs == _full_order_series(side, order), order
+                assert orders == [order // 2 if f.squared else order for f in factors]
+
+    def test_pole_past_half_order_in_a_squared_factor(self):
+        # the lower parameter q^-3 has its pole at index 4: a factor in z^2 reaches
+        # it from order 8 on, a factor in z from order 4 on
+        q = E(F(1, 4))
+        plain = products.Phi([E(F(1, 3))], [q**-3], q)
+        squared = plain._replace(squared=True)
+        for order in (4, 7):
+            assert side_series([(None, 0, [squared])], order).order == order
+            with pytest.raises(PoleError) as info:
+                side_series([(None, 0, [plain])], order)
+            assert info.value.index == 4
+        with pytest.raises(PoleError) as info:
+            side_series([(None, 0, [squared])], 8)
+        assert info.value.index == 4
 
     def test_schlosser_parity_structure(self):
         rep = schlosser_t4_parity_check({"q": F(1, 2), "a": F(1, 3), "b": F(7, 10)}, order=9)
