@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from typing import Callable, NamedTuple
 
@@ -69,11 +71,24 @@ def _echo_config(args: argparse.Namespace) -> dict:
 
 
 def _emit(report_file: ReportFile, args) -> int:
-    """Write the report file where --output and --format say; its exit code."""
+    """Write the report file where --output and --format say; its exit code.
+
+    --output is overwritten in place: the report is written from the start of
+    the file, and a regular file is then cut to the report's length (a device
+    such as /dev/null is not cut).  Truncating an old report to zero before
+    writing costs more than the write itself on a filesystem that discards
+    freed blocks.  Like a truncating open, this is not atomic: a reader can
+    see a partly written report.
+    """
     text = report_file.to_csv() if args.format == "csv" else report_file.to_json()
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+                fh.write(text.encode("utf-8"))
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
+        except OSError as exc:
+            raise DomainError(f"cannot write report {args.output!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK if report_file.all_passed else EXIT_FAIL

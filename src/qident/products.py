@@ -83,15 +83,18 @@ def awgf_coefficient_check(a, b, c, d, w, q, n_max: int) -> VerificationReport:
     """t^n coefficients of 2phi1(aw,bw;ab;q,t/w) 2phi1(c/w,d/w;cd;q,tw)
     against p_n(x;a,b,c,d|q)/(q,ab,cd;q)_n, exactly, through n_max."""
     a, b, c, d, w, q = (E(v) for v in (a, b, c, d, w, q))
-    left = phi_series_coeffs([a * w, b * w], [a * b], q, 1 / w, n_max)
-    right = phi_series_coeffs([c / w, d / w], [c * d], q, w, n_max)
+    ab, cd = a * b, c * d
+    left = phi_series_coeffs([a * w, b * w], [ab], q, 1 / w, n_max)
+    right = phi_series_coeffs([c / w, d / w], [cd], q, w, n_max)
     product = left * right
     qb = QBase.of(q)
+    dens, qk = [EXACT_ONE], EXACT_ONE  # (q, ab, cd; q)_n as one running product
+    for _ in range(n_max):
+        dens.append(dens[-1] * (1 - q * qk) * (1 - ab * qk) * (1 - cd * qk))
+        qk = qk * q
 
     def expected(n):
-        return eval_aw(AWParams.make(a, b, c, d, qb, w, n), "CONV") / qpoch_list(
-            [q, a * b, c * d], q, n
-        )
+        return eval_aw(AWParams.make(a, b, c, d, qb, w, n), "CONV") / dens[n]
 
     return _coefficient_report(
         "AWGF", {"a": a, "b": b, "c": c, "d": d, "w": w, "q": q},

@@ -309,18 +309,20 @@ EXACT_ONE = ExactScalar(1)
 
 
 def format_exact(x: ExactScalar) -> str:
-    """Render as a rational literal: "p/q", "r/s*i" or "p/q+r/s*i"."""
+    """Render as a rational literal: "p/q", "r/s*i" or "p/q+r/s*i", each part
+    n/d reduced by one gcd of the canonical ints."""
+    n, m, d = x.parts
 
-    def frac(f: Fraction) -> str:
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    def frac(k: int) -> str:
+        g = gcd(k, d)
+        return str(k // g) if g == d else f"{k // g}/{d // g}"
 
-    if x.im == 0:
-        return frac(x.re)
-    imag = f"{frac(abs(x.im))}*i"
-    if x.re == 0:
-        return imag if x.im > 0 else f"-{imag}"
-    sign = "+" if x.im > 0 else "-"
-    return f"{frac(x.re)}{sign}{imag}"
+    if not m:
+        return frac(n)
+    imag = f"{frac(abs(m))}*i"
+    if not n:
+        return imag if m > 0 else f"-{imag}"
+    return f"{frac(n)}{'+' if m > 0 else '-'}{imag}"
 
 
 def parse_exact(text: str) -> ExactScalar:
@@ -782,14 +784,20 @@ def _qpoch_fixed(a, qb: QBase, eps: float, wp: int) -> tuple[tuple, int, float]:
 
 def _product_quotient(num_args, den_args, precision_bits, eps):
     """prod (x; base)_inf over num_args / prod over den_args, each factor
-    certified to eps (:func:`_qpoch_fixed`) and the quotient formed in fixed
-    point, rounded once: 0 when a numerator factor vanishes, and
-    ZeroDivisionError when a denominator factor does."""
+    certified to eps (:func:`_qpoch_fixed`): 0 when a numerator factor
+    vanishes, and ZeroDivisionError when a denominator factor does.
+
+    Each running product is a fixed-point pair at wp with a binary exponent e
+    (its value is the pair's times 2^e), renormalised after every factor to
+    wp + 1 significant bits (truncated toward zero, as in :func:`_mul`), so
+    that a quotient far below 2^-wp, such as a contour prefactor at a large
+    theta parameter, keeps its relative precision instead of rounding to 0;
+    the quotient is rounded once."""
     check_eps(eps)
     wp = precision_bits + _GUARD_BITS
     parts = []
     for den, args in enumerate((num_args, den_args)):
-        prod = (1 << wp, 0)
+        prod, e = (1 << wp, 0), 0
         for x, base in args:
             p, _, _ = _qpoch_fixed(x, QBase.of(base), eps, wp)
             if p == (0, 0):
@@ -797,5 +805,12 @@ def _product_quotient(num_args, den_args, precision_bits, eps):
                     raise ZeroDivisionError("infinite-product denominator vanishes")
                 return ApproxScalar(0, precision_bits)
             prod = _mul(prod, p, wp)
-        parts.append(prod)
-    return _approx(_div(*parts, wp), wp, precision_bits)
+            s = max(map(abs, prod)).bit_length() - wp - 1
+            if s > 0:
+                prod = tuple(v >> s if v >= 0 else -(-v >> s) for v in prod)
+            else:
+                prod = (prod[0] << -s, prod[1] << -s)
+            e += s
+        parts.append((prod, e))
+    (num, e_num), (den, e_den) = parts
+    return _approx(_div(num, den, wp), wp - e_num + e_den, precision_bits)

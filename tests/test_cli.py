@@ -9,10 +9,11 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qident.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NOCONV, EXIT_OK, main
 from qident.qkernel import ExactScalar, format_exact, parse_exact
-from qident.reporting import CSV_COLUMNS, ReportFile
+from qident.reporting import CSV_COLUMNS, ReportFile, VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -349,8 +350,89 @@ class TestSweepAndReport:
         code, _, _ = run_cli(capsys, "sweep", "SRIV_JAIN", "--trials", "1")
         assert code == EXIT_CONFIG
 
+    def test_rewrite_over_a_longer_file_leaves_the_new_report(self, tmp_path):
+        # --output is written in place and then cut to the report's length
+        argv = ["sweep", "T_BAILEY41", "--trials", "2", "--seed", "7", "--n-range", "0..3"]
+        fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+        old.write_bytes(bytes(range(256)) * 256)
+        for path in (fresh, old):
+            assert main(argv + ["--output", str(path)]) == EXIT_OK
+        assert 0 < len(fresh.read_bytes()) < 256 * 256
+        assert old.read_bytes() == fresh.read_bytes()
+
+    def test_output_to_a_device_is_not_truncated(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "T_BAILEY41", "--trials", "1",
+                                 "--output", "/dev/null")
+        assert (code, out, err) == (EXIT_OK, "", "")
+
+    @pytest.mark.parametrize("where, strerror", [
+        ("missing/x.json", "No such file or directory"),
+        ("", "Is a directory"),
+    ])
+    def test_unwritable_output_is_named(self, capsys, tmp_path, where, strerror):
+        path = str(tmp_path / where)
+        code, out, err = run_cli(capsys, "sweep", "T_BAILEY41", "--trials", "1", "--output", path)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: cannot write report {path!r}: {strerror}\n"
+
+
+_STRINGS = st.text(st.characters(codec="utf-8"), max_size=12)
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _STRINGS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=25,
+)
+_OPTIONAL_FLOATS = st.none() | st.floats()
+_REPORTS = st.builds(
+    VerificationReport,
+    identity_id=_STRINGS, params=st.dictionaries(_STRINGS, _STRINGS, max_size=4),
+    n=st.none() | st.integers(0, 40), mode=st.sampled_from(("exact", "approx")),
+    lhs=_STRINGS, rhs=_STRINGS, abs_err=_OPTIONAL_FLOATS, rel_err=_OPTIONAL_FLOATS,
+    passed=st.booleans(), degenerate=st.booleans(), truncation_terms=st.none() | st.integers(),
+    quadrature_nodes=st.none() | st.integers(), note=_STRINGS,
+)
+
+
+def _json_dumps(rf: ReportFile) -> str:
+    """The reference for ReportFile.to_json: the stdlib encoder on the file's payload."""
+    payload = {"schema_version": rf.schema_version, "tool_version": rf.tool_version,
+               "config": rf.config, "reports": [vars(e) for e in rf.entries],
+               "summary": rf.summary}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
 
 class TestReportFile:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_REPORTS, max_size=4), st.dictionaries(_STRINGS, _JSON_TREES, max_size=4))
+    @example([], {})
+    @example([], {"nan": float("nan"), "inf": [float("inf"), float("-inf")], "zero": -0.0,
+                  "tiny": 1e-300, "text": "\u00e9\u2603\U0001f600 \x00\x1f\x7f\"\\/",
+                  "empty": [{}, [], ()], "nested": {"a": [{"b": [None, True, 10**30]}]}})
+    def test_json_matches_stdlib_bytes(self, reports, config):
+        rf = ReportFile("\u00e9", config, reports)
+        assert rf.to_json() == _json_dumps(rf)
+
+    def test_json_of_scalar_subclasses_matches_stdlib_bytes(self):
+        class Int(int):
+            pass
+
+        class Float(float):
+            pass
+
+        class Str(str):
+            pass
+
+        rf = ReportFile("x", {"i": Int(3), "f": [Float(0.5)], "s": Str("\u00e9"), "b": [False]})
+        assert rf.to_json() == _json_dumps(rf)
+
+    def test_json_refuses_values_and_keys_outside_the_schema(self):
+        # a set is refused as json.dumps refuses it; a non-str key, which
+        # json.dumps would convert, is refused too, as the schema has none
+        for config in ({"a": {1, 2}}, {"a": {1: 2}}):
+            with pytest.raises(TypeError):
+                ReportFile("x", config).to_json()
+
     def test_csv_is_rfc4180(self):
         rf = ReportFile(tool_version="x", config={})
         text = rf.to_csv()
@@ -361,8 +443,6 @@ class TestReportFile:
     def test_exit_code_one_on_failure(self, tmp_path):
         # hand-build a failing report file and re-render it
         rf = ReportFile(tool_version="x", config={})
-        from qident.reporting import VerificationReport
-
         rf.add(
             VerificationReport(
                 identity_id="T", params={}, n=0, mode="exact", lhs="1", rhs="2",

@@ -583,6 +583,15 @@ class TestIntegralReps:
         with pytest.raises(NoConvergence, match=r"products' majorant .* log is 801\.662 >= 700"):
             verify_integral_rep("IR_SRIV_JAIN", params, sigma=sigma, f=F(10**10), eps=1e-10)
 
+    @pytest.mark.parametrize("f", [10**4, 10**6, 10**8])
+    def test_large_f_prefactor_keeps_its_precision(self, f):
+        # the README point at large f: the prefactor's denominator holds
+        # theta(f; q), and at f = 10^8 the prefactor is about -2^-733, which a
+        # fixed-point quotient at 286 bits rounded to 0, a left side of 0
+        params, sigma, _ = POINTS["IR_SRIV_JAIN"]
+        rep = verify_integral_rep("IR_SRIV_JAIN", params, sigma=sigma, f=F(f), eps=1e-10)
+        assert rep.passed, (rep.lhs, rep.rel_err)
+
     def test_sigma_one_rejected_by_prescan(self):
         # sigma = 1 puts |i sigma/w| = 1 on the contour
         params, _, _ = POINTS["IR_SRIV_JAIN"]

@@ -32,7 +32,7 @@ from qident.products import (
     triple_sum_32pf,
     verify_product,
 )
-from qident.qkernel import ExactScalar, I
+from qident.qkernel import ApproxScalar, ExactScalar, I
 from qident.reporting import compare_approx
 
 E = ExactScalar
@@ -318,6 +318,23 @@ class TestProductValues:
     def test_sriv_jain_tight_eps(self):
         rep = verify_product("SRIV_JAIN", PRODUCT_POINTS["SRIV_JAIN"], eps=1e-35)
         assert rep.passed and rep.rel_err <= 1e-35
+
+
+class TestVerdictResolution:
+    """A value verdict can refuse: at each pair identity's point, the right side
+    moved by 4 eps max(1, |r|) fails and moved by eps/4 max(1, |r|) passes.
+    Both sides are the certified values verify_product compares, each side
+    certified to eps/8."""
+
+    @pytest.mark.parametrize("shift, passes", [(4, False), (0.25, True)])
+    @pytest.mark.parametrize("ident", sorted(COEFF_CHECK_IDS))
+    def test_moved_right_side(self, ident, shift, passes):
+        eps, params = 1e-30, PRODUCT_POINTS[ident]
+        z = E(params["z" if "z" in params else "t"])
+        lhs, rhs = (side_value(side, z, eps / 8, 256)[0] for side in product_sides(ident, params))
+        delta = shift * eps * max(1.0, float(abs(rhs.value)))
+        for moved in (rhs + ApproxScalar(delta, 256), rhs - ApproxScalar(delta * 1j, 256)):
+            assert compare_approx(lhs, moved, eps)[0] is passes, (ident, moved)
 
 
 class TestCoefficientChecks:

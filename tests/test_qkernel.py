@@ -21,6 +21,7 @@ from qident.qkernel import (
     _fx,
     _mul,
     _one_minus,
+    _product_quotient,
     _qpow_index,
     _qprod,
     _rdiv,
@@ -176,6 +177,29 @@ class TestExactScalar:
     def test_parse_format_roundtrip_random(self, re, im):
         v = E(re, im)
         assert parse_exact(format_exact(v)) == v
+
+    @given(st.sampled_from(("real", "imaginary", "gaussian")),
+           st.one_of(st.integers(-9, 9), st.integers(-(2**90), 2**90)),
+           st.one_of(st.integers(-9, 9), st.integers(-(2**90), 2**90)),
+           st.one_of(st.integers(1, 12), st.integers(1, 2**90)), st.integers(1, 12))
+    @example("real", 0, 0, 5, 1)
+    @example("gaussian", 4, -6, 8, 1)
+    def test_format_matches_fraction_rendering(self, kind, a, b, d, e):
+        # format_exact reduces each part of the canonical ints by one gcd; the
+        # rendering through Fractions that it replaced is the reference
+        def frac(f):
+            return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+        def by_fractions(x):
+            if x.im == 0:
+                return frac(x.re)
+            imag = f"{frac(abs(x.im))}*i"
+            if x.re == 0:
+                return imag if x.im > 0 else f"-{imag}"
+            return f"{frac(x.re)}{'+' if x.im > 0 else '-'}{imag}"
+
+        v = E(F(a, d) if kind != "imaginary" else 0, F(b, d * e) if kind != "real" else 0)
+        assert format_exact(v) == by_fractions(v) == str(v)
 
     @given(st.integers(-999, 999), st.integers(-9, 9), st.integers(-999, 999), st.integers(-9, 9))
     def test_parse_exponent_literals(self, m, k, m2, k2):
@@ -560,6 +584,28 @@ class TestQPochInfinite:
         with mpmath.mp.workprec(2 * bits):
             ref = mpmath.qp(a.to_approx(2 * bits).value, q.to_approx(2 * bits).value)
             assert abs(v.value - ref) <= eps * max(1, abs(ref)), (a, q)
+
+
+class TestProductQuotient:
+    @pytest.mark.parametrize("x", [F(10**8), F(10**8, 3) + F(10**7, 7) * I, F(-(10**30))])
+    def test_tiny_quotient_keeps_relative_precision(self, x):
+        # (1/3; 1/2)_inf / (x; 1/2)_inf is below 2^-286, the fixed-point grid
+        # of 256-bit working precision: the running products carry exponents,
+        # so the quotient is relative, not rounded to 0
+        q = F(1, 2)
+        v = _product_quotient([(F(1, 3), q)], [(x, q), (F(1, 5), q)], 256, 1e-30)
+        with mpmath.mp.workprec(1200):
+            mq = mpmath.mpf(1) / 2
+            ref = mpmath.qp(mpmath.mpf(1) / 3, mq) / (
+                mpmath.qp(E.coerce(x).to_approx(1200).value, mq) * mpmath.qp(mpmath.mpf(1) / 5, mq))
+            assert 0 < abs(ref) < mpmath.mpf(2) ** -286
+            assert abs(v.value - ref) <= 1e-30 * abs(ref)
+
+    def test_vanishing_factors(self):
+        q = E(F(1, 2))
+        assert _product_quotient([(q**-2, q)], [(F(1, 3), q)], 128, 1e-20).is_zero()
+        with pytest.raises(ZeroDivisionError):
+            _product_quotient([(F(1, 3), q)], [(q**-2, q)], 128, 1e-20)
 
 
 # Fixed-point values: pairs of ints scaled by 2^wp, signs and sizes mixed
