@@ -67,7 +67,7 @@ from .errors import (
     check_eps,
     check_names,
 )
-from .products import _VALUE_PARAMS, product_sides, side_value
+from .products import _ROWS, product_sides, side_value
 from .qkernel import (
     DEFAULT_PRECISION_BITS,
     ApproxScalar,
@@ -213,7 +213,7 @@ def _series_side(identity_id: str, params: dict, eps: float, pb: int) -> ApproxS
     """The product of two 2phi1 series that the integral must reproduce: the
     left side of the matching product transformation."""
     product_id = "SCHLOSSER_T4" if identity_id == "IR_SCHLOSSER" else identity_id[3:]
-    check_names(identity_id, _VALUE_PARAMS[product_id], params)
+    check_names(identity_id, _ROWS[product_id].names, params)
     lhs, _ = product_sides(product_id, params)
     value, _ = side_value(lhs, E(params["z"]), eps / 4, pb)
     return value

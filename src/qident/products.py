@@ -1,23 +1,24 @@
 """Generating-function identities and nonterminating product transformations.
 
-The twelve product transformations (COEFF_CHECK_IDS) and the left sides of the
-Cayley-Orr lemmas are written once, as data: each side is a sum of terms
-prefactor * z^k * a product of r-phi-s factors (``Phi``), built from the exact
-parameters by ``product_sides``.  Two interpreters read that table:
-``side_value`` gives certified values for the value checks, and
-``side_series`` gives exact truncated power series for the coefficient checks
-(which localize failures to a degree).  The contour integrals take their series
-sides from the same table.  Identities whose displays contain q^(1/2) take the
-square root p as the parameter, with q = p^2, so every exponent stays integral.
-Each Cayley-Orr lemma's 2phi1, prefactor and weight arguments are one entry of
-``_cayley_orr_lemma``, read by every lemma check, and the five classical limits
-are a table of rFs products (``_classical_sides``).
+Each of the 18 product identities is one row of ``_ROWS``, read by
+``verify_product``.  The rows of the twelve product transformations
+(COEFF_CHECK_IDS) and of the Cayley-Orr lemmas hold their sides as data: a side
+is a sum of terms prefactor * z^k * a product of r-phi-s factors (``Phi``),
+built from the exact parameters by ``product_sides``, and read by ``side_value``
+(certified values), ``side_series`` (exact power series, for the coefficient
+checks) and the contour integrals.  Identities whose displays contain q^(1/2)
+take the square root p as the parameter, with q = p^2, so every exponent stays
+integral.  Each Cayley-Orr lemma's 2phi1, prefactor and weight arguments are
+one entry of ``_cayley_orr_lemma``, and the five classical limits are a table
+of rFs products (``_classical_sides``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from functools import partial
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .askey_wilson import AWParams, aw_hermite_degenerate, eval_aw
 from .errors import (DivergenceError, DomainError, UnknownIdentity, ZeroArgument, check_eps,
@@ -149,49 +150,29 @@ def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, precision_bits):
     return _approx(_mul(X, Y, wp), wp, pb + 20), terms
 
 
-def triple_sum_32pf(
-    u, w, t, a, b, c, d, q, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> VerificationReport:
+def _triple_value(P: dict, eps: float, pb: int) -> tuple:
     """Product of the two extra-parameter 3phi2 series against the
     prefactored triple sum over shifted-parameter Askey-Wilson values."""
-    params = {k: v for k, v in zip("uwtabcdq", (u, w, t, a, b, c, d, q))}
-    ue, we, te, ae, be, ce, de, qe = (E(v) for v in (u, w, t, a, b, c, d, q))
-    if not (
-        ue.abs_upper() < min(ae.abs_upper(), ce.abs_upper())
-        and te.abs_upper() < min(we.abs_upper(), (1 / we).abs_upper())
-    ):
-        raise DivergenceError("hypotheses |u| < min(|a|,|c|), |t| < min(|w|,1/|w|) fail")
+    u, w, t, a, b, c, d, q = (P[k] for k in "uwtabcdq")
     lhs_side = _plain(
-        Phi([ue / te, ae * we, be * we], [ae * be, ue * we], qe, 1 / we),
-        Phi([ue / te, ce / we, de / we], [ce * de, ue / we], qe, we),
+        Phi([u / t, a * w, b * w], [a * b, u * w], q, 1 / w),
+        Phi([u / t, c / w, d / w], [c * d, u / w], q, w),
     )
-    lhs, lhs_terms = side_value(lhs_side, te, eps / 8, precision_bits)
-    qb = QBase.of(qe)
-    triple, terms = _triple_sum_engine(ue, te, we, ae, be, ce, de, qe, eps / 8, precision_bits)
-    rhs = triple * _product_quotient([(ue / ae, qb), (ue / ce, qb)],
-                                     [(ue * we, qb), (ue / we, qb)], precision_bits, eps / 32)
-    return make_report("TRIPLE_32PF", params, lhs, rhs, compare_approx(lhs, rhs, eps),
-                       truncation_terms=lhs_terms + terms,
-                       note="extra-parameter generating function")
+    lhs, lhs_terms = side_value(lhs_side, t, eps / 8, pb)
+    qb = QBase.of(q)
+    triple, terms = _triple_sum_engine(u, t, w, a, b, c, d, q, eps / 8, pb)
+    rhs = triple * _product_quotient([(u / a, qb), (u / c, qb)], [(u * w, qb), (u / w, qb)],
+                                     pb, eps / 32)
+    return lhs, rhs, lhs_terms + terms
 
 
-def quad_cor13(
-    t, w, a, b, c, d, q, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> VerificationReport:
-    """Quadruple sum (convolution-expanded triple sum at u = t) against
-    (t w^+-; q)_inf / (t/a, t/c; q)_inf."""
-    params = {k: v for k, v in zip("twabcdq", (t, w, a, b, c, d, q))}
-    te, we, ae, be, ce, de, qe = (E(v) for v in (t, w, a, b, c, d, q))
-    mods = [ae.abs_upper(), ce.abs_upper(), we.abs_upper(), (1 / we).abs_upper()]
-    if not te.abs_upper() < min(mods):
-        raise DivergenceError("hypothesis |t| < min(|a|,|c|,|w|,1/|w|) fails")
-    qb = QBase.of(qe)
-    quad, terms = _triple_sum_engine(te, te, we, ae, be, ce, de, qe, eps / 8, precision_bits)
-    lhs = ApproxScalar(quad.value, precision_bits)
-    rhs = _product_quotient([(te * we, qb), (te / we, qb)], [(te / ae, qb), (te / ce, qb)],
-                            precision_bits, eps / 32)
-    return make_report("QUAD_COR13", params, lhs, rhs, compare_approx(lhs, rhs, eps),
-                       truncation_terms=terms, note="closed-form quadruple summation")
+def _quad_value(P: dict, eps: float, pb: int) -> tuple:
+    """The quadruple sum (the triple sum at u = t) against (t w^+-; q)_inf / (t/a, t/c; q)_inf."""
+    t, w, a, b, c, d, q = (P[k] for k in "twabcdq")
+    qb = QBase.of(q)
+    quad, terms = _triple_sum_engine(t, t, w, a, b, c, d, q, eps / 8, pb)
+    rhs = _product_quotient([(t * w, qb), (t / w, qb)], [(t / a, qb), (t / c, qb)], pb, eps / 32)
+    return ApproxScalar(quad.value, pb), rhs, terms
 
 
 # --------------------------------------------------------------------------
@@ -358,41 +339,13 @@ def _cayley_orr_b(q, a, b, c):
     return lhs, None
 
 
-# id -> (exact parameter names, name of the series variable, side builder)
-_SIDES = {
-    "SCHLOSSER_T4": ("qab", "z", _schlosser_t4),
-    "SRIV_JAIN": ("qab", "z", _sriv_jain),
-    "JACKSON_CLAUSEN": ("pab", "z", _jackson_clausen),
-    "NASSRALLAH_1": ("pab", "z", _nassrallah_1),
-    "NASSRALLAH_2": ("pab", "z", _nassrallah_2),
-    "THM21": ("pab", "z", _thm21),
-    "TRIVIAL_21_32": ("pa", "z", _trivial_21_32),
-    "SRIVASTAVA_313": ("qab", "t", _srivastava_313),
-    "T515": ("qac", "t", _t515),
-    "T516": ("qac", "t", _t516),
-    "T517": ("qac", "t", _t517),
-    "T518": ("qac", "t", _t518),
-    "CAYLEY_ORR_A": ("qabc", "z", _cayley_orr_a),
-    "CAYLEY_ORR_B": ("qabc", "z", _cayley_orr_b),
-}
-
-# id -> parameter names of its value check, in order
-_VALUE_PARAMS = {
-    "AWGF": "qabcdwt", "TRIPLE_32PF": "uwtabcdq", "QUAD_COR13": "twabcdq", "WD_APPELL": "qutabd",
-    **{k: names + zname for k, (names, zname, _) in _SIDES.items()},
-}
-# the parameters that the value checks outside _SIDES divide by
-_DIVISORS = {"AWGF": "w", "TRIPLE_32PF": "tw", "QUAD_COR13": "w", "WD_APPELL": "adt"}
-COEFF_CHECK_IDS = tuple(k for k in _SIDES if not k.startswith("CAYLEY_ORR"))
-PRODUCT_IDS = tuple(_VALUE_PARAMS)
-
-
 def product_sides(identity_id: str, params: dict) -> tuple:
     """(lhs, rhs) sides of a tabled identity at exact params; rhs is None for
     the Cayley-Orr lemmas, whose right side is a weighted coefficient sum."""
-    names, _, build = _SIDES[identity_id]
+    row = _ROWS[identity_id]
+    names = row.names[:-1]
     try:
-        return build(*(E(params[k]) for k in names))
+        return row.sides(*(E(params[k]) for k in names))
     except ZeroDivisionError:  # the builders divide by parameters only
         _nonzero(identity_id, params, names)
         raise
@@ -438,8 +391,16 @@ def side_series(side, order: int) -> PowerSeriesTrunc:
     return total
 
 
-def _wd_appell_value(params, eps, pb):
-    q, u, t, a, b, d = (E(params[k]) for k in "qutabd")
+def _sides_value(identity_id: str, P: dict, eps: float, pb: int) -> tuple:
+    """Both tabled sides at the row's series variable, each certified to eps/8."""
+    z = P[_ROWS[identity_id].zname]
+    (lhs, lhs_terms), (rhs, rhs_terms) = (
+        side_value(side, z, eps / 8, pb) for side in product_sides(identity_id, P))
+    return lhs, rhs, lhs_terms + rhs_terms
+
+
+def _wd_appell_value(P, eps, pb):
+    q, u, t, a, b, d = (P[k] for k in "qutabd")
     qb = QBase.of(q)
     lhs_side = _plain(Phi([u / t, a * d, b * d], [a * b, d * u], q, 1 / d))
     lhs, terms = side_value(lhs_side, t, eps / 8, pb)
@@ -448,14 +409,12 @@ def _wd_appell_value(params, eps, pb):
     return lhs, pref * appell, terms + cert.terms_used
 
 
-def _awgf_value(params, eps, pb):
-    q, a, b, c, d, w, t = (E(params[k]) for k in "qabcdwt")
+def _awgf_value(P, eps, pb):
+    q, a, b, c, d, w, t = (P[k] for k in "qabcdwt")
     rhs, terms = side_value(
         _plain(Phi([a * w, b * w], [a * b], q, 1 / w), Phi([c / w, d / w], [c * d], q, w)),
         t, eps / 8, pb,
     )
-    if (t * w).abs2() >= 1 or (t / w).abs2() >= 1:
-        raise DivergenceError("need |t| < min(|w|, 1/|w|)")
     wp = pb + _GUARD_BITS
     args = (q, t / w, t * w, a * w, b * w, a * b, c / w, d / w, c * d)
     q, t_w, tw, aw, bw, ab, c_w, d_w, cd = (_fx(x, wp) for x in args)
@@ -467,49 +426,119 @@ def _awgf_value(params, eps, pb):
     return _approx(total, wp, pb), rhs, terms + cert.terms_used
 
 
-def verify_product(
-    identity_id: str,
-    params: dict,
-    eps: float = 1e-30,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> VerificationReport:
+def _cayley_orr_value(identity_id: str, P: dict, eps: float, pb: int) -> tuple:
+    """(lhs, rhs, terms) of a Cayley-Orr lemma at a z value, both sides certified;
+    the tail of the right side, sum_n (wn; q^2)_n / (wd; q^2)_n a_n z^n, is
+    sup_{i>=n} |(wn; q^2)_i / (wd; q^2)_i| times that of the a_n z^n."""
+    a, b, c, q, z = (P[k] for k in "abcqz")
+    lhs_side, _ = product_sides(identity_id, P)
+    lhs, terms = side_value(lhs_side, z, eps / 8, pb)
+    # a_n z^n decays like max(|z|, |second series argument|)^n
+    r_eff = max((f.zscale * z).abs_upper() for f in lhs_side[0][2])
+    if r_eff >= 1:
+        raise DomainError("the weighted coefficient series does not converge here")
+    alpha, up, low, zfac, wn, wd = _cayley_orr_lemma(identity_id[-1], a, b, c, q)
+    wp = pb + _GUARD_BITS
+    args = (alpha, z, zfac * z, wn, wd, q, q * q, *up, *low)
+    alpha, z, zfac_z, wn, wd, q, Q, *ul = (_fx(x, wp) for x in args)
+    # a_n z^n = sum_i (alpha; q^2)_i/(q^2; q^2)_i z^i * [z^(n-i)] 2phi1(up; low; q, zfac z)
+    anzn = _cauchy_terms(_Table(_phi_terms([alpha], [], Q, z, wp)),
+                         _Table(_phi_terms(ul[:2], ul[2:], q, zfac_z, wp)), wp)
+    weight = _Table(_phi_terms([wn, Q], [wd], Q, (1 << wp, 0), wp))  # (wn; q^2)_n / (wd; q^2)_n
+    Qa, wn, wd = (_fabs(x, wp) for x in (Q, wn, wd))
+
+    def term(n: int) -> tuple:
+        value, tail = anzn(n)
+        w, Qn = weight[n][0], Qa**n
+        return _mul(w, value, wp), _fabs(w, wp) * _poch_majorant(wn * Qn, wd * Qn, Qa) * tail
+
+    total, cert = certified_sum(term, eps / 8, pb)
+    return lhs, _approx(total, wp, pb), terms + cert.terms_used
+
+
+class _Row(NamedTuple):
+    """One product identity's value check, as verify_product reads it."""
+
+    names: str  # the parameter names, in order, one letter each
+    divisors: str  # the parameters the check divides by, refused when zero
+    zname: str | None  # the series variable that SAFETY_RADIUS bounds
+    hypothesis: tuple | None  # (holds(m), error type, message), m.x = |x|^2 exactly
+    value: Callable  # (P, eps, pb) -> certified (lhs, rhs, terms summed)
+    sides: Callable | None = None  # the tabled sides, built from the names but the last, z
+    note: str = ""
+    unused: dict = {}  # a name accepted and not used -> the note's words on its value
+
+
+def _pair(identity_id: str, names: str, zname: str, build) -> _Row:
+    """The row of a product transformation: both sides tabled, in zname."""
+    return _Row(names + zname, "", zname, None, partial(_sides_value, identity_id), build)
+
+
+_LEMMA = (lambda m: m.q**2 * m.c * m.z < m.a * m.b, DomainError, "the lemma needs |q^2 c z| < |ab|")
+
+
+_ROWS = {
+    # the left side is the Cauchy diagonals of the same two 2phi1 term tables whose
+    # product is the right side, so this check cannot refuse a wrong Askey-Wilson
+    # polynomial; the generating function's content is checked by
+    # awgf_coefficient_check against eval_aw's CONV, together with R1 = CONV
+    "AWGF": _Row("qabcdwt", "w", "t", (lambda m: m.t < min(m.w, 1 / m.w), DivergenceError,
+                                       "need |t| < min(|w|, 1/|w|)"), _awgf_value),
+    "TRIPLE_32PF": _Row("uwtabcdq", "tw", None, (
+        lambda m: m.u < min(m.a, m.c) and m.t < min(m.w, 1 / m.w), DivergenceError,
+        "hypotheses |u| < min(|a|,|c|), |t| < min(|w|,1/|w|) fail",
+    ), _triple_value, note="extra-parameter generating function"),
+    # TRIPLE_32PF at u = t: it accepts that check's point, and the note names u
+    "QUAD_COR13": _Row("twabcdq", "w", None, (
+        lambda m: m.t < min(m.a, m.c, m.w, 1 / m.w), DivergenceError,
+        "hypothesis |t| < min(|a|,|c|,|w|,1/|w|) fails",
+    ), _quad_value, note="closed-form quadruple summation",
+        unused={"u": "evaluated at u = t, the given u = {} not used"}),
+    "WD_APPELL": _Row("qutabd", "adt", "t", (lambda m: m.t < m.d and m.u < m.a, DivergenceError,
+                                             "need |t| < |d| and |u| < |a|"), _wd_appell_value),
+    "SCHLOSSER_T4": _pair("SCHLOSSER_T4", "qab", "z", _schlosser_t4),
+    "SRIV_JAIN": _pair("SRIV_JAIN", "qab", "z", _sriv_jain),
+    "JACKSON_CLAUSEN": _pair("JACKSON_CLAUSEN", "pab", "z", _jackson_clausen),
+    "NASSRALLAH_1": _pair("NASSRALLAH_1", "pab", "z", _nassrallah_1),
+    "NASSRALLAH_2": _pair("NASSRALLAH_2", "pab", "z", _nassrallah_2),
+    "THM21": _pair("THM21", "pab", "z", _thm21),
+    "TRIVIAL_21_32": _pair("TRIVIAL_21_32", "pa", "z", _trivial_21_32),
+    "SRIVASTAVA_313": _pair("SRIVASTAVA_313", "qab", "t", _srivastava_313),
+    "T515": _pair("T515", "qac", "t", _t515),
+    "T516": _pair("T516", "qac", "t", _t516),
+    "T517": _pair("T517", "qac", "t", _t517),
+    "T518": _pair("T518", "qac", "t", _t518),
+    "CAYLEY_ORR_A": _Row("qabcz", "", "z", _LEMMA, partial(_cayley_orr_value, "CAYLEY_ORR_A"),
+                         _cayley_orr_a, "lemma value check"),
+    "CAYLEY_ORR_B": _Row("qabcz", "", "z", _LEMMA, partial(_cayley_orr_value, "CAYLEY_ORR_B"),
+                         _cayley_orr_b, "lemma value check"),
+}
+PRODUCT_IDS = tuple(_ROWS)
+COEFF_CHECK_IDS = tuple(k for k in _ROWS if _ROWS[k].sides and not k.startswith("CAYLEY_ORR"))
+
+
+def verify_product(identity_id: str, params: dict, eps: float = 1e-30,
+                   precision_bits: int = DEFAULT_PRECISION_BITS) -> VerificationReport:
     """Value check of one product identity at one exact parameter point."""
     check_eps(eps)
-    if identity_id not in PRODUCT_IDS:
+    row = _ROWS.get(identity_id)
+    if row is None:
         raise UnknownIdentity(f"no product identity registered under {identity_id!r}")
-    # QUAD_COR13 is TRIPLE_32PF at u = t: it accepts that check's point; the note names u
-    named = {k: v for k, v in params.items() if not (identity_id == "QUAD_COR13" and k == "u")}
-    check_names(identity_id, _VALUE_PARAMS[identity_id], named)
-    _nonzero(identity_id, params, _DIVISORS.get(identity_id, ""))
-    if identity_id == "TRIPLE_32PF":
-        return triple_sum_32pf(*(params[k] for k in "uwtabcdq"), eps, precision_bits)
-    if identity_id == "QUAD_COR13":
-        report = quad_cor13(*(params[k] for k in "twabcdq"), eps, precision_bits)
-        if "u" in params:
-            report.note += f"; evaluated at u = t, the given u = {params['u']} not used"
-        return report
-    zname = "z" if "z" in params else "t"
-    zval = E(params[zname])
-    if zval.abs_upper() > SAFETY_RADIUS:
-        raise DomainError(
-            f"|{zname}| = {zval.abs_upper():.4g} exceeds the safety radius {SAFETY_RADIUS}"
-        )
-    if identity_id == "WD_APPELL":
-        lhs, rhs, terms = _wd_appell_value(params, eps, precision_bits)
-    elif identity_id == "AWGF":
-        lhs, rhs, terms = _awgf_value(params, eps, precision_bits)
-    elif identity_id.startswith("CAYLEY_ORR"):
-        lhs, rhs, terms = _cayley_orr_value(identity_id, params, eps, precision_bits)
-    else:
-        lhs_side, rhs_side = product_sides(identity_id, params)
-        z = E(params[_SIDES[identity_id][1]])
-        lhs, lhs_terms = side_value(lhs_side, z, eps / 8, precision_bits)
-        rhs, rhs_terms = side_value(rhs_side, z, eps / 8, precision_bits)
-        terms = lhs_terms + rhs_terms
-    return make_report(
-        identity_id, params, lhs, rhs, compare_approx(lhs, rhs, eps), truncation_terms=terms,
-        note="lemma value check" if identity_id.startswith("CAYLEY_ORR") else "",
-    )
+    named = {k: v for k, v in params.items() if k not in row.unused}
+    check_names(identity_id, row.names, named)
+    _nonzero(identity_id, named, row.divisors)
+    P = {k: E(v) for k, v in named.items()}
+    m = SimpleNamespace(**{k: x.abs2() for k, x in P.items()})  # m.x = |x|^2, exact
+    if row.zname and getattr(m, row.zname) > SAFETY_RADIUS**2:  # 1/16 exactly
+        raise DomainError(f"|{row.zname}| = {P[row.zname].abs_upper():.4g} "
+                          f"exceeds the safety radius {SAFETY_RADIUS}")
+    if row.hypothesis and not row.hypothesis[0](m):
+        raise row.hypothesis[1](row.hypothesis[2])
+    lhs, rhs, terms = row.value(P, eps, precision_bits)
+    note = "; ".join(filter(None, [row.note, *(row.unused[k].format(v) for k, v in params.items()
+                                               if k in row.unused)]))
+    return make_report(identity_id, named, lhs, rhs, compare_approx(lhs, rhs, eps),
+                       truncation_terms=terms, note=note)
 
 
 # --------------------------------------------------------------------------
@@ -522,7 +551,7 @@ def product_coefficient_check(
     """Exact power-series comparison of both sides through z^order."""
     if identity_id not in COEFF_CHECK_IDS:
         raise UnknownIdentity(f"{identity_id} has no exact coefficient check")
-    check_names(identity_id, _SIDES[identity_id][0], params)
+    check_names(identity_id, _ROWS[identity_id].names[:-1], params)
     lhs_side, rhs_side = product_sides(identity_id, params)
     lhs, rhs = side_series(lhs_side, order), side_series(rhs_side, order)
     return _coefficient_report(
@@ -534,7 +563,7 @@ def product_coefficient_check(
 def schlosser_t4_parity_check(params: dict, order: int = 9) -> VerificationReport:
     """Even part of the product matches the first 4phi3; odd part matches the
     z-prefactored second, term by term."""
-    check_names("SCHLOSSER_T4", _SIDES["SCHLOSSER_T4"][0], params)
+    check_names("SCHLOSSER_T4", _ROWS["SCHLOSSER_T4"].names[:-1], params)
     lhs_side, rhs_side = product_sides("SCHLOSSER_T4", params)
     lhs = side_series(lhs_side, order)
     r1, r2 = (side_series([term], order) for term in rhs_side)
@@ -667,38 +696,6 @@ def cayley_orr_check(which: str, a, b, c, q, n_max: int = 10) -> VerificationRep
     )
 
 
-def _cayley_orr_value(identity_id: str, params: dict, eps: float, pb: int) -> tuple:
-    """(lhs, rhs, terms) of a Cayley-Orr lemma at a z value, both sides certified;
-    the tail of the right side, sum_n (wn; q^2)_n / (wd; q^2)_n a_n z^n, is
-    sup_{i>=n} |(wn; q^2)_i / (wd; q^2)_i| times that of the a_n z^n."""
-    a, b, c, q, z = (E(params[k]) for k in ("a", "b", "c", "q", "z"))
-    if (q * q * c * z).abs2() >= (a * b).abs2():
-        raise DomainError("the lemma needs |q^2 c z| < |ab|")
-    lhs_side, _ = product_sides(identity_id, params)
-    lhs, terms = side_value(lhs_side, z, eps / 8, pb)
-    # a_n z^n decays like max(|z|, |second series argument|)^n
-    r_eff = max((f.zscale * z).abs_upper() for f in lhs_side[0][2])
-    if r_eff >= 1:
-        raise DomainError("the weighted coefficient series does not converge here")
-    alpha, up, low, zfac, wn, wd = _cayley_orr_lemma(identity_id[-1], a, b, c, q)
-    wp = pb + _GUARD_BITS
-    args = (alpha, z, zfac * z, wn, wd, q, q * q, *up, *low)
-    alpha, z, zfac_z, wn, wd, q, Q, *ul = (_fx(x, wp) for x in args)
-    # a_n z^n = sum_i (alpha; q^2)_i/(q^2; q^2)_i z^i * [z^(n-i)] 2phi1(up; low; q, zfac z)
-    anzn = _cauchy_terms(_Table(_phi_terms([alpha], [], Q, z, wp)),
-                         _Table(_phi_terms(ul[:2], ul[2:], q, zfac_z, wp)), wp)
-    weight = _Table(_phi_terms([wn, Q], [wd], Q, (1 << wp, 0), wp))  # (wn; q^2)_n / (wd; q^2)_n
-    Qa, wn, wd = (_fabs(x, wp) for x in (Q, wn, wd))
-
-    def term(n: int) -> tuple:
-        value, tail = anzn(n)
-        w, Qn = weight[n][0], Qa**n
-        return _mul(w, value, wp), _fabs(w, wp) * _poch_majorant(wn * Qn, wd * Qn, Qa) * tail
-
-    total, cert = certified_sum(term, eps / 8, pb)
-    return lhs, _approx(total, wp, pb), terms + cert.terms_used
-
-
 def cayley_orr_a_closed_form_check(a, b, q, n_max: int = 8) -> VerificationReport:
     """At c = ab/q the auxiliary coefficients collapse to
     (a, b; q)_n / ((q, ab/q; q)_n)."""
@@ -731,7 +728,7 @@ _CONSISTENCY = {
 
 
 def _cayley_consistency(identity_id: str, p, a, b, n_max: int) -> VerificationReport:
-    """The identity's 4phi3 right side, as tabled in _SIDES, against the
+    """The identity's 4phi3 right side, as tabled in _ROWS, against the
     weighted coefficients of its Cayley-Orr lemma."""
     which, lemma_params, lhs_desc, note = _CONSISTENCY[identity_id]
     pe, ae, be = E(p), E(a), E(b)

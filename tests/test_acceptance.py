@@ -31,9 +31,7 @@ from qident.products import (
     classical_limit_check,
     nassrallah2_cayley_consistency,
     product_coefficient_check,
-    quad_cor13,
     thm21_cayley_consistency,
-    triple_sum_32pf,
     verify_product,
 )
 from qident.qkernel import ExactScalar, QBase, _fx
@@ -155,16 +153,14 @@ TRIPLE_POINTS = [
 def test_criterion_06_triple_and_quadruple_sums():
     t0 = time.time()
     for pt in TRIPLE_POINTS:
-        r1 = triple_sum_32pf(pt["u"], pt["w"], pt["t"], pt["a"], pt["b"], pt["c"],
-                             pt["d"], pt["q"], eps=1e-30, precision_bits=256)
+        r1 = verify_product("TRIPLE_32PF", pt, eps=1e-30, precision_bits=256)
         assert r1.passed and r1.rel_err <= 1e-30, ("triple", pt, r1.rel_err)
-        r2 = quad_cor13(pt["t"], pt["w"], pt["a"], pt["b"], pt["c"], pt["d"],
-                        pt["q"], eps=1e-30, precision_bits=256)
+        quad = {k: v for k, v in pt.items() if k != "u"}
+        r2 = verify_product("QUAD_COR13", quad, eps=1e-30, precision_bits=256)
         assert r2.passed and r2.rel_err <= 1e-30, ("quad", pt, r2.rel_err)
     # u = t specialization reproduces the closed form within 1e-28
     pt = TRIPLE_POINTS[0]
-    r3 = triple_sum_32pf(pt["t"], pt["w"], pt["t"], pt["a"], pt["b"], pt["c"],
-                         pt["d"], pt["q"], eps=1e-28, precision_bits=256)
+    r3 = verify_product("TRIPLE_32PF", dict(pt, u=pt["t"]), eps=1e-28, precision_bits=256)
     assert r3.passed and r3.rel_err <= 1e-28
     elapsed = time.time() - t0
     _line(6, elapsed <= 120,

@@ -135,6 +135,34 @@ class TestVerify:
         )
         assert code == EXIT_OK
 
+    def test_product_identity_at_the_safety_radius(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "SRIV_JAIN", "--params", "q=1/2,a=1/3,b=2/5,z=1/4")
+        assert code == EXIT_OK and json.loads(out)["summary"]["passed"] == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["AWGF", "--params", "q=1/2,a=1/3,b=1/5,c=2/3,d=1/7,w=1/10,t=1/5"],
+         "need |t| < min(|w|, 1/|w|)"),
+        (["WD_APPELL", "--params", "q=1/3,u=3/5,t=1/8,a=1/2,b=1/3,d=9/10"],
+         "need |t| < |d| and |u| < |a|"),
+        (["WD_APPELL", "--params", "q=1/3,u=1/10,t=1/8,a=1/2,b=1/3,d=1/10"],
+         "need |t| < |d| and |u| < |a|"),
+        (["TRIPLE_32PF", "--params", "u=3/4,w=9/10,t=1/8,a=1/2,b=1/3,c=1/2,d=1/5,q=1/3"],
+         "hypotheses |u| < min(|a|,|c|), |t| < min(|w|,1/|w|) fail"),
+        (["TRIPLE_32PF", "--params", "u=1/10,w=1/10,t=1/8,a=1/2,b=1/3,c=1/2,d=1/5,q=1/3"],
+         "hypotheses |u| < min(|a|,|c|), |t| < min(|w|,1/|w|) fail"),
+        (["QUAD_COR13", "--params", "t=3/4,w=9/10,a=1/2,b=1/3,c=1/2,d=1/5,q=1/3"],
+         "hypothesis |t| < min(|a|,|c|,|w|,1/|w|) fails"),
+        (["CAYLEY_ORR_A", "--params", "q=1/2,a=1/3,b=1/5,c=7/2,z=1/5"],
+         "the lemma needs |q^2 c z| < |ab|"),
+        (["CAYLEY_ORR_B", "--params", "q=1/2,a=1/3,b=1/5,c=5,z=1/5"],
+         "the lemma needs |q^2 c z| < |ab|"),
+    ], ids=["AWGF-t", "WD_APPELL-u", "WD_APPELL-t", "TRIPLE_32PF-u", "TRIPLE_32PF-t",
+            "QUAD_COR13-t", "CAYLEY_ORR_A-c", "CAYLEY_ORR_B-c"])
+    def test_convergence_hypothesis_is_named(self, capsys, argv, message):
+        # each product check states its hypothesis before any series runs
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
+
     def test_magnitude_past_float_range_exits_3(self, capsys):
         # at base 9999/10000 a series term passes 2^1024: a named reason, not a crash
         code, out, err = run_cli(
