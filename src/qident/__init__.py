@@ -8,11 +8,9 @@ from .qkernel import (
     TruncationCert,
     format_exact,
     parse_exact,
-    plus_minus,
     qpoch_finite,
     qpoch_infinite,
     qpoch_list,
-    w_pm,
 )
 from .series import (
     BalanceClass,
@@ -43,9 +41,7 @@ __all__ = [
     "eval_rfs",
     "format_exact",
     "parse_exact",
-    "plus_minus",
     "qpoch_finite",
     "qpoch_infinite",
     "qpoch_list",
-    "w_pm",
 ]

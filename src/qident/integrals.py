@@ -2,11 +2,12 @@
 
 Each representation writes a product of two 2phi1 series as a prefactor times
 an integral over psi in [-pi, pi] of theta-paired infinite products times a
-3phi2 kernel, with w = e^(i psi).  The five are data: the prefactor's
-q-Pochhammer arguments, five numerator and five denominator node arguments
-(exact constants times sigma/w or w/sigma) and the kernel's arguments, all
-evaluated by one node function.  The series side of IR_X is the left side of
-product transformation X (IR_SCHLOSSER: SCHLOSSER_T4) of :mod:`qident.products`.
+3phi2 kernel, with w = e^(i psi).  The five are one table, ``_REPS``, one row
+each: the product transformation of :mod:`qident.products` whose left side is
+the series side, and the row's prefactor q-Pochhammer arguments, node arguments
+(exact constants times sigma/w or w/sigma) and kernel arguments, built from the
+exact parameters after its family, in base q or in base p^4, has built the
+entries its rows share.  One node function evaluates them all.
 
 The node count N is chosen in advance.  On a periodic integrand analytic, and
 bounded by M, in |Im psi| < a, the N-node trapezoid rule errs by at most
@@ -27,15 +28,17 @@ Before any node runs, everything free of w is computed once, and each factor
 becomes a series in w or conj(w): a theta pair theta(C w^e; q) of numerator
 arguments C w^e and (q/C) w^-e is a Jacobi triple-product series; a product
 (C^2 w^(2e); q^2)_inf of denominator arguments +-C w^e, and each other
-argument's product, is Euler's series in w^e; the 3phi2 kernel's first T terms
-are one power series in w, cut by Cauchy's estimate.  The pairs are read off
-the exact data, and the product of a pair's two majorants bounds it, so M and N
-are as unfolded.  Each series is a cosine sum plus i times a sine sum, summed
-by Clenshaw's recurrence at a node (:func:`_clenshaw`: one product per
-coefficient and sum, its roundings under 2^-wp / 8); where the mirror below
-says the constants are real, or imaginary and real after w = -i v, every
-coefficient is one int.  The denominators are divided once per node, on
-fixed-point ints, and each node w is the last times e^(2 pi i/N).
+argument's product, is Euler's series in w^e, its coefficients from the shared
+coefficient code (:func:`qident.powerseries.phi_series_coeffs`); the 3phi2
+kernel's first T terms are one power series in w, cut by Cauchy's estimate.
+The pairs are read off the exact data, and the product of a pair's two
+majorants bounds it, so M and N are as unfolded.  Each series is a cosine sum
+plus i times a sine sum, summed by Clenshaw's recurrence at a node
+(:func:`_clenshaw`: one product per coefficient and sum, its roundings under
+2^-wp / 8); where the mirror below says the constants are real, or imaginary
+and real after w = -i v, every coefficient is one int.  The denominators are
+divided once per node, on fixed-point ints, and each node w is the last times
+e^(2 pi i/N).
 
 Every denominator argument, and the kernel's l2 w/sigma and zc w/sigma, must
 keep modulus below one on the contour (which also places the kernel's poles),
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import mpmath
 from mpmath import mp
@@ -67,6 +70,7 @@ from .errors import (
     check_eps,
     check_names,
 )
+from .powerseries import phi_series_coeffs
 from .products import _ROWS, product_sides, side_value
 from .qkernel import (
     DEFAULT_PRECISION_BITS,
@@ -75,11 +79,8 @@ from .qkernel import (
     I,
     QBase,
     _div,
-    _abs_upper,
     _factor_count,
     _fx,
-    _gaussian,
-    _gmul,
     _log_poch_majorant,
     _mul,
     _one_minus,
@@ -90,8 +91,6 @@ from .reporting import VerificationReport, compare_approx, make_report
 from .series import _ratio_majorant
 
 E = ExactScalar.coerce
-
-INTEGRAL_IDS = ("IR_SCHLOSSER", "IR_NASSRALLAH_1", "IR_NASSRALLAH_2", "IR_SRIV_JAIN", "IR_THM21")
 
 DEFAULT_EPS = 1e-25
 
@@ -209,10 +208,63 @@ def integrate_periodic(integrand: Callable, strips, target: float, wp: int,
 _SO, _WS = "{} sigma/w", "{} w/sigma"
 
 
+def _base_q(P: dict, fe) -> tuple:
+    """The family in base q: (base, the values its rows read, the four
+    f-dependent prefactor denominators, the four theta-pair node arguments,
+    the four node denominators)."""
+    q, a, b, z = (E(P[k]) for k in "qabz")
+    return (q, (q, a, b, z), [fe, q / fe, -fe, -q / fe],
+            [(I * fe, _SO), (-I * q / fe, _SO), (I * fe, _WS), (-I * q / fe, _WS)],
+            [(I, _SO), (-I, _SO), (-I * a, _WS), (I * b, _WS)])
+
+
+def _base_p4(P: dict, fe) -> tuple:
+    """The base-q^2 family, q = p^2, run in base Q = q^2 = p^4, as :func:`_base_q`;
+    its rows read (p, q, Q, A = a^2, B = b^2, z)."""
+    p, a, b, z = (E(P[k]) for k in "pabz")
+    q = p * p
+    Q, A = q * q, a * a
+    return (Q, (p, q, Q, A, b * b, z), [fe, Q / fe, q * fe, q / fe],
+            [(p * fe, _SO), (p**3 / fe, _SO), (p * fe, _WS), (p**3 / fe, _WS)],
+            [(p, _SO), (1 / p, _SO), (p * A, _WS), (A / p, _WS)])
+
+
+class _Rep(NamedTuple):
+    """One contour-integral representation, as :func:`_descriptor` reads it."""
+
+    product_id: str  # the product transformation whose left side is the series side
+    family: Callable  # (params, f) -> its base, the values args reads, the shared entries
+    # values -> (prefactor numerators, the prefactor denominators past the family's
+    # four, the fifth node numerator and denominator, the 3phi2 kernel ([u1, u2,
+    # u3], [l1, l2], zc) of :func:`_node_integrand`)
+    args: Callable
+
+
+_REPS = {
+    "IR_SCHLOSSER": _Rep("SCHLOSSER_T4", _base_q, lambda q, a, b, z: (
+        [q, a, -a, b, -b, q / b, -q / b], [-q, a * b, q * a / b], (I * q * a, _WS),
+        (I * q / b, _WS), ([a * b, q * a / b, -I * q / a], [-q, I * q * a], I * z))),
+    "IR_NASSRALLAH_1": _Rep("NASSRALLAH_1", _base_p4, lambda p, q, Q, A, B, z: (
+        [Q, A, A, q * A, A / q, B, q * B], [A * A, A * B, q * A * B], (p * A * A * B, _WS),
+        (p * B, _WS), ([A * A, A * B, B / p], [A * B / q, p * A * A * B], p * z))),
+    "IR_NASSRALLAH_2": _Rep("NASSRALLAH_2", _base_p4, lambda p, q, Q, A, B, z: (
+        [Q, q * A, A, A, A / q, q * B, Q * B], [A * A, q * A * B, Q * A * B],
+        (p**3 * A * A * B, _WS), (p**3 * B, _WS),
+        ([A * A, Q * A * B, p * B], [q * A * B, p**3 * A * A * B], p * z))),
+    "IR_SRIV_JAIN": _Rep("SRIV_JAIN", _base_q, lambda q, a, b, z: (
+        [q, a, -a, b, -b, b, -b], [a * b, -a * b, b * b], (-I * a * b * b, _WS),
+        (-I * b, _WS), ([a * b, -a * b, I * a], [a * a, -I * a * b * b], I * z))),
+    "IR_THM21": _Rep("THM21", _base_p4, lambda p, q, Q, A, B, z: (
+        [Q, q * A, A, A, A / q, B, B / q], [A * A, A * B, A * B / q], (A * A * B / p, _WS),
+        (B / p, _WS), ([A * A, A * B, p * B], [q * A * B, A * A * B / p], p * z))),
+}
+INTEGRAL_IDS = tuple(_REPS)
+
+
 def _series_side(identity_id: str, params: dict, eps: float, pb: int) -> ApproxScalar:
     """The product of two 2phi1 series that the integral must reproduce: the
-    left side of the matching product transformation."""
-    product_id = "SCHLOSSER_T4" if identity_id == "IR_SCHLOSSER" else identity_id[3:]
+    left side of the row's product transformation."""
+    product_id = _REPS[identity_id].product_id
     check_names(identity_id, _ROWS[product_id].names, params)
     lhs, _ = product_sides(product_id, params)
     value, _ = side_value(lhs, E(params["z"]), eps / 4, pb)
@@ -296,37 +348,25 @@ def _kernel_fixed(kernel, base, sig, T: int, N: int, wp: int) -> tuple[list, lis
     return kr, ki
 
 
-def _euler(C, base, budget: float, theta: bool = False) -> list:
+def _euler(C, base, budget: float, theta: bool = False) -> tuple:
     """Exact c_0, ..., c_K: sum_(n<=K) c_n x^n is within budget, on |x| = 1, of
-    Euler's series (C x; q)_inf = sum_n (-1)^n q^(n(n-1)/2) (C x)^n / (q; q)_n,
-    q = base (Gasper & Rahman, *Basic Hypergeometric Series*, 2nd ed.,
-    (1.3.16)), or with theta of sum_n (-1)^n q^(n(n-1)/2) (C x)^n.
+    Euler's series (C x; q)_inf = 0phi0(-; -; q, C x) = sum_n (-1)^n q^(n(n-1)/2)
+    (C x)^n / (q; q)_n, q = base (Gasper & Rahman, *Basic Hypergeometric
+    Series*, 2nd ed., (1.3.16)), or with theta of sum_n (-1)^n q^(n(n-1)/2) (C
+    x)^n = 1phi1(q; 0; q, C x), each c_n from :func:`phi_series_coeffs`.
 
     |c_(n+1) / c_n| <= r_n = |C| |q|^n / (1 - |q|^(n+1)), or |C| |q|^n with
     theta, decreases, so a cut at c_K with r_K < 1 has a tail of at most |c_K|
     r_K / (1 - r_K).  Without theta the |c_n| sum to at most (-|C|; |q|)_inf.
-
-    Each c_n is a triple (n, m, d), c_n = (n + m i)/d, unreduced and built
-    without a gcd (:func:`_fx` reads any form alike).  With C = X/e and q = P/p,
-    X and P Gaussian integers over ints e and p, c_(n+1) / c_n = -X P^n p / (e
-    g), g = p^(n+1) (1 - q^(n+1)) or with theta p^(n+1): over |g|^2 by conj(g)
-    unless g is real, and then positive.
     """
     Q = base.abs_upper()
-    (X, e), (P, p) = _gaussian(C), _gaussian(base)
-    coeffs, Pk, pk = [(1, 0, 1)], P, p  # X P^n in X, q^(n+1) = Pk / pk
-    c, xa, Qk = 1.0, C.abs_upper(), 0.0 if theta else Q  # bounds on |c_n|, |x|, |q^(n+1)|
-    while xa >= 1 - Qk or c * xa / (1 - Qk - xa) > budget:  # r_n >= 1, or the tail
-        g = (pk, 0) if theta else (pk - Pk[0], -Pk[1])
-        f, h = (_gmul(X, (g[0], -g[1])), g[0] * g[0] + g[1] * g[1]) if g[1] else (X, g[0])
-        n, m, d = coeffs[-1]
-        coeffs.append((*_gmul((-p * n, -p * m), f), d * e * h))
-        c, xa, Qk = c * xa / (1 - Qk), xa * Q, Qk * Q
-        X, Pk, pk = _gmul(X, P), _gmul(Pk, P), pk * p
-    return coeffs
+    K, c, xa, Qk = 0, 1.0, C.abs_upper(), 0.0 if theta else Q  # |c_K|, |C q^K|, |q^(K+1)|
+    while xa >= 1 - Qk or c * xa / (1 - Qk - xa) > budget:  # r_K >= 1, or the tail
+        K, c, xa, Qk = K + 1, c * xa / (1 - Qk), xa * Q, Qk * Q
+    return phi_series_coeffs(*(([base], [0]) if theta else ([], [])), base, C, K).coeffs
 
 
-def _theta_pair(C, base, budget: float) -> tuple[list, list, int]:
+def _theta_pair(C, base, budget: float) -> tuple[tuple, tuple, int]:
     """(plus, minus, K): theta(C x; q) is within budget, on |x| = 1, of
     sum_(k>=0) plus[k] x^k + sum_(m>=1) minus[m-1] conj(x)^m over (q; q)_K,
     q = base, the coefficients exact.
@@ -344,7 +384,7 @@ def _theta_pair(C, base, budget: float) -> tuple[list, list, int]:
     tail = budget / (4 * G)
     plus, minus = (_euler(x, base, tail, theta=True) for x in (C, base / C))
     minus = minus[1:]
-    S = 2 * tail + sum(_abs_upper(*c) for c in plus + minus)
+    S = 2 * tail + sum(c.abs_upper() for c in plus + minus)
     return plus, minus, _factor_count(Q, Q, 0.4 * budget / (G * S))[0]
 
 
@@ -607,6 +647,16 @@ def _node_integrand(num, den, kernel, base, sig,
     return integrand, mirror, strips, wp
 
 
+def _arguments(identity_id: str, params: dict, fe) -> tuple:
+    """(base, prefactor numerators, prefactor denominators, node numerators,
+    node denominators, kernel) of one representation at exact params and f:
+    its family's shared entries first, then its row's."""
+    rep = _REPS[identity_id]
+    base, values, pref_den, num, den = rep.family(params, fe)
+    pref_num, more_den, n, d, kernel = rep.args(*values)
+    return base, pref_num, pref_den + more_den, num + [n], den + [d], kernel
+
+
 def _descriptor(identity_id: str, params: dict, sigma, f, eps: float, pb: int):
     """(prefactor, integrand, mirror, strips, working bits) for one identity; the
     integrand is accurate to eps / 16 over max(1, |prefactor|)."""
@@ -615,52 +665,7 @@ def _descriptor(identity_id: str, params: dict, sigma, f, eps: float, pb: int):
         raise DomainError("sigma must be a positive real")
     if fe.is_zero():
         raise ZeroArgument("the theta parameter f must be nonzero")
-    if identity_id in ("IR_SCHLOSSER", "IR_SRIV_JAIN"):
-        q, a, b, z = (E(params[k]) for k in "qabz")
-        base = q
-        pref_den = [fe, q / fe, -fe, -q / fe]
-        num = [(I * fe, _SO), (-I * q / fe, _SO), (I * fe, _WS), (-I * q / fe, _WS)]
-        den = [(I, _SO), (-I, _SO), (-I * a, _WS), (I * b, _WS)]
-        if identity_id == "IR_SCHLOSSER":
-            pref_num = [q, a, -a, b, -b, q / b, -q / b]
-            pref_den += [-q, a * b, q * a / b]
-            num.append((I * q * a, _WS))
-            den.append((I * q / b, _WS))
-            kernel = ([a * b, q * a / b, -I * q / a], [-q, I * q * a], I * z)
-        else:  # IR_SRIV_JAIN
-            pref_num = [q, a, -a, b, -b, b, -b]
-            pref_den += [a * b, -a * b, b * b]
-            num.append((-I * a * b * b, _WS))
-            den.append((-I * b, _WS))
-            kernel = ([a * b, -a * b, I * a], [a * a, -I * a * b * b], I * z)
-    else:
-        # base-q^2 family: q = p^2, everything runs in base Q = q^2 = p^4
-        p, a, b, z = (E(params[k]) for k in "pabz")
-        q = p * p
-        base = Q = q * q
-        A, B = a * a, b * b
-        pref_den = [fe, Q / fe, q * fe, q / fe]
-        num = [(p * fe, _SO), (p**3 / fe, _SO), (p * fe, _WS), (p**3 / fe, _WS)]
-        den = [(p, _SO), (1 / p, _SO), (p * A, _WS), (A / p, _WS)]
-        if identity_id == "IR_NASSRALLAH_1":
-            pref_num = [Q, A, A, q * A, A / q, B, q * B]
-            pref_den += [A * A, A * B, q * A * B]
-            num.append((p * A * A * B, _WS))
-            den.append((p * B, _WS))
-            kernel = ([A * A, A * B, B / p], [A * B / q, p * A * A * B], p * z)
-        elif identity_id == "IR_NASSRALLAH_2":
-            pref_num = [Q, q * A, A, A, A / q, q * B, Q * B]
-            pref_den += [A * A, q * A * B, Q * A * B]
-            num.append((p**3 * A * A * B, _WS))
-            den.append((p**3 * B, _WS))
-            kernel = ([A * A, Q * A * B, p * B], [q * A * B, p**3 * A * A * B], p * z)
-        else:  # IR_THM21
-            pref_num = [Q, q * A, A, A, A / q, B, B / q]
-            pref_den += [A * A, A * B, A * B / q]
-            num.append((A * A * B / p, _WS))
-            den.append((B / p, _WS))
-            kernel = ([A * A, A * B, p * B], [q * A * B, A * A * B / p], p * z)
-
+    base, pref_num, pref_den, num, den, kernel = _arguments(identity_id, params, fe)
     qb = QBase.of(base)
     try:
         pref = _product_quotient([(x, qb) for x in pref_num], [(x, qb) for x in pref_den],

@@ -463,16 +463,6 @@ class ApproxScalar:
 Scalar = Union[ExactScalar, ApproxScalar]
 
 
-def plus_minus(x: Scalar) -> list:
-    """List shorthand: "+-x" expands to [x, -x]."""
-    return [x, -x]
-
-
-def w_pm(w: Scalar) -> list:
-    """The list shorthand "w^(+-)" -> [w, 1/w]."""
-    return [w, 1 / w]
-
-
 @dataclass(frozen=True)
 class QBase:
     """A base q with |q| < 1 strictly, carrying a float bound on |q|."""
@@ -552,9 +542,6 @@ def qpoch_finite(a, q, n: int) -> ExactScalar:
 def qpoch_list(args: Sequence, q, n: int) -> ExactScalar:
     """(a_1,...,a_k;q)_n, the product convention over a nonempty list, exactly:
     one Gaussian integer over one int, reduced once.
-
-    Use :func:`plus_minus` / :func:`w_pm` to expand the +-a and w^(+-)
-    shorthands into explicit list entries before calling.
     """
     if not args:
         raise DomainError("qpoch_list requires a nonempty parameter list")

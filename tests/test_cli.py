@@ -155,7 +155,7 @@ class TestVerify:
         (["CAYLEY_ORR_A", "--params", "q=1/2,a=1/3,b=1/5,c=7/2,z=1/5"],
          "the lemma needs |q^2 c z| < |ab|"),
         (["CAYLEY_ORR_B", "--params", "q=1/2,a=1/3,b=1/5,c=5,z=1/5"],
-         "the lemma needs |q^2 c z| < |ab|"),
+         "the lemma needs |c z| < |ab|"),
     ], ids=["AWGF-t", "WD_APPELL-u", "WD_APPELL-t", "TRIPLE_32PF-u", "TRIPLE_32PF-t",
             "QUAD_COR13-t", "CAYLEY_ORR_A-c", "CAYLEY_ORR_B-c"])
     def test_convergence_hypothesis_is_named(self, capsys, argv, message):

@@ -14,6 +14,7 @@ from qident.errors import (
     DomainError,
     HypothesisViolation,
     NoConvergence,
+    QIdentError,
     UnknownIdentity,
     ZeroArgument,
 )
@@ -842,13 +843,15 @@ class TestFractionFreeCoefficients:
     @pytest.mark.parametrize("q", [E(F(1, 2)), E(F(7, 10)) ** 4, E(0, F(1, 2))])
     @pytest.mark.parametrize("theta", [False, True])
     def test_coefficients_are_the_reduced_ones(self, C, q, theta):
-        # unreduced triples convert to the same fixed-point pairs and moduli
-        # as the gcd-reduced recurrence, so every node series is bit-identical
+        # the coefficients phi_series_coeffs gives Euler's series (0phi0, or
+        # 1phi1(q; 0; q, C x) with theta) are the recurrence's, cut alike, so
+        # every node series converts to the same fixed-point pairs and moduli
         got, ref = integrals._euler(C, q, 1e-30, theta), _euler_reference(C, q, 1e-30, theta)
         assert len(got) == len(ref) > 5
+        assert list(got) == ref
         for wp in (64, 90, 256):
             assert [_fx(c, wp) for c in got] == [_fx(c, wp) for c in ref]
-        assert [integrals._abs_upper(*c) for c in got] == [c.abs_upper() for c in ref]
+        assert [c.abs_upper() for c in got] == [c.abs_upper() for c in ref]
 
 
 # the second point of each representation in criterion 9, with its two sigmas
@@ -951,3 +954,65 @@ class TestStripScan:
         except (HypothesisViolation, NoConvergence):  # a prefactor pole, or no finite strip
             assume(False)
         _same_count(*scan)
+
+
+# the eps of each representation's pinned CI note
+NOTE_EPS = {ident: 1e-10 if ident == "IR_SCHLOSSER" else 1e-15 for ident in INTEGRAL_IDS}
+
+
+class TestVerdictResolution:
+    """A contour verdict can refuse: at each workload point, at its note's eps,
+    the series side moved by 4 eps max(1, |r|) fails and moved by eps/4 max(1,
+    |r|) passes, through verify_integral_rep and its comparison."""
+
+    @pytest.mark.parametrize("shift, passes", [(4, False), (0.25, True)])
+    @pytest.mark.parametrize("ident", INTEGRAL_IDS)
+    def test_moved_series_side(self, ident, shift, passes, monkeypatch):
+        params, sigma, _ = POINTS[ident]
+        eps = NOTE_EPS[ident]
+        series = _series_side(ident, params, eps, 256)
+        delta = shift * eps * max(1.0, float(abs(series.value)))
+        for moved in (series + ApproxScalar(delta, 256), series - ApproxScalar(delta * 1j, 256)):
+            monkeypatch.setattr(integrals, "_series_side", lambda *args: moved)
+            rep = verify_integral_rep(ident, params, sigma=sigma, f=F(3, 2), eps=eps)
+            assert rep.passed is passes, (ident, moved, rep.rel_err)
+
+
+def _row_mutants(ident, params, f):
+    """(name, arguments) per single-datum mutant of the representation's
+    arguments (:func:`integrals._arguments`) at params and f: each prefactor,
+    node and kernel argument times the row's base, one at a time."""
+    base, pref_num, pref_den, num, den, (upper, lower, zc) = integrals._arguments(ident, params, E(f))
+    lists = {"prefactor numerator": pref_num, "prefactor denominator": pref_den,
+             "node numerator": num, "node denominator": den,
+             "kernel upper": upper, "kernel lower": lower, "kernel zc": [zc]}
+    for name, xs in lists.items():
+        for i, x in enumerate(xs):
+            x = (x[0] * base, x[1]) if isinstance(x, tuple) else x * base
+            moved = {**lists, name: xs[:i] + [x] + xs[i + 1:]}
+            pn, pd, n, d, u, lo, (z,) = moved.values()
+            yield f"{name} {i}", (base, pn, pd, n, d, (u, lo, z))
+
+
+# the row mutants that verify_integral_rep passes, each with why it is the same
+# identity; none is
+SURVIVING_ROW_MUTANTS = {}
+
+
+class TestRowMutants:
+    # ROADMAP 11(b)'s contour part: every mutant generated from a row (30 a row,
+    # 150 in all) fails or is refused at the row's workload point, eps 1e-8
+    @pytest.mark.parametrize("ident", INTEGRAL_IDS)
+    def test_every_mutant_fails_or_is_refused(self, ident, monkeypatch):
+        params, sigma, _ = POINTS[ident]
+        mutants, survivors = list(_row_mutants(ident, params, F(3, 2))), []
+        assert len(mutants) == 30
+        for name, args in mutants:
+            monkeypatch.setattr(integrals, "_arguments", lambda *_: args)
+            try:
+                rep = verify_integral_rep(ident, params, sigma=sigma, f=F(3, 2), eps=1e-8)
+            except QIdentError:
+                continue
+            if rep.passed:
+                survivors.append(name)
+        assert survivors == sorted(SURVIVING_ROW_MUTANTS.get(ident, {})), survivors

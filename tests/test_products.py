@@ -24,7 +24,6 @@ from qident.products import (
     nassrallah2_cayley_consistency,
     product_coefficient_check,
     product_sides,
-    schlosser_t4_parity_check,
     side_series,
     side_value,
     thm21_cayley_consistency,
@@ -305,6 +304,16 @@ class TestProductValues:
         with pytest.raises(DomainError, match="exceeds the safety radius 0.25"):
             verify_product("SRIV_JAIN", dict(PRODUCT_POINTS["SRIV_JAIN"], z=F(1, 4) + F(1, 10**20)))
 
+    @pytest.mark.parametrize("z", [F(1, 4), F(-1, 4)])
+    def test_cayley_orr_b_hypothesis_is_its_own(self, z):
+        # |c z| = 1/14 > |ab| = 1/15: lemma B's 2phi1(a, b; c; q^2, c z/(ab)) diverges
+        # although |q^2 c z| < |ab|, and the row's own hypothesis names it; lemma A,
+        # which needs only |q^2 c z| < |ab|, passes at the same point
+        point = dict(PRODUCT_POINTS["CAYLEY_ORR_B"], z=z)
+        with pytest.raises(DomainError, match=r"^the lemma needs \|c z\| < \|ab\|$"):
+            verify_product("CAYLEY_ORR_B", point)
+        assert verify_product("CAYLEY_ORR_A", point).passed
+
     def test_unknown_id(self):
         with pytest.raises(UnknownIdentity):
             verify_product("NOPE", {})
@@ -395,21 +404,11 @@ class TestCoefficientChecks:
             side_series([(None, 0, [squared])], 8)
         assert info.value.index == 4
 
-    def test_schlosser_parity_structure(self):
-        rep = schlosser_t4_parity_check({"q": F(1, 2), "a": F(1, 3), "b": F(7, 10)}, order=9)
-        assert rep.passed
-
     def test_coefficient_check_parameter_names_checked(self):
         with pytest.raises(DomainError, match=r"THM21 takes parameters \(p, a, b\): missing b"):
             product_coefficient_check("THM21", {"p": F(1, 2), "a": F(1, 3)})
         with pytest.raises(DomainError, match="unexpected zz"):
             product_coefficient_check("THM21", {"p": F(7, 10), "a": F(1, 2), "b": F(2, 5), "zz": 1})
-
-    def test_parity_check_parameter_names_checked(self):
-        with pytest.raises(DomainError, match="missing a, b"):
-            schlosser_t4_parity_check({"q": F(1, 2)})
-        with pytest.raises(DomainError, match="unexpected zz"):
-            schlosser_t4_parity_check({"q": F(1, 2), "a": F(1, 3), "b": F(7, 10), "zz": 1})
 
     def test_lhs_series_vs_values(self):
         # the truncated LHS series evaluated at z agrees with the product of
@@ -494,15 +493,15 @@ class TestCayleyOrr:
         side_series_ = products.side_series
         calls = []
 
-        def third_call_bumped(side, order):  # lhs, first, then second rhs series
+        def rhs_bumped(side, order):  # lhs, then rhs series
             calls.append(side)
             s = side_series_(side, order)
-            return PowerSeriesTrunc.make(bump(s.coeffs, 5)) if len(calls) == 3 else s
+            return PowerSeriesTrunc.make(bump(s.coeffs, 5)) if len(calls) == 2 else s
 
-        monkeypatch.setattr(products, "side_series", third_call_bumped)
-        rep = schlosser_t4_parity_check({"q": F(1, 2), "a": F(1, 3), "b": F(7, 10)}, order=9)
-        assert not rep.passed
-        assert rep.note == "parity structure; first mismatch at degree 5"
+        monkeypatch.setattr(products, "side_series", rhs_bumped)
+        rep = product_coefficient_check("SCHLOSSER_T4", {"q": F(1, 2), "a": F(1, 3), "b": F(7, 10)},
+                                        order=9)
+        assert not rep.passed and rep.note == "first mismatch at degree 5"
         monkeypatch.undo()
 
         hermite = products.aw_hermite_degenerate
@@ -679,8 +678,6 @@ GOLDEN_COEFF_SHA256 = {
         "01e3059dbbbcf141130d7bd7114007cffa083c3bf6f9359f41e7d243b7892ce7",
     "SCHLOSSER_T4":
         "7bb5aad3ba6198f1757d77616feeebf24f7e896d386e546093a3d0b15ff85f0c",
-    "SCHLOSSER_T4 parity":
-        "950067fd060f86b38407d715081085f41d96b34be9e6df947d02f81d36c974c4",
     "SRIVASTAVA_313":
         "ddb5d577eb220006e708d698a78e9b992d1659c4fb1ebf5e4b0794d5fbff8fd2",
     "SRIV_JAIN":
@@ -709,13 +706,9 @@ def _coefficient_pin(key):
         right = phi_series_coeffs([c / w, d / w], [c * d], q, w, COEFF_PIN_ORDER)
         sides = [left * right]
     else:
-        ident = key.split()[0]
-        params = {k: v for k, v in PRODUCT_POINTS[ident].items() if k not in ("z", "t")}
-        if key.endswith("parity"):
-            rep = schlosser_t4_parity_check(params, order=COEFF_PIN_ORDER)
-        else:
-            rep = product_coefficient_check(ident, params, order=COEFF_PIN_ORDER)
-        sides = [side_series(side, COEFF_PIN_ORDER) for side in product_sides(ident, params)]
+        params = {k: v for k, v in PRODUCT_POINTS[key].items() if k not in ("z", "t")}
+        rep = product_coefficient_check(key, params, order=COEFF_PIN_ORDER)
+        sides = [side_series(side, COEFF_PIN_ORDER) for side in product_sides(key, params)]
     lines = [json.dumps(dataclasses.asdict(rep), sort_keys=True)]
     lines += [str(c) for s in sides for c in s.coeffs]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()

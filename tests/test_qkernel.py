@@ -28,11 +28,9 @@ from qident.qkernel import (
     _rmul,
     format_exact,
     parse_exact,
-    plus_minus,
     qpoch_finite,
     qpoch_infinite,
     qpoch_list,
-    w_pm,
 )
 from qident.powerseries import phi_series_coeffs
 from qident.series import SeriesSpec, eval_phi_terminating
@@ -313,11 +311,7 @@ class TestQPochList:
     @settings(max_examples=60)
     def test_square_argument_identity(self, a, q, n):
         a, q = E(a), E(q)
-        assert qpoch_list(plus_minus(a), q, n) == qpoch_finite(a * a, q * q, n)
-
-    def test_w_pm_shorthand(self):
-        w = E(F(3, 4))
-        assert w_pm(w) == [w, E(F(4, 3))]
+        assert qpoch_list([a, -a], q, n) == qpoch_finite(a * a, q * q, n)
 
     @given(st.lists(small_fracs, min_size=2, max_size=4), qs, st.integers(0, 5),
            st.randoms(use_true_random=False))
