@@ -22,7 +22,6 @@ from .qkernel import (
     _gdiv,
     _gmul,
     _qpow_index,
-    qpoch_finite,
     qpoch_list,
 )
 from .series import SeriesSpec, eval_phi_terminating
@@ -188,15 +187,6 @@ def _aw_convolution(a, b, c, d, q, w, n: int) -> ExactScalar:
     return _gdiv((re, im), (den[0] * scale, den[1] * scale))
 
 
-def aw_hermite_degenerate(w, q, n: int) -> ExactScalar:
-    """Continuous q-Hermite value: CONV at a=b=c=d=0."""
-    p = AWParams.make(0, 0, 0, 0, q, w, n)
-    w, q = p.w, p.q.value
-    qj = [qpoch_finite(q, q, j) for j in range(n + 1)]
-    total = sum((w ** (n - 2 * j) / (qj[j] * qj[n - j]) for j in range(n + 1)), ExactScalar(0))
-    return total * qj[n]
-
-
 def aw_w_equals_d_value(a, b, c, d, q, n: int) -> ExactScalar:
     """Closed form at w = d: d^-n (ad, bd, cd; q)_n."""
     return (d ** (-n)) * qpoch_list([a * d, b * d, c * d], q, n)
@@ -276,7 +266,7 @@ def eval_special_value(
     names = "qabcd" if sv_id == "AW32" else "qab"
     check_names(sv_id, names, params)
     if n > n_max:
-        raise DomainError(f"n = {n} exceeds n_max = {n_max} (raise n_max to go deeper)")
+        raise DomainError(f"n = {n} exceeds the degree cap {n_max} of the exact special values")
     q, a, b, *cd = (ExactScalar.coerce(params[k]) for k in names)
     qb = QBase.of(q)
     if sv_id == "AW32":
@@ -286,22 +276,3 @@ def eval_special_value(
     lhs = eval_aw(AWParams.make(*point, qb, I, n), "CONV")
     return lhs, _right_side(sides[n % 2], q * q, n // 2)
 
-
-def newquad_product_form(a, b, q, n: int) -> ExactScalar:
-    """The single-product form of the NEWQUAD special value.
-
-    (-i)^n b^(2 ceil(n/2) - n) (qb^2, ab, -ab; q)_n (q, a^2; q^2)_ceil(n/2)
-    / ((qb^2; q^2)_ceil(n/2) (a^2 b^2; q^2)_ceil(n/2)).
-    """
-    a = ExactScalar.coerce(a)
-    b = ExactScalar.coerce(b)
-    q = ExactScalar.coerce(q)
-    q2 = q * q
-    h = (n + 1) // 2
-    return (
-        ((-I) ** n)
-        * b ** (2 * h - n)
-        * qpoch_list([q * b * b, a * b, -a * b], q, n)
-        * qpoch_list([q, a * a], q2, h)
-        / (qpoch_finite(q * b * b, q2, h) * qpoch_finite(a * a * b * b, q2, h))
-    )

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import DomainError, NoConvergence, QIdentError, UnknownIdentity, check_eps
-from . import identities, integrals, products
+from . import askey_wilson, identities, integrals, products
 from .qkernel import DEFAULT_PRECISION_BITS, ApproxScalar, parse_exact
 from .reporting import ReportFile
 
@@ -103,13 +103,23 @@ def _options(args) -> dict:
     return {"precision_bits": args.precision_bits, **_eps(args)}
 
 
-def _verify_summation(ident: str, params: dict, args) -> list:
+def _n_values(ident: str, args) -> list[int]:
+    """The degrees of --n or --n-range, which an exact check needs one of."""
     if args.n is not None and args.n_range:
         raise DomainError("--n and --n-range exclude each other; give one of them")
     n_values = _parse_n_range(args.n_range) if args.n_range else [args.n]
     if n_values == [None]:
-        raise DomainError("verify needs --n or --n-range for summation identities")
-    return [identities.verify(ident, params, n, **_eps(args)) for n in n_values]
+        raise DomainError(f"verify needs --n or --n-range for {ident}")
+    return n_values
+
+
+def _verify_summation(ident: str, params: dict, args) -> list:
+    return [identities.verify(ident, params, n, **_eps(args)) for n in _n_values(ident, args)]
+
+
+def _verify_special_value(ident: str, params: dict, args) -> list:
+    return [identities.exact_report(ident, params, n, functools.partial(
+        askey_wilson.eval_special_value, ident, params, n)) for n in _n_values(ident, args)]
 
 
 def _verify_integral(ident: str, params: dict, args) -> list:
@@ -146,6 +156,7 @@ CHECKS.update(
         ("classical limit targets", products.CLASSICAL_IDS,
          lambda ident, params, args: [products.classical_limit_check(ident, params, **_eps(args))]),
         ("integral representations", integrals.INTEGRAL_IDS, _verify_integral),
+        ("quadratic special values", askey_wilson.SPECIAL_VALUE_IDS, _verify_special_value),
     )
     for ident in ids
 )

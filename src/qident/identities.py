@@ -565,11 +565,20 @@ def verify(
     if eps is not None:
         check_eps(eps)
     rec = lookup(identity_id)
+    return exact_report(identity_id, params, n, lambda: sides or _sides(rec, params, n))
+
+
+def exact_report(identity_id: str, params: dict, n: int, evaluate: Callable) -> VerificationReport:
+    """The exact report of lhs == rhs for the pair (lhs, rhs) = evaluate() at
+    one point.  A closed-form denominator that vanishes there, or a series
+    pole, is a ConstraintViolation: the point is outside the identity, not a
+    failed verdict."""
     try:
-        lhs, rhs = sides or _sides(rec, params, n)
+        lhs, rhs = evaluate()
     except ZeroDivisionError as exc:
         raise ConstraintViolation(
-            f"{identity_id}: closed-form denominator vanishes at {params}, n={n}",
+            f"{identity_id}: closed-form denominator vanishes at "
+            f"{', '.join(f'{k}={v}' for k, v in params.items())}, n={n}",
             predicate="closed-form denominator nonzero",
         ) from exc
     except PoleError as exc:
@@ -630,44 +639,6 @@ def sweep(
         ps, pairs = draw_params(rec, rng, n_values)
         reports.extend(verify(identity_id, ps, n, sides=pairs[n]) for n in n_values)
     return reports
-
-
-def elementary_identity_check(kind: str, params: dict) -> VerificationReport:
-    """The two proof-level elementary identities (exact).
-
-    ELID:  (1-q^(-n-1))(1-q^(n+k) a) / ((1-q^(-n-1+k))(1-q^n a))
-           = 1 - q^(-n-1) (1-q^k)(1-q^(2n+1) a) / ((1-q^(-n-1+k))(1-q^n a))
-    ELID2: (1-c)/(1-q^k c) = 1 - c (1-q^k)/(1-q^k c)
-    """
-    names = {"ELID": "qank", "ELID2": "cqk"}.get(kind)
-    if names is None:
-        raise DomainError(f"unknown elementary identity kind {kind!r}")
-    check_names(kind, names, params)
-    if kind == "ELID":
-        q, a = E(params["q"]), E(params["a"])
-        n, k = params["n"], params["k"]
-        dens = {"1-q^(-n-1+k)": 1 - q ** (-n - 1 + k), "1-q^n a": 1 - q**n * a}
-    else:
-        c, q = E(params["c"]), E(params["q"])
-        k = params["k"]
-        dens = {"1-q^k c": 1 - q**k * c}
-    den = EXACT_ONE
-    for name, factor in dens.items():
-        if factor.is_zero():
-            raise ConstraintViolation(
-                f"{kind}: denominator {name} vanishes at {params}", predicate=f"{name} nonzero"
-            )
-        den = den * factor
-    if kind == "ELID":
-        lhs = (1 - q ** (-n - 1)) * (1 - q ** (n + k) * a) / den
-        rhs = 1 - q ** (-n - 1) * (1 - q**k) * (1 - q ** (2 * n + 1) * a) / den
-    else:
-        lhs = (1 - c) / den
-        rhs = 1 - c * (1 - q**k) / den
-    return make_report(
-        kind, params, lhs, rhs, compare_exact(lhs, rhs), mode="exact", n=params.get("n"),
-        degenerate=lhs.is_zero() and rhs.is_zero(),
-    )
 
 
 # Every record is exact.  The benchmark sweeps these two groups apart: the

@@ -118,10 +118,12 @@ def phi_series_coeffs(upper, lower, q, zfactor, order: int) -> PowerSeriesTrunc:
     parameter q^-k raises PoleError naming index k+1; after an upper factor
     vanishes every coefficient is 0.  A base with q^j = 1 for some
     1 <= j <= order, which zeroes (q;q)_j, raises DomainError; the roots of
-    unity among Gaussian rationals are 1, -1 and +-i, so j <= 4 covers them.
+    unity among Gaussian rationals are 1, -1 and +-i, so j <= 4 covers them,
+    and the powers q^j are formed only when |q|^2 = 1 exactly.
     """
     qe = ExactScalar.coerce(q)
-    for j in range(1, min(order, 4) + 1):
+    qn, qm, qd = qe.parts
+    for j in range(1, min(order, 4) + 1) if qn * qn + qm * qm == qd * qd else ():
         if qe**j == EXACT_ONE:
             raise DomainError(f"the base q = {qe} has q^{j} = 1, so the coefficient "
                               f"series is undefined from degree {j}")

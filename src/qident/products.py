@@ -20,7 +20,7 @@ from functools import partial
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .askey_wilson import AWParams, aw_hermite_degenerate, eval_aw
+from .askey_wilson import AWParams, eval_aw
 from .errors import (DivergenceError, DomainError, UnknownIdentity, ZeroArgument, check_eps,
                      check_names)
 from .powerseries import PowerSeriesTrunc, phi_series_coeffs
@@ -36,7 +36,6 @@ from .qkernel import (
     _fx,
     _mul,
     _product_quotient,
-    qpoch_finite,
     qpoch_list,
 )
 from .reporting import VerificationReport, compare_approx, make_report, matched
@@ -101,20 +100,6 @@ def awgf_coefficient_check(a, b, c, d, w, q, n_max: int) -> VerificationReport:
         "AWGF", {"a": a, "b": b, "c": c, "d": d, "w": w, "q": q},
         f"t^0..t^{n_max} product coefficients", "p_n/(q,ab,cd;q)_n",
         product.coeffs, expected, n_max, at="n=",
-    )
-
-
-def awgf_hermite_degeneration_check(w, q, n_max: int) -> VerificationReport:
-    """a=b=c=d=0 coefficients reproduce continuous q-Hermite values."""
-    w, q = E(w), E(q)
-    # with all parameters zero the two 2phi1 series become 1phi0(0; -; q, t/w)
-    # and 1phi0(0; -; q, tw)
-    product = phi_series_coeffs([0], [], q, 1 / w, n_max) * phi_series_coeffs([0], [], q, w, n_max)
-    return _coefficient_report(
-        "AWGF", {"w": w, "q": q},
-        "zero-parameter generating function coefficients", "continuous q-Hermite values",
-        product.coeffs, lambda n: aw_hermite_degenerate(w, q, n) / qpoch_finite(q, q, n), n_max,
-        "a=b=c=d=0 degeneration", at="n=",
     )
 
 

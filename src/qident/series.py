@@ -18,9 +18,7 @@ build their tails from tables of such terms (``_Table``, ``_shifted_rows``,
 tail bound meets the target; until a majorant is finite, terms are summed one
 by one, which covers any hump of the terms near a pole.
 
-Also here: the classical rFs series, the q-Appell Phi1 double series, the two
-q-binomial theorems, and the 2phi2 -> 2phi1 transformation check used as a
-cross-evaluator oracle.
+Also here: the classical rFs series and the q-Appell Phi1 double series.
 """
 
 from __future__ import annotations
@@ -32,14 +30,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import DivergenceError, DomainError, NoConvergence, PoleError, check_eps, check_names
+from .errors import DivergenceError, DomainError, NoConvergence, PoleError, check_eps
 from .qkernel import (
     _GAUSS_EXACT,
     _GUARD_BITS,
     _REAL_EXACT,
     DEFAULT_PRECISION_BITS,
     ApproxScalar,
-    EXACT_ONE,
     ExactScalar,
     QBase,
     Scalar,
@@ -53,13 +50,10 @@ from .qkernel import (
     _log_poch_majorant,
     _mul,
     _one_minus,
-    _product_quotient,
     _qpow_index,
     _rdiv,
     _rmul,
-    qpoch_finite,
 )
-from .reporting import VerificationReport, compare_approx, make_report, matched
 
 
 @dataclass(frozen=True)
@@ -108,31 +102,6 @@ def validate_termination(spec: SeriesSpec) -> None:
         if _qpow_index(ExactScalar.coerce(a), q, n) == n:
             return
     raise DomainError(f"no upper parameter equals q^-{n}; spec does not terminate there")
-
-
-def derive_balance(spec: SeriesSpec) -> BalanceClass:
-    """Re-derive the balance class from the exact parameters."""
-    if spec.r != spec.s + 1:
-        return BalanceClass("none")
-    q = ExactScalar.coerce(spec.base.value)
-    upper, lower = ([ExactScalar.coerce(x) for x in xs] for xs in (spec.upper, spec.lower))
-    up, low = (math.prod(xs, start=EXACT_ONE) for xs in (upper, lower))
-    if not up.is_zero():
-        ratio = low / up
-        probe = q
-        for k in range(1, 64):
-            if ratio == probe:
-                return BalanceClass("balanced", k)
-            probe = probe * q
-    # well-poised: q a1 = a2 b1 = ... = ar b_{r-1} under some pairing
-    a1, rest = upper[0], upper[1:]
-    for perm in itertools.permutations(range(len(lower))):
-        if all(rest[i] * lower[perm[i]] == q * a1 for i in range(len(rest))):
-            # very well-poised: two of them are +-q sqrt(a1)
-            if any(x * x == q * q * a1 and -x in rest for x in rest):
-                return BalanceClass("very_well_poised")
-            return BalanceClass("well_poised")
-    return BalanceClass("none")
 
 
 def eval_phi_terminating(spec: SeriesSpec) -> ExactScalar:
@@ -456,66 +425,6 @@ def eval_phi_nonterminating(
         return _approx(total, wp, precision_bits), TruncationCert(n + 1, 0.0, eps)
     total, cert = certified_sum(lambda k: _tailed(term(k), wp), eps, precision_bits)
     return _approx(total, wp, precision_bits), cert
-
-
-def jackson_22_to_21_check(
-    a, b, c, z, q, eps: float, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> VerificationReport:
-    """2phi2(a, c/b; c, az; q, bz) vs (z;q)inf/(az;q)inf * 2phi1(a,b;c;q,z)."""
-    qb = QBase.of(q)
-    if b == 0:
-        lhs_spec = SeriesSpec.make([a], [c, a * z], qb, c * z)
-    else:
-        lhs_spec = SeriesSpec.make([a, c / b], [c, a * z], qb, b * z)
-    lhs, cert_l = eval_phi_nonterminating(lhs_spec, eps / 4, precision_bits)
-
-    pref = _product_quotient([(z, qb)], [(a * z, qb)], precision_bits, eps / 8)
-    phi21 = SeriesSpec.make([a, b], [c], qb, z)
-    rhs_phi, cert_r = eval_phi_nonterminating(phi21, eps / 4, precision_bits)
-    rhs = pref * rhs_phi
-
-    return make_report(
-        "J22_TO_21", {"a": a, "b": b, "c": c, "z": z, "q": q}, lhs, rhs,
-        compare_approx(lhs, rhs, eps), truncation_terms=cert_l.terms_used + cert_r.terms_used,
-    )
-
-
-def qbinomial_checks(
-    kind: str, params: dict, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> VerificationReport:
-    """The terminating and nonterminating q-binomial theorems.
-
-    terminating: (u/t;q)_k t^k equals the alternating double-product sum
-    sum_j (-1)^(k-j) q^binom(k-j,2) [k j]_q u^(k-j) t^j, exactly.
-    nonterminating: 1phi0(a;-;q,z) = (az;q)inf/(z;q)inf within eps.
-    """
-    if kind == "terminating":
-        check_names("QBINOMIAL_TERMINATING", "utqk", params)
-        u, t, q, k = params["u"], params["t"], params["q"], params["k"]
-        u, t, q = ExactScalar.coerce(u), ExactScalar.coerce(t), ExactScalar.coerce(q)
-        lhs = qpoch_finite(u / t, q, k) * t**k
-        rhs = ExactScalar(0)
-        qq = [qpoch_finite(q, q, j) for j in range(k + 1)]
-        for j in range(k + 1):
-            kj = k - j
-            sign = -1 if kj % 2 else 1
-            rhs = rhs + sign * (q ** (kj * (kj - 1) // 2)) * qq[k] / (qq[j] * qq[kj]) * u**kj * t**j
-        return make_report(
-            "QBINOMIAL_TERMINATING", params, lhs, rhs, matched(lhs == rhs), mode="exact", n=k,
-            degenerate=lhs.is_zero() and rhs.is_zero(),
-        )
-    if kind == "nonterminating":
-        check_names("QBINOMIAL_NONTERMINATING", "azq", params)
-        a, z, q = params["a"], params["z"], params["q"]
-        qb = QBase.of(q)
-        spec = SeriesSpec.make([a], [], qb, z)
-        lhs, cert = eval_phi_nonterminating(spec, eps / 4, precision_bits)
-        rhs = _product_quotient([(a * z, qb)], [(z, qb)], precision_bits, eps / 8)
-        return make_report(
-            "QBINOMIAL_NONTERMINATING", params, lhs, rhs, compare_approx(lhs, rhs, eps),
-            truncation_terms=cert.terms_used,
-        )
-    raise DomainError(f"unknown q-binomial check kind: {kind}")
 
 
 def eval_rfs(

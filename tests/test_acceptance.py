@@ -12,14 +12,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from qident.askey_wilson import (
-    AWParams,
-    aw_hermite_degenerate,
-    aw_w_equals_d_value,
-    eval_aw,
-    eval_special_value,
-    newquad_product_form,
-)
+from qident.askey_wilson import AWParams, aw_w_equals_d_value, eval_aw, eval_special_value
 from qident.errors import DomainError, PoleError
 from qident.identities import list_ids, lookup, sweep
 from qident.integrals import _descriptor, verify_integral_rep
@@ -27,7 +20,6 @@ from qident.products import (
     COEFF_CHECK_IDS,
     PRODUCT_IDS,
     awgf_coefficient_check,
-    awgf_hermite_degeneration_check,
     classical_limit_check,
     nassrallah2_cayley_consistency,
     product_coefficient_check,
@@ -35,6 +27,8 @@ from qident.products import (
     verify_product,
 )
 from qident.qkernel import ExactScalar, QBase, _fx
+
+from oracles import newquad_product_form, qhermite
 
 E = ExactScalar
 
@@ -130,8 +124,13 @@ def test_criterion_05_generating_function_coefficients():
             continue
         assert rep.passed, rep.note
         done += 1
-    rep = awgf_hermite_degeneration_check(F(3, 4), F(1, 2), 10)
-    assert rep.passed
+    # at a = b = c = d = 0 the coefficients are p_n / (q; q)_n, and p_n is the
+    # continuous q-Hermite value
+    w, q = F(3, 4), F(1, 2)
+    rep = awgf_coefficient_check(0, 0, 0, 0, w, q, 10)
+    assert rep.passed, rep.note
+    for n in range(11):
+        assert eval_aw(AWParams.make(0, 0, 0, 0, q, w, n), "CONV") == qhermite(w, q, n)
     _line(5, True, "generating-function coefficients exact through n = 10 at 10 points; "
                    "zero-parameter degeneration matches the q-Hermite values")
 

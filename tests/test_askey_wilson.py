@@ -8,16 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qident import askey_wilson, powerseries, products, qkernel
-from qident.askey_wilson import (
-    AWParams,
-    aw_hermite_degenerate,
-    aw_w_equals_d_value,
-    eval_aw,
-    eval_special_value,
-    newquad_product_form,
-)
+from qident.askey_wilson import AWParams, aw_w_equals_d_value, eval_aw, eval_special_value
 from qident.errors import DomainError, PoleError
 from qident.qkernel import ExactScalar, I, qpoch_finite, qpoch_list
+
+from oracles import newquad_product_form, qhermite
 
 E = ExactScalar
 
@@ -167,7 +162,7 @@ class TestConvolution:
         def refuse(*args):
             raise AssertionError("CONV called a series or q-Pochhammer builder")
 
-        for owner, name in ((askey_wilson, "qpoch_list"), (askey_wilson, "qpoch_finite"),
+        for owner, name in ((askey_wilson, "qpoch_list"), (qkernel, "qpoch_finite"),
                             (qkernel, "qpoch_list"), (powerseries, "phi_series_coeffs"),
                             (products, "phi_series_coeffs"),
                             (powerseries.PowerSeriesTrunc, "__mul__")):
@@ -186,28 +181,30 @@ class TestConvolution:
         assert n <= len(calls) <= 25 * n
 
 
+def hermite_conv(w, q, n):
+    """CONV at a = b = c = d = 0: the continuous q-Hermite degeneration."""
+    return eval_aw(params(0, 0, 0, 0, q, w, n), "CONV")
+
+
 class TestHermiteDegeneration:
     def test_n0_n1(self):
         w, q = E(F(3, 4)), E(F(1, 2))
-        assert aw_hermite_degenerate(w, q, 0) == E(1)
-        assert aw_hermite_degenerate(w, q, 1) == w + 1 / w
+        assert hermite_conv(w, q, 0) == qhermite(w, q, 0) == E(1)
+        assert hermite_conv(w, q, 1) == qhermite(w, q, 1) == w + 1 / w
 
     def test_matches_conv_at_zero_params(self):
         w, q = E(F(3, 5)), E(F(2, 5))
         for n in range(7):
-            p = AWParams.make(E(0), E(0), E(0), E(0), q, w, n)
-            assert eval_aw(p, "CONV") == aw_hermite_degenerate(w, q, n)
+            assert hermite_conv(w, q, n) == qhermite(w, q, n)
 
     def test_negative_degree_is_a_domain_error(self):
         with pytest.raises(DomainError, match="got n = -1"):
-            aw_hermite_degenerate(E(F(1, 2)), E(F(1, 2)), -1)
+            hermite_conv(E(F(1, 2)), E(F(1, 2)), -1)
 
     def test_w_inversion(self):
         q = E(F(1, 2))
         for n in range(9):
-            assert aw_hermite_degenerate(E(F(3, 4)), q, n) == aw_hermite_degenerate(
-                E(F(4, 3)), q, n
-            )
+            assert hermite_conv(E(F(3, 4)), q, n) == hermite_conv(E(F(4, 3)), q, n)
 
 
 class TestSpecialValues:
@@ -274,7 +271,7 @@ class TestSpecialValues:
             eval_special_value("AW32", {"q": F(1, 2), "a": F(1, 3), "b": F(1, 5)}, 2)
 
     def test_special_value_n_max_guard(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^n = 11 exceeds the degree cap 10 "):
             eval_special_value("BAILEY0", {"q": F(1, 2), "a": F(1, 3), "b": F(2, 5)}, 11)
         lhs, rhs = eval_special_value(
             "BAILEY0", {"q": F(1, 2), "a": F(1, 3), "b": F(2, 5)}, 12, n_max=12

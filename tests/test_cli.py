@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qident.askey_wilson import eval_special_value
 from qident.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NOCONV, EXIT_OK, main
 from qident.qkernel import ExactScalar, format_exact, parse_exact
 from qident.reporting import CSV_COLUMNS, ReportFile, VerificationReport
@@ -65,7 +66,7 @@ class TestList:
         code, out, _ = run_cli(capsys, "list")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "b7d54d6498a4e61d6c509cf6495c1b7c743851ef750882257c1579361057ae40"
+            "0f0d41ffc8af8d7b8ec75a50b4b1118cf27ad8d307b69916b9a97e338451adcf"
         )
 
 
@@ -333,6 +334,53 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out) == (EXIT_CONFIG, "")
         assert err.startswith("error: ") and f"zero parameter: {name} = 0" in err, err
+
+
+class TestSpecialValues:
+    # acceptance criterion 4's two points, and AW32 at criterion 3's w = d point
+    POINTS = {
+        "q=1/2,a=1/3,b=2/5": ("BAILEY0", "ANDREWS_WHIPPLE0", "NEWQUAD", "ESOTERIC"),
+        "q=2/5,a=1/4,b=1/3": ("BAILEY0", "ANDREWS_WHIPPLE0", "NEWQUAD", "ESOTERIC"),
+        "q=1/2,a=1/3,b=1/5,c=2/3,d=1/7": ("AW32",),
+    }
+
+    @pytest.mark.parametrize("point, ident", [(p, i) for p, ids in POINTS.items() for i in ids])
+    def test_reports_carry_the_evaluated_pair(self, capsys, point, ident):
+        code, out, _ = run_cli(capsys, "verify", ident, "--params", point, "--n-range", "0..10")
+        assert code == EXIT_OK
+        reports = json.loads(out)["reports"]
+        params = {k: F(v) for k, v in (kv.split("=") for kv in point.split(","))}
+        for n, rep in enumerate(reports):
+            lhs, rhs = eval_special_value(ident, params, n)
+            assert (rep["n"], rep["mode"], rep["passed"]) == (n, "exact", True)
+            assert (rep["lhs"], rep["rhs"]) == (str(lhs), str(rhs))
+        assert len(reports) == 11
+
+    @pytest.mark.parametrize("ident", ["BAILEY0", "NEWQUAD", "ESOTERIC"])
+    def test_vanishing_denominator_is_named(self, capsys, ident):
+        # a^2 b^2 = 1: the closed form divides by (a^2 b^2; q^2)_1 = 0
+        code, out, err = run_cli(capsys, "verify", ident, "--params", "q=1/2,a=2,b=1/2", "--n", "2")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (f"error: {ident}: closed-form denominator vanishes at "
+                       "q=1/2, a=2, b=1/2, n=2\n")
+
+    def test_series_pole_is_named(self, capsys):
+        # ab = 1 is a pole of CONV's (ab; q)_n
+        code, _, err = run_cli(capsys, "verify", "AW32", "--params",
+                               "q=1/2,a=3,b=1/3,c=2/3,d=1/7", "--n", "3")
+        assert code == EXIT_CONFIG
+        assert err == "error: AW32: ab = q^-0 lies in the pole set\n"
+
+    def test_degree_past_the_cap_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "NEWQUAD", "--params", "q=1/2,a=1/3,b=2/5",
+                                 "--n", "11")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: n = 11 exceeds the degree cap 10 of the exact special values\n"
+
+    def test_missing_n_is_named(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "ESOTERIC", "--params", "q=1/2,a=1/3,b=2/5")
+        assert code == EXIT_CONFIG
+        assert err == "error: verify needs --n or --n-range for ESOTERIC\n"
 
 
 class TestSweepAndReport:

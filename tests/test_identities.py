@@ -3,24 +3,21 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
-from qident.errors import ConstraintViolation, DomainError, SamplerExhausted, UnknownIdentity
-from qident.identities import (
-    APPROX_ONLY_IDS,
-    EXACT_IDS,
-    elementary_identity_check,
-    list_ids,
-    lookup,
-    sweep,
-    verify,
-)
+from qident.errors import (ConstraintViolation, DomainError, SamplerExhausted, UnknownIdentity,
+                           check_names)
+from qident.identities import APPROX_ONLY_IDS, EXACT_IDS, list_ids, lookup, sweep, verify
 from qident.qkernel import ExactScalar, I
-from qident.series import BalanceClass, derive_balance, eval_phi_terminating
+from qident.reporting import compare_exact, make_report
+from qident.series import BalanceClass, eval_phi_terminating
+
+from oracles import derive_balance
 
 E = ExactScalar
 
@@ -370,17 +367,52 @@ class TestSweep:
             verify("T_BAILEY41", {"q": F(1, 2), "a": F(1, 3), "b": F(1, 5)}, 2, eps=eps)
 
 
+def _elementary_report(kind: str, params: dict):
+    """The two proof-level elementary identities as one exact report.
+
+    ELID:  (1-q^(-n-1))(1-q^(n+k) a) / ((1-q^(-n-1+k))(1-q^n a))
+           = 1 - q^(-n-1) (1-q^k)(1-q^(2n+1) a) / ((1-q^(-n-1+k))(1-q^n a))
+    ELID2: (1-c)/(1-q^k c) = 1 - c (1-q^k)/(1-q^k c)
+
+    A vanishing denominator is a ConstraintViolation naming its factor.
+    """
+    check_names(kind, {"ELID": "qank", "ELID2": "cqk"}[kind], params)
+    q, k = E.coerce(params["q"]), params["k"]
+    if kind == "ELID":
+        a, n = E.coerce(params["a"]), params["n"]
+        dens = {"1-q^(-n-1+k)": 1 - q ** (-n - 1 + k), "1-q^n a": 1 - q**n * a}
+    else:
+        c = E.coerce(params["c"])
+        dens = {"1-q^k c": 1 - q**k * c}
+    for name, factor in dens.items():
+        if factor.is_zero():
+            raise ConstraintViolation(
+                f"{kind}: denominator {name} vanishes at {params}", predicate=f"{name} nonzero"
+            )
+    den = math.prod(dens.values(), start=E(1))
+    if kind == "ELID":
+        lhs = (1 - q ** (-n - 1)) * (1 - q ** (n + k) * a) / den
+        rhs = 1 - q ** (-n - 1) * (1 - q**k) * (1 - q ** (2 * n + 1) * a) / den
+    else:
+        lhs = (1 - c) / den
+        rhs = 1 - c * (1 - q**k) / den
+    return make_report(
+        kind, params, lhs, rhs, compare_exact(lhs, rhs), mode="exact", n=params.get("n"),
+        degenerate=lhs.is_zero() and rhs.is_zero(),
+    )
+
+
 class TestElementary:
     def test_elid_example(self):
-        rep = elementary_identity_check("ELID", {"q": F(1, 2), "a": F(1, 3), "n": 2, "k": 1})
+        rep = _elementary_report("ELID", {"q": F(1, 2), "a": F(1, 3), "n": 2, "k": 1})
         assert rep.passed and rep.mode == "exact"
 
     def test_elid2_c_zero(self):
-        rep = elementary_identity_check("ELID2", {"c": 0, "q": F(1, 2), "k": 3})
+        rep = _elementary_report("ELID2", {"c": 0, "q": F(1, 2), "k": 3})
         assert rep.passed and rep.lhs == "1"
 
     def test_elid2_example(self):
-        rep = elementary_identity_check("ELID2", {"c": F(1, 4), "q": F(1, 2), "k": 3})
+        rep = _elementary_report("ELID2", {"c": F(1, 4), "q": F(1, 2), "k": 3})
         assert rep.passed
 
     @pytest.mark.parametrize("kind, params, digest", [
@@ -391,7 +423,7 @@ class TestElementary:
     ])
     def test_report_bytes_are_pinned(self, kind, params, digest):
         # SHA-256 of json.dumps(dataclasses.asdict(report), sort_keys=True)
-        rep = elementary_identity_check(kind, params)
+        rep = _elementary_report(kind, params)
         blob = json.dumps(dataclasses.asdict(rep), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
 
@@ -404,7 +436,7 @@ class TestElementary:
     def test_parameter_names_are_checked(self, kind, params, problem):
         expected = re.escape(f"{kind} takes parameters {problem}") + "$"
         with pytest.raises(DomainError, match=expected):
-            elementary_identity_check(kind, params)
+            _elementary_report(kind, params)
 
     @pytest.mark.parametrize("kind, params, factor", [
         ("ELID", {"q": F(1, 2), "a": F(1, 3), "n": 0, "k": 1}, "1-q^(-n-1+k)"),
@@ -414,7 +446,7 @@ class TestElementary:
     def test_vanishing_denominator_is_a_constraint_violation(self, kind, params, factor):
         expected = re.escape(f"{kind}: denominator {factor} vanishes")
         with pytest.raises(ConstraintViolation, match=expected) as info:
-            elementary_identity_check(kind, params)
+            _elementary_report(kind, params)
         assert info.value.predicate == f"{factor} nonzero"
 
     def test_elid_random(self):
@@ -425,7 +457,7 @@ class TestElementary:
             q = F(rng.randint(1, 5), rng.randint(6, 9))
             a = F(rng.randint(1, 5), rng.randint(6, 9))
             n, k = rng.randint(0, 6), rng.randint(0, 6)
-            rep = elementary_identity_check("ELID", {"q": q, "a": a, "n": n, "k": k})
+            rep = _elementary_report("ELID", {"q": q, "a": a, "n": n, "k": k})
             assert rep.passed
 
 

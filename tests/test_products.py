@@ -16,7 +16,6 @@ from qident.products import (
     COEFF_CHECK_IDS,
     PRODUCT_IDS,
     awgf_coefficient_check,
-    awgf_hermite_degeneration_check,
     cayley_orr_a_closed_form_check,
     cayley_orr_an,
     cayley_orr_check,
@@ -166,7 +165,9 @@ class TestAWGF:
         assert rep.passed
 
     def test_hermite_degeneration(self):
-        rep = awgf_hermite_degeneration_check(F(3, 4), F(1, 2), 10)
+        # at a = b = c = d = 0 both 2phi1 factors are 1phi0(0; -; q, .) and p_n
+        # is the continuous q-Hermite value
+        rep = awgf_coefficient_check(0, 0, 0, 0, F(3, 4), F(1, 2), 10)
         assert rep.passed
 
     def test_quartic_base_point(self):
@@ -430,6 +431,66 @@ class TestCoefficientChecks:
             assert ok, (ident, rel)
 
 
+def _with_term(sides, s, t, term) -> tuple:
+    """The pair of sides with term t of side s replaced."""
+    side = list(sides[s])
+    side[t] = term
+    return tuple(side if k == s else other for k, other in enumerate(sides))
+
+
+def _row_mutants(sides):
+    """(label, mutated sides) for each one-datum mutant of a built (lhs, rhs)
+    pair: each upper or lower parameter of each factor times the factor's
+    base, one at a time, then each zscale times the factor's base, then each
+    prefactor (an absent one is 1) times the base of its term's first factor."""
+    terms = [(s, t, term) for s, side in enumerate(sides) for t, term in enumerate(side)]
+
+    def with_factor(s, t, term, f, phi):
+        pref, power, factors = term
+        return _with_term(sides, s, t, (pref, power, factors[:f] + [phi] + factors[f + 1:]))
+
+    for s, t, term in terms:
+        for f, phi in enumerate(term[2]):
+            for field in ("upper", "lower"):
+                for i, x in enumerate(getattr(phi, field)):
+                    values = list(getattr(phi, field))
+                    values[i] = x * phi.base
+                    yield (f"{'lr'[s]}hs term {t} factor {f} {field}[{i}]",
+                           with_factor(s, t, term, f, phi._replace(**{field: values})))
+    for s, t, term in terms:
+        for f, phi in enumerate(term[2]):
+            yield (f"{'lr'[s]}hs term {t} factor {f} zscale",
+                   with_factor(s, t, term, f, phi._replace(zscale=phi.zscale * phi.base)))
+    for s, t, (pref, power, factors) in terms:
+        base = factors[0].base
+        yield (f"{'lr'[s]}hs term {t} prefactor",
+               _with_term(sides, s, t, (base if pref is None else pref * base, power, factors)))
+
+
+# (id, mutant label) -> why a row mutant is equivalent to the row, and so
+# passes the coefficient check: none is
+SURVIVING_ROW_MUTANTS = {}
+
+
+class TestRowMutants:
+    """ROADMAP 11(b), product part: each one-datum mutant of a coefficient-check
+    row's built sides must FAIL product_coefficient_check at order 9."""
+
+    @pytest.mark.parametrize("ident", sorted(COEFF_CHECK_IDS))
+    def test_each_mutant_fails(self, ident, monkeypatch):
+        params = {k: v for k, v in PRODUCT_POINTS[ident].items() if k not in ("z", "t")}
+        built = product_sides(ident, params)
+        mutants = list(_row_mutants(built))
+        survivors = set()
+        for label, sides in [("unmutated", built)] + mutants:
+            monkeypatch.setattr(products, "product_sides", lambda *_, sides=sides: sides)
+            if product_coefficient_check(ident, params, order=9).passed:
+                survivors.add((ident, label))
+        assert len(mutants) >= 12
+        assert survivors == {(ident, "unmutated")} | {
+            key for key in SURVIVING_ROW_MUTANTS if key[0] == ident}
+
+
 class TestClassicalLimits:
     POINTS = [
         {"a": F(1, 3), "b": F(1, 4), "z": F(1, 5)},
@@ -479,7 +540,7 @@ class TestCayleyOrr:
             (cayley_orr_check("A", a, F(1, 5), F(2, 7), F(1, 2), 4), "a"),
             (cayley_orr_a_closed_form_check(a, F(1, 5), F(1, 2), 4), "a"),
             (awgf_coefficient_check(a, F(1, 5), F(2, 7), F(1, 3), F(1, 2), F(1, 2), 3), "a"),
-            (awgf_hermite_degeneration_check(a, F(1, 2), 3), "w"),
+            (awgf_coefficient_check(0, 0, 0, 0, a, F(1, 2), 3), "w"),
             (thm21_cayley_consistency(F(7, 10), a, F(2, 5), 4), "a"),
         ]
         for rep, name in cases:
@@ -504,11 +565,10 @@ class TestCayleyOrr:
         assert not rep.passed and rep.note == "first mismatch at degree 5"
         monkeypatch.undo()
 
-        hermite = products.aw_hermite_degenerate
-        monkeypatch.setattr(products, "aw_hermite_degenerate",
-                            lambda w, q, n: hermite(w, q, n) + (n == 4))
-        rep = awgf_hermite_degeneration_check(F(3, 4), F(1, 2), 10)
-        assert not rep.passed and rep.note == "a=b=c=d=0 degeneration; first mismatch at n=4"
+        eval_aw = products.eval_aw
+        monkeypatch.setattr(products, "eval_aw", lambda p, rep: eval_aw(p, rep) + (p.n == 4))
+        rep = awgf_coefficient_check(0, 0, 0, 0, F(3, 4), F(1, 2), 10)
+        assert not rep.passed and rep.note == "first mismatch at n=4"
         monkeypatch.undo()
 
         an = products.cayley_orr_an
@@ -542,12 +602,12 @@ class TestWDAppell:
 
 
 # SHA-256 of json.dumps(dataclasses.asdict(report), sort_keys=True) for the
-# Cayley-Orr, Hermite degeneration, WD_APPELL and classical-limit reports at
+# Cayley-Orr, zero-parameter AWGF, WD_APPELL and classical-limit reports at
 # the points of the tests above (classical ids at TestClassicalLimits.POINTS[i]): these reports are
 # byte-identical across builds
 GOLDEN_REPORT_SHA256 = {
-    "awgf_hermite_degeneration_check":
-        "a87aca9b0e9eb5d7f4e9710d1124a5c0c01197b13701364bc6fb0bc20e4e9d0f",
+    "awgf_coefficient_check a=b=c=d=0":
+        "2249c38082db7a5dea4f7b5fc58e5b5e67fcd077073670667d90e4c8591aa052",
     "cayley_orr_check A":
         "3f5bc590ba1325278f8af205c15a597dfd71867edaeea32af7ecf8b7e274900a",
     "cayley_orr_check B":
@@ -605,8 +665,8 @@ def _golden_report(key):
     kind, *args = key.split()
     co = (F(1, 3), F(1, 5), F(2, 7), F(1, 2))
     pab = (F(7, 10), F(1, 2), F(2, 5))
-    if kind == "awgf_hermite_degeneration_check":
-        return awgf_hermite_degeneration_check(F(3, 4), F(1, 2), 10)
+    if kind == "awgf_coefficient_check":
+        return awgf_coefficient_check(0, 0, 0, 0, F(3, 4), F(1, 2), 10)
     if kind == "cayley_orr_check":
         return cayley_orr_check(args[0], *co, n_max=10)
     if kind == "cayley_orr_a_closed_form_check":

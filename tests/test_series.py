@@ -13,19 +13,19 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from qident import series
-from qident.errors import DivergenceError, DomainError, NoConvergence, PoleError
+from qident.errors import DivergenceError, DomainError, NoConvergence, PoleError, check_names
 from qident.qkernel import ApproxScalar, ExactScalar, QBase, _fx, qpoch_finite, qpoch_infinite
+from qident.reporting import compare_approx, make_report, matched
 from qident.series import (
     BalanceClass,
     SeriesSpec,
-    derive_balance,
     eval_phi_nonterminating,
     eval_phi_terminating,
     eval_qappell_phi1,
     eval_rfs,
-    jackson_22_to_21_check,
-    qbinomial_checks,
 )
+
+from oracles import derive_balance
 
 E = ExactScalar
 
@@ -333,38 +333,74 @@ class TestRealArithmetic:
             assert _first_terms(*args, wp) == real
 
 
+def _infinite_quotient(num, den, q, eps, bits):
+    """(num; q)_inf / (den; q)_inf from two certified products."""
+    return qpoch_infinite(num, q, eps, bits)[0] / qpoch_infinite(den, q, eps, bits)[0]
+
+
+def _jackson_22_to_21(a, b, c, z, q, eps, bits):
+    """The 2phi2 -> 2phi1 transformation, both sides from the public evaluators:
+    2phi2(a, c/b; c, az; q, bz) = (z;q)inf/(az;q)inf 2phi1(a, b; c; q, z), at b = 0
+    the 1phi1(a; c, az; q, cz) limit of the left side."""
+    upper, z2 = ([a], c * z) if b == 0 else ([a, c / b], b * z)
+    lhs, _ = eval_phi_nonterminating(SeriesSpec.make(upper, [c, a * z], q, z2), eps / 4, bits)
+    phi, _ = eval_phi_nonterminating(SeriesSpec.make([a, b], [c], q, z), eps / 4, bits)
+    return compare_approx(lhs, _infinite_quotient(z, a * z, q, eps / 8, bits) * phi, eps)[0]
+
+
 class TestJackson:
     def test_generic_point(self):
-        rep = jackson_22_to_21_check(
+        assert _jackson_22_to_21(
             E(F(1, 3)), E(F(1, 4)), E(F(1, 5)), E(F(1, 6)), E(F(1, 2)), 1e-35, 256
         )
-        assert rep.passed
 
     def test_b_zero_degenerate_pair(self):
-        rep = jackson_22_to_21_check(
+        assert _jackson_22_to_21(
             E(F(1, 3)), E(0), E(F(1, 5)), E(F(1, 6)), E(F(1, 2)), 1e-35, 256
         )
-        assert rep.passed
 
     def test_z_zero(self):
-        rep = jackson_22_to_21_check(
+        assert _jackson_22_to_21(
             E(F(1, 3)), E(F(1, 4)), E(F(1, 5)), E(0), E(F(1, 2)), 1e-35, 256
         )
-        assert rep.passed
+
+
+def _qbinomial_report(kind, params, eps=1e-30, precision_bits=256):
+    """The two q-binomial theorems as one report, from the public evaluators.
+
+    terminating: (u/t;q)_k t^k equals the alternating double-product sum
+    sum_j (-1)^(k-j) q^binom(k-j,2) [k j]_q u^(k-j) t^j, exactly.
+    nonterminating: 1phi0(a;-;q,z) = (az;q)inf/(z;q)inf within eps.
+    """
+    ident = f"QBINOMIAL_{kind.upper()}"
+    check_names(ident, "utqk" if kind == "terminating" else "azq", params)
+    if kind == "terminating":
+        (u, t, q), k = (E.coerce(params[x]) for x in "utq"), params["k"]
+        lhs = qpoch_finite(u / t, q, k) * t**k
+        qq = [qpoch_finite(q, q, j) for j in range(k + 1)]
+        rhs = sum(((-1) ** (k - j) * q ** ((k - j) * (k - j - 1) // 2) * qq[k] / (qq[j] * qq[k - j])
+                   * u ** (k - j) * t**j for j in range(k + 1)), E(0))
+        return make_report(ident, params, lhs, rhs, matched(lhs == rhs), mode="exact", n=k,
+                           degenerate=lhs.is_zero() and rhs.is_zero())
+    a, z, q = (params[x] for x in "azq")
+    lhs, cert = eval_phi_nonterminating(SeriesSpec.make([a], [], q, z), eps / 4, precision_bits)
+    rhs = _infinite_quotient(a * z, z, q, eps / 8, precision_bits)
+    return make_report(ident, params, lhs, rhs, compare_approx(lhs, rhs, eps),
+                       truncation_terms=cert.terms_used)
 
 
 class TestQBinomial:
     def test_terminating_k0(self):
-        rep = qbinomial_checks("terminating", {"u": F(1, 2), "t": F(1, 3), "q": F(1, 5), "k": 0})
+        rep = _qbinomial_report("terminating", {"u": F(1, 2), "t": F(1, 3), "q": F(1, 5), "k": 0})
         assert rep.passed
 
     def test_terminating_example(self):
-        rep = qbinomial_checks("terminating", {"u": F(1, 2), "t": F(1, 3), "q": F(1, 5), "k": 4})
+        rep = _qbinomial_report("terminating", {"u": F(1, 2), "t": F(1, 3), "q": F(1, 5), "k": 4})
         assert rep.passed and rep.mode == "exact"
 
     def test_terminating_report_bytes_are_pinned(self):
         # SHA-256 of json.dumps(dataclasses.asdict(report), sort_keys=True)
-        rep = qbinomial_checks("terminating", {"u": F(1, 2), "t": F(1, 3), "q": F(1, 5), "k": 4})
+        rep = _qbinomial_report("terminating", {"u": F(1, 2), "t": F(1, 3), "q": F(1, 5), "k": 4})
         blob = json.dumps(dataclasses.asdict(rep), sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == (
             "d199507dac2f54dc7d2834842e168ba7967887c00b5ba0ceee07db2f3a059b3c"
@@ -373,7 +409,7 @@ class TestQBinomial:
     @given(small, small, qs, st.integers(0, 12))
     @settings(max_examples=30)
     def test_terminating_random(self, u, t, q, k):
-        rep = qbinomial_checks("terminating", {"u": u, "t": t, "q": q, "k": k})
+        rep = _qbinomial_report("terminating", {"u": u, "t": t, "q": q, "k": k})
         assert rep.passed
 
     @pytest.mark.parametrize("kind, params, problem", [
@@ -387,10 +423,10 @@ class TestQBinomial:
     def test_parameter_names_are_checked(self, kind, params, problem):
         expected = re.escape(f"QBINOMIAL_{kind.upper()} takes parameters {problem}") + "$"
         with pytest.raises(DomainError, match=expected):
-            qbinomial_checks(kind, params)
+            _qbinomial_report(kind, params)
 
     def test_nonterminating_against_product(self):
-        rep = qbinomial_checks(
+        rep = _qbinomial_report(
             "nonterminating",
             {"a": E(F(1, 2)), "z": E(F(1, 3)), "q": E(F(1, 2))},
             eps=1e-35,
@@ -400,7 +436,7 @@ class TestQBinomial:
 
     def test_nonterminating_a_equals_q(self):
         q = E(F(1, 2))
-        rep = qbinomial_checks(
+        rep = _qbinomial_report(
             "nonterminating", {"a": q, "z": E(F(1, 3)), "q": q}, eps=1e-35, precision_bits=256
         )
         assert rep.passed
