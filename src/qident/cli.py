@@ -4,6 +4,12 @@ Parameters are exact rational literals ("p/q" or Gaussian "p/q+r/s*i") even
 for the certified checks, so every run is reproducible bit for bit.  Exit
 codes: 0 all pass, 1 verification failure, 2 configuration error, 3 numerical
 non-convergence.
+
+``CHECKS`` holds each listed id's check and the optional flags it reads:
+--n/--n-range for the exact checks (the terminating summations, the special
+values, and a product id with exact sides, whose value check --n replaces by
+its exact z^0..z^n check), --sigma/--f for the integral representations.
+verify refuses any other of these flags with exit 2, naming it and the id.
 """
 
 from __future__ import annotations
@@ -122,6 +128,13 @@ def _verify_special_value(ident: str, params: dict, args) -> list:
         askey_wilson.eval_special_value, ident, params, n)) for n in _n_values(ident, args)]
 
 
+def _verify_product(ident: str, params: dict, args) -> list:
+    """The certified value check, or with --n/--n-range the exact check through each z^n."""
+    if args.n is None and args.n_range is None:
+        return [products.verify_product(ident, params, **_options(args))]
+    return [products.product_coefficient_check(ident, params, n) for n in _n_values(ident, args)]
+
+
 def _verify_integral(ident: str, params: dict, args) -> list:
     if args.sigma is None or args.f is None:
         raise DomainError("integral representations need --sigma and --f")
@@ -131,32 +144,39 @@ def _verify_integral(ident: str, params: dict, args) -> list:
 
 class _Check(NamedTuple):
     """An id `list` prints: its section, the text after the id, the run of its
-    check, (id, params, parsed arguments) -> reports, and whether `sweep` draws its parameters."""
+    check, (id, params, parsed arguments) -> reports, whether `sweep` draws its
+    parameters, and the optional verify flags (argparse dests) the run reads."""
 
     section: str
     detail: str
     run: Callable
     sweeps: bool = False
+    flags: tuple = ()
 
 
+_DEGREE, _CONTOUR = ("n", "n_range"), ("sigma", "f")
 CHECKS = {
     rec.id: _Check(
         "terminating summations",
         f"  params({', '.join(rec.param_names)})  -- {rec.anchor}",
         _verify_summation,
         sweeps=True,
+        flags=_DEGREE,
     )
     for rec in map(identities.lookup, identities.list_ids())
 }
 CHECKS.update(
-    (ident, _Check(section, "", run))
-    for section, ids, run in (
+    (ident, _Check(section, "", run, flags=flags if ident in exact else ()))
+    for section, ids, run, flags, exact in (
         ("product transformations and generating functions", products.PRODUCT_IDS,
-         lambda ident, params, args: [products.verify_product(ident, params, **_options(args))]),
+         _verify_product, _DEGREE, (*products.COEFF_CHECK_IDS, "AWGF")),
         ("classical limit targets", products.CLASSICAL_IDS,
-         lambda ident, params, args: [products.classical_limit_check(ident, params, **_eps(args))]),
-        ("integral representations", integrals.INTEGRAL_IDS, _verify_integral),
-        ("quadratic special values", askey_wilson.SPECIAL_VALUE_IDS, _verify_special_value),
+         lambda ident, params, args: [products.classical_limit_check(ident, params, **_eps(args))],
+         (), ()),
+        ("integral representations", integrals.INTEGRAL_IDS, _verify_integral, _CONTOUR,
+         integrals.INTEGRAL_IDS),
+        ("quadratic special values", askey_wilson.SPECIAL_VALUE_IDS, _verify_special_value,
+         _DEGREE, askey_wilson.SPECIAL_VALUE_IDS),
     )
     for ident in ids
 )
@@ -179,8 +199,12 @@ def cmd_list(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    check = _check(args.identity)
+    for flag in ("n", "n_range", "sigma", "f"):
+        if getattr(args, flag) is not None and flag not in check.flags:
+            raise DomainError(f"--{flag.replace('_', '-')} does not apply to {args.identity}")
     params = _parse_params(args.params or "")
-    reports = _check(args.identity).run(args.identity, params, args)
+    reports = check.run(args.identity, params, args)
     rf = ReportFile(tool_version=__version__, config=_echo_config(args), entries=reports)
     return _emit(rf, args)
 

@@ -1,15 +1,19 @@
 """Generating-function identities and nonterminating product transformations.
 
 Each of the 18 product identities is one row of ``_ROWS``, read by
-``verify_product``.  The rows of the twelve product transformations
-(COEFF_CHECK_IDS) and of the Cayley-Orr lemmas hold their sides as data: a side
-is a sum of terms prefactor * z^k * a product of r-phi-s factors (``Phi``),
-built from the exact parameters by ``product_sides``, and read by ``side_value``
-(certified values), ``side_series`` (exact power series, for the coefficient
-checks) and the contour integrals.  Identities whose displays contain q^(1/2)
-take the square root p as the parameter, with q = p^2, so every exponent stays
-integral.  Each Cayley-Orr lemma's 2phi1, prefactor and weight arguments are
-one entry of ``_cayley_orr_lemma``, and the five classical limits are a table
+``verify_product``.  The rows of the generating function (AWGF), the twelve
+product transformations and the two Cayley-Orr lemmas also hold their sides as
+data, built from the exact parameters by ``product_sides``: a side is a sum of
+terms prefactor * z^k * a product of r-phi-s factors (``Phi``), or, for a
+lemma's right side, such a sum weighted coefficient by coefficient
+(``Weighted``).  The sides are read by ``side_value`` (certified values),
+``side_series`` (exact power series), the value checks' term tables and the
+contour integrals.  ``product_coefficient_check`` is the one exact z^0..z^N
+check of a row with sides: it compares both tabled sides of the 14
+COEFF_CHECK_IDS, and for AWGF, whose right side p_n / (q, ab, cd; q)_n comes
+from ``eval_aw``, it runs ``awgf_coefficient_check``.  Identities whose
+displays contain q^(1/2) take the square root p as the parameter, with q =
+p^2, so every exponent stays integral.  The five classical limits are a table
 of rFs products (``_classical_sides``).
 """
 
@@ -36,7 +40,6 @@ from .qkernel import (
     _fx,
     _mul,
     _product_quotient,
-    qpoch_list,
 )
 from .reporting import VerificationReport, compare_approx, make_report, matched
 from .series import (
@@ -84,9 +87,8 @@ def awgf_coefficient_check(a, b, c, d, w, q, n_max: int) -> VerificationReport:
     against p_n(x;a,b,c,d|q)/(q,ab,cd;q)_n, exactly, through n_max."""
     a, b, c, d, w, q = (E(v) for v in (a, b, c, d, w, q))
     ab, cd = a * b, c * d
-    left = phi_series_coeffs([a * w, b * w], [ab], q, 1 / w, n_max)
-    right = phi_series_coeffs([c / w, d / w], [cd], q, w, n_max)
-    product = left * right
+    params = {"a": a, "b": b, "c": c, "d": d, "w": w, "q": q}
+    product = side_series(product_sides("AWGF", params)[0], n_max)
     qb = QBase.of(q)
     dens, qk = [EXACT_ONE], EXACT_ONE  # (q, ab, cd; q)_n as one running product
     for _ in range(n_max):
@@ -97,8 +99,7 @@ def awgf_coefficient_check(a, b, c, d, w, q, n_max: int) -> VerificationReport:
         return eval_aw(AWParams.make(a, b, c, d, qb, w, n), "CONV") / dens[n]
 
     return _coefficient_report(
-        "AWGF", {"a": a, "b": b, "c": c, "d": d, "w": w, "q": q},
-        f"t^0..t^{n_max} product coefficients", "p_n/(q,ab,cd;q)_n",
+        "AWGF", params, f"t^0..t^{n_max} product coefficients", "p_n/(q,ab,cd;q)_n",
         product.coeffs, expected, n_max, at="n=",
     )
 
@@ -174,9 +175,18 @@ class Phi(NamedTuple):
     squared: bool = False
 
 
+class Weighted(NamedTuple):
+    """The side whose z^n coefficient is that of the weight times that of the
+    terms: a coefficient-wise (Hadamard) product, as each Cayley-Orr lemma
+    weights its auxiliary coefficients a_n."""
+
+    weight: Phi
+    terms: list
+
+
 # A side is a list of terms (prefactor | None, power of z, [Phi, ...]): the sum
 # over terms of prefactor * z^power * the product of the Phi factors.  A None
-# prefactor always comes with power 0.
+# prefactor always comes with power 0.  A Weighted side weights such a list.
 
 
 def _plain(*factors):
@@ -310,23 +320,38 @@ def _t518(q, a, c):
     return lhs, rhs
 
 
+def _awgf(q, a, b, c, d, w):
+    """The product of two 2phi1 in t; its t^n coefficient is p_n/(q, ab, cd; q)_n,
+    which eval_aw gives, so the row tables no right side."""
+    return _plain(Phi([a * w, b * w], [a * b], q, 1 / w), Phi([c / w, d / w], [c * d], q, w)), None
+
+
+def _lemma(lhs, q, alpha, upper, lower, zscale, wn, wd):
+    """A Cayley-Orr lemma's sides: the right side weights the z^n coefficient a_n
+    of (alpha z; q^2)_inf / (z; q^2)_inf 2phi1(upper; lower; q, zscale z), whose
+    prefactor is 1phi0(alpha; -; q^2, z) by the q-binomial theorem, by
+    (wn; q^2)_n / (wd; q^2)_n, the z^n coefficient of 2phi1(wn, q^2; wd; q^2, z)."""
+    Q = q * q
+    return lhs, Weighted(Phi([wn, Q], [wd], Q),
+                         _plain(Phi([alpha], [], Q), Phi(upper, lower, q, zscale)))
+
+
 def _cayley_orr_a(q, a, b, c):
     Q = q * q
     lhs = _plain(
         Phi([Q * c / a, Q * c / b], [Q * c], Q), Phi([a / q, b / q], [c], Q, Q * c / (a * b))
     )
-    return lhs, None
+    return _lemma(lhs, q, q**3 * c / (a * b), [a / q, b / q], [c], Q * c / (a * b), q * c, Q * c)
 
 
 def _cayley_orr_b(q, a, b, c):
     Q = q * q
     lhs = _plain(Phi([q * c / a, c / (q * b)], [c], Q), Phi([a, b], [c], Q, c / (a * b)))
-    return lhs, None
+    return _lemma(lhs, q, q * c / (a * b), [a / q, b], [c / q], c / (a * b), c / q, c)
 
 
 def product_sides(identity_id: str, params: dict) -> tuple:
-    """(lhs, rhs) sides of a tabled identity at exact params; rhs is None for
-    the Cayley-Orr lemmas, whose right side is a weighted coefficient sum."""
+    """(lhs, rhs) sides of a tabled identity at exact params; rhs is None for AWGF."""
     row = _ROWS[identity_id]
     names = row.names[:-1]
     try:
@@ -362,6 +387,10 @@ def side_value(side, z, eps: float, pb: int) -> tuple:
 
 def side_series(side, order: int) -> PowerSeriesTrunc:
     """A side as an exact truncated power series in z through z^order."""
+    if isinstance(side, Weighted):
+        weights = phi_series_coeffs(*side.weight[:4], order).coeffs
+        return PowerSeriesTrunc.make(
+            [w * x for w, x in zip(weights, side_series(side.terms, order).coeffs)])
     total = None
     for pref, power, factors in side:
         prod = None
@@ -394,19 +423,18 @@ def _wd_appell_value(P, eps, pb):
     return lhs, pref * appell, terms + cert.terms_used
 
 
+def _term_table(f: Phi, z, wp: int) -> _Table:
+    """The fixed-point (term, ratio majorant) table of factor f at exact z."""
+    upper, lower = ([_fx(x, wp) for x in xs] for xs in (f.upper, f.lower))
+    return _Table(_phi_terms(upper, lower, _fx(f.base, wp), _fx(f.zscale * z, wp), wp))
+
+
 def _awgf_value(P, eps, pb):
-    q, a, b, c, d, w, t = (P[k] for k in "qabcdwt")
-    rhs, terms = side_value(
-        _plain(Phi([a * w, b * w], [a * b], q, 1 / w), Phi([c / w, d / w], [c * d], q, w)),
-        t, eps / 8, pb,
-    )
+    side, _ = product_sides("AWGF", P)
+    rhs, terms = side_value(side, P["t"], eps / 8, pb)
     wp = pb + _GUARD_BITS
-    args = (q, t / w, t * w, a * w, b * w, a * b, c / w, d / w, c * d)
-    q, t_w, tw, aw, bw, ab, c_w, d_w, cd = (_fx(x, wp) for x in args)
-    # t^n p_n / (q, ab, cd; q)_n = sum_j X[j] Y[n-j], where X and Y are the terms
-    # of 2phi1(aw, bw; ab; q, t/w) and 2phi1(c/w, d/w; cd; q, tw)
-    X = _Table(_phi_terms([aw, bw], [ab], q, t_w, wp))
-    Y = _Table(_phi_terms([c_w, d_w], [cd], q, tw, wp))
+    # t^n p_n / (q, ab, cd; q)_n = sum_j X[j] Y[n-j], X and Y the terms of the two 2phi1
+    X, Y = (_term_table(f, P["t"], wp) for f in side[0][2])
     total, cert = certified_sum(_cauchy_terms(X, Y, wp), eps / 8, pb)
     return _approx(total, wp, pb), rhs, terms + cert.terms_used
 
@@ -415,22 +443,19 @@ def _cayley_orr_value(identity_id: str, P: dict, eps: float, pb: int) -> tuple:
     """(lhs, rhs, terms) of a Cayley-Orr lemma at a z value, both sides certified;
     the tail of the right side, sum_n (wn; q^2)_n / (wd; q^2)_n a_n z^n, is
     sup_{i>=n} |(wn; q^2)_i / (wd; q^2)_i| times that of the a_n z^n."""
-    a, b, c, q, z = (P[k] for k in "abcqz")
-    lhs_side, _ = product_sides(identity_id, P)
+    z = P["z"]
+    lhs_side, rhs = product_sides(identity_id, P)
     lhs, terms = side_value(lhs_side, z, eps / 8, pb)
     # a_n z^n decays like max(|z|, |second series argument|)^n
     r_eff = max((f.zscale * z).abs_upper() for f in lhs_side[0][2])
     if r_eff >= 1:
         raise DomainError("the weighted coefficient series does not converge here")
-    alpha, up, low, zfac, wn, wd = _cayley_orr_lemma(identity_id[-1], a, b, c, q)
     wp = pb + _GUARD_BITS
-    args = (alpha, z, zfac * z, wn, wd, q, q * q, *up, *low)
-    alpha, z, zfac_z, wn, wd, q, Q, *ul = (_fx(x, wp) for x in args)
-    # a_n z^n = sum_i (alpha; q^2)_i/(q^2; q^2)_i z^i * [z^(n-i)] 2phi1(up; low; q, zfac z)
-    anzn = _cauchy_terms(_Table(_phi_terms([alpha], [], Q, z, wp)),
-                         _Table(_phi_terms(ul[:2], ul[2:], q, zfac_z, wp)), wp)
-    weight = _Table(_phi_terms([wn, Q], [wd], Q, (1 << wp, 0), wp))  # (wn; q^2)_n / (wd; q^2)_n
-    Qa, wn, wd = (_fabs(x, wp) for x in (Q, wn, wd))
+    # a_n z^n = sum_i (alpha; q^2)_i/(q^2; q^2)_i z^i * [z^(n-i)] 2phi1(upper; lower; q, zscale z)
+    anzn = _cauchy_terms(*(_term_table(f, z, wp) for f in rhs.terms[0][2]), wp)
+    lemma = rhs.weight  # Phi([wn, q^2], [wd], q^2), whose terms are (wn; q^2)_n / (wd; q^2)_n
+    weight = _term_table(lemma, EXACT_ONE, wp)
+    Qa, wn, wd = (_fabs(_fx(x, wp), wp) for x in (lemma.base, lemma.upper[0], lemma.lower[0]))
 
     def term(n: int) -> tuple:
         value, tail = anzn(n)
@@ -463,12 +488,12 @@ _LEMMA = (lambda m: m.q**2 * m.c * m.z < m.a * m.b, DomainError, "the lemma need
 
 
 _ROWS = {
-    # the left side is the Cauchy diagonals of the same two 2phi1 term tables whose
-    # product is the right side, so this check cannot refuse a wrong Askey-Wilson
-    # polynomial; the generating function's content is checked by
+    # the left side is the Cauchy diagonals of the term tables of the two 2phi1
+    # whose product is the right side, so this check cannot refuse a wrong
+    # Askey-Wilson polynomial; the generating function's content is checked by
     # awgf_coefficient_check against eval_aw's CONV, together with R1 = CONV
     "AWGF": _Row("qabcdwt", "w", "t", (lambda m: m.t < min(m.w, 1 / m.w), DivergenceError,
-                                       "need |t| < min(|w|, 1/|w|)"), _awgf_value),
+                                       "need |t| < min(|w|, 1/|w|)"), _awgf_value, _awgf),
     "TRIPLE_32PF": _Row("uwtabcdq", "tw", None, (
         lambda m: m.u < min(m.a, m.c) and m.t < min(m.w, 1 / m.w), DivergenceError,
         "hypotheses |u| < min(|a|,|c|), |t| < min(|w|,1/|w|) fail",
@@ -502,7 +527,8 @@ _ROWS = {
                          "lemma value check"),
 }
 PRODUCT_IDS = tuple(_ROWS)
-COEFF_CHECK_IDS = tuple(k for k in _ROWS if _ROWS[k].sides and not k.startswith("CAYLEY_ORR"))
+# both sides tabled: AWGF's right side, p_n / (q, ab, cd; q)_n, comes from eval_aw
+COEFF_CHECK_IDS = tuple(k for k in _ROWS if _ROWS[k].sides and k != "AWGF")
 
 
 def verify_product(identity_id: str, params: dict, eps: float = 1e-30,
@@ -536,10 +562,15 @@ def verify_product(identity_id: str, params: dict, eps: float = 1e-30,
 def product_coefficient_check(
     identity_id: str, params: dict, order: int = 9
 ) -> VerificationReport:
-    """Exact power-series comparison of both sides through z^order."""
-    if identity_id not in COEFF_CHECK_IDS:
+    """Exact power-series comparison of both sides through z^order (t^order),
+    at params without the series variable: the row's two tabled sides, or
+    for AWGF awgf_coefficient_check."""
+    row = _ROWS.get(identity_id)
+    if row is None or row.sides is None:
         raise UnknownIdentity(f"{identity_id} has no exact coefficient check")
-    check_names(identity_id, _ROWS[identity_id].names[:-1], params)
+    check_names(identity_id, row.names[:-1], params)
+    if identity_id == "AWGF":
+        return awgf_coefficient_check(*(params[k] for k in "abcdwq"), order)
     lhs_side, rhs_side = product_sides(identity_id, params)
     lhs, rhs = side_series(lhs_side, order), side_series(rhs_side, order)
     return _coefficient_report(
@@ -617,83 +648,20 @@ def classical_limit_check(which: str, params: dict, eps: float = 1e-10) -> Verif
 
 
 # --------------------------------------------------------------------------
-# Cayley-Orr coefficient lemmas
+# consistency of two product formulas with the Cayley-Orr lemmas
 # --------------------------------------------------------------------------
-
-def _cayley_orr_lemma(which: str, a, b, c, q) -> tuple:
-    """(alpha, upper, lower, zscale, wn, wd) of lemma A or B.  The auxiliary
-    coefficient a_n is the z^n coefficient of (alpha z; q^2)_inf / (z; q^2)_inf
-    * 2phi1(upper; lower; q, zscale z), and the lemma weights it by (wn; q^2)_n
-    / (wd; q^2)_n."""
-    Q = q * q
-    if which == "A":
-        return q**3 * c / (a * b), [a / q, b / q], [c], Q * c / (a * b), q * c, Q * c
-    if which == "B":
-        return q * c / (a * b), [a / q, b], [c / q], c / (a * b), c / q, c
-    raise UnknownIdentity(f"Cayley-Orr lemma {which!r} is not defined")
-
-
-def cayley_orr_an(which: str, a, b, c, q, order: int) -> list:
-    """The auxiliary coefficients a_n of the defining product expansion.
-
-    A: (q^3 c z/(ab); q^2)_inf / (z; q^2)_inf * 2phi1(a/q, b/q; c; q, q^2 c z/(ab))
-    B: (q c z/(ab); q^2)_inf / (z; q^2)_inf * 2phi1(a/q, b; c/q; q, c z/(ab))
-    expanded exactly in z through z^order (the prefactor ratio expands by the
-    nonterminating q-binomial theorem, so everything stays rational).
-    """
-    q = E(q)
-    alpha, upper, lower, zscale, _, _ = _cayley_orr_lemma(which, E(a), E(b), E(c), q)
-    phi = phi_series_coeffs(upper, lower, q, zscale, order)
-    binom = phi_series_coeffs([alpha], [], q * q, EXACT_ONE, order)
-    return list((binom * phi).coeffs)
-
-
-def _cayley_orr_weighted(which: str, a, b, c, q, n_max: int) -> list:
-    """The weighted coefficients (wn; q^2)_n / (wd; q^2)_n * a_n, n = 0..n_max, exactly;
-    the weights are the coefficients of 2phi1(wn, q^2; wd; q^2, z), one running product."""
-    an = cayley_orr_an(which, a, b, c, q, n_max)
-    *_, wn, wd = _cayley_orr_lemma(which, a, b, c, q)
-    return [w * x for w, x in zip(
-        phi_series_coeffs([wn, q * q], [wd], q * q, EXACT_ONE, n_max).coeffs, an)]
-
-
-def cayley_orr_check(which: str, a, b, c, q, n_max: int = 10) -> VerificationReport:
-    """Coefficient-by-coefficient verification of the lemma's product display."""
-    ae, be, ce, qe = (E(v) for v in (a, b, c, q))
-    weighted = _cayley_orr_weighted(which, ae, be, ce, qe, n_max)
-    lhs_side, _ = product_sides(f"CAYLEY_ORR_{which}", {"a": ae, "b": be, "c": ce, "q": qe})
-    lhs = side_series(lhs_side, n_max)
-    return _coefficient_report(
-        f"CAYLEY_ORR_{which}", {"a": ae, "b": be, "c": ce, "q": qe},
-        f"product-of-2phi1 coefficients z^0..z^{n_max}", "weighted auxiliary coefficients",
-        lhs.coeffs, weighted.__getitem__, n_max,
-    )
-
-
-def cayley_orr_a_closed_form_check(a, b, q, n_max: int = 8) -> VerificationReport:
-    """At c = ab/q the auxiliary coefficients collapse to
-    (a, b; q)_n / ((q, ab/q; q)_n)."""
-    ae, be, qe = E(a), E(b), E(q)
-    ce = ae * be / qe
-    return _coefficient_report(
-        "CAYLEY_ORR_A", {"a": ae, "b": be, "q": qe}, "a_n at c = ab/q",
-        "(a,b;q)_n / ((q, ab/q;q)_n)", cayley_orr_an("A", ae, be, ce, qe, n_max),
-        lambda n: qpoch_list([ae, be], qe, n) / qpoch_list([qe, ce], qe, n), n_max,
-        "q-Pfaff-Saalschutz collapse", at="n=",
-    )
-
 
 # product identity -> (Cayley-Orr lemma, its (a, b, c) as a function of
 # (q, a^2, b^2), the left side's description, the note)
 _CONSISTENCY = {
     "THM21": (
-        "A",
+        "CAYLEY_ORR_A",
         lambda q, A, B: (A, B, A * B / q),
         "weighted Cayley-Orr A coefficients (c = ab/q)",
         "consistency of the product formula with the coefficient lemma",
     ),
     "NASSRALLAH_2": (
-        "B",
+        "CAYLEY_ORR_B",
         lambda q, A, B: (q * B, A / q, q * A * B),
         "weighted Cayley-Orr B coefficients (c = qab)",
         "consistency of the corrected product formula with the coefficient lemma",
@@ -704,14 +672,15 @@ _CONSISTENCY = {
 def _cayley_consistency(identity_id: str, p, a, b, n_max: int) -> VerificationReport:
     """The identity's 4phi3 right side, as tabled in _ROWS, against the
     weighted coefficients of its Cayley-Orr lemma."""
-    which, lemma_params, lhs_desc, note = _CONSISTENCY[identity_id]
+    lemma_id, lemma_params, lhs_desc, note = _CONSISTENCY[identity_id]
     pe, ae, be = E(p), E(a), E(b)
     q = pe * pe
-    weighted = _cayley_orr_weighted(which, *lemma_params(q, ae * ae, be * be), q, n_max)
     params = {"p": pe, "a": ae, "b": be}
-    rhs = side_series(product_sides(identity_id, params)[1], n_max)
+    lemma = dict(zip("abc", lemma_params(q, ae * ae, be * be)), q=q)
+    weighted, rhs = (side_series(product_sides(i, P)[1], n_max).coeffs
+                     for i, P in ((lemma_id, lemma), (identity_id, params)))
     return _coefficient_report(
-        identity_id, params, lhs_desc, "4phi3 coefficients", weighted, rhs.coeffs.__getitem__,
+        identity_id, params, lhs_desc, "4phi3 coefficients", weighted, rhs.__getitem__,
         n_max, note,
     )
 

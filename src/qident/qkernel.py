@@ -477,13 +477,21 @@ class QBase:
         if isinstance(q, (int, Fraction)):
             q = ExactScalar(q)
         if isinstance(q, ExactScalar):
+            n, m, d = q.parts
+            if n * n + m * m >= d * d:  # |q|^2 >= 1, decided exactly
+                raise DomainError(f"|q| must be < 1, got |q|^2 = {q.abs2()}")
             bound = q.abs_upper()
+            if bound >= 1:
+                raise DomainError(
+                    f"|q|^2 = {q.abs2()} is below 1 by less than the float margin: the float "
+                    "majorants of the series read |q| >= 1, so a certified tail could come out "
+                    "negative")
         elif isinstance(q, ApproxScalar):
             bound = float(abs(q)) * (1 + 1e-14)
+            if bound >= 1:
+                raise DomainError(f"|q| must be < 1, got |q| ~ {bound}")
         else:
             raise TypeError(f"not a scalar: {q!r}")
-        if bound >= 1:
-            raise DomainError(f"|q| must be < 1, got |q| ~ {bound}")
         if q.is_zero():
             raise DomainError("q must be nonzero")
         return QBase(q, bound)

@@ -1,6 +1,7 @@
 """CLI surface: parsing, exit codes, report round-trips, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,15 +13,28 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qident.askey_wilson import eval_special_value
-from qident.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_NOCONV, EXIT_OK, main
+from qident.cli import CHECKS, EXIT_CONFIG, EXIT_FAIL, EXIT_NOCONV, EXIT_OK, main
+from qident.products import product_coefficient_check
 from qident.qkernel import ExactScalar, format_exact, parse_exact
 from qident.reporting import CSV_COLUMNS, ReportFile, VerificationReport
+
+from test_products import PRODUCT_POINTS
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# the flags without which a section's check cannot run; a product id given --n
+# runs its exact check instead of its value check
+_NEEDED_FLAGS = {"terminating summations": ["--n", "1"], "quadratic special values": ["--n", "1"],
+                 "integral representations": ["--sigma", "1", "--f", "1/2"]}
+
+
+def _needed_flags(ident) -> list:
+    return _NEEDED_FLAGS.get(CHECKS[ident].section, [])
 
 
 class TestRationalLiterals:
@@ -55,10 +69,10 @@ class TestList:
         ]
         assert len(ids) >= 45
         for ident in ids:
-            # every listed id reaches its own check, which names its parameters
-            code, _, err = run_cli(
-                capsys, "verify", ident, "--params", "zz=1", "--n", "1", "--sigma", "1", "--f", "1/2"
-            )
+            # every listed id reaches its own check, given the flags that it
+            # needs, and the check names its parameters
+            code, _, err = run_cli(capsys, "verify", ident, "--params", "zz=1",
+                                   *_needed_flags(ident))
             assert code == EXIT_CONFIG, ident
             assert err.startswith(f"error: {ident} takes parameters ("), err
 
@@ -210,9 +224,7 @@ class TestVerify:
         ("IR_SRIV_JAIN", "q=1/2", "IR_SRIV_JAIN takes parameters (q, a, b, z): missing a, b, z"),
     ])
     def test_parameter_names_are_named(self, capsys, ident, params, problem):
-        code, _, err = run_cli(
-            capsys, "verify", ident, "--params", params, "--n", "2", "--sigma", "1", "--f", "1/2"
-        )
+        code, _, err = run_cli(capsys, "verify", ident, "--params", params, *_needed_flags(ident))
         assert code == EXIT_CONFIG
         assert err == f"error: {problem}\n"
 
@@ -334,6 +346,76 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert (code, out) == (EXIT_CONFIG, "")
         assert err.startswith("error: ") and f"zero parameter: {name} = 0" in err, err
+
+
+class TestUnreadFlags:
+    """A flag that the id's check does not read exits 2, naming the flag and the id:
+    one case per section of the listing."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["T_BAILEY41", "--params", "q=1/2,a=1/3,b=1/5", "--n", "2", "--sigma", "1/2"], "--sigma"),
+        (["SRIV_JAIN", "--params", "q=1/2,a=1/3,b=1/4,z=1/5", "--eps", "1e-30", "--n", "3",
+          "--sigma", "7"], "--sigma"),
+        (["WD_APPELL", "--params", "q=1/3,u=1/10,t=1/8,a=1/2,b=1/3,d=9/10", "--n", "3"], "--n"),
+        (["CLAUSEN", "--params", "a=1/3,b=1/4,z=1/5", "--n", "4"], "--n"),
+        (["IR_SRIV_JAIN", "--params", "q=1/2,a=1/3,b=2/5,z=1/5", "--sigma", "3/5", "--f", "3/2",
+          "--n", "5"], "--n"),
+        (["IR_THM21", "--params", "p=7/10,a=1/2,b=2/5,z=1/5", "--sigma", "1/2", "--f", "3/2",
+          "--n-range", "0..2"], "--n-range"),
+        (["NEWQUAD", "--params", "q=1/2,a=1/3,b=2/5", "--n", "2", "--f", "3/2"], "--f"),
+    ], ids=["summation", "product-sigma", "product-n", "classical", "integral-n",
+            "integral-n-range", "special-value"])
+    def test_unread_flag_is_named(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: {flag} does not apply to {argv[0]}\n"
+
+
+class TestProductExactChecks:
+    """verify <product id> --n N runs the row's exact check through z^N (t^N),
+    one report per n, at parameters without the series variable."""
+
+    AWGF_POINT = "q=1/2,a=1/3,b=1/5,c=2/3,d=1/7,w=9/10"
+
+    @staticmethod
+    def _exact_point(ident):
+        return ",".join(f"{k}={v}" for k, v in PRODUCT_POINTS[ident].items() if k not in "zt")
+
+    @pytest.mark.parametrize("ident", sorted(PRODUCT_POINTS))
+    def test_through_z9(self, capsys, ident):
+        code, out, _ = run_cli(capsys, "verify", ident, "--params", self._exact_point(ident),
+                               "--n", "9")
+        assert code == EXIT_OK
+        (rep,) = json.loads(out)["reports"]
+        assert (rep["identity_id"], rep["mode"], rep["n"]) == (ident, "exact", 9) and rep["passed"]
+
+    def test_awgf_runs_its_coefficient_check(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "AWGF", "--params", self.AWGF_POINT, "--n", "9")
+        assert code == EXIT_OK
+        (rep,) = json.loads(out)["reports"]
+        assert (rep["lhs"], rep["rhs"], rep["passed"]) == (
+            "t^0..t^9 product coefficients", "p_n/(q,ab,cd;q)_n", True)
+
+    def test_one_report_per_n(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "CAYLEY_ORR_B", "--params",
+                               self._exact_point("CAYLEY_ORR_B"), "--n-range", "0..10")
+        assert code == EXIT_OK
+        params = {k: v for k, v in PRODUCT_POINTS["CAYLEY_ORR_B"].items() if k != "z"}
+        expected = [json.loads(json.dumps(dataclasses.asdict(
+            product_coefficient_check("CAYLEY_ORR_B", params, n)))) for n in range(11)]
+        assert json.loads(out)["reports"] == expected
+
+    @pytest.mark.parametrize("ident, point, zname", [
+        ("SRIV_JAIN", "q=1/2,a=1/3,b=1/4,z=1/5", "z"),
+        ("T515", "q=1/2,a=1/3,c=1/5,t=1/6", "t"),
+        ("CAYLEY_ORR_A", "q=1/2,a=1/3,b=1/5,c=2/7,z=1/5", "z"),
+        ("AWGF", AWGF_POINT + ",t=1/5", "t"),
+    ])
+    def test_series_variable_with_n_is_unexpected(self, capsys, ident, point, zname):
+        code, out, err = run_cli(capsys, "verify", ident, "--params", point, "--n", "9")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err.startswith(f"error: {ident} takes parameters (")
+        assert err.endswith(f": unexpected {zname}\n")
 
 
 class TestSpecialValues:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +16,8 @@ from qident.powerseries import PowerSeriesTrunc, phi_series_coeffs
 from qident.products import (
     COEFF_CHECK_IDS,
     PRODUCT_IDS,
+    Weighted,
     awgf_coefficient_check,
-    cayley_orr_a_closed_form_check,
-    cayley_orr_an,
-    cayley_orr_check,
     classical_limit_check,
     nassrallah2_cayley_consistency,
     product_coefficient_check,
@@ -28,7 +27,7 @@ from qident.products import (
     thm21_cayley_consistency,
     verify_product,
 )
-from qident.qkernel import ApproxScalar, ExactScalar, I
+from qident.qkernel import ApproxScalar, ExactScalar, I, qpoch_list
 from qident.reporting import compare_approx
 
 E = ExactScalar
@@ -146,7 +145,8 @@ class TestPowerSeries:
             phi_series_coeffs([E(F(1, 3))], [E(F(1, 5))], q, E(1), 5)
         assert phi_series_coeffs([E(F(1, 3))], [E(F(1, 5))], q, E(1), j - 1).order == j - 1
         with pytest.raises(DomainError, match="base q"):
-            cayley_orr_check("A", F(1, 3), F(1, 5), F(2, 7), q, 4)
+            product_coefficient_check("CAYLEY_ORR_A", {"q": q, "a": F(1, 3), "b": F(1, 5),
+                                                       "c": F(2, 7)}, order=4)
         with pytest.raises(DomainError, match="base q"):
             product_coefficient_check("JACKSON_CLAUSEN", {"p": q, "a": F(1, 3), "b": F(1, 5)},
                                       order=4)
@@ -193,6 +193,16 @@ class TestAWGF:
     def test_awgf_value_check(self):
         rep = verify_product("AWGF", self.VALUE_POINT, eps=1e-30)
         assert rep.passed and rep.rel_err < 1e-30
+
+    def test_product_coefficient_check_runs_it(self):
+        # the row's exact check is awgf_coefficient_check, to the report byte; its
+        # parameters omit the series variable t
+        params = {k: v for k, v in self.VALUE_POINT.items() if k != "t"}
+        rep = product_coefficient_check("AWGF", params, order=10)
+        assert rep.passed and rep == awgf_coefficient_check(*(params[k] for k in "abcdwq"), 10)
+        with pytest.raises(DomainError, match=r"^AWGF takes parameters \(q, a, b, c, d, w\): "
+                                              r"unexpected t$"):
+            product_coefficient_check("AWGF", self.VALUE_POINT)
 
 
 class TestTripleQuad:
@@ -384,6 +394,8 @@ class TestCoefficientChecks:
         monkeypatch.setattr(products, "phi_series_coeffs",
                             lambda *args: orders.append(args[-1]) or phi_series_coeffs(*args))
         for side in product_sides(ident, params):
+            if isinstance(side, Weighted):  # its weight is one factor in z, built to order
+                side = side.terms
             factors = [f for _, _, term in side for f in term]
             for order in (0, 1, 2, 5, 20):
                 orders.clear()
@@ -405,6 +417,11 @@ class TestCoefficientChecks:
             side_series([(None, 0, [squared])], 8)
         assert info.value.index == 4
 
+    @pytest.mark.parametrize("ident", ["TRIPLE_32PF", "QUAD_COR13", "WD_APPELL", "CLAUSEN"])
+    def test_ids_without_exact_sides_are_refused(self, ident):
+        with pytest.raises(UnknownIdentity, match=f"^{ident} has no exact coefficient check$"):
+            product_coefficient_check(ident, {})
+
     def test_coefficient_check_parameter_names_checked(self):
         with pytest.raises(DomainError, match=r"THM21 takes parameters \(p, a, b\): missing b"):
             product_coefficient_check("THM21", {"p": F(1, 2), "a": F(1, 3)})
@@ -414,7 +431,7 @@ class TestCoefficientChecks:
     def test_lhs_series_vs_values(self):
         # the truncated LHS series evaluated at z agrees with the product of
         # certified series values, independently of the RHS path
-        for ident in COEFF_CHECK_IDS + ("CAYLEY_ORR_A", "CAYLEY_ORR_B"):
+        for ident in COEFF_CHECK_IDS:
             params = PRODUCT_POINTS[ident]
             z = E(params["z" if "z" in params else "t"])
             if ident == "CAYLEY_ORR_B":
@@ -431,40 +448,62 @@ class TestCoefficientChecks:
             assert ok, (ident, rel)
 
 
-def _with_term(sides, s, t, term) -> tuple:
-    """The pair of sides with term t of side s replaced."""
-    side = list(sides[s])
-    side[t] = term
+def _terms(side) -> list:
+    """A side's list of terms; for a Weighted side, the terms it weights."""
+    return side.terms if isinstance(side, Weighted) else side
+
+
+def _with_side(sides, s, side) -> tuple:
+    """The sides with side s replaced."""
     return tuple(side if k == s else other for k, other in enumerate(sides))
 
 
+def _with_term(sides, s, t, term) -> tuple:
+    """The sides with term t of side s replaced."""
+    terms = list(_terms(sides[s]))
+    terms[t] = term
+    side = sides[s]._replace(terms=terms) if isinstance(sides[s], Weighted) else terms
+    return _with_side(sides, s, side)
+
+
+def _with_factor(sides, s, t, f, phi) -> tuple:
+    """The sides with factor f of term t of side s replaced by phi."""
+    pref, power, factors = _terms(sides[s])[t]
+    return _with_term(sides, s, t, (pref, power, factors[:f] + [phi] + factors[f + 1:]))
+
+
+def _with_weight(sides, s, phi) -> tuple:
+    """The sides with the weight of Weighted side s replaced by phi."""
+    return _with_side(sides, s, sides[s]._replace(weight=phi))
+
+
 def _row_mutants(sides):
-    """(label, mutated sides) for each one-datum mutant of a built (lhs, rhs)
-    pair: each upper or lower parameter of each factor times the factor's
-    base, one at a time, then each zscale times the factor's base, then each
-    prefactor (an absent one is 1) times the base of its term's first factor."""
-    terms = [(s, t, term) for s, side in enumerate(sides) for t, term in enumerate(side)]
-
-    def with_factor(s, t, term, f, phi):
-        pref, power, factors = term
-        return _with_term(sides, s, t, (pref, power, factors[:f] + [phi] + factors[f + 1:]))
-
-    for s, t, term in terms:
-        for f, phi in enumerate(term[2]):
+    """(label, mutated sides) for each one-datum mutant of built sides: each
+    upper or lower parameter of each factor (a Weighted side's weight among
+    them) times the factor's base, then each one negated, one at a time; then
+    each zscale times the factor's base; then each prefactor (an absent one is
+    1) times the base of its term's first factor."""
+    factors = []  # (label, factor, factor -> the sides with it in its place)
+    for s, side in enumerate(sides):
+        if isinstance(side, Weighted):
+            factors.append((f"{'lr'[s]}hs weight", side.weight, partial(_with_weight, sides, s)))
+        for t, (_, _, fs) in enumerate(_terms(side)):
+            factors += [(f"{'lr'[s]}hs term {t} factor {f}", phi,
+                         partial(_with_factor, sides, s, t, f)) for f, phi in enumerate(fs)]
+    for change in ("times base", "negated"):
+        for label, phi, replace in factors:
             for field in ("upper", "lower"):
                 for i, x in enumerate(getattr(phi, field)):
                     values = list(getattr(phi, field))
-                    values[i] = x * phi.base
-                    yield (f"{'lr'[s]}hs term {t} factor {f} {field}[{i}]",
-                           with_factor(s, t, term, f, phi._replace(**{field: values})))
-    for s, t, term in terms:
-        for f, phi in enumerate(term[2]):
-            yield (f"{'lr'[s]}hs term {t} factor {f} zscale",
-                   with_factor(s, t, term, f, phi._replace(zscale=phi.zscale * phi.base)))
-    for s, t, (pref, power, factors) in terms:
-        base = factors[0].base
-        yield (f"{'lr'[s]}hs term {t} prefactor",
-               _with_term(sides, s, t, (base if pref is None else pref * base, power, factors)))
+                    values[i] = x * phi.base if change == "times base" else -x
+                    yield f"{label} {field}[{i}] {change}", replace(phi._replace(**{field: values}))
+    for label, phi, replace in factors:
+        yield f"{label} zscale", replace(phi._replace(zscale=phi.zscale * phi.base))
+    for s, side in enumerate(sides):
+        for t, (pref, power, fs) in enumerate(_terms(side)):
+            base = fs[0].base
+            yield (f"{'lr'[s]}hs term {t} prefactor",
+                   _with_term(sides, s, t, (base if pref is None else pref * base, power, fs)))
 
 
 # (id, mutant label) -> why a row mutant is equivalent to the row, and so
@@ -474,7 +513,8 @@ SURVIVING_ROW_MUTANTS = {}
 
 class TestRowMutants:
     """ROADMAP 11(b), product part: each one-datum mutant of a coefficient-check
-    row's built sides must FAIL product_coefficient_check at order 9."""
+    row's built sides, AWGF's product side among them, must FAIL
+    product_coefficient_check at order 9."""
 
     @pytest.mark.parametrize("ident", sorted(COEFF_CHECK_IDS))
     def test_each_mutant_fails(self, ident, monkeypatch):
@@ -489,6 +529,20 @@ class TestRowMutants:
         assert len(mutants) >= 12
         assert survivors == {(ident, "unmutated")} | {
             key for key in SURVIVING_ROW_MUTANTS if key[0] == ident}
+
+    def test_each_awgf_mutant_fails(self, monkeypatch):
+        # awgf_coefficient_check reads its product of two 2phi1 from the row
+        params = {k: v for k, v in TestAWGF.VALUE_POINT.items() if k != "t"}
+        side, _ = product_sides("AWGF", params)
+        mutants = list(_row_mutants((side,)))
+        survivors = set()
+        for label, (mutant,) in [("unmutated", (side,))] + mutants:
+            monkeypatch.setattr(products, "product_sides", lambda *_, m=mutant: (m, None))
+            if product_coefficient_check("AWGF", params, order=9).passed:
+                survivors.add(("AWGF", label))
+        assert len(mutants) >= 12
+        assert survivors == {("AWGF", "unmutated")} | {
+            key for key in SURVIVING_ROW_MUTANTS if key[0] == "AWGF"}
 
 
 class TestClassicalLimits:
@@ -509,18 +563,43 @@ class TestClassicalLimits:
         assert rep.passed
 
 
+# the Cayley-Orr lemmas' point without z, for their exact checks
+CAYLEY_POINT = {"q": F(1, 2), "a": F(1, 3), "b": F(1, 5), "c": F(2, 7)}
+
+
+def _lemma_a_an(a, b, c, q, order: int) -> tuple:
+    """Lemma A's auxiliary coefficients a_0..a_order: the z^n coefficients of
+    its row's right side before the weights."""
+    rhs = product_sides("CAYLEY_ORR_A", {"q": q, "a": a, "b": b, "c": c})[1]
+    return side_series(rhs.terms, order).coeffs
+
+
+def cayley_orr_a_closed_form_check(a, b, q, n_max: int = 8, an=_lemma_a_an):
+    """The exact report that at c = ab/q lemma A's a_n, from an, collapse to
+    (a, b; q)_n / (q, ab/q; q)_n (q-Pfaff-Saalschutz), the right side written
+    from the display."""
+    ae, be, qe = (E.coerce(v) for v in (a, b, q))
+    ce = ae * be / qe
+    return products._coefficient_report(
+        "CAYLEY_ORR_A", {"a": ae, "b": be, "q": qe}, "a_n at c = ab/q",
+        "(a,b;q)_n / ((q, ab/q;q)_n)", an(ae, be, ce, qe, n_max),
+        lambda n: qpoch_list([ae, be], qe, n) / qpoch_list([qe, ce], qe, n), n_max,
+        "q-Pfaff-Saalschutz collapse", at="n=",
+    )
+
+
 class TestCayleyOrr:
     def test_lemma_a_coefficients(self):
-        rep = cayley_orr_check("A", F(1, 3), F(1, 5), F(2, 7), F(1, 2), n_max=10)
+        rep = product_coefficient_check("CAYLEY_ORR_A", CAYLEY_POINT, order=10)
         assert rep.passed
 
     def test_lemma_b_coefficients(self):
-        rep = cayley_orr_check("B", F(1, 3), F(1, 5), F(2, 7), F(1, 2), n_max=10)
+        rep = product_coefficient_check("CAYLEY_ORR_B", CAYLEY_POINT, order=10)
         assert rep.passed
 
     def test_a0_is_one(self):
-        an = cayley_orr_an("A", F(1, 3), F(1, 5), F(2, 7), F(1, 2), 0)
-        assert an[0] == E(1)
+        an = _lemma_a_an(F(1, 3), F(1, 5), F(2, 7), F(1, 2), 0)
+        assert an == (E(1),)
 
     def test_closed_form_at_pfaff_saalschutz_point(self):
         rep = cayley_orr_a_closed_form_check(F(1, 3), F(1, 5), F(1, 2), n_max=8)
@@ -537,7 +616,7 @@ class TestCayleyOrr:
     def test_complex_parameters_reported_in_full(self):
         a = E(F(1, 3), F(1, 5))
         cases = [
-            (cayley_orr_check("A", a, F(1, 5), F(2, 7), F(1, 2), 4), "a"),
+            (product_coefficient_check("CAYLEY_ORR_A", dict(CAYLEY_POINT, a=a), 4), "a"),
             (cayley_orr_a_closed_form_check(a, F(1, 5), F(1, 2), 4), "a"),
             (awgf_coefficient_check(a, F(1, 5), F(2, 7), F(1, 3), F(1, 2), F(1, 2), 3), "a"),
             (awgf_coefficient_check(0, 0, 0, 0, a, F(1, 2), 3), "w"),
@@ -571,14 +650,15 @@ class TestCayleyOrr:
         assert not rep.passed and rep.note == "first mismatch at n=4"
         monkeypatch.undo()
 
-        an = products.cayley_orr_an
-        monkeypatch.setattr(products, "cayley_orr_an", lambda *args: bump(an(*args), 6))
-        rep = cayley_orr_a_closed_form_check(F(1, 3), F(1, 5), F(1, 2), n_max=8)
+        rep = cayley_orr_a_closed_form_check(F(1, 3), F(1, 5), F(1, 2), n_max=8,
+                                             an=lambda *args: bump(_lemma_a_an(*args), 6))
         assert not rep.passed and rep.note == "q-Pfaff-Saalschutz collapse; first mismatch at n=6"
-        monkeypatch.undo()
 
-        weighted = products._cayley_orr_weighted
-        monkeypatch.setattr(products, "_cayley_orr_weighted", lambda *args: bump(weighted(*args), 7))
+        def lemma_bumped(side, order):  # the weighted lemma side, not the 4phi3
+            s = side_series_(side, order)
+            return PowerSeriesTrunc.make(bump(s.coeffs, 7)) if isinstance(side, Weighted) else s
+
+        monkeypatch.setattr(products, "side_series", lemma_bumped)
         rep = thm21_cayley_consistency(F(7, 10), F(1, 2), F(2, 5), n_max=10)
         assert not rep.passed
         assert rep.note.endswith("with the coefficient lemma; first mismatch at degree 7")
@@ -603,15 +683,16 @@ class TestWDAppell:
 
 # SHA-256 of json.dumps(dataclasses.asdict(report), sort_keys=True) for the
 # Cayley-Orr, zero-parameter AWGF, WD_APPELL and classical-limit reports at
-# the points of the tests above (classical ids at TestClassicalLimits.POINTS[i]): these reports are
-# byte-identical across builds
+# the points of the tests above (the Cayley-Orr coefficient checks at
+# CAYLEY_POINT, classical ids at TestClassicalLimits.POINTS[i]): these reports
+# are byte-identical across builds
 GOLDEN_REPORT_SHA256 = {
     "awgf_coefficient_check a=b=c=d=0":
         "2249c38082db7a5dea4f7b5fc58e5b5e67fcd077073670667d90e4c8591aa052",
-    "cayley_orr_check A":
-        "3f5bc590ba1325278f8af205c15a597dfd71867edaeea32af7ecf8b7e274900a",
-    "cayley_orr_check B":
-        "e3a577ef5084afda903a376d2ad1726edae62dd40ce26b9d99d1b769e78ae603",
+    "product_coefficient_check CAYLEY_ORR_A":
+        "97b1393bd18432ed9c5b2a84de9f6c854f068f5469206f066b40fa75f3083c39",
+    "product_coefficient_check CAYLEY_ORR_B":
+        "6614a4870aaf0de078fef7ff63fdae1345fd52d6838eb8305917df83eea99ad6",
     "cayley_orr_a_closed_form_check":
         "a9359b89bb33935dc9ba722d4b269ac6da9bfb852fda9db3689f9586b0888a05",
     "thm21_cayley_consistency":
@@ -663,12 +744,11 @@ GOLDEN_REPORT_SHA256 = {
 
 def _golden_report(key):
     kind, *args = key.split()
-    co = (F(1, 3), F(1, 5), F(2, 7), F(1, 2))
     pab = (F(7, 10), F(1, 2), F(2, 5))
     if kind == "awgf_coefficient_check":
         return awgf_coefficient_check(0, 0, 0, 0, F(3, 4), F(1, 2), 10)
-    if kind == "cayley_orr_check":
-        return cayley_orr_check(args[0], *co, n_max=10)
+    if kind == "product_coefficient_check":
+        return product_coefficient_check(args[0], CAYLEY_POINT, order=10)
     if kind == "cayley_orr_a_closed_form_check":
         return cayley_orr_a_closed_form_check(F(1, 3), F(1, 5), F(1, 2), n_max=8)
     if kind == "thm21_cayley_consistency":

@@ -258,6 +258,23 @@ class TestQBase:
             QBase.of(E(F(3, 2)))
         QBase.of(E(F(1, 2)))  # fine
 
+    @pytest.mark.parametrize("q, shown", [(E(-1), "1"), (E(F(3, 2)), "9/4"),
+                                          (E(F(3, 5), F(4, 5)), "1"), (E(0, F(-7, 5)), "49/25")])
+    def test_modulus_is_stated_exactly(self, q, shown):
+        # |q|^2 >= 1 is decided on the canonical ints and printed as it is
+        with pytest.raises(DomainError, match=rf"^\|q\| must be < 1, got \|q\|\^2 = {shown}$"):
+            QBase.of(q)
+
+    def test_base_within_the_float_margin_is_refused_as_such(self):
+        # |q| < 1, but the float majorants read |q| >= 1: refused, and the message says so
+        q = E(1 - F(1, 10**20))
+        with pytest.raises(DomainError) as info:
+            QBase.of(q)
+        assert str(info.value).startswith(f"|q|^2 = {q.abs2()} is below 1 by less than the float "
+                                          "margin")
+        assert "a certified tail could come out negative" in str(info.value)
+        assert QBase.of(E(1 - F(1, 10**12))).modulus_bound < 1
+
 
 class TestQPochFinite:
     def test_empty_product_is_one(self):
