@@ -19,6 +19,7 @@ of rFs products (``_classical_sides``).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -127,9 +128,8 @@ def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, precision_bits):
     """
     pb = precision_bits
     wp = pb + _GUARD_BITS
-    args = (q, u / a, u / c, a / w, c * w, a * w, a * b, c / w, c * d, b * w, d / w, t / w, t * w)
-    q, ua, uc, a_w, cw, aw, ab, c_w, cd, bw, d_w, t_w, tw = (_fx(x, wp) for x in args)
-    rows = (((bw, t_w), (a_w, ua), (aw, ab)), ((d_w, tw), (cw, uc), (c_w, cd)))
+    rows = (((b * w, t / w), (a / w, u / a), (a * w, a * b)),
+            ((d / w, t * w), (c * w, u / c), (c / w, c * d)))
     rows = [_shifted_rows(*r, q, eps / 8, pb) for r in rows]
     (X, cx), (Y, cy) = (certified_sum(row, eps / 4, pb) for row, _ in rows)
     terms = cx.terms_used + cy.terms_used + sum(sum(used) for _, used in rows)
@@ -198,6 +198,15 @@ def _sq(upper, lower, base):
     return Phi(upper, lower, base, squared=True)
 
 
+def _over(num, *factors):
+    """num over the product of factors, each a pair (value, its text); a
+    ZeroDivisionError naming each factor that vanishes."""
+    zeros = [f"{text} = 0" for value, text in factors if value.is_zero()]
+    if zeros:
+        raise ZeroDivisionError(f"a prefactor's denominator vanishes: {', '.join(zeros)}")
+    return num / math.prod((value for value, _ in factors), start=EXACT_ONE)
+
+
 def _schlosser_t4(q, a, b):
     Q = q * q
     lhs = _plain(Phi([a, q / a], [-q], q), Phi([b, q / b], [-q], q, -EXACT_ONE))
@@ -263,7 +272,7 @@ def _t515(q, a, c):
     lhs = _plain(Phi([-c, q * c], [q * C], q), Phi([a, -a], [A], q, -EXACT_ONE))
     rhs = [
         (None, 0, [_sq([ac, -ac, q * ac, -q * ac], [q * A, q * C, A * C], Q)]),
-        (c / (1 - q * C), 1, [
+        (_over(c, (1 - q * C, "1 - q c^2")), 1, [
             _sq([q * ac, -q * ac, Q * ac, -Q * ac], [q * A, q**3 * C, Q * A * C], Q)
         ]),
     ]
@@ -275,7 +284,7 @@ def _t516(q, a, c):
     lhs = _plain(Phi([-a, -c], [-ac], q), Phi([-a, -q * c], [-q * ac], q, -EXACT_ONE))
     rhs = [
         (None, 0, [_sq([A, Q * C, ac, q * ac], [-q * ac, -Q * ac, A * C], Q)]),
-        (c * (1 - A) / ((1 + ac) * (1 + q * ac)), 1, [
+        (_over(c * (1 - A), (1 + ac, "1 + ac"), (1 + q * ac, "1 + q ac")), 1, [
             _sq([Q * A, Q * C, q * ac, Q * ac], [-Q * ac, -(q**3) * ac, Q * A * C], Q)
         ]),
     ]
@@ -285,15 +294,15 @@ def _t516(q, a, c):
 def _t517(q, a, c):
     Q, A, C, ac = q * q, a * a, c * c, a * c
     lhs = _plain(Phi([-c, Q * c], [Q * C], q), Phi([a, -a], [A], q, -EXACT_ONE))
-    den = (1 - Q * C) * (1 - A * C)
+    den = (1 - Q * C, "1 - q^2 c^2"), (1 - A * C, "1 - a^2 c^2")
     rhs = [
-        (c * (1 + q) / (1 - Q * C), 1, [
+        (_over(c * (1 + q), den[0]), 1, [
             _sq([q * ac, -q * ac, Q * ac, -Q * ac], [q * A, q**3 * C, Q * A * C], Q)
         ]),
-        ((1 - q * C) * (1 - q * A * C) / den, 0, [_sq(
+        (_over((1 - q * C) * (1 - q * A * C), *den), 0, [_sq(
             [q**3 * A * C, ac, -ac, q * ac, -q * ac], [q * A, q * C, q * A * C, Q * A * C], Q
         )]),
-        (q * C * (1 - q) * (1 - A / q) / den, 0, [
+        (_over(q * C * (1 - q) * (1 - A / q), *den), 0, [
             _sq([q**3, ac, -ac, q * ac, -q * ac], [q, A / q, q**3 * C, Q * A * C], Q)
         ]),
     ]
@@ -303,17 +312,17 @@ def _t517(q, a, c):
 def _t518(q, a, c):
     Q, A, C, ac = q * q, a * a, c * c, a * c
     lhs = _plain(Phi([-a, -c], [-ac], q), Phi([-a, -Q * c], [-Q * ac], q, -EXACT_ONE))
-    den = (1 - Q * C) * (1 - A * C)
+    den = (1 - Q * C, "1 - q^2 c^2"), (1 - A * C, "1 - a^2 c^2")
     rhs = [
-        (c * (1 + q) * (1 - A) / ((1 + ac) * (1 + Q * ac)), 1, [
+        (_over(c * (1 + q) * (1 - A), (1 + ac, "1 + ac"), (1 + Q * ac, "1 + q^2 ac")), 1, [
             _sq([Q * A, q**4 * C, q * ac, Q * ac], [-(q**3) * ac, -(q**4) * ac, Q * A * C], Q)
         ]),
-        ((1 - q * C) * (1 - q * A * C) / den, 0, [_sq(
+        (_over((1 - q * C) * (1 - q * A * C), *den), 0, [_sq(
             [A, Q * C, q**3 * C, ac, q * ac, q**3 * A * C],
             [q * C, -Q * ac, -(q**3) * ac, q * A * C, Q * A * C],
             Q,
         )]),
-        (q * C * (1 - q) * (1 - A / q) / den, 0, [_sq(
+        (_over(q * C * (1 - q) * (1 - A / q), *den), 0, [_sq(
             [q**3, A, q * A, Q * C, ac, q * ac], [q, A / q, -Q * ac, -(q**3) * ac, Q * A * C], Q
         )]),
     ]
@@ -356,9 +365,9 @@ def product_sides(identity_id: str, params: dict) -> tuple:
     names = row.names[:-1]
     try:
         return row.sides(*(E(params[k]) for k in names))
-    except ZeroDivisionError:  # the builders divide by parameters only
+    except ZeroDivisionError as exc:  # the builders divide by parameters, or through _over
         _nonzero(identity_id, params, names)
-        raise
+        raise DomainError(f"{identity_id}: {exc}") from None
 
 
 def _nonzero(identity_id: str, params: dict, names) -> None:
@@ -425,8 +434,7 @@ def _wd_appell_value(P, eps, pb):
 
 def _term_table(f: Phi, z, wp: int) -> _Table:
     """The fixed-point (term, ratio majorant) table of factor f at exact z."""
-    upper, lower = ([_fx(x, wp) for x in xs] for xs in (f.upper, f.lower))
-    return _Table(_phi_terms(upper, lower, _fx(f.base, wp), _fx(f.zscale * z, wp), wp))
+    return _Table(_phi_terms(f.upper, f.lower, f.base, f.zscale * z, wp))
 
 
 def _awgf_value(P, eps, pb):

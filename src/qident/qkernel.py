@@ -31,10 +31,11 @@ multiplies two; a result is reduced once, by ``_gdiv`` or
 by 2^wp, wp = precision_bits + _GUARD_BITS (the node kernel's wp is from eps).
 ``_fx`` converts an exact value in as (n << wp) // d, with no mpmath step, and
 an mpmath value by its binary digits; ``_mul``, ``_div`` and ``_one_minus``
-operate on pairs, and ``_rmul`` and ``_rdiv`` on one int each where all data
-are real, with the same truncation (the rounding lemma of ``_mul``);
-``_qprod`` multiplies the K factors of a q-Pochhammer product, and ``_approx``
-converts a result out, once, to an :class:`ApproxScalar`.
+operate on pairs (the rounding lemma of ``_mul``); ``_qprod`` multiplies the K
+factors of a q-Pochhammer product, and ``_approx`` converts a result out, once,
+to an :class:`ApproxScalar`.  The certified series step by exact int ratios
+instead, built by the exact layer's arithmetic from a fixed-point q^k
+(``series._term_ratios``), and round once per term.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Sequence, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import fzero, to_fixed
+from mpmath.libmp import from_man_exp, fzero, round_nearest, to_fixed
 
 from .errors import DomainError, NoConvergence, check_eps
 
@@ -620,7 +621,7 @@ def _log_poch_majorant(x: float, Q: float, den: bool) -> float:
 
 # fixed point (see the module docstring).  The guard bits are a fixed margin
 # for rounding, which the proven truncation bounds of the series
-# (series._phi_terms) do not count.
+# (series._phi_terms, whose rounding lemma counts the ulps) do not count.
 _GUARD_BITS = 30
 
 
@@ -671,21 +672,6 @@ def _one_minus(x, wp: int) -> tuple:
     return (1 << wp) - x[0], -x[1]
 
 
-def _rmul(a: int, b: int, wp: int) -> int:
-    """a b for real fixed-point ints, truncated toward zero as :func:`_mul`
-    truncates: _mul((a, 0), (b, 0)) is exactly (_rmul(a, b), 0)."""
-    p = a * b
-    return p >> wp if p >= 0 else -(-p >> wp)
-
-
-def _rdiv(a: int, b: int, wp: int) -> int:
-    """a / b for real fixed-point ints, b != 0, truncated toward zero as
-    :func:`_div` truncates: _div((a, 0), (b, 0)) is exactly (_rdiv(a, b), 0)."""
-    if b < 0:
-        a, b = -a, -b
-    return (a << wp) // b if a >= 0 else -((-a << wp) // b)
-
-
 def _fabs(x, wp: int) -> float:
     """|x| as a float, taken 2^-40 above the computed value: an upper bound that
     covers the rounding of a few float operations on it.  A real x's modulus is
@@ -712,10 +698,13 @@ def _abs_at_least_one(x) -> bool:
 
 
 def _approx(x, wp: int, precision_bits: int) -> "ApproxScalar":
-    """A fixed-point pair as an ApproxScalar, rounded once to precision_bits."""
-    with mp.workprec(precision_bits):
-        value = mpmath.mpc(mpmath.ldexp(x[0], -wp), mpmath.ldexp(x[1], -wp))
-    return ApproxScalar(value, precision_bits)
+    """A fixed-point pair as an ApproxScalar, each part rounded once to nearest
+    at precision_bits, as mpmath.ldexp rounds it at that working precision."""
+    value = mp.make_mpc(tuple(from_man_exp(v, -wp, precision_bits, round_nearest) for v in x))
+    out = object.__new__(ApproxScalar)
+    object.__setattr__(out, "value", value)
+    object.__setattr__(out, "precision_bits", int(precision_bits))
+    return out
 
 
 def _qprod(x, q, K: int, wp: int) -> tuple:

@@ -1,16 +1,18 @@
 """Evaluation of basic hypergeometric series.
 
-Terminating series are summed exactly, on the fraction-free ints of
-:mod:`qident.qkernel` (one int per value when q, z and every parameter are
-real, Gaussian integers otherwise), from the term ratios of ``_term_ratios``,
-which also give the exact coefficient series of :mod:`qident.powerseries`.  Nonterminating
-series are summed in the fixed-point arithmetic of :mod:`qident.qkernel`, each
-exact parameter converted once by ``_fx`` with no mpmath step: one term
-recurrence (``_phi_terms``) gives the terms of every r-phi-s series, on one int
-per value (``_rmul``, ``_rdiv``) when q, z and every parameter are real and on
-(re, im) pairs otherwise, with bit-identical terms either way.  Each term comes
-with a non-increasing majorant R_k of every later term ratio (F. Johansson,
-*Computing hypergeometric functions rigorously*, ACM TOMS 45(3), 2019), so
+One generator, ``_term_ratios``, gives the term ratios of every r-phi-s
+series as exact unreduced ints (one int per value when q, z and every
+parameter are real, Gaussian integers otherwise).  Terminating series are
+summed from them exactly, fraction-free, and they give the exact coefficient
+series of :mod:`qident.powerseries`.  Nonterminating series run on the same
+generator in fixed point at wp bits: q^k is one int at 2^-wp, cut toward zero
+once per step, each factor 1 - a q^k is exact from there, and the one term
+recurrence (``_phi_terms``) multiplies each term by the exact ratio with one
+truncating division, so a term is rounded once per step (its rounding lemma
+is in ``_phi_terms``).  Parameters come in exact; an mpmath one enters as the
+exact value of its ``_fx`` pair.  Each term comes with a non-increasing
+majorant R_k of every later term ratio (F. Johansson, *Computing
+hypergeometric functions rigorously*, ACM TOMS 45(3), 2019), so
 |t_k| R_k / (1 - R_k) bounds the tail after term k; a real term's modulus is
 one correctly rounded int division.  The q-Appell and multi-sum evaluators
 build their tails from tables of such terms (``_Table``, ``_shifted_rows``,
@@ -47,12 +49,10 @@ from .qkernel import (
     _fabs,
     _fx,
     _gdiv,
+    _gmul,
     _log_poch_majorant,
     _mul,
-    _one_minus,
     _qpow_index,
-    _rdiv,
-    _rmul,
 )
 
 
@@ -121,57 +121,99 @@ def eval_phi_terminating(spec: SeriesSpec) -> ExactScalar:
     return _gdiv((A, 0), (B, 0)) if real else _gdiv(A, B)
 
 
-def _term_ratios(upper, lower, q, z, n: int):
-    """Yield r_k = term k+1 / term k, k = 0, ..., n-1, of the r-phi-s series
-    sum_k (upper;q)_k / (q, lower;q)_k ((-1)^k q^binom(k,2))^e z^k, e = 1+s-r,
-    as a pair (top, bot) of unreduced values: one int each when q, z and every
-    parameter are real, Gaussian integers (re, im) otherwise; the first item
-    yielded says which (True when real).  The inputs are coerced once with
-    ExactScalar.coerce.
+def _term_ratios(upper, lower, q, z, n: Optional[int] = None, wp: Optional[int] = None,
+                 poles: Optional[dict] = None):
+    """Yield r_k = term k+1 / term k, k = 0, ..., n-1 (every k when n is None), of
+    the r-phi-s series sum_k (upper;q)_k / (q, lower;q)_k ((-1)^k q^binom(k,2))^e
+    z^k, e = 1+s-r, as a pair (top, bot) of unreduced values: one int each when
+    q, z and every parameter are real, Gaussian integers (re, im) otherwise; the
+    first item yielded says which (True when real).  The inputs are coerced once
+    with ExactScalar.coerce.
 
-    r_k = z (-q^k)^e prod (1 - a q^k) / ((1 - q^(k+1)) prod (1 - b q^k)).  A
+    r_k = z (-q^k)^e prod (1 - a q^k) / ((1 - q^(k+1)) prod (1 - b q^k)), with
+    q^k = Q / D: each factor 1 - x q^k is the int x_den D - x_num Q over x_den
+    D, and these powers of D cancel against those of (-q^k)^e, since s - r - e
+    = -1, so top and bot hold the factors' ints, z's and the parameters'
+    denominators, and (-Q)^|e|; with q^(k+1) = Q' / D', top also holds D' / D.  A
     lower factor that vanishes raises PoleError naming index k+1, even when an
     upper factor vanishes at the same k (simultaneous 0/0 is excluded).  A
     vanishing upper factor ends the series: no later ratio is formed, so no
     later pole is looked for.
+
+    Given wp, q^k is carried in fixed point instead: Q = X and D = 2^wp, X an
+    int (or Gaussian integer) that q X replaces, each part cut toward zero,
+    once per step, so the ints stay near wp bits at every k; each factor is
+    then the exact int of 1 - a X / 2^wp, and an input that is not exact enters
+    as the exact value of its fixed-point pair _fx(x, wp), the value that fixed
+    point at wp sums for it.  The lower parameter j of ``poles`` has its pole
+    decided there (index poles[j] + 1, or none when poles[j] is None) rather
+    than by its factor, which X leaves off 0 unless q is a power of 2; a factor
+    of such a parameter that is 0 in fixed point though not exactly raises
+    NoConvergence naming it.
     """
     e = 1 + len(lower) - len(upper)
-    upper, lower = ([ExactScalar.coerce(x) for x in xs] for xs in (upper, lower))
-    q, z = ExactScalar.coerce(q), ExactScalar.coerce(z)
-    real = all(x.is_real() for x in (q, z, *upper, *lower))
+
+    def coerce(x):
+        if wp is None or isinstance(x, (ExactScalar, int, Fraction)):
+            return ExactScalar.coerce(x)
+        return ExactScalar.from_parts(*_fx(x, wp), 1 << wp)
+
+    ups, los = ([coerce(x) for x in xs] for xs in (upper, lower))
+    q, z = coerce(q), coerce(z)
+    real = all(x.is_real() for x in (q, z, *ups, *los))
     part, mul, scale, rsub, _, zero, one = _REAL_EXACT if real else _GAUSS_EXACT
     yield real
     (q_num, q_den), (z_num, z_den) = ((part(x), x.parts[2]) for x in (q, z))
-    ups = [(part(a), a.parts[2]) for a in upper]
-    los = [(b, part(b), b.parts[2]) for b in lower]
+    ups = [(part(a), a.parts[2]) for a in ups]
+    # b, its numerator and denominator, and the k of its pole, or -1 when 1 - b q^k = 0 decides
+    poles = poles or {}
+    los = [(b, part(x), x.parts[2], poles.get(j, -1)) for j, (b, x) in enumerate(zip(lower, los))]
     Q, D = one, 1  # q^k = Q / D
-    for k in range(n):
-        Q1, D1 = mul(Q, q_num), D * q_den
-        bot, bot_d = rsub(D1, Q1), D1  # 1 - q^(k+1)
-        for b, b_num, b_den in los:
-            f_d = b_den * D  # 1 - b q^k = f / f_d
-            f = rsub(f_d, mul(b_num, Q))
-            if f == zero:
-                raise PoleError(
-                    f"lower parameter {b} produces a zero factor at index {k + 1}",
-                    index=k + 1,
-                )
-            bot, bot_d = mul(bot, f), bot_d * f_d
-        top, top_d = one, 1
+    if wp is not None:
+        Q, D = scale(one, 1 << wp), 1 << wp
+    # r_k = (z_num prod b_den D'/D) (-Q)^e prod (a_den D - a_num Q)
+    #       / ((z_den prod a_den) (D' - Q') prod (b_den D - b_num Q))
+    top_c = scale(z_num, math.prod(b_den for _, _, b_den, _ in los) * (q_den if wp is None else 1))
+    bot_c = z_den * math.prod(a_den for _, a_den in ups)
+    for k in range(n) if n is not None else itertools.count():
+        if wp is None:
+            Q1, D1 = mul(Q, q_num), D * q_den
+        else:
+            Q1, D1 = _cut(mul(Q, q_num), q_den), D
+        bot = scale(rsub(D1, Q1), bot_c)
+        for b, b_num, b_den, pole in los:
+            f = rsub(b_den * D, mul(b_num, Q))
+            if k == pole or f == zero:
+                if k != pole and pole != -1:  # only in fixed point: b's pole is decided exactly
+                    raise NoConvergence(f"the factor 1 - b q^{k} of the lower parameter b = {b} "
+                                        f"is not zero but is 0 at {wp} bits")
+                raise PoleError(f"lower parameter {b} produces a zero factor at index {k + 1}",
+                                index=k + 1)
+            bot = mul(bot, f)
+        top = one
         for a_num, a_den in ups:
-            f_d = a_den * D
-            top, top_d = mul(top, rsub(f_d, mul(a_num, Q))), top_d * f_d
+            top = mul(top, rsub(a_den * D, mul(a_num, Q)))
         if top == zero:  # tested before z enters: z = 0 skips no later pole check
             return
-        # r_k = z (-q^k)^e (top / top_d) / (bot / bot_d)
-        top, bot = mul(top, scale(z_num, bot_d)), scale(bot, top_d * z_den)
-        minus_q = rsub(0, Q)
-        for _ in range(e):
-            top, bot = mul(top, minus_q), scale(bot, D)
-        for _ in range(-e):
-            top, bot = scale(top, D), mul(bot, minus_q)
+        top = mul(top, top_c)
+        if e:
+            minus_q = rsub(0, Q)
+            for _ in range(e):
+                top = mul(top, minus_q)
+            if e < 0 and Q == zero:  # only in fixed point
+                raise NoConvergence(f"q^{k} is 0 at {wp} bits, and each term of an r-phi-s series "
+                                    "with r > s+1 divides by it")
+            for _ in range(-e):
+                bot = mul(bot, minus_q)
         yield top, bot
         Q, D = Q1, D1
+
+
+def _cut(x, d: int):
+    """x / d for d > 0, cut toward zero: an int, or each part of a Gaussian integer."""
+    if type(x) is int:
+        return x // d if x >= 0 else -(-x // d)
+    return _cut(x[0], d), _cut(x[1], d)
 
 
 def _ratio_majorant(z: float, upper, lower, Q: float, k: int, e: int = 0) -> float:
@@ -208,39 +250,35 @@ class _Table:
         return vals[i]
 
 
-# the arithmetic of _phi_terms, chosen once per series: (mul, div, 1 - x, -x,
-# zero) on fixed-point pairs, or on one int per value when all data are real
-_PAIR_OPS = (_mul, _div, _one_minus, lambda x: (-x[0], -x[1]), (0, 0))
-_REAL_OPS = (_rmul, _rdiv, lambda x, wp: (1 << wp) - x, operator.neg, 0)
-
-
 def _phi_terms(upper, lower, q, z, wp: int, poles=None) -> Callable[[int], tuple]:
     """k -> (term k, R_k) of the r-phi-s series sum_k (upper;q)_k / (q, lower;q)_k
     ((-1)^k q^binom(k,2))^e z^k, e = 1+s-r, called for k = 0, 1, 2, ... in turn.
 
-    Parameters and terms are fixed-point pairs at wp bits.  Term k is term k-1
-    times prod (1 - a q^(k-1)) z (-q^(k-1))^e / ((1 - q^k) prod (1 - b q^(k-1))),
-    and a lower factor that is zero raises PoleError naming index k: decided
-    exactly for each lower parameter b_j in poles, whose value is the least m
-    with b_j q^m = 1 or None, and in fixed point for the others.  A denominator
-    that is not zero but truncates to 0 at wp raises NoConvergence naming the
-    index and the lower parameters.
-    When q, z and every parameter are real, the recurrence runs on one int per
-    value (``_rmul``, ``_rdiv``: one product per factor, not four); these
-    truncate as the pair ops do, so every term and pole index is bit-identical
-    to the pair path's.  R_k, the :func:`_ratio_majorant`, bounds |term j+1 /
-    term j| for every j >= k; it is inf before every |b||q|^k < 1, and for e < 0.
+    Term k is a fixed-point pair at wp bits: term k-1 times the exact ratio
+    top / bot of :func:`_term_ratios` in fixed point at wp (poles as there),
+    cut toward zero once (a bot that is not real as top conj(bot) / |bot|^2).
+    Once an upper factor vanishes, every later term is 0.  R_k, the
+    :func:`_ratio_majorant` of the moduli of the parameters' fixed-point pairs,
+    bounds |term j+1 / term j| for every j >= k; it is inf before every
+    |b||q|^k < 1, and for e < 0.
+
+    Rounding lemma.  Let u = 2^-wp, c = 1 when q, z and every parameter are
+    real and c = sqrt 2 otherwise, d = c u / (1 - |q|), r~_j the ratio as
+    computed and s_k = prod_{j<k} r~_j.
+    (i) X_k / 2^wp, the fixed-point q^k, is within d of q^k: its error is 0 at
+        k = 0 and grows by at most |q| times itself plus c u per step.
+    (ii) r~_j is r_j with q^j and q^(j+1) replaced by X_j / 2^wp and
+        X_(j+1) / 2^wp, exact from there: each factor 1 - y q^j is off by at
+        most |y| d and q^j by d, so s_k / t_k - 1, t_k the exact term, is at
+        most the product of 1 + each factor's relative error, minus 1.
+    (iii) |term k - s_k| < c u sum_{j=1..k} prod_{i=j..k-1} |r~_i|: one cut of
+        less than c u per division, carried on by the later ratios.
     """
     e = 1 + len(lower) - len(upper)
-    Q, za = _fabs(q, wp), _fabs(z, wp)
-    am, bm = ([_fabs(x, wp) for x in xs] for xs in (upper, lower))
-    real = not any(x[1] for x in (q, z, *upper, *lower))
-    mul, div, one_minus, neg, zero = _REAL_OPS if real else _PAIR_OPS
-    poles = poles or {}
-    ups, los = upper, lower  # a q^(k-1), b q^(k-1)
-    if real:
-        q, z, ups, los = q[0], z[0], [a[0] for a in ups], [b[0] for b in los]
-    qk = t = one_minus(zero, wp)  # q^(k-1) and term k-1: 1
+    ratios = _term_ratios(upper, lower, q, z, None, wp, poles)
+    real = next(ratios)
+    Q, za = (_fabs(_fx(x, wp), wp) for x in (q, z))
+    am, bm = ([_fabs(_fx(x, wp), wp) for x in xs] for xs in (upper, lower))
     b_max = max(bm, default=0.0)
 
     def ratio(k: int) -> float:
@@ -248,33 +286,22 @@ def _phi_terms(upper, lower, q, z, wp: int, poles=None) -> Callable[[int], tuple
             return math.inf
         return _ratio_majorant(za, am, bm, Q, k, e)
 
-    def term(k: int) -> tuple:
-        nonlocal ups, los, qk, t
+    t = 1 << wp if real else (1 << wp, 0)  # term k-1
+    ended = (0, 1) if real else ((0, 0), (1, 0))  # the ratio 0 / 1, once an upper factor vanished
+
+    def term(k: int) -> tuple:  # term k = term k-1 top / bot, cut
+        nonlocal t
         if k:
-            qk1 = mul(qk, q, wp)
-            den = one_minus(qk1, wp)
-            for j, b in enumerate(los):
-                f = one_minus(b, wp)
-                if (poles[j] == k - 1) if j in poles else f == zero:
-                    b = _approx(lower[j], wp, 64)
-                    raise PoleError(f"lower parameter {b} produces a zero factor at index {k}",
-                                    index=k)
-                den = mul(den, f, wp)
-            num = z
-            for a in ups:
-                num = mul(num, one_minus(a, wp), wp)
-            for _ in range(e):
-                num = mul(num, neg(qk), wp)
-            for _ in range(-e):
-                den = mul(den, neg(qk), wp)
-            if den == zero:  # no factor is 0, but their product truncates to 0
-                names = ", ".join(str(_approx(b, wp, 64)) for b in lower)
-                raise NoConvergence(f"the denominator at index {k}, lower parameters [{names}], "
-                                    f"is not zero but truncates to 0 at {wp} bits")
-            t = div(mul(t, num, wp), den, wp)
-            ups = [mul(a, q, wp) for a in ups]
-            los = [mul(b, q, wp) for b in los]
-            qk = qk1
+            top, bot = next(ratios, ended)
+            if real:
+                t = _cut(t * top, bot) if bot > 0 else _cut(-t * top, -bot)
+            else:
+                br, bi = bot
+                if bi:  # top / bot = top conj(bot) / |bot|^2
+                    top, br = _gmul(top, (br, -bi)), br * br + bi * bi
+                elif br < 0:
+                    top, br = (-top[0], -top[1]), -br
+                t = _cut(_gmul(t, top), br)
         return ((t, 0) if real else t), ratio(k)
 
     return term
@@ -293,19 +320,20 @@ def _shifted_rows(weight, head, quot, q, eps: float, pb: int) -> tuple[Callable,
 
     weight = (g, s) and head = (f, r) stand for the 1phi0 terms (g;q)_m s^m /
     (q;q)_m and (f;q)_k r^k / (q;q)_k, |s|, |r| < 1, and quot = (u, v) for
-    (u;q)_i / (v;q)_i, all fixed-point pairs.  Row m is certified to eps / sum
-    |weight| with ratios R_head(k) R_quot(k+m); the tail after it is at most sum
-    |head| sup_{i>=m} |quot[i]| times the weights' tail (:func:`_poch_majorant`).
+    (u;q)_i / (v;q)_i, all values as :func:`_phi_terms` takes them.  Row m is
+    certified to eps / sum |weight| with ratios R_head(k) R_quot(k+m); the tail
+    after it is at most sum |head| sup_{i>=m} |quot[i]| times the weights' tail
+    (:func:`_poch_majorant`).
     """
     wp = pb + _GUARD_BITS
-    Q, num, den = (_fabs(x, wp) for x in (q, *quot))
+    Q, num, den = (_fabs(_fx(x, wp), wp) for x in (q, *quot))
 
     def table_sum(first, ratio):
-        f, r = _fabs(first, wp), _fabs(ratio, wp)
+        f, r = (_fabs(_fx(x, wp), wp) for x in (first, ratio))
         return _Table(_phi_terms([first], [], q, ratio, wp)), _poch_majorant(f * r, r, Q)
 
     (W, weight_sum), (H, head_sum) = table_sum(*weight), table_sum(*head)
-    A = _Table(_phi_terms([quot[0], q], [quot[1]], q, (1 << wp, 0), wp))
+    A = _Table(_phi_terms([quot[0], q], [quot[1]], q, 1, wp))
     used = []
 
     def row(m: int) -> tuple:
@@ -390,9 +418,10 @@ def eval_phi_nonterminating(
 ) -> tuple[ApproxScalar, TruncationCert]:
     """Certified value of an r-phi-s series, summed in fixed point.
 
-    The parameters are exact or ApproxScalars; each is converted once, by
-    :func:`_fx`, to fixed point at precision_bits + _GUARD_BITS (an exact one
-    with no mpmath step), and the sum is rounded once to precision_bits.  A
+    The parameters are exact, or ApproxScalars, mpmath values or floats, each
+    of which enters as the exact value of its :func:`_fx` pair at
+    precision_bits + _GUARD_BITS; the terms are those of :func:`_phi_terms`,
+    and the sum is rounded once to precision_bits.  A
     terminating spec sums its n+1 terms, as does a spec of exact base with an
     exact upper parameter equal to q^-n.  With an exact base, an exact lower
     parameter's pole is decided exactly, as :func:`_term_ratios` decides it."""
@@ -415,9 +444,7 @@ def eval_phi_nonterminating(
             raise DivergenceError(f"|z| >= 1 for an r = s+1 series, z = {spec.arg}")
 
     wp = precision_bits + _GUARD_BITS
-    upper, lower = ([_fx(x, wp) for x in xs] for xs in (spec.upper, spec.lower))
-    term = _phi_terms(upper, lower, _fx(base, wp), _fx(spec.arg, wp), wp,
-                      qpow_indices(spec.lower, n))
+    term = _phi_terms(spec.upper, spec.lower, base, spec.arg, wp, qpow_indices(spec.lower, n))
     if n is not None:
         # a term that is exactly 0 (an upper factor vanished) ends the series
         terms = list(itertools.takewhile(any, (term(k)[0] for k in range(n + 1))))
@@ -505,7 +532,6 @@ def eval_qappell_phi1(
         raise DivergenceError("q-Appell Phi1 needs |x| < 1 and |y| < 1")
     pb = precision_bits
     wp = pb + _GUARD_BITS
-    q, a, b, b2, c, x, y = (_fx(v, wp) for v in (q, a, b, b2, c, x, y))
     # Phi1 = sum_m P[m] sum_n B[n] A[n+m], with P[m] = (b;q)_m x^m / (q;q)_m,
     # B[n] = (b2;q)_n y^n / (q;q)_n and A[i] = (a;q)_i / (c;q)_i
     row, used = _shifted_rows((b, x), (b2, y), (a, c), q, eps / 4, pb)

@@ -348,6 +348,18 @@ class TestVerify:
         assert err.startswith("error: ") and f"zero parameter: {name} = 0" in err, err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["T516", "--params", "q=1/2,a=1/3,c=-3,t=1/6"],
+        ["T516", "--params", "q=1/2,a=1/3,c=-3", "--n", "2"],
+    ], ids=["value", "coefficients"])
+    def test_vanishing_prefactor_is_named(self, capsys, argv):
+        # ac = -1 zeroes 1 + ac, a denominator of a T516 prefactor: exit 2 and
+        # the factor named, for the value check and the coefficient check alike
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: T516: a prefactor's denominator vanishes: 1 + ac = 0\n"
+
+
 class TestUnreadFlags:
     """A flag that the id's check does not read exits 2, naming the flag and the id:
     one case per section of the listing."""
@@ -463,6 +475,25 @@ class TestSpecialValues:
         code, _, err = run_cli(capsys, "verify", "ESOTERIC", "--params", "q=1/2,a=1/3,b=2/5")
         assert code == EXIT_CONFIG
         assert err == "error: verify needs --n or --n-range for ESOTERIC\n"
+
+
+class TestExactChecksIgnoreEpsAndBits:
+    """--eps and --precision-bits are validated and otherwise unused by the
+    exact checks: a special value's and a product id's --n reports are the
+    same, byte for byte, with and without both; only the config echoes them."""
+
+    @pytest.mark.parametrize("ident, point", [
+        *((i, p) for p, ids in TestSpecialValues.POINTS.items() for i in ids),
+        *((i, TestProductExactChecks._exact_point(i)) for i in sorted(PRODUCT_POINTS)),
+        ("AWGF", TestProductExactChecks.AWGF_POINT),
+    ])
+    def test_report_bytes_do_not_move(self, capsys, ident, point):
+        argv = ["verify", ident, "--params", point, "--n-range", "0..4"]
+        runs = [run_cli(capsys, *argv, *flags)
+                for flags in ([], ["--eps", "1e-30", "--precision-bits", "300"])]
+        assert [(code, err) for code, _, err in runs] == [(EXIT_OK, "")] * 2
+        plain, flagged = (out[out.index('"reports": '):] for _, out, _ in runs)
+        assert flagged == plain and json.loads(runs[1][1])["config"]["precision_bits"] == 300
 
 
 class TestSweepAndReport:

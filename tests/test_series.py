@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -14,7 +15,8 @@ from mpmath import mp
 
 from qident import series
 from qident.errors import DivergenceError, DomainError, NoConvergence, PoleError, check_names
-from qident.qkernel import ApproxScalar, ExactScalar, QBase, _fx, qpoch_finite, qpoch_infinite
+from qident.qkernel import (_GAUSS_EXACT, ApproxScalar, ExactScalar, QBase, _fx, qpoch_finite,
+                            qpoch_infinite)
 from qident.reporting import compare_approx, make_report, matched
 from qident.series import (
     BalanceClass,
@@ -220,22 +222,29 @@ class TestNonterminating:
         assert err.value.index == 4
 
     def test_factor_below_the_grid_is_not_a_pole(self):
-        # b = 32 (1 + 2^-300) at q = 1/2: 1 - b q^5 = -2^-300 truncates to 0 at
-        # 286 bits, but it is no pole; the refusal names the index and parameter
-        q = E(F(1, 2))
-        spec = SeriesSpec.make([E(F(1, 3))], [32 * (1 + q**300)], q, E(F(1, 5)))
-        with pytest.raises(NoConvergence, match=r"index 6, lower parameters \[\(32\.0 .*\], is"):
-            eval_phi_nonterminating(spec, 1e-30)
+        # b = 32 (1 + 2^-300) at q = 1/2: 1 - b q^5 = -2^-300 lies below the grid
+        # 2^-286, but each factor is an exact int, so it is no pole and no
+        # refusal: the terms jump by about 2^300 after index 5, and the value is
+        # the direct sum's
+        q, z, eps = F(1, 2), F(1, 5), 1e-30
+        upper, lower = [F(1, 3)], [32 * (1 + q**300)]
+        spec = SeriesSpec.make([E(a) for a in upper], [E(b) for b in lower], E(q), E(z))
+        v, cert = eval_phi_nonterminating(spec, eps)
+        ref = _direct_sum(upper, lower, q, z, 200, 1200)
+        with mp.workprec(1200):
+            assert abs(ref) > 2**200 and abs(v.value - ref) <= eps * abs(ref), cert
 
-    def test_denominator_below_the_grid_is_named(self):
-        # two lower factors of about -+2^-150 at index 6: each is kept, their
-        # product -2^-300 truncates to 0 (a bare ZeroDivisionError before)
-        q = E(F(1, 2))
-        spec = SeriesSpec.make([E(F(1, 3))], [32 * (1 + q**150), 32 * (1 - q**150)], q,
-                               E(F(1, 5)))
-        with pytest.raises(NoConvergence,
-                           match=r"index 6, lower parameters \[\(32\.0 .*, \(32\.0 .*\], is not"):
-            eval_phi_nonterminating(spec, 1e-30)
+    def test_denominator_below_the_grid_is_summed(self):
+        # two lower factors of about -+2^-150 at index 6, whose product -2^-300
+        # truncated to 0 on the grid when each factor was rounded: exact ints
+        # keep it, and the value is the direct sum's
+        q, z, eps = F(1, 2), F(1, 5), 1e-30
+        upper, lower = [F(1, 3)], [32 * (1 + q**150), 32 * (1 - q**150)]
+        spec = SeriesSpec.make([E(a) for a in upper], [E(b) for b in lower], E(q), E(z))
+        v, cert = eval_phi_nonterminating(spec, eps)
+        ref = _direct_sum(upper, lower, q, z, 200, 1200)
+        with mp.workprec(1200):
+            assert abs(ref) > 2**200 and abs(v.value - ref) <= eps * abs(ref), cert
 
     def test_upper_qpow_ends_the_series(self):
         # an exact upper parameter q^-n ends the series after term n: 1 = q^0
@@ -280,25 +289,24 @@ class TestNonterminating:
             assert abs(v.value - ref) <= eps * max(1, abs(ref))
 
 
-def _pair_ops_on_ints():
-    """series._PAIR_OPS run on the real path's ints: each op takes pairs (x, 0)
-    and must give a real result, whose real part it returns."""
+def _gaussian_ops_on_ints():
+    """qkernel._GAUSS_EXACT run on the real path's ints: each op takes ints as
+    Gaussian integers (x, 0) and must give a real result, whose real part it
+    returns; the table has _REAL_EXACT's layout."""
+    part, mul, scale, rsub, add, _, _ = _GAUSS_EXACT
 
-    def lift(op, n):
-        def lifted(*args):
-            r = op(*((x, 0) for x in args[:n]), *args[n:])
-            assert r[1] == 0
-            return r[0]
+    def real(r):
+        assert r[1] == 0
+        return r[0]
 
-        return lifted
-
-    mul, div, one_minus, neg, _ = series._PAIR_OPS
-    return lift(mul, 2), lift(div, 2), lift(one_minus, 1), lift(neg, 1), 0
+    return (lambda x: real(part(x)), lambda x, y: real(mul((x, 0), (y, 0))),
+            lambda x, s: real(scale((x, 0), s)), lambda s, x: real(rsub(s, (x, 0))),
+            lambda x, y: real(add((x, 0), (y, 0))), 0, 1)
 
 
 def _first_terms(upper, lower, q, z, wp, n=25) -> tuple:
     """The first n outputs of series._phi_terms, then the index of its
-    PoleError, NoConvergence when a denominator rounds to 0, or None."""
+    PoleError, NoConvergence when q^k is 0 in fixed point and r > s+1, or None."""
     term, out = series._phi_terms(upper, lower, q, z, wp), []
     try:
         for k in range(n):
@@ -313,25 +321,119 @@ def _first_terms(upper, lower, q, z, wp, n=25) -> tuple:
 class TestRealArithmetic:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_real_terms_are_the_pair_path_terms(self, data):
-        # real data: the int recurrence against the same recurrence over the
-        # pair ops, term for term; a base +-2^-j makes q^-k exact in fixed
-        # point, so an upper q^-k ends the terms and a lower q^-k is a pole
+    def test_real_ratios_are_the_gaussian_ratios(self, data):
+        # real data: _term_ratios' fixed-point ratios, and so the terms, on one
+        # int per value against the same generator over the Gaussian ops, term
+        # for term; a base +-2^-j makes q^k exact in fixed point, so an upper
+        # q^-k ends the terms and a lower q^-k is a pole
         wp = data.draw(st.integers(20, 200))
         power = st.integers(1, 3).map(lambda j: F(1, 2**j))
         q = data.draw(st.one_of(power, power.map(lambda x: -x),
                                 st.fractions(F(-7, 8), F(7, 8), max_denominator=8).filter(bool)))
         param = st.one_of(st.fractions(F(-3), F(3), max_denominator=8),
                           st.integers(1, 6).map(lambda k: q**-k))
-        upper, lower = (data.draw(st.lists(param, max_size=3)) for _ in range(2))
+        upper, lower = (data.draw(st.lists(param.map(E), max_size=3)) for _ in range(2))
         z = data.draw(st.fractions(F(-2), F(2), max_denominator=9).filter(bool))
-        upper, lower = ([_fx(E(x), wp) for x in xs] for xs in (upper, lower))
-        args = upper, lower, _fx(E(q), wp), _fx(E(z), wp)
-        real = _first_terms(*args, wp)
+        args = upper, lower, E(q), E(z), wp
+        real = _first_terms(*args)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(series, "_REAL_OPS", _pair_ops_on_ints())
-            assert _first_terms(*args, wp) == real
+            patch.setattr(series, "_REAL_EXACT", _gaussian_ops_on_ints())
+            assert _first_terms(*args) == real
 
+
+class TestTermRounding:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_terms_within_the_rounding_lemma(self, data):
+        # each term of _phi_terms lies within the bound of its rounding lemma of
+        # the exact term, computed here on Fractions: real and Gaussian data, a
+        # series with e = 0 or e = 1, at a base near 1 and a base p^4
+        q = data.draw(st.sampled_from([F(99, 100), F(7, 10) ** 4]))
+        part = st.fractions(F(-3), F(3), max_denominator=7)
+        im = part if data.draw(st.booleans()) else st.just(F(0))
+        value = st.tuples(part, im)
+        s_, e = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 1))
+        upper = data.draw(st.lists(value, min_size=s_ + 1 - e, max_size=s_ + 1 - e))
+        lower = data.draw(st.lists(value, min_size=s_, max_size=s_))
+        z = data.draw(st.tuples(part, im).filter(any))
+        wp = data.draw(st.integers(40, 160))
+        expected = _lemma_terms(upper, lower, q, z, wp, 30)
+        assume(expected is not None)
+        term = series._phi_terms([E(*a) for a in upper], [E(*b) for b in lower], E(q), E(*z), wp)
+        for k, (t, bound) in enumerate(expected):
+            (re, im_), _ = term(k)
+            err = _cabs((F(re, 2**wp) - t[0], F(im_, 2**wp) - t[1]))
+            assert err <= bound * (1 + 1e-9), (k, err * 2**wp, bound * 2**wp)
+
+    def test_mpf_parameter_is_its_dyadic_exact_value(self):
+        # an mpmath parameter enters as the exact value of its fixed-point pair:
+        # the same value and certificate as that ExactScalar, bit for bit
+        bits = 128
+        wp = bits + series._GUARD_BITS
+        upper = [mpmath.mpf(1) / 3, mpmath.mpc("0.25", "-0.125")]
+        lower, z = [mpmath.mpf(2) / 7], mpmath.mpf(1) / 5
+        dyadic = [E.from_parts(*_fx(x, wp), 2**wp) for x in (*upper, *lower, z)]
+        for q in (E(F(1, 2)), E(F(99, 100))):
+            got = eval_phi_nonterminating(SeriesSpec.make(upper, lower, q, z), 1e-30, bits)
+            want = eval_phi_nonterminating(SeriesSpec.make(dyadic[:2], dyadic[2:3], q, dyadic[3]),
+                                           1e-30, bits)
+            assert (got[0].value, got[1]) == (want[0].value, want[1])
+
+
+def _cmul(x, y):
+    """The product of two Gaussian rationals (re, im) of Fractions."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _cdiv(x, y):
+    d = y[0] * y[0] + y[1] * y[1]
+    return _cmul(x, (y[0] / d, -y[1] / d))
+
+
+def _cabs(x) -> float:
+    return math.hypot(x[0], x[1])
+
+
+def _lemma_terms(upper, lower, q, z, wp, K):
+    """(t_k, B_k) for the k < K of the r-phi-s series of Gaussian rationals
+    (re, im) of Fractions and real q, e = 1+s-r >= 0, as long as the rounding
+    lemma of series._phi_terms applies with each fixed-point q^k within half of
+    |q|^k: t_k the exact term, B_k the lemma's bound on |term k - t_k|, from
+    D = c u / (1 - |q|) and, per ratio, each factor's relative error and a
+    bound on the computed ratio's modulus.  None when a lower factor could
+    vanish."""
+    e = 1 + len(lower) - len(upper)
+    u = 2.0**-wp
+    c = 1.0 if not any(x[1] for x in (z, *upper, *lower)) else math.sqrt(2)
+    D = c * u / (1 - abs(q))
+    one = (F(1), F(0))
+    t, log_rel, E_k, out = one, 0.0, 0.0, []  # exp(log_rel) - 1 bounds |s_k / t_k - 1|
+    qk = F(1)
+    for k in range(K):
+        if e and D > abs(q) ** k / 2:
+            break
+        out.append((t, _cabs(t) * math.expm1(log_rel) + E_k))
+        # r_k = z (-q^k)^e prod (1 - a q^k) / ((1 - q^(k+1)) prod (1 - b q^k)); the
+        # computed one has q^k, q^(k+1) within D, so |ratio| <= rho and its
+        # relative error is at most exp(h) - 1, h the sum of the factors' (1 + x
+        # <= e^x)
+        ratio = _cmul(z, ((-qk) ** e, F(0)))
+        rho, h = _cabs(z) * (abs(qk) + D) ** e, e * D / abs(qk)
+        for a in upper:
+            f, size = (1 - a[0] * qk, -a[1] * qk), _cabs(a)
+            if not any(f):
+                return None
+            ratio, rho, h = _cmul(ratio, f), rho * (_cabs(f) + size * D), h + size * D / _cabs(f)
+        dens = [((1 - q * qk, F(0)), 1.0)]
+        dens += [((1 - b[0] * qk, -b[1] * qk), _cabs(b)) for b in lower]
+        for f, size in dens:
+            low = _cabs(f) - size * D
+            if low <= 0:
+                return None
+            ratio, rho, h = _cdiv(ratio, f), rho / low, h + size * D / low
+        t, log_rel, E_k = _cmul(t, ratio), log_rel + h, rho * E_k + c * u
+        qk *= q
+    return out
 
 def _infinite_quotient(num, den, q, eps, bits):
     """(num; q)_inf / (den; q)_inf from two certified products."""
@@ -544,15 +646,17 @@ class TestBalance:
 
 
 def _direct_sum(upper, lower, q, z, terms, bits):
-    """The first `terms` terms of an r-phi-(r-1) series of rational parameters,
-    summed directly at `bits` bits."""
+    """The first `terms` terms of an r-phi-s series of rational parameters,
+    r <= s+1, summed directly at `bits` bits."""
+    e = 1 + len(lower) - len(upper)
     with mp.workprec(bits):
         A, B, (Q,), (Z,) = ([mpmath.mpf(x.numerator) / x.denominator for x in xs]
                             for xs in (upper, lower, [q], [z]))
         total, term, qk = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
         for _ in range(terms):
             total += term
-            term *= mpmath.fprod(1 - a * qk for a in A) * Z / mpmath.fprod(1 - b * qk for b in B + [Q])
+            term *= (mpmath.fprod(1 - a * qk for a in A) * Z * (-qk) ** e
+                     / mpmath.fprod(1 - b * qk for b in B + [Q]))
             qk *= Q
         return total
 
