@@ -278,11 +278,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "eps", None) is not None:
-            check_eps(args.eps)  # the value as given, before any check derives its own
-        if getattr(args, "precision_bits", ApproxScalar.MIN_BITS) < ApproxScalar.MIN_BITS:
-            raise DomainError(f"--precision-bits must be >= {ApproxScalar.MIN_BITS}, "
-                              f"got {args.precision_bits}")
+        eps, bits = getattr(args, "eps", None), getattr(args, "precision_bits", None)
+        if eps is not None:
+            check_eps(eps)  # the value as given, before any check derives its own
+        if bits is not None and bits < ApproxScalar.MIN_BITS:
+            raise DomainError(f"--precision-bits must be >= {ApproxScalar.MIN_BITS}, got {bits}")
+        # a value's rounding at precision_bits is a few units of 2^-precision_bits
+        # relative, so a smaller eps would fail a true identity
+        if eps is not None and bits is not None and eps < 2.0 ** (16 - bits):
+            raise DomainError(f"--eps {eps!r} is below what --precision-bits {bits} resolves: "
+                              f"eps < 2^(16 - precision_bits) = {2.0 ** (16 - bits):.3g}")
         return args.func(args)
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,22 +17,24 @@ trapezoidal rule*, SIAM Rev. 56(3), 2014, Thm 3.2); N is the least multiple of
 strip, a = a_max (1 - 2^-i), i = 1, ..., 10, a_max -log of the largest
 denominator modulus: |(x; q)_inf| <= (-|x|; |q|)_inf for a numerator product,
 1/|(x; q)_inf| <= 1/(|x|; |q|)_inf for a denominator product, and the 3phi2
-kernel's absolute majorant series.  The log of that majorant is convex in
-log |w|, so the strips are scanned from the middle, and a strip whose count a
-lower value already shows above the best is skipped; N and its bound are those
-of the ten-strip scan.  The same majorants on |w| = 1 fix the truncations and
-the working bits, so the nodes evaluate one fixed analytic function, which M
-bounds.
+kernel's absolute majorant series, summed until its rest is at most 2^-20 of
+the partial sum.  The log of that majorant is convex in log |w|, so the strips
+are scanned from the middle, and a strip whose count a lower value (the
+partial sums) already shows above the best is skipped; N and its bound are
+those of the ten-strip scan.  The same majorants on |w| = 1, the kernel's cut
+at an absolute tail, fix the truncations and the working bits, so the nodes
+evaluate one fixed analytic function, which M bounds.
 
 Before any node runs, everything free of w is computed once, and each factor
 becomes a series in w or conj(w): a theta pair theta(C w^e; q) of numerator
 arguments C w^e and (q/C) w^-e is a Jacobi triple-product series; a product
 (C^2 w^(2e); q^2)_inf of denominator arguments +-C w^e, and each other
 argument's product, is Euler's series in w^e, its coefficients from the shared
-coefficient code (:func:`qident.powerseries.phi_series_coeffs`); the 3phi2
-kernel's first T terms are one power series in w, cut by Cauchy's estimate.
-The pairs are read off the exact data, and the product of a pair's two
-majorants bounds it, so M and N are as unfolded.  Each series is a cosine sum
+term ratios (:func:`qident.series._term_ratios`), unreduced; the 3phi2
+kernel's first T terms are one power series in w, cut by Cauchy's estimate on
+the one circle |w| = r^(1 - 2^-10), r the kernel's radius.  The pairs are
+read off the exact data, and the product of a pair's two majorants bounds
+it, so M and N are as unfolded.  Each series is a cosine sum
 plus i times a sine sum, summed by Clenshaw's recurrence at a node
 (:func:`_clenshaw`: one product per coefficient and sum, its roundings under
 2^-wp / 8); where the mirror below says the constants are real, or imaginary
@@ -70,7 +72,6 @@ from .errors import (
     check_eps,
     check_names,
 )
-from .powerseries import phi_series_coeffs
 from .products import _ROWS, product_sides, side_value
 from .qkernel import (
     DEFAULT_PRECISION_BITS,
@@ -78,9 +79,11 @@ from .qkernel import (
     ExactScalar,
     I,
     QBase,
+    _abs_upper,
     _div,
     _factor_count,
     _fx,
+    _gmul,
     _log_poch_majorant,
     _mul,
     _one_minus,
@@ -88,7 +91,7 @@ from .qkernel import (
     _qprod,
 )
 from .reporting import VerificationReport, compare_approx, make_report
-from .series import _ratio_majorant
+from .series import _cut, _ratio_majorant, _term_ratios
 
 E = ExactScalar.coerce
 
@@ -271,10 +274,12 @@ def _series_side(identity_id: str, params: dict, eps: float, pb: int) -> ApproxS
     return value
 
 
-def _kernel_majorant(kabs, Q: float, rho: float, tail: float) -> tuple[float, int | None]:
-    """(S, T) for the 3phi2 kernel on |w| = rho: S bounds the sum of its terms'
-    moduli, and the terms from T on have moduli summing to at most tail;
-    (inf, None) when that takes more than 10000 terms.
+def _kernel_majorant(kabs, Q: float, rho: float,
+                     tail: float | None) -> tuple[float, float, int | None]:
+    """(S, rest, T) for the 3phi2 kernel on |w| = rho: S is the sum of its
+    first T terms' modulus majorants, and rest, at most tail (with tail None,
+    at most 2^-20 S), bounds the moduli of the terms from T on; (S, inf, None)
+    when that takes more than 10000 terms.
 
     kabs = (|u1|, |u2|, |u3| sigma, |l1|, |l2| / sigma, |zc| / sigma).  R_k, the
     series ratio majorant at z rho, upper (u1, u2, u3 / rho), lower (l1, l2 rho),
@@ -287,30 +292,25 @@ def _kernel_majorant(kabs, Q: float, rho: float, tail: float) -> tuple[float, in
         R = _ratio_majorant(*args, k)
         if top * Q**k < 1 and R < 1:
             rest = m / (1 - R)
-            if rest <= tail:
-                return S + rest, k
+            if rest <= (2.0**-20 * S if tail is None else tail):
+                return S, rest, k
         S, m = S + m, m * R
-    return math.inf, None
+    return S, math.inf, None
 
 
 def _kernel_degree(kabs, Q: float, T: int, budget: float) -> int:
     """N: the power series of the kernel's first T terms has coefficients past
-    w^N of moduli summing to at most budget, by the Cauchy lemma of :func:`_node_integrand`
-    at R = r^(1 - 2^-i), r = min(sigma/|l2|, sigma/|zc|), i = 1, 2, ... until N grows;
-    T > 1, so that zc is not 0."""
+    w^N of moduli summing to at most budget, by the Cauchy lemma of
+    :func:`_node_integrand` at the one radius R = r^(1 - 2^-10), r =
+    min(sigma/|l2|, sigma/|zc|); T > 1, so that zc is not 0."""
     u1, u2, u3, l1, l2, z = kabs
-    r, best = 1 / max(l2, z), math.inf
-    for i in range(1, 11):
-        R = r ** (1 - 2.0**-i)
-        rs = (_ratio_majorant(z * R, (u1, u2, u3 / R), (l1, l2 * R), Q, k) for k in range(T - 1))
-        S = sum(itertools.accumulate(rs, lambda m, x: m * x, initial=1.0))  # the T term majorants
-        n = (math.log(S) - math.log1p(-1 / R) - math.log(budget)) / math.log(R)
-        if not n < best:
-            break
-        best = n
-    if best == math.inf:  # S past float range
+    R = (1 / max(l2, z)) ** (1 - 2.0**-10)
+    rs = (_ratio_majorant(z * R, (u1, u2, u3 / R), (l1, l2 * R), Q, k) for k in range(T - 1))
+    S = sum(itertools.accumulate(rs, lambda m, x: m * x, initial=1.0))  # the T term majorants
+    n = (math.log(S) - math.log1p(-1 / R) - math.log(budget)) / math.log(R)
+    if not n < math.inf:  # S past float range
         raise NoConvergence("the 3phi2 kernel's series has no finite majorant off the unit circle")
-    return max(0, math.ceil(best) - 1)
+    return max(0, math.ceil(n) - 1)
 
 
 def _kernel_fixed(kernel, base, sig, T: int, N: int, wp: int) -> tuple[list, list]:
@@ -348,22 +348,42 @@ def _kernel_fixed(kernel, base, sig, T: int, N: int, wp: int) -> tuple[list, lis
     return kr, ki
 
 
-def _euler(C, base, budget: float, theta: bool = False) -> tuple:
-    """Exact c_0, ..., c_K: sum_(n<=K) c_n x^n is within budget, on |x| = 1, of
+def _euler(C, base, budget: float, theta: bool = False) -> list:
+    """c_0, ..., c_K: sum_(n<=K) c_n x^n is within budget, on |x| = 1, of
     Euler's series (C x; q)_inf = 0phi0(-; -; q, C x) = sum_n (-1)^n q^(n(n-1)/2)
-    (C x)^n / (q; q)_n, q = base (Gasper & Rahman, *Basic Hypergeometric
-    Series*, 2nd ed., (1.3.16)), or with theta of sum_n (-1)^n q^(n(n-1)/2) (C
-    x)^n = 1phi1(q; 0; q, C x), each c_n from :func:`phi_series_coeffs`.
+    (C x)^n / (q; q)_n, q = base, |q| < 1 (Gasper & Rahman, *Basic
+    Hypergeometric Series*, 2nd ed., (1.3.16)), or with theta of sum_n (-1)^n
+    q^(n(n-1)/2) (C x)^n = 1phi1(q; 0; q, C x).
+
+    Each c_n is exact, an unreduced triple (n, m, d), d > 0, for (n + m i)/d:
+    the running product of the term ratios top / bot that
+    :func:`series._term_ratios` yields, the generator
+    :func:`qident.powerseries.phi_series_coeffs` reduces, here with no gcd.
+    The nodes read only _fx and _abs_upper of a coefficient, the same for every
+    form of its value.  A real bot is positive, as |q| < 1: with q = P/D it
+    is a product of denominators and of D^(k+1) - P^(k+1) (for 1 - q^(k+1),
+    which the upper q cancels with theta) or D^k (the lower 0's, with theta).
+    A complex ratio enters as top conj(bot) / |bot|^2.
 
     |c_(n+1) / c_n| <= r_n = |C| |q|^n / (1 - |q|^(n+1)), or |C| |q|^n with
     theta, decreases, so a cut at c_K with r_K < 1 has a tail of at most |c_K|
     r_K / (1 - r_K).  Without theta the |c_n| sum to at most (-|C|; |q|)_inf.
     """
     Q = base.abs_upper()
-    K, c, xa, Qk = 0, 1.0, C.abs_upper(), 0.0 if theta else Q  # |c_K|, |C q^K|, |q^(K+1)|
-    while xa >= 1 - Qk or c * xa / (1 - Qk - xa) > budget:  # r_K >= 1, or the tail
-        K, c, xa, Qk = K + 1, c * xa / (1 - Qk), xa * Q, Qk * Q
-    return phi_series_coeffs(*(([base], [0]) if theta else ([], [])), base, C, K).coeffs
+    c, xa, Qk = 1.0, C.abs_upper(), 0.0 if theta else Q  # |c_K|, |C q^K|, |q^(K+1)|
+    ratios = _term_ratios(*(([base], [0]) if theta else ([], [])), base, C)
+    real = next(ratios)
+    coeffs, n, d = [(1, 0, 1)], 1 if real else (1, 0), 1
+    while xa >= (u := 1 - Qk) or c * xa / (u - xa) > budget:  # r_K >= 1, or the tail
+        c, xa, Qk = c * xa / u, xa * Q, Qk * Q
+        top, bot = next(ratios)
+        if real:
+            n, d = n * top, d * bot
+            coeffs.append((n, 0, d))
+        else:
+            n, d = _gmul(n, _gmul(top, (bot[0], -bot[1]))), d * (bot[0] ** 2 + bot[1] ** 2)
+            coeffs.append((*n, d))
+    return coeffs
 
 
 def _theta_pair(C, base, budget: float) -> tuple[tuple, tuple, int]:
@@ -384,7 +404,7 @@ def _theta_pair(C, base, budget: float) -> tuple[tuple, tuple, int]:
     tail = budget / (4 * G)
     plus, minus = (_euler(x, base, tail, theta=True) for x in (C, base / C))
     minus = minus[1:]
-    S = 2 * tail + sum(c.abs_upper() for c in plus + minus)
+    S = 2 * tail + sum(_abs_upper(*c) for c in plus + minus)
     return plus, minus, _factor_count(Q, Q, 0.4 * budget / (G * S))[0]
 
 
@@ -510,9 +530,11 @@ def _node_integrand(num, den, kernel, base, sig,
     times the sum of the term majorants, is log-convex, and Phi(a) =
     max(log F(e^a), log F(e^-a)) is convex and nondecreasing in a >= 0 (a lies
     between -b and b for b > a).  A strip run at b gives log m_b <= Phi(b) <=
-    log M_b: m is the majorant less its tails (each product's log-tail is
-    under 2^-20, :func:`_log_poch_majorant`, and the kernel's under its tail,
-    over a first term 1), M the majorant.  So Phi(a) >= log m_b for b <= a,
+    log M_b: M is the majorant and m the majorant less its tails.  Each
+    product's log-tail is under 2^-20 (:func:`_log_poch_majorant`); the
+    kernel's term majorants are summed until the rest is at most 2^-20 of the
+    partial sum S (:func:`_kernel_majorant`), so M takes S plus that rest and
+    m takes S, a sum of some of the terms.  So Phi(a) >= log m_b for b <= a,
     and, by convexity, Phi(a) >= log m_b + (log m_b - log M_c) (b - a) / (c -
     b) for b between a and c.  Skip rule: the quadrature's
     target is 2 pi tol, and a strip (a, M) needs at least log(4 pi M / target)
@@ -539,9 +561,12 @@ def _node_integrand(num, den, kernel, base, sig,
     k is rho_k (w - u3 sigma q^k) / (1 - (l2/sigma) q^k w), as w conj(w) = 1,
     rho_k = (1 - u1 q^k)(1 - u2 q^k)(zc/sigma) / ((1 - q^(k+1))(1 - l1 q^k)), so
     the T terms' sum is analytic in |w| < sigma/|l2|.  Lemma (Cauchy): on |w| =
-    R, 1 < R < min(sigma/|l2|, sigma/|zc|), the sum S_R of the T term majorants
-    bounds it, so its w^n coefficient has modulus at most S_R R^-n, and those
-    past w^N sum to at most S_R R^(-N-1) / (1 - 1/R).  Rounding has the other
+    R, 1 < R < r = min(sigma/|l2|, sigma/|zc|), the sum S_R of the T term
+    majorants bounds it, so its w^n coefficient has modulus at most S_R R^-n,
+    and those past w^N sum to at most S_R R^(-N-1) / (1 - 1/R).  Any such R
+    proves it; :func:`_kernel_degree` sums S_R once, at R = r^(1 - 2^-10).
+    The strips' relative tails leave this unit-circle tail absolute: it is the
+    truncation budget.  Rounding has the other
     half by a margin, not yet a proof: each operation errs by under 2^-wp and
     the majorants bound every factor, so wp is log2(operations x mag / tol) +
     4, counting the series terms and 8 per kernel coefficient.  A series is
@@ -591,16 +616,15 @@ def _node_integrand(num, den, kernel, base, sig,
                             f"range: its log is {sum(lm):.6g} >= 700")
     products_1 = math.exp(sum(lm))
     tail = tol / (4 * products_1)
-    kernel_1, T = _kernel_majorant(kabs, Q, 1.0, tail / 2)
-    mag = products_1 * (kernel_1 + tail / 2)  # the kernel's series cut at w^N too
+    S, rest, T = _kernel_majorant(kabs, Q, 1.0, tail / 2)
+    mag = products_1 * (S + rest + tail / 2)  # the kernel's series cut at w^N too
     if T is None or mag == math.inf:
         raise NoConvergence("the node integrand has no finite majorant on the unit circle")
 
     def circle(rho):  # (M, log m) on |w| = rho; m less the tails (the lemma)
-        log_p, kern = sum(log_majorants(rho)), _kernel_majorant(kabs, Q, rho, tail)[0]
-        low = log_p - len(lm) * 2.0**-20 + (math.log(max(1.0, kern - tail))
-                                            if kern < math.inf else 0)
-        return (math.exp(log_p) if log_p < 700 else math.inf) * kern, low
+        log_p, (S, rest, _) = sum(log_majorants(rho)), _kernel_majorant(kabs, Q, rho, None)
+        low = log_p - len(lm) * 2.0**-20 + (math.log(S) if S < math.inf else 0.0)
+        return (math.exp(log_p) if log_p < 700 else math.inf) * (S + rest), low
 
     strips = _strips(circle, a_max, 2 * math.pi * tol)
     if all(M == math.inf for _, M in strips):
@@ -637,12 +661,14 @@ def _node_integrand(num, den, kernel, base, sig,
         if mirror == -1:
             w = -w[1], w[0]  # v = i w
         w2 = _mul(w, w, wp)
-        xs = {1: w, -1: (w[0], -w[1]), 2: w2, -2: (w2[0], -w2[1])}
-        parts = [(1 << wp, 0)] * 2  # the numerator, and the denominator divided once
+        # the numerator, and the denominator divided once: a first factor is its
+        # sum at wp + g cut toward zero to wp, as a product by 1 at wp would cut it
+        parts = [None, None]
         for (g, terms), e, den in series:  # one factor at wp, one at wp + g
-            c, s = xs[e]
-            parts[den] = _mul(parts[den], _clenshaw(terms, c << g, s << g, wp + g), wp + g)
-        return _div(*parts, wp)
+            c, s = w if e in (1, -1) else w2
+            v = _clenshaw(terms, c << g, (s if e > 0 else -s) << g, wp + g)
+            parts[den] = _cut(v, 1 << g) if parts[den] is None else _mul(parts[den], v, wp + g)
+        return _div(parts[0], parts[1] or (1 << wp, 0), wp)
 
     return integrand, mirror, strips, wp
 

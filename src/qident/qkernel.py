@@ -523,12 +523,14 @@ def _gmul(x: tuple, y: tuple) -> tuple:
 
 
 # the fraction-free arithmetic of an exact product or series, chosen once for
-# its inputs: (numerator, x * y, x * int, int - x, x + y, zero, one) on Gaussian
-# integers (re, im), or on one int per value when every input is real
-_GAUSS_EXACT = (lambda x: (x._n, x._m), _gmul, lambda x, s: (x[0] * s, x[1] * s),
+# its inputs: (numerator of an ExactScalar's parts (n, m, d), x * y, x * int,
+# int - x, x + y, zero, one) on Gaussian integers (re, im), or on one int per
+# value when every input is real
+_GAUSS_EXACT = (operator.itemgetter(0, 1), _gmul, lambda x, s: (x[0] * s, x[1] * s),
                 lambda s, x: (s - x[0], -x[1]), lambda x, y: (x[0] + y[0], x[1] + y[1]),
                 (0, 0), (1, 0))
-_REAL_EXACT = (lambda x: x._n, operator.mul, operator.mul, operator.sub, operator.add, 0, 1)
+_REAL_EXACT = (operator.itemgetter(0), operator.mul, operator.mul, operator.sub, operator.add,
+               0, 1)
 
 
 def _gdiv(num: tuple, den: tuple) -> ExactScalar:

@@ -134,11 +134,13 @@ def _term_ratios(upper, lower, q, z, n: Optional[int] = None, wp: Optional[int] 
     q^k = Q / D: each factor 1 - x q^k is the int x_den D - x_num Q over x_den
     D, and these powers of D cancel against those of (-q^k)^e, since s - r - e
     = -1, so top and bot hold the factors' ints, z's and the parameters'
-    denominators, and (-Q)^|e|; with q^(k+1) = Q' / D', top also holds D' / D.  A
-    lower factor that vanishes raises PoleError naming index k+1, even when an
-    upper factor vanishes at the same k (simultaneous 0/0 is excluded).  A
-    vanishing upper factor ends the series: no later ratio is formed, so no
-    later pole is looked for.
+    denominators, and Q^|e|, the sign (-1)^e taken into the constant part; with
+    q^(k+1) = Q' / D', top also holds D' / D.  An upper parameter equal to q
+    cancels the factor 1 - q^(k+1): both are left out (the two ints are equal,
+    in exact arithmetic only).  A lower factor that vanishes raises PoleError
+    naming index k+1, even when an upper factor vanishes at the same k
+    (simultaneous 0/0 is excluded).  A vanishing upper factor ends the series:
+    no later ratio is formed, so no later pole is looked for.
 
     Given wp, q^k is carried in fixed point instead: Q = X and D = 2^wp, X an
     int (or Gaussian integer) that q X replaces, each part cut toward zero,
@@ -153,34 +155,41 @@ def _term_ratios(upper, lower, q, z, n: Optional[int] = None, wp: Optional[int] 
     """
     e = 1 + len(lower) - len(upper)
 
-    def coerce(x):
-        if wp is None or isinstance(x, (ExactScalar, int, Fraction)):
-            return ExactScalar.coerce(x)
-        return ExactScalar.from_parts(*_fx(x, wp), 1 << wp)
+    def parts(x):  # (n, m, d) of x: exact, or of its fixed-point pair at wp
+        if not isinstance(x, ExactScalar):
+            x = ExactScalar.coerce(x) if wp is None or isinstance(x, (int, Fraction)) else \
+                ExactScalar.from_parts(*_fx(x, wp), 1 << wp)
+        return x.parts
 
-    ups, los = ([coerce(x) for x in xs] for xs in (upper, lower))
-    q, z = coerce(q), coerce(z)
-    real = all(x.is_real() for x in (q, z, *ups, *los))
+    ups, los, q, z = [*map(parts, upper)], [*map(parts, lower)], parts(q), parts(z)
+    real = not any(m for _, m, _ in (q, z, *ups, *los))
     part, mul, scale, rsub, _, zero, one = _REAL_EXACT if real else _GAUSS_EXACT
     yield real
-    (q_num, q_den), (z_num, z_den) = ((part(x), x.parts[2]) for x in (q, z))
-    ups = [(part(a), a.parts[2]) for a in ups]
+    (q_num, q_den), (z_num, z_den) = (part(q), q[2]), (part(z), z[2])
+    ups = [(part(a), a[2]) for a in ups]
     # b, its numerator and denominator, and the k of its pole, or -1 when 1 - b q^k = 0 decides
     poles = poles or {}
-    los = [(b, part(x), x.parts[2], poles.get(j, -1)) for j, (b, x) in enumerate(zip(lower, los))]
+    los = [(b, part(x), x[2], poles.get(j, -1)) for j, (b, x) in enumerate(zip(lower, los))]
     Q, D = one, 1  # q^k = Q / D
     if wp is not None:
         Q, D = scale(one, 1 << wp), 1 << wp
     # r_k = (z_num prod b_den D'/D) (-Q)^e prod (a_den D - a_num Q)
-    #       / ((z_den prod a_den) (D' - Q') prod (b_den D - b_num Q))
-    top_c = scale(z_num, math.prod(b_den for _, _, b_den, _ in los) * (q_den if wp is None else 1))
-    bot_c = z_den * math.prod(a_den for _, a_den in ups)
+    #       / ((z_den prod a_den) (D' - Q') prod (b_den D - b_num Q)),
+    # the sign of (-Q)^e in the constant parts, Q^|e| formed per step
+    sign = -1 if e % 2 else 1
+    top_c = scale(z_num, (sign if e > 0 else 1) * (q_den if wp is None else 1)
+                  * math.prod(b_den for _, _, b_den, _ in los))
+    bot_c = (sign if e < 0 else 1) * z_den * math.prod(a_den for _, a_den in ups)
+    e_top, e_bot = range(max(e, 0)), range(max(-e, 0))
+    qq = wp is not None or (q_num, q_den) not in ups  # False: an upper q cancels D' - Q'
+    if not qq:
+        ups.remove((q_num, q_den))
     for k in range(n) if n is not None else itertools.count():
         if wp is None:
             Q1, D1 = mul(Q, q_num), D * q_den
         else:
             Q1, D1 = _cut(mul(Q, q_num), q_den), D
-        bot = scale(rsub(D1, Q1), bot_c)
+        bot = scale(rsub(D1, Q1) if qq else one, bot_c)
         for b, b_num, b_den, pole in los:
             f = rsub(b_den * D, mul(b_num, Q))
             if k == pole or f == zero:
@@ -197,14 +206,13 @@ def _term_ratios(upper, lower, q, z, n: Optional[int] = None, wp: Optional[int] 
             return
         top = mul(top, top_c)
         if e:
-            minus_q = rsub(0, Q)
-            for _ in range(e):
-                top = mul(top, minus_q)
-            if e < 0 and Q == zero:  # only in fixed point
-                raise NoConvergence(f"q^{k} is 0 at {wp} bits, and each term of an r-phi-s series "
-                                    "with r > s+1 divides by it")
-            for _ in range(-e):
-                bot = mul(bot, minus_q)
+            for _ in e_top:
+                top = mul(top, Q)
+            for _ in e_bot:
+                if Q == zero:  # only in fixed point
+                    raise NoConvergence(f"q^{k} is 0 at {wp} bits, and each term of an r-phi-s "
+                                        "series with r > s+1 divides by it")
+                bot = mul(bot, Q)
         yield top, bot
         Q, D = Q1, D1
 

@@ -328,6 +328,30 @@ class TestVerify:
         assert (code, out) == (EXIT_CONFIG, "")
         assert err == f"error: --precision-bits must be >= 64, got {bits}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "IR_SRIV_JAIN", "--params", "q=1/2,a=1/3,b=2/5,z=1/5", "--sigma", "3/5",
+         "--f", "3/2", "--eps", "1e-80"],
+        ["verify", "SRIV_JAIN", "--params", "q=1/2,a=1/3,b=1/4,z=1/5", "--eps", "1e-90"],
+        ["verify", "WD_APPELL", "--params", "q=1/3,u=1/10,t=1/8,a=1/2,b=1/3,d=9/10",
+         "--eps", "1e-90"],
+        ["sweep", "T_BAILEY41", "--trials", "1", "--eps", "1e-90"],
+    ])
+    def test_eps_below_the_precision_is_refused(self, capsys, argv):
+        # at the default 256 bits a value rounds at about 2^-256 relative: the
+        # three verify points read rel_err about 1.6e-77 and failed a true identity
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == (f"error: --eps {float(argv[-1])!r} is below what --precision-bits 256 "
+                       "resolves: eps < 2^(16 - precision_bits) = 5.66e-73\n")
+
+    @pytest.mark.parametrize("eps, bits", [("1e-90", "400"), ("1e-72", "320")])
+    def test_eps_within_the_precision_runs(self, capsys, eps, bits):
+        # the same point passes once the working precision resolves eps; 1e-72
+        # at 320 bits is the smallest pair the tests use
+        code, out, err = run_cli(capsys, "verify", "SRIV_JAIN", "--params",
+                                 "q=1/2,a=1/3,b=1/4,z=1/5", "--eps", eps, "--precision-bits", bits)
+        assert (code, err) == (EXIT_OK, "") and json.loads(out)["reports"][0]["passed"]
+
     @pytest.mark.parametrize("argv, name", [
         (["SCHLOSSER_T4", "--params", "q=1/2,a=0,b=7/10,z=1/5"], "a"),
         (["NASSRALLAH_1", "--params", "p=0,a=1/2,b=2/5,z=1/5"], "p"),

@@ -1,5 +1,6 @@
 """Theta function, periodic quadrature, and the contour-integral checks."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mp
 
-from qident import integrals
+from qident import integrals, powerseries, qkernel
 from qident.errors import (
     DomainError,
     HypothesisViolation,
@@ -27,9 +28,19 @@ from qident.integrals import (
     trapezoid_nodes,
     verify_integral_rep,
 )
+from qident.powerseries import phi_series_coeffs
 from qident.products import product_sides, side_value
-from qident.qkernel import ApproxScalar, ExactScalar, _div, _fx, _mul, _one_minus, qpoch_infinite
-from qident.series import SeriesSpec, eval_phi_nonterminating
+from qident.qkernel import (
+    ApproxScalar,
+    ExactScalar,
+    _abs_upper,
+    _div,
+    _fx,
+    _mul,
+    _one_minus,
+    qpoch_infinite,
+)
+from qident.series import SeriesSpec, _ratio_majorant, eval_phi_nonterminating
 
 E = ExactScalar
 
@@ -254,7 +265,7 @@ class TestKernelSeries:
         budget, wp = 10.0**-digits, 160
         kabs = [x.abs_upper() for x in (u1, u2, u3, l1, l2, zc)]
         Q = q.abs_upper()
-        _, T = integrals._kernel_majorant(kabs, Q, 1.0, budget / 2)
+        _, _, T = integrals._kernel_majorant(kabs, Q, 1.0, budget / 2)
         N = integrals._kernel_degree(kabs, Q, T, budget / 2)
         coeffs = integrals._kernel_fixed(([u1, u2, u3], [l1, l2], zc), q, E(1), T, N, wp)
         assert len(coeffs[0]) == len(coeffs[1]) == N + 1
@@ -570,12 +581,14 @@ class TestIntegralReps:
         rep = verify_integral_rep("IR_SRIV_JAIN", params, sigma=F(1, 2), f=F(3, 2), eps=1e-8)
         assert rep.passed and rep.quadrature_nodes <= 512 and lengths == [(369, 425)]
 
-    def test_kernel_majorant_unsettled_off_circle(self):
-        # |zc|/sigma = 0.99: the kernel's majorant settles on |w| = 1 but on no
-        # strip, so no bound is proven and the check stops before any node runs
+    def test_kernel_majorant_settles_near_circle(self):
+        # |zc|/sigma = 0.99: each strip circle's kernel majorant stops at a tail
+        # of 2^-20 of its partial sum, so the strips settle near the kernel's
+        # radius, where an absolute tail took more than 10000 terms on every
+        # strip, and the check proves its bound and passes
         params = {"q": F(1, 2), "a": F(1, 5), "b": F(1, 5), "z": F(99, 200)}
-        with pytest.raises(NoConvergence, match="no strip"):
-            verify_integral_rep("IR_SRIV_JAIN", params, sigma=F(1, 2), f=F(3, 2), eps=1e-25)
+        rep = verify_integral_rep("IR_SRIV_JAIN", params, sigma=F(1, 2), f=F(3, 2), eps=1e-6)
+        assert rep.passed and rep.note == "quadrature nodes=4848 bound=6.128e-08 working_bits=69"
 
     def test_products_past_float_range_are_named(self):
         # f = 10^10 puts the node products' log-majorant on |w| = 1 past 700:
@@ -838,20 +851,38 @@ def _euler_reference(C, q, budget, theta=False):
     return coeffs
 
 
+_EULER_DATA = pytest.mark.parametrize("C", [E(F(3, 7)), E(F(-5, 2)), E(0, F(2, 3)),
+                                             E(F(1, 3), F(-2, 5))])
+_EULER_BASES = pytest.mark.parametrize("q", [E(F(1, 2)), E(F(7, 10)) ** 4, E(0, F(1, 2))])
+
+
 class TestFractionFreeCoefficients:
-    @pytest.mark.parametrize("C", [E(F(3, 7)), E(F(-5, 2)), E(0, F(2, 3)), E(F(1, 3), F(-2, 5))])
-    @pytest.mark.parametrize("q", [E(F(1, 2)), E(F(7, 10)) ** 4, E(0, F(1, 2))])
+    @_EULER_DATA
+    @_EULER_BASES
     @pytest.mark.parametrize("theta", [False, True])
     def test_coefficients_are_the_reduced_ones(self, C, q, theta):
-        # the coefficients phi_series_coeffs gives Euler's series (0phi0, or
-        # 1phi1(q; 0; q, C x) with theta) are the recurrence's, cut alike, so
-        # every node series converts to the same fixed-point pairs and moduli
-        got, ref = integrals._euler(C, q, 1e-30, theta), _euler_reference(C, q, 1e-30, theta)
-        assert len(got) == len(ref) > 5
-        assert list(got) == ref
+        # _euler's unreduced triples hold the values of the reduced coefficients
+        # that phi_series_coeffs gives Euler's series (0phi0, or 1phi1(q; 0; q,
+        # C x) with theta), which are the recurrence's, cut alike: every node
+        # series converts to the same fixed-point ints and moduli
+        got = integrals._euler(C, q, 1e-30, theta)
+        ref = phi_series_coeffs(*(([q], [0]) if theta else ([], [])), q, C, len(got) - 1).coeffs
+        assert len(got) > 5 and list(ref) == _euler_reference(C, q, 1e-30, theta)
         for wp in (64, 90, 256):
             assert [_fx(c, wp) for c in got] == [_fx(c, wp) for c in ref]
-        assert [c.abs_upper() for c in got] == [c.abs_upper() for c in ref]
+        assert [_abs_upper(*c) for c in got] == [c.abs_upper() for c in ref]
+
+    @_EULER_DATA
+    @_EULER_BASES
+    @pytest.mark.parametrize("theta", [False, True])
+    def test_no_gcd_runs(self, C, q, theta, monkeypatch):
+        # the cost as a count: the coefficients are running products of the
+        # term ratios, left unreduced, real or Gaussian
+        calls = []
+        for module in (qkernel, powerseries):
+            monkeypatch.setattr(module, "gcd", lambda *args, gcd=module.gcd: calls.append(args)
+                                or gcd(*args))
+        assert len(integrals._euler(C, q, 1e-30, theta)) > 5 and calls == []
 
 
 # the second point of each representation in criterion 9, with its two sigmas
@@ -958,6 +989,88 @@ class TestStripScan:
 
 # the eps of each representation's pinned CI note
 NOTE_EPS = {ident: 1e-10 if ident == "IR_SCHLOSSER" else 1e-15 for ident in INTEGRAL_IDS}
+
+
+def _ten_radius_degree(kabs, Q, T, budget):
+    """The kernel degree N of the scan that one radius replaced: the Cauchy
+    lemma at R = r^(1 - 2^-i), i = 1, 2, ..., 10, until N stops falling."""
+    u1, u2, u3, l1, l2, z = kabs
+    r, best = 1 / max(l2, z), math.inf
+    for i in range(1, 11):
+        R = r ** (1 - 2.0**-i)
+        rs = (_ratio_majorant(z * R, (u1, u2, u3 / R), (l1, l2 * R), Q, k) for k in range(T - 1))
+        S = sum(itertools.accumulate(rs, lambda m, x: m * x, initial=1.0))
+        n = (math.log(S) - math.log1p(-1 / R) - math.log(budget)) / math.log(R)
+        if not n < best:
+            break
+        best = n
+    return max(0, math.ceil(best) - 1)
+
+
+def _degree_calls(monkeypatch, points):
+    """((kabs, Q, T, budget), N) of every kernel degree the descriptors at
+    points (ident, params, sigma, f, eps) find."""
+    calls, degree = [], integrals._kernel_degree
+
+    def recording(*args):
+        calls.append((args, degree(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(integrals, "_kernel_degree", recording)
+    for ident, params, sigma, f, eps in points:
+        integrals._descriptor(ident, params, sigma, f, eps, 256)
+    return calls
+
+
+class TestKernelDegree:
+    def test_one_radius_is_the_ten_radius_scan(self, monkeypatch):
+        # the workload points at their notes' eps, the criterion-9 points at
+        # 1e-25 and |zc|/sigma = 9/10: the scan's estimate fell at all ten
+        # radii, so its last, r^(1 - 2^-10), gives the same N
+        points = [(ident, POINTS[ident][0], POINTS[ident][1], F(3, 2), NOTE_EPS[ident])
+                  for ident in INTEGRAL_IDS]
+        for ident in INTEGRAL_IDS:
+            (p1, s1, s2), (p2, s3, s4) = POINTS[ident], SECOND_POINTS[ident]
+            points += [(ident, params, sigma, f, 1e-25) for params, sigma, f in [
+                (p1, s1, F(3, 2)), (p1, s2, F(3, 2)), (p1, s1, F(5, 2)), (p2, s3, F(3, 2)),
+                (p2, s4, F(3, 2))]]
+        points.append(("IR_SRIV_JAIN", {"q": F(1, 2), "a": F(1, 5), "b": F(1, 5), "z": F(9, 20)},
+                       F(1, 2), F(3, 2), 1e-8))
+        calls = _degree_calls(monkeypatch, points)
+        assert len(calls) == len(points) == 31
+        for args, N in calls:
+            assert N == _ten_radius_degree(*args), args
+
+    def test_one_radius_is_summed(self, monkeypatch):
+        # the cost as a count: T - 1 ratio majorants, where the scan summed
+        # them at each of its ten radii
+        (args, N), = _degree_calls(monkeypatch, [(
+            "IR_SCHLOSSER", POINTS["IR_SCHLOSSER"][0], POINTS["IR_SCHLOSSER"][1], F(3, 2), 1e-10)])
+        calls, majorant = [], integrals._ratio_majorant
+        monkeypatch.setattr(integrals, "_ratio_majorant",
+                            lambda *a: calls.append(a) or majorant(*a))
+        assert integrals._kernel_degree(*args) == N and len(calls) == args[2] - 1 == 37
+
+    @given(*_EULER_DRAWS[:2],
+           st.fractions(min_value=F(1, 20), max_value=F(9, 10), max_denominator=20),
+           st.fractions(min_value=0, max_value=F(9, 10), max_denominator=20),
+           _EULER_DRAWS[2], _EULER_DRAWS[3], _EULER_DRAWS[5])
+    @example(F(1, 2), F(0), F(9, 10), F(1, 2), F(0), 1, 9)
+    @settings(max_examples=10, deadline=None)
+    def test_coefficients_past_the_degree_sum_to_the_budget(self, r, t, Z, L, s, e, digits):
+        # the kernel series of TestKernelSeries: its first T terms as a power
+        # series, built to twice the degree N and more at 256 bits, whose
+        # coefficients past w^N sum to at most the budget (Cauchy's estimate)
+        q, zc, l2 = E(r) * _unit(t), E(Z) * _unit(s), E(L) * _unit(e * s)
+        u1, u2, u3, l1 = E(F(1, 3)), E(F(-1, 5), F(1, 5)), E(F(3, 2)) * _unit(-s), E(F(2, 5))
+        budget, wp = 10.0**-digits, 256
+        kabs = [x.abs_upper() for x in (u1, u2, u3, l1, l2, zc)]
+        Q = q.abs_upper()
+        _, _, T = integrals._kernel_majorant(kabs, Q, 1.0, budget)
+        N = integrals._kernel_degree(kabs, Q, T, budget)
+        kr, ki = integrals._kernel_fixed(([u1, u2, u3], [l1, l2], zc), q, E(1), T, 2 * N + 32, wp)
+        past = sum(math.hypot(x, y) for x, y in zip(kr[N + 1:], ki[N + 1:])) / 2.0**wp
+        assert past <= budget, (past, budget, T, N)
 
 
 class TestVerdictResolution:
