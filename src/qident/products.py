@@ -50,6 +50,7 @@ from .series import (
     _poch_majorant,
     _shifted_rows,
     _Table,
+    _weighted_cauchy,
     certified_sum,
     eval_phi_nonterminating,
     eval_qappell_phi1,
@@ -460,17 +461,9 @@ def _cayley_orr_value(identity_id: str, P: dict, eps: float, pb: int) -> tuple:
         raise DomainError("the weighted coefficient series does not converge here")
     wp = pb + _GUARD_BITS
     # a_n z^n = sum_i (alpha; q^2)_i/(q^2; q^2)_i z^i * [z^(n-i)] 2phi1(upper; lower; q, zscale z)
-    anzn = _cauchy_terms(*(_term_table(f, z, wp) for f in rhs.terms[0][2]), wp)
+    X, Y = (_term_table(f, z, wp) for f in rhs.terms[0][2])
     lemma = rhs.weight  # Phi([wn, q^2], [wd], q^2), whose terms are (wn; q^2)_n / (wd; q^2)_n
-    weight = _term_table(lemma, EXACT_ONE, wp)
-    Qa, wn, wd = (_fabs(_fx(x, wp), wp) for x in (lemma.base, lemma.upper[0], lemma.lower[0]))
-
-    def term(n: int) -> tuple:
-        value, tail = anzn(n)
-        w, Qn = weight[n][0], Qa**n
-        return _mul(w, value, wp), _fabs(w, wp) * _poch_majorant(wn * Qn, wd * Qn, Qa) * tail
-
-    total, cert = certified_sum(term, eps / 8, pb)
+    total, cert = _weighted_cauchy(X, Y, (lemma.upper[0], lemma.lower[0]), lemma.base, eps / 8, pb)
     return lhs, _approx(total, wp, pb), terms + cert.terms_used
 
 

@@ -396,6 +396,26 @@ def _cauchy_terms(X, Y, wp: int):
     return term
 
 
+def _weighted_cauchy(X, Y, weight, q, eps: float, pb: int, absolute: bool = False):
+    """certified_sum over n of A[n] (X * Y)[n], A[n] = (u;q)_n / (v;q)_n for
+    weight = (u, v), from the term tables X and Y (:func:`_cauchy_terms`).
+
+    The tail after diagonal n is at most sup_{i>=n} |A[i]| times that of the
+    diagonals, and sup_{i>=n} |A[i]| <= |A[n]| M(n), M(n) the
+    :func:`_poch_majorant` of |u||q|^n and |v||q|^n."""
+    wp = pb + _GUARD_BITS
+    A = _Table(_phi_terms([weight[0], q], [weight[1]], q, 1, wp))
+    Q, un, vn = (_fabs(_fx(x, wp), wp) for x in (q, *weight))
+    diagonal = _cauchy_terms(X, Y, wp)
+
+    def term(n: int) -> tuple:
+        value, tail = diagonal(n)
+        a, Qn = A[n][0], Q**n
+        return _mul(a, value, wp), _fabs(a, wp) * _poch_majorant(un * Qn, vn * Qn, Q) * tail
+
+    return certified_sum(term, eps, pb, absolute)
+
+
 _MAX_TERMS = 100_000
 
 
