@@ -48,8 +48,8 @@ from .series import (
     _cauchy_terms,
     _phi_terms,
     _poch_majorant,
-    _shifted_rows,
     _Table,
+    _weight_sup,
     _weighted_cauchy,
     certified_sum,
     eval_phi_nonterminating,
@@ -107,10 +107,10 @@ def awgf_coefficient_check(a, b, c, d, w, q, n_max: int) -> VerificationReport:
 
 
 # --------------------------------------------------------------------------
-# triple and quadruple sums (table-based, certified per index)
+# triple and quadruple sums (two weighted Cauchy products)
 # --------------------------------------------------------------------------
 
-def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, precision_bits):
+def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, pb):
     """sum over n,k,l of the shifted-parameter Askey-Wilson triple sum with
     weight t^n u^(k+l): the generating-function extension, and at u = t the
     closed-form quadruple sum; the parameters are exact, with |u| < min(|a|, |c|)
@@ -123,18 +123,32 @@ def _triple_sum_engine(u, t, w, a, b, c, d, q, eps, precision_bits):
         KA(j) = sum_k (u/a)^k (a/w;q)_k (aw;q)_(k+j) / ((q;q)_k (ab;q)_(k+j)),
         KC(i) = sum_l (u/c)^l (cw;q)_l (c/w;q)_(l+i) / ((q;q)_l (cd;q)_(l+i)),
     an absolutely convergent reordering of the displayed sum, not a different
-    identity.  X and Y are sums of shifted rows (series._shifted_rows), each
-    certified on its own.  Returns the value at precision_bits + 20 bits and the
-    number of terms summed, the rows' own terms included.
+    identity.  Summed over j + k, X is a weighted Cauchy product of two 1phi0
+    series (series._weighted_cauchy), and so is Y.  |X| <= M_X = sup |(aw;q)_i
+    / (ab;q)_i| times both 1phi0 majorants (series._poch_majorant), and so for
+    Y; X is certified to eps / (4 max(1, M_Y)) and Y to eps / (4 max(1, M_X)),
+    absolutely, so X Y is off by at most eps/2 + eps^2/16.  Returns the value
+    at pb + 20 bits and the number of diagonals summed.
     """
-    pb = precision_bits
     wp = pb + _GUARD_BITS
-    rows = (((b * w, t / w), (a / w, u / a), (a * w, a * b)),
-            ((d / w, t * w), (c * w, u / c), (c / w, c * d)))
-    rows = [_shifted_rows(*r, q, eps / 8, pb) for r in rows]
-    (X, cx), (Y, cy) = (certified_sum(row, eps / 4, pb) for row, _ in rows)
-    terms = cx.terms_used + cy.terms_used + sum(sum(used) for _, used in rows)
-    return _approx(_mul(X, Y, wp), wp, pb + 20), terms
+    Q = _fabs(_fx(q, wp), wp)
+
+    def majorant(heads, weight):  # the factor's terms' moduli, summed
+        m = _weight_sup(weight, q, wp)
+        for f, r in heads:
+            fm, rm = (_fabs(_fx(x, wp), wp) for x in (f, r))
+            m *= _poch_majorant(fm * rm, rm, Q)
+        return m
+
+    # X: W[j] = (bw;q)_j (t/w)^j / (q;q)_j and H[k] = (a/w;q)_k (u/a)^k / (q;q)_k,
+    # weighted by (aw;q)_i / (ab;q)_i at i = j + k; Y likewise
+    X = (((b * w, t / w), (a / w, u / a)), (a * w, a * b))
+    Y = (((d / w, t * w), (c * w, u / c)), (c / w, c * d))
+    (x, cx), (y, cy) = (
+        _weighted_cauchy(*(_Table(_phi_terms([f], [], q, r, wp)) for f, r in heads), weight, q,
+                         eps / (4 * max(1.0, majorant(*other))), pb, absolute=True)
+        for (heads, weight), other in ((X, Y), (Y, X)))
+    return _approx(_mul(x, y, wp), wp, pb + 20), cx.terms_used + cy.terms_used
 
 
 def _triple_value(P: dict, eps: float, pb: int) -> tuple:
@@ -449,16 +463,13 @@ def _awgf_value(P, eps, pb):
 
 
 def _cayley_orr_value(identity_id: str, P: dict, eps: float, pb: int) -> tuple:
-    """(lhs, rhs, terms) of a Cayley-Orr lemma at a z value, both sides certified;
-    the tail of the right side, sum_n (wn; q^2)_n / (wd; q^2)_n a_n z^n, is
-    sup_{i>=n} |(wn; q^2)_i / (wd; q^2)_i| times that of the a_n z^n."""
+    """(lhs, rhs, terms) of a Cayley-Orr lemma at a z value, both sides certified.
+    The right side, sum_n (wn; q^2)_n / (wd; q^2)_n a_n z^n, a_n z^n the Cauchy
+    diagonal n of its two series, is one weighted Cauchy product
+    (series._weighted_cauchy), weighted in base q^2."""
     z = P["z"]
     lhs_side, rhs = product_sides(identity_id, P)
     lhs, terms = side_value(lhs_side, z, eps / 8, pb)
-    # a_n z^n decays like max(|z|, |second series argument|)^n
-    r_eff = max((f.zscale * z).abs_upper() for f in lhs_side[0][2])
-    if r_eff >= 1:
-        raise DomainError("the weighted coefficient series does not converge here")
     wp = pb + _GUARD_BITS
     # a_n z^n = sum_i (alpha; q^2)_i/(q^2; q^2)_i z^i * [z^(n-i)] 2phi1(upper; lower; q, zscale z)
     X, Y = (_term_table(f, z, wp) for f in rhs.terms[0][2])

@@ -14,13 +14,15 @@ exact value of its ``_fx`` pair.  Each term comes with a non-increasing
 majorant R_k of every later term ratio (F. Johansson, *Computing
 hypergeometric functions rigorously*, ACM TOMS 45(3), 2019), so
 |t_k| R_k / (1 - R_k) bounds the tail after term k; a real term's modulus is
-one correctly rounded int division.  The q-Appell and multi-sum evaluators
-build their tails from tables of such terms (``_Table``, ``_shifted_rows``,
-``_cauchy_terms``).  ``certified_sum`` stops at the first term whose proven
+one correctly rounded int division.  Every weighted double series, the
+q-Appell Phi1, the triple sum's two factors and the Cayley-Orr right sides, is
+one weighted Cauchy product (``_weighted_cauchy``) of two tables of such terms
+(``_Table``), summed diagonal by diagonal (``_cauchy_terms``), its tail built
+from the tables' own.  ``certified_sum`` stops at the first term whose proven
 tail bound meets the target; until a majorant is finite, terms are summed one
 by one, which covers any hump of the terms near a pole.
 
-Also here: the classical rFs series and the q-Appell Phi1 double series.
+Also here: the classical rFs series.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -322,43 +324,6 @@ def _tailed(entry: tuple, wp: int) -> tuple:
     return t, _fabs(t, wp) * R / (1 - R) if R < 1 else math.inf
 
 
-def _shifted_rows(weight, head, quot, q, eps: float, pb: int) -> tuple[Callable, list]:
-    """(row, used): row is m -> (weight[m] sum_k head[k] quot[k+m], the tail
-    after it), for certified_sum, and used collects the terms each row summed.
-
-    weight = (g, s) and head = (f, r) stand for the 1phi0 terms (g;q)_m s^m /
-    (q;q)_m and (f;q)_k r^k / (q;q)_k, |s|, |r| < 1, and quot = (u, v) for
-    (u;q)_i / (v;q)_i, all values as :func:`_phi_terms` takes them.  Row m is
-    certified to eps / sum |weight| with ratios R_head(k) R_quot(k+m); the tail
-    after it is at most sum |head| sup_{i>=m} |quot[i]| times the weights' tail
-    (:func:`_poch_majorant`).
-    """
-    wp = pb + _GUARD_BITS
-    Q, num, den = (_fabs(_fx(x, wp), wp) for x in (q, *quot))
-
-    def table_sum(first, ratio):
-        f, r = (_fabs(_fx(x, wp), wp) for x in (first, ratio))
-        return _Table(_phi_terms([first], [], q, ratio, wp)), _poch_majorant(f * r, r, Q)
-
-    (W, weight_sum), (H, head_sum) = table_sum(*weight), table_sum(*head)
-    A = _Table(_phi_terms([quot[0], q], [quot[1]], q, 1, wp))
-    used = []
-
-    def row(m: int) -> tuple:
-        def term(k: int) -> tuple:
-            (h, Rh), (a, Ra) = H[k], A[k + m]
-            return _tailed((_mul(h, a, wp), Rh * Ra), wp)
-
-        value, cert = certified_sum(term, eps / weight_sum, pb, absolute=True)
-        used.append(cert.terms_used)
-        w, tail = _tailed(W[m], wp)
-        Qm = Q**m
-        sup = _fabs(A[m][0], wp) * _poch_majorant(num * Qm, den * Qm, Q)
-        return _mul(w, value, wp), head_sum * sup * tail
-
-    return row, used
-
-
 def _cauchy_terms(X, Y, wp: int):
     """n -> (sum_{j<=n} X[j] Y[n-j], tail after it), from tables of two series'
     terms and ratio majorants.  A pair with j + i > n has i > n - j or j > M, so
@@ -397,23 +362,45 @@ def _cauchy_terms(X, Y, wp: int):
 
 
 def _weighted_cauchy(X, Y, weight, q, eps: float, pb: int, absolute: bool = False):
-    """certified_sum over n of A[n] (X * Y)[n], A[n] = (u;q)_n / (v;q)_n for
-    weight = (u, v), from the term tables X and Y (:func:`_cauchy_terms`).
+    """certified_sum(terms, eps, pb, absolute) of sum_n A[n] (X * Y)[n],
+    A[n] = (u;q)_n / (v;q)_n for weight = (u, v), from the term tables X and Y
+    of two series (:func:`_cauchy_terms` gives each diagonal (X * Y)[n]).
 
     The tail after diagonal n is at most sup_{i>=n} |A[i]| times that of the
     diagonals, and sup_{i>=n} |A[i]| <= |A[n]| M(n), M(n) the
-    :func:`_poch_majorant` of |u||q|^n and |v||q|^n."""
+    :func:`_poch_majorant` of |u||q|^n and |v||q|^n.  Each factor of M(n) falls
+    toward 1 as n grows, so M(m) bounds M(n) for m <= n: M is formed at each n
+    with a finite diagonal tail until it is finite, and then only at powers of
+    two, O(log N) log-sums for N diagonals."""
     wp = pb + _GUARD_BITS
     A = _Table(_phi_terms([weight[0], q], [weight[1]], q, 1, wp))
     Q, un, vn = (_fabs(_fx(x, wp), wp) for x in (q, *weight))
     diagonal = _cauchy_terms(X, Y, wp)
+    M = math.inf
 
     def term(n: int) -> tuple:
+        nonlocal M
         value, tail = diagonal(n)
-        a, Qn = A[n][0], Q**n
-        return _mul(a, value, wp), _fabs(a, wp) * _poch_majorant(un * Qn, vn * Qn, Q) * tail
+        a = A[n][0]
+        if tail < math.inf and (M == math.inf or n & (n - 1) == 0):
+            M = _poch_majorant(un * Q**n, vn * Q**n, Q)
+        return _mul(a, value, wp), _fabs(a, wp) * M * tail
 
     return certified_sum(term, eps, pb, absolute)
+
+
+def _weight_sup(weight, q, wp: int) -> float:
+    """A bound on sup_i |(u;q)_i / (v;q)_i|, weight = (u, v): the largest term
+    before the first n whose M(n) (:func:`_weighted_cauchy`) is finite, and
+    |term n| M(n)."""
+    A = _phi_terms([weight[0], q], [weight[1]], q, 1, wp)
+    Q, un, vn = (_fabs(_fx(x, wp), wp) for x in (q, *weight))
+    top = 0.0
+    for n in itertools.count():
+        a, M = _fabs(A(n)[0], wp), _poch_majorant(un * Q**n, vn * Q**n, Q)
+        if M < math.inf:
+            return max(top, a * M)
+        top = max(top, a)
 
 
 _MAX_TERMS = 100_000
@@ -549,19 +536,18 @@ def eval_rfs(
 def eval_qappell_phi1(
     a, b, b2, c, x, y, q, eps: float = 1e-30, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> tuple[ApproxScalar, TruncationCert]:
-    """q-Appell Phi1 double series, certified per row and over the rows; the
-    certificate's terms_used counts the rows' terms too.
+    """q-Appell Phi1 double series, summed over i = m + n as one weighted Cauchy
+    product (:func:`_weighted_cauchy`); the certificate counts its diagonals.
 
     Phi1(a; b, b2; c; q; x, y)
       = sum_{m,n>=0} (a;q)_{m+n} (b;q)_m (b2;q)_n x^m y^n
-                     / ((q;q)_m (q;q)_n (c;q)_{m+n}).
+                     / ((q;q)_m (q;q)_n (c;q)_{m+n})
+      = sum_i (a;q)_i / (c;q)_i sum_{m+n=i} P[m] B[n],
+    with P[m] = (b;q)_m x^m / (q;q)_m and B[n] = (b2;q)_n y^n / (q;q)_n.
     """
     if _abs_at_least_one(x) or _abs_at_least_one(y):
         raise DivergenceError("q-Appell Phi1 needs |x| < 1 and |y| < 1")
-    pb = precision_bits
-    wp = pb + _GUARD_BITS
-    # Phi1 = sum_m P[m] sum_n B[n] A[n+m], with P[m] = (b;q)_m x^m / (q;q)_m,
-    # B[n] = (b2;q)_n y^n / (q;q)_n and A[i] = (a;q)_i / (c;q)_i
-    row, used = _shifted_rows((b, x), (b2, y), (a, c), q, eps / 4, pb)
-    total, cert = certified_sum(row, eps / 2, pb)
-    return _approx(total, wp, pb), replace(cert, terms_used=cert.terms_used + sum(used))
+    wp = precision_bits + _GUARD_BITS
+    P, B = (_Table(_phi_terms([f], [], q, r, wp)) for f, r in ((b, x), (b2, y)))
+    total, cert = _weighted_cauchy(P, B, (a, c), q, eps, precision_bits)
+    return _approx(total, wp, precision_bits), cert

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as F
 from functools import partial
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -205,6 +206,29 @@ class TestAWGF:
             product_coefficient_check("AWGF", self.VALUE_POINT)
 
 
+def _triple_factor_oracle(heads, weight, q, n_max):
+    """sum_{j,k<n_max} W[j] H[k] A[j+k] at the working precision, W and H the
+    terms (f;q)_j r^j / (q;q)_j of (f, r) in heads, A[i] = (u;q)_i / (v;q)_i for
+    weight = (u, v), every value a Fraction: plain loops, no qident."""
+    def mp(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    q = mp(q)
+    terms = []
+    for f, r in heads:
+        T, qk = [mpmath.mpf(1)], mpmath.mpf(1)
+        for _ in range(1, n_max):
+            T.append(T[-1] * (1 - mp(f) * qk) * mp(r) / (1 - qk * q))
+            qk *= q
+        terms.append(T)
+    A, qk = [mpmath.mpf(1)], mpmath.mpf(1)
+    for _ in range(1, 2 * n_max):
+        A.append(A[-1] * (1 - mp(weight[0]) * qk) / (1 - mp(weight[1]) * qk))
+        qk *= q
+    W, H = terms
+    return sum(W[j] * H[k] * A[j + k] for j in range(n_max) for k in range(n_max))
+
+
 class TestTripleQuad:
     POINT = {
         "u": F(1, 10), "t": F(1, 8), "w": F(9, 10),
@@ -249,6 +273,52 @@ class TestTripleQuad:
     def test_hypothesis_guard(self):
         with pytest.raises(DivergenceError):
             verify_product("TRIPLE_32PF", dict(self.POINT, u=F(3, 4)))
+
+    # |bw| = 72: X's a priori majorant is far above 10, and a factor certified
+    # to eps/4 without its cofactor's majorant misses eps/2 here
+    WIDE_POINT = dict(POINT, b=F(-80))
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_product_error_is_composed(self, wide):
+        # the engine's X Y against a double-sum oracle for each factor, at 4 pb bits
+        pt = self.WIDE_POINT if wide else self.POINT
+        u, w, t, a, b, c, d, q = (pt[k] for k in "uwtabcdq")
+        eps, pb = 1e-12, 128
+        value, _ = products._triple_sum_engine(
+            *(ExactScalar.coerce(pt[k]) for k in "utwabcdq"), eps, pb)
+        if wide:
+            bw, r = float(abs(b * w)), float(t / w)
+            assert series._poch_majorant(bw * r, r, float(q)) > 10
+        with mpmath.mp.workprec(4 * pb):
+            X = _triple_factor_oracle(((b * w, t / w), (a / w, u / a)), (a * w, a * b), q, 120)
+            Y = _triple_factor_oracle(((d / w, t * w), (c * w, u / c)), (c / w, c * d), q, 120)
+            assert abs(value.value - X * Y) <= eps / 2 + eps**2 / 16 + mpmath.mpf(2) ** -pb
+
+    def test_one_certified_sum_per_factor(self, monkeypatch):
+        # X and Y are each one weighted Cauchy product: no per-row sums
+        calls = []
+        certified_sum = series.certified_sum
+        monkeypatch.setattr(series, "certified_sum",
+                            lambda *a, **k: calls.append(a) or certified_sum(*a, **k))
+        products._triple_sum_engine(
+            *(ExactScalar.coerce(self.POINT[k]) for k in "utwabcdq"), 1e-30 / 8, 256)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("ident", ["TRIPLE_32PF", "WD_APPELL"])
+    @pytest.mark.parametrize("moved", ["swapped", "u q", "v q"])
+    def test_wrong_weight_fails(self, ident, moved, monkeypatch):
+        # a weight (u, v) moved off (u;q)_n / (v;q)_n makes the value check FAIL
+        engine = series._weighted_cauchy
+
+        def wrong(X, Y, weight, q, *args, **kwargs):
+            u, v = weight
+            weight = {"swapped": (v, u), "u q": (u * q, v), "v q": (u, v * q)}[moved]
+            return engine(X, Y, weight, q, *args, **kwargs)
+
+        monkeypatch.setattr(series, "_weighted_cauchy", wrong)
+        monkeypatch.setattr(products, "_weighted_cauchy", wrong)
+        point = self.POINT if ident == "TRIPLE_32PF" else TestWDAppell.POINT
+        assert not verify_product(ident, point, eps=1e-30).passed
 
     def test_u_zero_reduces_to_generating_function(self):
         # at u = 0 both 3phi2 collapse to the plain 2phi1 pair and the triple
@@ -708,7 +778,7 @@ GOLDEN_REPORT_SHA256 = {
     "verify_product CAYLEY_ORR_B z=0":
         "1edbd11cb183cfc8089fc51f36723e78a7eb4459abebfe9354e59a9bb6ec2046",
     "verify_product WD_APPELL":
-        "e3639cfd0c4788d71c19398a2da37fb3a0f4b25f6b7f59b2913d564f807f6ff5",
+        "e09e50c9a341a20735d55048e6dd808b753e310d6faeaf55e9fd07b14a4ae9e0",
     "classical_limit_check CLAUSEN 0":
         "a4906726425df921cbfdbf6a32b60a81b4b89456573aabd66e424c96b85c49ba",
     "classical_limit_check CLAUSEN 1":
@@ -769,16 +839,16 @@ def test_golden_report(key):
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_REPORT_SHA256[key]
 
 
-# the terms of every certified_sum the check runs, which truncation_terms of
-# the report counts, at the benchmark's four multi-sum points and two pair
-# points, recorded when each sum came to stop at its first proven tail bound:
-# the truncation rule sets the counts, and a change of the arithmetic alone
-# must not move one
+# the terms of every certified_sum the check runs (a weighted Cauchy product's
+# are its diagonals), which truncation_terms of the report counts, at the
+# benchmark's four multi-sum points and two pair points, recorded when each sum
+# came to stop at its first proven tail bound: the truncation rule sets the
+# counts, and a change of the arithmetic alone must not move one
 GOLDEN_TERM_COUNTS = {
     "AWGF": (TestAWGF.VALUE_POINT, 138),
-    "TRIPLE_32PF": (TestTripleQuad.POINT, 3404),
-    "QUAD_COR13": (TestTripleQuad.QUAD_POINT, 3834),
-    "WD_APPELL": (TestWDAppell.POINT, 1737),
+    "TRIPLE_32PF": (TestTripleQuad.POINT, 161),
+    "QUAD_COR13": (TestTripleQuad.QUAD_POINT, 108),
+    "WD_APPELL": (TestWDAppell.POINT, 80),
     "SRIV_JAIN": (PRODUCT_POINTS["SRIV_JAIN"], 114),
     "CAYLEY_ORR_B": (PRODUCT_POINTS["CAYLEY_ORR_B"], 973),
 }

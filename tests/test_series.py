@@ -606,6 +606,76 @@ class TestQAppell:
             assert abs(v.value - tot) < 1e-28
 
 
+def _weighted_cauchy_oracle(f, x, g, y, u, v, q, n_max):
+    """sum_{n<n_max} A[n] sum_{j<=n} X[j] Y[n-j] at the working precision, X and
+    Y the terms of 1phi0(f; q, x) and 1phi0(g; q, y), A[n] = (u;q)_n / (v;q)_n,
+    every value a (re, im) pair of Fractions: three plain loops, no qident."""
+    f, x, g, y, u, v, q = (mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                                      mpmath.mpf(im.numerator) / im.denominator)
+                           for re, im in (f, x, g, y, u, v, q))
+    X, Y, A, qk = [mpmath.mpc(1)], [mpmath.mpc(1)], [mpmath.mpc(1)], mpmath.mpc(1)
+    for n in range(1, n_max):  # qk = q^(n-1)
+        X.append(X[-1] * (1 - f * qk) * x / (1 - qk * q))
+        Y.append(Y[-1] * (1 - g * qk) * y / (1 - qk * q))
+        A.append(A[-1] * (1 - u * qk) / (1 - v * qk))
+        qk *= q
+    total = mpmath.mpc(0)
+    for n in range(n_max):
+        diagonal = mpmath.mpc(0)
+        for j in range(n + 1):
+            diagonal += X[j] * Y[n - j]
+        total += A[n] * diagonal
+    return total
+
+
+_PART = st.fractions(min_value=F(-1, 3), max_value=F(1, 3), max_denominator=9)
+
+
+@st.composite
+def _weighted_cauchy_data(draw):
+    """(f, x, g, y, u, v, q) as (re, im) Fraction pairs, all real or not:
+    |x|, |y|, |u|, |v| <= 1/2, |f|, |g| <= 1 and 0 < |q| <= 9/10."""
+    gauss = draw(st.booleans())
+    im = _PART if gauss else st.just(F(0))
+    small = st.tuples(_PART, im)  # modulus at most sqrt(2)/3 < 1/2
+    unit = st.tuples(_PART.map(lambda r: 2 * r), im.map(lambda r: 2 * r))
+    base = st.tuples(st.fractions(min_value=F(-9, 10), max_value=F(9, 10), max_denominator=10),
+                     st.just(F(0))) if not gauss else st.tuples(_PART.map(lambda r: 2 * r),
+                                                                 _PART.map(lambda r: 2 * r))
+    q = draw(base.filter(any))
+    return draw(unit), draw(small), draw(unit), draw(small), draw(small), draw(small), q
+
+
+class TestWeightedCauchy:
+    @given(_weighted_cauchy_data())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_against_triple_loop(self, data):
+        # |value - oracle| <= the certified tail + 2^-pb, the oracle at 4 pb bits
+        f, x, g, y, u, v, q = data
+        pb = 64
+        wp = pb + 30
+        X = series._Table(series._phi_terms([E(*f)], [], E(*q), E(*x), wp))
+        Y = series._Table(series._phi_terms([E(*g)], [], E(*q), E(*y), wp))
+        total, cert = series._weighted_cauchy(X, Y, (E(*u), E(*v)), E(*q), 2.0**-50, pb,
+                                              absolute=True)
+        with mp.workprec(4 * pb):
+            oracle = _weighted_cauchy_oracle(f, x, g, y, u, v, q, 120)
+            value = mpmath.mpc(total[0], total[1]) / 2**wp
+            assert abs(value - oracle) <= cert.tail_bound + mpmath.mpf(2) ** -pb
+
+    def test_weight_majorant_runs_log_n_times(self, monkeypatch):
+        # M(n) is formed at powers of two, not per diagonal: O(log N) log-sums
+        calls = []
+        poch = series._poch_majorant
+        monkeypatch.setattr(series, "_poch_majorant", lambda *a: calls.append(a) or poch(*a))
+        q, wp = E(F(99, 100)), 350
+        X, Y = (series._Table(series._phi_terms([E(F(1, 3))], [], q, E(z), wp))
+                for z in (F(1, 2), F(1, 3)))
+        _, cert = series._weighted_cauchy(X, Y, (E(F(1, 2)), E(F(1, 3))), q, 1e-60, 320)
+        n = cert.terms_used
+        assert n > 200 and len(calls) <= n.bit_length() + 1
+
+
 class TestBalance:
     def test_balanced_one(self):
         q = E(F(1, 2))
