@@ -6,21 +6,23 @@ parameter are real, Gaussian integers otherwise).  Terminating series are
 summed from them exactly, fraction-free, and they give the exact coefficient
 series of :mod:`qident.powerseries`.  Nonterminating series run on the same
 generator in fixed point at wp bits: q^k is one int at 2^-wp, cut toward zero
-once per step, each factor 1 - a q^k is exact from there, and the one term
-recurrence (``_phi_terms``) multiplies each term by the exact ratio with one
-truncating division, so a term is rounded once per step (its rounding lemma
-is in ``_phi_terms``).  Parameters come in exact; an mpmath one enters as the
-exact value of its ``_fx`` pair.  Each term comes with a non-increasing
-majorant R_k of every later term ratio (F. Johansson, *Computing
-hypergeometric functions rigorously*, ACM TOMS 45(3), 2019), so
-|t_k| R_k / (1 - R_k) bounds the tail after term k; a real term's modulus is
-one correctly rounded int division.  Every weighted double series, the
-q-Appell Phi1, the triple sum's two factors and the Cayley-Orr right sides, is
-one weighted Cauchy product (``_weighted_cauchy``) of two tables of such terms
-(``_Table``), summed diagonal by diagonal (``_cauchy_terms``), its tail built
-from the tables' own.  ``certified_sum`` stops at the first term whose proven
-tail bound meets the target; until a majorant is finite, terms are summed one
-by one, which covers any hump of the terms near a pole.
+once per step, each factor 1 - a q^k is exact from there, and the generator
+multiplies each term by the exact ratio with one truncating division, so a
+term is rounded once per step (its rounding lemma is in ``_phi_terms``).
+Parameters come in exact; an mpmath one enters as the exact value of its
+``_fx`` pair.  Each term comes with a non-increasing majorant R_k of every
+later term ratio (F. Johansson, *Computing hypergeometric functions
+rigorously*, ACM TOMS 45(3), 2019), so |t_k| R_k / (1 - R_k) bounds the tail
+after term k; a real term's modulus is one correctly rounded int division.
+Every weighted double series, the q-Appell Phi1, the triple sum's two factors
+and the Cayley-Orr right sides, is one weighted Cauchy product
+(``_weighted_cauchy``) of two tables of such terms (``_Table``), summed
+diagonal by diagonal (``_cauchy_terms``), its tail built from the tables' own.
+``certified_sum`` stops at the first term whose proven tail bound meets the
+target; until a majorant is finite, terms are summed one by one, which covers
+any hump of the terms near a pole.  A term whose bit length, against a lower
+bound on every R_k, shows the tail test failing forms no R_k and no float
+(the pre-test of ``certified_sum``).
 
 Also here: the classical rFs series.
 """
@@ -32,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DivergenceError, DomainError, NoConvergence, PoleError, check_eps
 from .qkernel import (
@@ -144,16 +146,22 @@ def _term_ratios(upper, lower, q, z, n: Optional[int] = None, wp: Optional[int] 
     (simultaneous 0/0 is excluded).  A vanishing upper factor ends the series:
     no later ratio is formed, so no later pole is looked for.
 
-    Given wp, q^k is carried in fixed point instead: Q = X and D = 2^wp, X an
-    int (or Gaussian integer) that q X replaces, each part cut toward zero,
-    once per step, so the ints stay near wp bits at every k; each factor is
-    then the exact int of 1 - a X / 2^wp, and an input that is not exact enters
-    as the exact value of its fixed-point pair _fx(x, wp), the value that fixed
-    point at wp sums for it.  The lower parameter j of ``poles`` has its pole
-    decided there (index poles[j] + 1, or none when poles[j] is None) rather
-    than by its factor, which X leaves off 0 unless q is a power of 2; a factor
-    of such a parameter that is 0 in fixed point though not exactly raises
-    NoConvergence naming it.
+    Given wp, the first item is instead the list of the fixed-point pairs
+    _fx(x, wp) of q, z, the upper and the lower parameters, and the terms
+    follow in place of the ratios: t_0 = 1 and t_(k+1) = t_k top / bot, each a
+    pair (re, im) of ints at 2^-wp cut toward zero once (on real data one int
+    product and one int division; a bot that is not real as top conj(bot) /
+    |bot|^2), and (0, 0) from the first vanishing upper factor on.  There q^k
+    is carried in fixed point: Q = X and D = 2^wp, X an int (or Gaussian
+    integer) that q X replaces, each part cut toward zero, once per step, so
+    the ints stay near wp bits at every k; each factor is then the exact int
+    of 1 - a X / 2^wp.  An input that is not exact enters as the exact value
+    of its fixed-point pair _fx(x, wp), the value that fixed point at wp sums
+    for it.
+    The lower parameter j of ``poles`` has its pole decided there (index
+    poles[j] + 1, or none when poles[j] is None) rather than by its factor,
+    which X leaves off 0 unless q is a power of 2; a factor of such a parameter
+    that is 0 in fixed point though not exactly raises NoConvergence naming it.
     """
     e = 1 + len(lower) - len(upper)
 
@@ -166,15 +174,14 @@ def _term_ratios(upper, lower, q, z, n: Optional[int] = None, wp: Optional[int] 
     ups, los, q, z = [*map(parts, upper)], [*map(parts, lower)], parts(q), parts(z)
     real = not any(m for _, m, _ in (q, z, *ups, *los))
     part, mul, scale, rsub, _, zero, one = _REAL_EXACT if real else _GAUSS_EXACT
-    yield real
+    # the flag, or in fixed point the pairs _fx(x, wp) of q, z and the parameters
+    yield real if wp is None else [((n << wp) // d, (m << wp) // d)
+                                   for n, m, d in (q, z, *ups, *los)]
     (q_num, q_den), (z_num, z_den) = (part(q), q[2]), (part(z), z[2])
     ups = [(part(a), a[2]) for a in ups]
     # b, its numerator and denominator, and the k of its pole, or -1 when 1 - b q^k = 0 decides
     poles = poles or {}
     los = [(b, part(x), x[2], poles.get(j, -1)) for j, (b, x) in enumerate(zip(lower, los))]
-    Q, D = one, 1  # q^k = Q / D
-    if wp is not None:
-        Q, D = scale(one, 1 << wp), 1 << wp
     # r_k = (z_num prod b_den D'/D) (-Q)^e prod (a_den D - a_num Q)
     #       / ((z_den prod a_den) (D' - Q') prod (b_den D - b_num Q)),
     # the sign of (-Q)^e in the constant parts, Q^|e| formed per step
@@ -182,6 +189,10 @@ def _term_ratios(upper, lower, q, z, n: Optional[int] = None, wp: Optional[int] 
     top_c = scale(z_num, (sign if e > 0 else 1) * (q_den if wp is None else 1)
                   * math.prod(b_den for _, _, b_den, _ in los))
     bot_c = (sign if e < 0 else 1) * z_den * math.prod(a_den for _, a_den in ups)
+    Q, D = one, 1  # q^k = Q / D
+    if wp is not None:
+        Q, D = scale(one, 1 << wp), 1 << wp
+    t = Q  # t_0 = 1 in fixed point
     e_top, e_bot = range(max(e, 0)), range(max(-e, 0))
     qq = wp is not None or (q_num, q_den) not in ups  # False: an upper q cancels D' - Q'
     if not qq:
@@ -190,6 +201,7 @@ def _term_ratios(upper, lower, q, z, n: Optional[int] = None, wp: Optional[int] 
         if wp is None:
             Q1, D1 = mul(Q, q_num), D * q_den
         else:
+            yield (t, 0) if real else t
             Q1, D1 = _cut(mul(Q, q_num), q_den), D
         bot = scale(rsub(D1, Q1) if qq else one, bot_c)
         for b, b_num, b_den, pole in los:
@@ -205,7 +217,7 @@ def _term_ratios(upper, lower, q, z, n: Optional[int] = None, wp: Optional[int] 
         for a_num, a_den in ups:
             top = mul(top, rsub(a_den * D, mul(a_num, Q)))
         if top == zero:  # tested before z enters: z = 0 skips no later pole check
-            return
+            break
         top = mul(top, top_c)
         if e:
             for _ in e_top:
@@ -215,8 +227,20 @@ def _term_ratios(upper, lower, q, z, n: Optional[int] = None, wp: Optional[int] 
                     raise NoConvergence(f"q^{k} is 0 at {wp} bits, and each term of an r-phi-s "
                                         "series with r > s+1 divides by it")
                 bot = mul(bot, Q)
-        yield top, bot
+        if wp is None:
+            yield top, bot
+        elif real:  # t top / bot, cut toward zero
+            t = x // bot if ((x := t * top) >= 0) == (bot > 0) else -(-x // bot)
+        else:  # top / bot = top conj(bot) / |bot|^2
+            br, bi = bot
+            if bi:
+                top, br = _gmul(top, (br, -bi)), br * br + bi * bi
+            elif br < 0:
+                top, br = (-top[0], -top[1]), -br
+            t = _cut(_gmul(t, top), br)
         Q, D = Q1, D1
+    if wp is not None:
+        yield from itertools.repeat((0, 0))
 
 
 def _cut(x, d: int):
@@ -248,29 +272,36 @@ def _poch_majorant(x: float, y: float, Q: float) -> float:
 
 
 class _Table:
-    """f(0), f(1), ... grown on demand: each value is computed once, in order."""
+    """(t_k, R(k)) of a :func:`_phi_terms` series, grown on demand: each pair
+    is computed once, in order."""
 
-    def __init__(self, f: Callable[[int], tuple]):
-        self.f, self.vals = f, []
+    def __init__(self, phi: tuple):
+        (self.terms, self.ratio, _), self.vals = phi, []
 
     def __getitem__(self, i: int):
         vals = self.vals
         while len(vals) <= i:
-            vals.append(self.f(len(vals)))
+            vals.append((next(self.terms), self.ratio(len(vals))))
         return vals[i]
 
 
-def _phi_terms(upper, lower, q, z, wp: int, poles=None) -> Callable[[int], tuple]:
-    """k -> (term k, R_k) of the r-phi-s series sum_k (upper;q)_k / (q, lower;q)_k
-    ((-1)^k q^binom(k,2))^e z^k, e = 1+s-r, called for k = 0, 1, 2, ... in turn.
+def _phi_terms(upper, lower, q, z, wp: int, poles=None) -> tuple:
+    """(terms, R, low) of the r-phi-s series sum_k (upper;q)_k / (q, lower;q)_k
+    ((-1)^k q^binom(k,2))^e z^k, e = 1+s-r.
 
-    Term k is a fixed-point pair at wp bits: term k-1 times the exact ratio
-    top / bot of :func:`_term_ratios` in fixed point at wp (poles as there),
-    cut toward zero once (a bot that is not real as top conj(bot) / |bot|^2).
-    Once an upper factor vanishes, every later term is 0.  R_k, the
-    :func:`_ratio_majorant` of the moduli of the parameters' fixed-point pairs,
-    bounds |term j+1 / term j| for every j >= k; it is inf before every
-    |b||q|^k < 1, and for e < 0.
+    terms yields t_0, t_1, ..., fixed-point pairs at wp bits: the terms of
+    :func:`_term_ratios` in fixed point at wp (poles as there), t_k = t_(k-1)
+    top / bot cut toward zero once, and (0, 0) once an upper factor vanished;
+    the moduli below come from the pairs that generator yields first, so no
+    parameter is converted twice.  R(k), the :func:`_ratio_majorant` of the
+    moduli of the parameters' fixed-point pairs, bounds |t_(j+1) / t_j| for
+    every j >= k; it is inf before every |b||q|^k < 1, and for e < 0.  low is
+    a lower bound on every R(k), for :func:`certified_sum`'s pre-test: |z| /
+    prod(1 + |b|) (1 - 2^-20) when e = 0, since every other factor of R(k) is
+    at least 1 (1 + |a||q|^k, 1 / (1 - |q|^(k+1)), and 1 / |1 - |b||q|^k| >=
+    1 / (1 + |b|)), the 2^-20 a margin for the rounding of R(k)'s floats; 0
+    otherwise, which turns the pre-test off.  The tables of the Cauchy
+    products (:class:`_Table`) form R(k) at every k, as their tails read it.
 
     Rounding lemma.  Let u = 2^-wp, c = 1 when q, z and every parameter are
     real and c = sqrt 2 otherwise, d = c u / (1 - |q|), r~_j the ratio as
@@ -285,10 +316,9 @@ def _phi_terms(upper, lower, q, z, wp: int, poles=None) -> Callable[[int], tuple
         less than c u per division, carried on by the later ratios.
     """
     e = 1 + len(lower) - len(upper)
-    ratios = _term_ratios(upper, lower, q, z, None, wp, poles)
-    real = next(ratios)
-    Q, za = (_fabs(_fx(x, wp), wp) for x in (q, z))
-    am, bm = ([_fabs(_fx(x, wp), wp) for x in xs] for xs in (upper, lower))
+    terms = _term_ratios(upper, lower, q, z, None, wp, poles)
+    Q, za, *moduli = (_fabs(x, wp) for x in next(terms))
+    am, bm = moduli[:len(upper)], moduli[len(upper):]
     b_max = max(bm, default=0.0)
 
     def ratio(k: int) -> float:
@@ -296,50 +326,31 @@ def _phi_terms(upper, lower, q, z, wp: int, poles=None) -> Callable[[int], tuple
             return math.inf
         return _ratio_majorant(za, am, bm, Q, k, e)
 
-    t = 1 << wp if real else (1 << wp, 0)  # term k-1
-    ended = (0, 1) if real else ((0, 0), (1, 0))  # the ratio 0 / 1, once an upper factor vanished
-
-    def term(k: int) -> tuple:  # term k = term k-1 top / bot, cut
-        nonlocal t
-        if k:
-            top, bot = next(ratios, ended)
-            if real:
-                t = _cut(t * top, bot) if bot > 0 else _cut(-t * top, -bot)
-            else:
-                br, bi = bot
-                if bi:  # top / bot = top conj(bot) / |bot|^2
-                    top, br = _gmul(top, (br, -bi)), br * br + bi * bi
-                elif br < 0:
-                    top, br = (-top[0], -top[1]), -br
-                t = _cut(_gmul(t, top), br)
-        return ((t, 0) if real else t), ratio(k)
-
-    return term
+    low = za / math.prod(1 + b for b in bm) * (1 - 2.0**-20) if e == 0 else 0.0
+    return terms, ratio, low
 
 
-def _tailed(entry: tuple, wp: int) -> tuple:
-    """(t, |t| R / (1 - R)) from a term t and a bound R < 1 on every later term
-    ratio: t and a bound on the sum of the later terms' moduli (inf unless R < 1)."""
-    t, R = entry
-    return t, _fabs(t, wp) * R / (1 - R) if R < 1 else math.inf
+def _tailed(t: tuple, R: float, wp: int) -> float:
+    """|t| R / (1 - R), from a term t and a bound R < 1 on every later term
+    ratio: a bound on the sum of the later terms' moduli (inf unless R < 1)."""
+    return _fabs(t, wp) * R / (1 - R) if R < 1 else math.inf
 
 
 def _cauchy_terms(X, Y, wp: int):
-    """n -> (sum_{j<=n} X[j] Y[n-j], tail after it), from tables of two series'
-    terms and ratio majorants.  A pair with j + i > n has i > n - j or j > M, so
-    for each M <= n the tail is at most sum_{j<=M} |X[j]| tau_Y(n-j) + tau_X(M)
-    sum |Y|, tau(k) the tail after term k; the least over M is taken."""
+    """Yield (sum_{j<=n} X[j] Y[n-j], tail after it), n = 0, 1, ..., from
+    tables of two series' terms and ratio majorants.  A pair with j + i > n
+    has i > n - j or j > M, so for each M <= n the tail is at most sum_{j<=M}
+    |X[j]| tau_Y(n-j) + tau_X(M) sum |Y|, tau(k) the tail after term k; the
+    least over M is taken."""
     parts = [], [], [], []  # the real and imaginary parts of X[j], then of Y[j], j <= n
     ax, tx, ty = [], [], []  # |X[j]|, tau_X(j), tau_Y(j) for j <= n
     sy = 0.0  # sum_{j<=n} |Y[j]|
-
-    def term(n: int) -> tuple:
-        nonlocal sy
+    for n in itertools.count():
         for p, v in zip(parts, (*X[n][0], *Y[n][0])):
             p.append(v)
         ax.append(_fabs(X[n][0], wp))
-        tx.append(_tailed(X[n], wp)[1])
-        ty.append(_tailed(Y[n], wp)[1])
+        tx.append(_tailed(*X[n], wp))
+        ty.append(_tailed(*Y[n], wp))
         sy += _fabs(Y[n][0], wp)
         xr, xi, yr, yi = parts
         yr, yi = yr[::-1], yi[::-1]
@@ -348,17 +359,15 @@ def _cauchy_terms(X, Y, wp: int):
         if any(xi) or any(yi):
             re -= sum(map(operator.mul, xi, yi))
             im = sum(map(operator.mul, xr, yi)) + sum(map(operator.mul, xi, yr))
-        if ty[n] == math.inf:
-            return _mul((re, im), (1, 0), wp), math.inf
-        s, head, tail = sy + ty[n], 0.0, math.inf
-        for a, t, x in zip(ax, reversed(ty), tx):
-            if a:
-                head += a * t
-            if head + x * s < tail:
-                tail = head + x * s
-        return _mul((re, im), (1, 0), wp), tail
-
-    return term
+        tail = math.inf
+        if ty[n] < math.inf:
+            s, head = sy + ty[n], 0.0
+            for a, t, x in zip(ax, reversed(ty), tx):
+                if a:
+                    head += a * t
+                if head + x * s < tail:
+                    tail = head + x * s
+        yield _mul((re, im), (1, 0), wp), tail
 
 
 def _weighted_cauchy(X, Y, weight, q, eps: float, pb: int, absolute: bool = False):
@@ -373,31 +382,28 @@ def _weighted_cauchy(X, Y, weight, q, eps: float, pb: int, absolute: bool = Fals
     with a finite diagonal tail until it is finite, and then only at powers of
     two, O(log N) log-sums for N diagonals."""
     wp = pb + _GUARD_BITS
-    A = _Table(_phi_terms([weight[0], q], [weight[1]], q, 1, wp))
+    A = _phi_terms([weight[0], q], [weight[1]], q, 1, wp)[0]
     Q, un, vn = (_fabs(_fx(x, wp), wp) for x in (q, *weight))
-    diagonal = _cauchy_terms(X, Y, wp)
-    M = math.inf
 
-    def term(n: int) -> tuple:
-        nonlocal M
-        value, tail = diagonal(n)
-        a = A[n][0]
-        if tail < math.inf and (M == math.inf or n & (n - 1) == 0):
-            M = _poch_majorant(un * Q**n, vn * Q**n, Q)
-        return _mul(a, value, wp), _fabs(a, wp) * M * tail
+    def terms():
+        M = math.inf
+        for n, ((value, tail), a) in enumerate(zip(_cauchy_terms(X, Y, wp), A)):
+            if tail < math.inf and (M == math.inf or n & (n - 1) == 0):
+                M = _poch_majorant(un * Q**n, vn * Q**n, Q)
+            yield _mul(a, value, wp), _fabs(a, wp) * M * tail
 
-    return certified_sum(term, eps, pb, absolute)
+    return certified_sum(terms(), eps, pb, absolute)
 
 
 def _weight_sup(weight, q, wp: int) -> float:
     """A bound on sup_i |(u;q)_i / (v;q)_i|, weight = (u, v): the largest term
     before the first n whose M(n) (:func:`_weighted_cauchy`) is finite, and
     |term n| M(n)."""
-    A = _phi_terms([weight[0], q], [weight[1]], q, 1, wp)
+    A = _phi_terms([weight[0], q], [weight[1]], q, 1, wp)[0]
     Q, un, vn = (_fabs(_fx(x, wp), wp) for x in (q, *weight))
     top = 0.0
-    for n in itertools.count():
-        a, M = _fabs(A(n)[0], wp), _poch_majorant(un * Q**n, vn * Q**n, Q)
+    for n, a in enumerate(A):
+        a, M = _fabs(a, wp), _poch_majorant(un * Q**n, vn * Q**n, Q)
         if M < math.inf:
             return max(top, a * M)
         top = max(top, a)
@@ -406,19 +412,46 @@ def _weight_sup(weight, q, wp: int) -> float:
 _MAX_TERMS = 100_000
 
 
-def certified_sum(
-    terms: Callable[[int], tuple], eps: float, precision_bits: int, absolute: bool = False
-) -> tuple[tuple, TruncationCert]:
-    """Sum t_0 + t_1 + ... for terms(k) = (t_k, tail_k), fixed-point pairs at
-    precision_bits + _GUARD_BITS bits and a proven bound on sum_{j>k} |t_j| (inf
-    while none is known), up to the first k whose tail_k is at most eps (times
-    max(1, |sum|) unless `absolute`)."""
+def certified_sum(terms: Iterable, eps: float, precision_bits: int, absolute: bool = False,
+                  ratio: Optional[Callable[[int], float]] = None,
+                  low: float = 0.0) -> tuple[tuple, TruncationCert]:
+    """Sum t_0 + t_1 + ..., fixed-point pairs at wp = precision_bits +
+    _GUARD_BITS bits, up to the first k whose proven bound tail_k on sum_{j>k}
+    |t_j| is at most eps (times max(1, |S_k|), S_k = t_0 + ... + t_k, unless
+    `absolute`).  terms yields (t_k, tail_k), tail_k inf while none is known;
+    or, given ratio, t_k alone, and tail_k = |t_k| R / (1 - R) for R =
+    ratio(k), a bound on every later term ratio (inf unless R < 1).
+
+    The pre-test, given ratio and 0 < low <= ratio(k) for every k, low < 1.
+    Let b(x) be the bit length of the larger part of a pair x, so 2^(b(x) -
+    1 - wp) <= |x| < 2^(b(x) + 1/2 - wp) for x != 0.  If
+        b(t_k) - 1 - wp + log2(low / (1 - low))
+            > log2(eps) + max(0, b(S_k) + 1 - wp) + 1
+    (without the max term when `absolute`), then tail_k >= |t_k| low / (1 -
+    low), as x / (1 - x) increases, is more than twice the target, which is
+    below eps 2^max(0, b(S_k) + 1 - wp): the tail test fails, with a factor-2
+    margin for the rounding of its floats, so R, |t_k| and |S_k| are not
+    formed.  A t_k = 0 (tail 0) never passes it, and a term with b(t_k) - wp
+    or b(S_k) - wp at least 1023 always gets the full test, so a NoConvergence
+    past the float range (:func:`_fabs`) fires where it fires without it."""
     wp = precision_bits + _GUARD_BITS
+    # the pre-test holds when b(t_k) > over and b(t_k) - b(S_k) > over_s
+    over = math.inf if not (0 < low < 1 and eps > 0) else \
+        max(0, math.log2(eps) + 2 + wp - math.log2(low / (1 - low)))
+    over_s, top = -math.inf if absolute else over + 1 - wp, wp + 1023
     re = im = 0
-    for k in range(_MAX_TERMS):
-        (tr, ti), tail = terms(k)
-        re += tr
-        im += ti
+    for k, t in zip(range(_MAX_TERMS), terms):
+        if ratio is None:
+            t, tail = t
+        tr, ti = t
+        re, im = re + tr, im + ti
+        if ratio is not None:
+            # b(t_k) and b(S_k), on real data one bit_length each
+            bt = tr.bit_length() if not ti else (abs(tr) | abs(ti)).bit_length()
+            bs = re.bit_length() if not im else (abs(re) | abs(im)).bit_length()
+            if over < bt < top and bs < top and bt - bs > over_s:
+                continue
+            tail = _tailed(t, ratio(k), wp)
         if tail < math.inf:
             target = eps if absolute else eps * max(1.0, _fabs((re, im), wp))
             if tail <= target:
@@ -459,13 +492,14 @@ def eval_phi_nonterminating(
             raise DivergenceError(f"|z| >= 1 for an r = s+1 series, z = {spec.arg}")
 
     wp = precision_bits + _GUARD_BITS
-    term = _phi_terms(spec.upper, spec.lower, base, spec.arg, wp, qpow_indices(spec.lower, n))
+    terms, ratio, low = _phi_terms(spec.upper, spec.lower, base, spec.arg, wp,
+                                   qpow_indices(spec.lower, n))
     if n is not None:
         # a term that is exactly 0 (an upper factor vanished) ends the series
-        terms = list(itertools.takewhile(any, (term(k)[0] for k in range(n + 1))))
+        terms = list(itertools.takewhile(any, itertools.islice(terms, n + 1)))
         total = sum(t[0] for t in terms), sum(t[1] for t in terms)
         return _approx(total, wp, precision_bits), TruncationCert(n + 1, 0.0, eps)
-    total, cert = certified_sum(lambda k: _tailed(term(k), wp), eps, precision_bits)
+    total, cert = certified_sum(terms, eps, precision_bits, ratio=ratio, low=low)
     return _approx(total, wp, precision_bits), cert
 
 
@@ -504,7 +538,6 @@ def eval_rfs(
     wp = precision_bits + _GUARD_BITS
     ups, los, zz = [_fx(a, wp) for a in ups], [_fx(b, wp) for b in los], _fx(zz, wp)
     am, bm = [_fabs(a, wp) for a in ups], [_fabs(b, wp) for b in los] + [-1.0]  # k + 1 = k - (-1)
-    t = (1 << wp, 0)
 
     def ratio(k: int) -> float:
         if term_n is not None and k >= term_n:
@@ -516,10 +549,10 @@ def eval_rfs(
             R *= 1 / (k - b) if a is None else max(1.0, (a + k) / (k - b))
         return R
 
-    def term(k: int) -> tuple:
-        # term k = term k-1 * prod (a + k-1) z / (k prod (b + k-1))
-        nonlocal t
-        if k:
+    def terms():  # term k = term k-1 * prod (a + k-1) z / (k prod (b + k-1))
+        t = (1 << wp, 0)
+        for k in itertools.count(1):
+            yield t
             shift = (k - 1) << wp
             num, den = zz, (k << wp, 0)
             for a in ups:
@@ -527,9 +560,8 @@ def eval_rfs(
             for b in los:
                 den = _mul(den, (b[0] + shift, b[1]), wp)
             t = _div(_mul(t, num, wp), den, wp)
-        return _tailed((t, ratio(k)), wp)
 
-    total, _ = certified_sum(term, eps, precision_bits)
+    total, _ = certified_sum(terms(), eps, precision_bits, ratio=ratio)
     return _approx(total, wp, precision_bits)
 
 

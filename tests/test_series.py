@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -15,8 +16,8 @@ from mpmath import mp
 
 from qident import series
 from qident.errors import DivergenceError, DomainError, NoConvergence, PoleError, check_names
-from qident.qkernel import (_GAUSS_EXACT, ApproxScalar, ExactScalar, QBase, _fx, qpoch_finite,
-                            qpoch_infinite)
+from qident.qkernel import (_GAUSS_EXACT, ApproxScalar, ExactScalar, QBase, TruncationCert,
+                            _approx, _fabs, _fx, _qpow_index, qpoch_finite, qpoch_infinite)
 from qident.reporting import compare_approx, make_report, matched
 from qident.series import (
     BalanceClass,
@@ -270,6 +271,21 @@ class TestNonterminating:
         with mp.workprec(1200):
             assert abs(v.value - ref) <= eps * max(1, abs(ref)), cert
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_cancelling_terms_within_the_certificate(self):
+        # 3phi2(-1/4, -3/4, 9/2; 684/485, -94/291; 99/100, 4/5): the terms rise
+        # far above the sum, about -3.016e91, and cancel; the fixed-point
+        # roundings of the terms, which the certificate does not count, move
+        # the value by 1.6e-21 relative, while the certificate claims 1e-30
+        upper, lower, q, z = [F(-1, 4), F(-3, 4), F(9, 2)], [F(684, 485), F(-94, 291)], \
+            F(99, 100), F(4, 5)
+        eps = 1e-30
+        v, cert = eval_phi_nonterminating(
+            SeriesSpec.make([E(a) for a in upper], [E(b) for b in lower], E(q), E(z)), eps)
+        oracle = _direct_sum(upper, lower, q, z, 840, 1024)
+        with mp.workprec(1024):
+            assert abs(v.value - oracle) <= cert.tail_bound + eps * abs(v.value)
+
     @given(
         st.integers(5, 60), qs, st.integers(10, 40), st.sampled_from([1, -1]),
         st.fractions(min_value=1, max_value=3, max_denominator=3),
@@ -305,12 +321,12 @@ def _gaussian_ops_on_ints():
 
 
 def _first_terms(upper, lower, q, z, wp, n=25) -> tuple:
-    """The first n outputs of series._phi_terms, then the index of its
+    """The first n (term, R(k)) of series._phi_terms, then the index of its
     PoleError, NoConvergence when q^k is 0 in fixed point and r > s+1, or None."""
-    term, out = series._phi_terms(upper, lower, q, z, wp), []
+    table, out = series._Table(series._phi_terms(upper, lower, q, z, wp)), []
     try:
         for k in range(n):
-            out.append(term(k))
+            out.append(table[k])
     except PoleError as err:
         return out, err.index
     except NoConvergence:
@@ -359,9 +375,9 @@ class TestTermRounding:
         wp = data.draw(st.integers(40, 160))
         expected = _lemma_terms(upper, lower, q, z, wp, 30)
         assume(expected is not None)
-        term = series._phi_terms([E(*a) for a in upper], [E(*b) for b in lower], E(q), E(*z), wp)
-        for k, (t, bound) in enumerate(expected):
-            (re, im_), _ = term(k)
+        terms = series._phi_terms([E(*a) for a in upper], [E(*b) for b in lower], E(q), E(*z),
+                                  wp)[0]
+        for k, ((t, bound), (re, im_)) in enumerate(zip(expected, terms)):
             err = _cabs((F(re, 2**wp) - t[0], F(im_, 2**wp) - t[1]))
             assert err <= bound * (1 + 1e-9), (k, err * 2**wp, bound * 2**wp)
 
@@ -378,6 +394,102 @@ class TestTermRounding:
             want = eval_phi_nonterminating(SeriesSpec.make(dyadic[:2], dyadic[2:3], q, dyadic[3]),
                                            1e-30, bits)
             assert (got[0].value, got[1]) == (want[0].value, want[1])
+
+
+def _tail_test_every_term(spec, eps: float, bits: int) -> tuple:
+    """(value, cert) of a nonterminating r-phi-s series summed with its tail
+    test formed at every term: the terms and majorants R(k) of
+    series._phi_terms, poles as eval_phi_nonterminating decides them, and the
+    first k with |t_k| R(k) / (1 - R(k)) <= eps max(1, |S_k|) ends the sum."""
+    wp = bits + series._GUARD_BITS
+    q = spec.base.value
+    poles = {j: _qpow_index(b, q) for j, b in enumerate(spec.lower)}
+    terms, ratio, _ = series._phi_terms(spec.upper, spec.lower, q, spec.arg, wp, poles)
+    re = im = 0
+    for k, t in enumerate(itertools.islice(terms, series._MAX_TERMS)):
+        re, im = re + t[0], im + t[1]
+        R = ratio(k)
+        tail = _fabs(t, wp) * R / (1 - R) if R < 1 else math.inf
+        if tail < math.inf:
+            target = eps * max(1.0, _fabs((re, im), wp))
+            if tail <= target:
+                return _approx((re, im), wp, bits), TruncationCert(k + 1, tail, target)
+    raise NoConvergence("not certified")
+
+
+def _outcome(f, *args):
+    try:
+        value, cert = f(*args)
+    except (NoConvergence, PoleError) as err:
+        return type(err), str(err)
+    return value.value, cert.terms_used, cert.tail_bound
+
+
+@st.composite
+def _pretest_data(draw):
+    """(upper, lower, q, z, eps) of a nonterminating r-phi-s series: real or
+    Gaussian data, e = 1+s-r in 0..2, |q| <= 99/100, |z| <= 9/10, some lower
+    parameters q^-k (1 + delta) near a pole, eps 1e-10..1e-60."""
+    gauss = draw(st.booleans())
+    part = st.fractions(F(-2), F(2), max_denominator=9)
+    im = part if gauss else st.just(F(0))
+
+    def within(r):  # a Gaussian rational 0 < |x| <= r, its imaginary part at most 1/2
+        re = st.one_of(st.fractions(-r, r, max_denominator=100), st.sampled_from([r, -r]))
+        return st.tuples(re, im.map(lambda x: x / 4)).filter(
+            lambda x: 0 < x[0]**2 + x[1]**2 <= r**2).map(lambda x: E(*x))
+
+    q, z = draw(within(F(99, 100))), draw(within(F(9, 10)))
+    s = draw(st.integers(0, 2))
+    e = draw(st.integers(0, 2 if s else 1))
+    upper = [E(*draw(st.tuples(part, im))) for _ in range(s + 1 - e)]
+    near = st.tuples(st.integers(1, 40), st.integers(5, 40), st.sampled_from([1, -1])).map(
+        lambda x: (1 + F(x[2], 10**x[1])) / q**x[0])
+    lower = [draw(st.one_of(st.tuples(part, im).map(lambda x: E(*x)), near)) for _ in range(s)]
+    assume(all(_qpow_index(a, q) is None for a in upper))  # no upper q^-n ends the series
+    return upper, lower, q, z, 10.0 ** -draw(st.integers(10, 60))
+
+
+class TestPreTest:
+    @given(_pretest_data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_stops_where_the_tail_test_at_every_term_stops(self, data):
+        # the bit-length pre-test skips only terms whose tail test fails: the
+        # same value, stopping index and tail bound as the test at every term
+        upper, lower, q, z, eps = data
+        spec = SeriesSpec.make(upper, lower, q, z)
+        assert _outcome(eval_phi_nonterminating, spec, eps, 256) == \
+            _outcome(_tail_test_every_term, spec, eps, 256)
+
+    # (upper, lower, q, z, eps, the terms drawn when the refusal fires, the magnitude it names)
+    FLOAT_RANGE = {
+        # SRIV_JAIN at q = 9999/10000: the terms of this 2phi1 rise past 2^1024
+        # long before R(k) < 1; the test at that term reads |t_k| and refuses
+        "SRIV_JAIN": ([F(1, 3), F(-1, 3)], [F(1, 9)], F(9999, 10000), F(1, 5), 1e-30 / 8,
+                      3924, 2474),
+        # a lower parameter 2^20 (1 + 10^-400): term 21 jumps past 2^1024 and
+        # R(k) < 1 from k = 23, where the tail test reads |t_k| and refuses;
+        # the pre-test alone would skip that test, as it fails for sure, so
+        # only its float-range guard keeps the refusal at that term
+        "near_pole": ([3 * F(2)**20, F(1, 3)], [(1 + F(1, 10**400)) * F(2)**20], F(1, 2),
+                      F(1, 2), 1e-30, 24, 1339),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FLOAT_RANGE))
+    def test_float_range_refusal_keeps_its_term(self, case, monkeypatch):
+        upper, lower, q, z, eps, drawn, bits = self.FLOAT_RANGE[case]
+        count, phi_terms = [], series._phi_terms
+
+        def counted(*args):
+            terms, ratio, low = phi_terms(*args)
+            return (count.append(k) or t for k, t in enumerate(terms)), ratio, low
+
+        monkeypatch.setattr(series, "_phi_terms", counted)
+        spec = SeriesSpec.make([E(a) for a in upper], [E(b) for b in lower], E(q), E(z))
+        with pytest.raises(NoConvergence, match=re.escape(
+                f"a magnitude of about 2^{bits} passes the float range (2^1024)")):
+            eval_phi_nonterminating(spec, eps)
+        assert len(count) == drawn
 
 
 def _cmul(x, y):
