@@ -35,7 +35,9 @@ kernel's first T terms are one power series in w, cut by Cauchy's estimate on
 the one circle |w| = r^(1 - 2^-10), r the kernel's radius.  The pairs are
 read off the exact data, and the product of a pair's two majorants bounds
 it, so M and N are as unfolded.  Each series is a cosine sum
-plus i times a sine sum, summed by Clenshaw's recurrence at a node
+plus i times a sine sum, S(w) = E(w^2) + w O(w^2) with E its even and O its
+odd coefficients, split once at build time; the nodes come in pairs (w, -w),
+and two Clenshaw recurrences of about D/2 steps at w^2 give S(w) and S(-w)
 (:func:`_clenshaw`: one product per coefficient and sum, its roundings under
 2^-wp / 8); where the mirror below says the constants are real, or imaginary
 and real after w = -i v, every coefficient is one int.  The denominators are
@@ -45,8 +47,8 @@ e^(2 pi i/N).
 Every denominator argument, and the kernel's l2 w/sigma and zc w/sigma, must
 keep modulus below one on the contour (which also places the kernel's poles),
 checked before any node runs.  At a real point (real parameters, f and sigma)
-f(-psi), or f(pi - psi), is conj f(psi), and N/2 + 1 evaluations give the same
-N-node sum (:func:`integrate_periodic`); any other point evaluates all N nodes.
+f(-psi), or f(pi - psi), is conj f(psi), and N/4 + 1 pairs give the same N-node
+sum (:func:`integrate_periodic`); any other point evaluates all N/2 pairs.
 
 theta(x; q) here is (x; q)_inf (q/x; q)_inf.  Displays whose f-elements did
 not form theta pairs (x, q/x) as printed are implemented with the paired form
@@ -91,7 +93,7 @@ from .qkernel import (
     _qprod,
 )
 from .reporting import VerificationReport, compare_approx, make_report
-from .series import _cut, _ratio_majorant, _term_ratios
+from .series import _ratio_majorant, _term_ratios
 
 E = ExactScalar.coerce
 
@@ -146,28 +148,31 @@ def trapezoid_nodes(strips, target: float) -> tuple[int, float]:
 
 def _nodes(n: int, wp: int, mirror: int | None):
     """The nodes w_j = e^(i psi_j), psi_j = -pi + 2 pi j / n, that
-    :func:`integrate_periodic` evaluates, as fixed-point pairs at wp: all n in
-    order, or with a mirror its two fixed nodes, then the n/2 - 1 between them.
+    :func:`integrate_periodic` evaluates, each with its negative w_(j + n/2), as
+    fixed-point pairs at wp: the two on the axes, w_j0 and w_(j0 + n/4), then
+    the n/4 - 1 between them, and with mirror None the n/4 - 1 after w_(j0 +
+    n/4); j0 = n/4 at mirror -1, else 0.
 
     w_j = -omega^j, omega = e^(2 pi i/n): each power of omega is the last times
-    omega at g = wp + s bits, s = ceil(log2 n) + 4, from the exact omega^j0 (1,
-    or i at j0 = n/4), its parts rounded to nearest at wp.  Lemma: |w_j -
-    e^(i psi_j)| < 2^-wp.  With u = 2^-g, omega is within 2u and a product
-    rounds by under sqrt(2) u, so the j-th power errs by e_j <= e_(j-1) (1 + 2u)
-    + (2 + sqrt 2) u, at most 3.5 j u <= (7/32) 2^-wp (j <= n <= 2^20); rounding
-    adds at most 2^-wp / sqrt 2.  The fixed nodes, -omega^j0 and omega^j0, and
-    w_0 = -1 are exact."""
+    omega at g = wp + s bits, s = ceil(log2 n) + 4, from the exact omega^j0 or i
+    omega^j0, its parts rounded to nearest at wp.  Lemma: |w_j - e^(i psi_j)| <
+    2^-wp.  With u = 2^-g, omega is within 2u and a product rounds by under
+    sqrt(2) u, so the m-th power past the start errs by e_m <= e_(m-1) (1 + 2u)
+    + (2 + sqrt 2) u, at most 3.5 m u <= (7/128) 2^-wp (m < n/4 <= 2^18);
+    rounding adds at most 2^-wp / sqrt 2.  The nodes on the axes are exact, and
+    so are their negatives."""
     s = (n - 1).bit_length() + 4
     g, half = wp + s, 1 << (s - 1)
     with mp.workprec(g + 10):
         wr, wi = _fx(mpmath.expjpi(mpmath.mpf(2) / n), g)
     zr, zi = (0, 1 << g) if mirror == -1 else (1 << g, 0)
-    yield -zr >> s, -zi >> s
-    if mirror is not None:
-        yield zr >> s, zi >> s
-    for _ in range((n if mirror is None else n // 2) - 1):
-        zr, zi = (zr * wr - zi * wi) >> g, (zr * wi + zi * wr) >> g
-        yield -((zr + half) >> s), -((zi + half) >> s)
+    starts = [(zr, zi), (-zi, zr)]  # omega^j0 and omega^(j0 + n/4) = i omega^j0
+    for zr, zi in starts:
+        yield -zr >> s, -zi >> s
+    for zr, zi in starts[:1 if mirror else 2]:
+        for _ in range(n // 4 - 1):
+            zr, zi = (zr * wr - zi * wi) >> g, (zr * wi + zi * wr) >> g
+            yield -((zr + half) >> s), -((zi + half) >> s)
 
 
 def integrate_periodic(integrand: Callable, strips, target: float, wp: int,
@@ -180,24 +185,28 @@ def integrate_periodic(integrand: Callable, strips, target: float, wp: int,
     the node count :func:`trapezoid_nodes` picks, which is the plain node
     average times 2pi, at precision_bits, and that count's error bound.  The
     integrand takes w = e^(i psi_j), psi_j = -pi + 2 pi j / N, as a fixed-point
-    pair at wp (:func:`_nodes`) and returns one; the ints are summed exactly.
+    pair at wp (:func:`_nodes`), and returns the pair (f(w), f(-w)), each a
+    fixed-point pair; the ints are summed exactly.  -w is a node too, as N is a
+    multiple of 4, so N/2 evaluations give the N-node sum.
 
     mirror = 1 says f(-psi) = conj f(psi), and mirror = -1 that f(pi - psi) =
-    conj f(psi).  Either map sends the N nodes to themselves (N is a multiple of
-    4) and fixes two of them, psi = -pi and 0 or psi = -pi/2 and pi/2, so the
-    same N-node sum is the real parts at the two fixed nodes plus 2 Re f_j over
-    the N/2 - 1 nodes strictly between them: N/2 + 1 evaluations, and the same
-    bound.  2 Re f_j stands for the values at two nodes, so the two rounding
-    errors it carries are those two nodes' own share of the budget.  With
-    mirror None each of the N nodes is evaluated once.
+    conj f(psi).  Either map sends the N nodes, and the pairs (w, -w), to
+    themselves: it fixes the pair at psi = -pi and 0, or -pi/2 and pi/2,
+    swaps the two nodes of the quarter pair a quarter turn on, and maps the
+    N/4 - 1 pairs strictly between those onto the other N/4 - 1.  With P(w) =
+    Re f(w) + Re f(-w), the same N-node sum is P at the two axis pairs plus 2
+    P(w_j) over the N/4 - 1 between: N/4 + 1 evaluations, and the same bound.
+    2 P(w_j) stands for the values at four nodes, so the rounding errors it
+    carries are those nodes' own share of the budget.  With mirror None each
+    of the N/2 pairs is evaluated once.
     """
     n, bound = trapezoid_nodes(strips, target)
-    nodes = _nodes(n, wp, mirror)
+    pairs = map(integrand, _nodes(n, wp, mirror))
     if mirror is None:
-        sr, si = map(sum, zip(*map(integrand, nodes)))
+        sr, si = map(sum, zip(*itertools.chain.from_iterable(pairs)))
     else:
-        sr, si = integrand(next(nodes))[0] + integrand(next(nodes))[0], 0
-        sr += 2 * sum(integrand(w)[0] for w in nodes)
+        (a, b), (c, d) = next(pairs), next(pairs)
+        sr, si = a[0] + b[0] + c[0] + d[0] + 2 * sum(x[0] + y[0] for x, y in pairs), 0
     with mp.workprec(precision_bits + 10):
         estimate = 2 * mpmath.pi * mpmath.mpc(mpmath.ldexp(sr, -wp), mpmath.ldexp(si, -wp)) / n
     return ApproxScalar(estimate, precision_bits), bound, n
@@ -426,44 +435,76 @@ def _theta_fixed(series, base, wp: int) -> tuple[tuple, tuple]:
     return tuple(zip(*A)), tuple(zip(*B))
 
 
-def _parts(A, B) -> tuple[int, list]:
-    """(g, parts): the parts (u, v, a_0, [a_D, ..., a_1]) that :func:`_clenshaw`
-    sums to sum_k A_k cos k theta + i sum_k B_k sin k theta, from (re, im) int
-    lists of A and B (B None: B = A, a series in x = e^(i theta), whose parts
-    then give both sums), each int shifted up by the lemma's g = 2
-    bit_length(D) + 2 bits.  u and v are the Gaussian units (or 0) that weigh a
-    part's cosine and sine sums; a part whose ints are all 0 is left out, so
-    real coefficients hold one int each."""
+def _parts(A, B, e: int) -> tuple[int, list]:
+    """(g, parts): the parts (u, v, a_0, [a_2M, ..., a_2], a_1, [a_(2M'+1), ...,
+    a_3]), u and v flat, that :func:`_clenshaw` sums, at w and at -w, to sum_k
+    A_k cos k phi + i sum_k B_k sin k phi, x = e^(i phi) = w^e, e = +-1 or +-2,
+    from (re, im) int lists of A and B (B None: B = A, a series in x, whose
+    parts then give both sums), each int shifted up by the lemma's g = 2
+    bit_length(D) + 2 bits, D the degree in x.  The even and odd coefficients
+    in w are split here, once: a series in w^(+-2) is one whose odd part is
+    empty (a_1 = 0, no rest), and at e < 0 (x = conj w) v changes sign.  u and
+    v are the Gaussian units (or 0) that weigh a part's cosine and sine sums; a
+    part whose ints are all 0 is left out, so real coefficients hold one int
+    each."""
     g, units, zero = 2 * (len(A[0]) - 1).bit_length() + 2, ((1, 0), (0, 1)), ((0, 0),) * 2
-    parts = zip(units + zero, units if B is None else zero + units, A + (B or ()))
-    return g, [(u, v, a[0] << g, [x << g for x in reversed(a[1:])])
-               for u, v, a in parts if any(a)]
+    parts, sign = [], 1 if e > 0 else -1
+    for u, v, a in zip(units + zero, units if B is None else zero + units, A + (B or ())):
+        if any(a):
+            a = [x << g for x in a]
+            even, odd = (a, [0]) if e in (2, -2) else (a[::2], a[1::2] or [0])
+            parts.append((*u, sign * v[0], sign * v[1], even[0], even[:0:-1], odd[0], odd[:0:-1]))
+    return g, parts
 
 
-def _clenshaw(parts: list, c: int, s: int, W: int) -> tuple:
-    """sum over parts (u, v, a_0, [a_D, ..., a_1]) of u sum_k a_k cos k theta + i
-    v sum_k a_k sin k theta, for fixed-point ints at W bits and c = cos theta,
-    s = sin theta, |c| <= 1, as a fixed-point pair at W.
+def _clenshaw(parts: list, w: tuple, w2: tuple, wp: int) -> tuple:
+    """(S(w), S(-w)), S the sum over parts (u, v, a_0, even, a_1, odd) of u sum_k
+    a_k cos k theta + i v sum_k a_k sin k theta: w = (cos theta, sin theta) and
+    w2 = (c, s), w^2 rounded, fixed-point pairs at wp, and the coefficients and
+    both values fixed point at any W >= wp bits (each product by c, s, cos
+    theta or sin theta is cut back by wp bits).
 
-    Clenshaw's recurrence (C. W. Clenshaw, *A note on the summation of
-    Chebyshev series*, Math. Comp. 9, 1955): b_k = a_k + 2c b_(k+1) - b_(k+2)
-    from b_(D+1) = b_(D+2) = 0 gives sum_k a_k cos k theta = a_0 + b_1 c - b_2
-    and sum_k a_k sin k theta = b_1 s, one product per coefficient.  Lemma:
-    each step rounds 2c b_(k+1) down by under one unit 2^-W, and an error at
-    step k reaches b_1 as U_(k-1)(c) times it and b_2 as U_(k-2)(c) times it;
-    |U_j(c)| <= j + 1, so the sine sum moves by under D(D+1)/2 + 1 <= (D+1)^2/2
-    units and the cosine sum, whose errors meet T_k(c) = c U_(k-1)(c) -
-    U_(k-2)(c), |T_k(c)| <= 1, by under D + 1 <= (D+1)^2/2 (D >= 1; at D = 0
-    both are exact).  At W = wp + g, g = 2 bit_length(D) + 2, that is under
-    2^-wp / 8."""
-    c2, re, im = 2 * c, 0, 0
-    for u, v, a0, rest in parts:
-        b1 = b2 = 0
-        for a in rest:
-            b1, b2 = a + (c2 * b1 >> W) - b2, b1
-        cos, sin = a0 + (b1 * c >> W) - b2, b1 * s >> W
-        re, im = re + u[0] * cos - v[1] * sin, im + u[1] * cos + v[0] * sin
-    return re, im
+    With C + i S the cosine and sine sums of the even coefficients a_2m at 2
+    theta, and C' + i S' those of the odd ones a_(2m+1), sum_k a_k cos k theta
+    = C +- (cos theta C' - sin theta S') and sum_k a_k sin k theta = S +- (sin
+    theta C' + cos theta S'), + at w and - at -w: two recurrences of about D/2
+    steps give both values.  Each is Clenshaw's (C. W. Clenshaw, *A note on the
+    summation of Chebyshev series*, Math. Comp. 9, 1955): b_m = a_m + 2c
+    b_(m+1) - b_(m+2) from b_(M+1) = b_(M+2) = 0 gives sum_m a_m cos 2m theta =
+    a_0 + b_1 c - b_2 and sum_m a_m sin 2m theta = b_1 s, one product per
+    coefficient.
+
+    Lemma: each step but the first, which is exact, rounds 2c b_(m+1) down by
+    under one unit 2^-W, and an error at step m reaches b_1 as U_(m-1)(c) times
+    it and b_2 as U_(m-2)(c) times it.  |c| may pass 1 only by the roundings of
+    w^2, under 3 2^-wp, and not at a node of :func:`_nodes` (n <= 2^20, wp >=
+    64): there c is within 4 2^-wp of cos 2 psi, which is +-1 on the axes,
+    where the node and w^2 are exact, and off them is at least 1 - cos(4 pi /
+    n) > 2^-34 from +-1.  So |c| <= 1, |U_j(c)| <= j + 1, and an M-step
+    recurrence moves its sine sum by under M(M-1)/2 + 1 units (|s| <= 1 + 3
+    2^-wp) and its cosine sum, whose errors meet T_m(c) = c U_(m-1)(c) -
+    U_(m-2)(c), |T_m(c)| <= 1, by under M (at M = 0 both are exact).  The odd
+    part's combination rounds once more and takes its sums' errors times |cos
+    theta|, |sin theta| <= 1 + 2^-wp.  At floor(D/2) and floor((D-1)/2) steps
+    each value moves by under D^2/4 + 3 <= (D+1)^2/2 units for D >= 2 (under
+    one at D = 1, none at D = 0), and a series in w^(+-2), D steps and no odd
+    part, by under D(D-1)/2 + 1 <= (D+1)^2/2.  At W = wp + g, g = 2
+    bit_length(D) + 2, that is under 2^-wp / 8."""
+    (c1, s1), (c, s) = w, w2
+    c2, pr, pi, mr, mi = 2 * c, 0, 0, 0, 0
+    for ur, ui, vr, vi, a0, even, a1, odd in parts:
+        b1 = b2 = d1 = d2 = 0
+        for a in even:
+            b1, b2 = a + (c2 * b1 >> wp) - b2, b1
+        for a in odd:
+            d1, d2 = a + (c2 * d1 >> wp) - d2, d1
+        ec, es = a0 + (b1 * c >> wp) - b2, b1 * s >> wp
+        oc, os_ = a1 + (d1 * c >> wp) - d2, d1 * s >> wp
+        oc, os_ = (c1 * oc - s1 * os_) >> wp, (s1 * oc + c1 * os_) >> wp
+        pc, ps, mc, ms = ec + oc, es + os_, ec - oc, es - os_
+        pr, pi = pr + ur * pc - vi * ps, pi + ui * pc + vr * ps
+        mr, mi = mr + ur * mc - vi * ms, mi + ui * mc + vr * ms
+    return (pr, pi), (mr, mi)
 
 
 def _fold(num, den, base, sig) -> tuple[list, list, list, list]:
@@ -570,11 +611,12 @@ def _node_integrand(num, den, kernel, base, sig,
     half by a margin, not yet a proof: each operation errs by under 2^-wp and
     the majorants bound every factor, so wp is log2(operations x mag / tol) +
     4, counting the series terms and 8 per kernel coefficient.  A series is
-    summed by Clenshaw's recurrence at wp + g bits, on coefficients shifted up
-    by g at build time; by the lemma of :func:`_clenshaw` (|U_j(cos theta)| <=
-    j + 1, so a degree-D sum's roundings move it by under (D+1)^2/2 units of
-    2^-(wp+g), g = 2 bit_length(D) + 2) each sum is within 2^-wp / 8 of the
-    same coefficients' exact sum, less than the one operation per coefficient
+    summed at a node pair (w, -w) by two Clenshaw recurrences at w^2, on its
+    even and odd coefficients shifted up by g at build time; by the lemma of
+    :func:`_clenshaw` (|U_j(cos 2 theta)| <= j + 1, so each of a degree-D
+    series' two values moves by under (D+1)^2/2 units of 2^-(wp+g), g = 2
+    bit_length(D) + 2) each value is within 2^-wp / 8 of the same
+    coefficients' exact sum, less than the one operation per coefficient
     counted for it.
 
     mirror, for :func:`integrate_periodic`, is read off the exact data: with
@@ -650,25 +692,29 @@ def _node_integrand(num, den, kernel, base, sig,
     ops = sum(len(p) + len(m) for p, m, _ in series) + sum(len(e[0]) for e in eulers) + 8 * (N + 1)
     wp = max(64, math.ceil(math.log2(ops) + math.log2(mag) - math.log2(tol)) + 4)
 
-    # ((g, Clenshaw parts at wp + g bits), power of w, den) per series
-    series = [(_parts(*_theta_fixed(sr, base, wp)), nums[i][2], 0)
+    # (Clenshaw parts at W = wp + g bits, W, den) per series
+    series = [(_parts(*_theta_fixed(sr, base, wp), nums[i][2]), 0)
               for sr, (i, _) in zip(series, thetas)]
-    series += [(_parts(tuple(zip(*(_fx(c, wp) for c in cs))), None), e, den)
+    series += [(_parts(tuple(zip(*(_fx(c, wp) for c in cs))), None, e), den)
                for cs, e, den in eulers]
-    series.append((_parts(_kernel_fixed(kernel, base, sig, T, N, wp), None), 1, 0))
+    series.append((_parts(_kernel_fixed(kernel, base, sig, T, N, wp), None, 1), 0))
+    series = [(terms, wp + g, den) for (g, terms), den in series]
+    one = 1 << wp, 0
 
     def integrand(w):
         if mirror == -1:
             w = -w[1], w[0]  # v = i w
         w2 = _mul(w, w, wp)
-        # the numerator, and the denominator divided once: a first factor is its
-        # sum at wp + g cut toward zero to wp, as a product by 1 at wp would cut it
-        parts = [None, None]
-        for (g, terms), e, den in series:  # one factor at wp, one at wp + g
-            c, s = w if e in (1, -1) else w2
-            v = _clenshaw(terms, c << g, (s if e > 0 else -s) << g, wp + g)
-            parts[den] = _cut(v, 1 << g) if parts[den] is None else _mul(parts[den], v, wp + g)
-        return _div(parts[0], parts[1] or (1 << wp, 0), wp)
+        # at w and at -w, the numerator and the denominator, divided once; each
+        # factor at W = wp + g times the product so far at wp, from 1, is cut to wp
+        num_w = num_m = den_w = den_m = one
+        for terms, W, den in series:
+            at_w, at_m = _clenshaw(terms, w, w2, wp)
+            if den:
+                den_w, den_m = _mul(den_w, at_w, W), _mul(den_m, at_m, W)
+            else:
+                num_w, num_m = _mul(num_w, at_w, W), _mul(num_m, at_m, W)
+        return _div(num_w, den_w, wp), _div(num_m, den_m, wp)
 
     return integrand, mirror, strips, wp
 

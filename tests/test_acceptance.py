@@ -296,8 +296,9 @@ def test_criterion_09_quadrature_bounds_hold():
             assert bound <= eps / 16 and n <= (2048 if ident == "IR_SCHLOSSER" else 512), rep.note
             pref, integrand, _, _, wp = _descriptor(ident, params, sigma, F(3, 2), eps, 256)
             with mpmath.mp.workprec(266):
-                # the integrand at w = e^(i psi), fixed point at its working bits
-                vals = [integrand(_fx(mpmath.expjpi(mpmath.mpf(j) / n - 1), wp))
+                # the integrand at w = e^(i psi), fixed point at its working bits:
+                # the first value of the pair (f(w), f(-w))
+                vals = [integrand(_fx(mpmath.expjpi(mpmath.mpf(j) / n - 1), wp))[0]
                         for j in range(2 * n)]
                 mean_n, mean_2n = (mpmath.mpc(*(mpmath.ldexp(sum(p), -wp) for p in zip(*vs))) / m
                                    for vs, m in ((vals[::2], n), (vals, 2 * n)))

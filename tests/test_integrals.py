@@ -87,12 +87,13 @@ def _unit(t):
     return E(1 - t * t, 2 * t) / (1 + t * t)
 
 
-def _clenshaw_at(A, B, x, wp):
-    """The node's sum of a series (A, B) (:func:`integrals._parts`) at the
-    fixed-point x = (cos theta, sin theta) at wp, run as the node runs it at
-    wp + g bits and shifted back to a pair at wp."""
-    g, parts = integrals._parts(A, B)
-    re, im = integrals._clenshaw(parts, x[0] << g, x[1] << g, wp + g)
+def _clenshaw_at(A, B, e, w, wp):
+    """The node's sum of a series (A, B) in w^e (:func:`integrals._parts`) at
+    the fixed-point w = (cos theta, sin theta) at wp, run as the node runs it
+    at wp + g bits, paired with -w, and its value at w shifted back to a pair
+    at wp."""
+    g, parts = integrals._parts(A, B, e)
+    (re, im), _ = integrals._clenshaw(parts, w, _mul(w, w, wp), wp)
     return re >> g, im >> g
 
 
@@ -122,7 +123,7 @@ class TestThetaSeries:
         with mp.workprec(4 * wp):
             w = mpmath.expjpi(mpmath.mpf(j) / 128 - 1)  # psi = -pi + 2 pi j / 256
             u = _fx(w, wp)
-            re, im = _clenshaw_at(A, B, u if e == 1 else (u[0], -u[1]), wp)
+            re, im = _clenshaw_at(A, B, e, u, wp)
             got = mpmath.mpc(mpmath.ldexp(re, -wp), mpmath.ldexp(im, -wp))
             qv, x = (mpmath.mpc(mpmath.mpf(v.re.numerator) / v.re.denominator,
                                 mpmath.mpf(v.im.numerator) / v.im.denominator) for v in (q, C))
@@ -141,7 +142,7 @@ def _euler_at(C, q, budget, e, j, wp):
     A = tuple(zip(*(_fx(c, wp) for c in integrals._euler(C, q, budget))))
     w = mpmath.expjpi(mpmath.mpf(j) / 128 - 1)
     u = _fx(w, wp)
-    value = _clenshaw_at(A, None, u if e == 1 else (u[0], -u[1]), wp)
+    value = _clenshaw_at(A, None, e, u, wp)
     qv, x = (mpmath.mpc(mpmath.mpf(v.re.numerator) / v.re.denominator,
                         mpmath.mpf(v.im.numerator) / v.im.denominator) for v in (q, C))
     return value, x * w**e, qv
@@ -197,30 +198,51 @@ class TestEulerSeries:
             assert err <= budget * m + 2.0 ** (14 - wp) * majorant * m * m, (budget, err)
 
 
+def _lemma_units(D, e):
+    """The lemma of integrals._clenshaw: the bound on one sum's rounding error, in
+    units of 2^-(wp + g), for a series of degree D in w^e."""
+    if D < 2:
+        return D
+    return D * (D - 1) / 2 + 1 if e in (2, -2) else D * D / 4 + 3
+
+
 class TestClenshaw:
-    # the recurrence's own rounding: against the same coefficients summed with
-    # T_k(c) and s U_(k-1)(c), (c, s) the fixed-point node, at four times the
-    # bits; the lemma of integrals._clenshaw puts each sum within 2^-wp / 8, so
-    # each part of a value within 2^-wp / 4; random ints of either sign up to
-    # 2^(wp+4), real or Gaussian, one series in x (B = A) or a theta's (A, B)
+    # the pair evaluator's own rounding: both values, at w and at -w, against
+    # the same coefficients summed term by term at four times the bits, with
+    # cos k theta and sin k theta from T_m(c) and s U_(m-1)(c) at the
+    # fixed-point w^2 = (c, s) as the integrand forms it, an odd k's turned by
+    # the fixed-point w; the lemma of integrals._clenshaw bounds each sum's
+    # error by _lemma_units at its g = 2 bit_length(D) + 2, so each part of a
+    # value, one sum or two (Gaussian data), is within twice that, under 2^-wp
+    # / 4; random ints of either sign up to 2^(wp+4), real or Gaussian, a
+    # series in x = w^e (B = A) or a theta's (A, B), e = +-1, and +-2, a
+    # series whose odd part is empty
     @given(st.integers(0, 450), st.integers(64, 200), st.integers(0, 255),
-           st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+           st.booleans(), st.booleans(), st.sampled_from([1, -1, 2, -2]),
+           st.randoms(use_true_random=False))
     # the |zc|/sigma = 9/10 kernel's length, at a node where c is not +-1 or 0
-    @example(424, 160, 37, False, False, random.Random(1))
-    @example(424, 69, 201, True, True, random.Random(2))
-    @settings(max_examples=12, deadline=None)
-    def test_rounding_lemma(self, D, wp, j, gaussian, theta, rng):
+    @example(424, 160, 37, False, False, 1, random.Random(1))
+    @example(424, 69, 201, True, True, -1, random.Random(2))
+    @example(423, 80, 90, True, False, 2, random.Random(3))
+    # D = 1, where the lemma's one unit is tight: one rounding a value, each
+    # on the finest grid the lemma allows
+    @example(1, 64, 37, False, False, 1, random.Random(4))
+    @example(1, 96, 150, True, True, -1, random.Random(5))
+    @example(0, 64, 37, True, True, 1, random.Random(6))
+    @settings(max_examples=16, deadline=None)
+    def test_rounding_lemma(self, D, wp, j, gaussian, theta, e, rng):
         def ints():
             return [rng.randint(-1 << (wp + 4), 1 << (wp + 4)) for _ in range(D + 1)]
 
         A = (ints(), ints() if gaussian else [0] * (D + 1))
         B = (ints(), ints() if gaussian else [0] * (D + 1)) if theta else None
-        g, parts = integrals._parts(A, B)
+        g, parts = integrals._parts(A, B, e)
         with mp.workprec(4 * wp):
-            x = _fx(mpmath.expjpi(mpmath.mpf(j) / 128 - 1), wp)
-            re, im = integrals._clenshaw(parts, x[0] << g, x[1] << g, wp + g)
-            c, s = (mpmath.ldexp(v, -wp) for v in x)
-            t, u = [mpmath.mpf(1), c], [mpmath.mpf(0), mpmath.mpf(1)]  # T_k, U_(k-1)
+            w = _fx(mpmath.expjpi(mpmath.mpf(j) / 128 - 1), wp)
+            w2 = _mul(w, w, wp)
+            got = integrals._clenshaw(parts, w, w2, wp)
+            (c1, s1), (c, s) = ([mpmath.ldexp(v, -wp) for v in x] for x in (w, w2))
+            t, u = [mpmath.mpf(1), c], [mpmath.mpf(0), s]  # T_m(c), s U_(m-1)(c)
             for _ in range(D):
                 t.append(2 * c * t[-1] - t[-2])
                 u.append(2 * c * u[-1] - u[-2])
@@ -229,9 +251,21 @@ class TestClenshaw:
                 return mpmath.mpc(*(mpmath.fsum(mpmath.ldexp(a, -wp) * p
                                                 for a, p in zip(seq, polys)) for seq in seqs))
 
-            ref = at(A, t) + 1j * at(B or A, [s * p for p in u])
-            err = mpmath.mpc(mpmath.ldexp(re, -wp - g), mpmath.ldexp(im, -wp - g)) - ref
-            assert max(abs(err.real), abs(err.imag)) <= 2.0 ** -wp / 4, float(abs(err) * 2**wp)
+            units = (2 if gaussian else 1) * _lemma_units(D, e) * (1 + 2.0**-40)
+            for sign, value in zip((1, -1), got):
+                if e in (2, -2):  # cos 2k theta, sin 2k theta
+                    cos, sin = t[:D + 1], u[:D + 1]
+                else:  # cos (2m+1) theta = cos theta cos 2m theta - sin theta sin 2m theta
+                    cos = [t[k // 2] if k % 2 == 0 else sign * (c1 * t[k // 2] - s1 * u[k // 2])
+                           for k in range(D + 1)]
+                    sin = [u[k // 2] if k % 2 == 0 else sign * (s1 * t[k // 2] + c1 * u[k // 2])
+                           for k in range(D + 1)]
+                ref = at(A, cos) + 1j * (1 if e > 0 else -1) * at(B or A, sin)
+                err = mpmath.mpc(mpmath.ldexp(value[0], -wp - g), mpmath.ldexp(value[1], -wp - g))
+                err -= ref
+                bound = units * 2.0 ** -(wp + 2 * D.bit_length() + 2)
+                assert max(abs(err.real), abs(err.imag)) <= bound <= 2.0**-wp / 4, (
+                    sign, float(max(abs(err.real), abs(err.imag)) / bound))
 
 
 def _mpc(v):
@@ -271,7 +305,7 @@ class TestKernelSeries:
         assert len(coeffs[0]) == len(coeffs[1]) == N + 1
         with mp.workprec(4 * wp):
             w = mpmath.expjpi(mpmath.mpf(j) / 128 - 1)  # psi = -pi + 2 pi j / 256
-            got = _mp(_clenshaw_at(coeffs, None, _fx(w, wp), wp), wp)
+            got = _mp(_clenshaw_at(coeffs, None, 1, _fx(w, wp), wp), wp)
             qv, zv, lv, a1, a2, a3, b1 = map(_mpc, (q, zc, l2, u1, u2, u3, l1))
             ref = mpmath.qhyper([a1, a2, a3 / w], [b1, lv * w], qv, zv * w, maxterms=10**6)
         with mp.workprec(64):
@@ -293,6 +327,11 @@ def _geometric_fx(r, wp):
     evaluates it: 1/(1 - r w), fixed point at wp."""
     rw = _fx(r, wp)
     return lambda w: _div((1 << wp, 0), _one_minus(_mul(rw, w, wp), wp), wp)
+
+
+def _paired(f):
+    """A one-node integrand f as integrate_periodic takes it: w -> (f(w), f(-w))."""
+    return lambda w: (f(w), f((-w[0], -w[1])))
 
 
 def _node(psi, wp):
@@ -335,7 +374,8 @@ def _count_nodes(monkeypatch):
 
 class TestQuadrature:
     def test_constant_integrand(self):
-        val, bound, nodes = integrate_periodic(lambda w: (1 << 128, 0), [(1.0, 1.0)], 1e-30, 128)
+        val, bound, nodes = integrate_periodic(lambda w: ((1 << 128, 0),) * 2, [(1.0, 1.0)],
+                                               1e-30, 128)
         assert bound <= 1e-30 and nodes % 4 == 0
         with mp.workprec(150):
             assert abs(val.value - 2 * mpmath.pi) < 1e-30
@@ -350,14 +390,14 @@ class TestQuadrature:
                 v = _mul(v, w, wp)
             return v
 
-        val, _, _ = integrate_periodic(power, [(1.0, math.exp(k))], 1e-28, wp)
+        val, _, _ = integrate_periodic(_paired(power), [(1.0, math.exp(k))], 1e-28, wp)
         assert abs(val.value) < 1e-28
 
     def test_geometric_convergence_on_analytic_integrand(self):
         # analytic for |w| < 1/r, so in |Im psi| < log 3, and at most 1/(1 - r e^a) there
         r = mpmath.mpf(1) / 3
         strips = [(a, 1 / (1 - float(r) * math.exp(a))) for a in (0.5, 0.8, 1.0)]
-        val, bound, nodes = integrate_periodic(_geometric_fx(r, 192), strips, 1e-30, 192)
+        val, bound, nodes = integrate_periodic(_paired(_geometric_fx(r, 192)), strips, 1e-30, 192)
         assert bound <= 1e-30
         with mp.workprec(220):
             assert abs(val.value - 2 * mpmath.pi) <= bound + 1e-50
@@ -365,9 +405,9 @@ class TestQuadrature:
     @pytest.mark.parametrize("r, mirror", [(mpmath.mpf(1) / 3, 1), (mpmath.mpc(0, 1) / 3, -1)])
     def test_mirror_evaluates_half_the_nodes(self, r, mirror):
         # 1/(1 - r e^(i psi)) is conj f at -psi for a real r, and at pi - psi for
-        # an imaginary r: the N-node sum takes N/2 + 1 distinct nodes
+        # an imaginary r: the N-node sum takes N/4 + 1 distinct pairs (w, -w)
         calls = []
-        f = _geometric_fx(r, 192)
+        f = _paired(_geometric_fx(r, 192))
 
         def counted(w):
             calls.append(w)
@@ -376,7 +416,7 @@ class TestQuadrature:
         strips = [(a, 1 / (1 - float(abs(r)) * math.exp(a))) for a in (0.5, 0.8, 1.0)]
         val, bound, nodes = integrate_periodic(counted, strips, 1e-30, 192, 192, mirror)
         assert bound <= 1e-30
-        assert len(calls) == len(set(calls)) == nodes // 2 + 1
+        assert len(calls) == len(set(calls)) == nodes // 4 + 1
         with mp.workprec(220):
             assert abs(val.value - 2 * mpmath.pi) <= bound + 1e-50
 
@@ -482,16 +522,18 @@ class TestQuadrature:
     @settings(max_examples=12, deadline=None)
     def test_nodes_are_accurate(self, k, wp, mirror):
         # each node within 2^-wp of e^(i psi_j), mpmath's at four times the
-        # bits; the mirror's fixed nodes, and w_0 = -1, exact
+        # bits: the two on the axes, exact, then the N/4 - 1 between them, and
+        # with no mirror the N/4 - 1 after; each stands for itself and its
+        # negative, so the N/2 pairs cover the N nodes
         n, one = 4 * k, 1 << wp
         nodes = list(integrals._nodes(n, wp, mirror))
+        j0 = n // 4 if mirror == -1 else 0
+        js = [j0, j0 + n // 4, *range(j0 + 1, j0 + n // 4)]
         if mirror is None:
-            js, fixed = range(n), [(-one, 0)]
-        else:
-            j0 = 0 if mirror == 1 else n // 4
-            js = [j0, j0 + n // 2, *range(j0 + 1, j0 + n // 2)]
-            fixed = [(-one, 0), (one, 0)] if mirror == 1 else [(0, -one), (0, one)]
-        assert len(nodes) == len(js) and nodes[:len(fixed)] == fixed
+            js += range(n // 4 + 1, n // 2)
+            assert sorted(js + [j + n // 2 for j in js]) == list(range(n))
+        axes = [(-one, 0), (0, -one)] if mirror != -1 else [(0, -one), (one, 0)]
+        assert len(nodes) == len(js) and nodes[:2] == axes
         with mp.workprec(4 * wp):
             for j, w in zip(js, nodes):
                 err = abs(_mp(w, wp) - mpmath.expjpi(mpmath.mpf(2 * j - n) / n))
@@ -636,8 +678,9 @@ class TestIntegralReps:
 class TestNodeKernel:
     @pytest.mark.parametrize("ident", sorted(INTEGRAL_IDS))
     def test_nodes_match_certified_products_and_series(self, ident, monkeypatch):
-        # the fixed-point node against qpoch_infinite for the ten products and
-        # eval_phi_nonterminating for the 3phi2 kernel, at 8 nodes; the node's
+        # the fixed-point node, the first value of its pair, against
+        # qpoch_infinite for the ten products and eval_phi_nonterminating for
+        # the 3phi2 kernel, at 8 nodes; the node's
         # own truncation and rounding (eps / 16 / max(1, |prefactor|)) are far
         # below the 1e-60 asked for
         seen = []
@@ -664,7 +707,7 @@ class TestNodeKernel:
         for j in range(0, 64, 8):
             with mp.workprec(266):
                 psi = -mpmath.pi + 2 * mpmath.pi * j / 64
-                got = _mp(integrand(_node(psi, wp)), wp)
+                got = _mp(integrand(_node(psi, wp))[0], wp)
             with mp.workprec(bits):
                 w = mpmath.expjpi(psi / mpmath.pi)
                 so, ws = sgv / w, w / sgv
@@ -683,33 +726,44 @@ class TestNodeKernel:
                 assert abs(got - ref.value) <= 1e-60 * abs(ref.value), (ident, j)
 
     def test_no_node_evaluated_twice(self, monkeypatch):
-        # the hypothesis is checked on the moduli, so each node runs once, and
-        # the mirror leaves N/2 + 1 of the N nodes to run
+        # the hypothesis is checked on the moduli, so each node runs once: a
+        # pair (w, -w) a call, and the mirror leaves N/4 + 1 of the N/2 pairs
         calls, _ = _count_nodes(monkeypatch)
         params, sigma, _ = POINTS["IR_THM21"]
         rep = verify_integral_rep("IR_THM21", params, sigma=sigma, f=F(3, 2), eps=1e-15)
         assert rep.passed
         # the bound's N (the node doubling took 256)
         assert rep.quadrature_nodes == 160
-        assert len(calls) == len(set(calls)) == 160 // 2 + 1
+        assert len(calls) == len(set(calls)) == 160 // 4 + 1 == 41
         assert rep.note.startswith("quadrature nodes=160 bound=")
 
-    @pytest.mark.parametrize("ident", sorted(INTEGRAL_IDS))
-    def test_mirrored_sum_matches_all_nodes(self, ident):
+    @pytest.mark.parametrize("point", [*sorted(INTEGRAL_IDS), "complex z", "complex f",
+                                       "a = 0", "b = 0", "z = 0"])
+    def test_mirrored_sum_matches_all_nodes(self, point, monkeypatch):
         # the base-p^4 family is conj f at -psi, IR_SCHLOSSER and IR_SRIV_JAIN
-        # at pi - psi; the halved sum is the N-node sum to within the node
+        # at pi - psi, and a complex z or f has no mirror; IR_THM21 at a, b or z
+        # = 0 has series of degree 0.  The paired sum is the N-node sum of f
+        # evaluated at every node by _direct_sums, to within the node
         # tolerance tol: each pair of nodes may differ from conjugates by 2 tol
         eps, bits = 1e-10, 256
+        ident = point if point in POINTS else "IR_SRIV_JAIN" if point == "complex z" else "IR_THM21"
         params, sigma, _ = POINTS[ident]
+        f = E(F(3, 2), F(1, 2)) if point == "complex f" else F(3, 2)
+        if point == "complex z":
+            params = {**params, "z": E(F(1, 5), F(1, 10))}
+        elif "=" in point:
+            params = {**params, point[0]: F(0)}
         pref, integrand, mirror, strips, wp = integrals._descriptor(
-            ident, params, sigma, F(3, 2), eps, bits)
-        assert mirror == (-1 if ident in ("IR_SCHLOSSER", "IR_SRIV_JAIN") else 1)
+            ident, params, sigma, f, eps, bits)
+        assert mirror == (None if point.startswith("complex") else
+                          -1 if ident in ("IR_SCHLOSSER", "IR_SRIV_JAIN") else 1)
         tol = eps / (16 * max(1.0, float(abs(pref))))
-        half, _, n = integrate_periodic(integrand, strips, 2 * math.pi * tol, wp, bits, mirror)
+        paired, _, n = integrate_periodic(integrand, strips, 2 * math.pi * tol, wp, bits, mirror)
+        monkeypatch.setattr(integrals, "_clenshaw", _direct_sums)
         with mp.workprec(bits + 10):
-            vals = [integrand(_node(-mpmath.pi + 2 * mpmath.pi * j / n, wp)) for j in range(n)]
+            vals = [integrand(_node(-mpmath.pi + 2 * mpmath.pi * j / n, wp))[0] for j in range(n)]
             full = 2 * mpmath.pi * _mp([sum(parts) for parts in zip(*vals)], wp) / n
-            assert abs(half.value - full) <= 2 * math.pi * tol, (ident, n)
+            assert abs(paired.value - full) <= 2 * math.pi * tol, (point, n)
 
     @pytest.mark.parametrize("ident, eps, pinned", [
         ("IR_SCHLOSSER", 1e-10, "quadrature nodes=480 bound=4.442e-12"),
@@ -760,8 +814,9 @@ class TestNodeKernel:
             params = {**params, "z": E(F(1, 5), F(1, 10))}
         rep = verify_integral_rep(ident, params, sigma=sigma, f=f, eps=eps)
         assert rep.passed
-        imag = [any(u[1] or v[1] for u, v, _, _ in parts) for _, parts in built]
-        assert all(isinstance(a, int) for _, parts in built for *_, rest in parts for a in rest)
+        imag = [any(ui or vi for _, ui, _, vi, *_ in parts) for _, parts in built]
+        assert all(isinstance(a, int) for _, parts in built for *_, a0, even, a1, odd in parts
+                   for a in (a0, *even, a1, *odd))
         if point == "complex z":
             assert imag[-1] and rep.quadrature_nodes == 164
             horner = ("1.044435041074346580853735701049482809719",
@@ -779,13 +834,39 @@ class TestNodeKernel:
             assert abs(value - mpmath.mpc(*horner)) <= bound, value
 
     def test_complex_point_evaluates_every_node(self, monkeypatch):
-        # a complex z breaks both mirrors: all N nodes run, and the check passes
+        # a complex z breaks both mirrors: all N nodes run, N/2 pairs (w, -w)
+        # that cover them, and the check passes
         calls, mirrors = _count_nodes(monkeypatch)
         params, sigma, _ = POINTS["IR_SRIV_JAIN"]
         params = {**params, "z": E(F(1, 5), F(1, 10))}
         rep = verify_integral_rep("IR_SRIV_JAIN", params, sigma=sigma, f=F(3, 2))
-        assert rep.passed and mirrors == [None]
-        assert len(calls) == len(set(calls)) == rep.quadrature_nodes == 220
+        assert rep.passed and mirrors == [None] and rep.quadrature_nodes == 220
+        assert len(calls) == len(set(calls)) == 110
+        assert len(set(calls) | {(-x, -y) for x, y in calls}) == 220
+
+
+def _direct_sums(parts, w, w2, wp):
+    """The values at w and at -w of the series whose :func:`integrals._parts`
+    are given, for the integrand in place of :func:`integrals._clenshaw`, term
+    by term: the coefficients in w are the parts' even and odd ones
+    interleaved, and w^k, formed by products at wp, gives cos k theta + i sin
+    k theta."""
+    values = []
+    for x in (w, (-w[0], -w[1])):
+        re = im = 0
+        for ur, ui, vr, vi, a0, even, a1, odd in parts:
+            coeffs = [a for pair in itertools.zip_longest([a0, *reversed(even)],
+                                                          [a1, *reversed(odd)], fillvalue=0)
+                      for a in pair]
+            cos = sin = 0
+            power = (1 << wp, 0)
+            for a in coeffs:
+                cos, sin = cos + a * power[0], sin + a * power[1]
+                power = _mul(power, x, wp)
+            cos, sin = cos >> wp, sin >> wp
+            re, im = re + ur * cos - vi * sin, im + ui * cos + vr * sin
+        values.append((re, im))
+    return values
 
 
 def _folds(monkeypatch, nudge=None):
